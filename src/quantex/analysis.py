@@ -18,7 +18,6 @@ back-reaction.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -373,35 +372,90 @@ def run_point(model: ModelSpec, cfg: EvolutionConfig,
     return traj, traj.final_state().population(*target)
 
 
-def _map_points(worker, n_points: int, workers: int):
-    if workers <= 1:
-        return [worker(i) for i in range(n_points)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(n_points)))
+_POINT_ERRORS = (ToleranceError, CoherentTailError)
+
+
+def _tag(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_points(build, cfgs, target, catch=_POINT_ERRORS):
+    """Evolve every scan point; returns per point the target population,
+    the initial and final amplitudes, and the error tag (NaN, None, None,
+    tag on a failed point).
+
+    Point i evolves the model ``build(i)`` under ``cfgs[i]``; exceptions in
+    ``catch`` tag the point instead of aborting the scan.  Quantized-field
+    points run one by one through ``run_point``.  Prescribed-drive points
+    differ only in the drive (nu, x0) and the horizon, so they share one
+    free part and one coupling part and run together through the batched
+    kernel ``dynamics._evolve_driven_final``: same step and guards as
+    ``evolve_driven``, and a point that trips a guard is masked out and
+    tagged with the error its serial run raises.
+    """
+    results = [None] * len(cfgs)
+    batch = []
+    for i, cfg in enumerate(cfgs):
+        try:
+            model = build(i)
+            if model.is_driven and not model.back_reaction:
+                batch.append((i, model))
+                continue
+            traj, prob = run_point(model, cfg, target)
+            results[i] = (prob, traj.states[0].amplitudes,
+                          traj.final_state().amplitudes, None)
+        except catch as exc:
+            results[i] = (math.nan, None, None, _tag(exc))
+    if not batch:
+        return results
+
+    index, models = zip(*batch)
+    space, h0, c = _dyn._drive_parts(models[0].params)
+    psi0 = default_initial_state(models[0])
+    try:
+        finals, errors, _ = _dyn._evolve_driven_final(
+            space, h0, c, psi0,
+            [m.params.x0 for m in models], [m.params.nu for m in models],
+            [cfgs[i].t_max for i in index], [cfgs[i].n_steps for i in index],
+            cfgs[index[0]])
+    except catch as exc:     # a setting every point shares is invalid
+        finals, errors = [None] * len(index), [exc] * len(index)
+    target = target if target is not None else default_target(models[0])
+    for i, final, exc in zip(index, finals, errors):
+        if exc is None:
+            try:
+                prob = StateVector(space, final).population(*target)
+                results[i] = (prob, psi0.amplitudes, final, None)
+                continue
+            except catch as err:
+                exc = err
+        results[i] = (math.nan, None, None, _tag(exc))
+    return results
+
+
+def _scan_result(axis_name, axis, results, model, fixed, aux=None) -> ScanResult:
+    return ScanResult(axis_name, axis, np.array([r[0] for r in results]),
+                      _model_tag(model), fixed=fixed,
+                      errors=tuple(r[3] for r in results), aux=aux or {})
 
 
 def detuning_scan(model: ModelSpec, cfg: EvolutionConfig, deltas,
                   target: tuple[int, int] | None = None,
                   workers: int = 1) -> ScanResult:
     """Final-time target population versus detuning (field/drive frequency
-    minus detector frequency).  Points that trip a truncation or norm guard
-    are tagged and reported as NaN rather than aborting the scan."""
+    minus detector frequency).  Points that trip a truncation or norm guard,
+    or whose parameters are invalid, are tagged and reported as NaN rather
+    than aborting the scan.  Prescribed-drive points evolve together in
+    one batch (see ``_run_points``); ``workers`` is accepted and ignored.
+    """
     deltas = np.asarray(deltas, dtype=float)
     omega = model.params.omega
-
-    def one(i: int):
-        try:
-            _, prob = run_point(model.with_nu(omega + deltas[i]), cfg, target)
-            return prob, None
-        except (ToleranceError, CoherentTailError, ValueError) as exc:
-            return math.nan, f"{type(exc).__name__}: {exc}"
-
-    pairs = _map_points(one, len(deltas), workers)
-    return ScanResult("detuning", deltas, np.array([p for p, _ in pairs]),
-                      _model_tag(model),
-                      fixed={"t_max": cfg.t_max, "omega": omega,
-                             "coupling": _coupling_of(model)},
-                      errors=tuple(e for _, e in pairs))
+    results = _run_points(lambda i: model.with_nu(omega + deltas[i]),
+                          [cfg] * len(deltas), target,
+                          catch=_POINT_ERRORS + (ValueError,))
+    return _scan_result("detuning", deltas, results, model,
+                        {"t_max": cfg.t_max, "omega": omega,
+                         "coupling": _coupling_of(model)})
 
 
 def _coupling_of(model: ModelSpec) -> float:
@@ -426,29 +480,26 @@ def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities,
     """Final-time target population versus field intensity (|alpha|^2 for
     the two-mode model, x0^2 for the driven ones).  The aux column
     ``transition_gap`` measures the detector energy gained per absorbed
-    excitation, the intensity-independent transition quantum."""
+    excitation, the intensity-independent transition quantum.  Guard trips
+    are tagged per point; prescribed-drive points evolve together in one
+    batch (see ``_run_points``); ``workers`` is accepted and ignored."""
     intensities = np.asarray(intensities, dtype=float)
     ops = _family_ops(model)
     det_free, det_num = ops.detector_free.matrix, ops.detector_number.matrix
-
-    def one(i: int):
-        try:
-            traj, prob = run_point(_with_intensity(model, intensities[i]), cfg, target)
-            a0, af = traj.states[0].amplitudes, traj.final_state().amplitudes
-            de = _expect(det_free, af) - _expect(det_free, a0)
-            dn = _expect(det_num, af) - _expect(det_num, a0)
-            gap = de / dn if dn != 0.0 else math.nan
-            return prob, gap, None
-        except (ToleranceError, CoherentTailError) as exc:
-            return math.nan, math.nan, f"{type(exc).__name__}: {exc}"
-
-    triples = _map_points(one, len(intensities), workers)
-    return ScanResult("intensity", intensities,
-                      np.array([p for p, _, _ in triples]), _model_tag(model),
-                      fixed={"t_max": cfg.t_max, "omega": model.params.omega,
-                             "coupling": _coupling_of(model)},
-                      errors=tuple(e for _, _, e in triples),
-                      aux={"transition_gap": np.array([g for _, g, _ in triples])})
+    results = _run_points(lambda i: _with_intensity(model, intensities[i]),
+                          [cfg] * len(intensities), target)
+    gaps = []
+    for _, a0, af, _ in results:
+        if a0 is None:
+            gaps.append(math.nan)
+            continue
+        de = _expect(det_free, af) - _expect(det_free, a0)
+        dn = _expect(det_num, af) - _expect(det_num, a0)
+        gaps.append(de / dn if dn != 0.0 else math.nan)
+    return _scan_result("intensity", intensities, results, model,
+                        {"t_max": cfg.t_max, "omega": model.params.omega,
+                         "coupling": _coupling_of(model)},
+                        aux={"transition_gap": np.array(gaps)})
 
 
 def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
@@ -459,14 +510,17 @@ def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
     Quantum families sample the exact propagator at the requested times
     from a single eigendecomposition (falling back to per-point runs when
     a guard trips, so failures stay tagged point by point).  Driven models
-    run each point independently to exactly its readout time, with the
-    step count rounded from cfg.dt, so log-spaced grids stay exact.
+    evolve every point to exactly its readout time t, in n steps of t / n
+    with n rounded from t / cfg.dt, so log-spaced grids stay exact; all
+    points run together in one batch and each leaves it when its steps
+    are done (see ``_run_points``).  ``workers`` is accepted and ignored.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0):
         raise ValueError("readout times must be positive")
     if target is None:
         target = default_target(model)
+    fixed = {"omega": model.params.omega, "coupling": _coupling_of(model)}
 
     if model.family in QUANTUM_FAMILIES and not model.back_reaction:
         h = _family_ops(model).hamiltonian
@@ -474,28 +528,17 @@ def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
         try:
             traj = evolve_unitary_at(h, psi0, times, cfg)
             probs = np.array([s.population(*target) for s in traj.states])
-            return ScanResult("time", times, probs, _model_tag(model),
-                              fixed={"omega": model.params.omega,
-                                     "coupling": _coupling_of(model)})
+            return ScanResult("time", times, probs, _model_tag(model), fixed=fixed)
         except ToleranceError:
             pass  # per-point fallback keeps the error tags granular
 
-    def one(i: int):
-        t = float(times[i])
+    def point_cfg(t: float) -> EvolutionConfig:
         n = max(1, int(round(t / cfg.dt)))
-        cfg_pt = replace(cfg, dt=t / n, t_max=t)
-        try:
-            _, prob = run_point(model, cfg_pt, target)
-            return prob, None
-        except (ToleranceError, CoherentTailError) as exc:
-            return math.nan, f"{type(exc).__name__}: {exc}"
+        return replace(cfg, dt=t / n, t_max=t)
 
-    pairs = _map_points(one, len(times), workers)
-    return ScanResult("time", times, np.array([p for p, _ in pairs]),
-                      _model_tag(model),
-                      fixed={"omega": model.params.omega,
-                             "coupling": _coupling_of(model)},
-                      errors=tuple(e for _, e in pairs))
+    results = _run_points(lambda i: model, [point_cfg(float(t)) for t in times],
+                          target)
+    return _scan_result("time", times, results, model, fixed)
 
 
 def rabi_peak_scan(g: float, deltas) -> ScanResult:

@@ -265,7 +265,7 @@ def _initial_quantum_state(scenario: Scenario):
     raise ConfigError(f"unsupported quantum initial state {block['type']!r}")
 
 
-def _run_audit(scenario: Scenario, workers: int) -> dict:
+def _run_audit(scenario: Scenario) -> dict:
     model, cfg = scenario.model, scenario.evolution
     if model.back_reaction:
         block = scenario.config.get("initial_state", {"type": "default"})
@@ -302,29 +302,28 @@ def _run_audit(scenario: Scenario, workers: int) -> dict:
     return results
 
 
-def _run_scan(scenario: Scenario, workers: int) -> dict:
+def _run_scan(scenario: Scenario) -> dict:
     cfg = scenario.config
     axis = _build_axis(cfg["scan"], "scan")
     name = cfg["scan"]["axis"]
     runner = {"detuning": detuning_scan, "intensity": intensity_scan,
               "time": time_scan}[name]
-    scan = runner(scenario.model, scenario.evolution, axis,
-                  target=scenario.target, workers=workers)
+    scan = runner(scenario.model, scenario.evolution, axis, target=scenario.target)
     return {"scan": scan}
 
 
-def _run_signatures(scenario: Scenario, workers: int) -> dict:
+def _run_signatures(scenario: Scenario) -> dict:
     cfg = scenario.config
     scans = {
         "detuning": detuning_scan(scenario.model, scenario.evolution,
                                   _build_axis(cfg["scans"]["detuning"], "detuning"),
-                                  target=scenario.target, workers=workers),
+                                  target=scenario.target),
         "intensity": intensity_scan(scenario.model, scenario.evolution,
                                     _build_axis(cfg["scans"]["intensity"], "intensity"),
-                                    target=scenario.target, workers=workers),
+                                    target=scenario.target),
         "time": time_scan(scenario.model, scenario.evolution,
                           _build_axis(cfg["scans"]["time"], "time"),
-                          target=scenario.target, workers=workers),
+                          target=scenario.target),
     }
     report = signature_report(scans["detuning"], scans["intensity"], scans["time"])
     return {"scans": scans, "report": report}
@@ -465,13 +464,17 @@ def write_artifacts(scenario: Scenario, results: dict, out_dir: Path) -> list[st
 
 
 def run_scenario(scenario: Scenario, out_dir: Path, workers: int = 1) -> list[str]:
-    """Compute everything first, then write; returns written artifact names."""
+    """Compute everything first, then write; returns written artifact names.
+
+    ``workers`` is accepted and ignored: scan points run in one process,
+    and prescribed-drive scans step all their points as one batch.
+    """
     if scenario.kind == "audit":
-        results = _run_audit(scenario, workers)
+        results = _run_audit(scenario)
     elif scenario.kind == "scan":
-        results = _run_scan(scenario, workers)
+        results = _run_scan(scenario)
     elif scenario.kind == "signatures":
-        results = _run_signatures(scenario, workers)
+        results = _run_signatures(scenario)
     elif scenario.kind == "golden_rule":
         results = _run_golden_rule(scenario)
     elif scenario.kind == "constants":
@@ -496,7 +499,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output-dir", default=None,
                      help="artifact directory (default: ./<scenario name>)")
     run.add_argument("--workers", type=int, default=1,
-                     help="scan-point parallelism (output is order-independent)")
+                     help="accepted and ignored, kept for compatibility: scan "
+                          "points run in one process, prescribed-drive scans "
+                          "as one batch")
     run.add_argument("--dt", type=float, default=None,
                      help="override the evolution time step")
     run.add_argument("--t-max", type=float, default=None,
@@ -566,7 +571,7 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.output_dir) if args.output_dir else Path(scenario.name)
     try:
-        written = run_scenario(scenario, out_dir, workers=max(1, args.workers))
+        written = run_scenario(scenario, out_dir)
     except (ToleranceError, CoherentTailError) as exc:
         print(f"numerical-tolerance abort: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE

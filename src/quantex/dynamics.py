@@ -6,7 +6,9 @@ Three propagators:
   time-independent hermitian Hamiltonian;
 * ``evolve_driven`` -- Schroedinger evolution under a sinusoidal classical
   drive ``x(t) = x0 sin(nu t)``, with the Hamiltonian frozen at interval
-  midpoints (second order in dt) or integrated by RK4;
+  midpoints (second order in dt) or integrated by RK4; scans that need
+  only final states run many drives at once through the batched twin
+  ``_evolve_driven_final``, which shares its step and guards;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
   values, advanced by a Strang split (exact classical half-flow, full
@@ -80,9 +82,14 @@ class EvolutionConfig:
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
 
+    @property
+    def n_steps(self) -> int:
+        return max(1, int(round(self.t_max / self.dt)))
+
     def time_grid(self) -> np.ndarray:
-        n = max(1, int(round(self.t_max / self.dt)))
-        return np.arange(n + 1) * self.dt
+        """``n_steps + 1`` equally spaced times from 0 to exactly ``t_max``;
+        the step is ``t_max / n_steps``, the nearest such step to ``dt``."""
+        return np.linspace(0.0, self.t_max, self.n_steps + 1)
 
 
 @dataclass(frozen=True)
@@ -139,28 +146,60 @@ class Trajectory:
 
 
 def _boson_top_indices(space: SpaceDescriptor):
-    return [(i, f.dim - 1) for i, f in enumerate(space.factors) if isinstance(f, Boson)]
+    """(factor index, flat basis indices where that factor sits on its top
+    Fock level) for every bosonic factor."""
+    levels = np.indices(space.dims).reshape(len(space.dims), -1)
+    return [(i, np.flatnonzero(levels[i] == f.dim - 1))
+            for i, f in enumerate(space.factors) if isinstance(f, Boson)]
+
+
+def _guard(amp: np.ndarray, t, cfg: EvolutionConfig, top_slots):
+    """Norm and top-level guards on one state ``(d,)`` or a stack ``(B, d)``.
+
+    ``t`` is a float or one time per state.  Returns the renormalised
+    amplitudes, the raw norm drift per state and, if any guard trips, an
+    object array over the states holding each tripped state's
+    ToleranceError (None elsewhere); that last item is None when every
+    state passes.  A non-finite norm counts as drift.
+    """
+    probs = np.abs(amp) ** 2
+    nrm_sq = probs.sum(axis=-1)
+    nrm = np.sqrt(nrm_sq)
+    drift = np.abs(nrm - 1.0)
+    tripped = ~(drift <= cfg.norm_drift_tol)
+    pops = []
+    for _, flat in top_slots:
+        pops.append(probs[..., flat].sum(axis=-1) / nrm_sq)
+        tripped = tripped | (pops[-1] > cfg.top_level_tol)
+    amp = amp / nrm[..., None]
+    if not tripped.any():
+        return amp, drift, None
+    errors = np.full(np.shape(tripped), None, dtype=object)
+    t = np.broadcast_to(t, errors.shape)
+    for i in map(tuple, np.argwhere(tripped)):
+        errors[i] = _guard_error(drift[i], [pop[i] for pop in pops], t[i], cfg,
+                                 top_slots)
+    return amp, drift, errors
+
+
+def _guard_error(drift, pops, t, cfg: EvolutionConfig, top_slots) -> ToleranceError:
+    if not drift <= cfg.norm_drift_tol:
+        return ToleranceError(
+            f"norm drift {drift:.3e} exceeds {cfg.norm_drift_tol:.1e} at t={t:g} "
+            "(reduce dt or switch method)")
+    for (idx, _), pop in zip(top_slots, pops):
+        if pop > cfg.top_level_tol:
+            return ToleranceError(
+                f"top Fock level of factor {idx} holds population {pop:.3e} "
+                f"> {cfg.top_level_tol:.1e} at t={t:g} (raise the cutoff)")
 
 
 def _checked_state(space: SpaceDescriptor, amp: np.ndarray, t: float,
                    cfg: EvolutionConfig, top_slots) -> tuple[StateVector, float]:
-    nrm = float(np.linalg.norm(amp))
-    drift = abs(nrm - 1.0)
-    if drift > cfg.norm_drift_tol:
-        raise ToleranceError(
-            f"norm drift {drift:.3e} exceeds {cfg.norm_drift_tol:.1e} at t={t:g} "
-            "(reduce dt or switch method)")
-    amp = amp / nrm
-    if top_slots:
-        probs = np.abs(amp.reshape(space.dims)) ** 2
-        for idx, top in top_slots:
-            axes = tuple(j for j in range(len(space.factors)) if j != idx)
-            pop = float(probs.sum(axis=axes)[top]) if axes else float(probs[top])
-            if pop > cfg.top_level_tol:
-                raise ToleranceError(
-                    f"top Fock level of factor {idx} holds population {pop:.3e} "
-                    f"> {cfg.top_level_tol:.1e} at t={t:g} (raise the cutoff)")
-    return StateVector(space, amp), drift
+    amp, drift, errors = _guard(amp, t, cfg, top_slots)
+    if errors is not None:
+        raise errors[()]
+    return StateVector(space, amp), float(drift)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +259,54 @@ def _drive_parts(params):
     return h0.space, h0.matrix, c
 
 
-def _expm_apply(hmat: np.ndarray, dt: float, amp: np.ndarray) -> np.ndarray:
+def _step_matrices(h0: np.ndarray, c: np.ndarray, method: Method):
+    """h0 and c for the stepping loop of ``method``: real arrays for the
+    midpoint step when both are real-valued (true for both driven
+    families), since a real eigh is cheaper; RK4 keeps them complex, as
+    real ones would be cast to complex in every product with the state."""
+    if method is not Method.MIDPOINT or np.any(h0.imag) or np.any(c.imag):
+        return h0, c
+    return h0.real, c.real
+
+
+def _expm_apply(hmat: np.ndarray, dt, amp: np.ndarray) -> np.ndarray:
+    """exp(-i hmat dt) amp for one hermitian matrix ``(d, d)``, state
+    ``(d,)`` and float dt, or for a stack ``(B, d, d)``, ``(B, d)`` with dt
+    a ``(B, 1)`` column."""
     w, v = np.linalg.eigh(hmat)
-    return v @ (np.exp(-1j * w * dt) * (v.conj().T @ amp))
+    coeffs = np.swapaxes(v, -1, -2).conj() @ amp[..., None]
+    return (v @ (np.exp(-1j * w * dt)[..., None] * coeffs))[..., 0]
+
+
+def _rk4_step(h0, c, x_of, t, dt, amp):
+    """One RK4 step of d(amp)/dt = -i (h0 + x(t) c) amp, for one state
+    ``(d,)`` with float t, dt and drive, or for a stack ``(B, d)`` with
+    ``(B, 1)`` columns."""
+    def deriv(tt, a):
+        return -1j * (a @ h0.T + x_of(tt) * (a @ c.T))
+
+    k1 = deriv(t, amp)
+    k2 = deriv(t + 0.5 * dt, amp + 0.5 * dt * k1)
+    k3 = deriv(t + 0.5 * dt, amp + 0.5 * dt * k2)
+    k4 = deriv(t + dt, amp + dt * k3)
+    return amp + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _drive_step(method: Method, h0, c, x_of, t0, t1, amp):
+    """Advance one state ``(d,)`` from float t0 to t1, or a stack ``(B, d)``
+    with t0, t1 and ``x_of(t)`` as ``(B, 1)`` columns, under
+    h0 + x_of(t) c: the Hamiltonian frozen at the midpoint, or RK4.
+    ``x_of`` returns a numpy value, which ``[..., None]`` can index."""
+    dt = t1 - t0
+    if method is Method.MIDPOINT:
+        x = x_of(0.5 * (t0 + t1))[..., None]
+        return _expm_apply(h0 + x * c, dt, amp)
+    return _rk4_step(h0, c, x_of, t0, dt, amp)
+
+
+def _check_drive_method(cfg: EvolutionConfig):
+    if cfg.method not in (Method.MIDPOINT, Method.RK4):
+        raise ValueError("time-dependent evolution needs Method.MIDPOINT or Method.RK4")
 
 
 def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Trajectory:
@@ -232,30 +316,24 @@ def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Tra
     step); RK4 integrates the raw equation and its small norm drift is
     guarded, not removed.  Both converge at second order or better in dt.
     """
-    if cfg.method not in (Method.MIDPOINT, Method.RK4):
-        raise ValueError("time-dependent evolution needs Method.MIDPOINT or Method.RK4")
+    _check_drive_method(cfg)
     space, h0, c = _drive_parts(params)
+    h0, c = _step_matrices(h0, c, cfg.method)
     if psi0 is None:
         psi0 = ground_state(space)
     if psi0.space != space:
         raise ValueError("initial state space does not match the model")
     times = cfg.time_grid()
     top_slots = _boson_top_indices(space)
-    x_of = lambda t: params.x0 * math.sin(params.nu * t)
+    x_of = lambda t: params.x0 * np.sin(params.nu * t)
 
     amp = psi0.amplitudes.copy()
     states, worst = [], 0.0
     state, drift = _checked_state(space, amp, 0.0, cfg, top_slots)
     states.append(state)
     for k in range(len(times) - 1):
-        t0, t1 = times[k], times[k + 1]
-        dt = t1 - t0
-        if cfg.method is Method.MIDPOINT:
-            hmid = h0 + x_of(0.5 * (t0 + t1)) * c
-            amp = _expm_apply(hmid, dt, amp)
-        else:
-            amp = _rk4_step(h0, c, x_of, t0, dt, amp)
-        state, drift = _checked_state(space, amp, t1, cfg, top_slots)
+        amp = _drive_step(cfg.method, h0, c, x_of, times[k], times[k + 1], amp)
+        state, drift = _checked_state(space, amp, times[k + 1], cfg, top_slots)
         worst = max(worst, drift)
         amp = state.amplitudes
         states.append(state)
@@ -263,15 +341,60 @@ def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Tra
                       max_norm_drift=worst)
 
 
-def _rk4_step(h0, c, x_of, t, dt, amp):
-    def deriv(tt, a):
-        return -1j * ((h0 + x_of(tt) * c) @ a)
+def _evolve_driven_final(space: SpaceDescriptor, h0, c, psi0: StateVector,
+                         x0s, nus, t_ends, n_steps, cfg: EvolutionConfig):
+    """Final states of many prescribed-drive runs that share h0 and c.
 
-    k1 = deriv(t, amp)
-    k2 = deriv(t + 0.5 * dt, amp + 0.5 * dt * k1)
-    k3 = deriv(t + 0.5 * dt, amp + 0.5 * dt * k2)
-    k4 = deriv(t + dt, amp + dt * k3)
-    return amp + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    Run j is driven by x(t) = x0s[j] sin(nus[j] t) over n_steps[j] steps of
+    ``linspace(0, t_ends[j], n_steps[j] + 1)``, the grid ``evolve_driven``
+    steps for ``dt = t_ends[j] / n_steps[j], t_max = t_ends[j]``, with
+    the same step and guard.  All live runs advance together: one batched
+    eigh (midpoint) or batched RK4 update per time step, the guards
+    vectorised over the stack.  A run leaves the batch when its steps are
+    done or at its first guard trip.
+
+    Returns the final amplitudes ``(B, d)`` (NaN rows for failed runs), the
+    ToleranceError of each run (None where it passed) and the worst norm
+    drift of each run.
+    """
+    _check_drive_method(cfg)
+    h0, c = _step_matrices(h0, c, cfg.method)
+    # per-run values as (B, 1) columns, which broadcast over (B, d)
+    x0s, nus, t_ends = (np.asarray(a, dtype=float)[:, None]
+                        for a in (x0s, nus, t_ends))
+    n_steps = np.asarray(n_steps, dtype=int)
+    dts = t_ends / n_steps[:, None]
+    top_slots = _boson_top_indices(space)
+    n_runs = len(n_steps)
+    final = np.full((n_runs, space.total_dim), np.nan, dtype=complex)
+    errors, worst = [None] * n_runs, np.zeros(n_runs)
+
+    live = np.arange(n_runs)
+    amp = np.repeat(psi0.amplitudes[None, :], n_runs, axis=0)
+    amp, _, tripped = _guard(amp, 0.0, cfg, top_slots)
+    k = 0
+    while True:
+        failed = np.zeros(live.size, dtype=bool) if tripped is None \
+            else np.array([e is not None for e in tripped])
+        for j in np.flatnonzero(failed):
+            errors[live[j]] = tripped[j]
+        done = n_steps[live] == k
+        final[live[done & ~failed]] = amp[done & ~failed]
+        keep = ~(done | failed)
+        if k == 0 or not keep.all():
+            live, amp = live[keep], amp[keep]
+            if not live.size:
+                break
+            x0, nu, dt, t_end = x0s[live], nus[live], dts[live], t_ends[live]
+            last = n_steps[live, None] - 1
+        # the grid of each run: k * dt, landing exactly on t_end
+        t1 = np.where(last == k, t_end, (k + 1) * dt)
+        amp = _drive_step(cfg.method, h0, c, lambda t: x0 * np.sin(nu * t),
+                          k * dt, t1, amp)
+        amp, drift, tripped = _guard(amp, t1[:, 0], cfg, top_slots)
+        worst[live] = np.maximum(worst[live], drift)
+        k += 1
+    return final, errors, worst
 
 
 def _hybrid_parts(model: ModelSpec):
@@ -281,6 +404,7 @@ def _hybrid_parts(model: ModelSpec):
         raise ValueError("hybrid evolution applies to the driven families only")
     p = model.params
     space, h0, c = _drive_parts(p)
+    h0, c = _step_matrices(h0, c, Method.MIDPOINT)
     # c = coupling * (quadrature or sigma_x); the force needs the bare
     # quadrature expectation, so divide the coupling back out when nonzero.
     return space, h0, c, p.coupling, p.nu
@@ -320,12 +444,12 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     states, track, worst = [], [(x, p)], 0.0
     state, _ = _checked_state(space, amp, 0.0, cfg, top_slots)
     states.append(state)
-    half = 0.5 * cfg.dt
     for k in range(len(times) - 1):
         t1 = times[k + 1]
-        x, p = classical_half(x, p, c_mean(amp), half)
-        amp = _expm_apply(h0 + x * c, cfg.dt, amp)
-        x, p = classical_half(x, p, c_mean(amp), half)
+        dt = t1 - times[k]
+        x, p = classical_half(x, p, c_mean(amp), 0.5 * dt)
+        amp = _expm_apply(h0 + x * c, dt, amp)
+        x, p = classical_half(x, p, c_mean(amp), 0.5 * dt)
         if not (math.isfinite(x) and math.isfinite(p)):
             raise ToleranceError(f"classical variables diverged at t={t1:g}")
         state, drift = _checked_state(space, amp, t1, cfg, top_slots)

@@ -14,8 +14,9 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.stats import poisson
@@ -73,13 +74,13 @@ class SpaceDescriptor:
             raise ValueError("space needs at least one factor")
         object.__setattr__(self, "factors", tuple(self.factors))
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(f.dim for f in self.factors)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def factor(self, index: int) -> Factor:
         if not 0 <= index < len(self.factors):

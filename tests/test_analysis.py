@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -17,6 +18,7 @@ from quantex import (
     QubitSemiClassicalParams,
     RegimeError,
     ScanResult,
+    ToleranceError,
     basis_state,
     build_beam_splitter_hamiltonian,
     build_jc_hamiltonian,
@@ -37,6 +39,8 @@ from quantex import (
     time_scan,
     transition_probability,
 )
+from quantex import dynamics
+from quantex.analysis import run_point
 
 
 def _bs_model(**overrides):
@@ -301,6 +305,111 @@ def test_scan_workers_reproduce_serial_order():
     a = detuning_scan(model, cfg, deltas, workers=1)
     b = detuning_scan(model, cfg, deltas, workers=4)
     npt.assert_array_equal(a.probabilities, b.probabilities)
+
+
+# -- batched prescribed-drive scans against the serial reference -----------------
+
+
+def _qubit_model(**overrides):
+    kw = dict(omega=1.0, nu=1.0, coupling=0.1, x0=1.0)
+    kw.update(overrides)
+    return ModelSpec(ModelFamily.QUBIT_DRIVE, QubitSemiClassicalParams(**kw))
+
+
+def _serial_final(model, cfg):
+    return evolve_driven(model.params, None, cfg).final_state().amplitudes
+
+
+@pytest.mark.parametrize("method", [Method.MIDPOINT, Method.RK4])
+@pytest.mark.parametrize("make", [
+    lambda: _osc_model(coupling=0.01, detector_cutoff=6),
+    lambda: _qubit_model(coupling=0.05),
+])
+def test_batched_final_states_match_serial_on_every_scan_axis(make, method):
+    model = make()
+    cfg = EvolutionConfig(dt=0.01, t_max=2.0, method=method)
+    space, h0, c = dynamics._drive_parts(model.params)
+    psi0 = ground_state(space)
+    times = np.geomspace(0.013, 2.0, 4)
+    axes = {
+        "detuning": ([model.with_nu(1.0 + d) for d in (-0.5, 0.0, 0.5)],
+                     [cfg] * 3),
+        "intensity": ([ModelSpec(model.family, replace(model.params, x0=math.sqrt(i)))
+                       for i in (0.5, 1.0, 4.0)], [cfg] * 3),
+        "time": ([model] * len(times),
+                 [replace(cfg, dt=t / max(1, round(t / cfg.dt)), t_max=t)
+                  for t in times]),
+    }
+    for axis, (models, cfgs) in axes.items():
+        finals, errors, _ = dynamics._evolve_driven_final(
+            space, h0, c, psi0, [m.params.x0 for m in models],
+            [m.params.nu for m in models], [q.t_max for q in cfgs],
+            [q.n_steps for q in cfgs], cfg)
+        assert errors == [None] * len(models), axis
+        for final, m, q in zip(finals, models, cfgs):
+            npt.assert_allclose(final, _serial_final(m, q), rtol=0, atol=1e-12,
+                                err_msg=axis)
+
+
+def test_driven_scans_match_serial_run_point():
+    model = _osc_model(coupling=0.01, detector_cutoff=6)
+    cfg = EvolutionConfig(dt=0.01, t_max=2.0, method=Method.MIDPOINT)
+    deltas = np.array([-0.5, 0.0, 0.5])
+    scan = detuning_scan(model, cfg, deltas)
+    serial = [run_point(model.with_nu(1.0 + d), cfg)[1] for d in deltas]
+    npt.assert_allclose(scan.probabilities, serial, rtol=1e-12, atol=0)
+    times = np.array([0.013, 0.5, 2.0])
+    scan = time_scan(model, cfg, times)
+    serial = [run_point(model, EvolutionConfig(dt=t / round(t / 0.01), t_max=t,
+                                               method=Method.MIDPOINT))[1]
+              for t in times]
+    npt.assert_allclose(scan.probabilities, serial, rtol=1e-12, atol=0)
+
+
+def _serial_tag(model, cfg):
+    try:
+        run_point(model, cfg)
+    except ToleranceError as exc:
+        return f"ToleranceError: {exc}"
+    return None
+
+
+def test_batched_scan_tags_top_level_trip_like_serial():
+    # cutoff 4 overflows at resonance but holds far detuned
+    model = _osc_model(coupling=0.03, detector_cutoff=4)
+    cfg = EvolutionConfig(dt=0.01, t_max=10.0, method=Method.MIDPOINT)
+    deltas = np.array([-0.8, 0.0, 0.8])
+    scan = detuning_scan(model, cfg, deltas)
+    tags = [_serial_tag(model.with_nu(1.0 + d), cfg) for d in deltas]
+    assert tags[1] is not None and "top Fock level" in tags[1]
+    assert list(scan.errors) == tags
+    assert math.isnan(scan.probabilities[1])
+    assert np.all(np.isfinite(scan.probabilities[[0, 2]]))
+    # on resonance the short readout leaves the batch before the long one trips
+    times = np.array([1.0, 10.0])
+    scan = time_scan(model, cfg, times)
+    tags = [_serial_tag(model, EvolutionConfig(dt=t / round(t / 0.01), t_max=t,
+                                               method=Method.MIDPOINT))
+            for t in times]
+    assert tags[0] is None and tags[1] is not None
+    assert list(scan.errors) == tags
+    assert np.isfinite(scan.probabilities[0]) and math.isnan(scan.probabilities[1])
+
+
+def test_batched_scan_tags_rk4_norm_trip_like_serial():
+    # the strongest drive makes the coarse RK4 step lose norm
+    model = _qubit_model()
+    cfg = EvolutionConfig(dt=0.1, t_max=5.0, method=Method.RK4)
+    intensities = np.array([0.25, 1.0, 400.0])
+    scan = intensity_scan(model, cfg, intensities)
+    tags = [_serial_tag(ModelSpec(model.family,
+                                  replace(model.params, x0=math.sqrt(i))), cfg)
+            for i in intensities]
+    assert tags[2] is not None and "norm drift" in tags[2]
+    assert list(scan.errors) == tags
+    assert math.isnan(scan.probabilities[2])
+    assert np.all(np.isfinite(scan.probabilities[:2]))
+    assert np.all(np.isfinite(scan.aux["transition_gap"][:2]))
 
 
 def test_scan_result_requires_monotone_axis():

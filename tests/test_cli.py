@@ -121,6 +121,17 @@ def test_run_audit_scenario_with_overrides(tmp_path):
     assert report["deficit"] == 1.0
 
 
+def test_workers_flag_is_accepted_and_changes_no_artifact(tmp_path):
+    plain, pooled = tmp_path / "plain", tmp_path / "pooled"
+    args = ["run", "qubit_drive_threshold", "--dt", "0.05", "--output-dir"]
+    assert main(args + [str(plain)]) == EXIT_OK
+    assert main(args + [str(pooled), "--workers", "2"]) == EXIT_OK
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in pooled.iterdir())
+    for name in names:
+        assert (plain / name).read_bytes() == (pooled / name).read_bytes()
+
+
 def test_tolerance_abort_exits_3_without_artifacts(tmp_path, capsys):
     cfg = json.loads(bundled_scenarios()["energy_audit_semiclassical"])
     # strong resonant drive overflows the small cutoff mid-run

@@ -51,6 +51,31 @@ def test_evolution_config_validation():
         EvolutionConfig(dt=0.1, t_max=1.0, norm_drift_tol=2.0)
 
 
+def test_time_grid_lands_on_t_max():
+    # 10 / 0.3 is not whole: 33 steps of 10/33, not a grid ending at 9.9
+    grid = EvolutionConfig(dt=0.3, t_max=10.0).time_grid()
+    assert len(grid) == 34
+    assert grid[-1] == 10.0
+    npt.assert_allclose(np.diff(grid), 10.0 / 33, rtol=1e-12)
+
+
+def test_bundled_jc_vacuum_exchange_grid_ends_at_ten_pi():
+    from quantex import cli
+    scenario = cli.validate_config(cli.load_config("jc_vacuum_exchange"))
+    grid = scenario.evolution.time_grid()
+    assert grid[-1] == 10.0 * math.pi
+    assert len(grid) == 315
+
+
+def test_hybrid_steps_on_the_grid_when_dt_does_not_divide_t_max():
+    p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.0, x0=1.0)
+    model = ModelSpec(ModelFamily.QUBIT_DRIVE, p, back_reaction=True)
+    cfg = EvolutionConfig(dt=0.3, t_max=10.0, method=Method.MIDPOINT)
+    traj = evolve_hybrid(model, HybridState(0.0, 1.0, ground_state(p.space)), cfg)
+    assert traj.times[-1] == 10.0
+    npt.assert_allclose(traj.classical[:, 0], np.sin(traj.times), atol=1e-12)
+
+
 def test_trajectory_length_mismatch_rejected():
     sp = SpaceDescriptor((TwoLevel(),))
     with pytest.raises(ValueError):
