@@ -68,13 +68,21 @@ CONDITION_FLOOR = 1e-12
 # per-family wiring
 
 
+def quantum_hamiltonian(model: ModelSpec) -> Operator:
+    """The full Hamiltonian of a quantized-field model: the one builder
+    dispatch that scans, ledgers and the CLI audit runner share."""
+    if model.family is ModelFamily.BEAM_SPLITTER:
+        return build_beam_splitter_hamiltonian(model.params)
+    if model.family is ModelFamily.JAYNES_CUMMINGS:
+        return build_jc_hamiltonian(model.params)
+    raise ValueError(f"{model.family.value} has no time-independent Hamiltonian")
+
+
 @dataclass(frozen=True)
 class _FamilyOps:
-    detector_factor: int
     detector_number: Operator        # excitation-counting operator
     detector_free: Operator          # free detector Hamiltonian
     field_free: Operator | None      # free field Hamiltonian (quantum families)
-    hamiltonian: Operator | None     # full H (quantum families)
     drive_matrix: np.ndarray | None  # coupling part multiplying x(t) (driven)
     h0_matrix: np.ndarray | None     # free part (driven)
 
@@ -83,16 +91,14 @@ def _family_ops(model: ModelSpec) -> _FamilyOps:
     p = model.params
     if model.family is ModelFamily.BEAM_SPLITTER:
         sp = p.space
-        h = build_beam_splitter_hamiltonian(p)
-        return _FamilyOps(1, number(sp, 1), p.omega * number(sp, 1),
-                          p.nu * number(sp, 0), h, None, None)
+        return _FamilyOps(number(sp, 1), p.omega * number(sp, 1),
+                          p.nu * number(sp, 0), None, None)
     if model.family is ModelFamily.JAYNES_CUMMINGS:
         sp = p.space
-        h = build_jc_hamiltonian(p)
         proj_e = pauli(sp, 1, "plus") @ pauli(sp, 1, "minus")
         det_num = Operator(sp, proj_e.matrix, hermitian_hint=True)
-        return _FamilyOps(1, det_num, 0.5 * p.omega * pauli(sp, 1, "z"),
-                          p.nu * number(sp, 0), h, None, None)
+        return _FamilyOps(det_num, 0.5 * p.omega * pauli(sp, 1, "z"),
+                          p.nu * number(sp, 0), None, None)
     space, h0, c = _dyn._drive_parts(p)
     if model.family is ModelFamily.OSCILLATOR_DRIVE:
         det_num = number(space, 0)
@@ -101,12 +107,14 @@ def _family_ops(model: ModelSpec) -> _FamilyOps:
         proj_e = pauli(space, 0, "plus") @ pauli(space, 0, "minus")
         det_num = Operator(space, proj_e.matrix, hermitian_hint=True)
         det_free = 0.5 * p.omega * pauli(space, 0, "z")
-    return _FamilyOps(0, det_num, det_free, None, None, c, h0)
+    return _FamilyOps(det_num, det_free, None, c, h0)
 
 
 def default_target(model: ModelSpec) -> tuple[int, int]:
-    """(factor_index, level) of the first excited detector state."""
-    return (_family_ops(model).detector_factor, 1)
+    """(factor_index, level) of the first excited detector state: the
+    detector follows the field in the quantized-field spaces and is the
+    only factor of the driven ones."""
+    return (1 if model.family in QUANTUM_FAMILIES else 0, 1)
 
 
 def default_initial_state(model: ModelSpec) -> StateVector:
@@ -166,12 +174,12 @@ def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
     ops = _family_ops(model)
     p = model.params
     amps = [s.amplitudes for s in traj.states]
-    if traj.states[0].space != (ops.hamiltonian.space if ops.hamiltonian is not None
-                                else ops.detector_free.space):
+    if traj.states[0].space != ops.detector_free.space:
         raise ValueError("trajectory space does not match the model")
 
     if model.family in QUANTUM_FAMILIES:
-        h, ff, df = ops.hamiltonian.matrix, ops.field_free.matrix, ops.detector_free.matrix
+        h = quantum_hamiltonian(model).matrix
+        ff, df = ops.field_free.matrix, ops.detector_free.matrix
         inter = h - ff - df
         e_cl = np.array([_expect(ff, a) for a in amps])
         e_qf = np.array([_expect(df, a) for a in amps])
@@ -259,8 +267,9 @@ def conditioned_energy_deficit(traj: Trajectory, model: ModelSpec,
     """
     ops = _family_ops(model)
     p = model.params
+    detector = default_target(model)[0]
     final = traj.final_state()
-    prob = final.population(ops.detector_factor, level)
+    prob = final.population(detector, level)
     if prob < CONDITION_FLOOR:
         raise ValueError(
             f"transition probability {prob:.3e} below {CONDITION_FLOOR:.0e}; "
@@ -275,9 +284,9 @@ def conditioned_energy_deficit(traj: Trajectory, model: ModelSpec,
         dims = final.space.dims
         block = final.amplitudes.reshape(dims).copy()
         sel = [slice(None)] * len(dims)
-        for lv in range(dims[ops.detector_factor]):
+        for lv in range(dims[detector]):
             if lv != level:
-                sel[ops.detector_factor] = lv
+                sel[detector] = lv
                 block[tuple(sel)] = 0.0
         cond = block.reshape(-1)
         cond = cond / np.linalg.norm(cond)
@@ -365,8 +374,7 @@ def run_point(model: ModelSpec, cfg: EvolutionConfig,
     if initial is None:
         initial = default_initial_state(model)
     if model.family in QUANTUM_FAMILIES:
-        h = _family_ops(model).hamiltonian
-        traj = evolve_unitary(h, initial, cfg)
+        traj = evolve_unitary(quantum_hamiltonian(model), initial, cfg)
     else:
         traj = evolve_driven(model.params, initial, cfg)
     return traj, traj.final_state().population(*target)
@@ -523,10 +531,9 @@ def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
     fixed = {"omega": model.params.omega, "coupling": _coupling_of(model)}
 
     if model.family in QUANTUM_FAMILIES and not model.back_reaction:
-        h = _family_ops(model).hamiltonian
         psi0 = default_initial_state(model)
         try:
-            traj = evolve_unitary_at(h, psi0, times, cfg)
+            traj = evolve_unitary_at(quantum_hamiltonian(model), psi0, times, cfg)
             probs = np.array([s.population(*target) for s in traj.states])
             return ScanResult("time", times, probs, _model_tag(model), fixed=fixed)
         except ToleranceError:

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    QUANTUM_FAMILIES,
     conditioned_energy_deficit,
     default_initial_state,
     detuning_scan,
@@ -34,6 +35,7 @@ from .analysis import (
     golden_rule_fit,
     intensity_scan,
     ledger_to_csv,
+    quantum_hamiltonian,
     rabi_peak_scan,
     scan_to_csv,
     signature_report,
@@ -58,8 +60,6 @@ from .models import (
     ModelFamily,
     ModelSpec,
     QubitSemiClassicalParams,
-    build_beam_splitter_hamiltonian,
-    build_jc_hamiltonian,
     gravito_classical_params,
     gravito_interaction_coefficient,
     gravito_vacuum_coupling,
@@ -79,8 +79,6 @@ _PARAM_TYPES = {
     "beam_splitter": BeamSplitterParams,
     "oscillator_drive": DrivenOscillatorParams,
 }
-
-_QUANTUM = ("jaynes_cummings", "beam_splitter")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +165,7 @@ def validate_config(cfg: dict) -> Scenario:
     model, kind = scenario.model, scenario.kind
     if model is not None and scenario.evolution is not None:
         method = scenario.evolution.method
-        if model.family.value in _QUANTUM and method is not Method.MATRIX_EXPONENTIAL:
+        if model.family in QUANTUM_FAMILIES and method is not Method.MATRIX_EXPONENTIAL:
             raise ConfigError("quantized-field models evolve exactly; "
                               "use method matrix_exponential")
         if model.is_driven and not model.back_reaction \
@@ -275,10 +273,9 @@ def _run_audit(scenario: Scenario) -> dict:
             x, p = 0.0, float(model.params.x0)
         s0 = HybridState(x, p, ground_state(model.params.space))
         traj = evolve_hybrid(model, s0, cfg)
-    elif model.family.value in _QUANTUM:
-        builder = build_beam_splitter_hamiltonian \
-            if model.family is ModelFamily.BEAM_SPLITTER else build_jc_hamiltonian
-        traj = evolve_unitary(builder(model.params), _initial_quantum_state(scenario), cfg)
+    elif model.family in QUANTUM_FAMILIES:
+        h = quantum_hamiltonian(model)
+        traj = evolve_unitary(h, _initial_quantum_state(scenario), cfg)
     else:
         traj = evolve_driven(model.params, _initial_quantum_state(scenario), cfg)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import pdtrc
 
 from .errors import (
     CoherentTailError,
@@ -181,7 +181,7 @@ class StateVector:
             raise ValueError(
                 f"amplitude length {v.shape} does not match space dim {self.space.total_dim}")
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > NORM_ATOL:
+        if not abs(nrm - 1.0) <= NORM_ATOL:     # NaN norms fail too
             raise NormalizationError(f"state norm {nrm!r} outside 1 +/- {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", v)
 
@@ -305,18 +305,25 @@ def poisson_tail(mean: float, cutoff_dim: int) -> float:
     """Probability mass of a Poisson(mean) at or above cutoff_dim."""
     if mean == 0.0:
         return 0.0
-    return float(poisson.sf(cutoff_dim - 1, mean))
+    return float(pdtrc(cutoff_dim - 1, mean))
 
 
 def min_coherent_cutoff(alpha: complex, tail_tolerance: float = 1e-12) -> int:
     """Smallest Fock dim whose Poisson tail is within tolerance."""
+    if not 0.0 < tail_tolerance < 1.0:
+        raise ValueError("tail_tolerance must lie in (0, 1)")
     mean = abs(alpha) ** 2
     if mean == 0.0:
         return 2
-    dim = max(2, int(poisson.isf(tail_tolerance, mean)) + 1)
-    while poisson_tail(mean, dim) > tail_tolerance:
-        dim += 1
-    return dim
+    # the tail falls monotonically with dim: take the first dim within
+    # tolerance, doubling the searched range until one is
+    stop = 64 + 2 * math.ceil(mean)
+    while True:
+        dims = np.arange(2, stop)
+        within = pdtrc(dims - 1, mean) <= tail_tolerance
+        if within.any():
+            return int(dims[np.argmax(within)])
+        stop *= 2
 
 
 def coherent_state(space: SpaceDescriptor, factor_index: int,

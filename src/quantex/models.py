@@ -18,6 +18,8 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import CoherentTailError
 from .hilbert import (
@@ -238,13 +240,25 @@ def jc_excitation_number(p: JaynesCummingsParams) -> Operator:
 
 
 def build_beam_splitter_hamiltonian(p: BeamSplitterParams) -> Operator:
-    """nu a+a + omega b+b + g (a b+ + b a+)."""
+    """nu a+a + omega b+b + g (a b+ + b a+).
+
+    Written entry by entry from the Fock labels of the basis rather than
+    from Kronecker-embedded ladder operators: the diagonal is
+    nu n_a + omega n_b and ``a b+`` takes |n_a, n_b> to |n_a - 1, n_b + 1>
+    with amplitude sqrt(n_a) sqrt(n_b + 1), zero where n_b + 1 would pass
+    the detector cutoff (the hard truncation of ``create()``).
+    """
     sp = p.space
-    a, b = annihilation(sp, 0), annihilation(sp, 1)
-    ad, bd = creation(sp, 0), creation(sp, 1)
-    inter = a @ bd + b @ ad
-    h = p.nu * number(sp, 0) + p.omega * number(sp, 1)
-    return Operator(sp, h.matrix + p.g * inter.matrix, hermitian_hint=True)
+    n_a, n_b = np.indices(sp.dims).reshape(2, -1)
+    d, d_b = sp.total_dim, sp.dims[1]
+    m = np.zeros((d, d), dtype=complex)
+    np.fill_diagonal(m, p.nu * n_a + p.omega * n_b)
+    src = np.flatnonzero((n_a > 0) & (n_b < d_b - 1))
+    dst = src - d_b + 1     # flat index of |n_a - 1, n_b + 1>
+    hop = p.g * (np.sqrt(n_a[src]) * np.sqrt(n_b[src] + 1.0))
+    m[dst, src] = hop       # a b+
+    m[src, dst] = hop       # b a+
+    return Operator(sp, m, hermitian_hint=True)
 
 
 def beam_splitter_excitation_number(p: BeamSplitterParams) -> Operator:

@@ -366,6 +366,25 @@ def test_driven_scans_match_serial_run_point():
     npt.assert_allclose(scan.probabilities, serial, rtol=1e-12, atol=0)
 
 
+def test_quantized_scans_build_the_hamiltonian_once_per_point(monkeypatch):
+    from quantex import analysis
+    calls = []
+
+    def counting_build(p):
+        calls.append(p)
+        return build_beam_splitter_hamiltonian(p)
+
+    monkeypatch.setattr(analysis, "build_beam_splitter_hamiltonian", counting_build)
+    model = _bs_model(detector_cutoff=4)
+    cfg = EvolutionConfig(dt=0.5, t_max=10.0)
+    assert analysis.default_target(model) == (1, 1)
+    assert not calls
+    detuning_scan(model, cfg, np.linspace(-0.5, 0.5, 5))
+    assert len(calls) == 5
+    time_scan(model, cfg, np.array([0.1, 1.0, 10.0]))
+    assert len(calls) == 6
+
+
 def _serial_tag(model, cfg):
     try:
         run_point(model, cfg)

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from quantex import (
     BeamSplitterParams,
@@ -30,6 +33,7 @@ from quantex import (
     evolve_driven,
     evolve_hybrid,
     evolve_unitary,
+    evolve_unitary_at,
     golden_rule_limit,
     ground_state,
     number,
@@ -39,6 +43,7 @@ from quantex import (
     rabi_probability,
     semiclassical_pn1,
 )
+from quantex.dynamics import _block_eigh
 from quantex.hilbert import CoherentSpec, Operator
 
 
@@ -484,3 +489,90 @@ def test_dyson_matches_exact_evolution():
     exact = traj.final_state().population(1, 1)
     assert exact < 0.01
     assert abs(exact - d.closed_form) / exact < 0.02
+
+
+# -- block eigendecomposition and the linear-optics oracle ---------------------
+
+
+def _linear_optics_pn1(p: BeamSplitterParams, t: float) -> float:
+    """P(n_b = 1) for a coherent field times the detector vacuum.
+
+    The exchange is linear in the modes, so the state stays a product of
+    coherent states with amplitudes exp(-i [[nu, g], [g, omega]] t) (alpha, 0)
+    (Kim, Son, Buzek & Knight, PRA 65, 032323 (2002)).
+    """
+    modes = np.array([[p.nu, p.g], [p.g, p.omega]])
+    beta_b = expm(-1j * modes * t)[1, 0] * p.alpha
+    return pn1_from_amplitude(beta_b)
+
+
+@pytest.mark.parametrize("nu, g, cutoffs", [
+    (1.0, 0.001, (60, 6)),      # the bundled signatures_beam_splitter model
+    (1.3, 0.001, (60, 6)),
+    (1.0, 0.05, (30, 20)),      # |beta_b| reaches ~0.7: far from first order
+    (0.8, 0.05, (30, 20)),
+])
+def test_block_propagator_matches_linear_optics_closed_form(nu, g, cutoffs):
+    p = BeamSplitterParams(nu=nu, omega=1.0, g=g, field_cutoff=cutoffs[0],
+                           detector_cutoff=cutoffs[1], alpha=2.0)
+    times = np.array([0.5, 3.0, 10.0, 17.5])
+    traj = evolve_unitary_at(build_beam_splitter_hamiltonian(p),
+                             coherent_state(p.space, 0, CoherentSpec(2.0)),
+                             times, EvolutionConfig(dt=0.5, t_max=17.5))
+    numeric = traj.population_series(1, 1)
+    exact = np.array([_linear_optics_pn1(p, t) for t in times])
+    npt.assert_allclose(numeric, exact, rtol=1e-11)
+
+
+def _dense_route(h: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
+    w, v = np.linalg.eigh(h)
+    coeffs = v.conj().T @ psi0
+    return np.array([v @ (np.exp(-1j * w * t) * coeffs) for t in times])
+
+
+_JC = JaynesCummingsParams(nu=1.0, omega=0.9, g=0.05, field_cutoff=8)
+_BUNDLED_BS = BeamSplitterParams(nu=1.0, omega=1.0, g=0.001, field_cutoff=60,
+                                 detector_cutoff=6, alpha=2.0)
+
+
+@pytest.mark.parametrize("h, psi0", [
+    (build_beam_splitter_hamiltonian(_BUNDLED_BS),
+     coherent_state(_BUNDLED_BS.space, 0, CoherentSpec(2.0))),
+    (build_beam_splitter_hamiltonian(replace(_BUNDLED_BS, g=0.0)),
+     coherent_state(_BUNDLED_BS.space, 0, CoherentSpec(2.0))),
+    (build_jc_hamiltonian(_JC), basis_state(_JC.space, [2, 0])),
+    (build_jc_hamiltonian(_JC, counter_rotating_order=True),
+     basis_state(_JC.space, [2, 0])),
+], ids=["beam_splitter_60x6", "beam_splitter_g0", "jc", "jc_counter_rotating"])
+def test_block_route_matches_dense_eigh(h, psi0):
+    times = np.array([0.0, 0.7, 5.0, 31.0])
+    traj = evolve_unitary_at(h, psi0, times, EvolutionConfig(dt=0.1, t_max=31.0))
+    block = np.array([s.amplitudes for s in traj.states])
+    npt.assert_allclose(block, _dense_route(h.matrix, psi0.amplitudes, times),
+                        rtol=0, atol=1e-12)
+
+
+@st.composite
+def _permuted_block_hermitian(draw):
+    """A random hermitian matrix that is block diagonal under a random
+    basis permutation, with blocks of 1 to 5 states."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = sum(sizes)
+    m = np.zeros((d, d), dtype=complex)
+    start = 0
+    for size in sizes:
+        a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        m[start:start + size, start:start + size] = a + a.conj().T
+        start += size
+    perm = rng.permutation(d)
+    return m[np.ix_(perm, perm)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permuted_block_hermitian())
+def test_block_eigh_reproduces_dense_decomposition(m):
+    w, v = _block_eigh(m)
+    npt.assert_allclose(np.sort(w), np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
+    npt.assert_allclose(v.conj().T @ v, np.eye(len(m)), rtol=0, atol=1e-12)
+    npt.assert_allclose((v * w) @ v.conj().T, m, rtol=0, atol=1e-12)

@@ -176,6 +176,28 @@ def test_min_coherent_cutoff_tail_bound():
         assert poisson_tail(alpha ** 2, dim - 1) > 1e-12 or dim == 2
 
 
+def test_poisson_tail_and_cutoff_match_scipy_stats():
+    from scipy.stats import poisson
+
+    from quantex.hilbert import poisson_tail
+    for mean in (1e-6, 0.01, 0.5, 1.0, 3.7, 4.0, 16.0, 50.0, 400.0):
+        for dim in range(2, 120, 3):
+            assert poisson_tail(mean, dim) == pytest.approx(
+                poisson.sf(dim - 1, mean), rel=1e-14, abs=1e-300)
+        for tol in (0.5, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15):
+            # the smallest dim >= 2 whose tail mass is within tolerance
+            dim = min_coherent_cutoff(math.sqrt(mean), tol)
+            assert poisson.sf(dim - 1, mean) <= tol
+            assert dim == 2 or poisson.sf(dim - 2, mean) > tol
+            assert dim == max(2, int(poisson.isf(tol, mean)) + 1)
+
+
+@pytest.mark.parametrize("tol", [-1e-12, 0.0, 1.0, float("nan")])
+def test_min_coherent_cutoff_rejects_tolerance_outside_unit_interval(tol):
+    with pytest.raises(ValueError):
+        min_coherent_cutoff(2.0, tol)
+
+
 def test_coherent_state_complex_amplitude_phase():
     sp = SpaceDescriptor((Boson(30),))
     psi = coherent_state(sp, 0, CoherentSpec(1.0j))
@@ -265,6 +287,11 @@ def test_state_norm_enforced():
     sp = SpaceDescriptor((TwoLevel(),))
     with pytest.raises(NormalizationError):
         StateVector(sp, np.array([1.0, 1.0]))
+
+
+def test_state_rejects_nan_amplitudes():
+    with pytest.raises(NormalizationError):
+        StateVector(SpaceDescriptor((TwoLevel(),)), [math.nan, 0])
 
 
 def test_marginal_populations_sum_to_one():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantex import (
     BeamSplitterParams,
@@ -77,12 +78,31 @@ def test_jc_counter_rotating_order_breaks_conservation():
     assert np.max(np.abs(h.commutator(jc_excitation_number(p)).matrix)) > 0.1
 
 
-def test_beam_splitter_conserves_total_number():
-    p = BeamSplitterParams(nu=1.0, omega=1.2, g=0.3, field_cutoff=6,
-                           detector_cutoff=5)
+_bs_params = st.builds(
+    BeamSplitterParams,
+    nu=st.floats(0.1, 3.0), omega=st.floats(0.1, 3.0), g=st.floats(0.0, 2.0),
+    field_cutoff=st.integers(2, 9), detector_cutoff=st.integers(2, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bs_params)
+def test_beam_splitter_conserves_total_number(p):
     h = build_beam_splitter_hamiltonian(p)
     n = beam_splitter_excitation_number(p)
-    assert np.max(np.abs(h.commutator(n).matrix)) <= 1e-10
+    assert np.max(np.abs(h.commutator(n).matrix)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bs_params)
+def test_direct_beam_splitter_build_matches_kronecker_embedding(p):
+    from quantex import annihilation, creation, number
+    sp = p.space
+    a, b = annihilation(sp, 0).matrix, annihilation(sp, 1).matrix
+    ad, bd = creation(sp, 0).matrix, creation(sp, 1).matrix
+    ref = (p.nu * number(sp, 0).matrix + p.omega * number(sp, 1).matrix
+           + p.g * (a @ bd + b @ ad))
+    npt.assert_allclose(build_beam_splitter_hamiltonian(p).matrix, ref,
+                        rtol=0, atol=1e-14)
 
 
 def test_beam_splitter_single_excitation_splitting():
