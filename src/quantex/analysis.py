@@ -17,28 +17,15 @@ back-reaction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import CoherentTailError, RegimeError, ToleranceError
-from .hilbert import (
-    CoherentSpec,
-    Operator,
-    StateVector,
-    basis_state,
-    coherent_state,
-    ground_state,
-    number,
-    pauli,
-)
-from .models import (
-    ModelFamily,
-    ModelSpec,
-    build_beam_splitter_hamiltonian,
-    build_jc_hamiltonian,
-)
+from .hilbert import StateVector
+from .models import ModelSpec
 from .dynamics import (
     EvolutionConfig,
     Trajectory,
@@ -58,8 +45,6 @@ __all__ = [
     "default_initial_state", "default_target", "run_point",
 ]
 
-QUANTUM_FAMILIES = (ModelFamily.JAYNES_CUMMINGS, ModelFamily.BEAM_SPLITTER)
-
 LEDGER_DRIFT_RTOL = 1e-8
 CONDITION_FLOOR = 1e-12
 
@@ -68,65 +53,14 @@ CONDITION_FLOOR = 1e-12
 # per-family wiring
 
 
-def quantum_hamiltonian(model: ModelSpec) -> Operator:
-    """The full Hamiltonian of a quantized-field model: the one builder
-    dispatch that scans, ledgers and the CLI audit runner share."""
-    if model.family is ModelFamily.BEAM_SPLITTER:
-        return build_beam_splitter_hamiltonian(model.params)
-    if model.family is ModelFamily.JAYNES_CUMMINGS:
-        return build_jc_hamiltonian(model.params)
-    raise ValueError(f"{model.family.value} has no time-independent Hamiltonian")
-
-
-@dataclass(frozen=True)
-class _FamilyOps:
-    detector_number: Operator        # excitation-counting operator
-    detector_free: Operator          # free detector Hamiltonian
-    field_free: Operator | None      # free field Hamiltonian (quantum families)
-    drive_matrix: np.ndarray | None  # coupling part multiplying x(t) (driven)
-    h0_matrix: np.ndarray | None     # free part (driven)
-
-
-def _family_ops(model: ModelSpec) -> _FamilyOps:
-    p = model.params
-    if model.family is ModelFamily.BEAM_SPLITTER:
-        sp = p.space
-        return _FamilyOps(number(sp, 1), p.omega * number(sp, 1),
-                          p.nu * number(sp, 0), None, None)
-    if model.family is ModelFamily.JAYNES_CUMMINGS:
-        sp = p.space
-        proj_e = pauli(sp, 1, "plus") @ pauli(sp, 1, "minus")
-        det_num = Operator(sp, proj_e.matrix, hermitian_hint=True)
-        return _FamilyOps(det_num, 0.5 * p.omega * pauli(sp, 1, "z"),
-                          p.nu * number(sp, 0), None, None)
-    space, h0, c = _dyn._drive_parts(p)
-    if model.family is ModelFamily.OSCILLATOR_DRIVE:
-        det_num = number(space, 0)
-        det_free = p.omega * number(space, 0)
-    else:
-        proj_e = pauli(space, 0, "plus") @ pauli(space, 0, "minus")
-        det_num = Operator(space, proj_e.matrix, hermitian_hint=True)
-        det_free = 0.5 * p.omega * pauli(space, 0, "z")
-    return _FamilyOps(det_num, det_free, None, c, h0)
-
-
 def default_target(model: ModelSpec) -> tuple[int, int]:
-    """(factor_index, level) of the first excited detector state: the
-    detector follows the field in the quantized-field spaces and is the
-    only factor of the driven ones."""
-    return (1 if model.family in QUANTUM_FAMILIES else 0, 1)
+    """(factor_index, level) of the first excited detector state."""
+    return (model.params.detector, 1)
 
 
 def default_initial_state(model: ModelSpec) -> StateVector:
-    """Canonical initial state: coherent field (x) ground detector for the
-    two-mode model, one field quantum (x) ground qubit for the quantized
-    qubit model, ground detector for the driven families."""
-    p = model.params
-    if model.family is ModelFamily.BEAM_SPLITTER:
-        return coherent_state(p.space, 0, CoherentSpec(p.alpha, p.tail_tolerance))
-    if model.family is ModelFamily.JAYNES_CUMMINGS:
-        return basis_state(p.space, [1, 0])
-    return ground_state(p.space)
+    """The family's canonical initial state (see its params class)."""
+    return model.params.default_initial_state()
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +89,10 @@ def _expect(matrix: np.ndarray, amp: np.ndarray) -> float:
     return float(np.real(np.vdot(amp, matrix @ amp)))
 
 
+def _expect_diag(diagonal: np.ndarray, amp: np.ndarray) -> float:
+    return float(np.real(np.vdot(amp, diagonal * amp)))
+
+
 def _std(matrix: np.ndarray, amp: np.ndarray) -> float:
     hpsi = matrix @ amp
     mean = float(np.real(np.vdot(amp, hpsi)))
@@ -163,7 +101,9 @@ def _std(matrix: np.ndarray, amp: np.ndarray) -> float:
 
 
 def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
-    """Audit a trajectory against its model.
+    """Audit a trajectory against its model's
+    H(x) = field_free + detector_free + x * coupling, with x the classical
+    drive of the driven families and x = 1 for the quantized ones.
 
     Quantum families must hold ``e_total`` constant to 1e-8 relative
     (ToleranceError otherwise).  Driven families without back-reaction emit
@@ -171,49 +111,44 @@ def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
     the residual of d(e_classical)/dt against the back-reaction power
     ``-nu * coupling * p * <C>`` (central differences; NaN at endpoints).
     """
-    ops = _family_ops(model)
     p = model.params
-    amps = [s.amplitudes for s in traj.states]
-    if traj.states[0].space != ops.detector_free.space:
+    if traj.states[0].space != p.space:
         raise ValueError("trajectory space does not match the model")
+    field_free, detector_free, _ = p.parts()
+    free, coupling = p.free_and_coupling()
+    amps = [s.amplitudes for s in traj.states]
+    if p.driven:
+        if traj.classical is None:
+            raise ValueError("driven-model ledger needs the classical (x, p) track")
+        xs, ps = traj.classical[:, 0], traj.classical[:, 1]
+        if model.back_reaction:
+            e_cl = 0.5 * p.nu * (xs ** 2 + ps ** 2)
+        else:
+            # prescribed drive: the classical energy is constant by construction
+            e_cl = np.full(len(traj.times), 0.5 * p.nu * p.x0 ** 2)
+    else:
+        xs = np.ones(len(amps))
+        e_cl = np.array([_expect_diag(field_free, a) for a in amps])
+    e_qf = np.array([_expect_diag(detector_free, a) for a in amps])
+    e_int = np.array([x * _expect(coupling, a) for x, a in zip(xs, amps)])
+    e_tot = e_cl + e_qf + e_int
+    # H(x) is rebuilt only when x changes: once for the quantized families
+    h_at = functools.lru_cache(maxsize=1)(lambda x: free + x * coupling)
+    std = np.array([_std(h_at(x), a) for x, a in zip(xs, amps)])
 
-    if model.family in QUANTUM_FAMILIES:
-        h = quantum_hamiltonian(model).matrix
-        ff, df = ops.field_free.matrix, ops.detector_free.matrix
-        inter = h - ff - df
-        e_cl = np.array([_expect(ff, a) for a in amps])
-        e_qf = np.array([_expect(df, a) for a in amps])
-        e_int = np.array([_expect(inter, a) for a in amps])
-        e_tot = e_cl + e_qf + e_int
-        std = np.array([_std(h, a) for a in amps])
+    if not p.driven:
         scale = max(abs(float(e_tot[0])), 1.0)
         drift = float(np.max(np.abs(e_tot - e_tot[0])))
         if drift > LEDGER_DRIFT_RTOL * scale:
             raise ToleranceError(
                 f"total energy drift {drift:.3e} exceeds {LEDGER_DRIFT_RTOL:.0e} "
                 f"relative on a closed quantum model")
-        return EnergyLedger(traj.times, e_cl, e_qf, e_int, e_tot, std)
-
-    if traj.classical is None:
-        raise ValueError("driven-model ledger needs the classical (x, p) track")
-    xs, ps = traj.classical[:, 0], traj.classical[:, 1]
-    if model.back_reaction:
-        e_cl = 0.5 * p.nu * (xs ** 2 + ps ** 2)
-    else:
-        # prescribed drive: the classical energy is constant by construction
-        e_cl = np.full(len(traj.times), 0.5 * p.nu * p.x0 ** 2)
-    h0, c = ops.h0_matrix, ops.drive_matrix
-    e_qf = np.array([_expect(h0, a) for a in amps])
-    e_int = np.array([x * _expect(c, a) for x, a in zip(xs, amps)])
-    e_tot = e_cl + e_qf + e_int
-    std = np.array([_std(h0 + x * c, a) for x, a in zip(xs, amps)])
-
     residual = None
     if model.back_reaction and len(traj.times) >= 3:
         dt = float(traj.times[1] - traj.times[0])
         dedt = (e_cl[2:] - e_cl[:-2]) / (2.0 * dt)
         # <C> carries the coupling; power = -nu * p * <coupling * C>
-        cexp = np.array([_expect(c, a) for a in amps])
+        cexp = np.array([_expect(coupling, a) for a in amps])
         power = -p.nu * ps[1:-1] * cexp[1:-1]
         residual = np.full(len(traj.times), np.nan)
         residual[1:-1] = dedt - power
@@ -259,62 +194,47 @@ def conditioned_energy_deficit(traj: Trajectory, model: ModelSpec,
     """Post-select the detector's excited free eigenstate at readout and
     compare joint free energies before and after.
 
-    Driven (no back-reaction) models keep the classical drive energy
-    unchanged, so the deficit is exactly the detector quantum: the
+    The joint free energy is field_free + detector_free, plus the classical
+    drive energy in the driven families, which a prescribed drive keeps
+    constant.  There the detector is the whole quantum state, so the energy
+    after readout is the detector's free eigenvalue at ``level`` and the
+    deficit is that eigenvalue minus the detector's free energy in the
+    first state: exactly one detector quantum from the ground state, the
     bookkeeping violation the quantized-field models close.  For quantum
     families the field is projected along with the detector and the
     deficit reduces to the detuning-sized mismatch (zero on resonance).
     """
-    ops = _family_ops(model)
     p = model.params
-    detector = default_target(model)[0]
     final = traj.final_state()
-    prob = final.population(detector, level)
+    prob = final.population(p.detector, level)
     if prob < CONDITION_FLOOR:
         raise ValueError(
             f"transition probability {prob:.3e} below {CONDITION_FLOOR:.0e}; "
             "nothing to condition on")
+    if model.back_reaction:
+        raise ValueError(
+            "conditioned deficit is defined for the prescribed-drive and "
+            "quantized-field models; mean-field runs are audited by ledger")
 
-    if model.family is ModelFamily.QUBIT_DRIVE and level != 1:
-        raise ValueError("qubit detector has a single excited level")
-
-    if model.family in QUANTUM_FAMILIES:
-        free = ops.field_free.matrix + ops.detector_free.matrix
-        e_before = _expect(free, traj.states[0].amplitudes)
-        dims = final.space.dims
-        block = final.amplitudes.reshape(dims).copy()
-        sel = [slice(None)] * len(dims)
-        for lv in range(dims[detector]):
-            if lv != level:
-                sel[detector] = lv
-                block[tuple(sel)] = 0.0
-        cond = block.reshape(-1)
-        cond = cond / np.linalg.norm(cond)
-        e_after = _expect(free, cond)
-        deficit = e_after - e_before
-    else:
-        if model.back_reaction:
-            raise ValueError(
-                "conditioned deficit is defined for the prescribed-drive and "
-                "quantized-field models; mean-field runs are audited by ledger")
-        # classical drive energy is constant by construction, so only the
-        # detector's free eigenvalue moves; computed symbolically to keep
-        # the audit exact.
-        gap = p.omega * level if model.family is ModelFamily.OSCILLATOR_DRIVE \
-            else p.omega
+    field_free, detector_free, _ = p.parts()
+    free = field_free + detector_free
+    levels = p.detector_levels()
+    # the detector's free eigenvalue at each of its levels
+    spectrum = dict(zip(levels, detector_free))
+    e_before = _expect_diag(free, traj.states[0].amplitudes)
+    if p.driven:
         e_cl = 0.5 * p.nu * p.x0 ** 2
-        ground = 0.0 if model.family is ModelFamily.OSCILLATOR_DRIVE else -0.5 * p.omega
-        e_before = e_cl + ground
-        e_after = e_cl + ground + gap
-        deficit = gap
+        e_after = spectrum[level]
+    else:
+        e_cl = 0.0
+        cond = np.where(levels == level, final.amplitudes, 0.0)
+        e_after = _expect_diag(free, cond / np.linalg.norm(cond))
     return DeficitReport(
-        deficit=float(deficit),
-        e_before=float(e_before),
-        e_after=float(e_after),
+        deficit=float(e_after - e_before),
+        e_before=float(e_cl + e_before),
+        e_after=float(e_cl + e_after),
         field_quantum=float(p.nu),
-        detector_quantum=float(p.omega * level if model.family in
-                               (ModelFamily.OSCILLATOR_DRIVE, ModelFamily.BEAM_SPLITTER)
-                               else p.omega),
+        detector_quantum=float(spectrum[level] - spectrum[0]),
         e_diff=float(p.nu - p.omega),
         probability=float(prob),
     )
@@ -358,10 +278,6 @@ class ScanResult:
         object.__setattr__(self, "errors", errors)
 
 
-def _model_tag(model: ModelSpec) -> str:
-    return model.family.value + ("+back_reaction" if model.back_reaction else "")
-
-
 def run_point(model: ModelSpec, cfg: EvolutionConfig,
               target: tuple[int, int] | None = None,
               initial: StateVector | None = None) -> tuple[Trajectory, float]:
@@ -373,10 +289,10 @@ def run_point(model: ModelSpec, cfg: EvolutionConfig,
         target = default_target(model)
     if initial is None:
         initial = default_initial_state(model)
-    if model.family in QUANTUM_FAMILIES:
-        traj = evolve_unitary(quantum_hamiltonian(model), initial, cfg)
-    else:
+    if model.is_driven:
         traj = evolve_driven(model.params, initial, cfg)
+    else:
+        traj = evolve_unitary(model.params.hamiltonian(), initial, cfg)
     return traj, traj.final_state().population(*target)
 
 
@@ -418,11 +334,11 @@ def _run_points(build, cfgs, target, catch=_POINT_ERRORS):
         return results
 
     index, models = zip(*batch)
-    space, h0, c = _dyn._drive_parts(models[0].params)
+    space = models[0].params.space
     psi0 = default_initial_state(models[0])
     try:
         finals, errors, _ = _dyn._evolve_driven_final(
-            space, h0, c, psi0,
+            space, *models[0].params.free_and_coupling(), psi0,
             [m.params.x0 for m in models], [m.params.nu for m in models],
             [cfgs[i].t_max for i in index], [cfgs[i].n_steps for i in index],
             cfgs[index[0]])
@@ -443,7 +359,7 @@ def _run_points(build, cfgs, target, catch=_POINT_ERRORS):
 
 def _scan_result(axis_name, axis, results, model, fixed, aux=None) -> ScanResult:
     return ScanResult(axis_name, axis, np.array([r[0] for r in results]),
-                      _model_tag(model), fixed=fixed,
+                      model.tag, fixed=fixed,
                       errors=tuple(r[3] for r in results), aux=aux or {})
 
 
@@ -471,17 +387,6 @@ def _coupling_of(model: ModelSpec) -> float:
     return float(getattr(p, "g", getattr(p, "coupling", 0.0)))
 
 
-def _with_intensity(model: ModelSpec, intensity: float) -> ModelSpec:
-    p = model.params
-    if model.family is ModelFamily.BEAM_SPLITTER:
-        return ModelSpec(model.family, replace(p, alpha=math.sqrt(intensity)),
-                         model.back_reaction)
-    if model.family in (ModelFamily.OSCILLATOR_DRIVE, ModelFamily.QUBIT_DRIVE):
-        return ModelSpec(model.family, replace(p, x0=math.sqrt(intensity)),
-                         model.back_reaction)
-    raise ValueError("intensity scan applies to the coherent-field and driven models")
-
-
 def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities,
                    target: tuple[int, int] | None = None,
                    workers: int = 1) -> ScanResult:
@@ -492,17 +397,17 @@ def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities,
     are tagged per point; prescribed-drive points evolve together in one
     batch (see ``_run_points``); ``workers`` is accepted and ignored."""
     intensities = np.asarray(intensities, dtype=float)
-    ops = _family_ops(model)
-    det_free, det_num = ops.detector_free.matrix, ops.detector_number.matrix
-    results = _run_points(lambda i: _with_intensity(model, intensities[i]),
+    _, detector_free, _ = model.params.parts()
+    levels = model.params.detector_levels()
+    results = _run_points(lambda i: model.with_intensity(intensities[i]),
                           [cfg] * len(intensities), target)
     gaps = []
     for _, a0, af, _ in results:
         if a0 is None:
             gaps.append(math.nan)
             continue
-        de = _expect(det_free, af) - _expect(det_free, a0)
-        dn = _expect(det_num, af) - _expect(det_num, a0)
+        de = _expect_diag(detector_free, af) - _expect_diag(detector_free, a0)
+        dn = _expect_diag(levels, af) - _expect_diag(levels, a0)
         gaps.append(de / dn if dn != 0.0 else math.nan)
     return _scan_result("intensity", intensities, results, model,
                         {"t_max": cfg.t_max, "omega": model.params.omega,
@@ -530,12 +435,12 @@ def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
         target = default_target(model)
     fixed = {"omega": model.params.omega, "coupling": _coupling_of(model)}
 
-    if model.family in QUANTUM_FAMILIES and not model.back_reaction:
+    if not model.is_driven:
         psi0 = default_initial_state(model)
         try:
-            traj = evolve_unitary_at(quantum_hamiltonian(model), psi0, times, cfg)
+            traj = evolve_unitary_at(model.params.hamiltonian(), psi0, times, cfg)
             probs = np.array([s.population(*target) for s in traj.states])
-            return ScanResult("time", times, probs, _model_tag(model), fixed=fixed)
+            return ScanResult("time", times, probs, model.tag, fixed=fixed)
         except ToleranceError:
             pass  # per-point fallback keeps the error tags granular
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    QUANTUM_FAMILIES,
     conditioned_energy_deficit,
     default_initial_state,
     detuning_scan,
@@ -35,8 +34,8 @@ from .analysis import (
     golden_rule_fit,
     intensity_scan,
     ledger_to_csv,
-    quantum_hamiltonian,
     rabi_peak_scan,
+    run_point,
     scan_to_csv,
     signature_report,
     time_scan,
@@ -46,20 +45,15 @@ from .dynamics import (
     EvolutionConfig,
     HybridState,
     Method,
-    evolve_driven,
+    allowed_methods,
     evolve_hybrid,
-    evolve_unitary,
 )
 from .errors import CoherentTailError, ConfigError, ToleranceError
 from .hilbert import basis_state, ground_state
 from .models import (
-    BeamSplitterParams,
-    DrivenOscillatorParams,
     GravitoParams,
-    JaynesCummingsParams,
     ModelFamily,
     ModelSpec,
-    QubitSemiClassicalParams,
     gravito_classical_params,
     gravito_interaction_coefficient,
     gravito_vacuum_coupling,
@@ -72,13 +66,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
 EXIT_USAGE = 64
-
-_PARAM_TYPES = {
-    "qubit_drive": QubitSemiClassicalParams,
-    "jaynes_cummings": JaynesCummingsParams,
-    "beam_splitter": BeamSplitterParams,
-    "oscillator_drive": DrivenOscillatorParams,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +114,7 @@ class Scenario:
 
 def _build_model(block: dict) -> ModelSpec:
     family = ModelFamily(block["family"])
-    params = _PARAM_TYPES[block["family"]](**block["params"])
+    params = family.params_type(**block["params"])
     return ModelSpec(family, params, bool(block.get("back_reaction", False)))
 
 
@@ -164,16 +151,10 @@ def validate_config(cfg: dict) -> Scenario:
 
     model, kind = scenario.model, scenario.kind
     if model is not None and scenario.evolution is not None:
-        method = scenario.evolution.method
-        if model.family in QUANTUM_FAMILIES and method is not Method.MATRIX_EXPONENTIAL:
-            raise ConfigError("quantized-field models evolve exactly; "
-                              "use method matrix_exponential")
-        if model.is_driven and not model.back_reaction \
-                and method is Method.MATRIX_EXPONENTIAL:
-            raise ConfigError("driven models need midpoint_piecewise or rk4")
-        if model.back_reaction and method is not Method.MIDPOINT:
-            raise ConfigError("mean-field runs use the fixed split scheme; "
-                              "set method midpoint_piecewise")
+        allowed = allowed_methods(model)
+        if scenario.evolution.method not in allowed:
+            raise ConfigError(f"{model.tag} models evolve with method "
+                              + " or ".join(m.value for m in allowed))
 
     if "target" in cfg:
         t = (cfg["target"]["factor"], cfg["target"]["level"])
@@ -195,8 +176,6 @@ def validate_config(cfg: dict) -> Scenario:
         if model.back_reaction:
             raise ConfigError("signature scans drive the prescribed or quantized "
                               "models only")
-        if model.family is ModelFamily.JAYNES_CUMMINGS:
-            raise ConfigError("intensity scans need a coherent-field or driven model")
         for axis_name in ("detuning", "intensity", "time"):
             _check_scan_axes(axis_name,
                              _build_axis(cfg["scans"][axis_name], axis_name), model)
@@ -240,7 +219,7 @@ def _check_scan_axes(axis_name: str, axis: np.ndarray, model: ModelSpec):
     elif axis_name == "intensity":
         if np.min(axis) <= 0:
             raise ConfigError("intensity scan needs positive intensities")
-        if model.family is ModelFamily.JAYNES_CUMMINGS:
+        if model.params.intensity_field is None:
             raise ConfigError("intensity scans need a coherent-field or driven model")
     elif axis_name == "time":
         if np.min(axis) <= 0:
@@ -273,11 +252,8 @@ def _run_audit(scenario: Scenario) -> dict:
             x, p = 0.0, float(model.params.x0)
         s0 = HybridState(x, p, ground_state(model.params.space))
         traj = evolve_hybrid(model, s0, cfg)
-    elif model.family in QUANTUM_FAMILIES:
-        h = quantum_hamiltonian(model)
-        traj = evolve_unitary(h, _initial_quantum_state(scenario), cfg)
     else:
-        traj = evolve_driven(model.params, _initial_quantum_state(scenario), cfg)
+        traj, _ = run_point(model, cfg, initial=_initial_quantum_state(scenario))
 
     ledger = energy_ledger(traj, model)
     results = {"ledger": ledger}
@@ -285,7 +261,7 @@ def _run_audit(scenario: Scenario) -> dict:
         if model.back_reaction:
             residual = ledger.backreaction_residual
             results["summary"] = {
-                "model": model.family.value + "+back_reaction",
+                "model": model.tag,
                 "max_total_drift": ledger.total_drift(),
                 "max_abs_residual": float(np.nanmax(np.abs(residual)))
                 if residual is not None else None,
@@ -295,7 +271,7 @@ def _run_audit(scenario: Scenario) -> dict:
         else:
             level = scenario.target[1] if scenario.target else 1
             report = conditioned_energy_deficit(traj, model, level=level)
-            results["summary"] = {"model": model.family.value, **report.to_dict()}
+            results["summary"] = {"model": model.tag, **report.to_dict()}
     return results
 
 

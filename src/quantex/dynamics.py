@@ -41,17 +41,8 @@ from .hilbert import (
     Operator,
     SpaceDescriptor,
     StateVector,
-    ground_state,
 )
-from .models import (
-    BeamSplitterParams,
-    DrivenOscillatorParams,
-    ModelFamily,
-    ModelSpec,
-    QubitSemiClassicalParams,
-    build_driven_oscillator_hamiltonian,
-    build_driven_qubit_hamiltonian,
-)
+from .models import BeamSplitterParams, DrivenOscillatorParams, ModelSpec
 
 __all__ = [
     "Method", "EvolutionConfig", "Trajectory", "HybridState",
@@ -66,6 +57,17 @@ class Method(enum.Enum):
     MATRIX_EXPONENTIAL = "matrix_exponential"
     RK4 = "rk4"
     MIDPOINT = "midpoint_piecewise"
+
+
+def allowed_methods(model: ModelSpec) -> tuple[Method, ...]:
+    """The methods that evolve ``model``: the fixed midpoint split for
+    mean-field runs, the midpoint step or RK4 under a prescribed drive,
+    exact propagation for the quantized families."""
+    if model.back_reaction:
+        return (Method.MIDPOINT,)
+    if model.is_driven:
+        return (Method.MIDPOINT, Method.RK4)
+    return (Method.MATRIX_EXPONENTIAL,)
 
 
 @dataclass(frozen=True)
@@ -279,20 +281,6 @@ def classical_drive(params, times: np.ndarray) -> np.ndarray:
     return np.column_stack([x, p])
 
 
-def _drive_parts(params):
-    if isinstance(params, DrivenOscillatorParams):
-        h0 = build_driven_oscillator_hamiltonian(params, 0.0)
-        h1 = build_driven_oscillator_hamiltonian(params, 1.0)
-    elif isinstance(params, QubitSemiClassicalParams):
-        h0 = build_driven_qubit_hamiltonian(params, 0.0)
-        h1 = build_driven_qubit_hamiltonian(params, 1.0)
-    else:
-        raise TypeError(f"unsupported driven params {type(params).__name__}")
-    # h(x) = h0 + x * c with c the displacement-coupling part
-    c = h1.matrix - h0.matrix
-    return h0.space, h0.matrix, c
-
-
 def _step_matrices(h0: np.ndarray, c: np.ndarray, method: Method):
     """h0 and c for the stepping loop of ``method``: real arrays for the
     midpoint step when both are real-valued (true for both driven
@@ -351,10 +339,12 @@ def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Tra
     guarded, not removed.  Both converge at second order or better in dt.
     """
     _check_drive_method(cfg)
-    space, h0, c = _drive_parts(params)
-    h0, c = _step_matrices(h0, c, cfg.method)
+    if not params.driven:
+        raise TypeError(f"unsupported driven params {type(params).__name__}")
+    space = params.space
+    h0, c = _step_matrices(*params.free_and_coupling(), cfg.method)
     if psi0 is None:
-        psi0 = ground_state(space)
+        psi0 = params.default_initial_state()
     if psi0.space != space:
         raise ValueError("initial state space does not match the model")
     times = cfg.time_grid()
@@ -431,19 +421,6 @@ def _evolve_driven_final(space: SpaceDescriptor, h0, c, psi0: StateVector,
     return final, errors, worst
 
 
-def _hybrid_parts(model: ModelSpec):
-    if not model.back_reaction:
-        raise ValueError("evolve_hybrid needs a back-reaction (mean-field) model")
-    if model.family not in (ModelFamily.OSCILLATOR_DRIVE, ModelFamily.QUBIT_DRIVE):
-        raise ValueError("hybrid evolution applies to the driven families only")
-    p = model.params
-    space, h0, c = _drive_parts(p)
-    h0, c = _step_matrices(h0, c, Method.MIDPOINT)
-    # c = coupling * (quadrature or sigma_x); the force needs the bare
-    # quadrature expectation, so divide the coupling back out when nonzero.
-    return space, h0, c, p.coupling, p.nu
-
-
 def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Trajectory:
     """Mean-field evolution of (x, p, psi) under the Strang split.
 
@@ -452,12 +429,17 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     with C = sigma_x for the qubit and C = b + b^+ for the oscillator.
     The quantum step uses the Hamiltonian frozen at the half-step x.
     """
-    space, h0, c, lam, nu = _hybrid_parts(model)
+    if not model.back_reaction:
+        raise ValueError("evolve_hybrid needs a back-reaction (mean-field) model")
+    space, lam, nu = model.params.space, model.params.coupling, model.params.nu
+    h0, c = _step_matrices(*model.params.free_and_coupling(), Method.MIDPOINT)
     if s0.psi.space != space:
         raise ValueError("initial quantum state space does not match the model")
     times = cfg.time_grid()
     top_slots = _boson_top_indices(space)
 
+    # c = coupling * (quadrature or sigma_x); the force needs the bare
+    # quadrature expectation, so divide the coupling back out when nonzero.
     def c_mean(amp):
         if lam == 0.0:
             return 0.0

@@ -10,6 +10,11 @@ coupling is energy per unit displacement: the interaction term is
 The classical drive mode oscillates at its own frequency ``nu``; its free
 energy is ``(nu / 2) (x^2 + p^2)`` so that ``x(t) = x0 sin(nu t)`` is the
 free solution of the rescaled phase-space pair ``(x, p)``.
+
+Each params class is the record of its family (``_Family``): its space,
+its Hamiltonian parts written from the Fock labels, its detector factor,
+its default initial state, its intensity field and whether it is
+classically driven.  Every other layer reads a family from its record.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,13 +30,14 @@ from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .errors import CoherentTailError
 from .hilbert import (
     Boson,
+    CoherentSpec,
     Operator,
     SpaceDescriptor,
+    StateVector,
     TwoLevel,
-    annihilation,
-    creation,
-    number,
-    pauli,
+    basis_state,
+    coherent_state,
+    ground_state,
     poisson_tail,
 )
 
@@ -57,8 +64,61 @@ def _require_nonnegative(**kwargs):
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def _labels(space: SpaceDescriptor) -> np.ndarray:
+    """Level of every factor in every basis state, one row per factor
+    (a two-level factor is labelled 0 = |g>, 1 = |e>)."""
+    return np.indices(space.dims).reshape(len(space.dims), -1)
+
+
+def _dense(diagonal: np.ndarray, hops=None, x: float = 1.0) -> np.ndarray:
+    """Hermitian matrix with the given diagonal plus, for each hop
+    ``(src, dst, amp)``, ``x * amp`` at (dst, src) and (src, dst)."""
+    m = np.zeros((diagonal.size,) * 2, dtype=complex)
+    np.fill_diagonal(m, diagonal)
+    if hops is not None:
+        src, dst, amp = hops
+        m[dst, src] = m[src, dst] = x * amp
+    return m
+
+
+def _operator(space: SpaceDescriptor, field, detector, hops, x: float = 1.0) -> Operator:
+    return Operator(space, _dense(field + detector, hops, x), hermitian_hint=True)
+
+
+class _Family:
+    """The record of a model family: the one place a family is declared.
+
+    The Hamiltonian is H(x) = field_free + detector_free + x * coupling,
+    with x = x(t) the classical drive of the driven families and x = 1
+    for the quantized ones.  ``parts()`` gives the free parts as their
+    diagonals in the Fock basis and the coupling as hops
+    ``(src, dst, amp)``, each hop the term ``amp (|dst><src| + |src><dst|)``,
+    all written from the Fock labels of the basis.
+    """
+
+    detector: ClassVar[int]                 # factor index of the detector
+    intensity_field: ClassVar[str | None]   # parameter whose square is the intensity
+    driven: ClassVar[bool]                  # coupling multiplied by a classical x(t)
+
+    def default_initial_state(self) -> StateVector:
+        return ground_state(self.space)
+
+    def hamiltonian(self, x: float = 1.0) -> Operator:
+        """H(x) as a dense, hermiticity-checked operator."""
+        return _operator(self.space, *self.parts(), x)
+
+    def detector_levels(self) -> np.ndarray:
+        """The detector's level in every basis state: its excitation number."""
+        return _labels(self.space)[self.detector]
+
+    def free_and_coupling(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense free and coupling parts, H(x) = free + x * coupling."""
+        field, detector, hops = self.parts()
+        return _dense(field + detector), _dense(np.zeros_like(field), hops)
+
+
 @dataclass(frozen=True)
-class QubitSemiClassicalParams:
+class QubitSemiClassicalParams(_Family):
     """Classical drive mode coupled to a qubit (no back-reaction unless the
     owning ModelSpec sets it)."""
 
@@ -66,6 +126,10 @@ class QubitSemiClassicalParams:
     nu: float           # drive frequency
     coupling: float     # interaction strength per unit displacement
     x0: float           # drive amplitude
+
+    detector = 0
+    intensity_field = "x0"
+    driven = True
 
     def __post_init__(self):
         _require_positive(omega=self.omega, nu=self.nu)
@@ -75,15 +139,26 @@ class QubitSemiClassicalParams:
     def space(self) -> SpaceDescriptor:
         return SpaceDescriptor((TwoLevel(),))
 
+    def parts(self):
+        """No field part (the drive is classical), (omega/2) sigma_z and
+        coupling * sigma_x."""
+        (s,) = _labels(self.space)
+        return (np.zeros(s.size), self.omega * (s - 0.5),
+                (np.array([0]), np.array([1]), np.array([self.coupling])))
+
 
 @dataclass(frozen=True)
-class JaynesCummingsParams:
+class JaynesCummingsParams(_Family):
     """Quantized field mode exchanging single quanta with a qubit."""
 
     nu: float           # field mode frequency
     omega: float        # qubit gap
     g: float            # vacuum coupling
     field_cutoff: int
+
+    detector = 1
+    intensity_field = None
+    driven = False
 
     def __post_init__(self):
         _require_positive(nu=self.nu, omega=self.omega)
@@ -95,9 +170,23 @@ class JaynesCummingsParams:
     def space(self) -> SpaceDescriptor:
         return SpaceDescriptor((Boson(self.field_cutoff), TwoLevel()))
 
+    def parts(self, counter_rotating_order: bool = False):
+        """nu a+a, (omega/2) sigma_z and g (a sigma+ + a+ sigma-), or
+        g (a sigma- + a+ sigma+) in the counter-rotating order.  ``a sigma+``
+        takes |n, g> to |n - 1, e> and ``a sigma-`` takes |n, e> to
+        |n - 1, g>, with amplitude sqrt(n); the flat index is 2 n + s."""
+        n, s = _labels(self.space)
+        src = np.flatnonzero((n > 0) & (s == int(counter_rotating_order)))
+        return (self.nu * n, self.omega * (s - 0.5),
+                (src, src - 1 - 2 * s[src], self.g * np.sqrt(n[src])))
+
+    def default_initial_state(self) -> StateVector:
+        """One field quantum, ground qubit."""
+        return basis_state(self.space, [1, 0])
+
 
 @dataclass(frozen=True)
-class BeamSplitterParams:
+class BeamSplitterParams(_Family):
     """Two bosonic modes under an excitation-conserving exchange coupling."""
 
     nu: float           # field mode frequency
@@ -107,6 +196,10 @@ class BeamSplitterParams:
     detector_cutoff: int
     alpha: complex = 0.0        # initial field coherent amplitude
     tail_tolerance: float = 1e-12
+
+    detector = 1
+    intensity_field = "alpha"
+    driven = False
 
     def __post_init__(self):
         _require_positive(nu=self.nu, omega=self.omega)
@@ -123,9 +216,24 @@ class BeamSplitterParams:
     def space(self) -> SpaceDescriptor:
         return SpaceDescriptor((Boson(self.field_cutoff), Boson(self.detector_cutoff)))
 
+    def parts(self):
+        """nu a+a, omega b+b and g (a b+ + b a+).  ``a b+`` takes
+        |n_a, n_b> to |n_a - 1, n_b + 1> with amplitude sqrt(n_a) sqrt(n_b + 1),
+        zero where n_b + 1 would pass the detector cutoff (the hard
+        truncation of ``create()``)."""
+        n_a, n_b = _labels(self.space)
+        d_b = self.detector_cutoff
+        src = np.flatnonzero((n_a > 0) & (n_b < d_b - 1))
+        hop = self.g * (np.sqrt(n_a[src]) * np.sqrt(n_b[src] + 1.0))
+        return self.nu * n_a, self.omega * n_b, (src, src - d_b + 1, hop)
+
+    def default_initial_state(self) -> StateVector:
+        """Coherent field, ground detector."""
+        return coherent_state(self.space, 0, CoherentSpec(self.alpha, self.tail_tolerance))
+
 
 @dataclass(frozen=True)
-class DrivenOscillatorParams:
+class DrivenOscillatorParams(_Family):
     """Classical drive mode coupled to a quantized oscillator detector."""
 
     omega: float        # detector mode frequency
@@ -133,6 +241,10 @@ class DrivenOscillatorParams:
     coupling: float     # interaction strength per unit displacement
     x0: float           # drive amplitude
     detector_cutoff: int = 16
+
+    detector = 0
+    intensity_field = "x0"
+    driven = True
 
     def __post_init__(self):
         _require_positive(omega=self.omega, nu=self.nu)
@@ -143,6 +255,13 @@ class DrivenOscillatorParams:
     @property
     def space(self) -> SpaceDescriptor:
         return SpaceDescriptor((Boson(self.detector_cutoff),))
+
+    def parts(self):
+        """No field part (the drive is classical), omega b+b and
+        coupling (b + b+); ``b`` takes |n> to |n - 1> with amplitude sqrt(n)."""
+        (n,) = _labels(self.space)
+        src = n[1:]
+        return np.zeros(n.size), self.omega * n, (src, src - 1, self.coupling * np.sqrt(src))
 
 
 @dataclass(frozen=True)
@@ -168,6 +287,11 @@ class ModelFamily(enum.Enum):
     BEAM_SPLITTER = "beam_splitter"
     OSCILLATOR_DRIVE = "oscillator_drive"
 
+    @property
+    def params_type(self) -> type:
+        """The params class of the family, which is its record."""
+        return _FAMILY_PARAM_TYPES[self]
+
 
 _FAMILY_PARAM_TYPES = {
     ModelFamily.QUBIT_DRIVE: QubitSemiClassicalParams,
@@ -175,8 +299,6 @@ _FAMILY_PARAM_TYPES = {
     ModelFamily.BEAM_SPLITTER: BeamSplitterParams,
     ModelFamily.OSCILLATOR_DRIVE: DrivenOscillatorParams,
 }
-
-_DRIVE_FAMILIES = (ModelFamily.QUBIT_DRIVE, ModelFamily.OSCILLATOR_DRIVE)
 
 
 @dataclass(frozen=True)
@@ -193,20 +315,33 @@ class ModelSpec:
     back_reaction: bool = False
 
     def __post_init__(self):
-        expected = _FAMILY_PARAM_TYPES[self.family]
+        expected = self.family.params_type
         if not isinstance(self.params, expected):
             raise TypeError(
                 f"{self.family.value} expects {expected.__name__}, "
                 f"got {type(self.params).__name__}")
-        if self.back_reaction and self.family not in _DRIVE_FAMILIES:
+        if self.back_reaction and not self.params.driven:
             raise ValueError("back_reaction applies to classically driven families only")
 
     @property
     def is_driven(self) -> bool:
-        return self.family in _DRIVE_FAMILIES
+        return self.params.driven
+
+    @property
+    def tag(self) -> str:
+        return self.family.value + ("+back_reaction" if self.back_reaction else "")
 
     def with_nu(self, nu: float) -> "ModelSpec":
         return ModelSpec(self.family, replace(self.params, nu=nu), self.back_reaction)
+
+    def with_intensity(self, intensity: float) -> "ModelSpec":
+        """The model with its intensity field (alpha or x0) set to
+        sqrt(intensity)."""
+        name = self.params.intensity_field
+        if name is None:
+            raise ValueError("intensity scan applies to the coherent-field and driven models")
+        return ModelSpec(self.family, replace(self.params, **{name: math.sqrt(intensity)}),
+                         self.back_reaction)
 
 
 # ---------------------------------------------------------------------------
@@ -221,50 +356,28 @@ def build_jc_hamiltonian(p: JaynesCummingsParams,
     g (a sigma- + a+ sigma+), which does NOT conserve the excitation
     number; it exists for side-by-side comparison only.
     """
-    sp = p.space
-    a = annihilation(sp, 0)
-    ad = creation(sp, 0)
-    h = p.nu * number(sp, 0) + 0.5 * p.omega * pauli(sp, 1, "z")
-    if counter_rotating_order:
-        inter = a @ pauli(sp, 1, "minus") + ad @ pauli(sp, 1, "plus")
-    else:
-        inter = a @ pauli(sp, 1, "plus") + ad @ pauli(sp, 1, "minus")
-    return Operator(sp, h.matrix + p.g * inter.matrix, hermitian_hint=True)
+    return _operator(p.space, *p.parts(counter_rotating_order))
+
+
+def _total_number(space: SpaceDescriptor) -> Operator:
+    """Sum of the levels of all factors: the total excitation number."""
+    return Operator(space, np.diag(_labels(space).sum(axis=0)), hermitian_hint=True)
 
 
 def jc_excitation_number(p: JaynesCummingsParams) -> Operator:
     """a+a + sigma+ sigma-, conserved by the standard interaction order."""
-    sp = p.space
-    proj_e = pauli(sp, 1, "plus") @ pauli(sp, 1, "minus")
-    return Operator(sp, number(sp, 0).matrix + proj_e.matrix, hermitian_hint=True)
+    return _total_number(p.space)
 
 
 def build_beam_splitter_hamiltonian(p: BeamSplitterParams) -> Operator:
-    """nu a+a + omega b+b + g (a b+ + b a+).
-
-    Written entry by entry from the Fock labels of the basis rather than
-    from Kronecker-embedded ladder operators: the diagonal is
-    nu n_a + omega n_b and ``a b+`` takes |n_a, n_b> to |n_a - 1, n_b + 1>
-    with amplitude sqrt(n_a) sqrt(n_b + 1), zero where n_b + 1 would pass
-    the detector cutoff (the hard truncation of ``create()``).
-    """
-    sp = p.space
-    n_a, n_b = np.indices(sp.dims).reshape(2, -1)
-    d, d_b = sp.total_dim, sp.dims[1]
-    m = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(m, p.nu * n_a + p.omega * n_b)
-    src = np.flatnonzero((n_a > 0) & (n_b < d_b - 1))
-    dst = src - d_b + 1     # flat index of |n_a - 1, n_b + 1>
-    hop = p.g * (np.sqrt(n_a[src]) * np.sqrt(n_b[src] + 1.0))
-    m[dst, src] = hop       # a b+
-    m[src, dst] = hop       # b a+
-    return Operator(sp, m, hermitian_hint=True)
+    """nu a+a + omega b+b + g (a b+ + b a+), written entry by entry from
+    the Fock labels (``BeamSplitterParams.parts``)."""
+    return p.hamiltonian()
 
 
 def beam_splitter_excitation_number(p: BeamSplitterParams) -> Operator:
-    sp = p.space
-    return Operator(sp, number(sp, 0).matrix + number(sp, 1).matrix,
-                    hermitian_hint=True)
+    """a+a + b+b, conserved by the exchange."""
+    return _total_number(p.space)
 
 
 def build_driven_qubit_hamiltonian(p: QubitSemiClassicalParams, x: float) -> Operator:
@@ -273,17 +386,12 @@ def build_driven_qubit_hamiltonian(p: QubitSemiClassicalParams, x: float) -> Ope
     The classical drive energy (nu/2)(x^2 + p^2) is tracked separately by
     the energy ledger.
     """
-    sp = SpaceDescriptor((TwoLevel(),))
-    m = 0.5 * p.omega * pauli(sp, 0, "z").matrix + p.coupling * x * pauli(sp, 0, "x").matrix
-    return Operator(sp, m, hermitian_hint=True)
+    return p.hamiltonian(x)
 
 
 def build_driven_oscillator_hamiltonian(p: DrivenOscillatorParams, x: float) -> Operator:
     """omega b+b + coupling * x * (b+ + b) at a frozen drive value x."""
-    sp = p.space
-    m = p.omega * number(sp, 0).matrix
-    quad = annihilation(sp, 0).matrix + creation(sp, 0).matrix
-    return Operator(sp, m + p.coupling * x * quad, hermitian_hint=True)
+    return p.hamiltonian(x)
 
 
 # ---------------------------------------------------------------------------

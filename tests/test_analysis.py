@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantex import (
     BeamSplitterParams,
@@ -140,6 +141,22 @@ def test_deficit_resonant_semiclassical_equals_detector_quantum():
     assert abs(rep.deficit - 1.0) <= 1e-9
     assert rep.e_diff == pytest.approx(0.0, abs=1e-12)
     assert rep.e_after - rep.e_before == pytest.approx(rep.deficit, abs=0.0)
+
+
+def test_deficit_semiclassical_counts_from_the_first_state():
+    # two detector quanta at the start, one at readout: the detector gives
+    # one quantum up, it does not gain one
+    model = _osc_model(coupling=0.05)
+    cfg = EvolutionConfig(dt=0.001, t_max=2.0, method=Method.MIDPOINT)
+    traj = evolve_driven(model.params, basis_state(model.params.space, [2]), cfg)
+    rep = conditioned_energy_deficit(traj, model)
+    assert (rep.e_before, rep.e_after, rep.deficit) == (2.5, 1.5, -1.0)
+    assert rep.detector_quantum == 1.0
+    # an excited qubit read out excited has moved no energy
+    model = _qubit_model(coupling=0.05)
+    traj = evolve_driven(model.params, basis_state(model.params.space, [1]), cfg)
+    rep = conditioned_energy_deficit(traj, model)
+    assert (rep.e_before, rep.e_after, rep.deficit) == (1.0, 1.0, 0.0)
 
 
 def test_deficit_detuned_reports_quantum_mismatch():
@@ -328,7 +345,8 @@ def _serial_final(model, cfg):
 def test_batched_final_states_match_serial_on_every_scan_axis(make, method):
     model = make()
     cfg = EvolutionConfig(dt=0.01, t_max=2.0, method=method)
-    space, h0, c = dynamics._drive_parts(model.params)
+    space = model.params.space
+    h0, c = model.params.free_and_coupling()
     psi0 = ground_state(space)
     times = np.geomspace(0.013, 2.0, 4)
     axes = {
@@ -369,12 +387,13 @@ def test_driven_scans_match_serial_run_point():
 def test_quantized_scans_build_the_hamiltonian_once_per_point(monkeypatch):
     from quantex import analysis
     calls = []
+    build = BeamSplitterParams.hamiltonian
 
-    def counting_build(p):
+    def counting_build(p, x=1.0):
         calls.append(p)
-        return build_beam_splitter_hamiltonian(p)
+        return build(p, x)
 
-    monkeypatch.setattr(analysis, "build_beam_splitter_hamiltonian", counting_build)
+    monkeypatch.setattr(BeamSplitterParams, "hamiltonian", counting_build)
     model = _bs_model(detector_cutoff=4)
     cfg = EvolutionConfig(dt=0.5, t_max=10.0)
     assert analysis.default_target(model) == (1, 1)
@@ -383,6 +402,28 @@ def test_quantized_scans_build_the_hamiltonian_once_per_point(monkeypatch):
     assert len(calls) == 5
     time_scan(model, cfg, np.array([0.1, 1.0, 10.0]))
     assert len(calls) == 6
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=4),
+       st.sampled_from([Method.MIDPOINT, Method.RK4]), st.booleans())
+def test_reversing_a_scan_axis_reverses_its_points(deltas, method, small_cutoff):
+    deltas = np.unique(np.append(deltas, 0.0))  # small cutoffs overflow at resonance
+    cases = [
+        (_osc_model(coupling=0.03, detector_cutoff=4 if small_cutoff else 8),
+         EvolutionConfig(dt=0.01, t_max=10.0, method=method)),
+        (_bs_model(g=0.002, alpha=1.0, field_cutoff=16,
+                   detector_cutoff=3 if small_cutoff else 6),
+         EvolutionConfig(dt=0.5, t_max=10.0)),
+    ]
+    for model, cfg in cases:
+        forward = detuning_scan(model, cfg, deltas)
+        backward = detuning_scan(model, cfg, deltas[::-1])
+        npt.assert_allclose(backward.probabilities[::-1], forward.probabilities,
+                            rtol=0, atol=1e-12)
+        assert backward.errors[::-1] == forward.errors
+        assert (forward.errors[np.flatnonzero(deltas == 0.0)[0]] is None) \
+            != small_cutoff
 
 
 def _serial_tag(model, cfg):

@@ -92,17 +92,64 @@ def test_beam_splitter_conserves_total_number(p):
     assert np.max(np.abs(h.commutator(n).matrix)) <= 1e-12
 
 
-@settings(max_examples=60, deadline=None)
-@given(_bs_params)
-def test_direct_beam_splitter_build_matches_kronecker_embedding(p):
-    from quantex import annihilation, creation, number
+def _label_and_kronecker(p, x, counter_rotating):
+    """The label-built H(x) of ``p`` next to a Kronecker-built reference
+    H(x), free part and coupling part (the coupling in the standard
+    Jaynes-Cummings order).  The reference driven H(x) is
+    free + coupling * x * operator, which the label-built
+    x * (coupling * operator) of the oscillator matches bit for bit only
+    at x = 0 and x = 1."""
+    from quantex import annihilation, creation, number, pauli
     sp = p.space
-    a, b = annihilation(sp, 0).matrix, annihilation(sp, 1).matrix
-    ad, bd = creation(sp, 0).matrix, creation(sp, 1).matrix
-    ref = (p.nu * number(sp, 0).matrix + p.omega * number(sp, 1).matrix
-           + p.g * (a @ bd + b @ ad))
-    npt.assert_allclose(build_beam_splitter_hamiltonian(p).matrix, ref,
-                        rtol=0, atol=1e-14)
+    if isinstance(p, QubitSemiClassicalParams):
+        free = 0.5 * p.omega * pauli(sp, 0, "z").matrix
+        quad = pauli(sp, 0, "x").matrix
+        return (build_driven_qubit_hamiltonian(p, x),
+                free + p.coupling * x * quad, free, p.coupling * quad)
+    if isinstance(p, DrivenOscillatorParams):
+        free = p.omega * number(sp, 0).matrix
+        quad = annihilation(sp, 0).matrix + creation(sp, 0).matrix
+        return (build_driven_oscillator_hamiltonian(p, x),
+                free + p.coupling * x * quad, free, p.coupling * quad)
+    a, ad = annihilation(sp, 0).matrix, creation(sp, 0).matrix
+    if isinstance(p, JaynesCummingsParams):
+        free = p.nu * number(sp, 0).matrix + 0.5 * p.omega * pauli(sp, 1, "z").matrix
+        up, down = pauli(sp, 1, "plus").matrix, pauli(sp, 1, "minus").matrix
+        inter = a @ up + ad @ down
+        h_inter = a @ down + ad @ up if counter_rotating else inter
+        return (build_jc_hamiltonian(p, counter_rotating),
+                free + p.g * h_inter, free, p.g * inter)
+    free = p.nu * number(sp, 0).matrix + p.omega * number(sp, 1).matrix
+    inter = a @ creation(sp, 1).matrix + annihilation(sp, 1).matrix @ ad
+    return build_beam_splitter_hamiltonian(p), free + p.g * inter, free, p.g * inter
+
+
+_freq, _strength = st.floats(0.1, 3.0), st.floats(0.0, 2.0)
+_families_at_x = st.one_of(
+    st.tuples(_bs_params, st.just(1.0), st.just(False)),
+    st.tuples(st.builds(JaynesCummingsParams, nu=_freq, omega=_freq, g=_strength,
+                        field_cutoff=st.integers(2, 9)),
+              st.just(1.0), st.booleans()),
+    st.tuples(st.builds(QubitSemiClassicalParams, omega=_freq, nu=_freq,
+                        coupling=_strength, x0=_freq),
+              st.floats(-3.0, 3.0), st.just(False)),
+    st.tuples(st.builds(DrivenOscillatorParams, omega=_freq, nu=_freq,
+                        coupling=_strength, x0=_freq, detector_cutoff=st.integers(2, 12)),
+              st.sampled_from([0.0, 1.0]), st.just(False)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_families_at_x)
+def test_direct_beam_splitter_build_matches_kronecker_embedding(case):
+    # every family, both Jaynes-Cummings orders, the driven oscillator at
+    # x = 0 and x = 1: bit for bit
+    p, x, counter_rotating = case
+    h, h_ref, free_ref, coupling_ref = _label_and_kronecker(p, x, counter_rotating)
+    free, coupling = p.free_and_coupling()
+    npt.assert_array_equal(h.matrix, h_ref)
+    npt.assert_array_equal(free, free_ref)
+    npt.assert_array_equal(coupling, coupling_ref)
 
 
 def test_beam_splitter_single_excitation_splitting():
