@@ -17,7 +17,6 @@ back-reaction.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -85,19 +84,15 @@ class EnergyLedger:
         return float(np.max(np.abs(self.e_total - self.e_total[0])))
 
 
-def _expect(matrix: np.ndarray, amp: np.ndarray) -> float:
-    return float(np.real(np.vdot(amp, matrix @ amp)))
-
-
 def _expect_diag(diagonal: np.ndarray, amp: np.ndarray) -> float:
     return float(np.real(np.vdot(amp, diagonal * amp)))
 
 
-def _std(matrix: np.ndarray, amp: np.ndarray) -> float:
-    hpsi = matrix @ amp
-    mean = float(np.real(np.vdot(amp, hpsi)))
-    second = float(np.real(np.vdot(hpsi, hpsi)))
-    return math.sqrt(max(second - mean * mean, 0.0))
+def _expect_rows(amps: np.ndarray, op_amps: np.ndarray) -> np.ndarray:
+    """Re <psi_t| op |psi_t> per row, from the rows psi_t and op psi_t
+    (real and imaginary views, so no conjugated copy is made)."""
+    return (np.einsum("ti,ti->t", amps.real, op_amps.real)
+            + np.einsum("ti,ti->t", amps.imag, op_amps.imag))
 
 
 def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
@@ -110,13 +105,16 @@ def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
     a bit-identical constant ``e_classical`` column.  Mean-field runs add
     the residual of d(e_classical)/dt against the back-reaction power
     ``-nu * coupling * p * <C>`` (central differences; NaN at endpoints).
+    Every column is one array expression over the trajectory's
+    ``(n_t, d)`` amplitudes.
     """
     p = model.params
-    if traj.states[0].space != p.space:
+    if traj.space != p.space:
         raise ValueError("trajectory space does not match the model")
     field_free, detector_free, _ = p.parts()
-    free, coupling = p.free_and_coupling()
-    amps = [s.amplitudes for s in traj.states]
+    coupling = p.free_and_coupling()[1]
+    amps = traj.amplitudes
+    probs = np.abs(amps) ** 2
     if p.driven:
         if traj.classical is None:
             raise ValueError("driven-model ledger needs the classical (x, p) track")
@@ -127,14 +125,22 @@ def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
             # prescribed drive: the classical energy is constant by construction
             e_cl = np.full(len(traj.times), 0.5 * p.nu * p.x0 ** 2)
     else:
-        xs = np.ones(len(amps))
-        e_cl = np.array([_expect_diag(field_free, a) for a in amps])
-    e_qf = np.array([_expect_diag(detector_free, a) for a in amps])
-    e_int = np.array([x * _expect(coupling, a) for x, a in zip(xs, amps)])
+        xs = np.ones(len(traj.times))
+        e_cl = probs @ field_free
+    e_qf = probs @ detector_free
+    # every (n_t, d) temporary is as large as the trajectory: keep few alive
+    del probs
+    c_amps = amps @ coupling.T
+    cexp = _expect_rows(amps, c_amps)       # <C> carries the coupling
+    e_int = xs * cexp
     e_tot = e_cl + e_qf + e_int
-    # H(x) is rebuilt only when x changes: once for the quantized families
-    h_at = functools.lru_cache(maxsize=1)(lambda x: free + x * coupling)
-    std = np.array([_std(h_at(x), a) for x, a in zip(xs, amps)])
+    # H(x) psi per row, built in place; the free part is diagonal
+    h_amps = amps * (field_free + detector_free)
+    c_amps *= xs[:, None]
+    h_amps += c_amps
+    mean = _expect_rows(amps, h_amps)
+    second = _expect_rows(h_amps, h_amps)
+    std = np.sqrt(np.maximum(second - mean * mean, 0.0))
 
     if not p.driven:
         scale = max(abs(float(e_tot[0])), 1.0)
@@ -147,8 +153,7 @@ def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
     if model.back_reaction and len(traj.times) >= 3:
         dt = float(traj.times[1] - traj.times[0])
         dedt = (e_cl[2:] - e_cl[:-2]) / (2.0 * dt)
-        # <C> carries the coupling; power = -nu * p * <coupling * C>
-        cexp = np.array([_expect(coupling, a) for a in amps])
+        # power = -nu * p * <coupling * C>
         power = -p.nu * ps[1:-1] * cexp[1:-1]
         residual = np.full(len(traj.times), np.nan)
         residual[1:-1] = dedt - power
@@ -221,7 +226,7 @@ def conditioned_energy_deficit(traj: Trajectory, model: ModelSpec,
     levels = p.detector_levels()
     # the detector's free eigenvalue at each of its levels
     spectrum = dict(zip(levels, detector_free))
-    e_before = _expect_diag(free, traj.states[0].amplitudes)
+    e_before = _expect_diag(free, traj.amplitudes[0])
     if p.driven:
         e_cl = 0.5 * p.nu * p.x0 ** 2
         e_after = spectrum[level]
@@ -326,7 +331,7 @@ def _run_points(build, cfgs, target, catch=_POINT_ERRORS):
                 batch.append((i, model))
                 continue
             traj, prob = run_point(model, cfg, target)
-            results[i] = (prob, traj.states[0].amplitudes,
+            results[i] = (prob, traj.amplitudes[0],
                           traj.final_state().amplitudes, None)
         except catch as exc:
             results[i] = (math.nan, None, None, _tag(exc))
@@ -439,7 +444,7 @@ def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
         psi0 = default_initial_state(model)
         try:
             traj = evolve_unitary_at(model.params.hamiltonian(), psi0, times, cfg)
-            probs = np.array([s.population(*target) for s in traj.states])
+            probs = traj.population_series(*target)
             return ScanResult("time", times, probs, model.tag, fixed=fixed)
         except ToleranceError:
             pass  # per-point fallback keeps the error tags granular

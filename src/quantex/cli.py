@@ -180,6 +180,10 @@ def validate_config(cfg: dict) -> Scenario:
             _check_scan_axes(axis_name,
                              _build_axis(cfg["scans"][axis_name], axis_name), model)
     elif kind == "audit":
+        if scenario.target is not None and scenario.target[0] != model.params.detector:
+            raise ConfigError(f"audit target {scenario.target} must sit on the "
+                              f"detector factor {model.params.detector}: the "
+                              "deficit conditions on a detector level")
         if model.back_reaction and cfg.get("initial_state", {"type": "default"})["type"] \
                 not in ("default", "hybrid"):
             raise ConfigError("mean-field audits start from a hybrid (x, p) point")

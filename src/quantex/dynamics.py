@@ -8,8 +8,9 @@ Three propagators:
   excitation-number sectors of the quantized-field families);
 * ``evolve_driven`` -- Schroedinger evolution under a sinusoidal classical
   drive ``x(t) = x0 sin(nu t)``, with the Hamiltonian frozen at interval
-  midpoints (second order in dt) or integrated by RK4; scans that need
-  only final states run many drives at once through the batched twin
+  midpoints (second order in dt) or integrated by RK4, one stacked
+  propagator build per chunk of steps; scans that need only final states
+  run many drives at once through the batched twin
   ``_evolve_driven_final``, which shares its step and guards;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
@@ -28,19 +29,27 @@ import cmath
 import enum
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from .errors import HermiticityError, RegimeWarning, ToleranceError
+from .errors import (
+    FactorError,
+    HermiticityError,
+    NormalizationError,
+    RegimeWarning,
+    ToleranceError,
+)
 from .hilbert import (
+    NORM_ATOL,
     Boson,
     Operator,
     SpaceDescriptor,
     StateVector,
+    _readonly,
 )
 from .models import BeamSplitterParams, DrivenOscillatorParams, ModelSpec
 
@@ -107,21 +116,47 @@ class HybridState:
     psi: StateVector
 
 
+class _StateView(Sequence):
+    """Read-only sequence of a trajectory's states; each item is a
+    ``StateVector`` over one row of the amplitude array, built on access."""
+
+    def __init__(self, space: SpaceDescriptor, amplitudes: np.ndarray):
+        self._space, self._amplitudes = space, amplitudes
+
+    def __len__(self) -> int:
+        return len(self._amplitudes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        return StateVector(self._space, self._amplitudes[index])
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled evolution: times, states, and (when present) the classical
-    (x, p) track.  ``max_norm_drift`` records the worst raw norm deviation
-    seen before the stored states were renormalized."""
+    """Sampled evolution: the space, the times, one read-only complex
+    ``(n_t, d)`` array of normalized amplitudes (row k is the state at
+    ``times[k]``) and, when present, the classical (x, p) track.
+    ``max_norm_drift`` records the worst raw norm deviation seen before
+    the stored states were renormalized."""
 
+    space: SpaceDescriptor
     times: np.ndarray
-    states: tuple[StateVector, ...]
+    amplitudes: np.ndarray
     classical: np.ndarray | None = None     # shape (n, 2): columns x, p
     max_norm_drift: float = 0.0
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
-        if len(times) != len(self.states):
-            raise ValueError("times and states must have equal length")
+        amps = _readonly(self.amplitudes)
+        if amps.shape != (len(times), self.space.total_dim):
+            raise ValueError(f"amplitudes {amps.shape} must be (n_times, dim) = "
+                             f"({len(times)}, {self.space.total_dim})")
+        # squared norms from the real and imaginary views: no (n_t, d) copy
+        nrm = np.sqrt(sum(np.einsum("ti,ti->t", part, part)
+                          for part in (amps.real, amps.imag)))
+        if not np.all(np.abs(nrm - 1.0) <= NORM_ATOL):     # NaN norms fail too
+            raise NormalizationError(f"a state norm lies outside 1 +/- {NORM_ATOL}")
         times.setflags(write=False)
         if self.classical is not None:
             cl = np.array(self.classical, dtype=float)
@@ -130,21 +165,29 @@ class Trajectory:
             cl.setflags(write=False)
             object.__setattr__(self, "classical", cl)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def space(self) -> SpaceDescriptor:
-        return self.states[0].space
+    def states(self) -> Sequence[StateVector]:
+        return _StateView(self.space, self.amplitudes)
 
     def final_state(self) -> StateVector:
-        return self.states[-1]
+        return StateVector(self.space, self.amplitudes[-1])
 
     def population_series(self, factor_index: int, level: int) -> np.ndarray:
-        return np.array([s.population(factor_index, level) for s in self.states])
+        """Marginal population of ``level`` of factor ``factor_index`` per time."""
+        dims = self.space.dims
+        self.space.factor(factor_index)
+        if not 0 <= level < dims[factor_index]:
+            raise FactorError(f"level {level} out of range for factor {factor_index}")
+        probs = np.abs(self.amplitudes.reshape((-1, *dims))) ** 2
+        axes = tuple(i + 1 for i in range(len(dims)) if i != factor_index)
+        return probs.sum(axis=axes)[:, level]
 
     def expectation_series(self, op: Operator) -> np.ndarray:
-        return np.array([np.vdot(s.amplitudes, op.matrix @ s.amplitudes)
-                         for s in self.states])
+        """<psi(t)| op |psi(t)> per time (complex)."""
+        return np.einsum("ti,ti->t", self.amplitudes.conj(),
+                         self.amplitudes @ op.matrix.T)
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +243,15 @@ def _guard_error(drift, pops, t, cfg: EvolutionConfig, top_slots) -> ToleranceEr
                 f"> {cfg.top_level_tol:.1e} at t={t:g} (raise the cutoff)")
 
 
-def _checked_state(space: SpaceDescriptor, amp: np.ndarray, t: float,
-                   cfg: EvolutionConfig, top_slots) -> tuple[StateVector, float]:
+def _checked_state(amp: np.ndarray, t, cfg: EvolutionConfig,
+                   top_slots) -> tuple[np.ndarray, np.ndarray]:
+    """``_guard`` that raises instead of reporting: on one state, or on a
+    stack of states in time order, where the earliest trip is raised.
+    Returns the renormalised amplitudes and the raw norm drift."""
     amp, drift, errors = _guard(amp, t, cfg, top_slots)
     if errors is not None:
-        raise errors[()]
-    return StateVector(space, amp), float(drift)
+        raise next(e for e in errors.flat if e is not None)
+    return amp, drift
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +302,11 @@ def evolve_unitary_at(h: Operator, psi0: StateVector, times,
     times = np.asarray(times, dtype=float)
     w, v = _block_eigh(h.matrix)
     coeffs = v.conj().T @ psi0.amplitudes
-    top_slots = _boson_top_indices(h.space)
-    states, worst = [], 0.0
-    for t in times:
-        amp = v @ (np.exp(-1j * w * t) * coeffs)
-        state, drift = _checked_state(h.space, amp, t, cfg, top_slots)
-        worst = max(worst, drift)
-        states.append(state)
-    return Trajectory(times, states, max_norm_drift=worst)
+    amps = np.empty((len(times), h.space.total_dim), dtype=complex)
+    for k, t in enumerate(times):
+        amps[k] = v @ (np.exp(-1j * w * t) * coeffs)
+    amps, drift = _checked_state(amps, times, cfg, _boson_top_indices(h.space))
+    return Trajectory(h.space, times, amps, max_norm_drift=float(drift.max(initial=0.0)))
 
 
 def evolve_unitary(h: Operator, psi0: StateVector, cfg: EvolutionConfig) -> Trajectory:
@@ -326,6 +369,25 @@ def _drive_step(method: Method, h0, c, x_of, t0, t1, amp):
     return _rk4_step(h0, c, x_of, t0, dt, amp)
 
 
+def _step_propagators(method: Method, h0, c, x_of, t0: np.ndarray,
+                      t1: np.ndarray) -> np.ndarray:
+    """The one-step propagators ``(m, d, d)`` from t0[k] to t1[k] of
+    ``_drive_step``, so that its step of a state is ``u[k] @ amp``: for
+    the midpoint step ``v exp(-i w dt) v^+`` from one stacked eigh, for
+    RK4 the step applied to every basis state (it is linear)."""
+    dt = (t1 - t0)[:, None]
+    if method is Method.MIDPOINT:
+        w, v = np.linalg.eigh(h0 + x_of(0.5 * (t0 + t1))[:, None, None] * c)
+        return (v * np.exp(-1j * w * dt)[:, None, :]) @ np.swapaxes(v, -1, -2).conj()
+    # the step maps row states to row states, so on the identity it gives u^T
+    eye = np.broadcast_to(np.eye(len(h0), dtype=complex), (len(t0),) + h0.shape)
+    rows = _rk4_step(h0, c, x_of, t0[:, None, None], dt[..., None], eye)
+    return np.swapaxes(rows, -1, -2)
+
+
+_DRIVE_CHUNK = 256      # steps whose propagators exist at once
+
+
 def _check_drive_method(cfg: EvolutionConfig):
     if cfg.method not in (Method.MIDPOINT, Method.RK4):
         raise ValueError("time-dependent evolution needs Method.MIDPOINT or Method.RK4")
@@ -337,6 +399,13 @@ def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Tra
     The midpoint method freezes H at each interval midpoint (unitary per
     step); RK4 integrates the raw equation and its small norm drift is
     guarded, not removed.  Both converge at second order or better in dt.
+
+    The drive is prescribed, so every step's Hamiltonian is known up
+    front: the steps go in chunks of ``_DRIVE_CHUNK``, each chunk's
+    propagators come from one stacked eigh (or one stacked RK4 step), and
+    the serial loop is one matvec and a renormalisation per step.  The
+    guards run once per chunk over its raw states and raise the earliest
+    trip, with the text a step-by-step loop raises.
     """
     _check_drive_method(cfg)
     if not params.driven:
@@ -351,17 +420,23 @@ def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Tra
     top_slots = _boson_top_indices(space)
     x_of = lambda t: params.x0 * np.sin(params.nu * t)
 
-    amp = psi0.amplitudes.copy()
-    states, worst = [], 0.0
-    state, drift = _checked_state(space, amp, 0.0, cfg, top_slots)
-    states.append(state)
-    for k in range(len(times) - 1):
-        amp = _drive_step(cfg.method, h0, c, x_of, times[k], times[k + 1], amp)
-        state, drift = _checked_state(space, amp, times[k + 1], cfg, top_slots)
-        worst = max(worst, drift)
-        amp = state.amplitudes
-        states.append(state)
-    return Trajectory(times, states, classical=classical_drive(params, times),
+    amps = np.empty((len(times), space.total_dim), dtype=complex)
+    amps[0], _ = _checked_state(psi0.amplitudes, 0.0, cfg, top_slots)
+    worst = 0.0
+    for lo in range(0, len(times) - 1, _DRIVE_CHUNK):
+        hi = min(lo + _DRIVE_CHUNK, len(times) - 1)
+        u = _step_propagators(cfg.method, h0, c, x_of, times[lo:hi], times[lo + 1:hi + 1])
+        raw = np.empty((hi - lo, space.total_dim), dtype=complex)
+        amp = amps[lo]
+        # steps past a guard trip may overflow or turn NaN before the guard
+        # pass below raises that trip
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            for j in range(hi - lo):
+                step = raw[j] = u[j] @ amp
+                amps[lo + 1 + j] = amp = step / np.linalg.norm(step)
+        _, drift = _checked_state(raw, times[lo + 1:hi + 1], cfg, top_slots)
+        worst = max(worst, float(drift.max()))
+    return Trajectory(space, times, amps, classical=classical_drive(params, times),
                       max_norm_drift=worst)
 
 
@@ -457,9 +532,11 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     if not (math.isfinite(x) and math.isfinite(p)):
         raise ValueError("classical initial conditions must be finite")
 
-    states, track, worst = [], [(x, p)], 0.0
-    state, _ = _checked_state(space, amp, 0.0, cfg, top_slots)
-    states.append(state)
+    amps = np.empty((len(times), space.total_dim), dtype=complex)
+    track = np.empty((len(times), 2))
+    amps[0], _ = _checked_state(amp, 0.0, cfg, top_slots)
+    track[0] = (x, p)
+    worst = 0.0
     for k in range(len(times) - 1):
         t1 = times[k + 1]
         dt = t1 - times[k]
@@ -468,12 +545,10 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
         x, p = classical_half(x, p, c_mean(amp), 0.5 * dt)
         if not (math.isfinite(x) and math.isfinite(p)):
             raise ToleranceError(f"classical variables diverged at t={t1:g}")
-        state, drift = _checked_state(space, amp, t1, cfg, top_slots)
-        worst = max(worst, drift)
-        amp = state.amplitudes
-        states.append(state)
-        track.append((x, p))
-    return Trajectory(times, states, classical=np.array(track), max_norm_drift=worst)
+        amp, drift = _checked_state(amp, t1, cfg, top_slots)
+        worst = max(worst, float(drift))
+        amps[k + 1], track[k + 1] = amp, (x, p)
+    return Trajectory(space, times, amps, classical=track, max_norm_drift=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +607,8 @@ def coherent_amplitude_beta(p: DrivenOscillatorParams, t: float) -> complex:
     """Drive-induced coherent amplitude
     -i * coupling * integral_0^t (d^2x/ds^2) e^{i omega s} ds
     for x(s) = x0 sin(nu s), evaluated by adaptive quadrature."""
+    from scipy.integrate import quad    # heavy import, needed only here
+
     def integrand(s):
         xdd = -p.x0 * p.nu ** 2 * math.sin(p.nu * s)
         return xdd * cmath.exp(1j * p.omega * s)

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quantex import (
     BeamSplitterParams,
     DrivenOscillatorParams,
+    EnergyLedger,
     EvolutionConfig,
     HybridState,
     JaynesCummingsParams,
@@ -128,6 +129,107 @@ def test_ledger_rejects_mismatched_spaces():
     traj = evolve_driven(other.params, None, cfg)
     with pytest.raises(ValueError):
         energy_ledger(traj, model)
+
+
+def _per_row_ledger(traj, model):
+    """The per-row loops the vectorised ``energy_ledger`` replaces: one
+    expectation value and one H(x) product per stored state."""
+    def expect(matrix, amp):
+        return float(np.real(np.vdot(amp, matrix @ amp)))
+
+    def std(matrix, amp):
+        hpsi = matrix @ amp
+        mean = float(np.real(np.vdot(amp, hpsi)))
+        second = float(np.real(np.vdot(hpsi, hpsi)))
+        return math.sqrt(max(second - mean * mean, 0.0))
+
+    p = model.params
+    field_free, detector_free, _ = p.parts()
+    free, coupling = p.free_and_coupling()
+    amps = [s.amplitudes for s in traj.states]
+    if p.driven:
+        xs, ps = traj.classical[:, 0], traj.classical[:, 1]
+        e_cl = (0.5 * p.nu * (xs ** 2 + ps ** 2) if model.back_reaction
+                else np.full(len(amps), 0.5 * p.nu * p.x0 ** 2))
+    else:
+        xs = np.ones(len(amps))
+        e_cl = np.array([expect(np.diag(field_free), a) for a in amps])
+    e_int = np.array([x * expect(coupling, a) for x, a in zip(xs, amps)])
+    cols = {
+        "e_classical": e_cl,
+        "e_quantum_free": np.array([expect(np.diag(detector_free), a) for a in amps]),
+        "e_interaction": e_int,
+        "energy_std": np.array([std(free + x * coupling, a) for x, a in zip(xs, amps)]),
+    }
+    cols["e_total"] = cols["e_classical"] + cols["e_quantum_free"] + e_int
+    if model.back_reaction:
+        dt = float(traj.times[1] - traj.times[0])
+        dedt = (e_cl[2:] - e_cl[:-2]) / (2.0 * dt)
+        power = -p.nu * ps[1:-1] * np.array([expect(coupling, a) for a in amps])[1:-1]
+        cols["backreaction_residual"] = np.concatenate([[np.nan], dedt - power, [np.nan]])
+        cols["dedt"] = dedt
+    return cols
+
+
+def _ledger_case(name):
+    """A trajectory and its model for each family; the long ones span more
+    than one row block of the ledger."""
+    mid = dict(dt=0.002, t_max=5.0, method=Method.MIDPOINT)
+    if name == "beam_splitter":
+        model = _bs_model(g=0.01, omega=1.1, detector_cutoff=8)
+        traj = evolve_unitary(model.params.hamiltonian(),
+                              model.params.default_initial_state(),
+                              EvolutionConfig(dt=0.25, t_max=20.0))
+    elif name == "jaynes_cummings":
+        model = ModelSpec(ModelFamily.JAYNES_CUMMINGS,
+                          JaynesCummingsParams(nu=1.0, omega=1.1, g=0.05,
+                                               field_cutoff=4))
+        traj = evolve_unitary(model.params.hamiltonian(),
+                              basis_state(model.params.space, [1, 0]),
+                              EvolutionConfig(dt=0.1, t_max=40.0))
+    elif name.endswith("hybrid"):
+        model = (_osc_model(coupling=0.1, detector_cutoff=16, back_reaction=True)
+                 if name.startswith("oscillator")
+                 else ModelSpec(ModelFamily.QUBIT_DRIVE,
+                                QubitSemiClassicalParams(omega=1.0, nu=1.0,
+                                                         coupling=0.1, x0=1.0),
+                                back_reaction=True))
+        s0 = HybridState(0.0, 1.0, ground_state(model.params.space))
+        traj = evolve_hybrid(model, s0, EvolutionConfig(**mid))
+    else:
+        model = (_osc_model(coupling=0.05) if name == "oscillator_drive"
+                 else _qubit_model(coupling=0.3, nu=0.9))
+        traj = evolve_driven(model.params, None, EvolutionConfig(**mid))
+    return traj, model
+
+
+@pytest.mark.parametrize("name", ["beam_splitter", "jaynes_cummings",
+                                  "oscillator_drive", "qubit_drive",
+                                  "oscillator_hybrid", "qubit_hybrid"])
+def test_vectorised_ledger_matches_per_row_loops(name):
+    traj, model = _ledger_case(name)
+    led = energy_ledger(traj, model)
+    ref = _per_row_ledger(traj, model)
+    # relative to the ledger's energy scale: e_interaction of a resonant
+    # exchange and e_total of the hybrid qubit are rounding noise around 0
+    scale = max(np.max(np.abs(ref[c])) for c in
+                ("e_classical", "e_quantum_free", "e_interaction", "e_total"))
+    for col in ("e_classical", "e_quantum_free", "e_interaction", "e_total",
+                "energy_std"):
+        npt.assert_allclose(getattr(led, col), ref[col], rtol=1e-12,
+                            atol=1e-12 * scale, err_msg=col)
+    if model.back_reaction:
+        res = led.backreaction_residual
+        assert np.isnan(res[0]) and np.isnan(res[-1])
+        assert not np.any(np.isnan(res[1:-1]))
+        # the residual is the small difference of two rates of this size
+        npt.assert_allclose(res[1:-1], ref["backreaction_residual"][1:-1],
+                            rtol=0, atol=1e-12 * np.max(np.abs(ref["dedt"])))
+    else:
+        assert led.backreaction_residual is None
+    if model.params.driven and not model.back_reaction:
+        assert np.ptp(led.e_classical) == 0.0
+        assert led.e_classical[0] == 0.5 * model.params.nu * model.params.x0 ** 2
 
 
 # -- conditioned deficit ------------------------------------------------------
@@ -575,3 +677,75 @@ def test_scan_csv_columns(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "intensity,probability,transition_gap,error"
     assert len(lines) == 3
+
+
+# CSV round trips: every float written by repr parses back to the same bits
+
+_CSV_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False))
+# error tags as the scans write them: one line of printable ASCII, no comma
+_TAGS = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                              blacklist_characters=","), min_size=1, max_size=40)
+
+
+def _read_csv(path):
+    text = path.read_text(encoding="ascii")
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _assert_same_bits(parsed, original):
+    parsed = np.array([float(v) for v in parsed])
+    original = np.asarray(original, dtype=float)
+    nan = np.isnan(original)
+    assert np.array_equal(np.isnan(parsed), nan)
+    assert parsed[~nan].view(np.int64).tolist() == original[~nan].view(np.int64).tolist()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_CSV_FLOATS, min_size=n, max_size=n), min_size=7, max_size=7),
+    st.booleans())))
+def test_ledger_csv_round_trips_bit_for_bit(tmp_path, case):
+    cols, with_residual = case
+    residual = None
+    if with_residual:
+        # central differences leave NaN at both endpoints
+        residual = np.array(cols[6])
+        residual[[0, -1]] = np.nan
+    led = EnergyLedger(*map(np.array, cols[:6]), backreaction_residual=residual)
+    path = tmp_path / "ledger.csv"
+    ledger_to_csv(led, path)
+    header, rows = _read_csv(path)
+    names = ["time", "e_classical", "e_quantum_free", "e_interaction", "e_total",
+             "energy_std"] + (["backreaction_residual"] if with_residual else [])
+    assert header == names
+    for j, original in enumerate(cols[:6] + ([residual] if with_residual else [])):
+        _assert_same_bits([row[j] for row in rows], original)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=10, unique=True),
+       st.booleans(), st.data())
+def test_scan_csv_round_trips_bit_for_bit(tmp_path, axis, reverse, data):
+    axis = sorted(axis, reverse=reverse)
+    if len(axis) > 1 and axis[0] == -axis[1] == 0.0:
+        axis = axis[1:]      # -0.0 and 0.0 do not make a strictly monotone axis
+    n = len(axis)
+    tags = data.draw(st.lists(st.one_of(st.none(), _TAGS), min_size=n, max_size=n))
+    probs = data.draw(st.lists(_CSV_FLOATS, min_size=n, max_size=n))
+    # a failed point is NaN with its tag
+    probs = [math.nan if tag else p for p, tag in zip(probs, tags)]
+    gaps = data.draw(st.lists(_CSV_FLOATS, min_size=n, max_size=n))
+    scan = ScanResult("detuning", axis, probs, "test", fixed={}, errors=tuple(tags),
+                      aux={"transition_gap": np.array(gaps)})
+    path = tmp_path / "scan.csv"
+    scan_to_csv(scan, path)
+    header, rows = _read_csv(path)
+    assert header == ["detuning", "probability", "transition_gap", "error"]
+    _assert_same_bits([row[0] for row in rows], scan.axis)
+    _assert_same_bits([row[1] for row in rows], scan.probabilities)
+    _assert_same_bits([row[2] for row in rows], gaps)
+    assert [row[3] or None for row in rows] == list(tags)

@@ -121,6 +121,36 @@ def test_run_audit_scenario_with_overrides(tmp_path):
     assert report["deficit"] == 1.0
 
 
+@pytest.mark.parametrize("level", [1, 3])
+def test_audit_target_off_the_detector_exits_2_without_artifacts(tmp_path, capsys,
+                                                                  level):
+    # factor 0 of the Jaynes-Cummings space is the field; the deficit
+    # conditions on the detector (factor 1), so a field target is rejected
+    # rather than silently read as the detector's level
+    cfg = json.loads(bundled_scenarios()["jc_vacuum_exchange"])
+    cfg["target"] = {"factor": 0, "level": level}
+    with pytest.raises(ConfigError, match="detector factor 1"):
+        validate_config(cfg)
+    path = tmp_path / "field_target.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "detector factor 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_audit_target_on_the_detector_is_reported(tmp_path):
+    cfg = json.loads(bundled_scenarios()["jc_vacuum_exchange"])
+    cfg["target"] = {"factor": 1, "level": 1}
+    path = tmp_path / "detector_target.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == EXIT_OK
+    report = json.loads((out / "deficit_report.json").read_text())
+    # resonant vacuum exchange read out at g t = pi / 2: P(e) = sin^2(g t) = 1
+    assert report["probability"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_workers_flag_is_accepted_and_changes_no_artifact(tmp_path):
     plain, pooled = tmp_path / "plain", tmp_path / "pooled"
     args = ["run", "qubit_drive_threshold", "--dt", "0.05", "--output-dir"]

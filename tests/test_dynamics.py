@@ -43,7 +43,14 @@ from quantex import (
     rabi_probability,
     semiclassical_pn1,
 )
-from quantex.dynamics import _block_eigh
+from quantex.dynamics import (
+    _DRIVE_CHUNK,
+    _block_eigh,
+    _boson_top_indices,
+    _checked_state,
+    _drive_step,
+    _step_matrices,
+)
 from quantex.hilbert import CoherentSpec, Operator
 
 
@@ -84,7 +91,7 @@ def test_hybrid_steps_on_the_grid_when_dt_does_not_divide_t_max():
 def test_trajectory_length_mismatch_rejected():
     sp = SpaceDescriptor((TwoLevel(),))
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0]), (ground_state(sp),))
+        Trajectory(sp, np.array([0.0, 1.0]), ground_state(sp).amplitudes[None, :])
 
 
 # -- exact propagation --------------------------------------------------------
@@ -240,6 +247,121 @@ def test_midpoint_second_order_convergence():
     a, b, c = final(0.02), final(0.01), final(0.005)
     order = math.log2(np.linalg.norm(a - b) / np.linalg.norm(b - c))
     assert order >= 1.9
+
+
+# -- chunked driven stepping against the per-step route -----------------------
+
+
+def _per_step_driven(params, cfg):
+    """The step-by-step route ``evolve_driven`` replaces: one ``_drive_step``
+    and one guard per step.  Returns the amplitudes (n_t, d) and the raw
+    norm drift of every step."""
+    h0, c = _step_matrices(*params.free_and_coupling(), cfg.method)
+    top_slots = _boson_top_indices(params.space)
+    times = cfg.time_grid()
+    x_of = lambda t: params.x0 * np.sin(params.nu * t)
+    amp = params.default_initial_state().amplitudes.copy()
+    rows = [_checked_state(amp, 0.0, cfg, top_slots)[0]]
+    drifts = []
+    for k in range(len(times) - 1):
+        amp = _drive_step(cfg.method, h0, c, x_of, times[k], times[k + 1], amp)
+        amp, drift = _checked_state(amp, times[k + 1], cfg, top_slots)
+        rows.append(amp)
+        drifts.append(float(drift))
+    return np.array(rows), np.array(drifts)
+
+
+_DRIVEN_PARAMS = [
+    QubitSemiClassicalParams(omega=1.0, nu=0.9, coupling=0.3, x0=1.0),
+    DrivenOscillatorParams(omega=1.0, nu=1.1, coupling=0.05, x0=1.0,
+                           detector_cutoff=8),
+]
+
+
+@pytest.mark.parametrize("method", [Method.MIDPOINT, Method.RK4])
+@pytest.mark.parametrize("params", _DRIVEN_PARAMS, ids=["qubit", "oscillator"])
+def test_chunked_driven_matches_per_step_route(params, method):
+    # two whole chunks and a partial one
+    n_steps = 2 * _DRIVE_CHUNK + 37
+    cfg = EvolutionConfig(dt=0.01, t_max=0.01 * n_steps, method=method)
+    assert cfg.n_steps == n_steps
+    traj = evolve_driven(params, None, cfg)
+    ref, drifts = _per_step_driven(params, cfg)
+    assert traj.amplitudes.shape == ref.shape
+    npt.assert_allclose(traj.amplitudes, ref, rtol=0, atol=1e-12)
+    assert abs(traj.max_norm_drift - drifts.max()) <= 1e-15
+
+
+def _trip_texts(params, cfg):
+    """The ToleranceError texts of the chunked and the per-step route."""
+    with pytest.raises(ToleranceError) as chunked:
+        evolve_driven(params, None, cfg)
+    with pytest.raises(ToleranceError) as per_step:
+        _per_step_driven(params, cfg)
+    return str(chunked.value), str(per_step.value)
+
+
+def test_chunked_driven_top_level_trip_in_a_later_chunk():
+    p = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.2, x0=1.0,
+                               detector_cutoff=5)
+    cfg = EvolutionConfig(dt=0.01, t_max=10.0, method=Method.MIDPOINT,
+                          top_level_tol=0.5)
+    ref, _ = _per_step_driven(p, cfg)
+    top = np.abs(ref[:, -1]) ** 2
+    # a tolerance the top level first passes after two whole chunks, with
+    # a margin far above rounding on both sides of the tripping step
+    tol = 0.5 * (top[:2 * _DRIVE_CHUNK + 1].max() + top.max())
+    k = int(np.argmax(top > tol))
+    assert k > 2 * _DRIVE_CHUNK
+    assert top[k] > tol * (1 + 1e-6) and top[:k].max() < tol * (1 - 1e-6)
+    chunked, per_step = _trip_texts(p, replace(cfg, top_level_tol=tol))
+    assert chunked == per_step
+    assert chunked.startswith("top Fock level of factor 0")
+    assert f"at t={cfg.time_grid()[k]:g} " in chunked
+
+
+def test_chunked_driven_rk4_norm_trip_in_a_later_chunk():
+    # a slow drive: |x(t)|, and with it the RK4 norm drift, grows for the
+    # first quarter period
+    p = QubitSemiClassicalParams(omega=1.0, nu=0.1, coupling=5.0, x0=1.0)
+    cfg = EvolutionConfig(dt=0.02, t_max=15.0, method=Method.RK4,
+                          norm_drift_tol=0.5)
+    _, drifts = _per_step_driven(p, cfg)
+    tol = 0.5 * (drifts[:2 * _DRIVE_CHUNK].max() + drifts.max())
+    k = int(np.argmax(drifts > tol))      # step k ends at time index k + 1
+    assert k >= 2 * _DRIVE_CHUNK
+    assert drifts[k] > tol * (1 + 1e-6) and drifts[:k].max() < tol * (1 - 1e-6)
+    chunked, per_step = _trip_texts(p, replace(cfg, norm_drift_tol=tol))
+    assert chunked == per_step
+    assert chunked.startswith("norm drift")
+    assert f"at t={cfg.time_grid()[k + 1]:g} " in chunked
+
+
+def test_trajectory_states_view_reads_the_amplitude_rows():
+    p = _DRIVEN_PARAMS[1]
+    traj = evolve_driven(p, None, EvolutionConfig(dt=0.1, t_max=2.0,
+                                                  method=Method.MIDPOINT))
+    assert len(traj.states) == len(traj.times) == 21
+    assert [s.amplitudes.tolist() for s in traj.states] == traj.amplitudes.tolist()
+    assert traj.states[-1].amplitudes.tolist() == traj.final_state().amplitudes.tolist()
+    assert len(traj.states[2:5]) == 3
+    with pytest.raises(ValueError):
+        traj.amplitudes[0, 0] = 0.0
+    npt.assert_allclose(traj.population_series(0, 1),
+                        [s.population(0, 1) for s in traj.states], rtol=0, atol=1e-15)
+    n_op = number(p.space, 0)
+    npt.assert_allclose(traj.expectation_series(n_op),
+                        [np.vdot(s.amplitudes, n_op.matrix @ s.amplitudes)
+                         for s in traj.states], rtol=0, atol=1e-15)
+
+
+def test_trajectory_rejects_unnormalized_rows():
+    sp = SpaceDescriptor((TwoLevel(),))
+    from quantex.errors import NormalizationError
+    with pytest.raises(NormalizationError):
+        Trajectory(sp, np.array([0.0, 1.0]), np.array([[1.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(NormalizationError):
+        Trajectory(sp, np.array([0.0]), np.array([[np.nan, 0.0]]))
 
 
 # -- hybrid mean-field evolution ----------------------------------------------
