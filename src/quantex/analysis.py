@@ -6,7 +6,8 @@ CSV formats (fixed column order, full-precision floats via repr):
 * ledger CSV: ``time,e_classical,e_quantum_free,e_interaction,e_total,
   energy_std`` plus ``backreaction_residual`` when the trajectory carries a
   mean-field classical track;
-* scan CSV: ``<axis>,probability`` plus sorted aux columns, then ``error``.
+* scan CSV: ``<axis>,probability`` plus sorted aux columns, then ``error``
+  (a tag holding a comma or a quote is quoted).
 
 For the quantized-field families the ``e_classical`` ledger column holds
 the free energy of the field mode (the object playing the classical
@@ -17,6 +18,7 @@ back-reaction.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -317,10 +319,12 @@ def _run_points(build, cfgs, target, catch=_POINT_ERRORS):
     ``catch`` tag the point instead of aborting the scan.  Quantized-field
     points run one by one through ``run_point``.  Prescribed-drive points
     differ only in the drive (nu, x0) and the horizon, so they share one
-    free part and one coupling part and run together through the batched
-    kernel ``dynamics._evolve_driven_final``: same step and guards as
-    ``evolve_driven``, and a point that trips a guard is masked out and
-    tagged with the error its serial run raises.
+    free part and one coupling part and run as one batch of the stepping
+    kernel ``dynamics._evolve_driven_batch``, the kernel ``evolve_driven``
+    runs with a single point: chunks of ``max(1, _DRIVE_CHUNK // live
+    points)`` steps, one stacked propagator build per chunk.  Only final states are
+    kept, and a point that trips a guard is tagged with the error its
+    serial run raises.
     """
     results = [None] * len(cfgs)
     batch = []
@@ -342,8 +346,8 @@ def _run_points(build, cfgs, target, catch=_POINT_ERRORS):
     space = models[0].params.space
     psi0 = default_initial_state(models[0])
     try:
-        finals, errors, _ = _dyn._evolve_driven_final(
-            space, *models[0].params.free_and_coupling(), psi0,
+        finals, errors, _ = _dyn._evolve_driven_batch(
+            *models[0].params.free_and_coupling(), psi0,
             [m.params.x0 for m in models], [m.params.nu for m in models],
             [cfgs[i].t_max for i in index], [cfgs[i].n_steps for i in index],
             cfgs[index[0]])
@@ -369,13 +373,12 @@ def _scan_result(axis_name, axis, results, model, fixed, aux=None) -> ScanResult
 
 
 def detuning_scan(model: ModelSpec, cfg: EvolutionConfig, deltas,
-                  target: tuple[int, int] | None = None,
-                  workers: int = 1) -> ScanResult:
+                  target: tuple[int, int] | None = None) -> ScanResult:
     """Final-time target population versus detuning (field/drive frequency
     minus detector frequency).  Points that trip a truncation or norm guard,
     or whose parameters are invalid, are tagged and reported as NaN rather
     than aborting the scan.  Prescribed-drive points evolve together in
-    one batch (see ``_run_points``); ``workers`` is accepted and ignored.
+    one batch (see ``_run_points``).
     """
     deltas = np.asarray(deltas, dtype=float)
     omega = model.params.omega
@@ -393,14 +396,13 @@ def _coupling_of(model: ModelSpec) -> float:
 
 
 def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities,
-                   target: tuple[int, int] | None = None,
-                   workers: int = 1) -> ScanResult:
+                   target: tuple[int, int] | None = None) -> ScanResult:
     """Final-time target population versus field intensity (|alpha|^2 for
     the two-mode model, x0^2 for the driven ones).  The aux column
     ``transition_gap`` measures the detector energy gained per absorbed
     excitation, the intensity-independent transition quantum.  Guard trips
     are tagged per point; prescribed-drive points evolve together in one
-    batch (see ``_run_points``); ``workers`` is accepted and ignored."""
+    batch (see ``_run_points``)."""
     intensities = np.asarray(intensities, dtype=float)
     _, detector_free, _ = model.params.parts()
     levels = model.params.detector_levels()
@@ -421,8 +423,7 @@ def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities,
 
 
 def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
-              target: tuple[int, int] | None = None,
-              workers: int = 1) -> ScanResult:
+              target: tuple[int, int] | None = None) -> ScanResult:
     """Target population versus readout time.
 
     Quantum families sample the exact propagator at the requested times
@@ -431,7 +432,7 @@ def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
     evolve every point to exactly its readout time t, in n steps of t / n
     with n rounded from t / cfg.dt, so log-spaced grids stay exact; all
     points run together in one batch and each leaves it when its steps
-    are done (see ``_run_points``).  ``workers`` is accepted and ignored.
+    are done (see ``_run_points``).
     """
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0):
@@ -643,13 +644,14 @@ def ledger_to_csv(ledger: EnergyLedger, path) -> None:
 
 
 def scan_to_csv(scan: ScanResult, path) -> None:
-    """Write a scan; columns: <axis>,probability[,sorted aux...],error."""
+    """Write a scan; columns: <axis>,probability[,sorted aux...],error.
+    An error tag holding a comma or a quote is quoted, as RFC 4180 has it."""
     aux_keys = sorted(scan.aux)
-    cols = [scan.axis_name, "probability", *aux_keys, "error"]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow([scan.axis_name, "probability", *aux_keys, "error"])
         for i in range(len(scan.axis)):
             row = [_fmt(scan.axis[i]), _fmt(scan.probabilities[i])]
             row += [_fmt(scan.aux[k][i]) for k in aux_keys]
             row.append(scan.errors[i] or "")
-            fh.write(",".join(row) + "\n")
+            out.writerow(row)

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical-tolerance abort,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -78,6 +79,16 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _validator():
+    """The scenario schema's validator, checked against its metaschema
+    once per process."""
+    schema = _schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def bundled_scenarios() -> dict[str, str]:
     """Name -> JSON text of every scenario shipped with the package."""
     root = resources.files("quantex").joinpath("scenarios")
@@ -132,11 +143,10 @@ def _build_axis(block: dict, name: str) -> np.ndarray:
 def validate_config(cfg: dict) -> Scenario:
     """Schema plus physics-domain validation; builds the typed pieces but
     runs nothing."""
-    try:
-        jsonschema.validate(cfg, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"schema violation at {list(exc.absolute_path)}: "
-                          f"{exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"schema violation at {list(error.absolute_path)}: "
+                          f"{error.message}") from error
 
     scenario = Scenario(name=cfg["scenario"], kind=cfg["kind"], config=cfg)
     try:
@@ -440,12 +450,8 @@ def write_artifacts(scenario: Scenario, results: dict, out_dir: Path) -> list[st
     return written
 
 
-def run_scenario(scenario: Scenario, out_dir: Path, workers: int = 1) -> list[str]:
-    """Compute everything first, then write; returns written artifact names.
-
-    ``workers`` is accepted and ignored: scan points run in one process,
-    and prescribed-drive scans step all their points as one batch.
-    """
+def run_scenario(scenario: Scenario, out_dir: Path) -> list[str]:
+    """Compute everything first, then write; returns written artifact names."""
     if scenario.kind == "audit":
         results = _run_audit(scenario)
     elif scenario.kind == "scan":

@@ -8,10 +8,12 @@ Three propagators:
   excitation-number sectors of the quantized-field families);
 * ``evolve_driven`` -- Schroedinger evolution under a sinusoidal classical
   drive ``x(t) = x0 sin(nu t)``, with the Hamiltonian frozen at interval
-  midpoints (second order in dt) or integrated by RK4, one stacked
-  propagator build per chunk of steps; scans that need only final states
-  run many drives at once through the batched twin
-  ``_evolve_driven_final``, which shares its step and guards;
+  midpoints (second order in dt) or integrated by RK4.  It is one run of
+  the stepping kernel ``_evolve_driven_batch``, which every
+  prescribed-drive run goes through, scans included: B runs that share
+  the Hamiltonian parts step together in chunks of
+  ``max(1, _DRIVE_CHUNK // live runs)`` steps, with one stacked propagator
+  build and one guard pass per chunk;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
   values, advanced by a Strang split (exact classical half-flow, full
@@ -329,68 +331,121 @@ def _step_matrices(h0: np.ndarray, c: np.ndarray, method: Method):
     midpoint step when both are real-valued (true for both driven
     families), since a real eigh is cheaper; RK4 keeps them complex, as
     real ones would be cast to complex in every product with the state."""
+    if method not in (Method.MIDPOINT, Method.RK4):
+        raise ValueError("time-dependent evolution needs Method.MIDPOINT or Method.RK4")
     if method is not Method.MIDPOINT or np.any(h0.imag) or np.any(c.imag):
         return h0, c
     return h0.real, c.real
 
 
-def _expm_apply(hmat: np.ndarray, dt, amp: np.ndarray) -> np.ndarray:
-    """exp(-i hmat dt) amp for one hermitian matrix ``(d, d)``, state
-    ``(d,)`` and float dt, or for a stack ``(B, d, d)``, ``(B, d)`` with dt
-    a ``(B, 1)`` column."""
+def _expm_apply(hmat: np.ndarray, dt: float, amp: np.ndarray) -> np.ndarray:
+    """exp(-i hmat dt) amp for one hermitian matrix ``(d, d)`` and one
+    state ``(d,)``."""
     w, v = np.linalg.eigh(hmat)
-    coeffs = np.swapaxes(v, -1, -2).conj() @ amp[..., None]
-    return (v @ (np.exp(-1j * w * dt)[..., None] * coeffs))[..., 0]
-
-
-def _rk4_step(h0, c, x_of, t, dt, amp):
-    """One RK4 step of d(amp)/dt = -i (h0 + x(t) c) amp, for one state
-    ``(d,)`` with float t, dt and drive, or for a stack ``(B, d)`` with
-    ``(B, 1)`` columns."""
-    def deriv(tt, a):
-        return -1j * (a @ h0.T + x_of(tt) * (a @ c.T))
-
-    k1 = deriv(t, amp)
-    k2 = deriv(t + 0.5 * dt, amp + 0.5 * dt * k1)
-    k3 = deriv(t + 0.5 * dt, amp + 0.5 * dt * k2)
-    k4 = deriv(t + dt, amp + dt * k3)
-    return amp + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _drive_step(method: Method, h0, c, x_of, t0, t1, amp):
-    """Advance one state ``(d,)`` from float t0 to t1, or a stack ``(B, d)``
-    with t0, t1 and ``x_of(t)`` as ``(B, 1)`` columns, under
-    h0 + x_of(t) c: the Hamiltonian frozen at the midpoint, or RK4.
-    ``x_of`` returns a numpy value, which ``[..., None]`` can index."""
-    dt = t1 - t0
-    if method is Method.MIDPOINT:
-        x = x_of(0.5 * (t0 + t1))[..., None]
-        return _expm_apply(h0 + x * c, dt, amp)
-    return _rk4_step(h0, c, x_of, t0, dt, amp)
+    return (v @ (np.exp(-1j * w * dt)[:, None] * (v.conj().T @ amp[:, None])))[:, 0]
 
 
 def _step_propagators(method: Method, h0, c, x_of, t0: np.ndarray,
                       t1: np.ndarray) -> np.ndarray:
-    """The one-step propagators ``(m, d, d)`` from t0[k] to t1[k] of
-    ``_drive_step``, so that its step of a state is ``u[k] @ amp``: for
-    the midpoint step ``v exp(-i w dt) v^+`` from one stacked eigh, for
-    RK4 the step applied to every basis state (it is linear)."""
-    dt = (t1 - t0)[:, None]
+    """The one-step propagators ``t0.shape + (d, d)`` from t0 to t1 under
+    h0 + x(t) c, so that a step of a state is ``u[k] @ amp``; ``x_of`` maps
+    an array of times of ``t0``'s shape to the drive.  Midpoint: H frozen
+    at the interval midpoint, ``v exp(-i w dt) v^+`` from one stacked eigh.
+    RK4: the step applied to every basis state (it is linear)."""
+    dt = t1 - t0
     if method is Method.MIDPOINT:
-        w, v = np.linalg.eigh(h0 + x_of(0.5 * (t0 + t1))[:, None, None] * c)
-        return (v * np.exp(-1j * w * dt)[:, None, :]) @ np.swapaxes(v, -1, -2).conj()
+        w, v = np.linalg.eigh(h0 + x_of(0.5 * (t0 + t1))[..., None, None] * c)
+        phases = np.exp(-1j * w * dt[..., None])[..., None, :]
+        return (v * phases) @ np.swapaxes(v, -1, -2).conj()
+
+    def deriv(x, a):
+        return -1j * (a @ h0.T + x * (a @ c.T))
+
+    x_a, x_m, x_b = (x_of(t)[..., None, None] for t in (t0, t0 + 0.5 * dt, t0 + dt))
+    dt = dt[..., None, None]
     # the step maps row states to row states, so on the identity it gives u^T
-    eye = np.broadcast_to(np.eye(len(h0), dtype=complex), (len(t0),) + h0.shape)
-    rows = _rk4_step(h0, c, x_of, t0[:, None, None], dt[..., None], eye)
-    return np.swapaxes(rows, -1, -2)
+    a = np.broadcast_to(np.eye(len(h0), dtype=complex), t0.shape + h0.shape)
+    k1 = deriv(x_a, a)
+    k2 = deriv(x_m, a + 0.5 * dt * k1)
+    k3 = deriv(x_m, a + 0.5 * dt * k2)
+    k4 = deriv(x_b, a + dt * k3)
+    return np.swapaxes(a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), -1, -2)
 
 
-_DRIVE_CHUNK = 256      # steps whose propagators exist at once
+_DRIVE_CHUNK = 256      # propagators (runs x steps) that exist at once
 
 
-def _check_drive_method(cfg: EvolutionConfig):
-    if cfg.method not in (Method.MIDPOINT, Method.RK4):
-        raise ValueError("time-dependent evolution needs Method.MIDPOINT or Method.RK4")
+def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
+                         cfg: EvolutionConfig, states: np.ndarray | None = None):
+    """Many prescribed-drive runs that share h0, c and the initial state.
+
+    Run b is driven by x(t) = x0s[b] sin(nus[b] t) over n_steps[b] steps of
+    ``linspace(0, t_ends[b], n_steps[b] + 1)``, the grid of
+    ``EvolutionConfig(dt=t_ends[b] / n_steps[b], t_max=t_ends[b])``.  The
+    live runs step together in chunks of ``max(1, _DRIVE_CHUNK // live)``
+    steps, so at most ``_DRIVE_CHUNK`` propagators exist at once whatever
+    the batch size.  Per chunk: one stacked ``_step_propagators`` call
+    over ``(steps, runs)`` time arrays; a serial loop of one batched
+    matvec and one renormalisation per step; one ``_guard`` pass over the
+    chunk's raw states, in which each run takes the earliest trip among
+    the steps it actually takes (steps past its end are masked out).  A
+    run leaves at the end of the chunk in which it finishes or trips.
+
+    Returns the final amplitudes ``(B, d)`` (NaN rows for failed runs),
+    the ToleranceError of each run (None where it passed) and the worst
+    raw norm drift of each run.  ``states``, when given, is a
+    ``(max(n_steps) + 1, B, d)`` array that receives every normalised
+    state: row k of run b is its state at step k, for k <= n_steps[b].
+    """
+    h0, c = _step_matrices(h0, c, cfg.method)
+    x0s, nus, t_ends = (np.asarray(a, dtype=float) for a in (x0s, nus, t_ends))
+    n_steps = np.asarray(n_steps, dtype=int)
+    dts = t_ends / n_steps
+    top_slots = _boson_top_indices(psi0.space)
+    n_runs, dim = len(n_steps), psi0.space.total_dim
+    final = np.full((n_runs, dim), np.nan, dtype=complex)
+    errors, worst = [None] * n_runs, np.zeros(n_runs)
+
+    amp0, _ = _checked_state(psi0.amplitudes, 0.0, cfg, top_slots)
+    if states is not None:
+        states[0] = amp0
+    live = np.arange(n_runs)
+    amp = np.repeat(amp0[None, :, None], n_runs, axis=0)
+    lo = 0
+    while live.size:
+        n, dt, x0, nu = n_steps[live], dts[live], x0s[live], nus[live]
+        # step k of every live run as a (steps, 1) column against (runs,)
+        k = lo + np.arange(min(max(1, _DRIVE_CHUNK // live.size),
+                               n.max() - lo))[:, None]
+        t1 = np.where(k == n - 1, t_ends[live], (k + 1) * dt)
+        u = _step_propagators(cfg.method, h0, c, lambda t: x0 * np.sin(nu * t),
+                              k * dt, t1)
+        # states as (runs, d, 1) columns: a step is one stacked matvec
+        raw = np.empty((len(k), live.size, dim, 1), dtype=complex)
+        normed = np.empty_like(raw)
+        # steps past a guard trip or a run's end may overflow or turn NaN;
+        # the guard pass only reads the steps before both
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            for j in range(len(k)):
+                step = np.matmul(u[j], amp, out=raw[j])
+                nrm = np.sqrt(np.matmul(step.conj().swapaxes(1, 2), step).real)
+                amp = np.divide(step, nrm, out=normed[j])
+            raw, normed = raw[..., 0], normed[..., 0]
+            _, drift, tripped = _guard(raw, t1, cfg, top_slots)
+        taken = k < n
+        worst[live] = np.maximum(worst[live], np.where(taken, drift, 0.0).max(axis=0))
+        hit = taken & (False if tripped is None else tripped.astype(bool))
+        failed = hit.any(axis=0)
+        for b in np.flatnonzero(failed):
+            errors[live[b]] = tripped[hit[:, b].argmax(), b]
+        done = ~failed & (n <= k[-1, 0] + 1)
+        final[live[done]] = normed[n[done] - 1 - lo, np.flatnonzero(done)]
+        if states is not None:
+            states[lo + 1:lo + 1 + len(k), live] = normed
+        keep = ~(done | failed)
+        live, amp = live[keep], amp[keep]
+        lo += len(k)
+    return final, errors, worst
 
 
 def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Trajectory:
@@ -400,100 +455,27 @@ def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Tra
     step); RK4 integrates the raw equation and its small norm drift is
     guarded, not removed.  Both converge at second order or better in dt.
 
-    The drive is prescribed, so every step's Hamiltonian is known up
-    front: the steps go in chunks of ``_DRIVE_CHUNK``, each chunk's
-    propagators come from one stacked eigh (or one stacked RK4 step), and
-    the serial loop is one matvec and a renormalisation per step.  The
-    guards run once per chunk over its raw states and raise the earliest
-    trip, with the text a step-by-step loop raises.
+    This is one run of ``_evolve_driven_batch`` that keeps every
+    normalised state: chunks of ``_DRIVE_CHUNK`` steps, one stacked
+    propagator build per chunk, and the earliest guard trip raised with
+    the text a step-by-step loop raises.
     """
-    _check_drive_method(cfg)
     if not params.driven:
         raise TypeError(f"unsupported driven params {type(params).__name__}")
     space = params.space
-    h0, c = _step_matrices(*params.free_and_coupling(), cfg.method)
     if psi0 is None:
         psi0 = params.default_initial_state()
     if psi0.space != space:
         raise ValueError("initial state space does not match the model")
     times = cfg.time_grid()
-    top_slots = _boson_top_indices(space)
-    x_of = lambda t: params.x0 * np.sin(params.nu * t)
-
-    amps = np.empty((len(times), space.total_dim), dtype=complex)
-    amps[0], _ = _checked_state(psi0.amplitudes, 0.0, cfg, top_slots)
-    worst = 0.0
-    for lo in range(0, len(times) - 1, _DRIVE_CHUNK):
-        hi = min(lo + _DRIVE_CHUNK, len(times) - 1)
-        u = _step_propagators(cfg.method, h0, c, x_of, times[lo:hi], times[lo + 1:hi + 1])
-        raw = np.empty((hi - lo, space.total_dim), dtype=complex)
-        amp = amps[lo]
-        # steps past a guard trip may overflow or turn NaN before the guard
-        # pass below raises that trip
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            for j in range(hi - lo):
-                step = raw[j] = u[j] @ amp
-                amps[lo + 1 + j] = amp = step / np.linalg.norm(step)
-        _, drift = _checked_state(raw, times[lo + 1:hi + 1], cfg, top_slots)
-        worst = max(worst, float(drift.max()))
-    return Trajectory(space, times, amps, classical=classical_drive(params, times),
-                      max_norm_drift=worst)
-
-
-def _evolve_driven_final(space: SpaceDescriptor, h0, c, psi0: StateVector,
-                         x0s, nus, t_ends, n_steps, cfg: EvolutionConfig):
-    """Final states of many prescribed-drive runs that share h0 and c.
-
-    Run j is driven by x(t) = x0s[j] sin(nus[j] t) over n_steps[j] steps of
-    ``linspace(0, t_ends[j], n_steps[j] + 1)``, the grid ``evolve_driven``
-    steps for ``dt = t_ends[j] / n_steps[j], t_max = t_ends[j]``, with
-    the same step and guard.  All live runs advance together: one batched
-    eigh (midpoint) or batched RK4 update per time step, the guards
-    vectorised over the stack.  A run leaves the batch when its steps are
-    done or at its first guard trip.
-
-    Returns the final amplitudes ``(B, d)`` (NaN rows for failed runs), the
-    ToleranceError of each run (None where it passed) and the worst norm
-    drift of each run.
-    """
-    _check_drive_method(cfg)
-    h0, c = _step_matrices(h0, c, cfg.method)
-    # per-run values as (B, 1) columns, which broadcast over (B, d)
-    x0s, nus, t_ends = (np.asarray(a, dtype=float)[:, None]
-                        for a in (x0s, nus, t_ends))
-    n_steps = np.asarray(n_steps, dtype=int)
-    dts = t_ends / n_steps[:, None]
-    top_slots = _boson_top_indices(space)
-    n_runs = len(n_steps)
-    final = np.full((n_runs, space.total_dim), np.nan, dtype=complex)
-    errors, worst = [None] * n_runs, np.zeros(n_runs)
-
-    live = np.arange(n_runs)
-    amp = np.repeat(psi0.amplitudes[None, :], n_runs, axis=0)
-    amp, _, tripped = _guard(amp, 0.0, cfg, top_slots)
-    k = 0
-    while True:
-        failed = np.zeros(live.size, dtype=bool) if tripped is None \
-            else np.array([e is not None for e in tripped])
-        for j in np.flatnonzero(failed):
-            errors[live[j]] = tripped[j]
-        done = n_steps[live] == k
-        final[live[done & ~failed]] = amp[done & ~failed]
-        keep = ~(done | failed)
-        if k == 0 or not keep.all():
-            live, amp = live[keep], amp[keep]
-            if not live.size:
-                break
-            x0, nu, dt, t_end = x0s[live], nus[live], dts[live], t_ends[live]
-            last = n_steps[live, None] - 1
-        # the grid of each run: k * dt, landing exactly on t_end
-        t1 = np.where(last == k, t_end, (k + 1) * dt)
-        amp = _drive_step(cfg.method, h0, c, lambda t: x0 * np.sin(nu * t),
-                          k * dt, t1, amp)
-        amp, drift, tripped = _guard(amp, t1[:, 0], cfg, top_slots)
-        worst[live] = np.maximum(worst[live], drift)
-        k += 1
-    return final, errors, worst
+    amps = np.empty((len(times), 1, space.total_dim), dtype=complex)
+    _, errors, worst = _evolve_driven_batch(
+        *params.free_and_coupling(), psi0, [params.x0], [params.nu],
+        [cfg.t_max], [cfg.n_steps], cfg, states=amps)
+    if errors[0] is not None:
+        raise errors[0]
+    return Trajectory(space, times, amps[:, 0], classical=classical_drive(params, times),
+                      max_norm_drift=float(worst[0]))
 
 
 def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Trajectory:

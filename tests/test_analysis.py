@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from dataclasses import replace
@@ -43,6 +45,7 @@ from quantex import (
 )
 from quantex import dynamics
 from quantex.analysis import run_point
+from test_dynamics import per_step_driven
 
 
 def _bs_model(**overrides):
@@ -417,15 +420,6 @@ def test_time_scan_driven_runs_per_point():
     assert scan.probabilities[0] == pytest.approx((1e-3) ** 2 * 1e-6 / 4, rel=0.01)
 
 
-def test_scan_workers_reproduce_serial_order():
-    model = _bs_model()
-    cfg = EvolutionConfig(dt=1.0, t_max=10.0)
-    deltas = np.linspace(-0.5, 0.5, 11)
-    a = detuning_scan(model, cfg, deltas, workers=1)
-    b = detuning_scan(model, cfg, deltas, workers=4)
-    npt.assert_array_equal(a.probabilities, b.probabilities)
-
-
 # -- batched prescribed-drive scans against the serial reference -----------------
 
 
@@ -435,8 +429,12 @@ def _qubit_model(**overrides):
     return ModelSpec(ModelFamily.QUBIT_DRIVE, QubitSemiClassicalParams(**kw))
 
 
-def _serial_final(model, cfg):
-    return evolve_driven(model.params, None, cfg).final_state().amplitudes
+def _reference_run(model, cfg):
+    """Final amplitudes and error tag of the per-step reference run."""
+    try:
+        return per_step_driven(model.params, cfg)[0][-1], None
+    except ToleranceError as exc:
+        return None, exc
 
 
 @pytest.mark.parametrize("method", [Method.MIDPOINT, Method.RK4])
@@ -447,9 +445,8 @@ def _serial_final(model, cfg):
 def test_batched_final_states_match_serial_on_every_scan_axis(make, method):
     model = make()
     cfg = EvolutionConfig(dt=0.01, t_max=2.0, method=method)
-    space = model.params.space
     h0, c = model.params.free_and_coupling()
-    psi0 = ground_state(space)
+    psi0 = ground_state(model.params.space)
     times = np.geomspace(0.013, 2.0, 4)
     axes = {
         "detuning": ([model.with_nu(1.0 + d) for d in (-0.5, 0.0, 0.5)],
@@ -461,14 +458,45 @@ def test_batched_final_states_match_serial_on_every_scan_axis(make, method):
                   for t in times]),
     }
     for axis, (models, cfgs) in axes.items():
-        finals, errors, _ = dynamics._evolve_driven_final(
-            space, h0, c, psi0, [m.params.x0 for m in models],
+        finals, errors, _ = dynamics._evolve_driven_batch(
+            h0, c, psi0, [m.params.x0 for m in models],
             [m.params.nu for m in models], [q.t_max for q in cfgs],
             [q.n_steps for q in cfgs], cfg)
         assert errors == [None] * len(models), axis
         for final, m, q in zip(finals, models, cfgs):
-            npt.assert_allclose(final, _serial_final(m, q), rtol=0, atol=1e-12,
-                                err_msg=axis)
+            ref, exc = _reference_run(m, q)
+            assert exc is None, axis
+            npt.assert_allclose(final, ref, rtol=0, atol=1e-12, err_msg=axis)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.5, 1.5), st.floats(0.1, 2.0),
+                          st.floats(0.05, 10.0), st.integers(1, 300)),
+                min_size=1, max_size=50),
+       st.sampled_from([Method.MIDPOINT, Method.RK4]))
+def test_batched_runs_match_per_step_reference_across_chunks(runs, method):
+    # runs of (nu, x0, t_end, n_steps): the chunk length shrinks with the
+    # number of live runs, so the step counts straddle chunk boundaries;
+    # at cutoff 4 the strong near-resonant drives trip the top-level guard
+    # at different steps, and the other runs keep going
+    make = lambda nu, x0: DrivenOscillatorParams(omega=1.0, nu=nu, coupling=0.05,
+                                                 x0=x0, detector_cutoff=4)
+    cfg = EvolutionConfig(dt=0.1, t_max=1.0, method=method, top_level_tol=1e-5)
+    base = make(1.0, 1.0)
+    nus, x0s, t_ends, n_steps = zip(*runs)
+    finals, errors, _ = dynamics._evolve_driven_batch(
+        *base.free_and_coupling(), ground_state(base.space), x0s, nus, t_ends,
+        n_steps, cfg)
+    for (nu, x0, t_end, n), final, exc in zip(runs, finals, errors):
+        run_cfg = replace(cfg, dt=t_end / n, t_max=t_end)
+        assert run_cfg.n_steps == n
+        ref, ref_exc = _reference_run(ModelSpec(ModelFamily.OSCILLATOR_DRIVE,
+                                                make(nu, x0)), run_cfg)
+        assert str(exc) == str(ref_exc)
+        if ref_exc is None:
+            npt.assert_allclose(final, ref, rtol=0, atol=1e-12)
+        else:
+            assert np.all(np.isnan(final))
 
 
 def test_driven_scans_match_serial_run_point():
@@ -682,16 +710,18 @@ def test_scan_csv_columns(tmp_path):
 # CSV round trips: every float written by repr parses back to the same bits
 
 _CSV_FLOATS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False))
-# error tags as the scans write them: one line of printable ASCII, no comma
-_TAGS = st.text(st.characters(min_codepoint=32, max_codepoint=126,
-                              blacklist_characters=","), min_size=1, max_size=40)
+# error tags as the scans write them: one line of printable ASCII, commas
+# and quotes included
+_TAGS = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                min_size=1, max_size=40)
 
 
 def _read_csv(path):
     text = path.read_text(encoding="ascii")
-    assert text.endswith("\n")
-    lines = text[:-1].split("\n")
-    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+    assert text.endswith("\n") and "\r" not in text
+    header, *rows = csv.reader(io.StringIO(text))
+    assert all(len(row) == len(header) for row in rows)
+    return header, rows
 
 
 def _assert_same_bits(parsed, original):

@@ -204,6 +204,37 @@ def test_validate_config_rejects_bad_json_text(tmp_path):
         load_config(str(path))
 
 
+def test_schema_is_checked_once_and_violations_keep_their_text(monkeypatch):
+    import jsonschema
+    from quantex import cli
+    schema = cli._schema()
+    good = json.loads(bundled_scenarios()["jc_vacuum_exchange"])
+    bad_params = json.loads(json.dumps(good))
+    bad_params["model"]["params"]["g"] = "strong"
+    bad = [bad_params, {**good, "colour": "blue"}]
+    # the texts of the per-call jsonschema.validate route
+    expected = []
+    for cfg in bad:
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(cfg, schema)
+        expected.append(f"schema violation at {list(ref.value.absolute_path)}: "
+                        f"{ref.value.message}")
+
+    cls = jsonschema.validators.validator_for(schema)
+    checks = []
+    check = cls.check_schema
+    monkeypatch.setattr(cls, "check_schema",
+                        lambda s, **kw: checks.append(s) or check(s, **kw))
+    cli._validator.cache_clear()
+    validate_config(good)
+    validate_config(good)
+    for cfg, text in zip(bad, expected):
+        with pytest.raises(ConfigError) as got:
+            validate_config(cfg)
+        assert str(got.value) == text
+    assert len(checks) == 1
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "quantex.cli", "version"],
                           capture_output=True, text=True)

@@ -48,7 +48,6 @@ from quantex.dynamics import (
     _block_eigh,
     _boson_top_indices,
     _checked_state,
-    _drive_step,
     _step_matrices,
 )
 from quantex.hilbert import CoherentSpec, Operator
@@ -252,10 +251,30 @@ def test_midpoint_second_order_convergence():
 # -- chunked driven stepping against the per-step route -----------------------
 
 
-def _per_step_driven(params, cfg):
-    """The step-by-step route ``evolve_driven`` replaces: one ``_drive_step``
-    and one guard per step.  Returns the amplitudes (n_t, d) and the raw
-    norm drift of every step."""
+def _reference_step(method, h0, c, x_of, t0, t1, amp):
+    """One step of one state ``(d,)`` from t0 to t1 under h0 + x_of(t) c:
+    the Hamiltonian frozen at the midpoint and exponentiated through its
+    eigendecomposition, or one RK4 step of the raw equation."""
+    dt = t1 - t0
+    if method is Method.MIDPOINT:
+        w, v = np.linalg.eigh(h0 + x_of(0.5 * (t0 + t1)) * c)
+        return v @ (np.exp(-1j * w * dt) * (v.conj().T @ amp))
+
+    def deriv(t, a):
+        return -1j * (h0 @ a + x_of(t) * (c @ a))
+
+    k1 = deriv(t0, amp)
+    k2 = deriv(t0 + 0.5 * dt, amp + 0.5 * dt * k1)
+    k3 = deriv(t0 + 0.5 * dt, amp + 0.5 * dt * k2)
+    k4 = deriv(t0 + dt, amp + dt * k3)
+    return amp + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def per_step_driven(params, cfg):
+    """The step-by-step reference for prescribed-drive runs: one
+    ``_reference_step`` and one guard per step on ``cfg.time_grid()``,
+    raising the first guard trip.  Returns the amplitudes (n_t, d) and the
+    raw norm drift of every step."""
     h0, c = _step_matrices(*params.free_and_coupling(), cfg.method)
     top_slots = _boson_top_indices(params.space)
     times = cfg.time_grid()
@@ -264,7 +283,7 @@ def _per_step_driven(params, cfg):
     rows = [_checked_state(amp, 0.0, cfg, top_slots)[0]]
     drifts = []
     for k in range(len(times) - 1):
-        amp = _drive_step(cfg.method, h0, c, x_of, times[k], times[k + 1], amp)
+        amp = _reference_step(cfg.method, h0, c, x_of, times[k], times[k + 1], amp)
         amp, drift = _checked_state(amp, times[k + 1], cfg, top_slots)
         rows.append(amp)
         drifts.append(float(drift))
@@ -286,7 +305,7 @@ def test_chunked_driven_matches_per_step_route(params, method):
     cfg = EvolutionConfig(dt=0.01, t_max=0.01 * n_steps, method=method)
     assert cfg.n_steps == n_steps
     traj = evolve_driven(params, None, cfg)
-    ref, drifts = _per_step_driven(params, cfg)
+    ref, drifts = per_step_driven(params, cfg)
     assert traj.amplitudes.shape == ref.shape
     npt.assert_allclose(traj.amplitudes, ref, rtol=0, atol=1e-12)
     assert abs(traj.max_norm_drift - drifts.max()) <= 1e-15
@@ -297,7 +316,7 @@ def _trip_texts(params, cfg):
     with pytest.raises(ToleranceError) as chunked:
         evolve_driven(params, None, cfg)
     with pytest.raises(ToleranceError) as per_step:
-        _per_step_driven(params, cfg)
+        per_step_driven(params, cfg)
     return str(chunked.value), str(per_step.value)
 
 
@@ -306,7 +325,7 @@ def test_chunked_driven_top_level_trip_in_a_later_chunk():
                                detector_cutoff=5)
     cfg = EvolutionConfig(dt=0.01, t_max=10.0, method=Method.MIDPOINT,
                           top_level_tol=0.5)
-    ref, _ = _per_step_driven(p, cfg)
+    ref, _ = per_step_driven(p, cfg)
     top = np.abs(ref[:, -1]) ** 2
     # a tolerance the top level first passes after two whole chunks, with
     # a margin far above rounding on both sides of the tripping step
@@ -326,7 +345,7 @@ def test_chunked_driven_rk4_norm_trip_in_a_later_chunk():
     p = QubitSemiClassicalParams(omega=1.0, nu=0.1, coupling=5.0, x0=1.0)
     cfg = EvolutionConfig(dt=0.02, t_max=15.0, method=Method.RK4,
                           norm_drift_tol=0.5)
-    _, drifts = _per_step_driven(p, cfg)
+    _, drifts = per_step_driven(p, cfg)
     tol = 0.5 * (drifts[:2 * _DRIVE_CHUNK].max() + drifts.max())
     k = int(np.argmax(drifts > tol))      # step k ends at time index k + 1
     assert k >= 2 * _DRIVE_CHUNK
