@@ -5,7 +5,8 @@ Three propagators:
 * ``evolve_unitary`` -- exact eigendecomposition propagation for a
   time-independent hermitian Hamiltonian, diagonalised block by block
   along the connected components of its nonzero pattern (the
-  excitation-number sectors of the quantized-field families);
+  excitation-number sectors of the quantized-field families), which a
+  numpy min-label propagation finds;
 * ``evolve_driven`` -- Schroedinger evolution under a sinusoidal classical
   drive ``x(t) = x0 sin(nu t)``, with the Hamiltonian frozen at interval
   midpoints (second order in dt) or integrated by RK4.  It is one run of
@@ -35,8 +36,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     FactorError,
@@ -260,22 +259,45 @@ def _checked_state(amp: np.ndarray, t, cfg: EvolutionConfig,
 # propagators
 
 
+def _component_labels(m: np.ndarray) -> np.ndarray:
+    """Connected-component label of every basis index of ``m``'s nonzero
+    pattern, read as an undirected graph; components are numbered 0, 1, ...
+    in order of their smallest basis index.
+
+    Min-label propagation: each index starts as its own label, every
+    nonzero ``m[i, j]`` pulls both ends down to the smaller of their
+    labels, and a pointer jump (``labels[labels]``) shortcuts chains.  A
+    label only ever names a member of its own component and never rises,
+    so once a round changes nothing each component carries its smallest
+    index.
+    """
+    rows, cols = np.nonzero(m)
+    labels = np.arange(len(m))
+    while True:
+        before = labels.copy()
+        np.minimum.at(labels, rows, labels[cols])
+        np.minimum.at(labels, cols, labels[rows])
+        labels = labels[labels]
+        if np.array_equal(labels, before):
+            return np.unique(labels, return_inverse=True)[1]
+
+
 def _block_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ``w`` and eigenvectors ``v`` (columns, paired with
     ``w``; not in ascending order) of a hermitian matrix, block by block.
 
     The blocks are the connected components of the nonzero pattern of
-    ``m``: basis states that no chain of nonzero elements links never mix,
-    so each component is diagonalised on its own and ``v`` is exactly
-    zero between components.  All blocks of one size go through one
-    stacked ``eigh``.  This is exact for any hermitian matrix and needs no
+    ``m`` (``_component_labels``): basis states that no chain of nonzero
+    elements links never mix, so each component is diagonalised on its own
+    and ``v`` is exactly zero between components.  All blocks of one size
+    go through one stacked ``eigh``.  This is exact for any hermitian matrix and needs no
     knowledge of the model: the excitation-number sectors of the beam
     splitter and Jaynes-Cummings, the two-state blocks of the
     counter-rotating Jaynes-Cummings order and the 1x1 blocks of an
     uncoupled model all show up in the pattern, and a fully coupled ``m``
     is a single block.
     """
-    _, labels = connected_components(csr_array(m != 0), directed=False)
+    labels = _component_labels(m)
     # basis indices grouped by component, ascending inside each component
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)

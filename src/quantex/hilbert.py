@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.special import pdtrc
 
 from .errors import (
     CoherentTailError,
@@ -301,11 +300,17 @@ def ground_state(space: SpaceDescriptor) -> StateVector:
     return basis_state(space, [0] * len(space.factors))
 
 
+def _poisson_sf(k, mean: float):
+    """P(N > k) for N ~ Poisson(mean), elementwise over ``k``."""
+    from scipy.special import pdtrc     # heavy import, needed only here
+    return pdtrc(k, mean)
+
+
 def poisson_tail(mean: float, cutoff_dim: int) -> float:
     """Probability mass of a Poisson(mean) at or above cutoff_dim."""
     if mean == 0.0:
         return 0.0
-    return float(pdtrc(cutoff_dim - 1, mean))
+    return float(_poisson_sf(cutoff_dim - 1, mean))
 
 
 def min_coherent_cutoff(alpha: complex, tail_tolerance: float = 1e-12) -> int:
@@ -320,7 +325,7 @@ def min_coherent_cutoff(alpha: complex, tail_tolerance: float = 1e-12) -> int:
     stop = 64 + 2 * math.ceil(mean)
     while True:
         dims = np.arange(2, stop)
-        within = pdtrc(dims - 1, mean) <= tail_tolerance
+        within = _poisson_sf(dims - 1, mean) <= tail_tolerance
         if within.any():
             return int(dims[np.argmax(within)])
         stop *= 2

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +242,27 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "quantex" in proc.stdout
+
+
+def test_a_driven_run_never_loads_scipy(tmp_path):
+    # scipy is imported only where a coherent-state tail or a quadrature
+    # needs it; a prescribed-drive scenario must run without it
+    import quantex
+    code = (
+        "import sys, pathlib, quantex, quantex.cli as cli\n"
+        "s = cli.validate_config(cli.load_config('qubit_drive_threshold'))\n"
+        "cli.run_scenario(s, pathlib.Path(sys.argv[1]))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(quantex.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_constants_table_env_override(tmp_path, monkeypatch, capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from quantex import (
@@ -47,10 +47,11 @@ from quantex.dynamics import (
     _DRIVE_CHUNK,
     _block_eigh,
     _boson_top_indices,
+    _component_labels,
     _checked_state,
     _step_matrices,
 )
-from quantex.hilbert import CoherentSpec, Operator
+from quantex.hilbert import NORM_ATOL, CoherentSpec, Operator, StateVector
 
 
 def test_evolution_config_validation():
@@ -693,12 +694,9 @@ def test_block_route_matches_dense_eigh(h, psi0):
                         rtol=0, atol=1e-12)
 
 
-@st.composite
-def _permuted_block_hermitian(draw):
-    """A random hermitian matrix that is block diagonal under a random
-    basis permutation, with blocks of 1 to 5 states."""
-    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=8))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def _permuted_blocks(sizes, rng) -> np.ndarray:
+    """A random hermitian matrix with dense blocks of ``sizes`` on the
+    diagonal, under a random basis permutation."""
     d = sum(sizes)
     m = np.zeros((d, d), dtype=complex)
     start = 0
@@ -710,6 +708,15 @@ def _permuted_block_hermitian(draw):
     return m[np.ix_(perm, perm)]
 
 
+@st.composite
+def _permuted_block_hermitian(draw):
+    """A random hermitian matrix that is block diagonal under a random
+    basis permutation, with blocks of 1 to 5 states."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return _permuted_blocks(sizes, rng)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_permuted_block_hermitian())
 def test_block_eigh_reproduces_dense_decomposition(m):
@@ -717,3 +724,73 @@ def test_block_eigh_reproduces_dense_decomposition(m):
     npt.assert_allclose(np.sort(w), np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
     npt.assert_allclose(v.conj().T @ v, np.eye(len(m)), rtol=0, atol=1e-12)
     npt.assert_allclose((v * w) @ v.conj().T, m, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _symmetric_pattern(draw):
+    """A symmetric 0/1 matrix under a random basis permutation, built from
+    blocks of 1 to 12 states that are each empty (isolated nodes), fully
+    coupled, or a random sparse pattern that may split into chains."""
+    blocks = draw(st.lists(st.tuples(st.integers(1, 12),
+                                     st.sampled_from([0.0, 1.0, 0.1, 0.2, 0.4])),
+                           min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = sum(size for size, _ in blocks)
+    m = np.zeros((d, d))
+    start = 0
+    for size, density in blocks:
+        block = rng.random((size, size)) < density
+        m[start:start + size, start:start + size] = block | block.T
+        start += size
+    perm = rng.permutation(d)
+    return m[np.ix_(perm, perm)]
+
+
+def _permuted_path(d: int) -> np.ndarray:
+    """One chain through all d states, visited in a scrambled basis order."""
+    m = np.eye(d, k=1) + np.eye(d, k=-1)
+    perm = np.random.default_rng(7).permutation(d)
+    return m[np.ix_(perm, perm)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_pattern())
+@example(np.zeros((9, 9)))
+@example(np.ones((7, 7)))
+@example(_permuted_path(64))
+def test_component_labels_match_scipy_connected_components(m):
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
+    _, expected = connected_components(csr_array(m != 0), directed=False)
+    labels = _component_labels(m)
+    assert labels.shape == expected.shape
+    assert np.array_equal(labels, expected)
+
+
+@st.composite
+def _hermitian_on_qubits(draw):
+    """(H, psi0): a random hermitian H on 1 to 5 two-level factors that is
+    block diagonal under a random basis permutation (blocks of 1 to 8
+    states), and a random normalised state."""
+    space = SpaceDescriptor(tuple(TwoLevel() for _ in range(draw(st.integers(1, 5)))))
+    remaining, sizes = space.total_dim, []
+    while remaining:
+        sizes.append(draw(st.integers(1, min(8, remaining))))
+        remaining -= sizes[-1]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    psi0 = rng.normal(size=space.total_dim) + 1j * rng.normal(size=space.total_dim)
+    return (Operator(space, _permuted_blocks(sizes, rng)),
+            StateVector(space, psi0 / np.linalg.norm(psi0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hermitian_on_qubits(),
+       st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6))
+def test_unitary_evolution_keeps_norm_and_matches_expm(h_psi0, times):
+    h, psi0 = h_psi0
+    traj = evolve_unitary_at(h, psi0, times, EvolutionConfig(dt=0.1, t_max=50.0))
+    assert traj.max_norm_drift <= NORM_ATOL
+    for t, state in zip(times, traj.states):
+        exact = expm(-1j * h.matrix * t) @ psi0.amplitudes
+        npt.assert_allclose(state.amplitudes, exact, rtol=0, atol=1e-10)
