@@ -1,7 +1,7 @@
 """quantex: classical, quantum, and mean-field hybrid models of
 radiation-detector energy exchange, with energy-ledger audits.
 
-The package spans five layers: ``hilbert`` (truncated operator algebra),
+The package spans five layers: ``hilbert`` (truncated spaces and states),
 ``models`` (Hamiltonian families and SI parameter mappings), ``dynamics``
 (propagators and closed-form transition probabilities), ``analysis``
 (ledgers, scans, signature reports), and ``cli`` (scenario runner).
@@ -19,7 +19,6 @@ from .errors import (
     QuantexError,
     RegimeError,
     RegimeWarning,
-    SpaceMismatchError,
     ToleranceError,
 )
 from .hilbert import (
@@ -29,19 +28,10 @@ from .hilbert import (
     SpaceDescriptor,
     StateVector,
     TwoLevel,
-    annihilation,
-    apply,
     basis_state,
     coherent_state,
-    creation,
-    expectation,
     ground_state,
-    identity,
     min_coherent_cutoff,
-    number,
-    pauli,
-    tensor,
-    variance,
 )
 from .models import (
     BeamSplitterParams,
@@ -52,11 +42,7 @@ from .models import (
     ModelSpec,
     QubitSemiClassicalParams,
     build_beam_splitter_hamiltonian,
-    build_driven_oscillator_hamiltonian,
-    build_driven_qubit_hamiltonian,
     build_jc_hamiltonian,
-    beam_splitter_excitation_number,
-    jc_excitation_number,
     gravito_classical_params,
     gravito_interaction_coefficient,
     gravito_vacuum_coupling,
@@ -98,5 +84,4 @@ from .analysis import (
     scan_to_csv,
     signature_report,
     time_scan,
-    transition_probability,
 )

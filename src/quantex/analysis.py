@@ -39,7 +39,7 @@ from . import dynamics as _dyn
 
 __all__ = [
     "EnergyLedger", "energy_ledger", "DeficitReport",
-    "conditioned_energy_deficit", "transition_probability", "ScanResult",
+    "conditioned_energy_deficit", "ScanResult",
     "detuning_scan", "intensity_scan", "time_scan", "rabi_peak_scan",
     "SignatureCheck", "SignatureReport", "signature_report", "FitResult",
     "loglog_slope", "golden_rule_fit", "ledger_to_csv", "scan_to_csv",
@@ -245,12 +245,6 @@ def conditioned_energy_deficit(traj: Trajectory, model: ModelSpec,
         e_diff=float(p.nu - p.omega),
         probability=float(prob),
     )
-
-
-def transition_probability(traj: Trajectory, factor_index: int,
-                           level: int) -> np.ndarray:
-    """Marginal population of one basis level of one factor, per time."""
-    return traj.population_series(factor_index, level)
 
 
 # ---------------------------------------------------------------------------

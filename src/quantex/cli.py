@@ -194,9 +194,6 @@ def validate_config(cfg: dict) -> Scenario:
             raise ConfigError(f"audit target {scenario.target} must sit on the "
                               f"detector factor {model.params.detector}: the "
                               "deficit conditions on a detector level")
-        if model.back_reaction and cfg.get("initial_state", {"type": "default"})["type"] \
-                not in ("default", "hybrid"):
-            raise ConfigError("mean-field audits start from a hybrid (x, p) point")
     elif kind == "golden_rule":
         if cfg["golden_rule"]["ratio_max"] <= cfg["golden_rule"]["ratio_min"]:
             raise ConfigError("golden_rule needs ratio_max > ratio_min")

@@ -600,26 +600,25 @@ def perturbative_pe(coupling: float, omega: float, nu: float, t: float) -> float
 
 
 def semiclassical_pn1(p: DrivenOscillatorParams, t: float) -> float:
-    """First Fock level population of the driven detector,
-    coupling^2 x0^2 nu^4 (t^2/4) sinc^2((nu - omega) t / 2)."""
+    """First Fock level population of the driven detector in the rotating
+    wave approximation, coupling^2 x0^2 (t^2/4) sinc^2((nu - omega) t / 2)."""
     delta = p.nu - p.omega
-    amp_sq = (p.coupling * p.x0 * p.nu ** 2 * t / 2.0) ** 2
+    amp_sq = (p.coupling * p.x0 * t / 2.0) ** 2
     return amp_sq * _sinc(0.5 * delta * t) ** 2
+
+
+def _window(k: float, t: float) -> complex:
+    """integral_0^t e^{i k s} ds = t e^{i k t / 2} sinc(k t / 2)."""
+    return t * cmath.exp(0.5j * k * t) * _sinc(0.5 * k * t)
 
 
 def coherent_amplitude_beta(p: DrivenOscillatorParams, t: float) -> complex:
     """Drive-induced coherent amplitude
-    -i * coupling * integral_0^t (d^2x/ds^2) e^{i omega s} ds
-    for x(s) = x0 sin(nu s), evaluated by adaptive quadrature."""
-    from scipy.integrate import quad    # heavy import, needed only here
-
-    def integrand(s):
-        xdd = -p.x0 * p.nu ** 2 * math.sin(p.nu * s)
-        return xdd * cmath.exp(1j * p.omega * s)
-
-    re, _ = quad(lambda s: integrand(s).real, 0.0, t, limit=400)
-    im, _ = quad(lambda s: integrand(s).imag, 0.0, t, limit=400)
-    return -1j * p.coupling * complex(re, im)
+    -i * coupling * integral_0^t x(s) e^{i omega s} ds
+    for the displacement x(s) = x0 sin(nu s) that the detector couples to,
+    in closed form through sin(nu s) = (e^{i nu s} - e^{-i nu s}) / 2i."""
+    integral = (_window(p.omega + p.nu, t) - _window(p.omega - p.nu, t)) / 2j
+    return -1j * p.coupling * p.x0 * integral
 
 
 def pn1_from_amplitude(beta: complex) -> float:

@@ -5,10 +5,6 @@ class QuantexError(Exception):
     """Base class for library errors."""
 
 
-class SpaceMismatchError(QuantexError, ValueError):
-    """Operator and state (or two operators) live on different spaces."""
-
-
 class FactorError(QuantexError, ValueError):
     """Factor index out of range or factor of the wrong kind."""
 

@@ -1,15 +1,15 @@
-"""Truncated Fock / two-level spaces, the operator algebra on them, and
-canonical states.
+"""Truncated Fock / two-level spaces, the operator and state records on
+them, and canonical states.
 
 Conventions:
   * factor 0 is the slowest-varying index of the composite basis
     (``np.kron`` order), so ``|n> (x) |g>`` has flat index ``n * 2 + 0``;
   * two-level basis: index 0 = ground ``|g>``, index 1 = excited ``|e>``,
     with ``sigma_z |e> = +|e>``;
-  * hard truncation at the Fock cutoff: ``create() @ |dim-1> = 0``.  The
-    commutator ``[a, a+] = 1`` therefore holds only below the top level,
-    and evolution code watches the top-level population to keep the
-    truncation error observable.
+  * hard truncation at the Fock cutoff: raising the top level ``|dim-1>``
+    gives zero.  The commutator ``[a, a+] = 1`` therefore holds only below
+    the top level, and evolution code watches the top-level population to
+    keep the truncation error observable.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     FactorError,
     HermiticityError,
     NormalizationError,
-    SpaceMismatchError,
 )
 
 HERMITIAN_ATOL = 1e-12
@@ -33,9 +32,8 @@ NORM_ATOL = 1e-9
 
 __all__ = [
     "Boson", "TwoLevel", "SpaceDescriptor", "Operator", "StateVector",
-    "CoherentSpec", "annihilation", "creation", "number", "identity",
-    "pauli", "tensor", "basis_state", "ground_state", "coherent_state",
-    "expectation", "variance", "apply", "min_coherent_cutoff",
+    "CoherentSpec", "basis_state", "ground_state", "coherent_state",
+    "min_coherent_cutoff",
 ]
 
 
@@ -93,12 +91,6 @@ class SpaceDescriptor:
             raise FactorError(f"factor {index} is not a bosonic mode")
         return f
 
-    def two_level_factor(self, index: int) -> TwoLevel:
-        f = self.factor(index)
-        if not isinstance(f, TwoLevel):
-            raise FactorError(f"factor {index} is not a two-level system")
-        return f
-
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=complex)
@@ -130,39 +122,6 @@ class Operator:
                     f"hermitian_hint set but max|M - M^+| = {dev:.3e}")
         object.__setattr__(self, "matrix", m)
 
-    # -- algebra ------------------------------------------------------
-    def _check_space(self, other: "Operator"):
-        if self.space != other.space:
-            raise SpaceMismatchError("operators live on different spaces")
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix + other.matrix,
-                        hermitian_hint=self.hermitian_hint and other.hermitian_hint)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix - other.matrix,
-                        hermitian_hint=self.hermitian_hint and other.hermitian_hint)
-
-    def __mul__(self, scalar) -> "Operator":
-        herm = self.hermitian_hint and np.isreal(scalar) and bool(np.real(scalar) == scalar)
-        return Operator(self.space, self.matrix * scalar, hermitian_hint=bool(herm))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix @ other.matrix)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T,
-                        hermitian_hint=self.hermitian_hint)
-
-    def commutator(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix @ other.matrix - other.matrix @ self.matrix)
-
     def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
         return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= atol)
 
@@ -183,9 +142,6 @@ class StateVector:
         if not abs(nrm - 1.0) <= NORM_ATOL:     # NaN norms fail too
             raise NormalizationError(f"state norm {nrm!r} outside 1 +/- {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", v)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def marginal_populations(self, factor_index: int) -> np.ndarray:
         """Populations of factor ``factor_index`` after summing out the rest."""
@@ -211,70 +167,6 @@ class CoherentSpec:
     def __post_init__(self):
         if not 0.0 < self.tail_tolerance < 1.0:
             raise ValueError("tail_tolerance must lie in (0, 1)")
-
-
-# ---------------------------------------------------------------------------
-# operator constructors
-
-
-def _embed(space: SpaceDescriptor, factor_index: int, block: np.ndarray,
-           hermitian: bool = False) -> Operator:
-    mats = [block if i == factor_index else np.eye(f.dim, dtype=complex)
-            for i, f in enumerate(space.factors)]
-    full = reduce(np.kron, mats)
-    return Operator(space, full, hermitian_hint=hermitian)
-
-
-def annihilation(space: SpaceDescriptor, factor_index: int) -> Operator:
-    """Lowering operator on a bosonic factor: <n-1| a |n> = sqrt(n)."""
-    dim = space.boson_factor(factor_index).dim
-    block = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-    return _embed(space, factor_index, block)
-
-
-def creation(space: SpaceDescriptor, factor_index: int) -> Operator:
-    """Raising operator; annihilates the top truncated level."""
-    return annihilation(space, factor_index).dagger()
-
-
-def number(space: SpaceDescriptor, factor_index: int) -> Operator:
-    """Occupation operator diag(0 .. dim-1) on a bosonic factor."""
-    dim = space.boson_factor(factor_index).dim
-    block = np.diag(np.arange(dim, dtype=complex))
-    return _embed(space, factor_index, block, hermitian=True)
-
-
-def identity(space: SpaceDescriptor, factor_index: int | None = None) -> Operator:
-    """Identity on the full composite space (factor_index kept for symmetry)."""
-    if factor_index is not None:
-        space.factor(factor_index)
-    return Operator(space, np.eye(space.total_dim, dtype=complex), hermitian_hint=True)
-
-
-_PAULI_BLOCKS = {
-    # basis order (|g>, |e>), sigma_z |e> = +|e>
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, 1j], [-1j, 0]], dtype=complex),
-    "z": np.array([[-1, 0], [0, 1]], dtype=complex),
-    "plus": np.array([[0, 0], [1, 0]], dtype=complex),
-    "minus": np.array([[0, 1], [0, 0]], dtype=complex),
-}
-
-
-def pauli(space: SpaceDescriptor, factor_index: int, which: str) -> Operator:
-    """Pauli operator on a two-level factor; which in x, y, z, plus, minus."""
-    space.two_level_factor(factor_index)
-    if which not in _PAULI_BLOCKS:
-        raise ValueError(f"unknown pauli label {which!r}")
-    return _embed(space, factor_index, _PAULI_BLOCKS[which],
-                  hermitian=which in ("x", "y", "z"))
-
-
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product consistent with factor order (a's factors first)."""
-    space = SpaceDescriptor(a.space.factors + b.space.factors)
-    return Operator(space, np.kron(a.matrix, b.matrix),
-                    hermitian_hint=a.hermitian_hint and b.hermitian_hint)
 
 
 # ---------------------------------------------------------------------------
@@ -362,28 +254,3 @@ def coherent_state(space: SpaceDescriptor, factor_index: int,
             vecs.append(v)
     return StateVector(space, reduce(np.kron, vecs))
 
-
-# ---------------------------------------------------------------------------
-# functionals
-
-
-def apply(op: Operator, psi: StateVector) -> np.ndarray:
-    """Raw matrix-vector action; the result is not renormalized."""
-    if op.space != psi.space:
-        raise SpaceMismatchError("operator and state live on different spaces")
-    return op.matrix @ psi.amplitudes
-
-
-def expectation(op: Operator, psi: StateVector) -> complex:
-    """<psi| op |psi>."""
-    return complex(np.vdot(psi.amplitudes, apply(op, psi)))
-
-
-def variance(op: Operator, psi: StateVector) -> float:
-    """<op^2> - <op>^2; defined for hermitian operators only."""
-    if not op.hermitian_hint:
-        raise HermiticityError("variance requires an operator with hermitian_hint")
-    opsi = apply(op, psi)
-    mean = float(np.real(np.vdot(psi.amplitudes, opsi)))
-    second = float(np.real(np.vdot(opsi, opsi)))
-    return max(second - mean * mean, 0.0)

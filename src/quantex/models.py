@@ -45,8 +45,6 @@ __all__ = [
     "ModelFamily", "ModelSpec", "QubitSemiClassicalParams",
     "JaynesCummingsParams", "BeamSplitterParams", "DrivenOscillatorParams",
     "GravitoParams", "build_jc_hamiltonian", "build_beam_splitter_hamiltonian",
-    "build_driven_qubit_hamiltonian", "build_driven_oscillator_hamiltonian",
-    "jc_excitation_number", "beam_splitter_excitation_number",
     "gravito_vacuum_coupling", "gravito_classical_params",
     "gravito_interaction_coefficient", "gw_energy_density",
 ]
@@ -220,7 +218,7 @@ class BeamSplitterParams(_Family):
         """nu a+a, omega b+b and g (a b+ + b a+).  ``a b+`` takes
         |n_a, n_b> to |n_a - 1, n_b + 1> with amplitude sqrt(n_a) sqrt(n_b + 1),
         zero where n_b + 1 would pass the detector cutoff (the hard
-        truncation of ``create()``)."""
+        truncation of the raising operator)."""
         n_a, n_b = _labels(self.space)
         d_b = self.detector_cutoff
         src = np.flatnonzero((n_a > 0) & (n_b < d_b - 1))
@@ -359,39 +357,10 @@ def build_jc_hamiltonian(p: JaynesCummingsParams,
     return _operator(p.space, *p.parts(counter_rotating_order))
 
 
-def _total_number(space: SpaceDescriptor) -> Operator:
-    """Sum of the levels of all factors: the total excitation number."""
-    return Operator(space, np.diag(_labels(space).sum(axis=0)), hermitian_hint=True)
-
-
-def jc_excitation_number(p: JaynesCummingsParams) -> Operator:
-    """a+a + sigma+ sigma-, conserved by the standard interaction order."""
-    return _total_number(p.space)
-
-
 def build_beam_splitter_hamiltonian(p: BeamSplitterParams) -> Operator:
     """nu a+a + omega b+b + g (a b+ + b a+), written entry by entry from
     the Fock labels (``BeamSplitterParams.parts``)."""
     return p.hamiltonian()
-
-
-def beam_splitter_excitation_number(p: BeamSplitterParams) -> Operator:
-    """a+a + b+b, conserved by the exchange."""
-    return _total_number(p.space)
-
-
-def build_driven_qubit_hamiltonian(p: QubitSemiClassicalParams, x: float) -> Operator:
-    """(omega/2) sigma_z + coupling * x * sigma_x at a frozen drive value x.
-
-    The classical drive energy (nu/2)(x^2 + p^2) is tracked separately by
-    the energy ledger.
-    """
-    return p.hamiltonian(x)
-
-
-def build_driven_oscillator_hamiltonian(p: DrivenOscillatorParams, x: float) -> Operator:
-    """omega b+b + coupling * x * (b+ + b) at a frozen drive value x."""
-    return p.hamiltonian(x)
 
 
 # ---------------------------------------------------------------------------

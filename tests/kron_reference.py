@@ -1,0 +1,65 @@
+"""Kronecker-built reference matrices for the model Hamiltonians.
+
+The package writes every Hamiltonian entry by entry from the Fock labels
+of the basis.  The tests hold those matrices to the textbook route built
+here instead: each single-factor block (ladder, number, Pauli) is embedded
+in the composite space by ``np.kron`` with identities on the other
+factors, in the package's factor order (factor 0 slowest) and two-level
+convention (index 0 = |g>, 1 = |e>, ``sigma_z |e> = +|e>``).
+
+Every function returns a plain dense complex ``(d, d)`` array.
+"""
+
+from functools import reduce
+
+import numpy as np
+
+from quantex import FactorError, SpaceDescriptor, TwoLevel
+
+
+def _embed(space: SpaceDescriptor, factor_index: int, block: np.ndarray) -> np.ndarray:
+    mats = [block if i == factor_index else np.eye(f.dim, dtype=complex)
+            for i, f in enumerate(space.factors)]
+    return reduce(np.kron, mats)
+
+
+def annihilation(space: SpaceDescriptor, factor_index: int) -> np.ndarray:
+    """Lowering operator on a bosonic factor: <n-1| a |n> = sqrt(n)."""
+    dim = space.boson_factor(factor_index).dim
+    block = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+    return _embed(space, factor_index, block)
+
+
+def creation(space: SpaceDescriptor, factor_index: int) -> np.ndarray:
+    """Raising operator; annihilates the top truncated level."""
+    return annihilation(space, factor_index).conj().T
+
+
+def number(space: SpaceDescriptor, factor_index: int) -> np.ndarray:
+    """Occupation operator diag(0 .. dim-1) on a bosonic factor."""
+    dim = space.boson_factor(factor_index).dim
+    return _embed(space, factor_index, np.diag(np.arange(dim, dtype=complex)))
+
+
+_PAULI_BLOCKS = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "y": np.array([[0, 1j], [-1j, 0]], dtype=complex),
+    "z": np.array([[-1, 0], [0, 1]], dtype=complex),
+    "plus": np.array([[0, 0], [1, 0]], dtype=complex),
+    "minus": np.array([[0, 1], [0, 0]], dtype=complex),
+}
+
+
+def pauli(space: SpaceDescriptor, factor_index: int, which: str) -> np.ndarray:
+    """Pauli operator on a two-level factor; which in x, y, z, plus, minus."""
+    if not isinstance(space.factor(factor_index), TwoLevel):
+        raise FactorError(f"factor {factor_index} is not a two-level system")
+    return _embed(space, factor_index, _PAULI_BLOCKS[which])
+
+
+def total_number(space: SpaceDescriptor) -> np.ndarray:
+    """Total excitation number: a+a on every bosonic factor plus
+    sigma+ sigma- on every two-level factor."""
+    return sum(pauli(space, i, "plus") @ pauli(space, i, "minus")
+               if isinstance(f, TwoLevel) else number(space, i)
+               for i, f in enumerate(space.factors))

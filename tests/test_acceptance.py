@@ -25,9 +25,10 @@ from quantex import (
     Method,
     ModelFamily,
     ModelSpec,
+    Operator,
     QubitSemiClassicalParams,
+    StateVector,
     basis_state,
-    beam_splitter_excitation_number,
     build_beam_splitter_hamiltonian,
     build_jc_hamiltonian,
     coherent_amplitude_beta,
@@ -46,7 +47,6 @@ from quantex import (
     ground_state,
     gw_energy_density,
     intensity_scan,
-    jc_excitation_number,
     pn1_from_amplitude,
     rabi_peak_scan,
     semiclassical_pn1,
@@ -56,6 +56,7 @@ from quantex import (
 from quantex.cli import bundled_scenarios, main as cli_main
 
 import constant_folding_oracle as oracle
+from kron_reference import total_number
 
 
 def criterion(number, name):
@@ -100,30 +101,32 @@ def test_criterion_1_oracle_triangle():
 
 @criterion(2, "unitarity and conservation audit on every full-quantum scenario")
 def test_criterion_2_unitarity_conservation():
+    def excitation_number(p):
+        return Operator(p.space, total_number(p.space), hermitian_hint=True)
+
     cases = []
 
     jc = JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4)
-    cases.append((build_jc_hamiltonian(jc), jc_excitation_number(jc),
+    cases.append((build_jc_hamiltonian(jc), excitation_number(jc),
                   basis_state(jc.space, [1, 0]),
                   EvolutionConfig(dt=0.1, t_max=math.pi / 0.1)))
     jc_det = JaynesCummingsParams(nu=1.3, omega=1.0, g=0.08, field_cutoff=6)
     sp = jc_det.space
     amps = (basis_state(sp, [1, 0]).amplitudes
             + basis_state(sp, [0, 1]).amplitudes) / math.sqrt(2)
-    from quantex import StateVector
-    cases.append((build_jc_hamiltonian(jc_det), jc_excitation_number(jc_det),
+    cases.append((build_jc_hamiltonian(jc_det), excitation_number(jc_det),
                   StateVector(sp, amps), EvolutionConfig(dt=0.2, t_max=40.0)))
 
     bs = BeamSplitterParams(nu=1.0, omega=1.0, g=1e-3, field_cutoff=32,
                             detector_cutoff=6, alpha=2.0)
     cases.append((build_beam_splitter_hamiltonian(bs),
-                  beam_splitter_excitation_number(bs),
+                  excitation_number(bs),
                   coherent_state(bs.space, 0, CoherentSpec(2.0)),
                   EvolutionConfig(dt=0.5, t_max=10.0)))
     bs_det = BeamSplitterParams(nu=1.2, omega=1.0, g=0.05, field_cutoff=5,
                                 detector_cutoff=5)
     cases.append((build_beam_splitter_hamiltonian(bs_det),
-                  beam_splitter_excitation_number(bs_det),
+                  excitation_number(bs_det),
                   basis_state(bs_det.space, [1, 0]),
                   EvolutionConfig(dt=0.25, t_max=50.0)))
 

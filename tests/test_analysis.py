@@ -41,7 +41,6 @@ from quantex import (
     scan_to_csv,
     signature_report,
     time_scan,
-    transition_probability,
 )
 from quantex import dynamics
 from quantex.analysis import run_point
@@ -95,7 +94,7 @@ def test_ledger_semiclassical_detector_rise_matches_transition_probability():
     cfg = EvolutionConfig(dt=0.001, t_max=20.0, method=Method.MIDPOINT)
     traj = evolve_driven(model.params, None, cfg)
     led = energy_ledger(traj, model)
-    p1 = transition_probability(traj, 0, 1)
+    p1 = traj.population_series(0, 1)
     # weak excitation: detector free energy ~ omega * P(n=1)
     rise = led.e_quantum_free[-1] - led.e_quantum_free[0]
     assert rise == pytest.approx(1.0 * p1[-1], rel=5e-4)
@@ -317,7 +316,7 @@ def test_transition_probability_series_basics():
     model = ModelSpec(ModelFamily.JAYNES_CUMMINGS, p)
     traj = evolve_unitary(build_jc_hamiltonian(p), basis_state(p.space, [1, 0]),
                           EvolutionConfig(dt=0.5, t_max=math.pi / 0.02))
-    pe = transition_probability(traj, 1, 1)
+    pe = traj.population_series(1, 1)
     assert pe[0] == 0.0
     assert pe.max() == pytest.approx(1.0, abs=1e-4)
     assert np.all((pe >= 0) & (pe <= 1))

@@ -1,0 +1,56 @@
+"""The public surface of the package, pinned name by name, so that adding
+or removing a public name is a deliberate edit of this list."""
+
+import importlib
+import pkgutil
+import types
+
+import quantex
+
+PUBLIC_NAMES = {
+    # constants, errors
+    "DEFAULT_CONSTANTS", "PhysicalConstants",
+    "CoherentTailError", "ConfigError", "FactorError", "HermiticityError",
+    "NormalizationError", "QuantexError", "RegimeError", "RegimeWarning",
+    "ToleranceError",
+    # hilbert
+    "Boson", "CoherentSpec", "Operator", "SpaceDescriptor", "StateVector",
+    "TwoLevel", "basis_state", "coherent_state", "ground_state",
+    "min_coherent_cutoff",
+    # models
+    "BeamSplitterParams", "DrivenOscillatorParams", "GravitoParams",
+    "JaynesCummingsParams", "ModelFamily", "ModelSpec",
+    "QubitSemiClassicalParams", "build_beam_splitter_hamiltonian",
+    "build_jc_hamiltonian", "gravito_classical_params",
+    "gravito_interaction_coefficient", "gravito_vacuum_coupling",
+    "gw_energy_density",
+    # dynamics
+    "DysonFirstOrder", "EvolutionConfig", "HybridState", "Method", "Trajectory",
+    "coherent_amplitude_beta", "dyson_first_order", "evolve_driven",
+    "evolve_hybrid", "evolve_unitary", "evolve_unitary_at", "golden_rule_limit",
+    "perturbative_pe", "pn1_from_amplitude", "rabi_probability",
+    "semiclassical_pn1",
+    # analysis
+    "DeficitReport", "EnergyLedger", "FitResult", "ScanResult", "SignatureCheck",
+    "SignatureReport", "conditioned_energy_deficit", "detuning_scan",
+    "energy_ledger", "golden_rule_fit", "intensity_scan", "ledger_to_csv",
+    "loglog_slope", "rabi_peak_scan", "scan_to_csv", "signature_report",
+    "time_scan",
+}
+
+
+def test_package_public_names_are_pinned():
+    names = {n for n in dir(quantex) if not n.startswith("_")
+             and not isinstance(getattr(quantex, n), types.ModuleType)}
+    assert names == PUBLIC_NAMES
+
+
+def test_every_submodule_all_entry_resolves():
+    declared = []
+    for info in pkgutil.iter_modules(quantex.__path__):
+        module = importlib.import_module(f"quantex.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"quantex.{info.name}.__all__ lists {name!r}"
+        if hasattr(module, "__all__"):
+            declared.append(info.name)
+    assert sorted(declared) == ["analysis", "dynamics", "hilbert", "models"]

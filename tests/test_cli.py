@@ -73,6 +73,17 @@ def test_validate_rejects_initial_state_outside_audit(tmp_path):
     assert main(["validate", str(path)]) == EXIT_CONFIG
 
 
+def test_mean_field_audit_rejects_a_quantum_only_initial_state(tmp_path, capsys):
+    cfg = json.loads(bundled_scenarios()["oscillator_backreaction_audit"])
+    cfg["initial_state"] = {"type": "ground"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "mean-field audits start from a hybrid (x, p) point" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exits_2(capsys):
     assert main(["run", "no_such_scenario"]) == EXIT_CONFIG
     assert "no file or bundled scenario" in capsys.readouterr().err
@@ -245,13 +256,15 @@ def test_module_entrypoint_runs():
 
 
 def test_a_driven_run_never_loads_scipy(tmp_path):
-    # scipy is imported only where a coherent-state tail or a quadrature
-    # needs it; a prescribed-drive scenario must run without it
+    # scipy is imported only where a coherent-state tail needs it; a
+    # prescribed-drive scenario and the driven closed form must run without it
     import quantex
     code = (
         "import sys, pathlib, quantex, quantex.cli as cli\n"
         "s = cli.validate_config(cli.load_config('qubit_drive_threshold'))\n"
         "cli.run_scenario(s, pathlib.Path(sys.argv[1]))\n"
+        "p = quantex.DrivenOscillatorParams(omega=1.0, nu=0.5, coupling=1e-3, x0=1.0)\n"
+        "quantex.coherent_amplitude_beta(p, 20.0)\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m == 'scipy' or m.startswith('scipy.')))\n"
     )

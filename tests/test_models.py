@@ -14,19 +14,16 @@ from quantex import (
     ModelFamily,
     ModelSpec,
     QubitSemiClassicalParams,
-    beam_splitter_excitation_number,
     build_beam_splitter_hamiltonian,
-    build_driven_oscillator_hamiltonian,
-    build_driven_qubit_hamiltonian,
     build_jc_hamiltonian,
     gravito_classical_params,
     gravito_interaction_coefficient,
     gravito_vacuum_coupling,
     gw_energy_density,
-    jc_excitation_number,
 )
 
 import constant_folding_oracle as oracle
+from kron_reference import annihilation, creation, number, pauli, total_number
 
 # reference values frozen from tests/constant_folding_oracle.py, which folds
 # the same formulas from scipy.constants with independent code
@@ -66,16 +63,17 @@ def test_jc_resonant_dressed_splitting():
 
 def test_jc_excitation_number_conserved_standard_order():
     p = JaynesCummingsParams(nu=1.1, omega=0.9, g=0.2, field_cutoff=7)
-    h = build_jc_hamiltonian(p)
-    n = jc_excitation_number(p)
-    assert np.max(np.abs(h.commutator(n).matrix)) <= 1e-10
+    h = build_jc_hamiltonian(p).matrix
+    n = total_number(p.space)
+    assert np.max(np.abs(h @ n - n @ h)) <= 1e-10
 
 
 def test_jc_counter_rotating_order_breaks_conservation():
     p = JaynesCummingsParams(nu=1.0, omega=1.0, g=0.2, field_cutoff=5)
     h = build_jc_hamiltonian(p, counter_rotating_order=True)
     assert h.is_hermitian()
-    assert np.max(np.abs(h.commutator(jc_excitation_number(p)).matrix)) > 0.1
+    n = total_number(p.space)
+    assert np.max(np.abs(h.matrix @ n - n @ h.matrix)) > 0.1
 
 
 _bs_params = st.builds(
@@ -87,9 +85,9 @@ _bs_params = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(_bs_params)
 def test_beam_splitter_conserves_total_number(p):
-    h = build_beam_splitter_hamiltonian(p)
-    n = beam_splitter_excitation_number(p)
-    assert np.max(np.abs(h.commutator(n).matrix)) <= 1e-12
+    h = build_beam_splitter_hamiltonian(p).matrix
+    n = total_number(p.space)
+    assert np.max(np.abs(h @ n - n @ h)) <= 1e-12
 
 
 def _label_and_kronecker(p, x, counter_rotating):
@@ -99,28 +97,25 @@ def _label_and_kronecker(p, x, counter_rotating):
     free + coupling * x * operator, which the label-built
     x * (coupling * operator) of the oscillator matches bit for bit only
     at x = 0 and x = 1."""
-    from quantex import annihilation, creation, number, pauli
     sp = p.space
     if isinstance(p, QubitSemiClassicalParams):
-        free = 0.5 * p.omega * pauli(sp, 0, "z").matrix
-        quad = pauli(sp, 0, "x").matrix
-        return (build_driven_qubit_hamiltonian(p, x),
-                free + p.coupling * x * quad, free, p.coupling * quad)
+        free = 0.5 * p.omega * pauli(sp, 0, "z")
+        quad = pauli(sp, 0, "x")
+        return (p.hamiltonian(x), free + p.coupling * x * quad, free, p.coupling * quad)
     if isinstance(p, DrivenOscillatorParams):
-        free = p.omega * number(sp, 0).matrix
-        quad = annihilation(sp, 0).matrix + creation(sp, 0).matrix
-        return (build_driven_oscillator_hamiltonian(p, x),
-                free + p.coupling * x * quad, free, p.coupling * quad)
-    a, ad = annihilation(sp, 0).matrix, creation(sp, 0).matrix
+        free = p.omega * number(sp, 0)
+        quad = annihilation(sp, 0) + creation(sp, 0)
+        return (p.hamiltonian(x), free + p.coupling * x * quad, free, p.coupling * quad)
+    a, ad = annihilation(sp, 0), creation(sp, 0)
     if isinstance(p, JaynesCummingsParams):
-        free = p.nu * number(sp, 0).matrix + 0.5 * p.omega * pauli(sp, 1, "z").matrix
-        up, down = pauli(sp, 1, "plus").matrix, pauli(sp, 1, "minus").matrix
+        free = p.nu * number(sp, 0) + 0.5 * p.omega * pauli(sp, 1, "z")
+        up, down = pauli(sp, 1, "plus"), pauli(sp, 1, "minus")
         inter = a @ up + ad @ down
         h_inter = a @ down + ad @ up if counter_rotating else inter
         return (build_jc_hamiltonian(p, counter_rotating),
                 free + p.g * h_inter, free, p.g * inter)
-    free = p.nu * number(sp, 0).matrix + p.omega * number(sp, 1).matrix
-    inter = a @ creation(sp, 1).matrix + annihilation(sp, 1).matrix @ ad
+    free = p.nu * number(sp, 0) + p.omega * number(sp, 1)
+    inter = a @ creation(sp, 1) + annihilation(sp, 1) @ ad
     return build_beam_splitter_hamiltonian(p), free + p.g * inter, free, p.g * inter
 
 
@@ -178,27 +173,27 @@ def test_beam_splitter_cutoff_tail_guard():
 
 def test_driven_qubit_gap_at_zero_drive():
     p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.01, x0=1.0)
-    h = build_driven_qubit_hamiltonian(p, 0.0)
+    h = p.hamiltonian(0.0)
     npt.assert_allclose(np.diag(h.matrix), [-0.5, 0.5], atol=0.0)
     assert np.abs(h.matrix[0, 1]) == 0.0
 
 
 def test_driven_qubit_gap_closed_form():
     p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.01, x0=1.0)
-    w = np.linalg.eigvalsh(build_driven_qubit_hamiltonian(p, 1.0).matrix)
+    w = np.linalg.eigvalsh(p.hamiltonian(1.0).matrix)
     assert w[1] - w[0] == pytest.approx(math.sqrt(1 + 4e-4), abs=1e-12)
 
 
 def test_driven_qubit_coupling_zero_is_drive_independent():
     p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.0, x0=1.0)
-    npt.assert_allclose(build_driven_qubit_hamiltonian(p, 3.7).matrix,
-                        build_driven_qubit_hamiltonian(p, 0.0).matrix, atol=0.0)
+    npt.assert_allclose(p.hamiltonian(3.7).matrix,
+                        p.hamiltonian(0.0).matrix, atol=0.0)
 
 
 def test_driven_oscillator_zero_drive_is_scaled_number():
     p = DrivenOscillatorParams(omega=1.5, nu=1.0, coupling=0.1, x0=1.0,
                                detector_cutoff=6)
-    npt.assert_allclose(build_driven_oscillator_hamiltonian(p, 0.0).matrix,
+    npt.assert_allclose(p.hamiltonian(0.0).matrix,
                         1.5 * np.diag(np.arange(6)), atol=0.0)
 
 
@@ -206,7 +201,7 @@ def test_driven_oscillator_static_ground_shift():
     # displaced oscillator: minimum eigenvalue -(coupling*x)^2 / omega
     p = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0,
                                detector_cutoff=30)
-    w = np.linalg.eigvalsh(build_driven_oscillator_hamiltonian(p, 1.0).matrix)
+    w = np.linalg.eigvalsh(p.hamiltonian(1.0).matrix)
     assert w[0] == pytest.approx(-0.01, abs=1e-10)
 
 
@@ -215,8 +210,8 @@ def test_driven_hamiltonians_hermitian():
                                 detector_cutoff=8)
     pq = QubitSemiClassicalParams(omega=1.0, nu=0.8, coupling=0.2, x0=1.5)
     for x in (-2.0, 0.0, 0.7):
-        assert build_driven_oscillator_hamiltonian(po, x).is_hermitian()
-        assert build_driven_qubit_hamiltonian(pq, x).is_hermitian()
+        assert po.hamiltonian(x).is_hermitian()
+        assert pq.hamiltonian(x).is_hermitian()
 
 
 # -- params and ModelSpec ---------------------------------------------------
