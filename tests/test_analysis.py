@@ -513,6 +513,33 @@ def test_driven_scans_match_serial_run_point():
     npt.assert_allclose(scan.probabilities, serial, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("method, dt, t_max", [
+    (Method.MIDPOINT, 0.01, 3.0),
+    (Method.RK4, 0.01, 3.0),
+    (Method.MIDPOINT, 0.5, 20.0),     # every step takes the double-angle branch
+], ids=["midpoint", "rk4", "midpoint-coarse"])
+@pytest.mark.parametrize("make", [
+    lambda: _osc_model(coupling=0.01, detector_cutoff=6),
+    lambda: _qubit_model(coupling=0.05),
+], ids=["oscillator", "qubit"])
+def test_driven_scan_points_equal_their_serial_runs(make, method, dt, t_max):
+    # batching changes how many runs share a stacked call, never the
+    # arithmetic of one run, so each point gives its serial run's bits
+    model = make()
+    cfg = EvolutionConfig(dt=dt, t_max=t_max, method=method)
+    deltas = np.array([-0.5, -0.1, 0.0, 0.3, 0.5])
+    scan = detuning_scan(model, cfg, deltas)
+    assert scan.errors == (None,) * len(deltas)
+    assert scan.probabilities.tolist() == [
+        run_point(model.with_nu(1.0 + d), cfg)[1] for d in deltas]
+    times = t_max * np.array([0.03, 0.2, 0.57, 1.0])
+    scan = time_scan(model, cfg, times)
+    assert scan.errors == (None,) * len(times)
+    assert scan.probabilities.tolist() == [
+        run_point(model, replace(cfg, dt=t / max(1, round(t / dt)), t_max=t))[1]
+        for t in times]
+
+
 def test_quantized_scans_build_the_hamiltonian_once_per_point(monkeypatch):
     from quantex import analysis
     calls = []

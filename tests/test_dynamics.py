@@ -43,10 +43,12 @@ from quantex import (
 )
 from quantex.dynamics import (
     _DRIVE_CHUNK,
+    _EXPI_THETA,
     _block_eigh,
     _boson_top_indices,
     _component_labels,
     _checked_state,
+    _expi,
     _step_matrices,
 )
 from quantex.hilbert import NORM_ATOL, CoherentSpec, Operator, StateVector
@@ -310,6 +312,30 @@ def test_chunked_driven_matches_per_step_route(params, method):
     assert traj.amplitudes.shape == ref.shape
     npt.assert_allclose(traj.amplitudes, ref, rtol=0, atol=1e-12)
     assert abs(traj.max_norm_drift - drifts.max()) <= 1e-15
+
+
+@pytest.mark.parametrize("params", _DRIVEN_PARAMS, ids=["qubit", "oscillator"])
+def test_coarse_midpoint_steps_match_per_step_route(params):
+    # at dt 0.5 every step's 1-norm bound exceeds _EXPI_THETA, so every
+    # propagator is scaled down and doubled back; each doubling roughly
+    # doubles the rounding of the raw norm, hence 1e-13 on the drift
+    cfg = EvolutionConfig(dt=0.5, t_max=20.0, method=Method.MIDPOINT)
+    h0, _ = params.free_and_coupling()
+    assert cfg.dt * np.abs(h0).sum(axis=0).max() > _EXPI_THETA
+    traj = evolve_driven(params, None, cfg)
+    ref, drifts = per_step_driven(params, cfg)
+    npt.assert_allclose(traj.amplitudes, ref, rtol=0, atol=1e-12)
+    assert abs(traj.max_norm_drift - drifts.max()) <= 1e-13
+
+
+def test_midpoint_kernel_runs_without_eigh(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the midpoint kernel called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for params in _DRIVEN_PARAMS:
+        evolve_driven(params, None, EvolutionConfig(dt=0.5, t_max=5.0,
+                                                    method=Method.MIDPOINT))
 
 
 def _trip_texts(params, cfg):
@@ -811,3 +837,45 @@ def test_unitary_evolution_keeps_norm_and_matches_expm(h_psi0, times):
     for t, state in zip(times, traj.states):
         exact = expm(-1j * h.matrix * t) @ psi0.amplitudes
         npt.assert_allclose(state.amplitudes, exact, rtol=0, atol=1e-10)
+
+
+# -- the eigh-free exponential of the midpoint step ------------------------------
+
+
+def _norm_1(m):
+    return np.abs(m).sum(axis=-2).max(axis=-1)
+
+
+@st.composite
+def _hermitian_stack(draw):
+    """A stack of 1 to 5 random d x d hermitian matrices, d from 1 to 12,
+    real symmetric or complex, each scaled to a drawn 1-norm: some below
+    _EXPI_THETA, the others up to 50, so the double-angle branch runs."""
+    d = draw(st.integers(1, 12))
+    norms = np.array(draw(st.lists(st.one_of(st.floats(0.0, _EXPI_THETA),
+                                             st.floats(0.0, 50.0)),
+                                   min_size=1, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.normal(size=(len(norms), d, d))
+    if draw(st.booleans()):
+        m = m + 1j * rng.normal(size=m.shape)
+    m = m + np.swapaxes(m, -1, -2).conj()
+    return m * (norms / _norm_1(m))[:, None, None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hermitian_stack())
+@example(np.zeros((1, 4, 4)))
+@example(np.array([[[0.7]]]))
+@example(np.array([[[_EXPI_THETA]], [[-_EXPI_THETA]]]))   # the largest undoubled sums
+@example(np.array([[[-40.0, 3.0], [3.0, 25.0]]]))      # 1-norm 43: nine doublings
+def test_expi_matches_expm_and_each_matrix_alone(a):
+    norms = _norm_1(a)
+    u = _expi(a, norms)
+    assert u.shape == a.shape and u.dtype == complex
+    for k in range(len(a)):
+        # up to _EXPI_THETA no doubling runs and the Taylor sums alone must
+        # hold to a few ulps, which a lower degree would miss by far
+        tol = 1e-15 if norms[k] <= _EXPI_THETA else 1e-13 * max(1.0, norms[k])
+        npt.assert_allclose(u[k], expm(-1j * a[k]), rtol=0, atol=tol)
+        assert _expi(a[k], norms[k]).tobytes() == u[k].tobytes()
