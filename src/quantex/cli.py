@@ -3,9 +3,10 @@
 Scenarios are JSON documents validated against the published schema
 (``quantex/schema/scenario.schema.json``; unknown keys are rejected).  A
 run writes CSV/JSON artifacts plus ``manifest.json`` (config hash,
-constants-table version and hash, tolerances) into the output directory;
-every write is temp-file + rename and nothing is written until the whole
-computation has finished, so a failed run leaves no partial artifacts.
+constants-table version and hash, tolerances) into the output directory.
+Every file of a run is written into a staging directory beside the output
+directory and moved in only once all of them are written, so a failed run
+leaves no partial artifacts.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical-tolerance abort,
 64 unknown subcommand.
@@ -18,8 +19,10 @@ import functools
 import hashlib
 import json
 import os
+import shutil
 import sys
-from dataclasses import dataclass
+import tempfile
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -100,8 +103,8 @@ def bundled_scenarios() -> dict[str, str]:
 
 
 def load_config(source: str) -> dict:
-    """Load a scenario from a filesystem path or a bundled scenario name."""
-    if os.path.exists(source):
+    """Load a scenario from a file (not a directory) or a bundled name."""
+    if os.path.isfile(source):
         with open(source, "r", encoding="utf-8") as fh:
             try:
                 return json.load(fh)
@@ -118,9 +121,40 @@ class Scenario:
     name: str
     kind: str
     config: dict
+    # output key -> file name of each artifact but the manifest
+    outputs: dict[str, str] = field(default_factory=dict)
     model: ModelSpec | None = None
     evolution: EvolutionConfig | None = None
     target: tuple[int, int] | None = None
+    constants: PhysicalConstants = field(default_factory=PhysicalConstants.from_env)
+
+
+_SIGNATURE_AXES = ("detuning", "intensity", "time")
+
+# the output keys each kind names its files from
+_OUTPUT_KEYS = {"audit": ("csv", "json"), "scan": ("csv",),
+                "signatures": ("csv_prefix", "json"),
+                "golden_rule": ("csv", "json"), "constants": ("csv", "json")}
+
+
+def _output_names(kind: str, output: dict) -> dict[str, str]:
+    """Output key -> file name of each artifact but the manifest that a
+    ``kind`` run writes, and the one place its runner takes names from."""
+    unknown = [key for key in output if key not in _OUTPUT_KEYS[kind]]
+    if unknown:
+        raise ConfigError(f"{kind} scenarios write no output {', '.join(unknown)}; "
+                          f"they take {' and '.join(_OUTPUT_KEYS[kind])}")
+    names = dict(output)
+    if kind == "signatures":
+        prefix = names.pop("csv_prefix", "scan")
+        names = {axis: f"{prefix}_{axis}.csv" for axis in _SIGNATURE_AXES} | names
+    files = list(names.values())
+    for name in files:
+        if name == "manifest.json":
+            raise ConfigError("the output name manifest.json is the run manifest's")
+        if files.count(name) > 1:
+            raise ConfigError(f"two outputs are named {name}")
+    return names
 
 
 def _build_model(block: dict) -> ModelSpec:
@@ -148,7 +182,8 @@ def validate_config(cfg: dict) -> Scenario:
         raise ConfigError(f"schema violation at {list(error.absolute_path)}: "
                           f"{error.message}") from error
 
-    scenario = Scenario(name=cfg["scenario"], kind=cfg["kind"], config=cfg)
+    scenario = Scenario(name=cfg["scenario"], kind=cfg["kind"], config=cfg,
+                        outputs=_output_names(cfg["kind"], cfg["output"]))
     try:
         if "model" in cfg:
             scenario.model = _build_model(cfg["model"])
@@ -178,17 +213,11 @@ def validate_config(cfg: dict) -> Scenario:
             raise ConfigError("initial_state applies to audit scenarios only")
         _check_initial(cfg["initial_state"], model)
 
-    if kind == "scan":
+    if kind in ("scan", "signatures"):
         if model.back_reaction:
             raise ConfigError("scans drive the prescribed or quantized models only")
-        _check_scan_axes(cfg["scan"]["axis"], _build_axis(cfg["scan"], "scan"), model)
-    elif kind == "signatures":
-        if model.back_reaction:
-            raise ConfigError("signature scans drive the prescribed or quantized "
-                              "models only")
-        for axis_name in ("detuning", "intensity", "time"):
-            _check_scan_axes(axis_name,
-                             _build_axis(cfg["scans"][axis_name], axis_name), model)
+        for axis_name, block in _scan_blocks(cfg).items():
+            _check_scan_axes(axis_name, _build_axis(block, axis_name), model)
     elif kind == "audit":
         if scenario.target is not None and scenario.target[0] != model.params.detector:
             raise ConfigError(f"audit target {scenario.target} must sit on the "
@@ -202,6 +231,13 @@ def validate_config(cfg: dict) -> Scenario:
         if g["points"] > 1 and g["nu_stop"] == g["nu_start"]:
             raise ConfigError("constants grid needs distinct nu bounds")
     return scenario
+
+
+def _scan_blocks(cfg: dict) -> dict:
+    """Axis name -> axis block of every scan a scan or signatures run makes."""
+    if cfg["kind"] == "scan":
+        return {cfg["scan"]["axis"]: cfg["scan"]}
+    return {axis: cfg["scans"][axis] for axis in _SIGNATURE_AXES}
 
 
 def _check_initial(block: dict, model: ModelSpec):
@@ -238,79 +274,75 @@ def _check_scan_axes(axis_name: str, axis: np.ndarray, model: ModelSpec):
 
 
 # ---------------------------------------------------------------------------
-# execution
+# execution: each runner returns its artifacts as {file name: writer(path)}
 
 
-def _initial_quantum_state(scenario: Scenario):
-    block = scenario.config.get("initial_state", {"type": "default"})
-    model = scenario.model
-    if block["type"] == "default":
-        return default_initial_state(model)
-    if block["type"] == "ground":
-        return ground_state(model.params.space)
-    if block["type"] == "fock":
-        return basis_state(model.params.space, block["levels"])
-    raise ConfigError(f"unsupported quantum initial state {block['type']!r}")
+def _write_text(path: Path, text: str):
+    path.write_text(text, encoding="ascii", newline="\n")
+
+
+def _json(payload):
+    """Writer of the JSON document ``payload()``, built only when written."""
+    return lambda path: _write_text(
+        path, json.dumps(payload(), sort_keys=True, indent=2) + "\n")
+
+
+def _named(scenario: Scenario, **writers) -> dict:
+    """{file name: writer} for each of ``writers``, keyed like
+    ``scenario.outputs``, that the config names a file for."""
+    return {scenario.outputs[key]: write for key, write in writers.items()
+            if key in scenario.outputs}
 
 
 def _run_audit(scenario: Scenario) -> dict:
-    model, cfg = scenario.model, scenario.evolution
+    model, cfg, space = scenario.model, scenario.evolution, scenario.model.params.space
+    block = scenario.config.get("initial_state", {"type": "default"})
     if model.back_reaction:
-        block = scenario.config.get("initial_state", {"type": "default"})
-        if block["type"] == "hybrid":
-            x, p = float(block["x"]), float(block["p"])
-        else:
-            x, p = 0.0, float(model.params.x0)
-        s0 = HybridState(x, p, ground_state(model.params.space))
-        traj = evolve_hybrid(model, s0, cfg)
+        x, p = ((float(block["x"]), float(block["p"])) if block["type"] == "hybrid"
+                else (0.0, float(model.params.x0)))
+        traj = evolve_hybrid(model, HybridState(x, p, ground_state(space)), cfg)
     else:
-        traj, _ = run_point(model, cfg, initial=_initial_quantum_state(scenario))
-
+        psi0 = (basis_state(space, block["levels"]) if block["type"] == "fock"
+                else ground_state(space) if block["type"] == "ground"
+                else default_initial_state(model))
+        traj, _ = run_point(model, cfg, initial=psi0)
     ledger = energy_ledger(traj, model)
-    results = {"ledger": ledger}
-    if "json" in scenario.config["output"]:
+
+    def summary():
         if model.back_reaction:
             residual = ledger.backreaction_residual
-            results["summary"] = {
+            return {
                 "model": model.tag,
                 "max_total_drift": ledger.total_drift(),
                 "max_abs_residual": float(np.nanmax(np.abs(residual)))
                 if residual is not None else None,
-                "e_classical_delta": float(ledger.e_classical[-1]
-                                           - ledger.e_classical[0]),
+                "e_classical_delta": float(ledger.e_classical[-1] - ledger.e_classical[0]),
             }
-        else:
-            level = scenario.target[1] if scenario.target else 1
-            report = conditioned_energy_deficit(traj, model, level=level)
-            results["summary"] = {"model": model.tag, **report.to_dict()}
-    return results
+        level = scenario.target[1] if scenario.target else 1
+        report = conditioned_energy_deficit(traj, model, level=level)
+        return {"model": model.tag, **report.to_dict()}
+
+    return _named(scenario, csv=functools.partial(ledger_to_csv, ledger),
+                  json=_json(summary))
+
+
+def _scans(scenario: Scenario) -> dict:
+    runs = {"detuning": detuning_scan, "intensity": intensity_scan, "time": time_scan}
+    return {axis: runs[axis](scenario.model, scenario.evolution,
+                             _build_axis(block, axis), target=scenario.target)
+            for axis, block in _scan_blocks(scenario.config).items()}
 
 
 def _run_scan(scenario: Scenario) -> dict:
-    cfg = scenario.config
-    axis = _build_axis(cfg["scan"], "scan")
-    name = cfg["scan"]["axis"]
-    runner = {"detuning": detuning_scan, "intensity": intensity_scan,
-              "time": time_scan}[name]
-    scan = runner(scenario.model, scenario.evolution, axis, target=scenario.target)
-    return {"scan": scan}
+    (scan,) = _scans(scenario).values()
+    return _named(scenario, csv=functools.partial(scan_to_csv, scan))
 
 
 def _run_signatures(scenario: Scenario) -> dict:
-    cfg = scenario.config
-    scans = {
-        "detuning": detuning_scan(scenario.model, scenario.evolution,
-                                  _build_axis(cfg["scans"]["detuning"], "detuning"),
-                                  target=scenario.target),
-        "intensity": intensity_scan(scenario.model, scenario.evolution,
-                                    _build_axis(cfg["scans"]["intensity"], "intensity"),
-                                    target=scenario.target),
-        "time": time_scan(scenario.model, scenario.evolution,
-                          _build_axis(cfg["scans"]["time"], "time"),
-                          target=scenario.target),
-    }
-    report = signature_report(scans["detuning"], scans["intensity"], scans["time"])
-    return {"scans": scans, "report": report}
+    scans = _scans(scenario)
+    csvs = {axis: functools.partial(scan_to_csv, scan) for axis, scan in scans.items()}
+    return _named(scenario, **csvs,
+                  json=_json(lambda: signature_report(*scans.values()).to_dict()))
 
 
 def _run_golden_rule(scenario: Scenario) -> dict:
@@ -318,150 +350,85 @@ def _run_golden_rule(scenario: Scenario) -> dict:
     deltas = block["g"] * np.geomspace(block["ratio_min"], block["ratio_max"],
                                        block["points"])
     scan = rabi_peak_scan(block["g"], deltas)
-    fit = golden_rule_fit(scan)
-    return {"scan": scan, "fit": fit}
+    return _named(scenario, csv=functools.partial(scan_to_csv, scan),
+                  json=_json(lambda: {"fit": golden_rule_fit(scan).to_dict(),
+                                      "expected_slope": -2.0}))
 
 
 def _run_constants(scenario: Scenario) -> dict:
     block = scenario.config["gravito"]
-    constants = PhysicalConstants.from_env()
-    if block["points"] == 1:
-        nus = np.array([block["nu_start"]])
-    else:
-        nus = np.linspace(block["nu_start"], block["nu_stop"], block["points"])
-    rows, worst = [], 0.0
+    constants = scenario.constants
+    nus = np.linspace(block["nu_start"], block["nu_stop"], block["points"])
+    lines, worst = ["nu,vacuum_coupling,drive_coupling,zero_point_x0,"
+                    "interaction_coefficient,wave_energy_density"], 0.0
     for nu in nus:
         p = GravitoParams(mass=block["mass"], length=block["length"], nu=float(nu),
                           omega0=block["omega0"], strain=block["strain"],
                           volume=block["volume"])
         mapped = gravito_classical_params(p, constants=constants)
         coeff = gravito_interaction_coefficient(p, constants=constants)
-        rows.append({
-            "nu": float(nu),
-            "vacuum_coupling": gravito_vacuum_coupling(p, constants=constants),
-            "drive_coupling": mapped.coupling,
-            "zero_point_x0": mapped.x0,
-            "interaction_coefficient": coeff,
-            "wave_energy_density": gw_energy_density(p, constants=constants),
-        })
+        row = (nu, gravito_vacuum_coupling(p, constants=constants), mapped.coupling,
+               mapped.x0, coeff, gw_energy_density(p, constants=constants))
+        lines.append(",".join(repr(float(v)) for v in row))
         worst = max(worst, abs(mapped.coupling * mapped.x0 - coeff) / coeff)
-    return {"rows": rows, "constants": constants, "identity_dev": worst}
+    table = "\n".join(lines) + "\n"
+    return _named(scenario, csv=lambda path: _write_text(path, table),
+                  json=_json(lambda: {
+                      "constants_version": constants.version,
+                      "constants_hash": constants.table_hash(),
+                      "identity_max_relative_deviation": worst,
+                  }))
+
+
+_RUNNERS = {"audit": _run_audit, "scan": _run_scan, "signatures": _run_signatures,
+            "golden_rule": _run_golden_rule, "constants": _run_constants}
 
 
 # ---------------------------------------------------------------------------
 # artifact writing
 
 
-def _atomic_write_text(path: Path, content: str):
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+def write_artifacts(scenario: Scenario, artifacts: dict, out_dir: Path) -> list[str]:
+    """Write ``artifacts`` ({file name: writer(path)}) and ``manifest.json``
+    into ``out_dir``; returns the written names in write order.
 
-
-def _atomic_csv(write_fn, obj, path: Path):
-    tmp = path.with_name(path.name + ".tmp")
-    write_fn(obj, tmp)
-    os.replace(tmp, path)
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _constants_csv(rows) -> str:
-    cols = ["nu", "vacuum_coupling", "drive_coupling", "zero_point_x0",
-            "interaction_coefficient", "wave_energy_density"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(repr(float(row[c])) for c in cols))
-    return "\n".join(lines) + "\n"
-
-
-def write_artifacts(scenario: Scenario, results: dict, out_dir: Path) -> list[str]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    output = scenario.config["output"]
-    written: list[str] = []
-
-    def emit_json(name: str, payload: dict):
-        _atomic_write_text(out_dir / name, _json_text(payload))
-        written.append(name)
-
-    kind = scenario.kind
-    if kind == "audit":
-        if "csv" in output:
-            _atomic_csv(ledger_to_csv, results["ledger"], out_dir / output["csv"])
-            written.append(output["csv"])
-        if "json" in output:
-            emit_json(output["json"], results["summary"])
-    elif kind == "scan":
-        _atomic_csv(scan_to_csv, results["scan"], out_dir / output["csv"])
-        written.append(output["csv"])
-    elif kind == "signatures":
-        prefix = output.get("csv_prefix", "scan")
-        for axis_name, scan in results["scans"].items():
-            name = f"{prefix}_{axis_name}.csv"
-            _atomic_csv(scan_to_csv, scan, out_dir / name)
-            written.append(name)
-        if "json" in output:
-            emit_json(output["json"], results["report"].to_dict())
-    elif kind == "golden_rule":
-        if "csv" in output:
-            _atomic_csv(scan_to_csv, results["scan"], out_dir / output["csv"])
-            written.append(output["csv"])
-        if "json" in output:
-            emit_json(output["json"], {"fit": results["fit"].to_dict(),
-                                       "expected_slope": -2.0})
-    elif kind == "constants":
-        if "csv" in output:
-            _atomic_write_text(out_dir / output["csv"],
-                               _constants_csv(results["rows"]))
-            written.append(output["csv"])
-        if "json" in output:
-            c = results["constants"]
-            emit_json(output["json"], {
-                "constants_version": c.version,
-                "constants_hash": c.table_hash(),
-                "identity_max_relative_deviation": results["identity_dev"],
-            })
-
+    Every file is written into a staging directory beside ``out_dir`` and
+    moved in only once all of them exist, and the staging directory is
+    removed either way, so a failed write leaves nothing behind."""
+    ev = scenario.evolution
     manifest = {
         "scenario": scenario.name,
         "package_version": __version__,
         "config_sha256": hashlib.sha256(
             json.dumps(scenario.config, sort_keys=True).encode()).hexdigest(),
         "constants": {
-            "version": PhysicalConstants.from_env().version,
-            "hash": PhysicalConstants.from_env().table_hash(),
+            "version": scenario.constants.version,
+            "hash": scenario.constants.table_hash(),
         },
         "tolerances": {
-            "norm_drift_tol": scenario.evolution.norm_drift_tol
-            if scenario.evolution else None,
-            "top_level_tol": scenario.evolution.top_level_tol
-            if scenario.evolution else None,
+            "norm_drift_tol": ev.norm_drift_tol if ev else None,
+            "top_level_tol": ev.top_level_tol if ev else None,
         },
-        "artifacts": sorted(written),
+        "artifacts": sorted(artifacts),
     }
-    _atomic_write_text(out_dir / "manifest.json", _json_text(manifest))
-    written.append("manifest.json")
-    return written
+    artifacts = {**artifacts, "manifest.json": _json(lambda: manifest)}
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", suffix=".tmp",
+                                  dir=out_dir.parent))
+    try:
+        for name, write in artifacts.items():
+            write(stage / name)
+        out_dir.mkdir(exist_ok=True)
+        for name in artifacts:
+            os.replace(stage / name, out_dir / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return list(artifacts)
 
 
 def run_scenario(scenario: Scenario, out_dir: Path) -> list[str]:
-    """Compute everything first, then write; returns written artifact names."""
-    if scenario.kind == "audit":
-        results = _run_audit(scenario)
-    elif scenario.kind == "scan":
-        results = _run_scan(scenario)
-    elif scenario.kind == "signatures":
-        results = _run_signatures(scenario)
-    elif scenario.kind == "golden_rule":
-        results = _run_golden_rule(scenario)
-    elif scenario.kind == "constants":
-        results = _run_constants(scenario)
-    else:  # pragma: no cover - schema forbids it
-        raise ConfigError(f"unknown kind {scenario.kind!r}")
-    return write_artifacts(scenario, results, out_dir)
+    """Run the scenario, then write its artifacts; returns their names."""
+    return write_artifacts(scenario, _RUNNERS[scenario.kind](scenario), out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="bundled scenario name or path to a JSON config")
     run.add_argument("--output-dir", default=None,
                      help="artifact directory (default: ./<scenario name>)")
-    run.add_argument("--workers", type=int, default=1,
-                     help="accepted and ignored, kept for compatibility: scan "
-                          "points run in one process, prescribed-drive scans "
-                          "as one batch")
     run.add_argument("--dt", type=float, default=None,
                      help="override the evolution time step")
     run.add_argument("--t-max", type=float, default=None,
@@ -555,9 +518,6 @@ def main(argv=None) -> int:
     except (ToleranceError, CoherentTailError) as exc:
         print(f"numerical-tolerance abort: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     for name in written:
         print(out_dir / name)
     return EXIT_OK

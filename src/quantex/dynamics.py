@@ -434,23 +434,22 @@ def _expi(a: np.ndarray, bound) -> np.ndarray:
     return u
 
 
-def _step_propagators(method: Method, h0, c, x_of, t0: np.ndarray,
+def _step_propagators(method: Method, h0, c, norms, x_of, t0: np.ndarray,
                       t1: np.ndarray) -> np.ndarray:
     """The one-step propagators ``t0.shape + (d, d)`` from t0 to t1 under
     h0 + x(t) c, so that a step of a state is ``u[k] @ amp``; ``x_of`` maps
     an array of times of ``t0``'s shape to the drive.  Midpoint: H frozen
     at the interval midpoint, ``exp(-i H dt)`` from ``_expi`` with the
-    1-norm bound ``dt (|h0|_1 + |x| |c|_1)``, which depends only on the
-    run's own step.  RK4: the step applied to every basis state (it is
-    linear)."""
+    1-norm bound ``dt (|h0|_1 + |x| |c|_1)`` (``norms`` holds the two
+    1-norms), which depends only on the run's own step.  RK4: the step
+    applied to every basis state (it is linear)."""
     dt = t1 - t0
     if method is Method.MIDPOINT:
         x = x_of(0.5 * (t0 + t1))
         a = x[..., None, None] * c
         a += h0
         a *= dt[..., None, None]
-        norm_1 = lambda m: np.abs(m).sum(axis=0).max(initial=0.0)
-        return _expi(a, dt * (norm_1(h0) + np.abs(x) * norm_1(c)))
+        return _expi(a, dt * (norms[0] + np.abs(x) * norms[1]))
 
     def deriv(x, a):
         return -1j * (a @ h0.T + x * (a @ c.T))
@@ -492,6 +491,7 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     state: row k of run b is its state at step k, for k <= n_steps[b].
     """
     h0, c = _step_matrices(h0, c, cfg.method)
+    norms = [np.abs(m).sum(axis=0).max(initial=0.0) for m in (h0, c)]
     x0s, nus, t_ends = (np.asarray(a, dtype=float) for a in (x0s, nus, t_ends))
     n_steps = np.asarray(n_steps, dtype=int)
     dts = t_ends / n_steps
@@ -512,8 +512,8 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
         k = lo + np.arange(min(max(1, _DRIVE_CHUNK // live.size),
                                n.max() - lo))[:, None]
         t1 = np.where(k == n - 1, t_ends[live], (k + 1) * dt)
-        u = _step_propagators(cfg.method, h0, c, lambda t: x0 * np.sin(nu * t),
-                              k * dt, t1)
+        u = _step_propagators(cfg.method, h0, c, norms,
+                              lambda t: x0 * np.sin(nu * t), k * dt, t1)
         # states as (runs, d, 1) columns: a step is one stacked matvec
         raw = np.empty((len(k), live.size, dim, 1), dtype=complex)
         normed = np.empty_like(raw)

@@ -164,15 +164,83 @@ def test_audit_target_on_the_detector_is_reported(tmp_path):
     assert report["probability"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_workers_flag_is_accepted_and_changes_no_artifact(tmp_path):
-    plain, pooled = tmp_path / "plain", tmp_path / "pooled"
-    args = ["run", "qubit_drive_threshold", "--dt", "0.05", "--output-dir"]
-    assert main(args + [str(plain)]) == EXIT_OK
-    assert main(args + [str(pooled), "--workers", "2"]) == EXIT_OK
-    names = sorted(p.name for p in plain.iterdir())
-    assert names == sorted(p.name for p in pooled.iterdir())
-    for name in names:
-        assert (plain / name).read_bytes() == (pooled / name).read_bytes()
+_BAD_OUTPUTS = [
+    # a scan writes only its csv
+    ("beam_splitter_resonance", {"json": "scan.json"}),
+    ("beam_splitter_resonance", {"csv": "scan.csv", "json": "scan.json"}),
+    # csv_prefix belongs to signatures, whose csvs it names
+    ("energy_audit_semiclassical", {"csv": "ledger.csv", "csv_prefix": "run"}),
+    ("signatures_driven_oscillator", {"csv": "scan.csv", "json": "report.json"}),
+    # one name for two artifacts, or the manifest's name
+    ("energy_audit_semiclassical", {"csv": "audit.out", "json": "audit.out"}),
+    ("signatures_driven_oscillator", {"csv_prefix": "s", "json": "s_time.csv"}),
+    ("energy_audit_semiclassical", {"csv": "manifest.json"}),
+    ("rabi_golden_rule", {"csv": "peak_scan.csv", "json": "manifest.json"}),
+]
+
+
+@pytest.mark.parametrize("name, output", _BAD_OUTPUTS)
+def test_outputs_the_run_cannot_write_exit_2_without_artifacts(tmp_path, capsys,
+                                                              name, output):
+    cfg = json.loads(bundled_scenarios()[name])
+    cfg["output"] = output
+    with pytest.raises(ConfigError):
+        validate_config(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert main(["run", str(path), "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_QUICK_SIGNATURES = ["run", "signatures_driven_oscillator", "--t-max", "2",
+                     "--dt", "0.1", "--output-dir"]
+
+
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    from quantex import cli
+    write_csv, calls = cli.scan_to_csv, []
+
+    def second_write_fails(scan, path):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        write_csv(scan, path)
+
+    monkeypatch.setattr(cli, "scan_to_csv", second_write_fails)
+    runs = tmp_path / "runs"
+    out = runs / "out"
+    with pytest.raises(OSError, match="disk full"):
+        main(_QUICK_SIGNATURES + [str(out)])
+    assert len(calls) == 2
+    assert not out.exists() or not any(out.iterdir())
+    assert [p for p in runs.iterdir() if p != out] == []
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_a_rerun_into_the_same_directory_gives_the_same_bytes(tmp_path, monkeypatch):
+    # the default output directory ./<scenario name> must not be taken for
+    # a config file of that name on the second run
+    monkeypatch.chdir(tmp_path)
+    args = _QUICK_SIGNATURES[:-1]
+    out = tmp_path / "signatures_driven_oscillator"
+    assert main(args) == EXIT_OK
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(args) == EXIT_OK
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    assert sorted(first) == sorted(
+        json.loads(first["manifest.json"])["artifacts"] + ["manifest.json"])
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_workers_flag_is_gone(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "rabi_golden_rule", "--workers", "2",
+                 "--output-dir", str(out)]) == EXIT_CONFIG
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tolerance_abort_exits_3_without_artifacts(tmp_path, capsys):
