@@ -617,10 +617,6 @@ def golden_rule_fit(scan: ScanResult, min_ratio: float = 10.0) -> FitResult:
 # serialization
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
 def ledger_to_csv(ledger: EnergyLedger, path) -> None:
     """Write the ledger; columns: time,e_classical,e_quantum_free,
     e_interaction,e_total,energy_std[,backreaction_residual]."""
@@ -633,8 +629,8 @@ def ledger_to_csv(ledger: EnergyLedger, path) -> None:
         arrays.append(ledger.backreaction_residual)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in zip(*arrays):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in zip(*(col.tolist() for col in arrays)):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def scan_to_csv(scan: ScanResult, path) -> None:
@@ -644,8 +640,6 @@ def scan_to_csv(scan: ScanResult, path) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow([scan.axis_name, "probability", *aux_keys, "error"])
-        for i in range(len(scan.axis)):
-            row = [_fmt(scan.axis[i]), _fmt(scan.probabilities[i])]
-            row += [_fmt(scan.aux[k][i]) for k in aux_keys]
-            row.append(scan.errors[i] or "")
-            out.writerow(row)
+        columns = [scan.axis, scan.probabilities, *(scan.aux[k] for k in aux_keys)]
+        for *values, error in zip(*(col.tolist() for col in columns), scan.errors):
+            out.writerow([*map(repr, values), error or ""])

@@ -9,7 +9,7 @@ directory and moved in only once all of them are written, so a failed run
 leaves no partial artifacts.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical-tolerance abort,
-64 unknown subcommand.
+64 unknown subcommand, 73 artifacts could not be written.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .analysis import (
     signature_report,
     time_scan,
 )
-from .constants import PhysicalConstants
+from .constants import DEFAULT_CONSTANTS
 from .dynamics import (
     EvolutionConfig,
     HybridState,
@@ -70,6 +70,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TOLERANCE = 3
 EXIT_USAGE = 64
+EXIT_CANTCREAT = 73
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,6 @@ class Scenario:
     model: ModelSpec | None = None
     evolution: EvolutionConfig | None = None
     target: tuple[int, int] | None = None
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants.from_env)
 
 
 _SIGNATURE_AXES = ("detuning", "intensity", "time")
@@ -191,7 +191,7 @@ def validate_config(cfg: dict) -> Scenario:
             ev = dict(cfg["evolution"])
             ev["method"] = Method(ev["method"])
             scenario.evolution = EvolutionConfig(**ev)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
     model, kind = scenario.model, scenario.kind
@@ -357,7 +357,6 @@ def _run_golden_rule(scenario: Scenario) -> dict:
 
 def _run_constants(scenario: Scenario) -> dict:
     block = scenario.config["gravito"]
-    constants = scenario.constants
     nus = np.linspace(block["nu_start"], block["nu_stop"], block["points"])
     lines, worst = ["nu,vacuum_coupling,drive_coupling,zero_point_x0,"
                     "interaction_coefficient,wave_energy_density"], 0.0
@@ -365,17 +364,17 @@ def _run_constants(scenario: Scenario) -> dict:
         p = GravitoParams(mass=block["mass"], length=block["length"], nu=float(nu),
                           omega0=block["omega0"], strain=block["strain"],
                           volume=block["volume"])
-        mapped = gravito_classical_params(p, constants=constants)
-        coeff = gravito_interaction_coefficient(p, constants=constants)
-        row = (nu, gravito_vacuum_coupling(p, constants=constants), mapped.coupling,
-               mapped.x0, coeff, gw_energy_density(p, constants=constants))
+        mapped = gravito_classical_params(p)
+        coeff = gravito_interaction_coefficient(p)
+        row = (nu, gravito_vacuum_coupling(p), mapped.coupling, mapped.x0, coeff,
+               gw_energy_density(p))
         lines.append(",".join(repr(float(v)) for v in row))
         worst = max(worst, abs(mapped.coupling * mapped.x0 - coeff) / coeff)
     table = "\n".join(lines) + "\n"
     return _named(scenario, csv=lambda path: _write_text(path, table),
                   json=_json(lambda: {
-                      "constants_version": constants.version,
-                      "constants_hash": constants.table_hash(),
+                      "constants_version": DEFAULT_CONSTANTS.version,
+                      "constants_hash": DEFAULT_CONSTANTS.table_hash(),
                       "identity_max_relative_deviation": worst,
                   }))
 
@@ -402,8 +401,8 @@ def write_artifacts(scenario: Scenario, artifacts: dict, out_dir: Path) -> list[
         "config_sha256": hashlib.sha256(
             json.dumps(scenario.config, sort_keys=True).encode()).hexdigest(),
         "constants": {
-            "version": scenario.constants.version,
-            "hash": scenario.constants.table_hash(),
+            "version": DEFAULT_CONSTANTS.version,
+            "hash": DEFAULT_CONSTANTS.table_hash(),
         },
         "tolerances": {
             "norm_drift_tol": ev.norm_drift_tol if ev else None,
@@ -488,9 +487,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     if args.command == "version":
-        constants = PhysicalConstants.from_env()
         print(f"quantex {__version__}")
-        print(f"constants {constants.version} {constants.table_hash()}")
+        print(f"constants {DEFAULT_CONSTANTS.version} {DEFAULT_CONSTANTS.table_hash()}")
         return EXIT_OK
 
     if args.command == "list-scenarios":
@@ -518,6 +516,9 @@ def main(argv=None) -> int:
     except (ToleranceError, CoherentTailError) as exc:
         print(f"numerical-tolerance abort: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
+    except OSError as exc:
+        print(f"cannot write artifacts: {exc}", file=sys.stderr)
+        return EXIT_CANTCREAT
     for name in written:
         print(out_dir / name)
     return EXIT_OK

@@ -1,10 +1,7 @@
-"""Pinned SI constants table (CODATA 2018) with an override hook for testing.
+"""Pinned SI constants table (CODATA 2018).
 
 All dynamics run in natural units (hbar = 1); SI constants enter only
 through the gravitational-wave parameter mappings in :mod:`quantex.models`.
-The table can be overridden for testing via the ``QUANTEX_CONSTANTS_FILE``
-environment variable pointing at a JSON file with keys ``c``, ``G``,
-``hbar``.
 """
 
 from __future__ import annotations
@@ -12,10 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
-
-CONSTANTS_ENV_VAR = "QUANTEX_CONSTANTS_FILE"
 
 # CODATA 2018. h is exact by SI definition; hbar = h / (2 pi).
 CODATA_VERSION = "CODATA-2018"
@@ -42,22 +36,6 @@ class PhysicalConstants:
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
-
-    @staticmethod
-    def from_env() -> "PhysicalConstants":
-        """Default table, unless QUANTEX_CONSTANTS_FILE points at a JSON
-        override (testing only)."""
-        path = os.environ.get(CONSTANTS_ENV_VAR)
-        if not path:
-            return PhysicalConstants()
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return PhysicalConstants(
-            c=float(data["c"]),
-            G=float(data["G"]),
-            hbar=float(data["hbar"]),
-            version=str(data.get("version", "override")),
-        )
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

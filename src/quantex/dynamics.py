@@ -17,8 +17,8 @@ Three propagators:
   build and one guard pass per chunk.  A midpoint propagator
   ``exp(-i H dt)`` is ``cos - i sin`` of ``H dt`` from Taylor sums in real
   stacked matmuls, scaled and doubled back above a 1-norm of 0.1
-  (``_expi``); the tests hold it to ``scipy.linalg.expm`` within
-  1e-13 max(1, |H dt|_1) and the kernel to an eigendecomposition step
+  (``_expi``); the tests hold it to a reference matrix exponential
+  within 1e-13 max(1, |H dt|_1) and the kernel to an eigendecomposition step
   within 1e-12 absolute, also at steps that take the doubling branch;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation

@@ -14,6 +14,7 @@ Conventions:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -192,17 +193,28 @@ def ground_state(space: SpaceDescriptor) -> StateVector:
     return basis_state(space, [0] * len(space.factors))
 
 
-def _poisson_sf(k, mean: float):
-    """P(N > k) for N ~ Poisson(mean), elementwise over ``k``."""
-    from scipy.special import pdtrc     # heavy import, needed only here
-    return pdtrc(k, mean)
-
-
 def poisson_tail(mean: float, cutoff_dim: int) -> float:
-    """Probability mass of a Poisson(mean) at or above cutoff_dim."""
-    if mean == 0.0:
+    """Probability mass of a Poisson(mean) at or above cutoff_dim.
+
+    The terms mean^k / k! are built relative to the largest, at the mode
+    floor(mean), by cumulative products of mean / k above it and k / mean
+    below it, so none overflows or underflows whatever the mean.
+    ``math.fsum`` adds the tail, and the bulk within ``width`` of the mode
+    that normalises it; each leaves out less than 1e-16 of itself.  Past
+    five widths above the mode every term is below 1e-300, and the tail
+    there is returned as 0.
+    """
+    mode = math.floor(mean)
+    width = math.ceil(10 * math.sqrt(mean)) + 40
+    lo = max(mode - width, 0)
+    if cutoff_dim <= lo:
+        return 1.0
+    if cutoff_dim >= mode + 5 * width:
         return 0.0
-    return float(_poisson_sf(cutoff_dim - 1, mean))
+    down = np.cumprod(np.arange(mode, lo, -1) / mean)[::-1]
+    up = np.cumprod(mean / np.arange(mode + 1, max(cutoff_dim, mode) + width))
+    terms = np.concatenate((down, [1.0], up)).tolist()     # k = lo, lo + 1, ...
+    return math.fsum(terms[cutoff_dim - lo:]) / math.fsum(terms[:mode + width - lo])
 
 
 def min_coherent_cutoff(alpha: complex, tail_tolerance: float = 1e-12) -> int:
@@ -210,17 +222,27 @@ def min_coherent_cutoff(alpha: complex, tail_tolerance: float = 1e-12) -> int:
     if not 0.0 < tail_tolerance < 1.0:
         raise ValueError("tail_tolerance must lie in (0, 1)")
     mean = abs(alpha) ** 2
-    if mean == 0.0:
-        return 2
-    # the tail falls monotonically with dim: take the first dim within
-    # tolerance, doubling the searched range until one is
-    stop = 64 + 2 * math.ceil(mean)
-    while True:
-        dims = np.arange(2, stop)
-        within = _poisson_sf(dims - 1, mean) <= tail_tolerance
-        if within.any():
-            return int(dims[np.argmax(within)])
-        stop *= 2
+
+    def within(dim):
+        return poisson_tail(mean, dim) <= tail_tolerance
+
+    # the tail falls monotonically with dim: double dim until it is within
+    # tolerance, then bisect the last doubling for the first dim that is
+    dim = 2
+    while not within(dim):
+        dim *= 2
+    return bisect.bisect_left(range(dim + 1), True, lo=max(2, dim // 2 + 1), key=within)
+
+
+def check_coherent_cutoff(alpha: complex, dim: int, tail_tolerance: float) -> None:
+    """Raise CoherentTailError when the Fock cutoff ``dim`` leaves more than
+    ``tail_tolerance`` of the coherent state's Poisson mass above it."""
+    mean = abs(alpha) ** 2
+    tail = poisson_tail(mean, dim)
+    if tail > tail_tolerance:
+        raise CoherentTailError(
+            f"cutoff {dim} leaves tail mass {tail:.3e} > {tail_tolerance:.3e} "
+            f"for |alpha|^2 = {mean:g}")
 
 
 def coherent_state(space: SpaceDescriptor, factor_index: int,
@@ -231,12 +253,8 @@ def coherent_state(space: SpaceDescriptor, factor_index: int,
     spec.tail_tolerance instead of silently renormalizing a bad cutoff.
     """
     dim = space.boson_factor(factor_index).dim
+    check_coherent_cutoff(spec.alpha, dim, spec.tail_tolerance)
     mean = abs(spec.alpha) ** 2
-    tail = poisson_tail(mean, dim)
-    if tail > spec.tail_tolerance:
-        raise CoherentTailError(
-            f"cutoff {dim} keeps tail mass {tail:.3e} > {spec.tail_tolerance:.3e} "
-            f"for |alpha|^2 = {mean:g}")
     n = np.arange(dim)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
     mags = np.exp(-mean / 2.0 + n * np.log(abs(spec.alpha)) - log_fact / 2.0) \

@@ -27,7 +27,6 @@ from typing import ClassVar
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .errors import CoherentTailError
 from .hilbert import (
     Boson,
     CoherentSpec,
@@ -36,9 +35,9 @@ from .hilbert import (
     StateVector,
     TwoLevel,
     basis_state,
+    check_coherent_cutoff,
     coherent_state,
     ground_state,
-    poisson_tail,
 )
 
 __all__ = [
@@ -204,11 +203,7 @@ class BeamSplitterParams(_Family):
         _require_nonnegative(g=self.g)
         if min(self.field_cutoff, self.detector_cutoff) < 2:
             raise ValueError("cutoffs must be >= 2")
-        tail = poisson_tail(abs(self.alpha) ** 2, self.field_cutoff)
-        if tail > self.tail_tolerance:
-            raise CoherentTailError(
-                f"field_cutoff {self.field_cutoff} keeps tail {tail:.3e} > "
-                f"{self.tail_tolerance:.3e} for |alpha|^2 = {abs(self.alpha) ** 2:g}")
+        check_coherent_cutoff(self.alpha, self.field_cutoff, self.tail_tolerance)
 
     @property
     def space(self) -> SpaceDescriptor:

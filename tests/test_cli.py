@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from quantex.cli import (
+    EXIT_CANTCREAT,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_TOLERANCE,
@@ -199,7 +201,7 @@ _QUICK_SIGNATURES = ["run", "signatures_driven_oscillator", "--t-max", "2",
                      "--dt", "0.1", "--output-dir"]
 
 
-def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     from quantex import cli
     write_csv, calls = cli.scan_to_csv, []
 
@@ -212,8 +214,8 @@ def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "scan_to_csv", second_write_fails)
     runs = tmp_path / "runs"
     out = runs / "out"
-    with pytest.raises(OSError, match="disk full"):
-        main(_QUICK_SIGNATURES + [str(out)])
+    assert main(_QUICK_SIGNATURES + [str(out)]) == EXIT_CANTCREAT
+    assert capsys.readouterr().err == "cannot write artifacts: disk full\n"
     assert len(calls) == 2
     assert not out.exists() or not any(out.iterdir())
     assert [p for p in runs.iterdir() if p != out] == []
@@ -323,44 +325,33 @@ def test_module_entrypoint_runs():
     assert "quantex" in proc.stdout
 
 
-def test_a_driven_run_never_loads_scipy(tmp_path):
-    # scipy is imported only where a coherent-state tail needs it; a
-    # prescribed-drive scenario and the driven closed form must run without it
+def test_runs_need_no_scipy(tmp_path):
+    # with sys.modules["scipy"] = None every import of scipy fails: every
+    # bundled scenario must still validate, and the coherent-field (beam
+    # splitter) and driven scenarios and closed forms must still run
     import quantex
+    runs = ("signatures_beam_splitter", "beam_splitter_resonance", "qubit_drive_threshold")
     code = (
-        "import sys, pathlib, quantex, quantex.cli as cli\n"
-        "s = cli.validate_config(cli.load_config('qubit_drive_threshold'))\n"
-        "cli.run_scenario(s, pathlib.Path(sys.argv[1]))\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import quantex, quantex.cli as cli\n"
+        "for name in cli.bundled_scenarios():\n"
+        "    cli.validate_config(cli.load_config(name))\n"
+        f"for name in {runs!r}:\n"
+        "    out = sys.argv[1] + '/' + name\n"
+        "    assert cli.main(['run', name, '--output-dir', out]) == 0, name\n"
         "p = quantex.DrivenOscillatorParams(omega=1.0, nu=0.5, coupling=1e-3, x0=1.0)\n"
         "quantex.coherent_amplitude_beta(p, 20.0)\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m == 'scipy' or m.startswith('scipy.')))\n"
+        "assert quantex.min_coherent_cutoff(4.0) > 16\n"
     )
     src = str(Path(quantex.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-    assert (tmp_path / "out" / "manifest.json").exists()
-
-
-def test_constants_table_env_override(tmp_path, monkeypatch, capsys):
-    from quantex.constants import CONSTANTS_ENV_VAR, PhysicalConstants
-
-    default_hash = PhysicalConstants().table_hash()
-    override = tmp_path / "constants.json"
-    override.write_text(json.dumps(
-        {"c": 3.0e8, "G": 6.6e-11, "hbar": 1.05e-34, "version": "test-table"}))
-    monkeypatch.setenv(CONSTANTS_ENV_VAR, str(override))
-    table = PhysicalConstants.from_env()
-    assert table.c == 3.0e8
-    assert table.version == "test-table"
-    assert table.table_hash() != default_hash
-    assert main(["version"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "test-table" in out
+    for name in runs:
+        assert (tmp_path / name / "manifest.json").exists()
 
 
 def test_trajectory_and_scan_arrays_are_read_only():
@@ -373,3 +364,14 @@ def test_trajectory_and_scan_arrays_are_read_only():
         traj.times[0] = 5.0
     with pytest.raises(ValueError):
         traj.classical[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 1e200])
+def test_a_non_finite_coherent_amplitude_is_a_config_error(tmp_path, alpha):
+    # json writes and reads Infinity and NaN; the Poisson tail of such an
+    # amplitude is undefined, and 1e200 squared overflows
+    cfg = json.loads(bundled_scenarios()["beam_splitter_resonance"])
+    cfg["model"]["params"]["alpha"] = alpha
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path)]) == EXIT_CONFIG

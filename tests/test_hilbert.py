@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -174,20 +175,60 @@ def test_min_coherent_cutoff_tail_bound():
         assert poisson_tail(alpha ** 2, dim - 1) > 1e-12 or dim == 2
 
 
-def test_poisson_tail_and_cutoff_match_scipy_stats():
-    from scipy.stats import poisson
+def _exact_poisson_tail(mean: float, dim: int) -> float:
+    """P(N >= dim) for N ~ Poisson(mean), summed term by term in 60-digit
+    decimal arithmetic from the exact binary value of ``mean``."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        m = decimal.Decimal(mean)
+        term = (-m).exp()
+        for k in range(1, dim + 1):
+            term = term * m / k
+        total, k = decimal.Decimal(0), dim
+        while term >= total * decimal.Decimal("1e-40") or k <= mean:
+            total += term
+            k += 1
+            term = term * m / k
+        return float(total)
 
+
+def _check_tail_and_cutoffs(mean, dims, tols):
     from quantex.hilbert import poisson_tail
+    for dim in dims:
+        assert poisson_tail(mean, dim) == pytest.approx(
+            _exact_poisson_tail(mean, dim), rel=1e-14, abs=1e-300)
+    for tol in tols:
+        # the smallest dim >= 2 whose tail mass is within tolerance
+        dim = min_coherent_cutoff(math.sqrt(mean), tol)
+        assert _exact_poisson_tail(mean, dim) <= tol
+        assert dim == 2 or _exact_poisson_tail(mean, dim - 1) > tol
+
+
+def test_poisson_tail_and_cutoff_match_exact_sum():
     for mean in (1e-6, 0.01, 0.5, 1.0, 3.7, 4.0, 16.0, 50.0, 400.0):
-        for dim in range(2, 120, 3):
-            assert poisson_tail(mean, dim) == pytest.approx(
-                poisson.sf(dim - 1, mean), rel=1e-14, abs=1e-300)
-        for tol in (0.5, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15):
-            # the smallest dim >= 2 whose tail mass is within tolerance
-            dim = min_coherent_cutoff(math.sqrt(mean), tol)
-            assert poisson.sf(dim - 1, mean) <= tol
-            assert dim == 2 or poisson.sf(dim - 2, mean) > tol
-            assert dim == max(2, int(poisson.isf(tol, mean)) + 1)
+        _check_tail_and_cutoffs(mean, range(2, 120, 3),
+                                (0.5, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15))
+
+
+@pytest.mark.parametrize("mean", [750.5, 1e3, 1e4])
+def test_poisson_tail_holds_where_exp_of_minus_mean_underflows(mean):
+    # exp(-mean) is 0 in double precision above a mean of about 745; the
+    # terms are built from the mode, so the tail needs no exp(-mean)
+    assert math.exp(-mean) == 0.0
+    s = math.sqrt(mean)
+    dims = [2, int(mean - 5 * s), int(mean), int(mean + 3 * s), int(mean + 8 * s),
+            int(mean + 12 * s)]
+    _check_tail_and_cutoffs(mean, dims, (0.5, 1e-6, 1e-12, 1e-40))
+
+
+def test_poisson_tail_far_from_the_mode():
+    # a cutoff far below the mean leaves all the mass above it and one far
+    # above the mean leaves none; neither builds terms out to the cutoff
+    from quantex.hilbert import poisson_tail
+    assert poisson_tail(1e10, 10) == 1.0
+    assert poisson_tail(1.0, 10 ** 12) == 0.0
+    assert poisson_tail(0.0, 0) == 1.0
+    assert poisson_tail(0.0, 2) == 0.0
 
 
 @pytest.mark.parametrize("tol", [-1e-12, 0.0, 1.0, float("nan")])
