@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .dynamics import (
     EvolutionConfig,
     Trajectory,
     evolve_driven,
-    evolve_unitary,
-    evolve_unitary_at,
     rabi_probability,
 )
 from . import dynamics as _dyn
@@ -113,8 +111,7 @@ def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
     p = model.params
     if traj.space != p.space:
         raise ValueError("trajectory space does not match the model")
-    field_free, detector_free, _ = p.parts()
-    coupling = p.free_and_coupling()[1]
+    field_free, detector_free, (src, dst, amp) = p.parts()
     amps = traj.amplitudes
     probs = np.abs(amps) ** 2
     if p.driven:
@@ -132,7 +129,15 @@ def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
     e_qf = probs @ detector_free
     # every (n_t, d) temporary is as large as the trajectory: keep few alive
     del probs
-    c_amps = amps @ coupling.T
+    # C psi per row: the driven families multiply by the dense coupling they
+    # step with (hop sums would round differently); the quantized families
+    # apply their hops amp |dst><src| + h.c. and build no d x d array
+    if p.driven:
+        c_amps = amps @ p.free_and_coupling()[1].T
+    else:
+        c_amps = np.zeros_like(amps)
+        np.add.at(c_amps, (slice(None), dst), amp * amps[:, src])
+        np.add.at(c_amps, (slice(None), src), np.conj(amp) * amps[:, dst])
     cexp = _expect_rows(amps, c_amps)       # <C> carries the coupling
     e_int = xs * cexp
     e_tot = e_cl + e_qf + e_int
@@ -185,15 +190,7 @@ class DeficitReport:
     probability: float
 
     def to_dict(self) -> dict:
-        return {
-            "deficit": self.deficit,
-            "e_before": self.e_before,
-            "e_after": self.e_after,
-            "field_quantum": self.field_quantum,
-            "detector_quantum": self.detector_quantum,
-            "e_diff": self.e_diff,
-            "probability": self.probability,
-        }
+        return asdict(self)
 
 
 def conditioned_energy_deficit(traj: Trajectory, model: ModelSpec,
@@ -293,7 +290,9 @@ def run_point(model: ModelSpec, cfg: EvolutionConfig,
     if model.is_driven:
         traj = evolve_driven(model.params, initial, cfg)
     else:
-        traj = evolve_unitary(model.params.hamiltonian(), initial, cfg)
+        field, detector, hops = model.params.parts()
+        traj = _dyn._evolve_blocks(model.params.space, field + detector, hops,
+                                   initial, cfg.time_grid(), cfg)
     return traj, traj.final_state().population(*target)
 
 
@@ -418,39 +417,25 @@ def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities,
 
 def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
               target: tuple[int, int] | None = None) -> ScanResult:
-    """Target population versus readout time.
+    """Target population versus readout time, as a per-point time scan for
+    both family kinds: every readout time t is a run of its own.
 
-    Quantum families sample the exact propagator at the requested times
-    from a single eigendecomposition (falling back to per-point runs when
-    a guard trips, so failures stay tagged point by point).  Driven models
-    evolve every point to exactly its readout time t, in n steps of t / n
-    with n rounded from t / cfg.dt, so log-spaced grids stay exact; all
-    points run together in one batch and each leaves it when its steps
-    are done (see ``_run_points``).
+    A point evolves to exactly its t on the grid of n steps of t / n, with
+    n rounded from t / cfg.dt, so log-spaced grids stay exact and the
+    guards check every grid sample up to t.  Quantized-field points run
+    one by one from their hop lists; driven points run together in one
+    batch and each leaves it when its steps are done (see
+    ``_run_points``).  A point that trips a guard is tagged with the error
+    its own run raises.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0):
         raise ValueError("readout times must be positive")
-    if target is None:
-        target = default_target(model)
-    fixed = {"omega": model.params.omega, "coupling": _coupling_of(model)}
-
-    if not model.is_driven:
-        psi0 = default_initial_state(model)
-        try:
-            traj = evolve_unitary_at(model.params.hamiltonian(), psi0, times, cfg)
-            probs = traj.population_series(*target)
-            return ScanResult("time", times, probs, model.tag, fixed=fixed)
-        except ToleranceError:
-            pass  # per-point fallback keeps the error tags granular
-
-    def point_cfg(t: float) -> EvolutionConfig:
-        n = max(1, int(round(t / cfg.dt)))
-        return replace(cfg, dt=t / n, t_max=t)
-
-    results = _run_points(lambda i: model, [point_cfg(float(t)) for t in times],
-                          target)
-    return _scan_result("time", times, results, model, fixed)
+    cfgs = [replace(cfg, dt=t / max(1, round(t / cfg.dt)), t_max=t)
+            for t in times.tolist()]
+    results = _run_points(lambda i: model, cfgs, target)
+    return _scan_result("time", times, results, model,
+                        {"omega": model.params.omega, "coupling": _coupling_of(model)})
 
 
 def rabi_peak_scan(g: float, deltas) -> ScanResult:
@@ -476,8 +461,7 @@ class SignatureCheck:
     tolerance: dict
 
     def to_dict(self) -> dict:
-        return {"status": self.status, "statistic": self.statistic,
-                "tolerance": self.tolerance}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -583,8 +567,7 @@ class FitResult:
     n_points: int
 
     def to_dict(self) -> dict:
-        return {"slope": self.slope, "stderr": self.stderr,
-                "intercept": self.intercept, "n_points": self.n_points}
+        return asdict(self)
 
 
 def loglog_slope(x, y) -> FitResult:

@@ -9,7 +9,8 @@ directory and moved in only once all of them are written, so a failed run
 leaves no partial artifacts.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical-tolerance abort,
-64 unknown subcommand, 73 artifacts could not be written.
+64 unknown subcommand, 73 artifacts could not be written.  A stdout whose
+reader has gone (``quantex list-scenarios | head -1``) is not an error.
 """
 
 from __future__ import annotations
@@ -472,6 +473,17 @@ def _apply_overrides(cfg: dict, dt: float | None, t_max: float | None) -> dict:
 
 
 def main(argv=None) -> int:
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``quantex list-scenarios | head -1``);
+        # stdout is flushed again at exit, so send that flush to os.devnull
+        sys.stdout, status = open(os.devnull, "w"), EXIT_OK
+    return status
+
+
+def _main(argv) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
         print(f"unknown subcommand {argv[0]!r}; expected one of: "

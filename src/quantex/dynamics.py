@@ -3,10 +3,13 @@
 Three propagators:
 
 * ``evolve_unitary`` -- exact eigendecomposition propagation for a
-  time-independent hermitian Hamiltonian, diagonalised block by block
-  along the connected components of its nonzero pattern (the
+  time-independent hermitian Hamiltonian.  Its one route,
+  ``_evolve_blocks``, takes H as a diagonal plus hops and diagonalises it
+  block by block along the connected components of its hop graph (the
   excitation-number sectors of the quantized-field families), which a
-  numpy min-label propagation finds;
+  numpy min-label propagation finds.  The quantized families enter it
+  from their hop lists and never build a dense matrix; an ``Operator``
+  enters as its diagonal and the hops of its upper triangle;
 * ``evolve_driven`` -- Schroedinger evolution under a sinusoidal classical
   drive ``x(t) = x0 sin(nu t)``, with the Hamiltonian frozen at interval
   midpoints (second order in dt) or integrated by RK4.  It is one run of
@@ -264,20 +267,19 @@ def _checked_state(amp: np.ndarray, t, cfg: EvolutionConfig,
 # propagators
 
 
-def _component_labels(m: np.ndarray) -> np.ndarray:
-    """Connected-component label of every basis index of ``m``'s nonzero
-    pattern, read as an undirected graph; components are numbered 0, 1, ...
-    in order of their smallest basis index.
+def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of ``n`` basis indices in the
+    graph whose edges are the pairs ``(rows[k], cols[k])``, read as
+    undirected; components are numbered 0, 1, ... in order of their
+    smallest basis index.
 
     Min-label propagation: each index starts as its own label, every
-    nonzero ``m[i, j]`` pulls both ends down to the smaller of their
-    labels, and a pointer jump (``labels[labels]``) shortcuts chains.  A
-    label only ever names a member of its own component and never rises,
-    so once a round changes nothing each component carries its smallest
-    index.
+    edge pulls both ends down to the smaller of their labels, and a
+    pointer jump (``labels[labels]``) shortcuts chains.  A label only ever
+    names a member of its own component and never rises, so once a round
+    changes nothing each component carries its smallest index.
     """
-    rows, cols = np.nonzero(m)
-    labels = np.arange(len(m))
+    labels = np.arange(n)
     while True:
         before = labels.copy()
         np.minimum.at(labels, rows, labels[cols])
@@ -287,55 +289,82 @@ def _component_labels(m: np.ndarray) -> np.ndarray:
             return np.unique(labels, return_inverse=True)[1]
 
 
-def _block_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues ``w`` and eigenvectors ``v`` (columns, paired with
-    ``w``; not in ascending order) of a hermitian matrix, block by block.
+def _block_eigh(diagonal: np.ndarray, hops) -> list:
+    """Eigendecomposition of the hermitian H = diag(diagonal) + hops, block
+    by block.  A hop ``(src, dst, amp)`` is the term
+    ``amp |dst><src| + h.c.``; hops of zero amplitude are dropped.
 
-    The blocks are the connected components of the nonzero pattern of
-    ``m`` (``_component_labels``): basis states that no chain of nonzero
-    elements links never mix, so each component is diagonalised on its own
-    and ``v`` is exactly zero between components.  All blocks of one size
-    go through one stacked ``eigh``.  This is exact for any hermitian matrix and needs no
+    The blocks are the connected components of the hop graph
+    (``_component_labels``): basis states that no chain of hops links
+    never mix.  The blocks of one size s are built straight from the hops
+    as one ``(n_blocks, s, s)`` stack, real when the diagonal and the hop
+    amplitudes are, and go through one stacked ``eigh``.  This needs no
     knowledge of the model: the excitation-number sectors of the beam
     splitter and Jaynes-Cummings, the two-state blocks of the
     counter-rotating Jaynes-Cummings order and the 1x1 blocks of an
-    uncoupled model all show up in the pattern, and a fully coupled ``m``
-    is a single block.
+    uncoupled model all show up in the graph.  Returns, per size class,
+    ``(idx, w, v)``: the basis indices ``(n_blocks, s)`` of each block in
+    ascending order, its eigenvalues ``(n_blocks, s)`` (not sorted) and
+    its eigenvectors, the columns of ``v[b]``.
     """
-    labels = _component_labels(m)
-    # basis indices grouped by component, ascending inside each component
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels)
-    starts = np.cumsum(sizes) - sizes
-    w = np.empty(len(m))
-    v = np.zeros_like(m)
+    src, dst, amp = (a[hops[2] != 0] for a in hops)
+    labels = _component_labels(len(diagonal), src, dst)
+    sizes = np.bincount(labels)[labels]         # the size of each index's block
+    # basis indices by block size, then block, ascending inside each block,
+    # so each size class is one run of ``order``; ``place`` is the inverse
+    order = np.lexsort((labels, sizes))
+    place = np.argsort(order)
+    classes = []
     for size in np.unique(sizes):
-        idx = order[starts[sizes == size][:, None] + np.arange(size)]
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        w[idx], v[rows, cols] = np.linalg.eigh(m[rows, cols])
-    return w, v
+        run = np.flatnonzero(sizes[order] == size)
+        idx = order[run].reshape(-1, size)
+        m = np.zeros(idx.shape + (size,), dtype=np.result_type(diagonal, amp))
+        _diagonals(m)[...] = diagonal[idx]
+        # row b * size + i of the stacked rows is row i of block b
+        on = sizes[src] == size
+        s, d = place[src[on]] - run[0], place[dst[on]] - run[0]
+        rows = m.reshape(-1, size)
+        rows[d, s % size], rows[s, d % size] = amp[on], amp[on].conj()
+        classes.append((idx, *np.linalg.eigh(m)))
+    return classes
+
+
+def _evolve_blocks(space: SpaceDescriptor, diagonal: np.ndarray, hops,
+                   psi0: StateVector, times, cfg: EvolutionConfig) -> Trajectory:
+    """exp(-i H t) psi0 at each of ``times`` for H = diag(diagonal) + hops,
+    from one block eigendecomposition (``_block_eigh``).
+
+    Each block-size class forms every sample in one stacked product
+    ``v (exp(-i w t) v^H psi0)``, and a sample at t = 0 is psi0 itself,
+    so U(0) = I exactly.  There is no integration error; one guard pass
+    checks the norm and the top Fock levels at every sample.
+    """
+    if psi0.space != space:
+        raise ValueError("Hamiltonian and initial state live on different spaces")
+    times = np.asarray(times, dtype=float)
+    amps = np.empty((len(times), space.total_dim), dtype=complex)
+    for idx, w, v in _block_eigh(diagonal, hops):
+        coeffs = v.conj().swapaxes(1, 2) @ psi0.amplitudes[idx][..., None]
+        phases = np.exp(-1j * w * times[:, None, None])[..., None]
+        amps[:, idx] = (v @ (phases * coeffs))[..., 0]
+    amps[times == 0] = psi0.amplitudes
+    amps, drift = _checked_state(amps, times, cfg, _boson_top_indices(space))
+    return Trajectory(space, times, amps, max_norm_drift=float(drift.max(initial=0.0)))
 
 
 def evolve_unitary_at(h: Operator, psi0: StateVector, times,
                       cfg: EvolutionConfig) -> Trajectory:
     """Exact propagation exp(-i h t) psi0 sampled at arbitrary times.
 
-    One eigendecomposition, taken block by block (``_block_eigh``), serves
-    every sample; there is no integration error and the norm / top-level
-    guards still run per sample.
+    The diagonal of ``h`` and the hops of its upper triangle go through
+    ``_evolve_blocks``, the route of the quantized families: no
+    integration error, and the norm / top-level guards run per sample.
     """
     if not (h.hermitian_hint or h.is_hermitian()):
         raise HermiticityError("evolve_unitary requires a hermitian Hamiltonian")
-    if h.space != psi0.space:
-        raise ValueError("Hamiltonian and initial state live on different spaces")
-    times = np.asarray(times, dtype=float)
-    w, v = _block_eigh(h.matrix)
-    coeffs = v.conj().T @ psi0.amplitudes
-    amps = np.empty((len(times), h.space.total_dim), dtype=complex)
-    for k, t in enumerate(times):
-        amps[k] = v @ (np.exp(-1j * w * t) * coeffs)
-    amps, drift = _checked_state(amps, times, cfg, _boson_top_indices(h.space))
-    return Trajectory(h.space, times, amps, max_norm_drift=float(drift.max(initial=0.0)))
+    rows, cols = np.nonzero(np.triu(h.matrix, 1))
+    return _evolve_blocks(h.space, h.matrix.diagonal().real,
+                          (cols, rows, h.matrix[rows, cols]), psi0, times, cfg)
 
 
 def evolve_unitary(h: Operator, psi0: StateVector, cfg: EvolutionConfig) -> Trajectory:

@@ -540,24 +540,69 @@ def test_driven_scan_points_equal_their_serial_runs(make, method, dt, t_max):
         for t in times]
 
 
-def test_quantized_scans_build_the_hamiltonian_once_per_point(monkeypatch):
+def test_quantized_scans_read_the_hop_lists_once_per_point(monkeypatch):
     from quantex import analysis
-    calls = []
-    build = BeamSplitterParams.hamiltonian
+    calls, dense = [], []
+    parts = BeamSplitterParams.parts
 
-    def counting_build(p, x=1.0):
+    def counting_parts(p):
         calls.append(p)
-        return build(p, x)
+        return parts(p)
 
-    monkeypatch.setattr(BeamSplitterParams, "hamiltonian", counting_build)
+    monkeypatch.setattr(BeamSplitterParams, "parts", counting_parts)
+    monkeypatch.setattr(BeamSplitterParams, "hamiltonian",
+                        lambda p, x=1.0: dense.append(p))
     model = _bs_model(detector_cutoff=4)
     cfg = EvolutionConfig(dt=0.5, t_max=10.0)
     assert analysis.default_target(model) == (1, 1)
     assert not calls
     detuning_scan(model, cfg, np.linspace(-0.5, 0.5, 5))
     assert len(calls) == 5
+    # a time scan runs every readout time as a point of its own
     time_scan(model, cfg, np.array([0.1, 1.0, 10.0]))
-    assert len(calls) == 6
+    assert len(calls) == 8
+    assert not dense
+
+
+_JC_ON = JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4)
+
+
+@pytest.mark.parametrize("family, p, cfg", [
+    (ModelFamily.BEAM_SPLITTER,
+     BeamSplitterParams(nu=1.0, omega=1.0, g=0.001, field_cutoff=60,
+                        detector_cutoff=6, alpha=2.0),
+     EvolutionConfig(dt=0.5, t_max=10.0)),
+    (ModelFamily.BEAM_SPLITTER,
+     BeamSplitterParams(nu=1.0, omega=1.0, g=0.0, field_cutoff=60,
+                        detector_cutoff=6, alpha=2.0),
+     EvolutionConfig(dt=0.5, t_max=10.0)),
+    (ModelFamily.JAYNES_CUMMINGS, _JC_ON, EvolutionConfig(dt=0.1, t_max=10 * math.pi)),
+    (ModelFamily.JAYNES_CUMMINGS, replace(_JC_ON, nu=1.2),
+     EvolutionConfig(dt=0.1, t_max=10 * math.pi)),
+    (ModelFamily.JAYNES_CUMMINGS, replace(_JC_ON, g=0.0),
+     EvolutionConfig(dt=0.1, t_max=10 * math.pi)),
+], ids=["beam_splitter_60x6", "beam_splitter_g0", "jc_resonant", "jc_detuned", "jc_g0"])
+def test_run_point_matches_evolve_unitary_of_the_dense_hamiltonian(family, p, cfg):
+    traj, prob = run_point(ModelSpec(family, p), cfg)
+    dense = evolve_unitary(p.hamiltonian(), p.default_initial_state(), cfg)
+    npt.assert_array_equal(traj.times, dense.times)
+    npt.assert_allclose(traj.amplitudes, dense.amplitudes, rtol=0, atol=1e-12)
+    assert prob == pytest.approx(dense.final_state().population(1, 1), rel=0, abs=1e-12)
+
+
+def test_quantized_time_scan_tags_late_top_level_trips_like_serial():
+    # a detector cut at 3 levels holds early on but overflows at late times
+    model = _bs_model(g=0.002, detector_cutoff=3)
+    cfg = EvolutionConfig(dt=0.5, t_max=10.0)
+    times = np.array([0.5, 2.0, 5.0, 10.0])
+    scan = time_scan(model, cfg, times)
+    tags = [_serial_tag(model, replace(cfg, dt=t / max(1, round(t / cfg.dt)), t_max=t))
+            for t in times]
+    assert tags[:2] == [None, None]
+    assert all(tag is not None and "top Fock level" in tag for tag in tags[2:])
+    assert list(scan.errors) == tags
+    assert np.all(np.isfinite(scan.probabilities[:2]))
+    assert np.all(np.isnan(scan.probabilities[2:]))
 
 
 @settings(max_examples=6, deadline=None)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -34,6 +35,32 @@ def test_list_scenarios_names_every_bundled_config(capsys):
     out = capsys.readouterr().out
     for name in bundled_scenarios():
         assert name in out
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command", [["list-scenarios"], ["run", "rabi_golden_rule"]])
+def test_a_closed_stdout_exits_0_without_a_traceback(tmp_path, capsys, monkeypatch,
+                                                     command):
+    argv = command + (["--output-dir", str(tmp_path / "out")] if command[0] == "run"
+                      else [])
+    pipe = _ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    assert main(argv) == EXIT_OK
+    # what stdout still holds is flushed at exit, into os.devnull
+    assert sys.stdout is not pipe and sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
+    if command[0] == "run":
+        assert (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_unknown_subcommand_exits_64(capsys):
@@ -352,6 +379,22 @@ def test_runs_need_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in runs:
         assert (tmp_path / name / "manifest.json").exists()
+
+
+def test_quantized_runs_build_no_dense_matrix(tmp_path, monkeypatch):
+    # the scan and audit paths of the quantized families go from the hop
+    # lists to the block propagator: no Hamiltonian, dense matrix or Operator
+    from quantex import hilbert, models
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a d x d array was built")
+
+    monkeypatch.setattr(models, "_dense", fail)
+    monkeypatch.setattr(models._Family, "hamiltonian", fail)
+    monkeypatch.setattr(hilbert.Operator, "__post_init__", fail)
+    for name in ("signatures_beam_splitter", "beam_splitter_resonance",
+                 "jc_vacuum_exchange"):
+        assert main(["run", name, "--output-dir", str(tmp_path / name)]) == EXIT_OK
 
 
 def test_trajectory_and_scan_arrays_are_read_only():

@@ -737,6 +737,16 @@ def test_block_route_matches_dense_eigh(h, psi0):
                         rtol=0, atol=1e-12)
 
 
+def test_samples_at_t0_are_the_initial_state_itself():
+    # U(0) = I exactly: v v^+ psi0 would round in this 3-state sector
+    p = BeamSplitterParams(nu=1.0, omega=0.9, g=0.3, field_cutoff=4, detector_cutoff=4)
+    psi0 = basis_state(p.space, [2, 0])
+    traj = evolve_unitary_at(p.hamiltonian(), psi0, [0.0, 1.0, 0.0],
+                             EvolutionConfig(dt=0.1, t_max=1.0))
+    assert traj.amplitudes[0].tolist() == psi0.amplitudes.tolist()
+    assert traj.amplitudes[2].tolist() == psi0.amplitudes.tolist()
+
+
 def _permuted_blocks(sizes, rng) -> np.ndarray:
     """A random hermitian matrix with dense blocks of ``sizes`` on the
     diagonal, under a random basis permutation."""
@@ -763,7 +773,13 @@ def _permuted_block_hermitian(draw):
 @settings(max_examples=60, deadline=None)
 @given(_permuted_block_hermitian())
 def test_block_eigh_reproduces_dense_decomposition(m):
-    w, v = _block_eigh(m)
+    # the hops of m's upper triangle, as evolve_unitary_at passes them;
+    # w and v are rebuilt dense from the per-class stacks
+    rows, cols = np.nonzero(np.triu(m, 1))
+    w, v = np.empty(len(m)), np.zeros_like(m)
+    for idx, w_class, v_class in _block_eigh(m.diagonal().real,
+                                             (cols, rows, m[rows, cols])):
+        w[idx], v[idx[:, :, None], idx[:, None, :]] = w_class, v_class
     npt.assert_allclose(np.sort(w), np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
     npt.assert_allclose(v.conj().T @ v, np.eye(len(m)), rtol=0, atol=1e-12)
     npt.assert_allclose((v * w) @ v.conj().T, m, rtol=0, atol=1e-12)
@@ -806,7 +822,7 @@ def test_component_labels_match_scipy_connected_components(m):
     from scipy.sparse.csgraph import connected_components
 
     _, expected = connected_components(csr_array(m != 0), directed=False)
-    labels = _component_labels(m)
+    labels = _component_labels(len(m), *np.nonzero(m))
     assert labels.shape == expected.shape
     assert np.array_equal(labels, expected)
 
