@@ -478,8 +478,11 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early (``quantex list-scenarios | head -1``);
-        # stdout is flushed again at exit, so send that flush to os.devnull
-        sys.stdout, status = open(os.devnull, "w"), EXIT_OK
+        # stdout is flushed again at exit, so point its descriptor at os.devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        status = EXIT_OK
     return status
 
 

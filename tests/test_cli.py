@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import os
@@ -37,14 +36,12 @@ def test_list_scenarios_names_every_bundled_config(capsys):
         assert name in out
 
 
-class _ClosedPipe(io.TextIOBase):
-    """A stdout whose reader has gone: every write raises BrokenPipeError."""
-
-    def writable(self):
-        return True
-
-    def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
+def _closed_pipe():
+    """The write end of a pipe whose reader has gone: writing to it raises
+    BrokenPipeError (Python ignores SIGPIPE)."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
 
 
 @pytest.mark.parametrize("command", [["list-scenarios"], ["run", "rabi_golden_rule"]])
@@ -52,15 +49,30 @@ def test_a_closed_stdout_exits_0_without_a_traceback(tmp_path, capsys, monkeypat
                                                      command):
     argv = command + (["--output-dir", str(tmp_path / "out")] if command[0] == "run"
                       else [])
-    pipe = _ClosedPipe()
-    monkeypatch.setattr(sys, "stdout", pipe)
-    assert main(argv) == EXIT_OK
-    # what stdout still holds is flushed at exit, into os.devnull
-    assert sys.stdout is not pipe and sys.stdout.name == os.devnull
-    sys.stdout.close()
+    with open(_closed_pipe(), "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(argv) == EXIT_OK
+        # what stdout still holds is flushed on close, into os.devnull
+        assert os.path.samestat(os.fstat(pipe.fileno()), os.stat(os.devnull))
     assert capsys.readouterr().err == ""
     if command[0] == "run":
         assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_a_closed_stdout_leaves_no_warning_in_dev_mode():
+    # -X dev turns on ResourceWarning: no file may be left unclosed at exit
+    import quantex
+    src = str(Path(quantex.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    write = _closed_pipe()
+    try:
+        proc = subprocess.run([sys.executable, "-X", "dev", "-m", "quantex.cli",
+                               "list-scenarios"], stdout=write, stderr=subprocess.PIPE,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
 
 
 def test_unknown_subcommand_exits_64(capsys):

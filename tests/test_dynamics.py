@@ -49,6 +49,8 @@ from quantex.dynamics import (
     _component_labels,
     _checked_state,
     _expi,
+    _expi_state,
+    _real_form,
     _step_matrices,
 )
 from quantex.hilbert import NORM_ATOL, CoherentSpec, Operator, StateVector
@@ -383,6 +385,112 @@ def test_chunked_driven_rk4_norm_trip_in_a_later_chunk():
     assert f"at t={cfg.time_grid()[k + 1]:g} " in chunked
 
 
+def per_step_hybrid(model, s0, cfg):
+    """The step-by-step reference for mean-field runs: the Strang split of
+    ``evolve_hybrid`` with each quantum step exponentiated through an
+    eigendecomposition of the midpoint Hamiltonian, <C> from the complex
+    state and one ``_checked_state`` per step, raising the first trip.
+    Returns the amplitudes (n_t, d), the (x, p) track and the worst raw
+    norm drift."""
+    space, lam, nu = model.params.space, model.params.coupling, model.params.nu
+    h0, c = _step_matrices(*model.params.free_and_coupling(), Method.MIDPOINT)
+    times = cfg.time_grid()
+    top_slots = _boson_top_indices(space)
+
+    def c_mean(amp):
+        if lam == 0.0:
+            return 0.0
+        return float(np.real(np.vdot(amp, c @ amp))) / lam
+
+    def classical_half(x, p, mean, h):
+        xc = -lam * mean / nu
+        ch, sh = math.cos(nu * h), math.sin(nu * h)
+        dx = x - xc
+        return xc + dx * ch + p * sh, p * ch - dx * sh
+
+    amp = s0.psi.amplitudes.copy()
+    x, p = float(s0.x), float(s0.p)
+    amps = np.empty((len(times), space.total_dim), dtype=complex)
+    track = np.empty((len(times), 2))
+    amps[0], _ = _checked_state(amp, 0.0, cfg, top_slots)
+    track[0] = (x, p)
+    worst = 0.0
+    for k in range(len(times) - 1):
+        t1 = times[k + 1]
+        dt = t1 - times[k]
+        x, p = classical_half(x, p, c_mean(amp), 0.5 * dt)
+        w, v = np.linalg.eigh(h0 + x * c)
+        amp = v @ (np.exp(-1j * w * dt) * (v.conj().T @ amp))
+        x, p = classical_half(x, p, c_mean(amp), 0.5 * dt)
+        amp, drift = _checked_state(amp, t1, cfg, top_slots)
+        worst = max(worst, float(drift))
+        amps[k + 1], track[k + 1] = amp, (x, p)
+    return amps, track, worst
+
+
+def _oscillator_hybrid(coupling, cutoff=16, p=1.0):
+    params = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=coupling, x0=1.0,
+                                    detector_cutoff=cutoff)
+    model = ModelSpec(ModelFamily.OSCILLATOR_DRIVE, params, back_reaction=True)
+    return model, HybridState(0.0, p, ground_state(params.space))
+
+
+def _assert_hybrid_matches_per_step(model, s0, cfg):
+    traj = evolve_hybrid(model, s0, cfg)
+    amps, track, worst = per_step_hybrid(model, s0, cfg)
+    assert traj.amplitudes.shape == amps.shape
+    npt.assert_allclose(traj.amplitudes, amps, rtol=0, atol=1e-12)
+    npt.assert_allclose(traj.classical, track, rtol=0, atol=1e-12)
+    assert abs(traj.max_norm_drift - worst) <= 1e-14
+
+
+def _hybrid(family, coupling):
+    return (_qubit_hybrid if family == "qubit" else _oscillator_hybrid)(coupling)
+
+
+# dt 0.03 does not divide t_max 10: the steps are 10 / 333
+@pytest.mark.parametrize("family", ["qubit", "oscillator"])
+@pytest.mark.parametrize("coupling, dt, t_max", [(0.1, 0.001, 3.0), (0.0, 0.001, 3.0),
+                                                 (0.1, 0.03, 10.0)])
+def test_hybrid_matches_per_step_route(family, coupling, dt, t_max):
+    model, s0 = _hybrid(family, coupling)
+    _assert_hybrid_matches_per_step(
+        model, s0, EvolutionConfig(dt=dt, t_max=t_max, method=Method.MIDPOINT))
+
+
+@pytest.mark.parametrize("family, dt", [("qubit", 0.3), ("oscillator", 0.05)])
+def test_coarse_hybrid_steps_match_per_step_route(family, dt):
+    # every step's 1-norm bound exceeds _EXPI_THETA, so every quantum step
+    # is cut into substeps
+    model, s0 = _hybrid(family, 0.1)
+    h0, _ = model.params.free_and_coupling()
+    assert dt * np.abs(h0).sum(axis=0).max() > _EXPI_THETA
+    _assert_hybrid_matches_per_step(
+        model, s0, EvolutionConfig(dt=dt, t_max=20.0, method=Method.MIDPOINT))
+
+
+def test_hybrid_top_level_trip_matches_per_step_route():
+    # a kicked pair drives the 4-level detector into its top level
+    model, s0 = _oscillator_hybrid(0.5, cutoff=4, p=3.0)
+    cfg = EvolutionConfig(dt=0.01, t_max=10.0, method=Method.MIDPOINT)
+    with pytest.raises(ToleranceError) as stepped:
+        evolve_hybrid(model, s0, cfg)
+    with pytest.raises(ToleranceError) as per_step:
+        per_step_hybrid(model, s0, cfg)
+    assert str(stepped.value) == str(per_step.value)
+    assert str(stepped.value).startswith("top Fock level of factor 0")
+
+
+def test_hybrid_step_runs_without_eigh(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the hybrid step called eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for model, s0 in (_hybrid("qubit", 0.1), _hybrid("oscillator", 0.1)):
+        evolve_hybrid(model, s0, EvolutionConfig(dt=0.05, t_max=1.0,
+                                                 method=Method.MIDPOINT))
+
+
 def test_trajectory_states_view_reads_the_amplitude_rows():
     p = _DRIVEN_PARAMS[1]
     traj = evolve_driven(p, None, EvolutionConfig(dt=0.1, t_max=2.0,
@@ -462,10 +570,7 @@ def test_hybrid_qubit_backreaction_power_identity_converges():
 
 
 def test_hybrid_oscillator_backreaction_power_identity_converges():
-    p = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0,
-                               detector_cutoff=16)
-    model = ModelSpec(ModelFamily.OSCILLATOR_DRIVE, p, back_reaction=True)
-    s0 = HybridState(0.0, 1.0, ground_state(p.space))
+    model, s0 = _oscillator_hybrid(0.1)
     r1 = _hybrid_residual(model, s0, 0.002)
     r2 = _hybrid_residual(model, s0, 0.001)
     assert math.log2(r1 / r2) >= 1.9
@@ -895,3 +1000,44 @@ def test_expi_matches_expm_and_each_matrix_alone(a):
         tol = 1e-15 if norms[k] <= _EXPI_THETA else 1e-13 * max(1.0, norms[k])
         npt.assert_allclose(u[k], expm(-1j * a[k]), rtol=0, atol=tol)
         assert _expi(a[k], norms[k]).tobytes() == u[k].tobytes()
+
+
+@st.composite
+def _midpoint_hamiltonian(draw):
+    """A hybrid step's pieces: a real diagonal h0, a real symmetric c, x,
+    dt and a normalised complex state of dimension 1 to 16, with
+    |h0 dt|_1 and |x c dt|_1 each at most 25, some below _EXPI_THETA."""
+    d = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h0 = np.diag(rng.normal(size=d))
+    c = rng.normal(size=(d, d))
+    c = c + c.T
+    x = draw(st.floats(-3.0, 3.0))
+    dt = draw(st.floats(1e-3, 1.0))
+    n_h, n_c = (draw(st.one_of(st.floats(0.0, 0.5 * _EXPI_THETA), st.floats(0.0, 25.0)))
+                for _ in range(2))
+    h0 *= n_h / (dt * _norm_1(h0))
+    c *= n_c / (dt * _norm_1(c) * max(abs(x), 1.0))
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return h0, c, x, dt, psi / np.linalg.norm(psi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_midpoint_hamiltonian())
+@example((np.zeros((3, 3)), np.zeros((3, 3)), 0.0, 0.1,
+          np.array([1.0, 1j, 0.0]) / 2 ** 0.5))
+@example((np.diag([0.5, -0.5]), np.array([[0.0, 0.1], [0.1, 0.0]]), 1.0, 0.001,
+          np.array([1.0 + 0j, 0.0])))                     # the bundled qubit step
+@example((np.diag([-40.0, 25.0]), np.array([[0.0, 3.0], [3.0, 0.0]]), -1.0, 1.0,
+          np.array([0.6 + 0j, 0.8j])))                    # bound 43: 512 substeps
+def test_expi_state_matches_expm(step):
+    h0, c, x, dt, psi = step
+    norms = [_norm_1(m) for m in (h0, c)]
+    bound = dt * (norms[0] + abs(x) * norms[1])
+    h_dt = (h0 + x * c) * dt
+    out = _expi_state(_real_form(-1j * h0), _real_form(-1j * c), norms, x, dt,
+                      psi.view(float))
+    assert out.shape == (2 * len(psi),) and out.dtype == float
+    # up to _EXPI_THETA one Taylor sum runs, and it must hold to a few ulps
+    tol = 1e-15 if bound <= _EXPI_THETA else 1e-13 * max(1.0, _norm_1(h_dt))
+    npt.assert_allclose(out.view(complex), expm(-1j * h_dt) @ psi, rtol=0, atol=tol)
