@@ -490,46 +490,31 @@ class SignatureReport:
         }
 
 
-def signature_report(detuning: ScanResult, intensity: ScanResult,
-                     time: ScanResult, slope_tol: float = 0.01,
-                     gap_rtol: float = 1e-6) -> SignatureReport:
-    """Evaluate the three signatures from their scans.
+def _threshold_check(detuning: ScanResult) -> SignatureCheck:
+    """argmax of P(detuning) at zero detuning, on a horizon that resolves the first null."""
+    t_obs = float(detuning.fixed.get("t_max", math.nan))
+    span = float(np.max(np.abs(detuning.axis)))
+    if not math.isfinite(t_obs) or span * t_obs / 2.0 < math.pi:
+        return SignatureCheck(
+            "inconclusive",
+            {"reason": "horizon too short to resolve the first null",
+             "span_times_half_horizon": span * t_obs / 2.0 if math.isfinite(t_obs) else None},
+            {"required": "span * t / 2 >= pi"})
+    imax = int(np.argmax(detuning.probabilities))
+    izero = int(np.argmin(np.abs(detuning.axis)))
+    off = abs(imax - izero)
+    return SignatureCheck(
+        "pass" if off <= 1 else "fail",
+        {"argmax_detuning": float(detuning.axis[imax]), "grid_steps_from_zero": off},
+        {"max_grid_steps": 1})
 
-    The threshold check is inconclusive (not failed) when the scan horizon
-    cannot resolve the first interference null inside the scanned detuning
-    range.
-    """
-    for scan, name in ((detuning, "detuning"), (intensity, "intensity"),
-                       (time, "time")):
-        if scan is None:
-            raise ValueError(f"missing {name} scan")
-        if scan.axis_name != name:
-            raise ValueError(f"expected a {name} scan, got {scan.axis_name}")
 
-    # threshold: argmax of P(detuning) sits at zero detuning
-    probs = detuning.probabilities
-    if np.any(np.isnan(probs)):
-        thr = SignatureCheck("inconclusive", {"reason": "scan holds failed points"}, {})
-    else:
-        t_obs = float(detuning.fixed.get("t_max", math.nan))
-        span = float(np.max(np.abs(detuning.axis)))
-        if not math.isfinite(t_obs) or span * t_obs / 2.0 < math.pi:
-            thr = SignatureCheck(
-                "inconclusive",
-                {"reason": "horizon too short to resolve the first null",
-                 "span_times_half_horizon": span * t_obs / 2.0 if math.isfinite(t_obs) else None},
-                {"required": "span * t / 2 >= pi"})
-        else:
-            imax = int(np.argmax(probs))
-            izero = int(np.argmin(np.abs(detuning.axis)))
-            off = abs(imax - izero)
-            thr = SignatureCheck(
-                "pass" if off <= 1 else "fail",
-                {"argmax_detuning": float(detuning.axis[imax]),
-                 "grid_steps_from_zero": off},
-                {"max_grid_steps": 1})
-
-    fit = loglog_slope(intensity.axis, intensity.probabilities)
+def _intensity_check(intensity: ScanResult, slope_tol, gap_rtol) -> SignatureCheck:
+    """Unit log-log slope of P(intensity) and an intensity-independent gap."""
+    try:
+        fit = loglog_slope(intensity.axis, intensity.probabilities)
+    except ValueError as exc:
+        return SignatureCheck("inconclusive", {"reason": str(exc)}, {})
     gaps = intensity.aux.get("transition_gap")
     gap_stat: dict = {"slope": fit.slope, "slope_stderr": fit.stderr}
     gap_ok = True
@@ -538,21 +523,43 @@ def signature_report(detuning: ScanResult, intensity: ScanResult,
         spread = float(np.max(np.abs(gaps - center)) / abs(center)) if center else math.inf
         gap_stat.update({"gap_median": center, "gap_relative_spread": spread})
         gap_ok = spread <= gap_rtol
-    slope_ok = abs(fit.slope - 1.0) <= slope_tol
-    inten = SignatureCheck(
-        "pass" if (slope_ok and gap_ok) else "fail", gap_stat,
+    return SignatureCheck(
+        "pass" if abs(fit.slope - 1.0) <= slope_tol and gap_ok else "fail", gap_stat,
         {"slope": f"1 +/- {slope_tol}", "gap_relative_spread": gap_rtol})
 
-    finite = np.isfinite(time.probabilities)
-    positive = bool(np.all(finite) and np.all(time.probabilities > 0.0))
-    short = SignatureCheck(
-        "pass" if positive else "fail",
+
+def _short_time_check(time: ScanResult) -> SignatureCheck:
+    """P(t) > 0 at every sampled readout time."""
+    return SignatureCheck(
+        "pass" if np.all(time.probabilities > 0.0) else "fail",
         {"min_time": float(np.min(time.axis)),
-         "min_probability": float(np.min(time.probabilities[finite]))
-         if np.any(finite) else math.nan},
+         "min_probability": float(np.min(time.probabilities))},
         {"required": "P(t) > 0 at every sampled t"})
 
-    return SignatureReport(thr, inten, short, detuning.model_tag)
+
+def signature_report(detuning: ScanResult, intensity: ScanResult,
+                     time: ScanResult, slope_tol: float = 0.01,
+                     gap_rtol: float = 1e-6) -> SignatureReport:
+    """Evaluate the three signatures from their scans.
+
+    A check whose scan holds a failed (NaN) point is inconclusive, as the
+    missing point could decide it; so are the threshold check when the
+    horizon cannot resolve the first null in the scanned range and the
+    intensity check with fewer than three positive points to fit.  Only a
+    missing scan or one of the wrong axis raises.
+    """
+    failed = SignatureCheck("inconclusive", {"reason": "scan holds failed points"}, {})
+    checks = []
+    for scan, name, check in ((detuning, "detuning", _threshold_check),
+                              (intensity, "intensity",
+                               lambda s: _intensity_check(s, slope_tol, gap_rtol)),
+                              (time, "time", _short_time_check)):
+        if scan is None:
+            raise ValueError(f"missing {name} scan")
+        if scan.axis_name != name:
+            raise ValueError(f"expected a {name} scan, got {scan.axis_name}")
+        checks.append(failed if np.any(np.isnan(scan.probabilities)) else check(scan))
+    return SignatureReport(*checks, detuning.model_tag)
 
 
 # ---------------------------------------------------------------------------

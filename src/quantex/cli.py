@@ -197,10 +197,9 @@ def validate_config(cfg: dict) -> Scenario:
 
     model, kind = scenario.model, scenario.kind
     if model is not None and scenario.evolution is not None:
-        allowed = allowed_methods(model)
-        if scenario.evolution.method not in allowed:
-            raise ConfigError(f"{model.tag} models evolve with method "
-                              + " or ".join(m.value for m in allowed))
+        (method,) = allowed_methods(model)
+        if scenario.evolution.method is not method:
+            raise ConfigError(f"{model.tag} models evolve with method {method.value}")
 
     if "target" in cfg:
         t = (cfg["target"]["factor"], cfg["target"]["level"])

@@ -12,17 +12,16 @@ Three propagators:
   enters as its diagonal and the hops of its upper triangle;
 * ``evolve_driven`` -- Schroedinger evolution under a sinusoidal classical
   drive ``x(t) = x0 sin(nu t)``, with the Hamiltonian frozen at interval
-  midpoints (second order in dt) or integrated by RK4.  It is one run of
-  the stepping kernel ``_evolve_driven_batch``, which every
-  prescribed-drive run goes through, scans included: B runs that share
-  the Hamiltonian parts step together in chunks of
-  ``max(1, _DRIVE_CHUNK // live runs)`` steps, with one stacked propagator
-  build and one guard pass per chunk.  A midpoint propagator
-  ``exp(-i H dt)`` is ``cos - i sin`` of ``H dt`` from Taylor sums in real
-  stacked matmuls, scaled and doubled back above a 1-norm of 0.1
-  (``_expi``); the tests hold it to a reference matrix exponential
-  within 1e-13 max(1, |H dt|_1) and the kernel to an eigendecomposition step
-  within 1e-12 absolute, also at steps that take the doubling branch;
+  midpoints (second order in dt).  It is one run of the stepping kernel
+  ``_evolve_driven_batch``, which every prescribed-drive run goes
+  through, scans included: B runs that share the real Hamiltonian parts
+  step together in chunks of ``max(1, _DRIVE_CHUNK // live runs)`` steps,
+  with one stacked propagator build and one guard pass per chunk.  A
+  propagator ``exp(-i H dt)`` is ``cos - i sin`` of ``H dt`` from Taylor
+  sums in real stacked matmuls, scaled and doubled back above a 1-norm
+  of 0.1 (``_expi``); the tests hold it to a reference matrix exponential
+  within 1e-13 max(1, |H dt|_1) and the kernel to an eigendecomposition
+  step within 1e-12 absolute, also at steps that take the doubling branch;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
   values, advanced by a Strang split (exact classical half-flow, full
@@ -80,19 +79,13 @@ __all__ = [
 
 class Method(enum.Enum):
     MATRIX_EXPONENTIAL = "matrix_exponential"
-    RK4 = "rk4"
     MIDPOINT = "midpoint_piecewise"
 
 
 def allowed_methods(model: ModelSpec) -> tuple[Method, ...]:
-    """The methods that evolve ``model``: the fixed midpoint split for
-    mean-field runs, the midpoint step or RK4 under a prescribed drive,
-    exact propagation for the quantized families."""
-    if model.back_reaction:
-        return (Method.MIDPOINT,)
-    if model.is_driven:
-        return (Method.MIDPOINT, Method.RK4)
-    return (Method.MATRIX_EXPONENTIAL,)
+    """The one method that evolves ``model``: the midpoint step for the
+    driven families, mean-field runs included, else exact propagation."""
+    return (Method.MIDPOINT,) if model.is_driven else (Method.MATRIX_EXPONENTIAL,)
 
 
 @dataclass(frozen=True)
@@ -251,7 +244,7 @@ def _guard_error(drift, pops, t, cfg: EvolutionConfig, top_slots) -> ToleranceEr
     if not drift <= cfg.norm_drift_tol:
         return ToleranceError(
             f"norm drift {drift:.3e} exceeds {cfg.norm_drift_tol:.1e} at t={t:g} "
-            "(reduce dt or switch method)")
+            "(reduce dt)")
     for (idx, _), pop in zip(top_slots, pops):
         if pop > cfg.top_level_tol:
             return ToleranceError(
@@ -389,19 +382,6 @@ def classical_drive(params, times: np.ndarray) -> np.ndarray:
     return np.column_stack([x, p])
 
 
-def _step_matrices(h0: np.ndarray, c: np.ndarray, method: Method):
-    """h0 and c for the stepping loop of ``method``: real arrays for the
-    midpoint step when both are real-valued (true for both driven
-    families), since its propagators then come from real matmuls; RK4
-    keeps them complex, as real ones would be cast to complex in every
-    product with the state."""
-    if method not in (Method.MIDPOINT, Method.RK4):
-        raise ValueError("time-dependent evolution needs Method.MIDPOINT or Method.RK4")
-    if method is not Method.MIDPOINT or np.any(h0.imag) or np.any(c.imag):
-        return h0, c
-    return h0.real, c.real
-
-
 _EXPI_THETA = 0.1       # 1-norm up to which the Taylor sums need no doubling or substeps
 # 1/(2k)! and 1/(2k+1)!, k = 0..4: cos a runs to a^8 and sin a to a^9; the
 # first dropped terms at norm _EXPI_THETA, 2.8e-17 and 2.5e-19, are below 2^-53
@@ -416,8 +396,8 @@ def _diagonals(m: np.ndarray) -> np.ndarray:
 
 
 def _expi(a: np.ndarray, bound) -> np.ndarray:
-    """exp(-i a) = cos a - i sin a for a stack of square matrices
-    ``(..., d, d)``, real or complex, without a decomposition.
+    """exp(-i a) = cos a - i sin a for a stack of real square matrices
+    ``(..., d, d)``, without a decomposition.
 
     cos a and sin a / a are degree-4 polynomials in ``b = -a @ a``
     (Taylor to a^8 and a^9), each evaluated as
@@ -455,8 +435,6 @@ def _expi(a: np.ndarray, bound) -> np.ndarray:
         c, sn = cos[owe], sin[owe]
         sin[owe] = 2.0 * (sn @ c)
         cos[owe] = np.eye(a.shape[-1]) - 2.0 * (sn @ sn)
-    if np.iscomplexobj(a):
-        return cos - 1j * sin
     u = np.empty(a.shape, dtype=complex)
     u.real, u.imag = cos, -sin
     return u
@@ -505,37 +483,6 @@ def _expi_state(m0: np.ndarray, m1: np.ndarray, norms, x: float, dt: float,
     return v
 
 
-def _step_propagators(method: Method, h0, c, norms, x_of, t0: np.ndarray,
-                      t1: np.ndarray) -> np.ndarray:
-    """The one-step propagators ``t0.shape + (d, d)`` from t0 to t1 under
-    h0 + x(t) c, so that a step of a state is ``u[k] @ amp``; ``x_of`` maps
-    an array of times of ``t0``'s shape to the drive.  Midpoint: H frozen
-    at the interval midpoint, ``exp(-i H dt)`` from ``_expi`` with the
-    1-norm bound ``dt (|h0|_1 + |x| |c|_1)`` (``norms`` holds the two
-    1-norms), which depends only on the run's own step.  RK4: the step
-    applied to every basis state (it is linear)."""
-    dt = t1 - t0
-    if method is Method.MIDPOINT:
-        x = x_of(0.5 * (t0 + t1))
-        a = x[..., None, None] * c
-        a += h0
-        a *= dt[..., None, None]
-        return _expi(a, dt * (norms[0] + np.abs(x) * norms[1]))
-
-    def deriv(x, a):
-        return -1j * (a @ h0.T + x * (a @ c.T))
-
-    x_a, x_m, x_b = (x_of(t)[..., None, None] for t in (t0, t0 + 0.5 * dt, t0 + dt))
-    dt = dt[..., None, None]
-    # the step maps row states to row states, so on the identity it gives u^T
-    a = np.broadcast_to(np.eye(len(h0), dtype=complex), t0.shape + h0.shape)
-    k1 = deriv(x_a, a)
-    k2 = deriv(x_m, a + 0.5 * dt * k1)
-    k3 = deriv(x_m, a + 0.5 * dt * k2)
-    k4 = deriv(x_b, a + dt * k3)
-    return np.swapaxes(a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), -1, -2)
-
-
 _DRIVE_CHUNK = 256      # propagators (runs x steps) that exist at once
 
 
@@ -548,12 +495,16 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     ``EvolutionConfig(dt=t_ends[b] / n_steps[b], t_max=t_ends[b])``.  The
     live runs step together in chunks of ``max(1, _DRIVE_CHUNK // live)``
     steps, so at most ``_DRIVE_CHUNK`` propagators exist at once whatever
-    the batch size.  Per chunk: one stacked ``_step_propagators`` call
-    over ``(steps, runs)`` time arrays; a serial loop of one batched
-    matvec and one renormalisation per step; one ``_guard`` pass over the
-    chunk's raw states, in which each run takes the earliest trip among
-    the steps it actually takes (steps past its end are masked out).  A
-    run leaves at the end of the chunk in which it finishes or trips.
+    the batch size.  Per chunk: one stacked ``_expi`` call that gives the
+    midpoint propagator ``exp(-i H(x) h)`` of every (step, run), H frozen
+    at the drive's value x at the step's midpoint, with the 1-norm bound
+    ``h (|h0|_1 + |x| |c|_1)``, which depends only on that step; a serial
+    loop of one batched matvec and one renormalisation per step; one
+    ``_guard`` pass over the chunk's raw states, in which each run takes
+    the earliest trip among the steps it actually takes (steps past its
+    end are masked out).  A run leaves at the end of the chunk in which
+    it finishes or trips.  h0 and c are real, as both driven families
+    build them.
 
     Returns the final amplitudes ``(B, d)`` (NaN rows for failed runs),
     the ToleranceError of each run (None where it passed) and the worst
@@ -561,7 +512,8 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     ``(max(n_steps) + 1, B, d)`` array that receives every normalised
     state: row k of run b is its state at step k, for k <= n_steps[b].
     """
-    h0, c = _step_matrices(h0, c, cfg.method)
+    if cfg.method is not Method.MIDPOINT:
+        raise ValueError("time-dependent evolution needs Method.MIDPOINT")
     norms = [np.abs(m).sum(axis=0).max(initial=0.0) for m in (h0, c)]
     x0s, nus, t_ends = (np.asarray(a, dtype=float) for a in (x0s, nus, t_ends))
     n_steps = np.asarray(n_steps, dtype=int)
@@ -582,9 +534,14 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
         # step k of every live run as a (steps, 1) column against (runs,)
         k = lo + np.arange(min(max(1, _DRIVE_CHUNK // live.size),
                                n.max() - lo))[:, None]
+        t0 = k * dt
         t1 = np.where(k == n - 1, t_ends[live], (k + 1) * dt)
-        u = _step_propagators(cfg.method, h0, c, norms,
-                              lambda t: x0 * np.sin(nu * t), k * dt, t1)
+        h = t1 - t0
+        x = x0 * np.sin(nu * (0.5 * (t0 + t1)))
+        a = x[..., None, None] * c
+        a += h0
+        a *= h[..., None, None]
+        u = _expi(a, h * (norms[0] + np.abs(x) * norms[1]))
         # states as (runs, d, 1) columns: a step is one stacked matvec
         raw = np.empty((len(k), live.size, dim, 1), dtype=complex)
         normed = np.empty_like(raw)
@@ -616,9 +573,8 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
 def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Trajectory:
     """Schroedinger evolution under the sinusoidal drive x(t) = x0 sin(nu t).
 
-    The midpoint method freezes H at each interval midpoint (unitary per
-    step); RK4 integrates the raw equation and its small norm drift is
-    guarded, not removed.  Both converge at second order or better in dt.
+    The midpoint method freezes H at each interval midpoint, so every
+    step is unitary; it converges at second order in dt.
 
     This is one run of ``_evolve_driven_batch`` that keeps every
     normalised state: chunks of ``_DRIVE_CHUNK`` steps, one stacked

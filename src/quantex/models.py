@@ -69,11 +69,12 @@ def _labels(space: SpaceDescriptor) -> np.ndarray:
 
 def _dense(diagonal: np.ndarray, hops=None, x: float = 1.0) -> np.ndarray:
     """Hermitian matrix with the given diagonal plus, for each hop
-    ``(src, dst, amp)``, ``x * amp`` at (dst, src) and (src, dst)."""
-    m = np.zeros((diagonal.size,) * 2, dtype=complex)
-    np.fill_diagonal(m, diagonal)
+    ``(src, dst, amp)``, ``x * amp`` at (dst, src) and (src, dst); real
+    when the diagonal and the hop amplitudes are."""
+    m = np.diag(diagonal)
     if hops is not None:
         src, dst, amp = hops
+        m = m.astype(np.result_type(m, amp), copy=False)
         m[dst, src] = m[src, dst] = x * amp
     return m
 
@@ -109,7 +110,8 @@ class _Family:
         return _labels(self.space)[self.detector]
 
     def free_and_coupling(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense free and coupling parts, H(x) = free + x * coupling."""
+        """Dense free and coupling parts, H(x) = free + x * coupling: real
+        arrays, since every family writes its parts from real numbers."""
         field, detector, hops = self.parts()
         return _dense(field + detector), _dense(np.zeros_like(field), hops)
 

@@ -297,6 +297,40 @@ def test_tolerance_abort_exits_3_without_artifacts(tmp_path, capsys):
     assert not (out / "energy_ledger.csv").exists()
 
 
+@pytest.mark.parametrize("scenario, edit", [
+    ("signatures_beam_splitter", lambda cfg: cfg["scans"]["intensity"].update(points=2)),
+    ("signatures_driven_oscillator", lambda cfg: cfg["model"]["params"].update(coupling=0.0)),
+], ids=["two_intensity_points", "zero_coupling"])
+def test_signature_runs_without_an_intensity_fit_report_it_inconclusive(tmp_path, scenario,
+                                                                       edit):
+    import jsonschema
+    from importlib import resources
+    cfg = json.loads(bundled_scenarios()[scenario])
+    edit(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == EXIT_OK
+    report = json.loads((out / "signature_report.json").read_text())
+    jsonschema.validate(report, json.loads(resources.files("quantex").joinpath(
+        "schema/signature_report.schema.json").read_text()))
+    assert report["all_pass"] is False
+    assert report["intensity_independence"]["status"] == "inconclusive"
+
+
+def test_the_removed_rk4_method_exits_2_with_the_schema_message(tmp_path, capsys):
+    cfg = json.loads(bundled_scenarios()["energy_audit_semiclassical"])
+    cfg["evolution"]["method"] = "rk4"
+    path = tmp_path / "rk4.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(args) == EXIT_CONFIG
+        assert ("schema violation at ['evolution', 'method']: 'rk4' is not one of "
+                "['matrix_exponential', 'midpoint_piecewise']") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_override_requires_evolution_block(tmp_path, capsys):
     assert main(["run", "rabi_golden_rule", "--output-dir", str(tmp_path / "x"),
                  "--dt", "0.1"]) == EXIT_CONFIG

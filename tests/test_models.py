@@ -138,10 +138,11 @@ _families_at_x = st.one_of(
 @given(_families_at_x)
 def test_direct_beam_splitter_build_matches_kronecker_embedding(case):
     # every family, both Jaynes-Cummings orders, the driven oscillator at
-    # x = 0 and x = 1: bit for bit
+    # x = 0 and x = 1: bit for bit, the free and coupling parts as real arrays
     p, x, counter_rotating = case
     h, h_ref, free_ref, coupling_ref = _label_and_kronecker(p, x, counter_rotating)
     free, coupling = p.free_and_coupling()
+    assert free.dtype == coupling.dtype == np.float64
     npt.assert_array_equal(h.matrix, h_ref)
     npt.assert_array_equal(free, free_ref)
     npt.assert_array_equal(coupling, coupling_ref)
