@@ -28,6 +28,7 @@ from .errors import CoherentTailError, RegimeError, ToleranceError
 from .hilbert import StateVector
 from .models import ModelSpec
 from .dynamics import (
+    GOLDEN_RULE_MIN_RATIO,
     EvolutionConfig,
     Trajectory,
     evolve_driven,
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 LEDGER_DRIFT_RTOL = 1e-8
+SIGNATURE_SLOPE_TOL = 0.01      # intensity check: |log-log slope - 1| at most this
+SIGNATURE_GAP_RTOL = 1e-6       # intensity check: relative spread of the transition gap
 CONDITION_FLOOR = 1e-12
 
 
@@ -509,7 +512,7 @@ def _threshold_check(detuning: ScanResult) -> SignatureCheck:
         {"max_grid_steps": 1})
 
 
-def _intensity_check(intensity: ScanResult, slope_tol, gap_rtol) -> SignatureCheck:
+def _intensity_check(intensity: ScanResult) -> SignatureCheck:
     """Unit log-log slope of P(intensity) and an intensity-independent gap."""
     try:
         fit = loglog_slope(intensity.axis, intensity.probabilities)
@@ -522,10 +525,10 @@ def _intensity_check(intensity: ScanResult, slope_tol, gap_rtol) -> SignatureChe
         center = float(np.median(gaps))
         spread = float(np.max(np.abs(gaps - center)) / abs(center)) if center else math.inf
         gap_stat.update({"gap_median": center, "gap_relative_spread": spread})
-        gap_ok = spread <= gap_rtol
-    return SignatureCheck(
-        "pass" if abs(fit.slope - 1.0) <= slope_tol and gap_ok else "fail", gap_stat,
-        {"slope": f"1 +/- {slope_tol}", "gap_relative_spread": gap_rtol})
+        gap_ok = spread <= SIGNATURE_GAP_RTOL
+    slope_ok = abs(fit.slope - 1.0) <= SIGNATURE_SLOPE_TOL
+    return SignatureCheck("pass" if slope_ok and gap_ok else "fail", gap_stat, {
+        "slope": f"1 +/- {SIGNATURE_SLOPE_TOL}", "gap_relative_spread": SIGNATURE_GAP_RTOL})
 
 
 def _short_time_check(time: ScanResult) -> SignatureCheck:
@@ -538,8 +541,7 @@ def _short_time_check(time: ScanResult) -> SignatureCheck:
 
 
 def signature_report(detuning: ScanResult, intensity: ScanResult,
-                     time: ScanResult, slope_tol: float = 0.01,
-                     gap_rtol: float = 1e-6) -> SignatureReport:
+                     time: ScanResult) -> SignatureReport:
     """Evaluate the three signatures from their scans.
 
     A check whose scan holds a failed (NaN) point is inconclusive, as the
@@ -551,8 +553,7 @@ def signature_report(detuning: ScanResult, intensity: ScanResult,
     failed = SignatureCheck("inconclusive", {"reason": "scan holds failed points"}, {})
     checks = []
     for scan, name, check in ((detuning, "detuning", _threshold_check),
-                              (intensity, "intensity",
-                               lambda s: _intensity_check(s, slope_tol, gap_rtol)),
+                              (intensity, "intensity", _intensity_check),
                               (time, "time", _short_time_check)):
         if scan is None:
             raise ValueError(f"missing {name} scan")
@@ -590,16 +591,16 @@ def loglog_slope(x, y) -> FitResult:
                      intercept=float(coeffs[1]), n_points=int(keep.sum()))
 
 
-def golden_rule_fit(scan: ScanResult, min_ratio: float = 10.0) -> FitResult:
+def golden_rule_fit(scan: ScanResult) -> FitResult:
     """Log-log slope of peak probability against detuning (expected -2 in
     the far-detuned regime).  Raises RegimeError when any scanned detuning
-    sits below min_ratio times the coupling."""
+    sits below GOLDEN_RULE_MIN_RATIO times the coupling."""
     if scan.axis_name == "detuning":
         g = float(scan.fixed.get("coupling", 0.0))
-        if g > 0 and np.min(np.abs(scan.axis)) < min_ratio * g:
+        if g > 0 and np.min(np.abs(scan.axis)) < GOLDEN_RULE_MIN_RATIO * g:
             raise RegimeError(
                 f"detuning scan reaches |delta|/g = "
-                f"{np.min(np.abs(scan.axis)) / g:.2f} < {min_ratio}")
+                f"{np.min(np.abs(scan.axis)) / g:.2f} < {GOLDEN_RULE_MIN_RATIO}")
     return loglog_slope(np.abs(scan.axis), scan.probabilities)
 
 

@@ -19,6 +19,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -104,18 +105,37 @@ def bundled_scenarios() -> dict[str, str]:
     return out
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key that appears twice in it is a ConfigError."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ConfigError(f"key {key!r} appears twice in one object")
+    return dict(pairs)
+
+
 def load_config(source: str) -> dict:
     """Load a scenario from a file (not a directory) or a bundled name."""
     if os.path.isfile(source):
         with open(source, "r", encoding="utf-8") as fh:
             try:
-                return json.load(fh)
+                return json.load(fh, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
     bundle = bundled_scenarios()
     if source in bundle:
-        return json.loads(bundle[source])
+        return json.loads(bundle[source], object_pairs_hook=_unique_keys)
     raise ConfigError(f"no file or bundled scenario named {source!r}")
+
+
+def _non_finite(value, path: tuple = ()):
+    """Key paths of the infinite and NaN numbers (which json reads) in ``value``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, (list, tuple)) else ())
+    for key, item in items:
+        yield from _non_finite(item, path + (key,))
 
 
 @dataclass
@@ -177,7 +197,9 @@ def _build_axis(block: dict, name: str) -> np.ndarray:
 
 def validate_config(cfg: dict) -> Scenario:
     """Schema plus physics-domain validation; builds the typed pieces but
-    runs nothing."""
+    runs nothing.  Every number must be finite."""
+    for path in _non_finite(cfg):
+        raise ConfigError(f"non-finite number at {list(path)}")
     error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"schema violation at {list(error.absolute_path)}: "

@@ -99,8 +99,8 @@ class EvolutionConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if not self.t_max >= self.dt:
-            raise ValueError("t_max must be >= dt")
+        if not (self.t_max >= self.dt and math.isfinite(self.t_max)):
+            raise ValueError("t_max must be finite and >= dt")
         for name in ("norm_drift_tol", "top_level_tol"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -185,13 +185,10 @@ class Trajectory:
 
     def population_series(self, factor_index: int, level: int) -> np.ndarray:
         """Marginal population of ``level`` of factor ``factor_index`` per time."""
-        dims = self.space.dims
-        self.space.factor(factor_index)
-        if not 0 <= level < dims[factor_index]:
+        if not 0 <= level < self.space.factor(factor_index).dim:
             raise FactorError(f"level {level} out of range for factor {factor_index}")
-        probs = np.abs(self.amplitudes.reshape((-1, *dims))) ** 2
-        axes = tuple(i + 1 for i in range(len(dims)) if i != factor_index)
-        return probs.sum(axis=axes)[:, level]
+        at = np.flatnonzero(self.space.levels[factor_index] == level)
+        return (np.abs(self.amplitudes[:, at]) ** 2).sum(axis=1)
 
     def expectation_series(self, op: Operator) -> np.ndarray:
         """<psi(t)| op |psi(t)> per time (complex)."""
@@ -206,38 +203,24 @@ class Trajectory:
 def _boson_top_indices(space: SpaceDescriptor):
     """(factor index, flat basis indices where that factor sits on its top
     Fock level) for every bosonic factor."""
-    levels = np.indices(space.dims).reshape(len(space.dims), -1)
-    return [(i, np.flatnonzero(levels[i] == f.dim - 1))
+    return [(i, np.flatnonzero(space.levels[i] == f.dim - 1))
             for i, f in enumerate(space.factors) if isinstance(f, Boson)]
 
 
-def _guard(amp: np.ndarray, t, cfg: EvolutionConfig, top_slots):
-    """Norm and top-level guards on one state ``(d,)`` or a stack ``(B, d)``.
-
-    ``t`` is a float or one time per state.  Returns the renormalised
-    amplitudes, the raw norm drift per state and, if any guard trips, an
-    object array over the states holding each tripped state's
-    ToleranceError (None elsewhere); that last item is None when every
-    state passes.  A non-finite norm counts as drift.
-    """
+def _guard(amp: np.ndarray, cfg: EvolutionConfig, top_slots):
+    """Norm and top-level guards on one state ``(d,)`` or a stack ``(..., d)``:
+    per state, the renormalised amplitudes, the raw norm drift, the top-level
+    population of each ``top_slots`` factor (a list) and whether a guard
+    trips (a bool mask).  A non-finite norm counts as drift."""
     probs = np.abs(amp) ** 2
     nrm_sq = probs.sum(axis=-1)
     nrm = np.sqrt(nrm_sq)
     drift = np.abs(nrm - 1.0)
+    pops = [probs[..., flat].sum(axis=-1) / nrm_sq for _, flat in top_slots]
     tripped = ~(drift <= cfg.norm_drift_tol)
-    pops = []
-    for _, flat in top_slots:
-        pops.append(probs[..., flat].sum(axis=-1) / nrm_sq)
-        tripped = tripped | (pops[-1] > cfg.top_level_tol)
-    amp = amp / nrm[..., None]
-    if not tripped.any():
-        return amp, drift, None
-    errors = np.full(np.shape(tripped), None, dtype=object)
-    t = np.broadcast_to(t, errors.shape)
-    for i in map(tuple, np.argwhere(tripped)):
-        errors[i] = _guard_error(drift[i], [pop[i] for pop in pops], t[i], cfg,
-                                 top_slots)
-    return amp, drift, errors
+    for pop in pops:
+        tripped = tripped | (pop > cfg.top_level_tol)
+    return amp / nrm[..., None], drift, pops, tripped
 
 
 def _guard_error(drift, pops, t, cfg: EvolutionConfig, top_slots) -> ToleranceError:
@@ -254,12 +237,14 @@ def _guard_error(drift, pops, t, cfg: EvolutionConfig, top_slots) -> ToleranceEr
 
 def _checked_state(amp: np.ndarray, t, cfg: EvolutionConfig,
                    top_slots) -> tuple[np.ndarray, np.ndarray]:
-    """``_guard`` that raises instead of reporting: on one state, or on a
-    stack of states in time order, where the earliest trip is raised.
-    Returns the renormalised amplitudes and the raw norm drift."""
-    amp, drift, errors = _guard(amp, t, cfg, top_slots)
-    if errors is not None:
-        raise next(e for e in errors.flat if e is not None)
+    """``_guard`` that raises instead of reporting: on one state at time t,
+    or on a stack of states at times t, in time order, where the earliest
+    trip is raised.  Returns the renormalised amplitudes and raw drift."""
+    amp, drift, pops, tripped = _guard(amp, cfg, top_slots)
+    if np.any(tripped):
+        i = np.unravel_index(np.argmax(tripped), np.shape(tripped))
+        raise _guard_error(drift[i], [pop[i] for pop in pops],
+                           np.broadcast_to(t, np.shape(tripped))[i], cfg, top_slots)
     return amp, drift
 
 
@@ -553,13 +538,14 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
                 nrm = np.sqrt(np.matmul(step.conj().swapaxes(1, 2), step).real)
                 amp = np.divide(step, nrm, out=normed[j])
             raw, normed = raw[..., 0], normed[..., 0]
-            _, drift, tripped = _guard(raw, t1, cfg, top_slots)
+            _, drift, pops, tripped = _guard(raw, cfg, top_slots)
         taken = k < n
         worst[live] = np.maximum(worst[live], np.where(taken, drift, 0.0).max(axis=0))
-        hit = taken & (False if tripped is None else tripped.astype(bool))
+        hit = taken & tripped
         failed = hit.any(axis=0)
-        for b in np.flatnonzero(failed):
-            errors[live[b]] = tripped[hit[:, b].argmax(), b]
+        for j, b in zip(hit.argmax(axis=0)[failed], np.flatnonzero(failed)):
+            errors[live[b]] = _guard_error(drift[j, b], [pop[j, b] for pop in pops],
+                                           t1[j, b], cfg, top_slots)
         done = ~failed & (n <= k[-1, 0] + 1)
         final[live[done]] = normed[n[done] - 1 - lo, np.flatnonzero(done)]
         if states is not None:
@@ -615,7 +601,7 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     comes from one product with the real form of the bare C; the raw
     state's <C> feeds the second half-flow and, divided by the squared
     norm, the next step's first.  The norm and top Fock level are guarded
-    on every step, raising the text of ``_guard``.  The tests hold the
+    on every step, raising the text of ``_guard_error``.  The tests hold the
     amplitudes and (x, p) to a per-step eigendecomposition loop within
     1e-12 absolute and the worst norm drift within 1e-14.
     """
@@ -683,6 +669,9 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
 # ---------------------------------------------------------------------------
 # closed forms
 
+GOLDEN_RULE_MIN_RATIO = 10.0    # the smallest |delta / g| of the far-detuned regime
+DYSON_QUAD_NODES = 96           # Gauss-Legendre nodes per axis in dyson_first_order
+
 
 def _sinc(x: float) -> float:
     """sin(x)/x with a series branch for very small arguments."""
@@ -704,12 +693,12 @@ def golden_rule_limit(g: float, delta: float, t: float) -> float:
     """Weak-coupling far-detuned limit (g^2/delta^2) sin^2(delta t / 2).
 
     Valid when delta dominates the coupling; a RegimeWarning is emitted
-    below delta/g = 10.
+    below |delta/g| = GOLDEN_RULE_MIN_RATIO.
     """
-    if g != 0.0 and abs(delta) < 10.0 * abs(g):
+    if g != 0.0 and abs(delta) < GOLDEN_RULE_MIN_RATIO * abs(g):
         warnings.warn(
-            f"golden-rule limit outside validity: |delta/g| = {abs(delta) / abs(g):.2f} < 10",
-            RegimeWarning, stacklevel=2)
+            f"golden-rule limit outside validity: |delta/g| = {abs(delta) / abs(g):.2f} "
+            f"< {GOLDEN_RULE_MIN_RATIO:g}", RegimeWarning, stacklevel=2)
     return (g * t / 2.0) ** 2 * _sinc(0.5 * delta * t) ** 2
 
 
@@ -761,8 +750,7 @@ class DysonFirstOrder:
     quadrature: float
 
 
-def dyson_first_order(p: BeamSplitterParams, t: float,
-                      quad_nodes: int = 96) -> DysonFirstOrder:
+def dyson_first_order(p: BeamSplitterParams, t: float) -> DysonFirstOrder:
     """First-order detector excitation probability of the two-mode exchange
     model with a coherent field of amplitude alpha:
 
@@ -779,7 +767,7 @@ def dyson_first_order(p: BeamSplitterParams, t: float,
     amp2 = abs(p.alpha) ** 2
     closed = (p.g * t) ** 2 * amp2 * _sinc(0.5 * delta * t) ** 2
 
-    nodes, weights = np.polynomial.legendre.leggauss(quad_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(DYSON_QUAD_NODES)
     s = 0.5 * t * (nodes + 1.0)
     w = 0.5 * t * weights
     phase = np.exp(-1j * (p.omega - p.nu) * s)

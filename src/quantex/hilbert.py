@@ -2,8 +2,9 @@
 them, and canonical states.
 
 Conventions:
-  * factor 0 is the slowest-varying index of the composite basis
-    (``np.kron`` order), so ``|n> (x) |g>`` has flat index ``n * 2 + 0``;
+  * ``SpaceDescriptor.levels`` is the one map from flat basis index to
+    factor levels; factor 0 varies slowest (``np.indices`` order), so
+    ``|n> (x) |g>`` has flat index ``n * 2 + 0``;
   * two-level basis: index 0 = ground ``|g>``, index 1 = excited ``|e>``,
     with ``sigma_z |e> = +|e>``;
   * hard truncation at the Fock cutoff: raising the top level ``|dim-1>``
@@ -17,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import (
 
 HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-9
+COHERENT_TAIL_TOL = 1e-12
 
 __all__ = [
     "Boson", "TwoLevel", "SpaceDescriptor", "Operator", "StateVector",
@@ -80,6 +82,13 @@ class SpaceDescriptor:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Read-only int table: ``levels[i, k]`` is factor i's level in basis state k."""
+        table = np.indices(self.dims).reshape(len(self.dims), -1)
+        table.setflags(write=False)
+        return table
+
     def factor(self, index: int) -> Factor:
         if not 0 <= index < len(self.factors):
             raise FactorError(
@@ -123,8 +132,8 @@ class Operator:
                     f"hermitian_hint set but max|M - M^+| = {dev:.3e}")
         object.__setattr__(self, "matrix", m)
 
-    def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= atol)
+    def is_hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= HERMITIAN_ATOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +156,9 @@ class StateVector:
     def marginal_populations(self, factor_index: int) -> np.ndarray:
         """Populations of factor ``factor_index`` after summing out the rest."""
         self.space.factor(factor_index)
-        probs = np.abs(self.amplitudes.reshape(self.space.dims)) ** 2
-        axes = tuple(i for i in range(len(self.space.factors)) if i != factor_index)
-        return probs.sum(axis=axes)
+        return np.bincount(self.space.levels[factor_index],
+                           weights=np.abs(self.amplitudes) ** 2,
+                           minlength=self.space.dims[factor_index])
 
     def population(self, factor_index: int, level: int) -> float:
         pops = self.marginal_populations(factor_index)
@@ -163,7 +172,7 @@ class CoherentSpec:
     """Coherent amplitude plus the probability mass allowed above the cutoff."""
 
     alpha: complex
-    tail_tolerance: float = 1e-12
+    tail_tolerance: float = COHERENT_TAIL_TOL
 
     def __post_init__(self):
         if not 0.0 < self.tail_tolerance < 1.0:
@@ -179,14 +188,11 @@ def basis_state(space: SpaceDescriptor, levels) -> StateVector:
     levels = tuple(levels)
     if len(levels) != len(space.factors):
         raise ValueError("one level per factor required")
-    vecs = []
-    for lv, f in zip(levels, space.factors):
-        if not 0 <= lv < f.dim:
-            raise ValueError(f"level {lv} out of range for factor of dim {f.dim}")
-        v = np.zeros(f.dim, dtype=complex)
-        v[lv] = 1.0
-        vecs.append(v)
-    return StateVector(space, reduce(np.kron, vecs))
+    if not all(0 <= lv < dim for lv, dim in zip(levels, space.dims)):
+        raise ValueError(f"levels {list(levels)} out of range for factor dims {space.dims}")
+    amp = np.zeros(space.total_dim, dtype=complex)
+    amp[np.ravel_multi_index(levels, space.dims)] = 1.0
+    return StateVector(space, amp)
 
 
 def ground_state(space: SpaceDescriptor) -> StateVector:
@@ -217,7 +223,7 @@ def poisson_tail(mean: float, cutoff_dim: int) -> float:
     return math.fsum(terms[cutoff_dim - lo:]) / math.fsum(terms[:mode + width - lo])
 
 
-def min_coherent_cutoff(alpha: complex, tail_tolerance: float = 1e-12) -> int:
+def min_coherent_cutoff(alpha: complex, tail_tolerance: float = COHERENT_TAIL_TOL) -> int:
     """Smallest Fock dim whose Poisson tail is within tolerance."""
     if not 0.0 < tail_tolerance < 1.0:
         raise ValueError("tail_tolerance must lie in (0, 1)")
@@ -234,7 +240,8 @@ def min_coherent_cutoff(alpha: complex, tail_tolerance: float = 1e-12) -> int:
     return bisect.bisect_left(range(dim + 1), True, lo=max(2, dim // 2 + 1), key=within)
 
 
-def check_coherent_cutoff(alpha: complex, dim: int, tail_tolerance: float) -> None:
+def check_coherent_cutoff(alpha: complex, dim: int,
+                          tail_tolerance: float = COHERENT_TAIL_TOL) -> None:
     """Raise CoherentTailError when the Fock cutoff ``dim`` leaves more than
     ``tail_tolerance`` of the coherent state's Poisson mass above it."""
     mean = abs(alpha) ** 2
@@ -261,14 +268,8 @@ def coherent_state(space: SpaceDescriptor, factor_index: int,
         if mean > 0 else np.eye(dim)[0]
     phases = np.exp(1j * n * np.angle(spec.alpha)) if mean > 0 else np.ones(dim)
     amp = mags * phases
-    amp = amp / np.linalg.norm(amp)
-    vecs = []
-    for i, f in enumerate(space.factors):
-        if i == factor_index:
-            vecs.append(amp)
-        else:
-            v = np.zeros(f.dim, dtype=complex)
-            v[0] = 1.0
-            vecs.append(v)
-    return StateVector(space, reduce(np.kron, vecs))
+    others = np.delete(space.levels, factor_index, axis=0)
+    psi = np.zeros(space.total_dim, dtype=complex)
+    psi[~others.any(axis=0)] = amp / np.linalg.norm(amp)    # the others on level 0
+    return StateVector(space, psi)
 

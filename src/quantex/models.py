@@ -26,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import DEFAULT_CONSTANTS
 from .hilbert import (
     Boson,
     CoherentSpec,
@@ -59,12 +59,6 @@ def _require_nonnegative(**kwargs):
     for name, value in kwargs.items():
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-
-
-def _labels(space: SpaceDescriptor) -> np.ndarray:
-    """Level of every factor in every basis state, one row per factor
-    (a two-level factor is labelled 0 = |g>, 1 = |e>)."""
-    return np.indices(space.dims).reshape(len(space.dims), -1)
 
 
 def _dense(diagonal: np.ndarray, hops=None, x: float = 1.0) -> np.ndarray:
@@ -107,7 +101,7 @@ class _Family:
 
     def detector_levels(self) -> np.ndarray:
         """The detector's level in every basis state: its excitation number."""
-        return _labels(self.space)[self.detector]
+        return self.space.levels[self.detector]
 
     def free_and_coupling(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense free and coupling parts, H(x) = free + x * coupling: real
@@ -141,7 +135,7 @@ class QubitSemiClassicalParams(_Family):
     def parts(self):
         """No field part (the drive is classical), (omega/2) sigma_z and
         coupling * sigma_x."""
-        (s,) = _labels(self.space)
+        (s,) = self.space.levels
         return (np.zeros(s.size), self.omega * (s - 0.5),
                 (np.array([0]), np.array([1]), np.array([self.coupling])))
 
@@ -173,11 +167,11 @@ class JaynesCummingsParams(_Family):
         """nu a+a, (omega/2) sigma_z and g (a sigma+ + a+ sigma-), or
         g (a sigma- + a+ sigma+) in the counter-rotating order.  ``a sigma+``
         takes |n, g> to |n - 1, e> and ``a sigma-`` takes |n, e> to
-        |n - 1, g>, with amplitude sqrt(n); the flat index is 2 n + s."""
-        n, s = _labels(self.space)
+        |n - 1, g>, with amplitude sqrt(n)."""
+        n, s = self.space.levels
         src = np.flatnonzero((n > 0) & (s == int(counter_rotating_order)))
-        return (self.nu * n, self.omega * (s - 0.5),
-                (src, src - 1 - 2 * s[src], self.g * np.sqrt(n[src])))
+        dst = np.ravel_multi_index((n[src] - 1, 1 - s[src]), self.space.dims)
+        return self.nu * n, self.omega * (s - 0.5), (src, dst, self.g * np.sqrt(n[src]))
 
     def default_initial_state(self) -> StateVector:
         """One field quantum, ground qubit."""
@@ -194,7 +188,6 @@ class BeamSplitterParams(_Family):
     field_cutoff: int
     detector_cutoff: int
     alpha: complex = 0.0        # initial field coherent amplitude
-    tail_tolerance: float = 1e-12
 
     detector = 1
     intensity_field = "alpha"
@@ -205,7 +198,7 @@ class BeamSplitterParams(_Family):
         _require_nonnegative(g=self.g)
         if min(self.field_cutoff, self.detector_cutoff) < 2:
             raise ValueError("cutoffs must be >= 2")
-        check_coherent_cutoff(self.alpha, self.field_cutoff, self.tail_tolerance)
+        check_coherent_cutoff(self.alpha, self.field_cutoff)
 
     @property
     def space(self) -> SpaceDescriptor:
@@ -216,15 +209,15 @@ class BeamSplitterParams(_Family):
         |n_a, n_b> to |n_a - 1, n_b + 1> with amplitude sqrt(n_a) sqrt(n_b + 1),
         zero where n_b + 1 would pass the detector cutoff (the hard
         truncation of the raising operator)."""
-        n_a, n_b = _labels(self.space)
-        d_b = self.detector_cutoff
-        src = np.flatnonzero((n_a > 0) & (n_b < d_b - 1))
+        n_a, n_b = self.space.levels
+        src = np.flatnonzero((n_a > 0) & (n_b < self.detector_cutoff - 1))
+        dst = np.ravel_multi_index((n_a[src] - 1, n_b[src] + 1), self.space.dims)
         hop = self.g * (np.sqrt(n_a[src]) * np.sqrt(n_b[src] + 1.0))
-        return self.nu * n_a, self.omega * n_b, (src, src - d_b + 1, hop)
+        return self.nu * n_a, self.omega * n_b, (src, dst, hop)
 
     def default_initial_state(self) -> StateVector:
         """Coherent field, ground detector."""
-        return coherent_state(self.space, 0, CoherentSpec(self.alpha, self.tail_tolerance))
+        return coherent_state(self.space, 0, CoherentSpec(self.alpha))
 
 
 @dataclass(frozen=True)
@@ -254,9 +247,10 @@ class DrivenOscillatorParams(_Family):
     def parts(self):
         """No field part (the drive is classical), omega b+b and
         coupling (b + b+); ``b`` takes |n> to |n - 1> with amplitude sqrt(n)."""
-        (n,) = _labels(self.space)
-        src = n[1:]
-        return np.zeros(n.size), self.omega * n, (src, src - 1, self.coupling * np.sqrt(src))
+        (n,) = self.space.levels
+        src = np.flatnonzero(n > 0)
+        dst = np.ravel_multi_index((n[src] - 1,), self.space.dims)
+        return np.zeros(n.size), self.omega * n, (src, dst, self.coupling * np.sqrt(n[src]))
 
 
 @dataclass(frozen=True)
@@ -364,8 +358,7 @@ def build_beam_splitter_hamiltonian(p: BeamSplitterParams) -> Operator:
 # gravito-phononic parameter mappings (SI in, see unit notes per function)
 
 
-def gravito_vacuum_coupling(p: GravitoParams,
-                            constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def gravito_vacuum_coupling(p: GravitoParams) -> float:
     """Single-quantum coupling of the wave mode, (1/c) sqrt(8 pi G hbar / (V nu)).
 
     Unit contract: the returned number is the coefficient multiplying the
@@ -373,13 +366,11 @@ def gravito_vacuum_coupling(p: GravitoParams,
     rate (rad/s) alongside the mode frequencies in the natural-unit model.
     """
     _require_positive(volume=p.volume, nu=p.nu)
-    return math.sqrt(8.0 * math.pi * constants.G * constants.hbar
-                     / (p.volume * p.nu)) / constants.c
+    return math.sqrt(8.0 * math.pi * DEFAULT_CONSTANTS.G * DEFAULT_CONSTANTS.hbar
+                     / (p.volume * p.nu)) / DEFAULT_CONSTANTS.c
 
 
-def gravito_classical_params(p: GravitoParams, detector_cutoff: int = 16,
-                             constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                             ) -> DrivenOscillatorParams:
+def gravito_classical_params(p: GravitoParams) -> DrivenOscillatorParams:
     """Map SI detector data onto the driven-oscillator model.
 
     coupling = M L nu^2 / pi^2 (energy per unit strain displacement) and
@@ -389,21 +380,17 @@ def gravito_classical_params(p: GravitoParams, detector_cutoff: int = 16,
     in rad/s; divide all rates by omega0 for a desk-scale run.
     """
     lam = p.mass * p.length * p.nu ** 2 / math.pi ** 2
-    x0 = math.sqrt(constants.hbar / (p.mass * p.omega0))
-    return DrivenOscillatorParams(omega=p.omega0, nu=p.nu, coupling=lam, x0=x0,
-                                  detector_cutoff=detector_cutoff)
+    x0 = math.sqrt(DEFAULT_CONSTANTS.hbar / (p.mass * p.omega0))
+    return DrivenOscillatorParams(omega=p.omega0, nu=p.nu, coupling=lam, x0=x0)
 
 
-def gravito_interaction_coefficient(p: GravitoParams,
-                                    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-                                    ) -> float:
+def gravito_interaction_coefficient(p: GravitoParams) -> float:
     """(L / pi^2) sqrt(M nu^4 hbar / omega0), the strain drive coefficient in J."""
     return (p.length / math.pi ** 2) * math.sqrt(
-        p.mass * p.nu ** 4 * constants.hbar / p.omega0)
+        p.mass * p.nu ** 4 * DEFAULT_CONSTANTS.hbar / p.omega0)
 
 
-def gw_energy_density(p: GravitoParams,
-                      constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def gw_energy_density(p: GravitoParams) -> float:
     """Wave energy density (c^2 / (32 pi G)) nu^2 h0^2 in J/m^3."""
-    pref = constants.c ** 2 / (32.0 * math.pi * constants.G)
+    pref = DEFAULT_CONSTANTS.c ** 2 / (32.0 * math.pi * DEFAULT_CONSTANTS.G)
     return pref * p.nu ** 2 * p.strain ** 2

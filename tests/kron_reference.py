@@ -7,7 +7,8 @@ in the composite space by ``np.kron`` with identities on the other
 factors, in the package's factor order (factor 0 slowest) and two-level
 convention (index 0 = |g>, 1 = |e>, ``sigma_z |e> = +|e>``).
 
-Every function returns a plain dense complex ``(d, d)`` array.
+Every function returns a plain dense complex ``(d, d)`` array, but
+``product_state``, which returns the ``(d,)`` amplitudes of a product state.
 """
 
 from functools import reduce
@@ -21,6 +22,17 @@ def _embed(space: SpaceDescriptor, factor_index: int, block: np.ndarray) -> np.n
     mats = [block if i == factor_index else np.eye(f.dim, dtype=complex)
             for i, f in enumerate(space.factors)]
     return reduce(np.kron, mats)
+
+
+def product_state(vectors) -> np.ndarray:
+    """The product of one amplitude vector per factor, in factor order."""
+    return reduce(np.kron, [np.asarray(v, dtype=complex) for v in vectors])
+
+
+def level_projector(space: SpaceDescriptor, factor_index: int, level: int) -> np.ndarray:
+    """|level><level| on one factor, identity on the others."""
+    dim = space.factor(factor_index).dim
+    return _embed(space, factor_index, np.diag(np.arange(dim) == level).astype(complex))
 
 
 def annihilation(space: SpaceDescriptor, factor_index: int) -> np.ndarray:

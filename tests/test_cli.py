@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -455,12 +457,56 @@ def test_trajectory_and_scan_arrays_are_read_only():
         traj.classical[0, 0] = 5.0
 
 
-@pytest.mark.parametrize("alpha", [math.inf, math.nan, 1e200])
-def test_a_non_finite_coherent_amplitude_is_a_config_error(tmp_path, alpha):
-    # json writes and reads Infinity and NaN; the Poisson tail of such an
-    # amplitude is undefined, and 1e200 squared overflows
-    cfg = json.loads(bundled_scenarios()["beam_splitter_resonance"])
-    cfg["model"]["params"]["alpha"] = alpha
+def _set(keys, value):
+    """An edit of a scenario's JSON text that puts ``value`` at ``keys``."""
+    def edit(text):
+        cfg = json.loads(text)
+        *parents, last = keys
+        functools.reduce(dict.get, parents, cfg)[last] = value
+        return json.dumps(cfg)
+    return edit
+
+
+@pytest.mark.parametrize("scenario, edit, run_args", [
+    ("beam_splitter_resonance", _set(("model", "params", "alpha"), math.inf), []),
+    ("beam_splitter_resonance", _set(("model", "params", "alpha"), math.nan), []),
+    ("beam_splitter_resonance", _set(("model", "params", "alpha"), 1e200), []),
+    ("signatures_beam_splitter", _set(("evolution", "t_max"), math.inf), []),
+    ("signatures_driven_oscillator", _set(("scans", "time", "stop"), math.inf), []),
+    ("rabi_golden_rule", _set(("golden_rule", "ratio_max"), math.inf), []),
+    ("qubit_backreaction_audit", _set(("initial_state", "x"), math.inf), []),
+    ("gravito_constants", _set(("gravito", "mass"), math.inf), []),
+    ("energy_audit_semiclassical",
+     lambda text: text.replace('"dt": 0.001', '"dt": 0.5, "dt": 0.001'), []),
+    ("energy_audit_semiclassical", lambda text: text, ["--t-max", "inf"]),
+], ids=["inf", "nan", "1e+200", "t_max", "scan_stop", "ratio_max", "initial_x",
+        "gravito_mass", "repeated_dt", "t_max_override"])
+def test_a_non_finite_coherent_amplitude_is_a_config_error(tmp_path, capsys, scenario,
+                                                           edit, run_args):
+    # json writes and reads Infinity and NaN, and keeps the last of two
+    # equal keys; JSON (RFC 8259) has neither.  1e200 is finite, but the
+    # coherent mean |alpha|^2 overflows.  Each exits 2 from validate and
+    # from run (the override only exists for run) and writes nothing
+    text = edit(bundled_scenarios()[scenario])
+    assert text != bundled_scenarios()[scenario] or run_args
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["validate", str(path)]) == EXIT_CONFIG
+    path.write_text(text)
+    out = tmp_path / "out"
+    commands = [["run", str(path), "--output-dir", str(out), *run_args]]
+    if not run_args:
+        commands.append(["validate", str(path)])
+    for args in commands:
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("invalid configuration: ")
+    assert not out.exists()
+
+
+def test_a_non_finite_number_in_a_config_dict_names_its_key_path():
+    cfg = json.loads(bundled_scenarios()["signatures_driven_oscillator"])
+    cfg["scans"]["time"]["stop"] = math.inf
+    with pytest.raises(ConfigError, match=re.escape("['scans', 'time', 'stop']")):
+        validate_config(cfg)
+    cfg = json.loads(bundled_scenarios()["qubit_backreaction_audit"])
+    cfg["initial_state"]["x"] = math.nan
+    with pytest.raises(ConfigError, match=re.escape("['initial_state', 'x']")):
+        validate_config(cfg)

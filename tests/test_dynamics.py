@@ -65,6 +65,8 @@ def test_evolution_config_validation():
         EvolutionConfig(dt=1.0, t_max=0.5)
     with pytest.raises(ValueError):
         EvolutionConfig(dt=0.1, t_max=1.0, norm_drift_tol=2.0)
+    with pytest.raises(ValueError):
+        EvolutionConfig(dt=0.1, t_max=math.inf)
 
 
 def test_time_grid_lands_on_t_max():

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 
 import numpy as np
@@ -15,13 +16,23 @@ from quantex import (
     Operator,
     SpaceDescriptor,
     StateVector,
+    Trajectory,
     TwoLevel,
     basis_state,
     coherent_state,
     min_coherent_cutoff,
 )
 
-from kron_reference import annihilation, creation, number, pauli
+from quantex.dynamics import _boson_top_indices
+
+from kron_reference import (
+    annihilation,
+    creation,
+    level_projector,
+    number,
+    pauli,
+    product_state,
+)
 
 
 def test_space_total_dim_is_product_of_factors():
@@ -276,6 +287,52 @@ def test_marginal_populations_sum_to_one():
         pops = psi.marginal_populations(k)
         assert pops.shape == (sp.dims[k],)
         assert pops.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _dyadic_state(space, rng):
+    """Amplitudes whose populations are powers of two summing to exactly 1
+    (two of 1/4, four of 1/16, sixteen of 1/64) on random basis states, each
+    with a phase among 1, i, -1, -i: every sum of populations is exact."""
+    mags = np.repeat([1 / 2, 1 / 4, 1 / 8], [2, 4, 16])
+    amp = np.zeros(space.total_dim, dtype=complex)
+    phases = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, mags.size)]
+    amp[rng.permutation(space.total_dim)[:mags.size]] = mags * phases
+    return amp
+
+
+def test_basis_layout_matches_the_kronecker_embedding():
+    # every route from a flat basis index to the factor levels, held
+    # exactly to np.kron embeddings, on a space with a two-level factor
+    # between two modes of different cutoffs
+    sp = SpaceDescriptor((Boson(4), TwoLevel(), Boson(3)))
+    units = [np.eye(d) for d in sp.dims]
+    for k in (0, 2):
+        npt.assert_array_equal(sp.levels[k], number(sp, k).diagonal().real)
+    excited = pauli(sp, 1, "plus") @ pauli(sp, 1, "minus")
+    npt.assert_array_equal(sp.levels[1], excited.diagonal().real)
+    with pytest.raises(ValueError):
+        sp.levels[0, 0] = 1
+    for levels in itertools.product(*map(range, sp.dims)):
+        npt.assert_array_equal(basis_state(sp, levels).amplitudes,
+                               product_state(u[lv] for u, lv in zip(units, levels)))
+    spec = CoherentSpec(0.6 + 0.3j, tail_tolerance=0.05)
+    mode = coherent_state(SpaceDescriptor((Boson(3),)), 0, spec).amplitudes
+    npt.assert_array_equal(coherent_state(sp, 2, spec).amplitudes,
+                           product_state([units[0][0], units[1][0], mode]))
+
+    rng = np.random.default_rng(11)
+    rows = np.array([_dyadic_state(sp, rng) for _ in range(6)])
+    traj = Trajectory(sp, np.arange(6.0), rows)
+    for k, dim in enumerate(sp.dims):
+        ref = np.array([[np.vdot(a, level_projector(sp, k, lv) @ a).real
+                         for lv in range(dim)] for a in rows])
+        for a, pops in zip(rows, ref):
+            npt.assert_array_equal(StateVector(sp, a).marginal_populations(k), pops)
+        for lv in range(dim):
+            npt.assert_array_equal(traj.population_series(k, lv), ref[:, lv])
+    assert [(k, flat.tolist()) for k, flat in _boson_top_indices(sp)] == [
+        (k, np.flatnonzero(number(sp, k).diagonal().real == sp.dims[k] - 1).tolist())
+        for k in (0, 2)]
 
 
 def test_immutability_of_matrices_and_amplitudes():
