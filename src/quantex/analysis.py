@@ -279,13 +279,18 @@ class ScanResult:
         object.__setattr__(self, "errors", errors)
 
 
+def _check_scannable(model: ModelSpec) -> None:
+    if model.back_reaction:
+        raise ValueError("scans drive the prescribed or quantized models only")
+
+
 def run_point(model: ModelSpec, cfg: EvolutionConfig,
               target: tuple[int, int] | None = None,
               initial: StateVector | None = None) -> tuple[Trajectory, float]:
     """One evolution of a (non-mean-field) model; returns the trajectory
-    and the target population at the final time."""
-    if model.back_reaction:
-        raise ValueError("scans drive the prescribed or quantized models only")
+    and the target population at the final time.  A quantized model runs
+    as a batch of one of the kernel its scans use."""
+    _check_scannable(model)
     if target is None:
         target = default_target(model)
     if initial is None:
@@ -294,8 +299,8 @@ def run_point(model: ModelSpec, cfg: EvolutionConfig,
         traj = evolve_driven(model.params, initial, cfg)
     else:
         field, detector, hops = model.params.parts()
-        traj = _dyn._evolve_blocks(model.params.space, field + detector, hops,
-                                   initial, cfg.time_grid(), cfg)
+        traj = _dyn._evolve_parts(model.params.space, field + detector, hops,
+                                  initial, cfg.time_grid(), cfg)
     return traj, traj.final_state().population(*target)
 
 
@@ -312,33 +317,67 @@ def _run_points(build, cfgs, target, catch=_POINT_ERRORS):
     tag on a failed point).
 
     Point i evolves the model ``build(i)`` under ``cfgs[i]``; exceptions in
-    ``catch`` tag the point instead of aborting the scan.  Quantized-field
-    points run one by one through ``run_point``.  Prescribed-drive points
-    differ only in the drive (nu, x0) and the horizon, so they share one
-    free part and one coupling part and run as one batch of the stepping
-    kernel ``dynamics._evolve_driven_batch``, the kernel ``evolve_driven``
-    runs with a single point: chunks of ``max(1, _DRIVE_CHUNK // live
-    points)`` steps, one stacked propagator build per chunk.  Only final states are
-    kept, and a point that trips a guard is tagged with the error its
-    serial run raises.
+    ``catch`` tag the point instead of aborting the scan.  The points run
+    in batches, each of a kernel that also runs a single point, so that a
+    scan point gives the bits of its own serial run:
+
+    * quantized-field points that share the space and the hop list (every
+      point of a scan of one model) form one batch of
+      ``dynamics._evolve_blocks``: one hop-graph layout and one stacked
+      ``eigh`` per block size over the batch's distinct diagonals, then
+      each point sampled and guarded on its own ``cfgs[i]`` grid;
+    * prescribed-drive points differ only in the drive (nu, x0) and the
+      horizon, so they share one free part and one coupling part and run
+      as one batch of the stepping kernel
+      ``dynamics._evolve_driven_batch``, the kernel ``evolve_driven`` runs
+      with a single point: chunks of ``max(1, _DRIVE_CHUNK // live
+      points)`` steps, one stacked propagator build per chunk.
+
+    Only first and final states are kept, and a point that trips a guard
+    is tagged with the error its serial run raises.  Every point of a
+    batch is guarded with the tolerances of the batch's first ``cfgs``
+    entry; the scans derive every point's config from one.
     """
     results = [None] * len(cfgs)
-    batch = []
+    driven, quantized = [], {}
     for i, cfg in enumerate(cfgs):
         try:
             model = build(i)
-            if model.is_driven and not model.back_reaction:
-                batch.append((i, model))
+            _check_scannable(model)
+            if model.is_driven:
+                driven.append((i, model))
                 continue
-            traj, prob = run_point(model, cfg, target)
-            results[i] = (prob, traj.amplitudes[0],
-                          traj.final_state().amplitudes, None)
+            field, detector, hops = model.params.parts()
+            key = (model.params.space, *(a.tobytes() for a in hops))
+            quantized.setdefault(key, (model, hops, []))[2].append(
+                (i, field + detector, default_initial_state(model), cfg.time_grid()))
         except catch as exc:
             results[i] = (math.nan, None, None, _tag(exc))
-    if not batch:
+
+    def finish(i, space, target, first, final, exc):
+        if exc is None:
+            try:
+                prob = StateVector(space, final).population(*target)
+                results[i] = (prob, first, final, None)
+                return
+            except catch as err:
+                exc = err
+        results[i] = (math.nan, None, None, _tag(exc))
+
+    for model, hops, points in quantized.values():
+        index, diagonals, psi0s, grids = zip(*points)
+        space = model.params.space
+        where = target if target is not None else default_target(model)
+        runs = _dyn._evolve_blocks(space, np.array(diagonals), hops, psi0s, grids,
+                                   cfgs[index[0]])
+        for i, (amps, _, exc) in zip(index, runs):
+            # a copy of the two rows, so the point's samples are freed
+            first, final = (None, None) if amps is None else amps[[0, -1]]
+            finish(i, space, where, first, final, exc)
+    if not driven:
         return results
 
-    index, models = zip(*batch)
+    index, models = zip(*driven)
     space = models[0].params.space
     psi0 = default_initial_state(models[0])
     try:
@@ -349,16 +388,9 @@ def _run_points(build, cfgs, target, catch=_POINT_ERRORS):
             cfgs[index[0]])
     except catch as exc:     # a setting every point shares is invalid
         finals, errors = [None] * len(index), [exc] * len(index)
-    target = target if target is not None else default_target(models[0])
+    where = target if target is not None else default_target(models[0])
     for i, final, exc in zip(index, finals, errors):
-        if exc is None:
-            try:
-                prob = StateVector(space, final).population(*target)
-                results[i] = (prob, psi0.amplitudes, final, None)
-                continue
-            except catch as err:
-                exc = err
-        results[i] = (math.nan, None, None, _tag(exc))
+        finish(i, space, where, psi0.amplitudes, final, exc)
     return results
 
 
@@ -373,8 +405,9 @@ def detuning_scan(model: ModelSpec, cfg: EvolutionConfig, deltas,
     """Final-time target population versus detuning (field/drive frequency
     minus detector frequency).  Points that trip a truncation or norm guard,
     or whose parameters are invalid, are tagged and reported as NaN rather
-    than aborting the scan.  Prescribed-drive points evolve together in
-    one batch (see ``_run_points``).
+    than aborting the scan.  The points evolve together in one batch of
+    their family's kernel (see ``_run_points``); the quantized points
+    share one hop graph and differ only in the diagonal.
     """
     deltas = np.asarray(deltas, dtype=float)
     omega = model.params.omega
@@ -397,8 +430,9 @@ def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities,
     the two-mode model, x0^2 for the driven ones).  The aux column
     ``transition_gap`` measures the detector energy gained per absorbed
     excitation, the intensity-independent transition quantum.  Guard trips
-    are tagged per point; prescribed-drive points evolve together in one
-    batch (see ``_run_points``)."""
+    are tagged per point; the points evolve together in one batch of their
+    family's kernel (see ``_run_points``), the quantized points from one
+    eigendecomposition with only their initial states differing."""
     intensities = np.asarray(intensities, dtype=float)
     _, detector_free, _ = model.params.parts()
     levels = model.params.detector_levels()
@@ -425,11 +459,11 @@ def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
 
     A point evolves to exactly its t on the grid of n steps of t / n, with
     n rounded from t / cfg.dt, so log-spaced grids stay exact and the
-    guards check every grid sample up to t.  Quantized-field points run
-    one by one from their hop lists; driven points run together in one
-    batch and each leaves it when its steps are done (see
-    ``_run_points``).  A point that trips a guard is tagged with the error
-    its own run raises.
+    guards check every grid sample up to t.  The points run together in one
+    batch (see ``_run_points``): quantized-field points share one
+    eigendecomposition and each is sampled on its own grid; driven points
+    step together and each leaves the batch when its steps are done.  A
+    point that trips a guard is tagged with the error its own run raises.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0):

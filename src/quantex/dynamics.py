@@ -3,12 +3,17 @@
 Three propagators:
 
 * ``evolve_unitary`` -- exact eigendecomposition propagation for a
-  time-independent hermitian Hamiltonian.  Its one route,
-  ``_evolve_blocks``, takes H as a diagonal plus hops and diagonalises it
-  block by block along the connected components of its hop graph (the
-  excitation-number sectors of the quantized-field families), which a
-  numpy min-label propagation finds.  The quantized families enter it
-  from their hop lists and never build a dense matrix; an ``Operator``
+  time-independent hermitian Hamiltonian.  Its one route is the batch
+  kernel ``_evolve_blocks``: P points whose Hamiltonians are diagonals
+  plus one shared hop list, each with its own initial state and sample
+  times.  It lays the hop graph out once along its connected components
+  (the excitation-number sectors of the quantized-field families), which
+  a numpy min-label propagation finds, and diagonalises every distinct
+  diagonal block by block in one stacked ``eigh`` per block size; each
+  point is then sampled and guarded on its own grid and returns its trip
+  as data.  A quantized scan is one batch, and ``run_point`` and
+  ``evolve_unitary_at`` are batches of one.  The quantized families enter
+  it from their hop lists and never build a dense matrix; an ``Operator``
   enters as its diagonal and the hops of its upper triangle;
 * ``evolve_driven`` -- Schroedinger evolution under a sinusoidal classical
   drive ``x(t) = x0 sin(nu t)``, with the Hamiltonian frozen at interval
@@ -28,9 +33,9 @@ Three propagators:
   quantum step at the midpoint position, classical half-flow with the
   refreshed expectation), second order overall.  The state is held in
   its real view, (re, im) per entry, and the quantum step is a Horner
-  Taylor sum on that vector (``_expi_state``): the degree is the smallest
-  whose first omitted term at the 1-norm bound is at most 2^-53, and a
-  bound above 0.1 cuts the step into 2^s equal substeps.  The tests hold
+  Taylor sum on that vector (``_expi_state``): the 1-norm bound picks s
+  equal substeps and a degree m up to 30, each substep's first omitted
+  term at most 2^-53, with the fewest matvecs m s.  The tests hold
   it to a per-step eigendecomposition loop within 1e-12 absolute on the
   amplitudes and (x, p) and 1e-14 on the worst norm drift.
 
@@ -235,16 +240,26 @@ def _guard_error(drift, pops, t, cfg: EvolutionConfig, top_slots) -> ToleranceEr
                 f"> {cfg.top_level_tol:.1e} at t={t:g} (raise the cutoff)")
 
 
+def _trip_error(drift, pops, tripped, t, cfg: EvolutionConfig, top_slots):
+    """The ToleranceError of the earliest tripped state in a ``_guard``
+    pass over states at times t (any order; ties go to the first index),
+    or None when no state trips."""
+    if not np.any(tripped):
+        return None
+    t = np.broadcast_to(t, np.shape(tripped))
+    i = np.unravel_index(np.argmin(np.where(tripped, t, np.inf)), np.shape(tripped))
+    return _guard_error(drift[i], [pop[i] for pop in pops], t[i], cfg, top_slots)
+
+
 def _checked_state(amp: np.ndarray, t, cfg: EvolutionConfig,
                    top_slots) -> tuple[np.ndarray, np.ndarray]:
     """``_guard`` that raises instead of reporting: on one state at time t,
-    or on a stack of states at times t, in time order, where the earliest
-    trip is raised.  Returns the renormalised amplitudes and raw drift."""
+    or on a stack of states at times t, where the earliest trip is raised
+    (``_trip_error``).  Returns the renormalised amplitudes and raw drift."""
     amp, drift, pops, tripped = _guard(amp, cfg, top_slots)
-    if np.any(tripped):
-        i = np.unravel_index(np.argmax(tripped), np.shape(tripped))
-        raise _guard_error(drift[i], [pop[i] for pop in pops],
-                           np.broadcast_to(t, np.shape(tripped))[i], cfg, top_slots)
+    error = _trip_error(drift, pops, tripped, t, cfg, top_slots)
+    if error is not None:
+        raise error
     return amp, drift
 
 
@@ -274,26 +289,32 @@ def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
             return np.unique(labels, return_inverse=True)[1]
 
 
-def _block_eigh(diagonal: np.ndarray, hops) -> list:
-    """Eigendecomposition of the hermitian H = diag(diagonal) + hops, block
-    by block.  A hop ``(src, dst, amp)`` is the term
-    ``amp |dst><src| + h.c.``; hops of zero amplitude are dropped.
+def _block_eigh(diagonals: np.ndarray, hops) -> tuple[np.ndarray, list]:
+    """Eigendecompositions of the hermitian H_k = diag(diagonals[k]) + hops
+    for a stack of diagonals ``(P, d)`` that share one hop list, block by
+    block.  A hop ``(src, dst, amp)`` is the term ``amp |dst><src| + h.c.``;
+    hops of zero amplitude are dropped.
 
     The blocks are the connected components of the hop graph
-    (``_component_labels``): basis states that no chain of hops links
-    never mix.  The blocks of one size s are built straight from the hops
-    as one ``(n_blocks, s, s)`` stack, real when the diagonal and the hop
-    amplitudes are, and go through one stacked ``eigh``.  This needs no
-    knowledge of the model: the excitation-number sectors of the beam
-    splitter and Jaynes-Cummings, the two-state blocks of the
-    counter-rotating Jaynes-Cummings order and the 1x1 blocks of an
-    uncoupled model all show up in the graph.  Returns, per size class,
-    ``(idx, w, v)``: the basis indices ``(n_blocks, s)`` of each block in
-    ascending order, its eigenvalues ``(n_blocks, s)`` (not sorted) and
-    its eigenvectors, the columns of ``v[b]``.
+    (``_component_labels``, called once): basis states that no chain of
+    hops links never mix.  This needs no knowledge of the model: the
+    excitation-number sectors of the beam splitter and Jaynes-Cummings,
+    the two-state blocks of the counter-rotating Jaynes-Cummings order and
+    the 1x1 blocks of an uncoupled model all show up in the graph.  Only
+    the U distinct diagonals are decomposed: the blocks of one size s of
+    all of them are built straight from the hops as one
+    ``(U, n_blocks, s, s)`` stack, real when the diagonals and the hop
+    amplitudes are, and go through one stacked ``eigh``, which gives each
+    matrix the bits it gets alone.
+
+    Returns ``inverse``, the row of the distinct diagonals that H_k uses,
+    and per size class ``(idx, w, v)``: the basis indices ``(n_blocks, s)``
+    of each block in ascending order, the eigenvalues ``(U, n_blocks, s)``
+    (not sorted) and the eigenvectors, the columns of ``v[u, b]``.
     """
     src, dst, amp = (a[hops[2] != 0] for a in hops)
-    labels = _component_labels(len(diagonal), src, dst)
+    distinct, inverse = np.unique(diagonals, axis=0, return_inverse=True)
+    labels = _component_labels(distinct.shape[1], src, dst)
     sizes = np.bincount(labels)[labels]         # the size of each index's block
     # basis indices by block size, then block, ascending inside each block,
     # so each size class is one run of ``order``; ``place`` is the inverse
@@ -303,38 +324,64 @@ def _block_eigh(diagonal: np.ndarray, hops) -> list:
     for size in np.unique(sizes):
         run = np.flatnonzero(sizes[order] == size)
         idx = order[run].reshape(-1, size)
-        m = np.zeros(idx.shape + (size,), dtype=np.result_type(diagonal, amp))
-        _diagonals(m)[...] = diagonal[idx]
-        # row b * size + i of the stacked rows is row i of block b
+        m = np.zeros((len(distinct),) + idx.shape + (size,),
+                     dtype=np.result_type(distinct, amp))
+        _diagonals(m)[...] = distinct[:, idx]
+        # row b * size + i of a matrix's stacked rows is row i of block b
         on = sizes[src] == size
         s, d = place[src[on]] - run[0], place[dst[on]] - run[0]
-        rows = m.reshape(-1, size)
-        rows[d, s % size], rows[s, d % size] = amp[on], amp[on].conj()
+        rows = m.reshape(len(distinct), -1, size)
+        rows[:, d, s % size], rows[:, s, d % size] = amp[on], amp[on].conj()
         classes.append((idx, *np.linalg.eigh(m)))
-    return classes
+    # the inverse's shape differs across numpy 2.0.x: ravel it
+    return inverse.ravel(), classes
 
 
-def _evolve_blocks(space: SpaceDescriptor, diagonal: np.ndarray, hops,
-                   psi0: StateVector, times, cfg: EvolutionConfig) -> Trajectory:
-    """exp(-i H t) psi0 at each of ``times`` for H = diag(diagonal) + hops,
-    from one block eigendecomposition (``_block_eigh``).
+def _evolve_blocks(space: SpaceDescriptor, diagonals: np.ndarray, hops,
+                   psi0s: Sequence[StateVector], grids, cfg: EvolutionConfig):
+    """exp(-i H_k t) psi0s[k] at each t of ``grids[k]``, for a batch of
+    points k with H_k = diag(diagonals[k]) + hops: the one route of every
+    quantized evolution, ``evolve_unitary_at`` and ``run_point`` being
+    batches of one.
 
-    Each block-size class forms every sample in one stacked product
-    ``v (exp(-i w t) v^H psi0)``, and a sample at t = 0 is psi0 itself,
-    so U(0) = I exactly.  There is no integration error; one guard pass
-    checks the norm and the top Fock levels at every sample.
+    One ``_block_eigh`` decomposes every distinct H_k of the batch.  Then,
+    point by point, each block-size class forms every sample of the
+    point's grid in one stacked product ``v (exp(-i w t) v^H psi0)``, a
+    sample at t = 0 is psi0 itself (so U(0) = I exactly), and one guard
+    pass checks the norm and the top Fock levels at every sample.  There
+    is no integration error.  The guard tolerances are ``cfg``'s for every
+    point.
+
+    Yields, point by point, so that a caller keeps only what it needs:
+    the normalised amplitudes ``(len(grids[k]), d)`` (None on a trip), the
+    worst raw norm drift and the ToleranceError of the earliest tripped
+    sample (None where the point passed).
     """
-    if psi0.space != space:
+    if any(psi0.space != space for psi0 in psi0s):
         raise ValueError("Hamiltonian and initial state live on different spaces")
-    times = np.asarray(times, dtype=float)
-    amps = np.empty((len(times), space.total_dim), dtype=complex)
-    for idx, w, v in _block_eigh(diagonal, hops):
-        coeffs = v.conj().swapaxes(1, 2) @ psi0.amplitudes[idx][..., None]
-        phases = np.exp(-1j * w * times[:, None, None])[..., None]
-        amps[:, idx] = (v @ (phases * coeffs))[..., 0]
-    amps[times == 0] = psi0.amplitudes
-    amps, drift = _checked_state(amps, times, cfg, _boson_top_indices(space))
-    return Trajectory(space, times, amps, max_norm_drift=float(drift.max(initial=0.0)))
+    inverse, classes = _block_eigh(diagonals, hops)
+    top_slots = _boson_top_indices(space)
+    for u, psi0, times in zip(inverse, psi0s, grids):
+        times = np.asarray(times, dtype=float)
+        amps = np.empty((len(times), space.total_dim), dtype=complex)
+        for idx, w, v in classes:
+            coeffs = v[u].conj().swapaxes(1, 2) @ psi0.amplitudes[idx][..., None]
+            phases = np.exp(-1j * w[u] * times[:, None, None])[..., None]
+            amps[:, idx] = (v[u] @ (phases * coeffs))[..., 0]
+        amps[times == 0] = psi0.amplitudes
+        amps, drift, pops, tripped = _guard(amps, cfg, top_slots)
+        error = _trip_error(drift, pops, tripped, times, cfg, top_slots)
+        yield (amps if error is None else None), float(drift.max(initial=0.0)), error
+
+
+def _evolve_parts(space: SpaceDescriptor, diagonal: np.ndarray, hops,
+                  psi0: StateVector, times, cfg: EvolutionConfig) -> Trajectory:
+    """One run of ``_evolve_blocks`` as a trajectory, raising its trip."""
+    ((amps, worst, error),) = _evolve_blocks(space, diagonal[None], hops, [psi0],
+                                             [times], cfg)
+    if error is not None:
+        raise error
+    return Trajectory(space, times, amps, max_norm_drift=worst)
 
 
 def evolve_unitary_at(h: Operator, psi0: StateVector, times,
@@ -342,14 +389,15 @@ def evolve_unitary_at(h: Operator, psi0: StateVector, times,
     """Exact propagation exp(-i h t) psi0 sampled at arbitrary times.
 
     The diagonal of ``h`` and the hops of its upper triangle go through
-    ``_evolve_blocks``, the route of the quantized families: no
-    integration error, and the norm / top-level guards run per sample.
+    ``_evolve_blocks`` as a batch of one, the route of the quantized
+    families: no integration error, and the norm / top-level guards run
+    per sample; a trip is raised at the earliest tripped time.
     """
     if not (h.hermitian_hint or h.is_hermitian()):
         raise HermiticityError("evolve_unitary requires a hermitian Hamiltonian")
     rows, cols = np.nonzero(np.triu(h.matrix, 1))
-    return _evolve_blocks(h.space, h.matrix.diagonal().real,
-                          (cols, rows, h.matrix[rows, cols]), psi0, times, cfg)
+    return _evolve_parts(h.space, h.matrix.diagonal().real,
+                         (cols, rows, h.matrix[rows, cols]), psi0, times, cfg)
 
 
 def evolve_unitary(h: Operator, psi0: StateVector, cfg: EvolutionConfig) -> Trajectory:
@@ -425,10 +473,27 @@ def _expi(a: np.ndarray, bound) -> np.ndarray:
     return u
 
 
-# the largest 1-norm bound at which a Taylor sum of degree m = 1, 2, ...
+# the largest 1-norm bound at which a Taylor sum of degree m = 1, 2, ..., 30
 # leaves a first omitted term b^(m+1) / (m+1)! of at most 2^-53
 _TAYLOR_REACH = tuple((math.factorial(m + 1) * 2.0 ** -53) ** (1.0 / (m + 1))
-                      for m in range(1, 10))
+                      for m in range(1, 31))
+
+
+def _taylor_plan(bound: float) -> tuple[int, int]:
+    """(degree m, substeps s) of the Taylor step for a 1-norm bound: s equal
+    substeps, each bound within the reach of degree m, with the fewest
+    matvecs m s and, among those, the fewest substeps (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33, 488 (2011)).
+
+    Up to the reach of the top degree one substep is the best plan, so the
+    smallest degree that reaches the bound is one bisection; only a bound
+    beyond it searches the table.
+    """
+    if bound <= _TAYLOR_REACH[-1]:
+        return bisect.bisect_left(_TAYLOR_REACH, bound) + 1, 1
+    plans = ((math.ceil(bound / reach), m) for m, reach in enumerate(_TAYLOR_REACH, start=1))
+    substeps, degree = min(plans, key=lambda plan: (plan[0] * plan[1], plan[0]))
+    return degree, substeps
 
 
 def _real_form(g: np.ndarray) -> np.ndarray:
@@ -446,19 +511,16 @@ def _expi_state(m0: np.ndarray, m1: np.ndarray, norms, x: float, dt: float,
     488 (2011)).
 
     The bound ``dt (|h0|_1 + |x| |c|_1)`` on the 1-norm of (h0 + x c) dt
-    picks the substeps and the degree.  Above ``_EXPI_THETA`` the step is
-    cut into 2^s equal substeps, each bound below it; each substep of
-    length h is a Taylor sum in Horner form,
-    ``v + h g (v + h g / 2 (v + ...))`` with g = m0 + x m1, of the smallest
-    degree whose first omitted term is at most 2^-53 (at most 9).
+    picks the substeps and the degree (``_taylor_plan``): the step is cut
+    into s equal substeps, and each substep of length h is a Taylor sum in
+    Horner form, ``v + h g (v + h g / 2 (v + ...))`` with g = m0 + x m1, of
+    degree m (at most 30), whose first omitted term is at most 2^-53.
     """
-    bound = dt * (norms[0] + abs(x) * norms[1])
-    s = max(0, math.frexp(bound / _EXPI_THETA)[1])
-    degree = bisect.bisect_left(_TAYLOR_REACH, math.ldexp(bound, -s)) + 1
+    degree, substeps = _taylor_plan(dt * (norms[0] + abs(x) * norms[1]))
     g = x * m1
     g += m0
-    h = math.ldexp(dt, -s)
-    for _ in range(1 << s):
+    h = dt / substeps
+    for _ in range(substeps):
         w = v
         for k in range(degree, 0, -1):
             w = np.dot(g, w)

@@ -11,10 +11,11 @@ The classical drive mode oscillates at its own frequency ``nu``; its free
 energy is ``(nu / 2) (x^2 + p^2)`` so that ``x(t) = x0 sin(nu t)`` is the
 free solution of the rescaled phase-space pair ``(x, p)``.
 
-Each params class is the record of its family (``_Family``): its space,
-its Hamiltonian parts written from the Fock labels, its detector factor,
-its default initial state, its intensity field and whether it is
-classically driven.  Every other layer reads a family from its record.
+Each params class is the record of its family (``_Family``): its space
+(built once per instance and cached), its Hamiltonian parts written from
+the Fock labels, its detector factor, its default initial state, its
+intensity field and whether it is classically driven.  Every other layer
+reads a family from its record.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -128,7 +130,7 @@ class QubitSemiClassicalParams(_Family):
         _require_positive(omega=self.omega, nu=self.nu)
         _require_nonnegative(coupling=self.coupling)
 
-    @property
+    @cached_property
     def space(self) -> SpaceDescriptor:
         return SpaceDescriptor((TwoLevel(),))
 
@@ -159,7 +161,7 @@ class JaynesCummingsParams(_Family):
         if self.field_cutoff < 2:
             raise ValueError("field_cutoff must be >= 2")
 
-    @property
+    @cached_property
     def space(self) -> SpaceDescriptor:
         return SpaceDescriptor((Boson(self.field_cutoff), TwoLevel()))
 
@@ -200,7 +202,7 @@ class BeamSplitterParams(_Family):
             raise ValueError("cutoffs must be >= 2")
         check_coherent_cutoff(self.alpha, self.field_cutoff)
 
-    @property
+    @cached_property
     def space(self) -> SpaceDescriptor:
         return SpaceDescriptor((Boson(self.field_cutoff), Boson(self.detector_cutoff)))
 
@@ -240,7 +242,7 @@ class DrivenOscillatorParams(_Family):
         if self.detector_cutoff < 2:
             raise ValueError("detector_cutoff must be >= 2")
 
-    @property
+    @cached_property
     def space(self) -> SpaceDescriptor:
         return SpaceDescriptor((Boson(self.detector_cutoff),))
 

@@ -539,6 +539,89 @@ def test_driven_scan_points_equal_their_serial_runs(make, method, dt, t_max):
         for t in times]
 
 
+def _time_scan_cfgs(cfg, times):
+    """The per-point configs of ``time_scan``: each readout t on its own grid."""
+    return [replace(cfg, dt=t / max(1, round(t / cfg.dt)), t_max=t) for t in times]
+
+
+@pytest.mark.parametrize("model, cfg", [
+    (_bs_model(), EvolutionConfig(dt=0.5, t_max=10.0)),
+    (ModelSpec(ModelFamily.JAYNES_CUMMINGS,
+               JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=6)),
+     EvolutionConfig(dt=0.1, t_max=10 * math.pi)),
+], ids=["beam_splitter", "jaynes_cummings"])
+def test_quantized_scan_points_equal_their_serial_runs(model, cfg):
+    # one batch shares the layout and the stacked eigh, never the
+    # arithmetic of one point, so each point gives its serial run's bits
+    from quantex.analysis import _run_points
+    deltas = np.array([-0.5, -0.1, 0.0, 0.3, 0.5])
+    times = cfg.t_max * np.array([0.001, 0.2, 0.57, 1.0])
+    axes = [(detuning_scan, deltas, lambda i: model.with_nu(1.0 + deltas[i]),
+             [cfg] * len(deltas)),
+            (time_scan, times, lambda i: model, _time_scan_cfgs(cfg, times))]
+    if model.params.intensity_field is not None:
+        intensities = np.array([1.0, 2.0, 4.0])
+        axes.append((intensity_scan, intensities,
+                     lambda i: model.with_intensity(intensities[i]), [cfg] * 3))
+    for scan, axis, build, cfgs in axes:
+        serial = [run_point(build(i), cfgs[i]) for i in range(len(cfgs))]
+        assert scan(model, cfg, axis).probabilities.tolist() == [p for _, p in serial]
+        for (traj, prob), (p, first, final, error) in zip(serial,
+                                                          _run_points(build, cfgs, None)):
+            assert error is None and p == prob
+            assert np.array_equal(first, traj.amplitudes[0])
+            assert np.array_equal(final, traj.amplitudes[-1])
+
+
+def test_quantized_batch_tags_each_point_like_its_serial_run():
+    # a detector cut at 3 levels overflows near resonance and holds far
+    # detuned; delta -1 puts nu at 0, which the params reject
+    from quantex.analysis import _run_points
+    model = _bs_model(g=0.002, detector_cutoff=3)
+    cfg = EvolutionConfig(dt=0.5, t_max=10.0)
+    deltas = np.array([-1.0, -0.8, 0.0, 0.8])
+
+    def build(i):
+        return model.with_nu(1.0 + deltas[i])
+
+    serial = []
+    for i in range(len(deltas)):
+        try:
+            serial.append((None, run_point(build(i), cfg)[0].amplitudes[-1]))
+        except (ToleranceError, ValueError) as exc:
+            serial.append((f"{type(exc).__name__}: {exc}", None))
+    assert serial[0][0] == "ValueError: nu must be > 0, got 0.0"
+    assert serial[2][0].startswith("ToleranceError: top Fock level")
+    scan = detuning_scan(model, cfg, deltas)
+    assert list(scan.errors) == [tag for tag, _ in serial]
+    assert np.isnan(scan.probabilities[[0, 2]]).all()
+    batch = _run_points(build, [cfg] * len(deltas), None,
+                        catch=(ToleranceError, ValueError))
+    for (tag, final), (_, _, batch_final, batch_tag) in zip(serial, batch):
+        assert batch_tag == tag
+        assert (final is None and batch_final is None) or np.array_equal(final, batch_final)
+
+
+def test_quantized_scans_decompose_once_per_block_size(monkeypatch):
+    # the bundled beam splitter: excitation-number sectors of 1 to 6 states
+    model = _bs_model(field_cutoff=60)
+    cfg = EvolutionConfig(dt=0.5, t_max=10.0)
+    eigh, shapes = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    time_scan(model, cfg, np.geomspace(0.001, 10.0, 25))
+    assert sorted(shape[-1] for shape in shapes) == [1, 2, 3, 4, 5, 6]
+    # one distinct Hamiltonian for the whole time scan
+    assert {shape[0] for shape in shapes} == {1}
+    shapes.clear()
+    detuning_scan(model, cfg, np.linspace(-0.9, 0.9, 41))
+    assert len(shapes) == 6 and {shape[0] for shape in shapes} == {41}
+
+
 def test_quantized_scans_read_the_hop_lists_once_per_point(monkeypatch):
     from quantex import analysis
     calls, dense = [], []

@@ -52,6 +52,7 @@ from quantex.dynamics import (
     _expi,
     _expi_state,
     _real_form,
+    _taylor_plan,
 )
 from quantex.hilbert import NORM_ATOL, CoherentSpec, Operator, StateVector
 
@@ -162,6 +163,27 @@ def test_top_level_guard_flags_small_cutoff():
         evolve_unitary(build_beam_splitter_hamiltonian(p),
                        basis_state(p.space, [1, 0]),
                        EvolutionConfig(dt=0.5, t_max=40.0))
+
+
+def test_guard_trip_names_the_earliest_time_in_any_order():
+    # evolve_unitary_at samples arbitrary times: the trip it raises is the
+    # one at the smallest tripped t, whatever the order of the times
+    p = BeamSplitterParams(nu=1.0, omega=1.0, g=0.5, field_cutoff=30,
+                           detector_cutoff=3, alpha=1.5)
+    cfg = EvolutionConfig(dt=0.1, t_max=1.0)
+    messages = []
+    for times in ([0.0, 0.5, 1.0, 2.0, 4.0], [4.0, 2.0, 1.0, 0.5, 0.0]):
+        with pytest.raises(ToleranceError) as err:
+            evolve_unitary_at(p.hamiltonian(), p.default_initial_state(), times, cfg)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("at t=0.5 (raise the cutoff)")
+    # equal times: the first index is named
+    space = SpaceDescriptor((Boson(3),))
+    amps = np.sqrt([[0.9, 0.0, 0.1], [0.8, 0.0, 0.2]])
+    for times, pop in (([1.0, 1.0], "1.000e-01"), ([2.0, 1.0], "2.000e-01")):
+        with pytest.raises(ToleranceError, match=f"population {pop} .* at t=1 "):
+            _checked_state(amps, np.array(times), cfg, _boson_top_indices(space))
 
 
 # -- driven evolution ---------------------------------------------------------
@@ -431,15 +453,40 @@ def test_hybrid_matches_per_step_route(family, coupling, dt, t_max):
         model, s0, EvolutionConfig(dt=dt, t_max=t_max, method=Method.MIDPOINT))
 
 
-@pytest.mark.parametrize("family, dt", [("qubit", 0.3), ("oscillator", 0.05)])
+@pytest.mark.parametrize("family, dt", [("qubit", 0.3), ("oscillator", 0.05),
+                                        ("qubit", 0.5), ("oscillator", 0.5),
+                                        ("qubit", 1.0), ("oscillator", 1.0)])
 def test_coarse_hybrid_steps_match_per_step_route(family, dt):
-    # every step's 1-norm bound exceeds _EXPI_THETA, so every quantum step
-    # is cut into substeps
+    # every step's 1-norm bound exceeds _EXPI_THETA; the oscillator's
+    # coarsest steps (bound up to about 16) are cut into substeps of
+    # degree up to 30
     model, s0 = _hybrid(family, 0.1)
     h0, _ = model.params.free_and_coupling()
     assert dt * np.abs(h0).sum(axis=0).max() > _EXPI_THETA
     _assert_hybrid_matches_per_step(
         model, s0, EvolutionConfig(dt=dt, t_max=20.0, method=Method.MIDPOINT))
+
+
+@pytest.mark.parametrize("family, degree", [("qubit", 4), ("oscillator", 6)])
+def test_taylor_plan_keeps_the_bundled_hybrid_step(family, degree):
+    # the bundled audits step at dt 0.001 with |x| up to about 1: one
+    # Taylor sum of the degree the step has always had there
+    model, _ = _hybrid(family, 0.1)
+    norms = [np.abs(m).sum(axis=0).max() for m in model.params.free_and_coupling()]
+    for x in (0.0, 1.0, 1.5):
+        assert _taylor_plan(0.001 * (norms[0] + x * norms[1])) == (degree, 1)
+
+
+@pytest.mark.parametrize("bound", [0.0, 1e-9, 0.015, 0.1, 1.0, 3.7, 3.9, 15.6, 43.0, 1e3])
+def test_taylor_plan_takes_the_fewest_matvecs(bound):
+    from quantex.dynamics import _TAYLOR_REACH
+    degree, substeps = _taylor_plan(bound)
+    # every substep lies within its degree's reach
+    assert 1 <= degree <= 30 and bound / substeps <= _TAYLOR_REACH[degree - 1]
+    assert degree * substeps == min(m * max(1, math.ceil(bound / reach))
+                                    for m, reach in enumerate(_TAYLOR_REACH, start=1))
+    if bound == 15.6:       # the bundled oscillator hybrid at dt 1.0
+        assert degree * substeps <= 150
 
 
 def test_hybrid_top_level_trip_matches_per_step_route():
@@ -849,18 +896,26 @@ def _permuted_block_hermitian(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_permuted_block_hermitian())
-def test_block_eigh_reproduces_dense_decomposition(m):
-    # the hops of m's upper triangle, as evolve_unitary_at passes them;
-    # w and v are rebuilt dense from the per-class stacks
+@given(_permuted_block_hermitian(), st.floats(-3.0, 3.0))
+def test_block_eigh_reproduces_dense_decomposition(m, shift):
+    # the hops of m's upper triangle, as evolve_unitary_at passes them,
+    # under a stack of three diagonals of which the first and last are
+    # equal; each point's w and v are rebuilt dense from the class stacks
     rows, cols = np.nonzero(np.triu(m, 1))
-    w, v = np.empty(len(m)), np.zeros_like(m)
-    for idx, w_class, v_class in _block_eigh(m.diagonal().real,
-                                             (cols, rows, m[rows, cols])):
-        w[idx], v[idx[:, :, None], idx[:, None, :]] = w_class, v_class
-    npt.assert_allclose(np.sort(w), np.linalg.eigvalsh(m), rtol=0, atol=1e-12)
-    npt.assert_allclose(v.conj().T @ v, np.eye(len(m)), rtol=0, atol=1e-12)
-    npt.assert_allclose((v * w) @ v.conj().T, m, rtol=0, atol=1e-12)
+    diagonal = m.diagonal().real
+    stack = np.array([diagonal, diagonal + shift, diagonal])
+    inverse, classes = _block_eigh(stack, (cols, rows, m[rows, cols]))
+    assert inverse.shape == (3,) and inverse[0] == inverse[2]
+    # only the distinct diagonals are decomposed
+    assert all(len(w_class) == len(np.unique(stack, axis=0)) for _, w_class, _ in classes)
+    for diag, u in zip(stack, inverse):
+        mk = m + np.diag(diag - diagonal)
+        w, v = np.empty(len(m)), np.zeros_like(m)
+        for idx, w_class, v_class in classes:
+            w[idx], v[idx[:, :, None], idx[:, None, :]] = w_class[u], v_class[u]
+        npt.assert_allclose(np.sort(w), np.linalg.eigvalsh(mk), rtol=0, atol=1e-12)
+        npt.assert_allclose(v.conj().T @ v, np.eye(len(m)), rtol=0, atol=1e-12)
+        npt.assert_allclose((v * w) @ v.conj().T, mk, rtol=0, atol=1e-12)
 
 
 @st.composite
@@ -1000,7 +1055,7 @@ def _midpoint_hamiltonian(draw):
 @example((np.diag([0.5, -0.5]), np.array([[0.0, 0.1], [0.1, 0.0]]), 1.0, 0.001,
           np.array([1.0 + 0j, 0.0])))                     # the bundled qubit step
 @example((np.diag([-40.0, 25.0]), np.array([[0.0, 3.0], [3.0, 0.0]]), -1.0, 1.0,
-          np.array([0.6 + 0j, 0.8j])))                    # bound 43: 512 substeps
+          np.array([0.6 + 0j, 0.8j])))                    # bound 43: 12 substeps
 def test_expi_state_matches_expm(step):
     h0, c, x, dt, psi = step
     norms = [_norm_1(m) for m in (h0, c)]

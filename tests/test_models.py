@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -225,6 +226,20 @@ def test_param_validation_rejects_nonpositive_frequencies():
         JaynesCummingsParams(nu=0.0, omega=1.0, g=0.1, field_cutoff=4)
     with pytest.raises(ValueError):
         DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=-0.1, x0=1.0)
+
+
+@pytest.mark.parametrize("p", [
+    QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0),
+    JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4),
+    BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=8, detector_cutoff=3),
+    DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0),
+])
+def test_params_build_their_space_once(p):
+    assert p.space is p.space
+    other = replace(p, nu=2.0)
+    assert other.space == p.space and other.space is not p.space
+    # the cached space is no field: equality and hashing are unchanged
+    assert replace(p) == p and hash(replace(p)) == hash(p)
 
 
 def test_model_spec_variant_consistency():
