@@ -24,7 +24,7 @@ from .errors import (
 from .hilbert import (
     Boson,
     CoherentSpec,
-    Operator,
+    Hamiltonian,
     SpaceDescriptor,
     StateVector,
     TwoLevel,

@@ -25,13 +25,14 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import CoherentTailError, RegimeError, ToleranceError
-from .hilbert import StateVector
+from .hilbert import StateVector, _readonly
 from .models import ModelSpec
 from .dynamics import (
     GOLDEN_RULE_MIN_RATIO,
     EvolutionConfig,
     Trajectory,
     evolve_driven,
+    evolve_unitary_at,
     rabi_probability,
 )
 from . import dynamics as _dyn
@@ -61,8 +62,9 @@ def default_target(model: ModelSpec) -> tuple[int, int]:
 
 
 def default_initial_state(model: ModelSpec) -> StateVector:
-    """The family's canonical initial state (see its params class)."""
-    return model.params.default_initial_state()
+    """The family's canonical initial state (see its params class), built
+    once per model."""
+    return model.default_state
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +264,7 @@ class ScanResult:
     aux: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        axis = np.array(self.axis, dtype=float)
-        probs = np.array(self.probabilities, dtype=float)
+        axis, probs = _readonly(self.axis, float), _readonly(self.probabilities, float)
         if len(axis) != len(probs):
             raise ValueError("axis and probability lengths differ")
         steps = np.diff(axis)
@@ -272,8 +273,6 @@ class ScanResult:
         errors = tuple(self.errors) if self.errors else tuple([None] * len(axis))
         if len(errors) != len(axis):
             raise ValueError("error tags must match axis length")
-        axis.setflags(write=False)
-        probs.setflags(write=False)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "errors", errors)
@@ -289,7 +288,8 @@ def run_point(model: ModelSpec, cfg: EvolutionConfig,
               initial: StateVector | None = None) -> tuple[Trajectory, float]:
     """One evolution of a (non-mean-field) model; returns the trajectory
     and the target population at the final time.  A quantized model runs
-    as a batch of one of the kernel its scans use."""
+    its Hamiltonian record through ``evolve_unitary_at``, a batch of one
+    of the kernel its scans use."""
     _check_scannable(model)
     if target is None:
         target = default_target(model)
@@ -298,9 +298,7 @@ def run_point(model: ModelSpec, cfg: EvolutionConfig,
     if model.is_driven:
         traj = evolve_driven(model.params, initial, cfg)
     else:
-        field, detector, hops = model.params.parts()
-        traj = _dyn._evolve_parts(model.params.space, field + detector, hops,
-                                  initial, cfg.time_grid(), cfg)
+        traj = evolve_unitary_at(model.params.hamiltonian(), initial, cfg.time_grid(), cfg)
     return traj, traj.final_state().population(*target)
 
 
@@ -311,15 +309,17 @@ def _tag(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_points(build, cfgs, target, catch=_POINT_ERRORS):
+def _run_points(build, cfgs, target, catch=_POINT_ERRORS, shared=None):
     """Evolve every scan point; returns per point the target population,
     the initial and final amplitudes, and the error tag (NaN, None, None,
     tag on a failed point).
 
-    Point i evolves the model ``build(i)`` under ``cfgs[i]``; exceptions in
-    ``catch`` tag the point instead of aborting the scan.  The points run
-    in batches, each of a kernel that also runs a single point, so that a
-    scan point gives the bits of its own serial run:
+    Point i evolves the model ``build(i)`` under ``cfgs[i]`` from the
+    default initial state of ``shared``, when given (a model whose state
+    equals every point's), else of its own; exceptions in ``catch`` tag
+    the point instead of aborting the scan.  The points run in batches,
+    each of a kernel that also runs a single point, so that a scan point
+    gives the bits of its own serial run:
 
     * quantized-field points that share the space and the hop list (every
       point of a scan of one model) form one batch of
@@ -349,8 +349,9 @@ def _run_points(build, cfgs, target, catch=_POINT_ERRORS):
                 continue
             field, detector, hops = model.params.parts()
             key = (model.params.space, *(a.tobytes() for a in hops))
+            psi0 = default_initial_state(shared or model)  # before a batch opens
             quantized.setdefault(key, (model, hops, []))[2].append(
-                (i, field + detector, default_initial_state(model), cfg.time_grid()))
+                (i, field + detector, psi0, cfg.time_grid()))
         except catch as exc:
             results[i] = (math.nan, None, None, _tag(exc))
 
@@ -407,13 +408,14 @@ def detuning_scan(model: ModelSpec, cfg: EvolutionConfig, deltas,
     or whose parameters are invalid, are tagged and reported as NaN rather
     than aborting the scan.  The points evolve together in one batch of
     their family's kernel (see ``_run_points``); the quantized points
-    share one hop graph and differ only in the diagonal.
+    share one hop graph and ``model``'s initial state (no family's state
+    reads nu) and differ only in the diagonal.
     """
     deltas = np.asarray(deltas, dtype=float)
     omega = model.params.omega
     results = _run_points(lambda i: model.with_nu(omega + deltas[i]),
                           [cfg] * len(deltas), target,
-                          catch=_POINT_ERRORS + (ValueError,))
+                          catch=_POINT_ERRORS + (ValueError,), shared=model)
     return _scan_result("detuning", deltas, results, model,
                         {"t_max": cfg.t_max, "omega": omega,
                          "coupling": _coupling_of(model)})

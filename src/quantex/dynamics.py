@@ -1,20 +1,18 @@
 """Time-evolution engines and closed-form transition probabilities.
 
-Three propagators:
+Three propagators, each the one route of its model kind:
 
-* ``evolve_unitary`` -- exact eigendecomposition propagation for a
-  time-independent hermitian Hamiltonian.  Its one route is the batch
-  kernel ``_evolve_blocks``: P points whose Hamiltonians are diagonals
-  plus one shared hop list, each with its own initial state and sample
-  times.  It lays the hop graph out once along its connected components
-  (the excitation-number sectors of the quantized-field families), which
-  a numpy min-label propagation finds, and diagonalises every distinct
-  diagonal block by block in one stacked ``eigh`` per block size; each
-  point is then sampled and guarded on its own grid and returns its trip
-  as data.  A quantized scan is one batch, and ``run_point`` and
-  ``evolve_unitary_at`` are batches of one.  The quantized families enter
-  it from their hop lists and never build a dense matrix; an ``Operator``
-  enters as its diagonal and the hops of its upper triangle;
+* ``evolve_unitary`` / ``evolve_unitary_at`` -- exact propagation under a
+  time-independent ``Hamiltonian`` record, a real diagonal plus hops, by
+  the batch kernel ``_evolve_blocks``: P points whose diagonals share one
+  hop list, each with its own initial state and sample times.  It lays
+  the hop graph out once along its connected components (the
+  excitation-number sectors of the quantized-field families) and
+  diagonalises every distinct diagonal block by block in one stacked
+  ``eigh`` per block size, so no Hamiltonian is ever a dense matrix; each
+  point is sampled and guarded on its own grid and returns its trip as
+  data.  A quantized scan is one batch, and ``evolve_unitary_at`` (which
+  ``run_point`` calls) a batch of one;
 * ``evolve_driven`` -- Schroedinger evolution under a sinusoidal classical
   drive ``x(t) = x0 sin(nu t)``, with the Hamiltonian frozen at interval
   midpoints (second order in dt).  It is one run of the stepping kernel
@@ -24,20 +22,16 @@ Three propagators:
   with one stacked propagator build and one guard pass per chunk.  A
   propagator ``exp(-i H dt)`` is ``cos - i sin`` of ``H dt`` from Taylor
   sums in real stacked matmuls, scaled and doubled back above a 1-norm
-  of 0.1 (``_expi``); the tests hold it to a reference matrix exponential
-  within 1e-13 max(1, |H dt|_1) and the kernel to an eigendecomposition
-  step within 1e-12 absolute, also at steps that take the doubling branch;
+  of 0.1 (``_expi``);
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
   values, advanced by a Strang split (exact classical half-flow, full
   quantum step at the midpoint position, classical half-flow with the
-  refreshed expectation), second order overall.  The state is held in
-  its real view, (re, im) per entry, and the quantum step is a Horner
-  Taylor sum on that vector (``_expi_state``): the 1-norm bound picks s
-  equal substeps and a degree m up to 30, each substep's first omitted
-  term at most 2^-53, with the fewest matvecs m s.  The tests hold
-  it to a per-step eigendecomposition loop within 1e-12 absolute on the
-  amplitudes and (x, p) and 1e-14 on the worst norm drift.
+  refreshed expectation), second order overall.  The quantum step is a
+  Horner Taylor sum on the state's real view (``_expi_state``).
+
+Each propagator freezes the amplitude array it fills and hands it to its
+``Trajectory`` uncopied.
 
 The closed-form expressions at the bottom use a guarded ``sin(x)/x``
 branch below ``|detuning * t| < 1e-6`` where the removable singularity
@@ -58,7 +52,6 @@ import numpy as np
 
 from .errors import (
     FactorError,
-    HermiticityError,
     NormalizationError,
     RegimeWarning,
     ToleranceError,
@@ -66,7 +59,7 @@ from .errors import (
 from .hilbert import (
     NORM_ATOL,
     Boson,
-    Operator,
+    Hamiltonian,
     SpaceDescriptor,
     StateVector,
     _readonly,
@@ -161,8 +154,7 @@ class Trajectory:
     max_norm_drift: float = 0.0
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        amps = _readonly(self.amplitudes)
+        times, amps = _readonly(self.times, float), _readonly(self.amplitudes)
         if amps.shape != (len(times), self.space.total_dim):
             raise ValueError(f"amplitudes {amps.shape} must be (n_times, dim) = "
                              f"({len(times)}, {self.space.total_dim})")
@@ -171,12 +163,10 @@ class Trajectory:
                           for part in (amps.real, amps.imag)))
         if not np.all(np.abs(nrm - 1.0) <= NORM_ATOL):     # NaN norms fail too
             raise NormalizationError(f"a state norm lies outside 1 +/- {NORM_ATOL}")
-        times.setflags(write=False)
         if self.classical is not None:
-            cl = np.array(self.classical, dtype=float)
+            cl = _readonly(self.classical, float)
             if cl.shape != (len(times), 2):
                 raise ValueError("classical track must be (n, 2)")
-            cl.setflags(write=False)
             object.__setattr__(self, "classical", cl)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "amplitudes", amps)
@@ -194,11 +184,6 @@ class Trajectory:
             raise FactorError(f"level {level} out of range for factor {factor_index}")
         at = np.flatnonzero(self.space.levels[factor_index] == level)
         return (np.abs(self.amplitudes[:, at]) ** 2).sum(axis=1)
-
-    def expectation_series(self, op: Operator) -> np.ndarray:
-        """<psi(t)| op |psi(t)> per time (complex)."""
-        return np.einsum("ti,ti->t", self.amplitudes.conj(),
-                         self.amplitudes @ op.matrix.T)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +324,9 @@ def _block_eigh(diagonals: np.ndarray, hops) -> tuple[np.ndarray, list]:
 
 def _evolve_blocks(space: SpaceDescriptor, diagonals: np.ndarray, hops,
                    psi0s: Sequence[StateVector], grids, cfg: EvolutionConfig):
-    """exp(-i H_k t) psi0s[k] at each t of ``grids[k]``, for a batch of
-    points k with H_k = diag(diagonals[k]) + hops: the one route of every
-    quantized evolution, ``evolve_unitary_at`` and ``run_point`` being
-    batches of one.
+    """exp(-i H_k t) psi0s[k] at each t of the array ``grids[k]``, for a
+    batch of points k with H_k = diag(diagonals[k]) + hops: the one route
+    of every quantized evolution, ``evolve_unitary_at`` being a batch of one.
 
     One ``_block_eigh`` decomposes every distinct H_k of the batch.  Then,
     point by point, each block-size class forms every sample of the
@@ -362,7 +346,6 @@ def _evolve_blocks(space: SpaceDescriptor, diagonals: np.ndarray, hops,
     inverse, classes = _block_eigh(diagonals, hops)
     top_slots = _boson_top_indices(space)
     for u, psi0, times in zip(inverse, psi0s, grids):
-        times = np.asarray(times, dtype=float)
         amps = np.empty((len(times), space.total_dim), dtype=complex)
         for idx, w, v in classes:
             coeffs = v[u].conj().swapaxes(1, 2) @ psi0.amplitudes[idx][..., None]
@@ -374,37 +357,28 @@ def _evolve_blocks(space: SpaceDescriptor, diagonals: np.ndarray, hops,
         yield (amps if error is None else None), float(drift.max(initial=0.0)), error
 
 
-def _evolve_parts(space: SpaceDescriptor, diagonal: np.ndarray, hops,
-                  psi0: StateVector, times, cfg: EvolutionConfig) -> Trajectory:
-    """One run of ``_evolve_blocks`` as a trajectory, raising its trip."""
-    ((amps, worst, error),) = _evolve_blocks(space, diagonal[None], hops, [psi0],
+def evolve_unitary_at(h: Hamiltonian, psi0: StateVector, times,
+                      cfg: EvolutionConfig) -> Trajectory:
+    """Exact propagation exp(-i h t) psi0 sampled at arbitrary times, which
+    must be a non-empty list of finite numbers (ValueError otherwise).
+
+    The diagonal and hops of ``h`` go through ``_evolve_blocks`` as a
+    batch of one: no integration error, and the norm / top-level guards
+    run per sample; a trip is raised at the earliest tripped time.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size or not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be a non-empty list of finite numbers")
+    ((amps, worst, error),) = _evolve_blocks(h.space, h.diagonal[None], h.hops, [psi0],
                                              [times], cfg)
     if error is not None:
         raise error
-    return Trajectory(space, times, amps, max_norm_drift=worst)
+    amps.setflags(write=False)
+    return Trajectory(h.space, times, amps, max_norm_drift=worst)
 
 
-def evolve_unitary_at(h: Operator, psi0: StateVector, times,
-                      cfg: EvolutionConfig) -> Trajectory:
-    """Exact propagation exp(-i h t) psi0 sampled at arbitrary times.
-
-    The diagonal of ``h`` and the hops of its upper triangle go through
-    ``_evolve_blocks`` as a batch of one, the route of the quantized
-    families: no integration error, and the norm / top-level guards run
-    per sample; a trip is raised at the earliest tripped time.
-    """
-    if not (h.hermitian_hint or h.is_hermitian()):
-        raise HermiticityError("evolve_unitary requires a hermitian Hamiltonian")
-    rows, cols = np.nonzero(np.triu(h.matrix, 1))
-    return _evolve_parts(h.space, h.matrix.diagonal().real,
-                         (cols, rows, h.matrix[rows, cols]), psi0, times, cfg)
-
-
-def evolve_unitary(h: Operator, psi0: StateVector, cfg: EvolutionConfig) -> Trajectory:
-    """Exact propagation exp(-i h t) psi0 sampled on the dt grid.
-
-    dt only sets the sampling density; there is no integration error.
-    """
+def evolve_unitary(h: Hamiltonian, psi0: StateVector, cfg: EvolutionConfig) -> Trajectory:
+    """``evolve_unitary_at`` on the dt grid, which only sets the sampling density."""
     return evolve_unitary_at(h, psi0, cfg.time_grid(), cfg)
 
 
@@ -643,6 +617,7 @@ def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Tra
         [cfg.t_max], [cfg.n_steps], cfg, states=amps)
     if errors[0] is not None:
         raise errors[0]
+    amps.setflags(write=False)
     return Trajectory(space, times, amps[:, 0], classical=classical_drive(params, times),
                       max_norm_drift=float(worst[0]))
 
@@ -724,6 +699,7 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
         v = np.divide(v, nrm, out=rows[k + 1])
         mean /= float(nrm_sq)
         track.append((x, p))
+    rows.setflags(write=False)
     return Trajectory(space, times, rows.view(complex), classical=track,
                       max_norm_drift=worst)
 

@@ -1,5 +1,5 @@
-"""Truncated Fock / two-level spaces, the operator and state records on
-them, and canonical states.
+"""Truncated Fock / two-level spaces, the Hamiltonian and state records
+on them, and canonical states.
 
 Conventions:
   * ``SpaceDescriptor.levels`` is the one map from flat basis index to
@@ -29,12 +29,11 @@ from .errors import (
     NormalizationError,
 )
 
-HERMITIAN_ATOL = 1e-12
 NORM_ATOL = 1e-9
 COHERENT_TAIL_TOL = 1e-12
 
 __all__ = [
-    "Boson", "TwoLevel", "SpaceDescriptor", "Operator", "StateVector",
+    "Boson", "TwoLevel", "SpaceDescriptor", "Hamiltonian", "StateVector",
     "CoherentSpec", "basis_state", "ground_state", "coherent_state",
     "min_coherent_cutoff",
 ]
@@ -102,38 +101,55 @@ class SpaceDescriptor:
         return f
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=complex)
-    arr.setflags(write=False)
-    return arr
+def _readonly(arr, dtype=complex) -> np.ndarray:
+    """``arr`` as a read-only C-contiguous ``dtype`` array: taken as it is
+    when it already is one, else copied, so a caller's array stays its own."""
+    out = np.ascontiguousarray(arr, dtype=dtype)
+    if out.flags.writeable and np.may_share_memory(out, arr):
+        out = out.copy()
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
-class Operator:
-    """Dense complex matrix on a composite space, immutable after creation.
-
-    ``hermitian_hint=True`` is verified at construction (elementwise
-    deviation from the adjoint at most 1e-12 absolute).
-    """
+class Hamiltonian:
+    """H = diag(diagonal) + hops, each hop ``(src, dst, amp)`` the term
+    ``amp |dst><src| + h.c.``: the one form of every Hamiltonian, immutable.
+    Checked at construction: a real (else HermiticityError), finite
+    ``(d,)`` diagonal; integer hop arrays of one length, indices in range,
+    finite amplitudes; no self-loop or repeated unordered pair, which the
+    block propagator's layout would overwrite instead of adding.  Other bad
+    input raises ValueError."""
 
     space: SpaceDescriptor
-    matrix: np.ndarray
-    hermitian_hint: bool = False
+    diagonal: np.ndarray
+    hops: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        m = _readonly(self.matrix)
         d = self.space.total_dim
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match space dim {d}")
-        if self.hermitian_hint:
-            dev = np.max(np.abs(m - m.conj().T)) if d else 0.0
-            if dev > HERMITIAN_ATOL:
-                raise HermiticityError(
-                    f"hermitian_hint set but max|M - M^+| = {dev:.3e}")
-        object.__setattr__(self, "matrix", m)
-
-    def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= HERMITIAN_ATOL)
+        diagonal = np.asarray(self.diagonal)
+        if np.iscomplexobj(diagonal) and np.any(diagonal.imag != 0):
+            raise HermiticityError("the diagonal of a hermitian H must be real")
+        diagonal = _readonly(diagonal.real, float)
+        src, dst, amp = (np.asarray(a) for a in self.hops)
+        if any(i.size and i.dtype.kind not in "iu" for i in (src, dst)):
+            raise ValueError("hop indices must be integers")
+        src, dst = _readonly(src, np.intp), _readonly(dst, np.intp)
+        amp = _readonly(amp, np.result_type(amp, float))
+        if diagonal.shape != (d,) or src.ndim != 1 or not src.shape == dst.shape == amp.shape:
+            raise ValueError(f"space dim {d} needs a ({d},) diagonal and hop "
+                             "arrays of one length")
+        if not (np.all(np.isfinite(diagonal)) and np.all(np.isfinite(amp))):
+            raise ValueError("the diagonal and the hop amplitudes must be finite")
+        if np.any((src < 0) | (src >= d) | (dst < 0) | (dst >= d)):
+            raise ValueError(f"hop index out of range for space dim {d}")
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        if np.any(lo == hi):
+            raise ValueError("a hop may not join a basis state to itself")
+        if np.unique(lo * d + hi).size != lo.size:
+            raise ValueError("a pair of basis states is joined by more than one hop")
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "hops", (src, dst, amp))
 
 
 @dataclass(frozen=True, eq=False)

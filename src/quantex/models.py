@@ -15,7 +15,9 @@ Each params class is the record of its family (``_Family``): its space
 (built once per instance and cached), its Hamiltonian parts written from
 the Fock labels, its detector factor, its default initial state, its
 intensity field and whether it is classically driven.  Every other layer
-reads a family from its record.
+reads a family from its record.  A Hamiltonian is a ``hilbert.Hamiltonian``
+record, a diagonal plus hops; only the driven families' stepping kernels
+take dense parts (``free_and_coupling``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .constants import DEFAULT_CONSTANTS
 from .hilbert import (
     Boson,
     CoherentSpec,
-    Operator,
+    Hamiltonian,
     SpaceDescriptor,
     StateVector,
     TwoLevel,
@@ -63,20 +65,16 @@ def _require_nonnegative(**kwargs):
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def _dense(diagonal: np.ndarray, hops=None, x: float = 1.0) -> np.ndarray:
-    """Hermitian matrix with the given diagonal plus, for each hop
-    ``(src, dst, amp)``, ``x * amp`` at (dst, src) and (src, dst); real
-    when the diagonal and the hop amplitudes are."""
+def _dense(diagonal: np.ndarray, hops=None) -> np.ndarray:
+    """Symmetric matrix with the given diagonal plus, for each hop
+    ``(src, dst, amp)``, ``amp`` at (dst, src) and (src, dst): the driven
+    families' real parts, which their stepping kernels take dense."""
     m = np.diag(diagonal)
     if hops is not None:
         src, dst, amp = hops
         m = m.astype(np.result_type(m, amp), copy=False)
-        m[dst, src] = m[src, dst] = x * amp
+        m[dst, src] = m[src, dst] = amp
     return m
-
-
-def _operator(space: SpaceDescriptor, field, detector, hops, x: float = 1.0) -> Operator:
-    return Operator(space, _dense(field + detector, hops, x), hermitian_hint=True)
 
 
 class _Family:
@@ -97,9 +95,10 @@ class _Family:
     def default_initial_state(self) -> StateVector:
         return ground_state(self.space)
 
-    def hamiltonian(self, x: float = 1.0) -> Operator:
-        """H(x) as a dense, hermiticity-checked operator."""
-        return _operator(self.space, *self.parts(), x)
+    def hamiltonian(self, x: float = 1.0) -> Hamiltonian:
+        """H(x) as a record: the free diagonal and the coupling hops times x."""
+        field, detector, (src, dst, amp) = self.parts()
+        return Hamiltonian(self.space, field + detector, (src, dst, x * amp))
 
     def detector_levels(self) -> np.ndarray:
         """The detector's level in every basis state: its excitation number."""
@@ -318,6 +317,11 @@ class ModelSpec:
     def is_driven(self) -> bool:
         return self.params.driven
 
+    @cached_property
+    def default_state(self) -> StateVector:
+        """The family's default initial state, built once per model."""
+        return self.params.default_initial_state()
+
     @property
     def tag(self) -> str:
         return self.family.value + ("+back_reaction" if self.back_reaction else "")
@@ -340,17 +344,18 @@ class ModelSpec:
 
 
 def build_jc_hamiltonian(p: JaynesCummingsParams,
-                         counter_rotating_order: bool = False) -> Operator:
+                         counter_rotating_order: bool = False) -> Hamiltonian:
     """nu a+a + (omega/2) sigma_z + g (a sigma+ + a+ sigma-).
 
     With ``counter_rotating_order=True`` the interaction is built as
     g (a sigma- + a+ sigma+), which does NOT conserve the excitation
     number; it exists for side-by-side comparison only.
     """
-    return _operator(p.space, *p.parts(counter_rotating_order))
+    field, detector, hops = p.parts(counter_rotating_order)
+    return Hamiltonian(p.space, field + detector, hops)
 
 
-def build_beam_splitter_hamiltonian(p: BeamSplitterParams) -> Operator:
+def build_beam_splitter_hamiltonian(p: BeamSplitterParams) -> Hamiltonian:
     """nu a+a + omega b+b + g (a b+ + b a+), written entry by entry from
     the Fock labels (``BeamSplitterParams.parts``)."""
     return p.hamiltonian()

@@ -8,14 +8,16 @@ factors, in the package's factor order (factor 0 slowest) and two-level
 convention (index 0 = |g>, 1 = |e>, ``sigma_z |e> = +|e>``).
 
 Every function returns a plain dense complex ``(d, d)`` array, but
-``product_state``, which returns the ``(d,)`` amplitudes of a product state.
+``product_state``, which returns the ``(d,)`` amplitudes of a product state,
+and the two converters between a dense matrix and the package's
+``Hamiltonian`` record (a diagonal plus hops), ``dense`` and ``record``.
 """
 
 from functools import reduce
 
 import numpy as np
 
-from quantex import FactorError, SpaceDescriptor, TwoLevel
+from quantex import FactorError, Hamiltonian, SpaceDescriptor, TwoLevel
 
 
 def _embed(space: SpaceDescriptor, factor_index: int, block: np.ndarray) -> np.ndarray:
@@ -75,3 +77,38 @@ def total_number(space: SpaceDescriptor) -> np.ndarray:
     return sum(pauli(space, i, "plus") @ pauli(space, i, "minus")
                if isinstance(f, TwoLevel) else number(space, i)
                for i, f in enumerate(space.factors))
+
+
+def jaynes_cummings(p, counter_rotating: bool = False) -> np.ndarray:
+    """nu a+a + (omega/2) sigma_z + g (a sigma+ + a+ sigma-), or with
+    g (a sigma- + a+ sigma+) in the counter-rotating order."""
+    sp = p.space
+    a, ad = annihilation(sp, 0), creation(sp, 0)
+    up, down = pauli(sp, 1, "plus"), pauli(sp, 1, "minus")
+    inter = a @ down + ad @ up if counter_rotating else a @ up + ad @ down
+    return p.nu * number(sp, 0) + 0.5 * p.omega * pauli(sp, 1, "z") + p.g * inter
+
+
+def beam_splitter(p) -> np.ndarray:
+    """nu a+a + omega b+b + g (a b+ + b a+)."""
+    sp = p.space
+    inter = annihilation(sp, 0) @ creation(sp, 1) + annihilation(sp, 1) @ creation(sp, 0)
+    return p.nu * number(sp, 0) + p.omega * number(sp, 1) + p.g * inter
+
+
+def dense(h: Hamiltonian) -> np.ndarray:
+    """The matrix of a Hamiltonian record: its diagonal, plus ``amp`` at
+    (dst, src) and ``conj(amp)`` at (src, dst) for each hop; real when the
+    diagonal and the hop amplitudes are."""
+    src, dst, amp = h.hops
+    m = np.diag(h.diagonal).astype(np.result_type(h.diagonal, amp))
+    m[dst, src] = amp
+    m[src, dst] = np.conj(amp)
+    return m
+
+
+def record(space: SpaceDescriptor, m: np.ndarray) -> Hamiltonian:
+    """The Hamiltonian record of a dense hermitian matrix: its diagonal and
+    one hop per nonzero entry above it."""
+    rows, cols = np.nonzero(np.triu(m, 1))
+    return Hamiltonian(space, m.diagonal(), (cols, rows, m[rows, cols]))

@@ -25,7 +25,6 @@ from quantex import (
     Method,
     ModelFamily,
     ModelSpec,
-    Operator,
     QubitSemiClassicalParams,
     StateVector,
     basis_state,
@@ -56,7 +55,7 @@ from quantex import (
 from quantex.cli import bundled_scenarios, main as cli_main
 
 import constant_folding_oracle as oracle
-from kron_reference import total_number
+from kron_reference import beam_splitter, jaynes_cummings, total_number
 
 
 def criterion(number, name):
@@ -101,40 +100,40 @@ def test_criterion_1_oracle_triangle():
 
 @criterion(2, "unitarity and conservation audit on every full-quantum scenario")
 def test_criterion_2_unitarity_conservation():
-    def excitation_number(p):
-        return Operator(p.space, total_number(p.space), hermitian_hint=True)
-
+    # each case: the record that is evolved, then the Kronecker-built H and
+    # total excitation number whose expectations are audited
     cases = []
 
     jc = JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4)
-    cases.append((build_jc_hamiltonian(jc), excitation_number(jc),
+    cases.append((build_jc_hamiltonian(jc), jaynes_cummings(jc), total_number(jc.space),
                   basis_state(jc.space, [1, 0]),
                   EvolutionConfig(dt=0.1, t_max=math.pi / 0.1)))
     jc_det = JaynesCummingsParams(nu=1.3, omega=1.0, g=0.08, field_cutoff=6)
     sp = jc_det.space
     amps = (basis_state(sp, [1, 0]).amplitudes
             + basis_state(sp, [0, 1]).amplitudes) / math.sqrt(2)
-    cases.append((build_jc_hamiltonian(jc_det), excitation_number(jc_det),
+    cases.append((build_jc_hamiltonian(jc_det), jaynes_cummings(jc_det), total_number(sp),
                   StateVector(sp, amps), EvolutionConfig(dt=0.2, t_max=40.0)))
 
     bs = BeamSplitterParams(nu=1.0, omega=1.0, g=1e-3, field_cutoff=32,
                             detector_cutoff=6, alpha=2.0)
-    cases.append((build_beam_splitter_hamiltonian(bs),
-                  excitation_number(bs),
+    cases.append((build_beam_splitter_hamiltonian(bs), beam_splitter(bs),
+                  total_number(bs.space),
                   coherent_state(bs.space, 0, CoherentSpec(2.0)),
                   EvolutionConfig(dt=0.5, t_max=10.0)))
     bs_det = BeamSplitterParams(nu=1.2, omega=1.0, g=0.05, field_cutoff=5,
                                 detector_cutoff=5)
-    cases.append((build_beam_splitter_hamiltonian(bs_det),
-                  excitation_number(bs_det),
+    cases.append((build_beam_splitter_hamiltonian(bs_det), beam_splitter(bs_det),
+                  total_number(bs_det.space),
                   basis_state(bs_det.space, [1, 0]),
                   EvolutionConfig(dt=0.25, t_max=50.0)))
 
-    for h, n_op, psi0, cfg in cases:
+    for h, h_dense, n_op, psi0, cfg in cases:
         traj = evolve_unitary(h, psi0, cfg)
         assert traj.max_norm_drift <= 1e-8
-        for op in (h, n_op):
-            series = np.real(traj.expectation_series(op))
+        for op in (h_dense, n_op):
+            series = np.einsum("ti,ti->t", traj.amplitudes.conj(),
+                               traj.amplitudes @ op.T).real
             scale = max(abs(series[0]), 1e-12)
             assert np.max(np.abs(series - series[0])) <= 1e-8 * scale
 

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from quantex import (
     BeamSplitterParams,
+    CoherentTailError,
     DrivenOscillatorParams,
     EnergyLedger,
     EvolutionConfig,
@@ -45,7 +46,8 @@ from quantex import (
 )
 from quantex import dynamics
 from quantex.analysis import run_point
-from test_dynamics import per_step_driven
+from kron_reference import beam_splitter, jaynes_cummings
+from test_dynamics import _dense_route, per_step_driven
 
 
 def _bs_model(**overrides):
@@ -665,11 +667,59 @@ _JC_ON = JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4)
      EvolutionConfig(dt=0.1, t_max=10 * math.pi)),
 ], ids=["beam_splitter_60x6", "beam_splitter_g0", "jc_resonant", "jc_detuned", "jc_g0"])
 def test_run_point_matches_evolve_unitary_of_the_dense_hamiltonian(family, p, cfg):
+    # the second route: a dense eigh propagation of the Kronecker-built H
     traj, prob = run_point(ModelSpec(family, p), cfg)
-    dense = evolve_unitary(p.hamiltonian(), p.default_initial_state(), cfg)
-    npt.assert_array_equal(traj.times, dense.times)
-    npt.assert_allclose(traj.amplitudes, dense.amplitudes, rtol=0, atol=1e-12)
-    assert prob == pytest.approx(dense.final_state().population(1, 1), rel=0, abs=1e-12)
+    m = beam_splitter(p) if family is ModelFamily.BEAM_SPLITTER else jaynes_cummings(p)
+    dense = _dense_route(m, p.default_initial_state().amplitudes, cfg.time_grid())
+    npt.assert_array_equal(traj.times, cfg.time_grid())
+    npt.assert_allclose(traj.amplitudes, dense, rtol=0, atol=1e-12)
+    detector_one = p.space.levels[1] == 1
+    assert prob == pytest.approx(np.sum(np.abs(dense[-1, detector_one]) ** 2),
+                                 rel=0, abs=1e-12)
+
+
+def test_scans_build_each_initial_state_once(monkeypatch, tmp_path):
+    from quantex import models
+    from quantex.cli import main
+    # no family's default state reads nu, so a detuning scan's points share
+    # the state of the model it scans
+    for p in (BeamSplitterParams(nu=1.0, omega=1.0, g=0.1, field_cutoff=24,
+                                 detector_cutoff=3, alpha=1.5),
+              _JC_ON, _osc_model().params, _qubit_model().params):
+        assert (replace(p, nu=1.7).default_initial_state().amplitudes.tobytes()
+                == p.default_initial_state().amplitudes.tobytes())
+    coherent, built = models.coherent_state, []
+
+    def counting(space, factor, spec):
+        built.append(spec.alpha)
+        return coherent(space, factor, spec)
+
+    monkeypatch.setattr(models, "coherent_state", counting)
+    # 41 detuning and 25 time points start from the scanned model's one
+    # state, built once for both scans, and 9 intensity points from their own
+    assert main(["run", "signatures_beam_splitter", "--output-dir", str(tmp_path)]) == 0
+    assert len(built) <= 10
+
+
+def test_a_failed_initial_state_tags_only_its_own_points(monkeypatch):
+    from quantex import models
+    coherent = models.coherent_state
+
+    def failing(space, factor, spec):
+        if spec.alpha == 2.0:
+            raise CoherentTailError("forced")
+        return coherent(space, factor, spec)
+
+    monkeypatch.setattr(models, "coherent_state", failing)
+    model = _bs_model()     # alpha = 2
+    cfg = EvolutionConfig(dt=0.5, t_max=10.0)
+    scan = intensity_scan(model, cfg, np.array([1.0, 4.0, 6.0]))
+    assert scan.errors == (None, "CoherentTailError: forced", None)
+    assert np.isnan(scan.probabilities[1]) and np.isfinite(scan.probabilities[[0, 2]]).all()
+    # a failed build is not kept: every point that needs the state raises its own
+    for scan in (time_scan(model, cfg, np.array([1.0, 2.0])),
+                 detuning_scan(model, cfg, np.array([-0.1, 0.1]))):
+        assert scan.errors == ("CoherentTailError: forced",) * 2
 
 
 def test_quantized_time_scan_tags_late_top_level_trips_like_serial():

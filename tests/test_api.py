@@ -3,7 +3,10 @@ or removing a public name is a deliberate edit of this list."""
 
 import importlib
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import quantex
 
@@ -14,7 +17,7 @@ PUBLIC_NAMES = {
     "NormalizationError", "QuantexError", "RegimeError", "RegimeWarning",
     "ToleranceError",
     # hilbert
-    "Boson", "CoherentSpec", "Operator", "SpaceDescriptor", "StateVector",
+    "Boson", "CoherentSpec", "Hamiltonian", "SpaceDescriptor", "StateVector",
     "TwoLevel", "basis_state", "coherent_state", "ground_state",
     "min_coherent_cutoff",
     # models
@@ -54,3 +57,13 @@ def test_every_submodule_all_entry_resolves():
         if hasattr(module, "__all__"):
             declared.append(info.name)
     assert sorted(declared) == ["analysis", "dynamics", "hilbert", "models"]
+
+
+def test_benchmark_self_checks_pass():
+    # the benchmark harness calls into the package (the Hamiltonian
+    # builders, evolve_unitary_at, Method, default_initial_state and every
+    # generated config): its self-checks must pass against this tree
+    selftest = Path(__file__).resolve().parents[1] / "perfbench" / "selftest.py"
+    proc = subprocess.run([sys.executable, str(selftest)], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -54,9 +55,17 @@ from quantex.dynamics import (
     _real_form,
     _taylor_plan,
 )
-from quantex.hilbert import NORM_ATOL, CoherentSpec, Operator, StateVector
+from quantex.hilbert import NORM_ATOL, CoherentSpec, Hamiltonian, StateVector
 
-from kron_reference import annihilation, creation, number, pauli
+from kron_reference import (
+    annihilation,
+    beam_splitter,
+    creation,
+    jaynes_cummings,
+    number,
+    pauli,
+    record,
+)
 
 
 def test_evolution_config_validation():
@@ -106,7 +115,7 @@ def test_trajectory_length_mismatch_rejected():
 
 def test_free_oscillator_population_constant_phase_rotating():
     sp = SpaceDescriptor((Boson(4),))
-    h = Operator(sp, 1.3 * number(sp, 0), hermitian_hint=True)
+    h = record(sp, 1.3 * number(sp, 0))
     traj = evolve_unitary(h, basis_state(sp, [1]),
                           EvolutionConfig(dt=0.1, t_max=5.0))
     npt.assert_allclose(traj.population_series(0, 1), 1.0, atol=1e-12)
@@ -139,9 +148,10 @@ def test_unitary_energy_and_norm_constant():
     h = build_beam_splitter_hamiltonian(p)
     psi0 = coherent_state(p.space, 0, CoherentSpec(2.0))
     traj = evolve_unitary(h, psi0, EvolutionConfig(dt=0.25, t_max=25.0))
-    energy = np.real(traj.expectation_series(h))
+    # <H> and Var(H) from the Kronecker-built H
+    h_amps = traj.amplitudes @ beam_splitter(p).T
+    energy = np.einsum("ti,ti->t", traj.amplitudes.conj(), h_amps).real
     assert np.max(np.abs(energy - energy[0])) <= 1e-8 * abs(energy[0])
-    h_amps = traj.amplitudes @ h.matrix.T
     var = (np.einsum("ti,ti->t", h_amps.conj(), h_amps).real
            - np.einsum("ti,ti->t", traj.amplitudes.conj(), h_amps).real ** 2)
     assert np.max(np.abs(var - var[0])) <= 1e-8 * abs(var[0])
@@ -149,10 +159,25 @@ def test_unitary_energy_and_norm_constant():
 
 
 def test_unitary_requires_hermitian():
+    # a Hamiltonian record with a non-real diagonal cannot be built
     sp = SpaceDescriptor((Boson(3),))
+    no_hops = (np.array([], int), np.array([], int), np.array([]))
     with pytest.raises(HermiticityError):
-        evolve_unitary(Operator(sp, annihilation(sp, 0)), basis_state(sp, [1]),
-                       EvolutionConfig(dt=0.1, t_max=1.0))
+        evolve_unitary(Hamiltonian(sp, np.array([0.0, 1.0, 2.0 - 1e-3j]), no_hops),
+                       basis_state(sp, [1]), EvolutionConfig(dt=0.1, t_max=1.0))
+
+
+def test_unitary_sample_times_must_be_a_non_empty_finite_list():
+    # rejected as input before any work: no empty trajectory, no warning
+    # and no tolerance abort
+    p = BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=3, detector_cutoff=3)
+    cfg = EvolutionConfig(dt=0.5, t_max=1.0)
+    for times in ([], [math.nan], [0.5, math.inf], [[0.5]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-empty list of finite") as err:
+                evolve_unitary_at(p.hamiltonian(), basis_state(p.space, [1, 0]), times, cfg)
+        assert type(err.value) is ValueError
 
 
 def test_top_level_guard_flags_small_cutoff():
@@ -523,10 +548,30 @@ def test_trajectory_states_view_reads_the_amplitude_rows():
         traj.amplitudes[0, 0] = 0.0
     npt.assert_allclose(traj.population_series(0, 1),
                         [s.population(0, 1) for s in traj.states], rtol=0, atol=1e-15)
-    n_op = Operator(p.space, number(p.space, 0), hermitian_hint=True)
-    npt.assert_allclose(traj.expectation_series(n_op),
-                        [np.vdot(s.amplitudes, n_op.matrix @ s.amplitudes)
-                         for s in traj.states], rtol=0, atol=1e-15)
+
+
+def test_kernels_hand_their_frozen_buffers_to_the_trajectory(monkeypatch):
+    # each propagator freezes the amplitude array it filled, so the
+    # trajectory takes it as it is: no trajectory-sized copy
+    from quantex import dynamics
+    readonly, taken = dynamics._readonly, []
+
+    def spy(arr, *args):
+        out = readonly(arr, *args)
+        if out.dtype == complex:    # the amplitudes, not the times or (x, p)
+            taken.append(out is arr)
+        return out
+
+    monkeypatch.setattr(dynamics, "_readonly", spy)
+    cfg = EvolutionConfig(dt=0.1, t_max=2.0, method=Method.MIDPOINT)
+    p = _DRIVEN_PARAMS[1]
+    evolve_driven(p, None, cfg)
+    evolve_hybrid(ModelSpec(ModelFamily.OSCILLATOR_DRIVE, p, back_reaction=True),
+                  HybridState(0.0, 1.0, ground_state(p.space)), cfg)
+    bs = BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=3, detector_cutoff=3)
+    evolve_unitary(bs.hamiltonian(), basis_state(bs.space, [1, 0]),
+                   EvolutionConfig(dt=0.1, t_max=2.0))
+    assert taken == [True, True, True]
 
 
 def test_trajectory_rejects_unnormalized_rows():
@@ -648,8 +693,7 @@ def test_rabi_matches_exact_two_level():
     # H = (delta/2) sigma_z + (g/2) sigma_x reproduces the closed form
     g, delta = 0.01, 1.0
     sp = SpaceDescriptor((TwoLevel(),))
-    h = Operator(sp, 0.5 * delta * pauli(sp, 0, "z") + 0.5 * g * pauli(sp, 0, "x"),
-                 hermitian_hint=True)
+    h = record(sp, 0.5 * delta * pauli(sp, 0, "z") + 0.5 * g * pauli(sp, 0, "x"))
     traj = evolve_unitary(h, basis_state(sp, [0]),
                           EvolutionConfig(dt=0.05, t_max=20.0))
     pe = traj.population_series(0, 1)
@@ -845,20 +889,22 @@ _BUNDLED_BS = BeamSplitterParams(nu=1.0, omega=1.0, g=0.001, field_cutoff=60,
                                  detector_cutoff=6, alpha=2.0)
 
 
-@pytest.mark.parametrize("h, psi0", [
-    (build_beam_splitter_hamiltonian(_BUNDLED_BS),
+@pytest.mark.parametrize("h, m, psi0", [
+    (build_beam_splitter_hamiltonian(_BUNDLED_BS), beam_splitter(_BUNDLED_BS),
      coherent_state(_BUNDLED_BS.space, 0, CoherentSpec(2.0))),
     (build_beam_splitter_hamiltonian(replace(_BUNDLED_BS, g=0.0)),
+     beam_splitter(replace(_BUNDLED_BS, g=0.0)),
      coherent_state(_BUNDLED_BS.space, 0, CoherentSpec(2.0))),
-    (build_jc_hamiltonian(_JC), basis_state(_JC.space, [2, 0])),
+    (build_jc_hamiltonian(_JC), jaynes_cummings(_JC), basis_state(_JC.space, [2, 0])),
     (build_jc_hamiltonian(_JC, counter_rotating_order=True),
-     basis_state(_JC.space, [2, 0])),
+     jaynes_cummings(_JC, counter_rotating=True), basis_state(_JC.space, [2, 0])),
 ], ids=["beam_splitter_60x6", "beam_splitter_g0", "jc", "jc_counter_rotating"])
-def test_block_route_matches_dense_eigh(h, psi0):
+def test_block_route_matches_dense_eigh(h, m, psi0):
+    # the second route propagates the Kronecker-built matrix m
     times = np.array([0.0, 0.7, 5.0, 31.0])
     traj = evolve_unitary_at(h, psi0, times, EvolutionConfig(dt=0.1, t_max=31.0))
     block = np.array([s.amplitudes for s in traj.states])
-    npt.assert_allclose(block, _dense_route(h.matrix, psi0.amplitudes, times),
+    npt.assert_allclose(block, _dense_route(m, psi0.amplitudes, times),
                         rtol=0, atol=1e-12)
 
 
@@ -962,9 +1008,9 @@ def test_component_labels_match_scipy_connected_components(m):
 
 @st.composite
 def _hermitian_on_qubits(draw):
-    """(H, psi0): a random hermitian H on 1 to 5 two-level factors that is
-    block diagonal under a random basis permutation (blocks of 1 to 8
-    states), and a random normalised state."""
+    """(H, psi0): a random dense hermitian H on 1 to 5 two-level factors
+    that is block diagonal under a random basis permutation (blocks of 1
+    to 8 states), and a random normalised state."""
     space = SpaceDescriptor(tuple(TwoLevel() for _ in range(draw(st.integers(1, 5)))))
     remaining, sizes = space.total_dim, []
     while remaining:
@@ -972,8 +1018,7 @@ def _hermitian_on_qubits(draw):
         remaining -= sizes[-1]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     psi0 = rng.normal(size=space.total_dim) + 1j * rng.normal(size=space.total_dim)
-    return (Operator(space, _permuted_blocks(sizes, rng)),
-            StateVector(space, psi0 / np.linalg.norm(psi0)))
+    return _permuted_blocks(sizes, rng), StateVector(space, psi0 / np.linalg.norm(psi0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -981,10 +1026,11 @@ def _hermitian_on_qubits(draw):
        st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6))
 def test_unitary_evolution_keeps_norm_and_matches_expm(h_psi0, times):
     h, psi0 = h_psi0
-    traj = evolve_unitary_at(h, psi0, times, EvolutionConfig(dt=0.1, t_max=50.0))
+    traj = evolve_unitary_at(record(psi0.space, h), psi0, times,
+                             EvolutionConfig(dt=0.1, t_max=50.0))
     assert traj.max_norm_drift <= NORM_ATOL
     for t, state in zip(times, traj.states):
-        exact = expm(-1j * h.matrix * t) @ psi0.amplitudes
+        exact = expm(-1j * h * t) @ psi0.amplitudes
         npt.assert_allclose(state.amplitudes, exact, rtol=0, atol=1e-10)
 
 

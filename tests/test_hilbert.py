@@ -11,9 +11,9 @@ from quantex import (
     CoherentSpec,
     CoherentTailError,
     FactorError,
+    Hamiltonian,
     HermiticityError,
     NormalizationError,
-    Operator,
     SpaceDescriptor,
     StateVector,
     Trajectory,
@@ -28,10 +28,12 @@ from quantex.dynamics import _boson_top_indices
 from kron_reference import (
     annihilation,
     creation,
+    dense,
     level_projector,
     number,
     pauli,
     product_state,
+    record,
 )
 
 
@@ -131,24 +133,75 @@ def test_pauli_rejects_boson_factor():
 
 
 def test_hermiticity_flags():
-    # the construction-time check accepts exactly the hermitian operators
+    # a record holds exactly the hermitian matrices: each hermitian
+    # operator goes to a record and back unchanged, a non-hermitian one
+    # comes back as something else, and a non-real diagonal is refused
     sp = SpaceDescriptor((Boson(4), TwoLevel()))
     for m in (number(sp, 0), pauli(sp, 1, "x"), pauli(sp, 1, "y"),
-              pauli(sp, 1, "z"), np.eye(sp.total_dim)):
-        op = Operator(sp, m, hermitian_hint=True)
-        assert op.is_hermitian()
-        assert op.hermitian_hint
+              pauli(sp, 1, "z"), np.eye(sp.total_dim),
+              annihilation(sp, 0) + creation(sp, 0)):
+        npt.assert_array_equal(dense(record(sp, m)), m)
     for m in (annihilation(sp, 0), creation(sp, 0),
               pauli(sp, 1, "plus"), pauli(sp, 1, "minus")):
-        assert not Operator(sp, m).is_hermitian()
+        assert not np.array_equal(dense(record(sp, m)), m)
+    for m in (number(sp, 0) + 1j * pauli(sp, 1, "z"), 1e-300j * np.eye(sp.total_dim)):
         with pytest.raises(HermiticityError):
-            Operator(sp, m, hermitian_hint=True)
+            record(sp, m)
 
 
-def test_hermitian_hint_verified_at_construction():
-    sp = SpaceDescriptor((TwoLevel(),))
+def test_hamiltonian_record_checks():
+    sp = SpaceDescriptor((Boson(3),))
+    diag = np.arange(3.0)
+
+    def hops(src, dst, amp=None):
+        return (np.array(src), np.array(dst),
+                np.full(len(src), 0.5) if amp is None else np.array(amp))
+
+    h = Hamiltonian(sp, diag, hops([1, 2], [0, 1]))
+    assert h.diagonal.dtype == float and h.hops[0].dtype == np.intp
+    Hamiltonian(sp, diag, hops([], []))       # no hops: a diagonal H
     with pytest.raises(HermiticityError):
-        Operator(sp, np.array([[0, 1], [0, 0]], dtype=complex), hermitian_hint=True)
+        Hamiltonian(sp, diag + [0.0, 1e-300j, 0.0], hops([1], [0]))
+    # every other check raises a plain ValueError, not a HermiticityError
+    for bad, text in [
+        (hops([1, 2], [0]), "one length"),
+        (hops([1], [0], [0.5, 0.5]), "one length"),
+        (hops([3], [0]), "out of range"),
+        (hops([1], [-1]), "out of range"),
+        (hops([1], [1]), "itself"),
+        (hops([1, 0], [0, 1]), "more than one hop"),
+        (hops([2, 1, 2], [1, 0, 1]), "more than one hop"),
+        (hops([1], [0], [math.nan]), "finite"),
+        (hops([1.0], [0]), "integers"),
+    ]:
+        with pytest.raises(ValueError, match=text) as err:
+            Hamiltonian(sp, diag, bad)
+        assert type(err.value) is ValueError
+    for bad_diag, text in [(np.arange(4.0), r"\(3,\) diagonal"), ([0.0, math.inf, 1.0], "finite")]:
+        with pytest.raises(ValueError, match=text) as err:
+            Hamiltonian(sp, bad_diag, hops([], []))
+        assert type(err.value) is ValueError
+
+
+def test_records_copy_writable_inputs_and_take_read_only_ones():
+    # a record never freezes or aliases its caller's writable array
+    sp = SpaceDescriptor((Boson(2),))
+    psi = np.array([1.0, 0.0], dtype=complex)
+    state = StateVector(sp, psi)
+    psi[1] = 0.5
+    assert state.amplitudes.tolist() == [1.0, 0.0]
+    rows = np.eye(2, dtype=complex)
+    traj = Trajectory(sp, [0.0, 1.0], rows)
+    rows[0, 1] = 0.5
+    assert traj.amplitudes.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    diag, src = np.array([0.0, 1.0]), np.array([1])
+    h = Hamiltonian(sp, diag, (src, np.array([0]), np.array([0.5])))
+    diag[0], src[0] = 7.0, 0
+    assert h.diagonal.tolist() == [0.0, 1.0] and h.hops[0].tolist() == [1]
+    # a read-only array is taken as it is
+    rows.setflags(write=False)
+    assert StateVector(sp, rows[1]).amplitudes.base is rows
+    assert Trajectory(sp, [0.0], rows[1:]).amplitudes.base is rows
 
 
 def test_coherent_state_vacuum_limit():
@@ -337,9 +390,10 @@ def test_basis_layout_matches_the_kronecker_embedding():
 
 def test_immutability_of_matrices_and_amplitudes():
     sp = SpaceDescriptor((Boson(3),))
-    op = Operator(sp, number(sp, 0), hermitian_hint=True)
+    h = record(sp, number(sp, 0) + annihilation(sp, 0) + creation(sp, 0))
     psi = basis_state(sp, [1])
-    with pytest.raises(ValueError):
-        op.matrix[0, 0] = 5.0
+    for array in (h.diagonal, *h.hops):
+        with pytest.raises(ValueError):
+            array[0] = 5
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 1.0

@@ -24,7 +24,15 @@ from quantex import (
 )
 
 import constant_folding_oracle as oracle
-from kron_reference import annihilation, creation, number, pauli, total_number
+from kron_reference import (
+    annihilation,
+    creation,
+    dense,
+    jaynes_cummings,
+    number,
+    pauli,
+    total_number,
+)
 
 # reference values frozen from tests/constant_folding_oracle.py, which folds
 # the same formulas from scipy.constants with independent code
@@ -40,7 +48,7 @@ ENERGY_DENSITY_REF = 5.288050182969313e-10        # nu=2*pi*1000, h0=1e-21
 
 def test_jc_decoupled_spectrum_is_frequency_grid():
     p = JaynesCummingsParams(nu=1.3, omega=0.7, g=0.0, field_cutoff=5)
-    w = np.sort(np.linalg.eigvalsh(build_jc_hamiltonian(p).matrix))
+    w = np.sort(np.linalg.eigvalsh(dense(build_jc_hamiltonian(p))))
     expected = np.sort([1.3 * n + 0.5 * 0.7 * s
                         for n in range(5) for s in (-1, 1)])
     npt.assert_allclose(w, expected, atol=1e-12)
@@ -51,30 +59,33 @@ def test_jc_hermitian_for_random_params():
     for _ in range(10):
         p = JaynesCummingsParams(nu=rng.uniform(0.1, 5), omega=rng.uniform(0.1, 5),
                                  g=rng.uniform(0, 1), field_cutoff=int(rng.integers(2, 9)))
-        h = build_jc_hamiltonian(p)
-        assert h.hermitian_hint and h.is_hermitian()
+        # the record is the Kronecker-built matrix, which is hermitian
+        for counter_rotating in (False, True):
+            ref = jaynes_cummings(p, counter_rotating)
+            npt.assert_array_equal(ref, ref.conj().T)
+            npt.assert_array_equal(dense(build_jc_hamiltonian(p, counter_rotating)), ref)
 
 
 def test_jc_resonant_dressed_splitting():
     p = JaynesCummingsParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=6)
-    w = np.sort(np.linalg.eigvalsh(build_jc_hamiltonian(p).matrix))
+    w = np.sort(np.linalg.eigvalsh(dense(build_jc_hamiltonian(p))))
     # lowest excited manifold splits symmetrically around nu - omega/2
     assert w[2] - w[1] == pytest.approx(2 * 0.01, abs=1e-10)
 
 
 def test_jc_excitation_number_conserved_standard_order():
     p = JaynesCummingsParams(nu=1.1, omega=0.9, g=0.2, field_cutoff=7)
-    h = build_jc_hamiltonian(p).matrix
+    h = dense(build_jc_hamiltonian(p))
     n = total_number(p.space)
     assert np.max(np.abs(h @ n - n @ h)) <= 1e-10
 
 
 def test_jc_counter_rotating_order_breaks_conservation():
     p = JaynesCummingsParams(nu=1.0, omega=1.0, g=0.2, field_cutoff=5)
-    h = build_jc_hamiltonian(p, counter_rotating_order=True)
-    assert h.is_hermitian()
+    h = dense(build_jc_hamiltonian(p, counter_rotating_order=True))
+    npt.assert_array_equal(h, h.conj().T)
     n = total_number(p.space)
-    assert np.max(np.abs(h.matrix @ n - n @ h.matrix)) > 0.1
+    assert np.max(np.abs(h @ n - n @ h)) > 0.1
 
 
 _bs_params = st.builds(
@@ -86,13 +97,13 @@ _bs_params = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(_bs_params)
 def test_beam_splitter_conserves_total_number(p):
-    h = build_beam_splitter_hamiltonian(p).matrix
+    h = dense(build_beam_splitter_hamiltonian(p))
     n = total_number(p.space)
     assert np.max(np.abs(h @ n - n @ h)) <= 1e-12
 
 
 def _label_and_kronecker(p, x, counter_rotating):
-    """The label-built H(x) of ``p`` next to a Kronecker-built reference
+    """The label-built H(x) of ``p``, made dense, next to a Kronecker-built reference
     H(x), free part and coupling part (the coupling in the standard
     Jaynes-Cummings order).  The reference driven H(x) is
     free + coupling * x * operator, which the label-built
@@ -102,22 +113,24 @@ def _label_and_kronecker(p, x, counter_rotating):
     if isinstance(p, QubitSemiClassicalParams):
         free = 0.5 * p.omega * pauli(sp, 0, "z")
         quad = pauli(sp, 0, "x")
-        return (p.hamiltonian(x), free + p.coupling * x * quad, free, p.coupling * quad)
+        return (dense(p.hamiltonian(x)), free + p.coupling * x * quad, free,
+                p.coupling * quad)
     if isinstance(p, DrivenOscillatorParams):
         free = p.omega * number(sp, 0)
         quad = annihilation(sp, 0) + creation(sp, 0)
-        return (p.hamiltonian(x), free + p.coupling * x * quad, free, p.coupling * quad)
+        return (dense(p.hamiltonian(x)), free + p.coupling * x * quad, free,
+                p.coupling * quad)
     a, ad = annihilation(sp, 0), creation(sp, 0)
     if isinstance(p, JaynesCummingsParams):
         free = p.nu * number(sp, 0) + 0.5 * p.omega * pauli(sp, 1, "z")
         up, down = pauli(sp, 1, "plus"), pauli(sp, 1, "minus")
         inter = a @ up + ad @ down
         h_inter = a @ down + ad @ up if counter_rotating else inter
-        return (build_jc_hamiltonian(p, counter_rotating),
+        return (dense(build_jc_hamiltonian(p, counter_rotating)),
                 free + p.g * h_inter, free, p.g * inter)
     free = p.nu * number(sp, 0) + p.omega * number(sp, 1)
     inter = a @ creation(sp, 1) + annihilation(sp, 1) @ ad
-    return build_beam_splitter_hamiltonian(p), free + p.g * inter, free, p.g * inter
+    return dense(build_beam_splitter_hamiltonian(p)), free + p.g * inter, free, p.g * inter
 
 
 _freq, _strength = st.floats(0.1, 3.0), st.floats(0.0, 2.0)
@@ -144,7 +157,7 @@ def test_direct_beam_splitter_build_matches_kronecker_embedding(case):
     h, h_ref, free_ref, coupling_ref = _label_and_kronecker(p, x, counter_rotating)
     free, coupling = p.free_and_coupling()
     assert free.dtype == coupling.dtype == np.float64
-    npt.assert_array_equal(h.matrix, h_ref)
+    npt.assert_array_equal(h, h_ref)
     npt.assert_array_equal(free, free_ref)
     npt.assert_array_equal(coupling, coupling_ref)
 
@@ -152,7 +165,7 @@ def test_direct_beam_splitter_build_matches_kronecker_embedding(case):
 def test_beam_splitter_single_excitation_splitting():
     p = BeamSplitterParams(nu=1.0, omega=1.0, g=0.001, field_cutoff=3,
                            detector_cutoff=3)
-    w = np.sort(np.linalg.eigvalsh(build_beam_splitter_hamiltonian(p).matrix))
+    w = np.sort(np.linalg.eigvalsh(dense(build_beam_splitter_hamiltonian(p))))
     # single-excitation manifold: 1 +/- g
     assert w[2] - w[1] == pytest.approx(2 * 0.001, abs=1e-12)
 
@@ -175,27 +188,27 @@ def test_beam_splitter_cutoff_tail_guard():
 
 def test_driven_qubit_gap_at_zero_drive():
     p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.01, x0=1.0)
-    h = p.hamiltonian(0.0)
-    npt.assert_allclose(np.diag(h.matrix), [-0.5, 0.5], atol=0.0)
-    assert np.abs(h.matrix[0, 1]) == 0.0
+    h = dense(p.hamiltonian(0.0))
+    npt.assert_allclose(np.diag(h), [-0.5, 0.5], atol=0.0)
+    assert np.abs(h[0, 1]) == 0.0
 
 
 def test_driven_qubit_gap_closed_form():
     p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.01, x0=1.0)
-    w = np.linalg.eigvalsh(p.hamiltonian(1.0).matrix)
+    w = np.linalg.eigvalsh(dense(p.hamiltonian(1.0)))
     assert w[1] - w[0] == pytest.approx(math.sqrt(1 + 4e-4), abs=1e-12)
 
 
 def test_driven_qubit_coupling_zero_is_drive_independent():
     p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.0, x0=1.0)
-    npt.assert_allclose(p.hamiltonian(3.7).matrix,
-                        p.hamiltonian(0.0).matrix, atol=0.0)
+    npt.assert_allclose(dense(p.hamiltonian(3.7)),
+                        dense(p.hamiltonian(0.0)), atol=0.0)
 
 
 def test_driven_oscillator_zero_drive_is_scaled_number():
     p = DrivenOscillatorParams(omega=1.5, nu=1.0, coupling=0.1, x0=1.0,
                                detector_cutoff=6)
-    npt.assert_allclose(p.hamiltonian(0.0).matrix,
+    npt.assert_allclose(dense(p.hamiltonian(0.0)),
                         1.5 * np.diag(np.arange(6)), atol=0.0)
 
 
@@ -203,7 +216,7 @@ def test_driven_oscillator_static_ground_shift():
     # displaced oscillator: minimum eigenvalue -(coupling*x)^2 / omega
     p = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0,
                                detector_cutoff=30)
-    w = np.linalg.eigvalsh(p.hamiltonian(1.0).matrix)
+    w = np.linalg.eigvalsh(dense(p.hamiltonian(1.0)))
     assert w[0] == pytest.approx(-0.01, abs=1e-10)
 
 
@@ -212,8 +225,11 @@ def test_driven_hamiltonians_hermitian():
                                 detector_cutoff=8)
     pq = QubitSemiClassicalParams(omega=1.0, nu=0.8, coupling=0.2, x0=1.5)
     for x in (-2.0, 0.0, 0.7):
-        assert po.hamiltonian(x).is_hermitian()
-        assert pq.hamiltonian(x).is_hermitian()
+        for p in (po, pq):
+            # the record is the Kronecker-built matrix, which is hermitian
+            h, ref, _, _ = _label_and_kronecker(p, x, False)
+            npt.assert_array_equal(ref, ref.conj().T)
+            npt.assert_allclose(h, ref, rtol=0, atol=1e-15)
 
 
 # -- params and ModelSpec ---------------------------------------------------
