@@ -276,6 +276,7 @@ class ScanResult:
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "errors", errors)
+        object.__setattr__(self, "aux", {k: _readonly(v, float) for k, v in self.aux.items()})
 
 
 def _check_scannable(model: ModelSpec) -> None:
@@ -295,7 +296,7 @@ def run_point(model: ModelSpec, cfg: EvolutionConfig,
         target = default_target(model)
     if initial is None:
         initial = default_initial_state(model)
-    if model.is_driven:
+    if model.params.driven:
         traj = evolve_driven(model.params, initial, cfg)
     else:
         traj = evolve_unitary_at(model.params.hamiltonian(), initial, cfg.time_grid(), cfg)
@@ -305,93 +306,71 @@ def run_point(model: ModelSpec, cfg: EvolutionConfig,
 _POINT_ERRORS = (ToleranceError, CoherentTailError)
 
 
-def _tag(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _failed(exc: Exception) -> tuple:
+    return math.nan, None, None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_points(build, cfgs, target, catch=_POINT_ERRORS, shared=None):
-    """Evolve every scan point; returns per point the target population,
-    the initial and final amplitudes, and the error tag (NaN, None, None,
-    tag on a failed point).
+def _run_points(model, cfgs, target, vary, catch=_POINT_ERRORS, shared=False):
+    """Evolve the points of a scan of ``model``, point i being the model
+    ``vary(i)`` under ``cfgs[i]``.  Returns per point the target population,
+    the initial and final amplitudes and the error tag (NaN, None, None,
+    tag on a failed point); an exception in ``catch`` tags its point
+    instead of aborting the scan.
 
-    Point i evolves the model ``build(i)`` under ``cfgs[i]`` from the
-    default initial state of ``shared``, when given (a model whose state
-    equals every point's), else of its own; exceptions in ``catch`` tag
-    the point instead of aborting the scan.  The points run in batches,
-    each of a kernel that also runs a single point, so that a scan point
-    gives the bits of its own serial run:
-
-    * quantized-field points that share the space and the hop list (every
-      point of a scan of one model) form one batch of
-      ``dynamics._evolve_blocks``: one hop-graph layout and one stacked
-      ``eigh`` per block size over the batch's distinct diagonals, then
-      each point sampled and guarded on its own ``cfgs[i]`` grid;
-    * prescribed-drive points differ only in the drive (nu, x0) and the
-      horizon, so they share one free part and one coupling part and run
-      as one batch of the stepping kernel
-      ``dynamics._evolve_driven_batch``, the kernel ``evolve_driven`` runs
-      with a single point: chunks of ``max(1, _DRIVE_CHUNK // live
-      points)`` steps, one stacked propagator build per chunk.
-
-    Only first and final states are kept, and a point that trips a guard
-    is tagged with the error its serial run raises.  Every point of a
-    batch is guarded with the tolerances of the batch's first ``cfgs``
-    entry; the scans derive every point's config from one.
+    The scan is checked, targeted and dispatched once, on ``model``, and
+    its points run as one batch of the kernel that also runs a single
+    point, so each point gives the bits of its own serial run.  Quantized
+    points form one ``dynamics._evolve_blocks`` batch of their own
+    ``parts()`` diagonals and the first point's hop list, which every
+    point must share (ValueError otherwise); each starts from ``model``'s
+    initial state when ``shared``, else from its own.  Prescribed-drive
+    points differ only in the drive and the horizon, and step together in
+    ``dynamics._evolve_driven_batch`` from ``model``'s h0, c and initial
+    state (no driven family's state reads the drive).  Only first and
+    final states are kept, every point is guarded with the tolerances of
+    ``cfgs[0]`` (the scans derive every config from one), and a point that
+    trips a guard is tagged with the error its serial run raises.
     """
-    results = [None] * len(cfgs)
-    driven, quantized = [], {}
-    for i, cfg in enumerate(cfgs):
+    _check_scannable(model)
+    if target is None:
+        target = default_target(model)
+    p, results = model.params, [None] * len(cfgs)
+    index, points = [], []
+    for i in range(len(cfgs)):
         try:
-            model = build(i)
-            _check_scannable(model)
-            if model.is_driven:
-                driven.append((i, model))
-                continue
-            field, detector, hops = model.params.parts()
-            key = (model.params.space, *(a.tobytes() for a in hops))
-            psi0 = default_initial_state(shared or model)  # before a batch opens
-            quantized.setdefault(key, (model, hops, []))[2].append(
-                (i, field + detector, psi0, cfg.time_grid()))
+            point = vary(i)
+            if not p.driven:
+                field, detector, hops = point.params.parts()
+                # built before the batch opens, so that its failure tags the point
+                point = (field + detector, default_initial_state(model if shared else point),
+                         hops)
         except catch as exc:
-            results[i] = (math.nan, None, None, _tag(exc))
-
-    def finish(i, space, target, first, final, exc):
-        if exc is None:
-            try:
-                prob = StateVector(space, final).population(*target)
-                results[i] = (prob, first, final, None)
-                return
-            except catch as err:
-                exc = err
-        results[i] = (math.nan, None, None, _tag(exc))
-
-    for model, hops, points in quantized.values():
-        index, diagonals, psi0s, grids = zip(*points)
-        space = model.params.space
-        where = target if target is not None else default_target(model)
-        runs = _dyn._evolve_blocks(space, np.array(diagonals), hops, psi0s, grids,
-                                   cfgs[index[0]])
-        for i, (amps, _, exc) in zip(index, runs):
-            # a copy of the two rows, so the point's samples are freed
-            first, final = (None, None) if amps is None else amps[[0, -1]]
-            finish(i, space, where, first, final, exc)
-    if not driven:
+            results[i] = _failed(exc)
+            continue
+        index.append(i)
+        points.append(point)
+    if not index:
         return results
 
-    index, models = zip(*driven)
-    space = models[0].params.space
-    psi0 = default_initial_state(models[0])
-    try:
+    if p.driven:
+        psi0 = default_initial_state(model)
         finals, errors, _ = _dyn._evolve_driven_batch(
-            *models[0].params.free_and_coupling(), psi0,
-            [m.params.x0 for m in models], [m.params.nu for m in models],
-            [cfgs[i].t_max for i in index], [cfgs[i].n_steps for i in index],
-            cfgs[index[0]])
-    except catch as exc:     # a setting every point shares is invalid
-        finals, errors = [None] * len(index), [exc] * len(index)
-    where = target if target is not None else default_target(models[0])
-    for i, final, exc in zip(index, finals, errors):
-        finish(i, space, where, psi0.amplitudes, final, exc)
+            *p.free_and_coupling(), psi0,
+            [q.params.x0 for q in points], [q.params.nu for q in points],
+            [cfgs[i].t_max for i in index], [cfgs[i].n_steps for i in index], cfgs[0])
+        runs = ((psi0.amplitudes, final, exc) for final, exc in zip(finals, errors))
+    else:
+        diagonals, psi0s, hop_lists = zip(*points)
+        if len({tuple(a.tobytes() for a in hops) for hops in hop_lists}) > 1:
+            raise ValueError("the points of a quantized scan must share one hop list")
+        blocks = _dyn._evolve_blocks(p.space, np.array(diagonals), hop_lists[0], psi0s,
+                                     [cfgs[i].time_grid() for i in index], cfgs[0])
+        # a copy of the two rows, so the point's samples are freed
+        runs = ((None, None, exc) if amps is None else (*amps[[0, -1]], exc)
+                for amps, _, exc in blocks)
+    for i, (first, final, exc) in zip(index, runs):
+        results[i] = _failed(exc) if exc is not None else (
+            StateVector(p.space, final).population(*target), first, final, None)
     return results
 
 
@@ -406,16 +385,15 @@ def detuning_scan(model: ModelSpec, cfg: EvolutionConfig, deltas,
     """Final-time target population versus detuning (field/drive frequency
     minus detector frequency).  Points that trip a truncation or norm guard,
     or whose parameters are invalid, are tagged and reported as NaN rather
-    than aborting the scan.  The points evolve together in one batch of
-    their family's kernel (see ``_run_points``); the quantized points
-    share one hop graph and ``model``'s initial state (no family's state
-    reads nu) and differ only in the diagonal.
+    than aborting the scan; a mean-field model raises ValueError.  The
+    points run as one batch (see ``_run_points``) from ``model``'s initial
+    state, since no family's state reads nu.
     """
     deltas = np.asarray(deltas, dtype=float)
     omega = model.params.omega
-    results = _run_points(lambda i: model.with_nu(omega + deltas[i]),
-                          [cfg] * len(deltas), target,
-                          catch=_POINT_ERRORS + (ValueError,), shared=model)
+    results = _run_points(model, [cfg] * len(deltas), target,
+                          lambda i: model.with_nu(omega + deltas[i]),
+                          catch=_POINT_ERRORS + (ValueError,), shared=True)
     return _scan_result("detuning", deltas, results, model,
                         {"t_max": cfg.t_max, "omega": omega,
                          "coupling": _coupling_of(model)})
@@ -432,14 +410,14 @@ def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities,
     the two-mode model, x0^2 for the driven ones).  The aux column
     ``transition_gap`` measures the detector energy gained per absorbed
     excitation, the intensity-independent transition quantum.  Guard trips
-    are tagged per point; the points evolve together in one batch of their
-    family's kernel (see ``_run_points``), the quantized points from one
-    eigendecomposition with only their initial states differing."""
+    are tagged per point, and a mean-field model raises ValueError.  The
+    points run as one batch (see ``_run_points``), each quantized point
+    from its own initial state."""
     intensities = np.asarray(intensities, dtype=float)
     _, detector_free, _ = model.params.parts()
     levels = model.params.detector_levels()
-    results = _run_points(lambda i: model.with_intensity(intensities[i]),
-                          [cfg] * len(intensities), target)
+    results = _run_points(model, [cfg] * len(intensities), target,
+                          lambda i: model.with_intensity(intensities[i]))
     gaps = []
     for _, a0, af, _ in results:
         if a0 is None:
@@ -461,18 +439,18 @@ def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
 
     A point evolves to exactly its t on the grid of n steps of t / n, with
     n rounded from t / cfg.dt, so log-spaced grids stay exact and the
-    guards check every grid sample up to t.  The points run together in one
-    batch (see ``_run_points``): quantized-field points share one
-    eigendecomposition and each is sampled on its own grid; driven points
-    step together and each leaves the batch when its steps are done.  A
-    point that trips a guard is tagged with the error its own run raises.
+    guards check every grid sample up to t.  The points run as one batch
+    (see ``_run_points``) from ``model``'s initial state; a driven point
+    leaves it when its steps are done.  A point that trips a guard is
+    tagged with the error its own run raises, and a mean-field model
+    raises ValueError.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0):
         raise ValueError("readout times must be positive")
     cfgs = [replace(cfg, dt=t / max(1, round(t / cfg.dt)), t_max=t)
             for t in times.tolist()]
-    results = _run_points(lambda i: model, cfgs, target)
+    results = _run_points(model, cfgs, target, lambda i: model)
     return _scan_result("time", times, results, model,
                         {"omega": model.params.omega, "coupling": _coupling_of(model)})
 

@@ -83,7 +83,7 @@ class Method(enum.Enum):
 def allowed_methods(model: ModelSpec) -> tuple[Method, ...]:
     """The one method that evolves ``model``: the midpoint step for the
     driven families, mean-field runs included, else exact propagation."""
-    return (Method.MIDPOINT,) if model.is_driven else (Method.MATRIX_EXPONENTIAL,)
+    return (Method.MIDPOINT,) if model.params.driven else (Method.MATRIX_EXPONENTIAL,)
 
 
 @dataclass(frozen=True)
@@ -533,8 +533,6 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     ``(max(n_steps) + 1, B, d)`` array that receives every normalised
     state: row k of run b is its state at step k, for k <= n_steps[b].
     """
-    if cfg.method is not Method.MIDPOINT:
-        raise ValueError("time-dependent evolution needs Method.MIDPOINT")
     norms = [np.abs(m).sum(axis=0).max(initial=0.0) for m in (h0, c)]
     x0s, nus, t_ends = (np.asarray(a, dtype=float) for a in (x0s, nus, t_ends))
     n_steps = np.asarray(n_steps, dtype=int)

@@ -313,10 +313,6 @@ class ModelSpec:
         if self.back_reaction and not self.params.driven:
             raise ValueError("back_reaction applies to classically driven families only")
 
-    @property
-    def is_driven(self) -> bool:
-        return self.params.driven
-
     @cached_property
     def default_state(self) -> StateVector:
         """The family's default initial state, built once per model."""

@@ -569,7 +569,7 @@ def test_quantized_scan_points_equal_their_serial_runs(model, cfg):
         serial = [run_point(build(i), cfgs[i]) for i in range(len(cfgs))]
         assert scan(model, cfg, axis).probabilities.tolist() == [p for _, p in serial]
         for (traj, prob), (p, first, final, error) in zip(serial,
-                                                          _run_points(build, cfgs, None)):
+                                                          _run_points(model, cfgs, None, build)):
             assert error is None and p == prob
             assert np.array_equal(first, traj.amplitudes[0])
             assert np.array_equal(final, traj.amplitudes[-1])
@@ -597,7 +597,7 @@ def test_quantized_batch_tags_each_point_like_its_serial_run():
     scan = detuning_scan(model, cfg, deltas)
     assert list(scan.errors) == [tag for tag, _ in serial]
     assert np.isnan(scan.probabilities[[0, 2]]).all()
-    batch = _run_points(build, [cfg] * len(deltas), None,
+    batch = _run_points(model, [cfg] * len(deltas), None, build,
                         catch=(ToleranceError, ValueError))
     for (tag, final), (_, _, batch_final, batch_tag) in zip(serial, batch):
         assert batch_tag == tag
@@ -809,6 +809,51 @@ def test_batched_scan_tags_norm_trip_like_serial():
 def test_scan_result_requires_monotone_axis():
     with pytest.raises(ValueError):
         ScanResult("detuning", np.array([0.0, 1.0, 0.5]), np.zeros(3), "x", {})
+
+
+def test_scan_result_aux_columns_are_read_only():
+    gaps = np.array([1.0, 2.0])
+    scan = ScanResult("intensity", np.array([1.0, 2.0]), np.zeros(2), "x", {},
+                      aux={"transition_gap": gaps})
+    with pytest.raises(ValueError):
+        scan.aux["transition_gap"][0] = 5.0
+    # the caller's array stays its own and writable
+    gaps[0] = 5.0
+    assert scan.aux["transition_gap"].tolist() == [1.0, 2.0]
+    inten = intensity_scan(_bs_model(), EvolutionConfig(dt=0.5, t_max=10.0),
+                           np.array([1.0, 4.0]))
+    assert not inten.aux["transition_gap"].flags.writeable
+
+
+@pytest.mark.parametrize("scan, axis", [
+    (detuning_scan, np.array([-0.1, 0.0, 0.1])),
+    (intensity_scan, np.array([1.0, 4.0])),
+    (time_scan, np.array([1.0, 2.0])),
+], ids=["detuning", "intensity", "time"])
+def test_scans_of_a_mean_field_model_raise(scan, axis):
+    model = _osc_model(back_reaction=True)
+    cfg = EvolutionConfig(dt=0.01, t_max=2.0, method=Method.MIDPOINT)
+    with pytest.raises(ValueError, match="prescribed or quantized models only"):
+        scan(model, cfg, axis)
+
+
+def test_quantized_scan_points_must_share_one_hop_list(monkeypatch):
+    # hops that read nu give each detuning point a hop list of its own,
+    # which no single batch can hold
+    parts = BeamSplitterParams.parts
+
+    def nu_dependent_parts(p):
+        field, detector, (src, dst, amp) = parts(p)
+        return field, detector, (src, dst, p.nu * amp)
+
+    monkeypatch.setattr(BeamSplitterParams, "parts", nu_dependent_parts)
+    model = _bs_model(detector_cutoff=4)
+    cfg = EvolutionConfig(dt=0.5, t_max=10.0)
+    with pytest.raises(ValueError, match="share one hop list"):
+        detuning_scan(model, cfg, np.array([-0.1, 0.0, 0.1]))
+    # one point, or points that keep nu, share it
+    assert detuning_scan(model, cfg, np.array([0.0])).errors == (None,)
+    assert time_scan(model, cfg, np.array([1.0, 2.0])).errors == (None, None)
 
 
 # -- signature report ----------------------------------------------------------

@@ -231,10 +231,15 @@ def test_driven_accepts_explicit_initial_state():
     npt.assert_allclose(traj.population_series(0, 2), 1.0, atol=1e-12)
 
 
-def test_driven_method_must_be_time_dependent():
+def test_driven_runs_under_any_method_label():
+    # a driven model has one propagator, so the config's label picks nothing
     p = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.01, x0=1.0)
-    with pytest.raises(ValueError):
-        evolve_driven(p, None, EvolutionConfig(dt=0.01, t_max=1.0))
+    cfg = EvolutionConfig(dt=0.01, t_max=1.0)
+    assert cfg.method is Method.MATRIX_EXPONENTIAL
+    labelled = evolve_driven(p, None, cfg)
+    midpoint = evolve_driven(p, None, replace(cfg, method=Method.MIDPOINT))
+    assert labelled.amplitudes.tobytes() == midpoint.amplitudes.tobytes()
+    assert labelled.max_norm_drift == midpoint.max_norm_drift
 
 
 def test_driven_oscillator_stays_coherent_poissonian():

@@ -261,7 +261,7 @@ def test_params_build_their_space_once(p):
 def test_model_spec_variant_consistency():
     p = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0)
     spec = ModelSpec(ModelFamily.OSCILLATOR_DRIVE, p, back_reaction=True)
-    assert spec.is_driven
+    assert spec.params.driven
     with pytest.raises(TypeError):
         ModelSpec(ModelFamily.BEAM_SPLITTER, p)
     jc = JaynesCummingsParams(nu=1.0, omega=1.0, g=0.1, field_cutoff=4)
