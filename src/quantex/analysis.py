@@ -212,12 +212,14 @@ def conditioned_energy_deficit(traj: Trajectory, model: ModelSpec,
     bookkeeping violation the quantized-field models close.  For quantum
     families the field is projected along with the detector and the
     deficit reduces to the detuning-sized mismatch (zero on resonance).
+    A readout population below ``CONDITION_FLOOR`` leaves nothing to
+    condition on and raises ToleranceError.
     """
     p = model.params
     final = traj.final_state()
     prob = final.population(p.detector, level)
     if prob < CONDITION_FLOOR:
-        raise ValueError(
+        raise ToleranceError(
             f"transition probability {prob:.3e} below {CONDITION_FLOOR:.0e}; "
             "nothing to condition on")
     if model.back_reaction:

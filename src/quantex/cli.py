@@ -48,6 +48,7 @@ from .analysis import (
 )
 from .constants import DEFAULT_CONSTANTS
 from .dynamics import (
+    GOLDEN_RULE_MIN_RATIO,
     EvolutionConfig,
     HybridState,
     Method,
@@ -246,7 +247,12 @@ def validate_config(cfg: dict) -> Scenario:
                               f"detector factor {model.params.detector}: the "
                               "deficit conditions on a detector level")
     elif kind == "golden_rule":
-        if cfg["golden_rule"]["ratio_max"] <= cfg["golden_rule"]["ratio_min"]:
+        block = cfg["golden_rule"]
+        if block["ratio_min"] < GOLDEN_RULE_MIN_RATIO:
+            raise ConfigError(f"golden_rule ratio_min {block['ratio_min']:g} lies below "
+                              f"the far-detuned regime |delta / g| >= "
+                              f"{GOLDEN_RULE_MIN_RATIO:g}")
+        if block["ratio_max"] <= block["ratio_min"]:
             raise ConfigError("golden_rule needs ratio_max > ratio_min")
     elif kind == "constants":
         g = cfg["gravito"]

@@ -4,34 +4,27 @@ Three propagators, each the one route of its model kind:
 
 * ``evolve_unitary`` / ``evolve_unitary_at`` -- exact propagation under a
   time-independent ``Hamiltonian`` record, a real diagonal plus hops, by
-  the batch kernel ``_evolve_blocks``: P points whose diagonals share one
-  hop list, each with its own initial state and sample times.  It lays
-  the hop graph out once along its connected components (the
-  excitation-number sectors of the quantized-field families) and
-  diagonalises every distinct diagonal block by block in one stacked
-  ``eigh`` per block size, so no Hamiltonian is ever a dense matrix; each
-  point is sampled and guarded on its own grid and returns its trip as
-  data.  A quantized scan is one batch, and ``evolve_unitary_at`` (which
-  ``run_point`` calls) a batch of one;
+  the batch kernel ``_evolve_blocks``, which diagonalises block by block
+  along the connected components of the hop graph, so no Hamiltonian is
+  ever a dense matrix.  A quantized scan is one batch, and
+  ``evolve_unitary_at`` (which ``run_point`` calls) a batch of one;
 * ``evolve_driven`` -- Schroedinger evolution under a sinusoidal classical
   drive ``x(t) = x0 sin(nu t)``, with the Hamiltonian frozen at interval
   midpoints (second order in dt).  It is one run of the stepping kernel
   ``_evolve_driven_batch``, which every prescribed-drive run goes
-  through, scans included: B runs that share the real Hamiltonian parts
-  step together in chunks of ``max(1, _DRIVE_CHUNK // live runs)`` steps,
-  with one stacked propagator build and one guard pass per chunk.  A
-  propagator ``exp(-i H dt)`` is ``cos - i sin`` of ``H dt`` from Taylor
-  sums in real stacked matmuls, scaled and doubled back above a 1-norm
-  of 0.1 (``_expi``);
+  through, scans included: runs step together in chunks, each with one
+  stacked propagator build (``_expi``, Taylor sums in real matmuls) and
+  one guard pass;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
-  values, advanced by a Strang split (exact classical half-flow, full
-  quantum step at the midpoint position, classical half-flow with the
-  refreshed expectation), second order overall.  The quantum step is a
-  Horner Taylor sum on the state's real view (``_expi_state``).
+  values, advanced by a Strang split (exact classical half-flows around a
+  Horner Taylor quantum step on the state's real view, ``_expi_state``),
+  second order overall.
 
-Each propagator freezes the amplitude array it fills and hands it to its
-``Trajectory`` uncopied.
+The kernels only propagate raw states.  One ``_guard`` pass over the
+stored raw states normalises them and measures their norm drift since
+t = 0 and top Fock levels; ``_trip_error`` names the earliest trip.  Each
+propagator hands its frozen amplitude array to its ``Trajectory`` uncopied.
 
 The closed-form expressions at the bottom use a guarded ``sin(x)/x``
 branch below ``|detuning * t| < 1e-6`` where the removable singularity
@@ -144,8 +137,8 @@ class Trajectory:
     """Sampled evolution: the space, the times, one read-only complex
     ``(n_t, d)`` array of normalized amplitudes (row k is the state at
     ``times[k]``) and, when present, the classical (x, p) track.
-    ``max_norm_drift`` records the worst raw norm deviation seen before
-    the stored states were renormalized."""
+    ``max_norm_drift`` records the worst deviation from 1 of the raw,
+    never renormalised, state's norm since t = 0."""
 
     space: SpaceDescriptor
     times: np.ndarray
@@ -213,18 +206,6 @@ def _guard(amp: np.ndarray, cfg: EvolutionConfig, top_slots):
     return amp / nrm[..., None], drift, pops, tripped
 
 
-def _guard_error(drift, pops, t, cfg: EvolutionConfig, top_slots) -> ToleranceError:
-    if not drift <= cfg.norm_drift_tol:
-        return ToleranceError(
-            f"norm drift {drift:.3e} exceeds {cfg.norm_drift_tol:.1e} at t={t:g} "
-            "(reduce dt)")
-    for (idx, _), pop in zip(top_slots, pops):
-        if pop > cfg.top_level_tol:
-            return ToleranceError(
-                f"top Fock level of factor {idx} holds population {pop:.3e} "
-                f"> {cfg.top_level_tol:.1e} at t={t:g} (raise the cutoff)")
-
-
 def _trip_error(drift, pops, tripped, t, cfg: EvolutionConfig, top_slots):
     """The ToleranceError of the earliest tripped state in a ``_guard``
     pass over states at times t (any order; ties go to the first index),
@@ -233,7 +214,15 @@ def _trip_error(drift, pops, tripped, t, cfg: EvolutionConfig, top_slots):
         return None
     t = np.broadcast_to(t, np.shape(tripped))
     i = np.unravel_index(np.argmin(np.where(tripped, t, np.inf)), np.shape(tripped))
-    return _guard_error(drift[i], [pop[i] for pop in pops], t[i], cfg, top_slots)
+    if not drift[i] <= cfg.norm_drift_tol:
+        return ToleranceError(
+            f"norm drift {drift[i]:.3e} exceeds {cfg.norm_drift_tol:.1e} at t={t[i]:g} "
+            "(reduce dt)")
+    for (idx, _), pop in zip(top_slots, pops):
+        if pop[i] > cfg.top_level_tol:
+            return ToleranceError(
+                f"top Fock level of factor {idx} holds population {pop[i]:.3e} "
+                f"> {cfg.top_level_tol:.1e} at t={t[i]:g} (raise the cutoff)")
 
 
 def _checked_state(amp: np.ndarray, t, cfg: EvolutionConfig,
@@ -451,6 +440,8 @@ def _expi(a: np.ndarray, bound) -> np.ndarray:
 # leaves a first omitted term b^(m+1) / (m+1)! of at most 2^-53
 _TAYLOR_REACH = tuple((math.factorial(m + 1) * 2.0 ** -53) ** (1.0 / (m + 1))
                       for m in range(1, 31))
+# the largest 1-norm bound of a mean-field quantum step: 264 substeps of degree 30
+_HYBRID_BOUND_MAX = 1e3
 
 
 def _taylor_plan(bound: float) -> tuple[int, int]:
@@ -520,12 +511,12 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     midpoint propagator ``exp(-i H(x) h)`` of every (step, run), H frozen
     at the drive's value x at the step's midpoint, with the 1-norm bound
     ``h (|h0|_1 + |x| |c|_1)``, which depends only on that step; a serial
-    loop of one batched matvec and one renormalisation per step; one
-    ``_guard`` pass over the chunk's raw states, in which each run takes
-    the earliest trip among the steps it actually takes (steps past its
-    end are masked out).  A run leaves at the end of the chunk in which
-    it finishes or trips.  h0 and c are real, as both driven families
-    build them.
+    loop of one batched matvec per step on the raw, never renormalised
+    state; one ``_guard`` pass over the chunk's raw states, in which each
+    run takes the earliest trip among the steps it actually takes
+    (``_trip_error`` on its column; steps past its end are masked out).  A
+    run leaves at the end of the chunk in which it finishes or trips.  h0
+    and c are real, as both driven families build them.
 
     Returns the final amplitudes ``(B, d)`` (NaN rows for failed runs),
     the ToleranceError of each run (None where it passed) and the worst
@@ -540,13 +531,14 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     top_slots = _boson_top_indices(psi0.space)
     n_runs, dim = len(n_steps), psi0.space.total_dim
     final = np.full((n_runs, dim), np.nan, dtype=complex)
-    errors, worst = [None] * n_runs, np.zeros(n_runs)
+    errors = [None] * n_runs
 
-    amp0, _ = _checked_state(psi0.amplitudes, 0.0, cfg, top_slots)
+    amp0, drift0 = _checked_state(psi0.amplitudes, 0.0, cfg, top_slots)
     if states is not None:
         states[0] = amp0
+    worst = np.full(n_runs, float(drift0))
     live = np.arange(n_runs)
-    amp = np.repeat(amp0[None, :, None], n_runs, axis=0)
+    amp = np.repeat(psi0.amplitudes[None, :, None], n_runs, axis=0)
     lo = 0
     while live.size:
         n, dt, x0, nu = n_steps[live], dts[live], x0s[live], nus[live]
@@ -563,23 +555,19 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
         u = _expi(a, h * (norms[0] + np.abs(x) * norms[1]))
         # states as (runs, d, 1) columns: a step is one stacked matvec
         raw = np.empty((len(k), live.size, dim, 1), dtype=complex)
-        normed = np.empty_like(raw)
         # steps past a guard trip or a run's end may overflow or turn NaN;
-        # the guard pass only reads the steps before both
+        # the guard pass only judges the steps before both
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             for j in range(len(k)):
-                step = np.matmul(u[j], amp, out=raw[j])
-                nrm = np.sqrt(np.matmul(step.conj().swapaxes(1, 2), step).real)
-                amp = np.divide(step, nrm, out=normed[j])
-            raw, normed = raw[..., 0], normed[..., 0]
-            _, drift, pops, tripped = _guard(raw, cfg, top_slots)
+                amp = np.matmul(u[j], amp, out=raw[j])
+            normed, drift, pops, tripped = _guard(raw[..., 0], cfg, top_slots)
         taken = k < n
         worst[live] = np.maximum(worst[live], np.where(taken, drift, 0.0).max(axis=0))
         hit = taken & tripped
         failed = hit.any(axis=0)
-        for j, b in zip(hit.argmax(axis=0)[failed], np.flatnonzero(failed)):
-            errors[live[b]] = _guard_error(drift[j, b], [pop[j, b] for pop in pops],
-                                           t1[j, b], cfg, top_slots)
+        for b in np.flatnonzero(failed):
+            errors[live[b]] = _trip_error(drift[:, b], [pop[:, b] for pop in pops],
+                                          hit[:, b], t1[:, b], cfg, top_slots)
         done = ~failed & (n <= k[-1, 0] + 1)
         final[live[done]] = normed[n[done] - 1 - lo, np.flatnonzero(done)]
         if states is not None:
@@ -594,12 +582,9 @@ def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Tra
     """Schroedinger evolution under the sinusoidal drive x(t) = x0 sin(nu t).
 
     The midpoint method freezes H at each interval midpoint, so every
-    step is unitary; it converges at second order in dt.
-
-    This is one run of ``_evolve_driven_batch`` that keeps every
-    normalised state: chunks of ``_DRIVE_CHUNK`` steps, one stacked
-    propagator build per chunk, and the earliest guard trip raised with
-    the text a step-by-step loop raises.
+    step is unitary; it converges at second order in dt.  It is one run of
+    ``_evolve_driven_batch`` that keeps every normalised state and raises
+    its earliest guard trip.
     """
     if not params.driven:
         raise TypeError(f"unsupported driven params {type(params).__name__}")
@@ -632,13 +617,15 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
 
     The state is held in its real view (``_real_form``), so the quantum
     step is ``_expi_state``: a Taylor sum on the state whose degree and
-    substeps follow from the 1-norm bound, with no decomposition.  <C>
-    comes from one product with the real form of the bare C; the raw
-    state's <C> feeds the second half-flow and, divided by the squared
-    norm, the next step's first.  The norm and top Fock level are guarded
-    on every step, raising the text of ``_guard_error``.  The tests hold the
-    amplitudes and (x, p) to a per-step eigendecomposition loop within
-    1e-12 absolute and the worst norm drift within 1e-14.
+    substeps follow from the 1-norm bound (past ``_HYBRID_BOUND_MAX`` it
+    raises), with no decomposition.  The run carries and stores the raw
+    state; <C>, one product with the real form of the bare C over the
+    squared norm, feeds both half-flows.  One ``_checked_state`` pass over
+    the stored rows then normalises and judges them: a run that trips
+    raises after its last step, or after an abort, whose earlier trips
+    win.  The tests hold the amplitudes and (x, p) to a per-step
+    eigendecomposition loop within 1e-12 absolute and the worst norm
+    drift within 1e-14.
     """
     if not model.back_reaction:
         raise ValueError("evolve_hybrid needs a back-reaction (mean-field) model")
@@ -647,10 +634,6 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     if s0.psi.space != space:
         raise ValueError("initial quantum state space does not match the model")
     times = cfg.time_grid()
-    top_slots = _boson_top_indices(space)
-    # the (re, im) slots of the top-level entries in the real view
-    top_real = [np.stack([2 * flat, 2 * flat + 1], axis=-1).ravel()
-                for _, flat in top_slots]
     m0, m1 = _real_form(-1j * h0), _real_form(-1j * c)
     norms = [np.abs(m).sum(axis=0).max(initial=0.0) for m in (h0, c)]
     # c = coupling * (quadrature or sigma_x); the force needs the bare
@@ -668,38 +651,40 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     if not (math.isfinite(x) and math.isfinite(p)):
         raise ValueError("classical initial conditions must be finite")
 
-    # rows of (re, im) pairs: the trajectory reads them as complex, uncopied
+    # raw rows of (re, im) pairs, read as complex by the guard pass
     rows = np.empty((len(times), 2 * space.total_dim))
-    rows[0] = _checked_state(s0.psi.amplitudes, 0.0, cfg, top_slots)[0].view(float)
+    v = rows[0] = s0.psi.amplitudes.view(float)
     track = [(x, p)]
-    v = s0.psi.amplitudes.view(float)
-    mean = float(np.dot(v, np.dot(c_bare, v)))
-    worst = 0.0
+    # <C> of the normalised state, from the raw one
+    mean = float(np.dot(v, np.dot(c_bare, v)) / np.dot(v, v))
+    stop = None
     grid = times.tolist()
     for k in range(len(grid) - 1):
         t1 = grid[k + 1]
         dt = t1 - grid[k]
         ch, sh = math.cos(nu * (0.5 * dt)), math.sin(nu * (0.5 * dt))
         x, p = classical_half(x, p, mean, ch, sh)
+        bound = dt * (norms[0] + abs(x) * norms[1])
+        if not bound <= _HYBRID_BOUND_MAX:
+            stop = ToleranceError(f"quantum step 1-norm bound {bound:.3e} exceeds "
+                                  f"{_HYBRID_BOUND_MAX:.0e} at t={t1:g} (reduce dt)")
+            break
         v = _expi_state(m0, m1, norms, x, dt, v)
-        mean = float(np.dot(v, np.dot(c_bare, v)))
+        mean = float(np.dot(v, np.dot(c_bare, v)) / np.dot(v, v))
         x, p = classical_half(x, p, mean, ch, sh)
         if not (math.isfinite(x) and math.isfinite(p)):
-            raise ToleranceError(f"classical variables diverged at t={t1:g}")
-        nrm_sq = np.dot(v, v)   # a numpy scalar: the populations divide without raising
-        nrm = math.sqrt(nrm_sq)
-        drift = abs(nrm - 1.0)
-        pops = [np.dot(top, top) / nrm_sq for top in (v[slots] for slots in top_real)]
-        if not drift <= cfg.norm_drift_tol or any(pop > cfg.top_level_tol
-                                                  for pop in pops):
-            raise _guard_error(drift, pops, t1, cfg, top_slots)
-        worst = max(worst, drift)
-        v = np.divide(v, nrm, out=rows[k + 1])
-        mean /= float(nrm_sq)
+            stop = ToleranceError(f"classical variables diverged at t={t1:g}")
+            break
+        rows[k + 1] = v
         track.append((x, p))
-    rows.setflags(write=False)
-    return Trajectory(space, times, rows.view(complex), classical=track,
-                      max_norm_drift=worst)
+    n = len(track)
+    amps, drift = _checked_state(rows[:n].view(complex), times[:n], cfg,
+                                 _boson_top_indices(space))
+    if stop is not None:
+        raise stop
+    amps.setflags(write=False)
+    return Trajectory(space, times, amps, classical=track,
+                      max_norm_drift=float(drift.max()))
 
 
 # ---------------------------------------------------------------------------

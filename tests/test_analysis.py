@@ -310,7 +310,7 @@ def test_deficit_needs_conditionable_probability():
     model = _osc_model(coupling=0.0)
     cfg = EvolutionConfig(dt=0.01, t_max=1.0, method=Method.MIDPOINT)
     traj = evolve_driven(model.params, None, cfg)
-    with pytest.raises(ValueError):
+    with pytest.raises(ToleranceError, match="nothing to condition on"):
         conditioned_energy_deficit(traj, model)
 
 

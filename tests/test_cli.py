@@ -508,3 +508,39 @@ def test_a_non_finite_number_in_a_config_dict_names_its_key_path():
     cfg["initial_state"]["x"] = math.nan
     with pytest.raises(ConfigError, match=re.escape("['initial_state', 'x']")):
         validate_config(cfg)
+
+
+def test_a_golden_rule_scan_below_the_regime_ratio_exits_2_without_artifacts(tmp_path,
+                                                                           capsys):
+    # the fit refuses a scan that reaches |delta / g| < 10, so validate
+    # rejects such a ratio_min before anything runs
+    cfg = json.loads(bundled_scenarios()["rabi_golden_rule"])
+    cfg["golden_rule"] = {"g": 0.01, "ratio_min": 2, "ratio_max": 100, "points": 9}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: golden_rule ratio_min 2 ")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("scenario, edit", [
+    ("jc_vacuum_exchange", _set(("initial_state",), {"type": "ground"})),
+    ("energy_audit_semiclassical", _set(("target",), {"factor": 0, "level": 9})),
+], ids=["ground_start", "top_level_target"])
+def test_an_audit_with_nothing_to_condition_on_exits_3_without_artifacts(tmp_path, capsys,
+                                                                         scenario, edit):
+    # the readout population of the target level is below the floor the
+    # deficit conditions on: a tolerance abort with one line on stderr
+    path = tmp_path / "cfg.json"
+    path.write_text(edit(bundled_scenarios()[scenario]))
+    assert main(["validate", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == EXIT_TOLERANCE
+    err = capsys.readouterr().err
+    assert err.startswith("numerical-tolerance abort: transition probability ")
+    assert err.endswith("nothing to condition on\n") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]

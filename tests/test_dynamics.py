@@ -394,13 +394,15 @@ def test_chunked_driven_top_level_trip_in_a_later_chunk():
 
 @pytest.mark.parametrize("params", _DRIVEN_PARAMS, ids=["qubit", "oscillator"])
 def test_midpoint_norm_guard_trips_below_rounding_drift(params):
-    # a midpoint step is unitary, so the raw norm drifts by rounding alone;
-    # a tolerance below that trips the guard.  The kernel and the per-step
-    # route round differently, so the drift figure and the tripping step
-    # may differ between them, but both raise the guard's norm-drift text
+    # a midpoint step is unitary, so the raw norm drifts by rounding alone:
+    # the kernel never renormalises, so its drift builds up over the run,
+    # by at most one unit roundoff per step; a tolerance below that trips
+    # the guard.  The kernel and the per-step route round differently, so
+    # the drift figure and the tripping step may differ between them, but
+    # both raise the guard's norm-drift text
     cfg = EvolutionConfig(dt=0.01, t_max=2.0, method=Method.MIDPOINT)
     worst = evolve_driven(params, None, cfg).max_norm_drift
-    assert 0.0 < worst < 1e-15
+    assert 0.0 < worst <= cfg.n_steps * 2.0 ** -53
     grid = cfg.time_grid().tolist()
     for text in _trip_texts(params, replace(cfg, norm_drift_tol=1e-17)):
         match = re.fullmatch(r"norm drift (\S+) exceeds 1\.0e-17 at t=(\S+) "
@@ -408,6 +410,36 @@ def test_midpoint_norm_guard_trips_below_rounding_drift(params):
         assert match, text
         assert 1e-17 < float(match[1]) < 1e-15
         assert any(f"{t:g}" == match[2] for t in grid[1:])
+
+
+@pytest.mark.parametrize("params", _DRIVEN_PARAMS, ids=["qubit", "oscillator"])
+def test_driven_states_are_the_raw_product_normalised_once(params):
+    # the kernel only multiplies: its stored states are the product of the
+    # run's own step propagators, never renormalised on the way, each
+    # normalised once, and max_norm_drift is that product's worst raw
+    # norm deviation.  A chunk and a partial one, built as the kernel
+    # builds them (a propagator gets the same bits in any stack)
+    n = _DRIVE_CHUNK + 44
+    cfg = EvolutionConfig(dt=0.01, t_max=0.01 * n, method=Method.MIDPOINT)
+    traj = evolve_driven(params, None, cfg)
+    h0, c = params.free_and_coupling()
+    norms = [np.abs(m).sum(axis=0).max() for m in (h0, c)]
+    k = np.arange(n)[:, None]
+    dt = np.array([cfg.t_max]) / np.array([n])
+    t0 = k * dt
+    t1 = np.where(k == n - 1, cfg.t_max, (k + 1) * dt)
+    x = params.x0 * np.sin(params.nu * (0.5 * (t0 + t1)))
+    a = x[..., None, None] * c
+    a += h0
+    a *= (t1 - t0)[..., None, None]
+    u = _expi(a, (t1 - t0) * (norms[0] + np.abs(x) * norms[1]))
+    raw = [params.default_initial_state().amplitudes[None, :, None]]
+    for j in range(n):
+        raw.append(np.matmul(u[j], raw[-1]))
+    raw = np.array(raw)[:, 0, :, 0]
+    nrm = np.sqrt((np.abs(raw) ** 2).sum(axis=-1))
+    npt.assert_array_equal(traj.amplitudes, raw / nrm[:, None])
+    assert traj.max_norm_drift == np.abs(nrm - 1.0).max()
 
 
 def per_step_hybrid(model, s0, cfg):
@@ -529,6 +561,18 @@ def test_hybrid_top_level_trip_matches_per_step_route():
         per_step_hybrid(model, s0, cfg)
     assert str(stepped.value) == str(per_step.value)
     assert str(stepped.value).startswith("top Fock level of factor 0")
+
+
+def test_hybrid_step_bound_beyond_the_cap_raises():
+    # one step of bound about 3.8e4 would take about 1e4 substeps of
+    # degree 30; a bound past 1e3 stops the run before the step
+    model, _ = _qubit_hybrid(0.1)
+    s0 = HybridState(3.8e5, 0.0, ground_state(model.params.space))
+    cfg = EvolutionConfig(dt=1.0, t_max=1.0, method=Method.MIDPOINT)
+    norms = [np.abs(m).sum(axis=0).max() for m in model.params.free_and_coupling()]
+    assert 3e4 < cfg.dt * (norms[0] + abs(s0.x) * norms[1])
+    with pytest.raises(ToleranceError, match=r"exceeds 1e\+03 at t=1 \(reduce dt\)$"):
+        evolve_hybrid(model, s0, cfg)
 
 
 def test_hybrid_step_runs_without_eigh(monkeypatch):
