@@ -215,6 +215,10 @@ def conditioned_energy_deficit(traj: Trajectory, model: ModelSpec,
     A readout population below ``CONDITION_FLOOR`` leaves nothing to
     condition on and raises ToleranceError.
     """
+    if model.back_reaction:
+        raise ValueError(
+            "conditioned deficit is defined for the prescribed-drive and "
+            "quantized-field models; mean-field runs are audited by ledger")
     p = model.params
     final = traj.final_state()
     prob = final.population(p.detector, level)
@@ -222,10 +226,6 @@ def conditioned_energy_deficit(traj: Trajectory, model: ModelSpec,
         raise ToleranceError(
             f"transition probability {prob:.3e} below {CONDITION_FLOOR:.0e}; "
             "nothing to condition on")
-    if model.back_reaction:
-        raise ValueError(
-            "conditioned deficit is defined for the prescribed-drive and "
-            "quantized-field models; mean-field runs are audited by ledger")
 
     field_free, detector_free, _ = p.parts()
     free = field_free + detector_free

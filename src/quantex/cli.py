@@ -34,7 +34,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     conditioned_energy_deficit,
-    default_initial_state,
     detuning_scan,
     energy_ledger,
     golden_rule_fit,
@@ -48,7 +47,6 @@ from .analysis import (
 )
 from .constants import DEFAULT_CONSTANTS
 from .dynamics import (
-    GOLDEN_RULE_MIN_RATIO,
     EvolutionConfig,
     HybridState,
     Method,
@@ -56,7 +54,7 @@ from .dynamics import (
     evolve_hybrid,
 )
 from .errors import CoherentTailError, ConfigError, ToleranceError
-from .hilbert import basis_state, ground_state
+from .hilbert import StateVector, basis_state, ground_state
 from .models import (
     GravitoParams,
     ModelFamily,
@@ -149,6 +147,10 @@ class Scenario:
     model: ModelSpec | None = None
     evolution: EvolutionConfig | None = None
     target: tuple[int, int] | None = None
+    # an audit's starting state
+    initial: StateVector | HybridState | None = None
+    # axis name -> values of each scan a scan or signatures run makes
+    axes: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 _SIGNATURE_AXES = ("detuning", "intensity", "time")
@@ -197,8 +199,10 @@ def _build_axis(block: dict, name: str) -> np.ndarray:
 
 
 def validate_config(cfg: dict) -> Scenario:
-    """Schema plus physics-domain validation; builds the typed pieces but
-    runs nothing.  Every number must be finite."""
+    """Schema plus physics-domain validation; runs nothing.  Every number
+    must be finite.  The returned scenario holds all that its runner reads
+    but a golden-rule or constants block: the model, the evolution config,
+    the target, an audit's initial state and a scan's axes."""
     for path in _non_finite(cfg):
         raise ConfigError(f"non-finite number at {list(path)}")
     error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
@@ -208,17 +212,22 @@ def validate_config(cfg: dict) -> Scenario:
 
     scenario = Scenario(name=cfg["scenario"], kind=cfg["kind"], config=cfg,
                         outputs=_output_names(cfg["kind"], cfg["output"]))
+    model, kind = None, scenario.kind
+    if "initial_state" in cfg and kind != "audit":
+        raise ConfigError("initial_state applies to audit scenarios only")
     try:
         if "model" in cfg:
-            scenario.model = _build_model(cfg["model"])
+            scenario.model = model = _build_model(cfg["model"])
         if "evolution" in cfg:
             ev = dict(cfg["evolution"])
             ev["method"] = Method(ev["method"])
             scenario.evolution = EvolutionConfig(**ev)
+        if kind == "audit":
+            scenario.initial = _initial_state(
+                cfg.get("initial_state", {"type": "default"}), model)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    model, kind = scenario.model, scenario.kind
     if model is not None and scenario.evolution is not None:
         (method,) = allowed_methods(model)
         if scenario.evolution.method is not method:
@@ -231,16 +240,14 @@ def validate_config(cfg: dict) -> Scenario:
             raise ConfigError(f"target {t} outside the model space")
         scenario.target = t
 
-    if "initial_state" in cfg:
-        if kind != "audit":
-            raise ConfigError("initial_state applies to audit scenarios only")
-        _check_initial(cfg["initial_state"], model)
-
     if kind in ("scan", "signatures"):
         if model.back_reaction:
             raise ConfigError("scans drive the prescribed or quantized models only")
-        for axis_name, block in _scan_blocks(cfg).items():
-            _check_scan_axes(axis_name, _build_axis(block, axis_name), model)
+        blocks = ({cfg["scan"]["axis"]: cfg["scan"]} if kind == "scan"
+                  else {axis: cfg["scans"][axis] for axis in _SIGNATURE_AXES})
+        for axis_name, block in blocks.items():
+            axis = scenario.axes[axis_name] = _build_axis(block, axis_name)
+            _check_scan_axes(axis_name, axis, model)
     elif kind == "audit":
         if scenario.target is not None and scenario.target[0] != model.params.detector:
             raise ConfigError(f"audit target {scenario.target} must sit on the "
@@ -248,10 +255,6 @@ def validate_config(cfg: dict) -> Scenario:
                               "deficit conditions on a detector level")
     elif kind == "golden_rule":
         block = cfg["golden_rule"]
-        if block["ratio_min"] < GOLDEN_RULE_MIN_RATIO:
-            raise ConfigError(f"golden_rule ratio_min {block['ratio_min']:g} lies below "
-                              f"the far-detuned regime |delta / g| >= "
-                              f"{GOLDEN_RULE_MIN_RATIO:g}")
         if block["ratio_max"] <= block["ratio_min"]:
             raise ConfigError("golden_rule needs ratio_max > ratio_min")
     elif kind == "constants":
@@ -261,29 +264,20 @@ def validate_config(cfg: dict) -> Scenario:
     return scenario
 
 
-def _scan_blocks(cfg: dict) -> dict:
-    """Axis name -> axis block of every scan a scan or signatures run makes."""
-    if cfg["kind"] == "scan":
-        return {cfg["scan"]["axis"]: cfg["scan"]}
-    return {axis: cfg["scans"][axis] for axis in _SIGNATURE_AXES}
-
-
-def _check_initial(block: dict, model: ModelSpec):
-    kind = block["type"]
+def _initial_state(block: dict, model: ModelSpec) -> StateVector | HybridState:
+    """An audit's starting state; a mean-field model's starts with the
+    detector in its ground state."""
+    kind, space = block["type"], model.params.space
+    if model.back_reaction:
+        if kind not in ("default", "hybrid"):
+            raise ConfigError("mean-field audits start from a hybrid (x, p) point")
+        x, p = ((block["x"], block["p"]) if kind == "hybrid"
+                else (0.0, model.params.x0))
+        return HybridState(float(x), float(p), ground_state(space))
     if kind == "hybrid":
-        if not model.back_reaction:
-            raise ConfigError("hybrid initial state needs a back_reaction model")
-        return
-    if model.back_reaction and kind not in ("default",):
-        raise ConfigError("mean-field audits start from a hybrid (x, p) point")
-    if kind == "fock":
-        dims = model.params.space.dims
-        levels = block["levels"]
-        if len(levels) != len(dims):
-            raise ConfigError(f"fock levels must list {len(dims)} entries")
-        for lv, d in zip(levels, dims):
-            if lv >= d:
-                raise ConfigError(f"fock level {lv} exceeds factor dim {d}")
+        raise ConfigError("hybrid initial state needs a back_reaction model")
+    return (basis_state(space, block["levels"]) if kind == "fock"
+            else ground_state(space) if kind == "ground" else model.default_state)
 
 
 def _check_scan_axes(axis_name: str, axis: np.ndarray, model: ModelSpec):
@@ -323,17 +317,11 @@ def _named(scenario: Scenario, **writers) -> dict:
 
 
 def _run_audit(scenario: Scenario) -> dict:
-    model, cfg, space = scenario.model, scenario.evolution, scenario.model.params.space
-    block = scenario.config.get("initial_state", {"type": "default"})
+    model, cfg = scenario.model, scenario.evolution
     if model.back_reaction:
-        x, p = ((float(block["x"]), float(block["p"])) if block["type"] == "hybrid"
-                else (0.0, float(model.params.x0)))
-        traj = evolve_hybrid(model, HybridState(x, p, ground_state(space)), cfg)
+        traj = evolve_hybrid(model, scenario.initial, cfg)
     else:
-        psi0 = (basis_state(space, block["levels"]) if block["type"] == "fock"
-                else ground_state(space) if block["type"] == "ground"
-                else default_initial_state(model))
-        traj, _ = run_point(model, cfg, initial=psi0)
+        traj, _ = run_point(model, cfg, initial=scenario.initial)
     ledger = energy_ledger(traj, model)
 
     def summary():
@@ -356,9 +344,9 @@ def _run_audit(scenario: Scenario) -> dict:
 
 def _scans(scenario: Scenario) -> dict:
     runs = {"detuning": detuning_scan, "intensity": intensity_scan, "time": time_scan}
-    return {axis: runs[axis](scenario.model, scenario.evolution,
-                             _build_axis(block, axis), target=scenario.target)
-            for axis, block in _scan_blocks(scenario.config).items()}
+    return {axis: runs[axis](scenario.model, scenario.evolution, values,
+                             target=scenario.target)
+            for axis, values in scenario.axes.items()}
 
 
 def _run_scan(scenario: Scenario) -> dict:

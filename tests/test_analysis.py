@@ -314,6 +314,20 @@ def test_deficit_needs_conditionable_probability():
         conditioned_energy_deficit(traj, model)
 
 
+@pytest.mark.parametrize("coupling", [0.0, 0.1])
+def test_deficit_rejects_a_mean_field_run_whatever_its_population(coupling):
+    # at zero coupling the detector stays in its ground state, so the
+    # readout floor would also trip; the misuse is reported first
+    model = ModelSpec(ModelFamily.QUBIT_DRIVE,
+                      QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=coupling,
+                                               x0=1.0),
+                      back_reaction=True)
+    traj = evolve_hybrid(model, HybridState(0.0, 1.0, ground_state(model.params.space)),
+                         EvolutionConfig(dt=0.01, t_max=1.0))
+    with pytest.raises(ValueError, match="mean-field runs are audited by ledger"):
+        conditioned_energy_deficit(traj, model)
+
+
 def test_transition_probability_series_basics():
     p = JaynesCummingsParams(nu=1.0, omega=1.0, g=0.02, field_cutoff=4)
     model = ModelSpec(ModelFamily.JAYNES_CUMMINGS, p)

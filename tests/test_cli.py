@@ -7,8 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
+import numpy as np
 import pytest
 
+from quantex import cli
 from quantex.cli import (
     EXIT_CANTCREAT,
     EXIT_CONFIG,
@@ -20,7 +23,9 @@ from quantex.cli import (
     main,
     validate_config,
 )
+from quantex.dynamics import GOLDEN_RULE_MIN_RATIO, HybridState
 from quantex.errors import ConfigError
+from quantex.hilbert import basis_state, ground_state
 
 
 def test_version_prints_constants_hash(capsys):
@@ -61,16 +66,21 @@ def test_a_closed_stdout_exits_0_without_a_traceback(tmp_path, capsys, monkeypat
         assert (tmp_path / "out" / "manifest.json").exists()
 
 
+def _src_env() -> dict:
+    """The environment with this quantex first on PYTHONPATH, for a child
+    interpreter to import the package the tests import."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_a_closed_stdout_leaves_no_warning_in_dev_mode():
     # -X dev turns on ResourceWarning: no file may be left unclosed at exit
-    import quantex
-    src = str(Path(quantex.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     write = _closed_pipe()
     try:
         proc = subprocess.run([sys.executable, "-X", "dev", "-m", "quantex.cli",
                                "list-scenarios"], stdout=write, stderr=subprocess.PIPE,
-                              text=True, env={**os.environ, "PYTHONPATH": path})
+                              text=True, env=_src_env())
     finally:
         os.close(write)
     assert proc.returncode == EXIT_OK
@@ -395,7 +405,7 @@ def test_schema_is_checked_once_and_violations_keep_their_text(monkeypatch):
 
 def test_module_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "quantex.cli", "version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0
     assert "quantex" in proc.stdout
 
@@ -404,7 +414,6 @@ def test_runs_need_no_scipy(tmp_path):
     # with sys.modules["scipy"] = None every import of scipy fails: every
     # bundled scenario must still validate, and the coherent-field (beam
     # splitter) and driven scenarios and closed forms must still run
-    import quantex
     runs = ("signatures_beam_splitter", "beam_splitter_resonance", "qubit_drive_threshold")
     code = (
         "import sys\n"
@@ -419,11 +428,8 @@ def test_runs_need_no_scipy(tmp_path):
         "quantex.coherent_amplitude_beta(p, 20.0)\n"
         "assert quantex.min_coherent_cutoff(4.0) > 16\n"
     )
-    src = str(Path(quantex.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     for name in runs:
         assert (tmp_path / name / "manifest.json").exists()
@@ -522,8 +528,78 @@ def test_a_golden_rule_scan_below_the_regime_ratio_exits_2_without_artifacts(tmp
     for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("invalid configuration: golden_rule ratio_min 2 ")
+        assert err.startswith("invalid configuration: schema violation at "
+                              "['golden_rule', 'ratio_min']: 2 ")
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_the_schema_alone_holds_the_golden_rule_regime_bound():
+    schema = cli._schema()
+    bounds = schema["properties"]["golden_rule"]["properties"]
+    assert bounds["ratio_min"]["minimum"] == GOLDEN_RULE_MIN_RATIO
+    assert bounds["ratio_max"]["exclusiveMinimum"] == GOLDEN_RULE_MIN_RATIO
+    cfg = json.loads(bundled_scenarios()["rabi_golden_rule"])
+    validator = jsonschema.Draft202012Validator(schema)
+    assert validator.is_valid(cfg)
+    cfg["golden_rule"]["ratio_min"] = 2
+    assert not validator.is_valid(cfg)
+
+
+@pytest.mark.parametrize("scenario, initial, message", [
+    ("jc_vacuum_exchange", {"type": "fock", "levels": [1]}, "one level per factor"),
+    ("jc_vacuum_exchange", {"type": "fock", "levels": [0, 2]}, "out of range"),
+    ("qubit_backreaction_audit", {"type": "fock", "levels": [0]},
+     "mean-field audits start from a hybrid (x, p) point"),
+    ("oscillator_backreaction_audit", {"type": "ground"},
+     "mean-field audits start from a hybrid (x, p) point"),
+], ids=["levels_length", "level_at_dim", "mean_field_fock", "mean_field_ground"])
+def test_a_bad_initial_state_exits_2_without_artifacts(tmp_path, capsys, scenario,
+                                                       initial, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(_set(("initial_state",), initial)(bundled_scenarios()[scenario]))
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and message in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("scenario, edit, expected", [
+    ("jc_vacuum_exchange", _set(("initial_state",), {"type": "default"}),
+     lambda m: m.default_state),
+    ("energy_audit_semiclassical", _set(("initial_state",), {"type": "ground"}),
+     lambda m: ground_state(m.params.space)),
+    ("jc_vacuum_exchange", _set(("initial_state",), {"type": "fock", "levels": [0, 1]}),
+     lambda m: basis_state(m.params.space, [0, 1])),
+    ("qubit_backreaction_audit",
+     _set(("initial_state",), {"type": "hybrid", "x": 0.3, "p": 0.7}),
+     lambda m: HybridState(0.3, 0.7, ground_state(m.params.space))),
+    ("oscillator_backreaction_audit", _set(("initial_state",), {"type": "default"}),
+     lambda m: HybridState(0.0, m.params.x0, ground_state(m.params.space))),
+], ids=["default", "ground", "fock", "hybrid", "mean_field_default"])
+def test_each_initial_state_type_is_the_first_row_of_the_run(tmp_path, monkeypatch,
+                                                             scenario, edit, expected):
+    path = tmp_path / "cfg.json"
+    path.write_text(edit(bundled_scenarios()[scenario]))
+    initial = validate_config(load_config(str(path))).initial
+    runs, energy_ledger = [], cli.energy_ledger
+
+    def ledger(traj, model):
+        runs.append((traj, model))
+        return energy_ledger(traj, model)
+
+    monkeypatch.setattr(cli, "energy_ledger", ledger)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out"),
+                 "--t-max", "5"]) == EXIT_OK
+    ((traj, model),) = runs
+    want = expected(model)
+    if isinstance(want, HybridState):
+        assert (initial.x, initial.p) == (want.x, want.p)
+        assert traj.classical[0].tolist() == [want.x, want.p]
+        initial, want = initial.psi, want.psi
+    assert np.array_equal(initial.amplitudes, want.amplitudes)
+    assert np.array_equal(traj.amplitudes[0], want.amplitudes)
 
 
 @pytest.mark.parametrize("scenario, edit", [
