@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import CoherentTailError, RegimeError, ToleranceError
+from .errors import RegimeError, ToleranceError
 from .hilbert import StateVector, _readonly
 from .models import ModelSpec
 from .dynamics import (
@@ -281,9 +281,26 @@ class ScanResult:
         object.__setattr__(self, "aux", {k: _readonly(v, float) for k, v in self.aux.items()})
 
 
-def _check_scannable(model: ModelSpec) -> None:
+def _scan_axis(model: ModelSpec, axis_name: str, values) -> np.ndarray:
+    """The values of an ``axis_name`` scan of ``model`` as floats, once
+    every whole-scan rule holds (ValueError otherwise): no mean-field
+    model, an intensity field for an intensity scan, finite detunings and
+    finite, positive intensities and readout times.  The scans and
+    ``cli.validate_config`` read the rules here alone."""
     if model.back_reaction:
         raise ValueError("scans drive the prescribed or quantized models only")
+    values = np.asarray(values, dtype=float)
+    if axis_name == "detuning":
+        if not np.all(np.isfinite(values)):
+            raise ValueError("detuning scan needs finite detunings")
+    elif axis_name == "intensity":
+        if model.params.intensity_field is None:
+            raise ValueError("intensity scans need a coherent-field or driven model")
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ValueError("intensity scan needs finite, positive intensities")
+    elif not np.all(np.isfinite(values) & (values > 0)):
+        raise ValueError("time scan needs finite, positive readout times")
+    return values
 
 
 def run_point(model: ModelSpec, cfg: EvolutionConfig,
@@ -293,7 +310,7 @@ def run_point(model: ModelSpec, cfg: EvolutionConfig,
     and the target population at the final time.  A quantized model runs
     its Hamiltonian record through ``evolve_unitary_at``, a batch of one
     of the kernel its scans use."""
-    _check_scannable(model)
+    _scan_axis(model, "time", [cfg.t_max])      # a one-point time scan
     if target is None:
         target = default_target(model)
     if initial is None:
@@ -305,68 +322,62 @@ def run_point(model: ModelSpec, cfg: EvolutionConfig,
     return traj, traj.final_state().population(*target)
 
 
-_POINT_ERRORS = (ToleranceError, CoherentTailError)
-
-
 def _failed(exc: Exception) -> tuple:
     return math.nan, None, None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_points(model, cfgs, target, vary, catch=_POINT_ERRORS, shared=False):
-    """Evolve the points of a scan of ``model``, point i being the model
-    ``vary(i)`` under ``cfgs[i]``.  Returns per point the target population,
+def _run_points(model, cfg, target, vary, horizons):
+    """Evolve the points of a scan of ``model`` whose rules ``_scan_axis``
+    has checked, point i being the model ``vary(i)`` on the grid of
+    ``dynamics._steps`` up to ``horizons[i]``, every point guarded by the
+    scan's one config ``cfg``.  Returns per point the target population,
     the initial and final amplitudes and the error tag (NaN, None, None,
-    tag on a failed point); an exception in ``catch`` tags its point
-    instead of aborting the scan.
+    tag on a failed point).  A ValueError raised while a point is built
+    (a nu <= 0, a coherent tail past the cutoff) tags that point, and a
+    guard trip tags it with the error its serial run raises.
 
-    The scan is checked, targeted and dispatched once, on ``model``, and
-    its points run as one batch of the kernel that also runs a single
-    point, so each point gives the bits of its own serial run.  Quantized
-    points form one ``dynamics._evolve_blocks`` batch of their own
-    ``parts()`` diagonals and the first point's hop list, which every
-    point must share (ValueError otherwise); each starts from ``model``'s
-    initial state when ``shared``, else from its own.  Prescribed-drive
-    points differ only in the drive and the horizon, and step together in
-    ``dynamics._evolve_driven_batch`` from ``model``'s h0, c and initial
-    state (no driven family's state reads the drive).  Only first and
-    final states are kept, every point is guarded with the tolerances of
-    ``cfgs[0]`` (the scans derive every config from one), and a point that
-    trips a guard is tagged with the error its serial run raises.
+    The points run as one batch of the kernel that also runs a single
+    point, so each gives the bits of its own serial run.  Quantized points
+    form one ``dynamics._evolve_blocks`` batch of their own diagonals and
+    default states and the first point's hop list, which every point must
+    share (ValueError otherwise).  Prescribed-drive points differ only in
+    the drive and the horizon, and step together in
+    ``dynamics._evolve_driven_batch`` from ``model``'s h0, c and state.
     """
-    _check_scannable(model)
     if target is None:
         target = default_target(model)
-    p, results = model.params, [None] * len(cfgs)
+    p, results = model.params, [None] * len(horizons)
     index, points = [], []
-    for i in range(len(cfgs)):
+    for i in range(len(horizons)):
         try:
             point = vary(i)
-            if not p.driven:
+            if p.driven:
+                points.append((point.params.x0, point.params.nu))
+            else:
                 field, detector, hops = point.params.parts()
                 # built before the batch opens, so that its failure tags the point
-                point = (field + detector, default_initial_state(model if shared else point),
-                         hops)
-        except catch as exc:
+                points.append((field + detector, point.default_state, hops))
+        except ValueError as exc:
             results[i] = _failed(exc)
             continue
         index.append(i)
-        points.append(point)
     if not index:
         return results
 
+    t_ends = [horizons[i] for i in index]
     if p.driven:
         psi0 = default_initial_state(model)
+        x0s, nus = zip(*points)
         finals, errors, _ = _dyn._evolve_driven_batch(
-            *p.free_and_coupling(), psi0,
-            [q.params.x0 for q in points], [q.params.nu for q in points],
-            [cfgs[i].t_max for i in index], [cfgs[i].n_steps for i in index], cfgs[0])
+            *p.free_and_coupling(), psi0, x0s, nus, t_ends,
+            [_dyn._steps(t, cfg.dt) for t in t_ends], cfg)
         runs = ((psi0.amplitudes, final, exc) for final, exc in zip(finals, errors))
     else:
         diagonals, psi0s, hop_lists = zip(*points)
         if len({tuple(a.tobytes() for a in hops) for hops in hop_lists}) > 1:
             raise ValueError("the points of a quantized scan must share one hop list")
         blocks = _dyn._evolve_blocks(p.space, np.array(diagonals), hop_lists[0], psi0s,
-                                     [cfgs[i].time_grid() for i in index], cfgs[0])
+                                     [_dyn._grid(t, cfg.dt) for t in t_ends], cfg)
         # a copy of the two rows, so the point's samples are freed
         runs = ((None, None, exc) if amps is None else (*amps[[0, -1]], exc)
                 for amps, _, exc in blocks)
@@ -385,17 +396,16 @@ def _scan_result(axis_name, axis, results, model, fixed, aux=None) -> ScanResult
 def detuning_scan(model: ModelSpec, cfg: EvolutionConfig, deltas,
                   target: tuple[int, int] | None = None) -> ScanResult:
     """Final-time target population versus detuning (field/drive frequency
-    minus detector frequency).  Points that trip a truncation or norm guard,
-    or whose parameters are invalid, are tagged and reported as NaN rather
-    than aborting the scan; a mean-field model raises ValueError.  The
-    points run as one batch (see ``_run_points``) from ``model``'s initial
-    state, since no family's state reads nu.
+    minus detector frequency).  A scan that breaks a rule of
+    ``_scan_axis`` raises ValueError before any point runs; a point at
+    nu <= 0 or that trips a guard is tagged and reported as NaN.  The
+    points run as one batch under ``cfg`` (see ``_run_points``) from
+    ``model``'s initial state, which ``ModelSpec.with_nu`` hands on.
     """
-    deltas = np.asarray(deltas, dtype=float)
+    deltas = _scan_axis(model, "detuning", deltas)
     omega = model.params.omega
-    results = _run_points(model, [cfg] * len(deltas), target,
-                          lambda i: model.with_nu(omega + deltas[i]),
-                          catch=_POINT_ERRORS + (ValueError,), shared=True)
+    results = _run_points(model, cfg, target, lambda i: model.with_nu(omega + deltas[i]),
+                          [cfg.t_max] * len(deltas))
     return _scan_result("detuning", deltas, results, model,
                         {"t_max": cfg.t_max, "omega": omega,
                          "coupling": _coupling_of(model)})
@@ -411,15 +421,16 @@ def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities,
     """Final-time target population versus field intensity (|alpha|^2 for
     the two-mode model, x0^2 for the driven ones).  The aux column
     ``transition_gap`` measures the detector energy gained per absorbed
-    excitation, the intensity-independent transition quantum.  Guard trips
-    are tagged per point, and a mean-field model raises ValueError.  The
-    points run as one batch (see ``_run_points``), each quantized point
-    from its own initial state."""
-    intensities = np.asarray(intensities, dtype=float)
+    excitation, the intensity-independent transition quantum.  A scan
+    that breaks a rule of ``_scan_axis`` raises ValueError before any
+    point runs; a coherent tail past the cutoff or a guard trip is tagged
+    per point.  The points run as one batch under ``cfg`` (see
+    ``_run_points``), each quantized point from its own initial state."""
+    intensities = _scan_axis(model, "intensity", intensities)
     _, detector_free, _ = model.params.parts()
     levels = model.params.detector_levels()
-    results = _run_points(model, [cfg] * len(intensities), target,
-                          lambda i: model.with_intensity(intensities[i]))
+    results = _run_points(model, cfg, target, lambda i: model.with_intensity(intensities[i]),
+                          [cfg.t_max] * len(intensities))
     gaps = []
     for _, a0, af, _ in results:
         if a0 is None:
@@ -436,23 +447,16 @@ def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities,
 
 def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
               target: tuple[int, int] | None = None) -> ScanResult:
-    """Target population versus readout time, as a per-point time scan for
-    both family kinds: every readout time t is a run of its own.
-
-    A point evolves to exactly its t on the grid of n steps of t / n, with
-    n rounded from t / cfg.dt, so log-spaced grids stay exact and the
-    guards check every grid sample up to t.  The points run as one batch
-    (see ``_run_points``) from ``model``'s initial state; a driven point
-    leaves it when its steps are done.  A point that trips a guard is
-    tagged with the error its own run raises, and a mean-field model
-    raises ValueError.
+    """Target population versus readout time: every readout time t is a
+    run of its own, to exactly t on the grid of ``dynamics._steps``, so
+    log-spaced grids stay exact and the guards check every sample up to
+    t; ``cfg.t_max`` plays no part.  The points run as one batch under
+    ``cfg`` (see ``_run_points``) from ``model``'s initial state.  A scan
+    that breaks a rule of ``_scan_axis`` raises ValueError before any
+    point runs; a point that trips a guard is tagged with its run's error.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times <= 0):
-        raise ValueError("readout times must be positive")
-    cfgs = [replace(cfg, dt=t / max(1, round(t / cfg.dt)), t_max=t)
-            for t in times.tolist()]
-    results = _run_points(model, cfgs, target, lambda i: model)
+    times = _scan_axis(model, "time", times)
+    results = _run_points(model, cfg, target, lambda i: model, times.tolist())
     return _scan_result("time", times, results, model,
                         {"omega": model.params.omega, "coupling": _coupling_of(model)})
 

@@ -99,12 +99,20 @@ class EvolutionConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_max / self.dt)))
+        return _steps(self.t_max, self.dt)
 
     def time_grid(self) -> np.ndarray:
-        """``n_steps + 1`` equally spaced times from 0 to exactly ``t_max``;
-        the step is ``t_max / n_steps``, the nearest such step to ``dt``."""
-        return np.linspace(0.0, self.t_max, self.n_steps + 1)
+        return _grid(self.t_max, self.dt)
+
+
+def _steps(t: float, dt: float) -> int:
+    """The grid rule for a horizon t: n = max(1, round(t / dt)) steps of
+    t / n, the nearest such step to dt, the last ending exactly at t."""
+    return max(1, int(round(t / dt)))
+
+
+def _grid(t: float, dt: float) -> np.ndarray:
+    return np.linspace(0.0, t, _steps(t, dt) + 1)
 
 
 @dataclass(frozen=True)
@@ -502,9 +510,8 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
                          cfg: EvolutionConfig, states: np.ndarray | None = None):
     """Many prescribed-drive runs that share h0, c and the initial state.
 
-    Run b is driven by x(t) = x0s[b] sin(nus[b] t) over n_steps[b] steps of
-    ``linspace(0, t_ends[b], n_steps[b] + 1)``, the grid of
-    ``EvolutionConfig(dt=t_ends[b] / n_steps[b], t_max=t_ends[b])``.  The
+    Run b is driven by x(t) = x0s[b] sin(nus[b] t) over n_steps[b] equal
+    steps ending exactly at t_ends[b] (``_steps`` gives a dt's count).  The
     live runs step together in chunks of ``max(1, _DRIVE_CHUNK // live)``
     steps, so at most ``_DRIVE_CHUNK`` propagators exist at once whatever
     the batch size.  Per chunk: one stacked ``_expi`` call that gives the

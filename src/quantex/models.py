@@ -323,7 +323,11 @@ class ModelSpec:
         return self.family.value + ("+back_reaction" if self.back_reaction else "")
 
     def with_nu(self, nu: float) -> "ModelSpec":
-        return ModelSpec(self.family, replace(self.params, nu=nu), self.back_reaction)
+        """The model at frequency ``nu``, holding this model's default state
+        (no family's state reads nu)."""
+        spec = ModelSpec(self.family, replace(self.params, nu=nu), self.back_reaction)
+        spec.__dict__["default_state"] = self.default_state
+        return spec
 
     def with_intensity(self, intensity: float) -> "ModelSpec":
         """The model with its intensity field (alpha or x0) set to

@@ -583,7 +583,8 @@ def test_quantized_scan_points_equal_their_serial_runs(model, cfg):
         serial = [run_point(build(i), cfgs[i]) for i in range(len(cfgs))]
         assert scan(model, cfg, axis).probabilities.tolist() == [p for _, p in serial]
         for (traj, prob), (p, first, final, error) in zip(serial,
-                                                          _run_points(model, cfgs, None, build)):
+                                                          _run_points(model, cfg, None, build,
+                                                                      [q.t_max for q in cfgs])):
             assert error is None and p == prob
             assert np.array_equal(first, traj.amplitudes[0])
             assert np.array_equal(final, traj.amplitudes[-1])
@@ -611,8 +612,7 @@ def test_quantized_batch_tags_each_point_like_its_serial_run():
     scan = detuning_scan(model, cfg, deltas)
     assert list(scan.errors) == [tag for tag, _ in serial]
     assert np.isnan(scan.probabilities[[0, 2]]).all()
-    batch = _run_points(model, [cfg] * len(deltas), None, build,
-                        catch=(ToleranceError, ValueError))
+    batch = _run_points(model, cfg, None, build, [cfg.t_max] * len(deltas))
     for (tag, final), (_, _, batch_final, batch_tag) in zip(serial, batch):
         assert batch_tag == tag
         assert (final is None and batch_final is None) or np.array_equal(final, batch_final)
@@ -849,6 +849,21 @@ def test_scans_of_a_mean_field_model_raise(scan, axis):
     cfg = EvolutionConfig(dt=0.01, t_max=2.0, method=Method.MIDPOINT)
     with pytest.raises(ValueError, match="prescribed or quantized models only"):
         scan(model, cfg, axis)
+
+
+@pytest.mark.parametrize("scan, axis", [
+    (detuning_scan, [-0.1, math.nan, 0.1]),
+    (intensity_scan, [1.0, math.nan, 4.0]),
+    (time_scan, [1.0, math.nan, 2.0]),
+], ids=["detuning", "intensity", "time"])
+@pytest.mark.parametrize("model", [_bs_model(), _osc_model()], ids=["quantized", "driven"])
+def test_a_nan_scan_value_raises_before_any_point_runs(monkeypatch, model, scan, axis):
+    calls = []
+    for name in ("_evolve_blocks", "_evolve_driven_batch"):
+        monkeypatch.setattr(dynamics, name, lambda *a, name=name, **kw: calls.append(name))
+    with pytest.raises(ValueError, match="needs finite"):
+        scan(model, EvolutionConfig(dt=0.5, t_max=10.0), np.array(axis))
+    assert calls == []
 
 
 def test_quantized_scan_points_must_share_one_hop_list(monkeypatch):

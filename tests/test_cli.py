@@ -23,7 +23,8 @@ from quantex.cli import (
     main,
     validate_config,
 )
-from quantex.dynamics import GOLDEN_RULE_MIN_RATIO, HybridState
+from quantex.analysis import detuning_scan, intensity_scan, time_scan
+from quantex.dynamics import GOLDEN_RULE_MIN_RATIO, EvolutionConfig, HybridState, Method
 from quantex.errors import ConfigError
 from quantex.hilbert import basis_state, ground_state
 
@@ -372,7 +373,16 @@ def test_validate_config_rejects_bad_json_text(tmp_path):
         load_config(str(path))
 
 
-def test_schema_is_checked_once_and_violations_keep_their_text(monkeypatch):
+@pytest.mark.parametrize("name", ["scenario", "signature_report"])
+def test_bundled_schemas_are_valid_under_their_metaschema(name):
+    # the runtime never checks a schema; a bad edit to one fails here
+    from importlib import resources
+    schema = json.loads(resources.files("quantex").joinpath(
+        f"schema/{name}.schema.json").read_text(encoding="utf-8"))
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_validation_checks_no_schema_and_violations_keep_their_text(monkeypatch):
     import jsonschema
     from quantex import cli
     schema = cli._schema()
@@ -400,7 +410,38 @@ def test_schema_is_checked_once_and_violations_keep_their_text(monkeypatch):
         with pytest.raises(ConfigError) as got:
             validate_config(cfg)
         assert str(got.value) == text
-    assert len(checks) == 1
+    # the metaschema check is the test above's, not each process's
+    assert checks == []
+
+
+def _jaynes_cummings(cfg):
+    cfg["model"] = {"family": "jaynes_cummings",
+                    "params": {"nu": 1.0, "omega": 1.0, "g": 0.001, "field_cutoff": 4}}
+
+
+@pytest.mark.parametrize("scenario, edit, axis", [
+    ("signatures_driven_oscillator", lambda cfg: cfg["model"].update(back_reaction=True),
+     "detuning"),
+    ("signatures_beam_splitter", _jaynes_cummings, "intensity"),
+    ("signatures_beam_splitter",
+     lambda cfg: cfg["scans"]["intensity"].update(start=0.0, scale="linear"), "intensity"),
+    ("signatures_driven_oscillator",
+     lambda cfg: cfg["scans"]["time"].update(start=-1.0, scale="linear"), "time"),
+], ids=["mean_field", "jaynes_cummings_intensity", "intensity_zero", "time_negative"])
+def test_validate_and_the_scan_reject_a_scan_with_one_message(tmp_path, capsys, scenario,
+                                                             edit, axis):
+    cfg = json.loads(bundled_scenarios()[scenario])
+    edit(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    scan = {"detuning": detuning_scan, "intensity": intensity_scan, "time": time_scan}[axis]
+    evolution = {**cfg["evolution"], "method": Method(cfg["evolution"]["method"])}
+    with pytest.raises(ValueError) as exc:
+        scan(cli._build_model(cfg["model"]), EvolutionConfig(**evolution),
+             cli._build_axis(cfg["scans"][axis], axis))
+    assert err == f"invalid configuration: {exc.value}\n"
 
 
 def test_module_entrypoint_runs():

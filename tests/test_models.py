@@ -276,6 +276,22 @@ def test_model_spec_with_nu():
     assert spec.params.omega == 1.0
 
 
+@pytest.mark.parametrize("family, p", [
+    (ModelFamily.QUBIT_DRIVE, QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.1,
+                                                       x0=1.0)),
+    (ModelFamily.JAYNES_CUMMINGS, JaynesCummingsParams(nu=1.0, omega=1.0, g=0.1,
+                                                       field_cutoff=4)),
+    (ModelFamily.BEAM_SPLITTER, BeamSplitterParams(nu=1.0, omega=1.0, g=0.1, field_cutoff=24,
+                                                   detector_cutoff=3, alpha=1.5)),
+    (ModelFamily.OSCILLATOR_DRIVE, DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1,
+                                                          x0=1.0)),
+], ids=lambda v: v.value if isinstance(v, ModelFamily) else "")
+def test_with_nu_hands_on_the_default_state(family, p):
+    # no family's default state reads nu, so a detuning scan builds it once
+    model = ModelSpec(family, p)
+    assert model.with_nu(1.3).default_state is model.default_state
+
+
 # -- gravito-phononic mappings ----------------------------------------------
 
 
