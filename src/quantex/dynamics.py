@@ -12,9 +12,12 @@ Three propagators, each the one route of its model kind:
   drive ``x(t) = x0 sin(nu t)``, with the Hamiltonian frozen at interval
   midpoints (second order in dt).  It is one run of the stepping kernel
   ``_evolve_driven_batch``, which every prescribed-drive run goes
-  through, scans included: runs step together in chunks, each with one
-  stacked propagator build (``_expi``, Taylor sums in real matmuls) and
-  one guard pass;
+  through, scans included.  Only the drive value x changes from step to
+  step, so each distinct step gets one table ``F_j`` with
+  ``exp(-i dt (h0 + x c)) = sum_j x^j F_j`` from one ``_expi`` call (Taylor
+  sums in real matmuls); runs then step together in chunks, each with one
+  elementwise Horner evaluation of every step's polynomial and one guard
+  pass;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
   values, advanced by a Strang split (exact classical half-flows around a
@@ -448,8 +451,9 @@ def _expi(a: np.ndarray, bound) -> np.ndarray:
 # leaves a first omitted term b^(m+1) / (m+1)! of at most 2^-53
 _TAYLOR_REACH = tuple((math.factorial(m + 1) * 2.0 ** -53) ** (1.0 / (m + 1))
                       for m in range(1, 31))
-# the largest 1-norm bound of a mean-field quantum step: 264 substeps of degree 30
-_HYBRID_BOUND_MAX = 1e3
+# the largest 1-norm bound that a Taylor plan takes: 264 substeps of degree 30
+_STEP_BOUND_MAX = 1e3
+_SCALE_MAX = 2.0 ** 1023     # the largest power of two a float holds
 
 
 def _taylor_plan(bound: float) -> tuple[int, int]:
@@ -503,6 +507,68 @@ def _expi_state(m0: np.ndarray, m1: np.ndarray, norms, x: float, dt: float,
     return v
 
 
+def _drive_table(h0, c, norms, dt: float, degree: int, substeps: int):
+    """The step table of a prescribed-drive step of length dt whose drive
+    never exceeds the reach of ``(degree, substeps)``: the scale sigma and
+    ``F (degree + 1, d, d)`` with exp(-i h (h0 + x c)) = sum_j (x / sigma)^j F_j,
+    h = dt / substeps, to a first omitted term of at most 2^-53.
+
+    One ``_expi`` call on the block-bidiagonal matrix with ``h h0`` on
+    its diagonal blocks and ``h sigma c`` above them gives every F_j as
+    its top block row (Van Loan, IEEE Trans. Autom. Control 23, 395
+    (1978)): such matrices multiply as polynomials in x / sigma truncated
+    after the power ``degree``.  sigma is the power of two at or above the
+    largest |x| that the plan admits, ``_TAYLOR_REACH / (h |c|_1)``, so
+    |x / sigma| <= 1: the F_j stay on the scale of their terms at any drive
+    amplitude, with no overflow or underflow, the matrix's 1-norm bound
+    ``h (|h0|_1 + sigma |c|_1)`` also bounds every step's, and y = x / sigma
+    is exact.  Where no float power of two reaches that far (c = 0, or
+    h |c|_1 near the underflow threshold), sigma is the largest one,
+    2^1023, and h sigma |c|_1 still stays within the reach.
+    """
+    d, h = len(h0), dt / substeps
+    span = float(h * norms[1])          # a float quotient overflows to inf, silently
+    reach = _TAYLOR_REACH[degree - 1] / span if span else math.inf
+    scale = math.ldexp(1.0, math.frexp(reach)[1]) if reach < _SCALE_MAX else _SCALE_MAX
+    m = np.zeros(((degree + 1) * d,) * 2)
+    for j in range(degree + 1):
+        m[j * d:(j + 1) * d, j * d:(j + 1) * d] = h * h0
+        if j:
+            m[(j - 1) * d:j * d, j * d:(j + 1) * d] = (h * scale) * c
+    f = _expi(m, h * (norms[0] + scale * norms[1]))[:d]
+    return scale, f.reshape(d, degree + 1, d).swapaxes(0, 1)
+
+
+def _table_step(tables: np.ndarray, y: np.ndarray, substeps: np.ndarray) -> np.ndarray:
+    """The step propagators ``(K, L, d, d)`` of L runs at drive values
+    y = x / sigma ``(K, L)``, from the real views ``(L, J + 1, d, 2d)`` of
+    the runs' tables (shorter ones padded with zeros) and their substeps.
+
+    The polynomial is summed by elementwise Horner, ``u = F_J y + F_{J-1}``
+    and so on, from zero, and a run with s substeps then takes u^s by
+    left-to-right binary powering in stacked matmuls, each of a run's own
+    squarings and products on the runs that still owe it.  A padded zero
+    table leaves u zero, and every operation acts on each run alone, so
+    each run gives the bits it gets alone.
+    """
+    u = np.zeros(y.shape + tables.shape[-2:])
+    y = y[..., None, None]
+    for j in range(tables.shape[1] - 1, -1, -1):
+        u *= y
+        u += tables[:, j]
+    u = u.view(complex)
+    top = np.frexp(substeps)[1] - 1             # the place of each exponent's top bit
+    if top.any():
+        base = u.copy()
+        for bit in range(top.max() - 1, -1, -1):
+            owe = top > bit
+            v = u[:, owe]
+            u[:, owe] = v @ v
+            owe &= ((substeps >> bit) & 1) == 1
+            u[:, owe] = u[:, owe] @ base[:, owe]
+    return u
+
+
 _DRIVE_CHUNK = 256      # propagators (runs x steps) that exist at once
 
 
@@ -510,20 +576,26 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
                          cfg: EvolutionConfig, states: np.ndarray | None = None):
     """Many prescribed-drive runs that share h0, c and the initial state.
 
-    Run b is driven by x(t) = x0s[b] sin(nus[b] t) over n_steps[b] equal
-    steps ending exactly at t_ends[b] (``_steps`` gives a dt's count).  The
-    live runs step together in chunks of ``max(1, _DRIVE_CHUNK // live)``
-    steps, so at most ``_DRIVE_CHUNK`` propagators exist at once whatever
-    the batch size.  Per chunk: one stacked ``_expi`` call that gives the
-    midpoint propagator ``exp(-i H(x) h)`` of every (step, run), H frozen
-    at the drive's value x at the step's midpoint, with the 1-norm bound
-    ``h (|h0|_1 + |x| |c|_1)``, which depends only on that step; a serial
-    loop of one batched matvec per step on the raw, never renormalised
-    state; one ``_guard`` pass over the chunk's raw states, in which each
-    run takes the earliest trip among the steps it actually takes
-    (``_trip_error`` on its column; steps past its end are masked out).  A
-    run leaves at the end of the chunk in which it finishes or trips.  h0
-    and c are real, as both driven families build them.
+    Run b is driven by x(t) = x0s[b] sin(nus[b] t) over n_steps[b] steps
+    of t_ends[b] / n_steps[b], the last ending exactly at t_ends[b]
+    (``_steps`` gives a dt's count), each step the midpoint propagator
+    ``exp(-i (h0 + x c) h)``, H frozen at the drive's value x at the
+    step's midpoint.  h0 and c are real, as both driven families build them.
+
+    The propagators come from step tables (``_drive_table``), one per
+    distinct (step length, degree, substeps), where ``_taylor_plan`` of the
+    run's own drive bound ``h |x0| |c|_1`` gives the degree and substeps,
+    so the table, like the rest of a run's arithmetic, depends only on the
+    run.  A run whose bound exceeds ``_STEP_BOUND_MAX`` fails before its
+    first step.  The live runs step together in chunks of
+    ``max(1, _DRIVE_CHUNK // live)`` steps, so at most ``_DRIVE_CHUNK``
+    propagators exist at once whatever the batch size.  Per chunk: the
+    propagators of every (step, run) from the tables (``_table_step``); a
+    serial loop of one batched matvec per step on the raw, never
+    renormalised state; one ``_guard`` pass over the chunk's raw states, in
+    which each run takes the earliest trip among the steps it actually
+    takes (``_trip_error`` on its column; steps past its end are masked
+    out).  A run leaves at the end of the chunk in which it finishes or trips.
 
     Returns the final amplitudes ``(B, d)`` (NaN rows for failed runs),
     the ToleranceError of each run (None where it passed) and the worst
@@ -535,6 +607,7 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     x0s, nus, t_ends = (np.asarray(a, dtype=float) for a in (x0s, nus, t_ends))
     n_steps = np.asarray(n_steps, dtype=int)
     dts = t_ends / n_steps
+    bounds = dts * np.abs(x0s) * norms[1]
     top_slots = _boson_top_indices(psi0.space)
     n_runs, dim = len(n_steps), psi0.space.total_dim
     final = np.full((n_runs, dim), np.nan, dtype=complex)
@@ -544,22 +617,32 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     if states is not None:
         states[0] = amp0
     worst = np.full(n_runs, float(drift0))
-    live = np.arange(n_runs)
-    amp = np.repeat(psi0.amplitudes[None, :, None], n_runs, axis=0)
+    live = np.flatnonzero(bounds <= _STEP_BOUND_MAX)
+    for b in np.flatnonzero(~(bounds <= _STEP_BOUND_MAX)):
+        errors[b] = ToleranceError(f"drive step 1-norm bound {bounds[b]:.3e} exceeds "
+                                   f"{_STEP_BOUND_MAX:.0e} (reduce dt)")
+    plans = {}
+    key = np.zeros(n_runs, dtype=int)
+    for b in live:
+        key[b] = plans.setdefault((dts[b], *_taylor_plan(bounds[b])), len(plans))
+    degree, substeps = (np.array([plan[i] for plan in plans], dtype=int) for i in (1, 2))
+    scales = np.empty(len(plans))
+    tables = np.zeros((len(plans), degree.max(initial=0) + 1, dim, 2 * dim))
+    for i, plan in enumerate(plans):
+        scales[i], f = _drive_table(h0, c, norms, *plan)
+        tables[i, :len(f)] = f.view(float)
+
+    amp = np.repeat(psi0.amplitudes[None, :, None], live.size, axis=0)
     lo = 0
     while live.size:
-        n, dt, x0, nu = n_steps[live], dts[live], x0s[live], nus[live]
+        n, dt, x0, nu, kl = n_steps[live], dts[live], x0s[live], nus[live], key[live]
         # step k of every live run as a (steps, 1) column against (runs,)
         k = lo + np.arange(min(max(1, _DRIVE_CHUNK // live.size),
                                n.max() - lo))[:, None]
         t0 = k * dt
         t1 = np.where(k == n - 1, t_ends[live], (k + 1) * dt)
-        h = t1 - t0
         x = x0 * np.sin(nu * (0.5 * (t0 + t1)))
-        a = x[..., None, None] * c
-        a += h0
-        a *= h[..., None, None]
-        u = _expi(a, h * (norms[0] + np.abs(x) * norms[1]))
+        u = _table_step(tables[kl, :degree[kl].max() + 1], x / scales[kl], substeps[kl])
         # states as (runs, d, 1) columns: a step is one stacked matvec
         raw = np.empty((len(k), live.size, dim, 1), dtype=complex)
         # steps past a guard trip or a run's end may overflow or turn NaN;
@@ -624,7 +707,7 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
 
     The state is held in its real view (``_real_form``), so the quantum
     step is ``_expi_state``: a Taylor sum on the state whose degree and
-    substeps follow from the 1-norm bound (past ``_HYBRID_BOUND_MAX`` it
+    substeps follow from the 1-norm bound (past ``_STEP_BOUND_MAX`` it
     raises), with no decomposition.  The run carries and stores the raw
     state; <C>, one product with the real form of the bare C over the
     squared norm, feeds both half-flows.  One ``_checked_state`` pass over
@@ -672,9 +755,9 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
         ch, sh = math.cos(nu * (0.5 * dt)), math.sin(nu * (0.5 * dt))
         x, p = classical_half(x, p, mean, ch, sh)
         bound = dt * (norms[0] + abs(x) * norms[1])
-        if not bound <= _HYBRID_BOUND_MAX:
+        if not bound <= _STEP_BOUND_MAX:
             stop = ToleranceError(f"quantum step 1-norm bound {bound:.3e} exceeds "
-                                  f"{_HYBRID_BOUND_MAX:.0e} at t={t1:g} (reduce dt)")
+                                  f"{_STEP_BOUND_MAX:.0e} at t={t1:g} (reduce dt)")
             break
         v = _expi_state(m0, m1, norms, x, dt, v)
         mean = float(np.dot(v, np.dot(c_bare, v)) / np.dot(v, v))

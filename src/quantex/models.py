@@ -65,6 +65,12 @@ def _require_nonnegative(**kwargs):
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def _require_finite(**kwargs):
+    for name, value in kwargs.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _dense(diagonal: np.ndarray, hops=None) -> np.ndarray:
     """Symmetric matrix with the given diagonal plus, for each hop
     ``(src, dst, amp)``, ``amp`` at (dst, src) and (src, dst): the driven
@@ -128,6 +134,7 @@ class QubitSemiClassicalParams(_Family):
     def __post_init__(self):
         _require_positive(omega=self.omega, nu=self.nu)
         _require_nonnegative(coupling=self.coupling)
+        _require_finite(x0=self.x0)
 
     @cached_property
     def space(self) -> SpaceDescriptor:
@@ -238,6 +245,7 @@ class DrivenOscillatorParams(_Family):
     def __post_init__(self):
         _require_positive(omega=self.omega, nu=self.nu)
         _require_nonnegative(coupling=self.coupling)
+        _require_finite(x0=self.x0)
         if self.detector_cutoff < 2:
             raise ValueError("detector_cutoff must be >= 2")
 
@@ -331,10 +339,12 @@ class ModelSpec:
 
     def with_intensity(self, intensity: float) -> "ModelSpec":
         """The model with its intensity field (alpha or x0) set to
-        sqrt(intensity)."""
+        sqrt(intensity), which must be finite and >= 0."""
         name = self.params.intensity_field
         if name is None:
             raise ValueError("intensity scan applies to the coherent-field and driven models")
+        if not (intensity >= 0 and math.isfinite(intensity)):
+            raise ValueError(f"intensity must be finite and >= 0, got {intensity}")
         return ModelSpec(self.family, replace(self.params, **{name: math.sqrt(intensity)}),
                          self.back_reaction)
 

@@ -531,7 +531,7 @@ def test_driven_scans_match_serial_run_point():
 
 @pytest.mark.parametrize("method, dt, t_max", [
     (Method.MIDPOINT, 0.01, 3.0),
-    (Method.MIDPOINT, 0.5, 20.0),     # every step takes the double-angle branch
+    (Method.MIDPOINT, 0.5, 20.0),     # every step table takes the double-angle branch
 ], ids=["midpoint", "midpoint-coarse"])
 @pytest.mark.parametrize("make", [
     lambda: _osc_model(coupling=0.01, detector_cutoff=6),
@@ -553,6 +553,15 @@ def test_driven_scan_points_equal_their_serial_runs(make, method, dt, t_max):
     assert scan.probabilities.tolist() == [
         run_point(model, replace(cfg, dt=t / max(1, round(t / dt)), t_max=t))[1]
         for t in times]
+    # each point plans its own step table: these drives need three degrees
+    intensities = np.array([1e-6, 1e-2, 1.0])
+    norm_c = np.abs(model.params.free_and_coupling()[1]).sum(axis=0).max()
+    degrees = {dynamics._taylor_plan(dt * math.sqrt(i) * norm_c)[0] for i in intensities}
+    assert len(degrees) == len(intensities)
+    scan = intensity_scan(model, cfg, intensities)
+    assert scan.errors == (None,) * len(intensities)
+    assert scan.probabilities.tolist() == [
+        run_point(model.with_intensity(i), cfg)[1] for i in intensities]
 
 
 def _time_scan_cfgs(cfg, times):

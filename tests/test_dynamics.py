@@ -43,16 +43,21 @@ from quantex import (
     rabi_probability,
     semiclassical_pn1,
 )
+from quantex import dynamics
 from quantex.dynamics import (
     _DRIVE_CHUNK,
     _EXPI_THETA,
+    _TAYLOR_REACH,
     _block_eigh,
     _boson_top_indices,
     _component_labels,
     _checked_state,
+    _drive_table,
+    _evolve_driven_batch,
     _expi,
     _expi_state,
     _real_form,
+    _table_step,
     _taylor_plan,
 )
 from quantex.hilbert import NORM_ATOL, CoherentSpec, Hamiltonian, StateVector
@@ -417,8 +422,9 @@ def test_driven_states_are_the_raw_product_normalised_once(params):
     # the kernel only multiplies: its stored states are the product of the
     # run's own step propagators, never renormalised on the way, each
     # normalised once, and max_norm_drift is that product's worst raw
-    # norm deviation.  A chunk and a partial one, built as the kernel
-    # builds them (a propagator gets the same bits in any stack)
+    # norm deviation.  A chunk and a partial one, with the propagators
+    # built from the run's step table as the kernel builds them (a
+    # propagator gets the same bits in any stack)
     n = _DRIVE_CHUNK + 44
     cfg = EvolutionConfig(dt=0.01, t_max=0.01 * n, method=Method.MIDPOINT)
     traj = evolve_driven(params, None, cfg)
@@ -429,10 +435,9 @@ def test_driven_states_are_the_raw_product_normalised_once(params):
     t0 = k * dt
     t1 = np.where(k == n - 1, cfg.t_max, (k + 1) * dt)
     x = params.x0 * np.sin(params.nu * (0.5 * (t0 + t1)))
-    a = x[..., None, None] * c
-    a += h0
-    a *= (t1 - t0)[..., None, None]
-    u = _expi(a, (t1 - t0) * (norms[0] + np.abs(x) * norms[1]))
+    degree, substeps = _taylor_plan(dt[0] * abs(params.x0) * norms[1])
+    scale, f = _drive_table(h0, c, norms, dt[0], degree, substeps)
+    u = _table_step(f.view(float)[None], x / scale, np.array([substeps]))
     raw = [params.default_initial_state().amplitudes[None, :, None]]
     for j in range(n):
         raw.append(np.matmul(u[j], raw[-1]))
@@ -573,6 +578,23 @@ def test_hybrid_step_bound_beyond_the_cap_raises():
     assert 3e4 < cfg.dt * (norms[0] + abs(s0.x) * norms[1])
     with pytest.raises(ToleranceError, match=r"exceeds 1e\+03 at t=1 \(reduce dt\)$"):
         evolve_hybrid(model, s0, cfg)
+
+
+def test_driven_step_bound_beyond_the_cap_fails_only_its_run():
+    # a drive bound dt |x0| |c|_1 of 2.5e3 would take about 660 substeps
+    # of degree 30; a bound past 1e3 fails the run before its first step,
+    # and the other runs of the batch keep the bits they get alone
+    p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.5, x0=1e4)
+    cfg = EvolutionConfig(dt=0.5, t_max=5.0, method=Method.MIDPOINT)
+    text = r"^drive step 1-norm bound 2\.500e\+03 exceeds 1e\+03 \(reduce dt\)$"
+    with pytest.raises(ToleranceError, match=text):
+        evolve_driven(p, None, cfg)
+    finals, errors, _ = _evolve_driven_batch(*p.free_and_coupling(), ground_state(p.space),
+                                             [1e4, 1.0], [1.0, 1.0], [5.0, 5.0], [10, 10], cfg)
+    assert re.match(text, str(errors[0])) and errors[1] is None
+    assert np.all(np.isnan(finals[0]))
+    alone = evolve_driven(replace(p, x0=1.0), None, cfg).final_state().amplitudes
+    assert finals[1].tobytes() == alone.tobytes()
 
 
 def test_hybrid_step_runs_without_eigh(monkeypatch):
@@ -1162,3 +1184,83 @@ def test_expi_state_matches_expm(step):
     # up to _EXPI_THETA one Taylor sum runs, and it must hold to a few ulps
     tol = 1e-15 if bound <= _EXPI_THETA else 1e-13 * max(1.0, _norm_1(h_dt))
     npt.assert_allclose(out.view(complex), expm(-1j * h_dt) @ psi, rtol=0, atol=tol)
+
+
+@st.composite
+def _drive_step(draw):
+    """A prescribed-drive step: a real diagonal h0, a real symmetric c,
+    dt, a drive amplitude x0 and a drive value x in [-x0, x0], of
+    dimension 1 to 8, with |h0 dt|_1 up to 25 and the drive bound
+    dt x0 |c|_1 up to 60, past the reach of degree 30, so that some
+    steps take substeps."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h0 = np.diag(rng.normal(size=d))
+    c = rng.normal(size=(d, d))
+    c = c + c.T
+    dt = draw(st.floats(1e-3, 1.0))
+    x0 = draw(st.floats(1e-3, 1e3))
+    x = x0 * draw(st.floats(-1.0, 1.0))
+    n_h = draw(st.one_of(st.floats(0.0, 0.5 * _EXPI_THETA), st.floats(0.0, 25.0)))
+    bound = draw(st.one_of(st.floats(0.0, _TAYLOR_REACH[-1]),
+                           st.floats(_TAYLOR_REACH[-1], 60.0)))
+    h0 *= n_h / (dt * _norm_1(h0))
+    c *= bound / (dt * x0 * _norm_1(c))
+    return h0, c, dt, x0, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drive_step())
+@example((np.zeros((2, 2)), np.zeros((2, 2)), 0.1, 0.0, 0.0))
+@example((np.diag([0.5, -0.5]), np.array([[0.0, 0.3], [0.3, 0.0]]), 0.5, 1.0, -0.7))
+@example((np.diag([-1.0, 1.0]), np.array([[0.0, 3.0], [3.0, 0.0]]), 1.0, 20.0,
+          -20.0))                                         # drive bound 60: substeps
+@example((np.array([[20250.0]]), np.array([[-89.41139413]]), 1e-3, 255.0,
+          239.0625))                                      # h0 dt and x c dt cancel
+@example((np.zeros((1, 1)), np.array([[1e-320]]), 0.5, 1e3, -1e3))  # reach past 2^1023
+def test_drive_table_matches_expm(step):
+    # sum_j (x / sigma)^j F_j, to the power of the substeps, is the step's
+    # exponential: the table's truncation in x and its rounding stay at
+    # the level of one exponential of the step.  The table sums the parts
+    # h0 dt and x c dt, not their sum, so its rounding scales with their
+    # norms: where they cancel, as in the example above (20.25 and -21.4),
+    # it errs by 1.6e-14 against a 40-digit exponential
+    h0, c, dt, x0, x = step
+    norms = [_norm_1(m) for m in (h0, c)]
+    degree, substeps = _taylor_plan(dt * x0 * norms[1])
+    scale, f = _drive_table(h0, c, norms, dt, degree, substeps)
+    assert f.shape == (degree + 1,) + h0.shape
+    assert abs(x) <= scale or norms[1] == 0
+    u = _table_step(f.view(float)[None], np.array([[x / scale]]), np.array([substeps]))
+    parts = dt * (norms[0] + abs(x) * norms[1])
+    npt.assert_allclose(u[0, 0], expm(-1j * (h0 + x * c) * dt), rtol=0,
+                        atol=1e-14 * max(1.0, parts))
+
+
+def test_driven_batch_builds_one_table_per_distinct_step(monkeypatch):
+    # runs of (nu, x0, t_end): the first two share a step length and a
+    # plan, the third needs a higher degree, the fourth substeps and the
+    # last has its own step length; 600 steps each span a dozen chunks,
+    # yet each distinct (step, degree, substeps) builds one table, and
+    # every run keeps the bits it gets alone
+    p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.3, x0=1.0)
+    h0, c = p.free_and_coupling()
+    runs = [(0.9, 1.0, 6.0), (1.1, 1.0, 6.0), (0.9, 50.0, 6.0), (0.9, 2000.0, 6.0),
+            (0.9, 1.0, 5.0)]
+    n = 600
+    cfg = EvolutionConfig(dt=0.01, t_max=6.0, method=Method.MIDPOINT)
+    norm_c = np.abs(c).sum(axis=0).max()
+    plans = [(t / n, *_taylor_plan(t / n * x0 * norm_c)) for _, x0, t in runs]
+    assert len(set(plans)) == 4 and plans[3][2] > 1
+    builds = []
+    expi = dynamics._expi
+    monkeypatch.setattr(dynamics, "_expi", lambda a, bound: builds.append(a) or expi(a, bound))
+    nus, x0s, t_ends = zip(*runs)
+    finals, errors, _ = _evolve_driven_batch(h0, c, ground_state(p.space), x0s, nus, t_ends,
+                                             [n] * len(runs), cfg)
+    assert errors == [None] * len(runs)
+    assert len(builds) == 4
+    for (nu, x0, t), final in zip(runs, finals):
+        alone, _, _ = _evolve_driven_batch(h0, c, ground_state(p.space), [x0], [nu], [t],
+                                           [n], cfg)
+        assert alone[0].tobytes() == final.tobytes()

@@ -244,6 +244,30 @@ def test_param_validation_rejects_nonpositive_frequencies():
         DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=-0.1, x0=1.0)
 
 
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("params", [QubitSemiClassicalParams, DrivenOscillatorParams])
+def test_driven_params_reject_a_non_finite_drive_amplitude(params, x0):
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        params(omega=1.0, nu=1.0, coupling=0.1, x0=x0)
+
+
+@pytest.mark.parametrize("intensity", [-1.0, -1e-300, math.nan, math.inf])
+@pytest.mark.parametrize("model", [
+    ModelSpec(ModelFamily.OSCILLATOR_DRIVE,
+              DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0)),
+    ModelSpec(ModelFamily.QUBIT_DRIVE,
+              QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0)),
+    ModelSpec(ModelFamily.BEAM_SPLITTER,
+              BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=8,
+                                 detector_cutoff=3)),
+], ids=["oscillator", "qubit", "beam_splitter"])
+def test_with_intensity_rejects_a_negative_or_non_finite_intensity(model, intensity):
+    with pytest.raises(ValueError, match="intensity must be finite and >= 0"):
+        model.with_intensity(intensity)
+    # zero intensity is the undriven or vacuum-field model
+    assert getattr(model.with_intensity(0.0).params, model.params.intensity_field) == 0.0
+
+
 @pytest.mark.parametrize("p", [
     QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0),
     JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4),
