@@ -14,15 +14,18 @@ Three propagators, each the one route of its model kind:
   ``_evolve_driven_batch``, which every prescribed-drive run goes
   through, scans included.  Only the drive value x changes from step to
   step, so each distinct step gets one table ``F_j`` with
-  ``exp(-i dt (h0 + x c)) = sum_j x^j F_j`` from one ``_expi`` call (Taylor
-  sums in real matmuls); runs then step together in chunks, each with one
+  ``exp(-i dt (h0 + x c)) = sum_j x^j F_j`` from one ``_taylor`` call on
+  a block matrix; runs then step together in chunks, each with one
   elementwise Horner evaluation of every step's polynomial and one guard
   pass;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
   values, advanced by a Strang split (exact classical half-flows around a
-  Horner Taylor quantum step on the state's real view, ``_expi_state``),
-  second order overall.
+  ``_taylor`` quantum step on the state's real view), second order overall.
+
+``_taylor`` is the one matrix exponential of both driven kernels: a Horner
+Taylor sum for ``exp(h g) v`` whose degree and substeps follow from a
+1-norm bound on h g, which ``_STEP_BOUND_MAX`` caps for every driven step.
 
 The kernels only propagate raw states.  One ``_guard`` pass over the
 stored raw states normalises them and measures their norm drift since
@@ -274,6 +277,12 @@ def _component_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
             return np.unique(labels, return_inverse=True)[1]
 
 
+def _diagonals(m: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of a C-contiguous stack ``(..., d, d)``."""
+    d = m.shape[-1]
+    return m.reshape(*m.shape[:-2], d * d)[..., ::d + 1]
+
+
 def _block_eigh(diagonals: np.ndarray, hops) -> tuple[np.ndarray, list]:
     """Eigendecompositions of the hermitian H_k = diag(diagonals[k]) + hops
     for a stack of diagonals ``(P, d)`` that share one hop list, block by
@@ -389,64 +398,6 @@ def classical_drive(params, times: np.ndarray) -> np.ndarray:
     return np.column_stack([x, p])
 
 
-_EXPI_THETA = 0.1       # 1-norm up to which the Taylor sums need no doubling or substeps
-# 1/(2k)! and 1/(2k+1)!, k = 0..4: cos a runs to a^8 and sin a to a^9; the
-# first dropped terms at norm _EXPI_THETA, 2.8e-17 and 2.5e-19, are below 2^-53
-_COS_COEFFS = tuple(1.0 / math.factorial(2 * k) for k in range(5))
-_SIN_COEFFS = tuple(1.0 / math.factorial(2 * k + 1) for k in range(5))
-
-
-def _diagonals(m: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonals of a C-contiguous stack ``(..., d, d)``."""
-    d = m.shape[-1]
-    return m.reshape(*m.shape[:-2], d * d)[..., ::d + 1]
-
-
-def _expi(a: np.ndarray, bound) -> np.ndarray:
-    """exp(-i a) = cos a - i sin a for a stack of real square matrices
-    ``(..., d, d)``, without a decomposition.
-
-    cos a and sin a / a are degree-4 polynomials in ``b = -a @ a``
-    (Taylor to a^8 and a^9), each evaluated as
-    ``(c0 + c1 b) + b^2 (c2 + c3 b + c4 b^2)``: five stacked matmuls in
-    all, counting ``a @ a``, ``b @ b`` and the final ``a @ (sin a / a)``.
-    ``bound`` holds an upper bound on each matrix's 1-norm.  A matrix
-    whose bound exceeds ``_EXPI_THETA`` is scaled by 2^-s, a power that
-    brings it below, and then takes s double-angle steps
-    ``sin 2a = 2 sin a cos a``, ``cos 2a = 1 - 2 sin^2 a`` (scaling and
-    squaring).  Every operation acts on each matrix alone and s depends
-    only on its own bound, so a matrix gives the same bits in any stack.
-    """
-    # bound / theta = m 2^e with 1/2 <= m < 1, so bound 2^-e < theta
-    s = np.broadcast_to(np.maximum(0, np.frexp(np.asarray(bound) / _EXPI_THETA)[1]),
-                        a.shape[:-2])
-    if s.any():
-        a = a * np.ldexp(1.0, -s)[..., None, None]
-    b = a @ a
-    np.negative(b, out=b)
-    b2 = b @ b
-
-    def series(coeffs):
-        inner = coeffs[4] * b2
-        inner += coeffs[3] * b
-        _diagonals(inner)[...] += coeffs[2]
-        total = b2 @ inner
-        total += coeffs[1] * b
-        _diagonals(total)[...] += coeffs[0]
-        return total
-
-    cos, sin = series(_COS_COEFFS), a @ series(_SIN_COEFFS)
-    for step in range(int(s.max(initial=0))):
-        # only the matrices that still owe a doubling take this one
-        owe = s > step
-        c, sn = cos[owe], sin[owe]
-        sin[owe] = 2.0 * (sn @ c)
-        cos[owe] = np.eye(a.shape[-1]) - 2.0 * (sn @ sn)
-    u = np.empty(a.shape, dtype=complex)
-    u.real, u.imag = cos, -sin
-    return u
-
-
 # the largest 1-norm bound at which a Taylor sum of degree m = 1, 2, ..., 30
 # leaves a first omitted term b^(m+1) / (m+1)! of at most 2^-53
 _TAYLOR_REACH = tuple((math.factorial(m + 1) * 2.0 ** -53) ** (1.0 / (m + 1))
@@ -457,10 +408,11 @@ _SCALE_MAX = 2.0 ** 1023     # the largest power of two a float holds
 
 
 def _taylor_plan(bound: float) -> tuple[int, int]:
-    """(degree m, substeps s) of the Taylor step for a 1-norm bound: s equal
+    """(degree m, substeps s) of ``_taylor`` for a 1-norm bound: s equal
     substeps, each bound within the reach of degree m, with the fewest
     matvecs m s and, among those, the fewest substeps (Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 33, 488 (2011)).
+    SIAM J. Sci. Comput. 33, 488 (2011)).  The matvecs grow linearly with
+    the bound, which ``_STEP_BOUND_MAX`` caps for every driven step.
 
     Up to the reach of the top degree one substep is the best plan, so the
     smallest degree that reaches the bound is one bisection; only a bound
@@ -480,23 +432,18 @@ def _real_form(g: np.ndarray) -> np.ndarray:
     return np.kron(g.real, np.eye(2)) + np.kron(g.imag, [[0.0, -1.0], [1.0, 0.0]])
 
 
-def _expi_state(m0: np.ndarray, m1: np.ndarray, norms, x: float, dt: float,
-                v: np.ndarray) -> np.ndarray:
-    """exp(-i (h0 + x c) dt) applied to one state in its real view ``v``,
-    where ``m0``, ``m1`` are the real forms of -i h0 and -i c and ``norms``
-    holds |h0|_1 and |c|_1 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-    488 (2011)).
+def _taylor(g: np.ndarray, h: float, bound: float, v: np.ndarray) -> np.ndarray:
+    """exp(h g) v for one vector or a block of columns ``v``, where
+    ``bound`` bounds the 1-norm of h g: the one exponential of every
+    driven step.
 
-    The bound ``dt (|h0|_1 + |x| |c|_1)`` on the 1-norm of (h0 + x c) dt
-    picks the substeps and the degree (``_taylor_plan``): the step is cut
-    into s equal substeps, and each substep of length h is a Taylor sum in
-    Horner form, ``v + h g (v + h g / 2 (v + ...))`` with g = m0 + x m1, of
-    degree m (at most 30), whose first omitted term is at most 2^-53.
+    The bound picks the substeps and the degree (``_taylor_plan``): the
+    step is cut into s equal substeps, and each substep of length h / s is
+    a Taylor sum in Horner form, ``v + (h/s) g (v + (h/s) g / 2 (v + ...))``,
+    of degree m (at most 30), whose first omitted term is at most 2^-53.
     """
-    degree, substeps = _taylor_plan(dt * (norms[0] + abs(x) * norms[1]))
-    g = x * m1
-    g += m0
-    h = dt / substeps
+    degree, substeps = _taylor_plan(bound)
+    h = h / substeps
     for _ in range(substeps):
         w = v
         for k in range(degree, 0, -1):
@@ -513,30 +460,33 @@ def _drive_table(h0, c, norms, dt: float, degree: int, substeps: int):
     ``F (degree + 1, d, d)`` with exp(-i h (h0 + x c)) = sum_j (x / sigma)^j F_j,
     h = dt / substeps, to a first omitted term of at most 2^-53.
 
-    One ``_expi`` call on the block-bidiagonal matrix with ``h h0`` on
-    its diagonal blocks and ``h sigma c`` above them gives every F_j as
-    its top block row (Van Loan, IEEE Trans. Autom. Control 23, 395
-    (1978)): such matrices multiply as polynomials in x / sigma truncated
-    after the power ``degree``.  sigma is the power of two at or above the
-    largest |x| that the plan admits, ``_TAYLOR_REACH / (h |c|_1)``, so
-    |x / sigma| <= 1: the F_j stay on the scale of their terms at any drive
-    amplitude, with no overflow or underflow, the matrix's 1-norm bound
-    ``h (|h0|_1 + sigma |c|_1)`` also bounds every step's, and y = x / sigma
-    is exact.  Where no float power of two reaches that far (c = 0, or
-    h |c|_1 near the underflow threshold), sigma is the largest one,
-    2^1023, and h sigma |c|_1 still stays within the reach.
+    Take g, the block-bidiagonal matrix with -i h0 on its diagonal blocks
+    and -i sigma c above them.  Such matrices multiply as polynomials in
+    x / sigma truncated after the power ``degree``, so the blocks of the
+    last block column of exp(h g) are F_J, ..., F_0 from top to bottom
+    (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)); one ``_taylor``
+    call on that column of the identity gives them all, with the bound
+    ``h (|h0|_1 + sigma |c|_1)``.  sigma is the power of two at or above
+    the largest |x| that the plan admits, ``_TAYLOR_REACH / (h |c|_1)``, so
+    |x / sigma| <= 1: the F_j stay on the scale of their terms at any
+    drive amplitude, with no overflow or underflow, the bound of g also
+    bounds every step's, and y = x / sigma is exact.  Where no float power
+    of two reaches that far (c = 0, or h |c|_1 near the underflow
+    threshold), sigma is the largest one, 2^1023, and h sigma |c|_1 still
+    stays within the reach.
     """
     d, h = len(h0), dt / substeps
     span = float(h * norms[1])          # a float quotient overflows to inf, silently
     reach = _TAYLOR_REACH[degree - 1] / span if span else math.inf
     scale = math.ldexp(1.0, math.frexp(reach)[1]) if reach < _SCALE_MAX else _SCALE_MAX
-    m = np.zeros(((degree + 1) * d,) * 2)
+    n = (degree + 1) * d
+    g = np.zeros((n, n), dtype=complex)
     for j in range(degree + 1):
-        m[j * d:(j + 1) * d, j * d:(j + 1) * d] = h * h0
+        g[j * d:(j + 1) * d, j * d:(j + 1) * d] = -1j * h0
         if j:
-            m[(j - 1) * d:j * d, j * d:(j + 1) * d] = (h * scale) * c
-    f = _expi(m, h * (norms[0] + scale * norms[1]))[:d]
-    return scale, f.reshape(d, degree + 1, d).swapaxes(0, 1)
+            g[(j - 1) * d:j * d, j * d:(j + 1) * d] = (-1j * scale) * c
+    f = _taylor(g, h, h * (norms[0] + scale * norms[1]), np.eye(n, d, d - n, dtype=complex))
+    return scale, f.reshape(degree + 1, d, d)[::-1]
 
 
 def _table_step(tables: np.ndarray, y: np.ndarray, substeps: np.ndarray) -> np.ndarray:
@@ -586,10 +536,11 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     distinct (step length, degree, substeps), where ``_taylor_plan`` of the
     run's own drive bound ``h |x0| |c|_1`` gives the degree and substeps,
     so the table, like the rest of a run's arithmetic, depends only on the
-    run.  A run whose bound exceeds ``_STEP_BOUND_MAX`` fails before its
-    first step.  The live runs step together in chunks of
-    ``max(1, _DRIVE_CHUNK // live)`` steps, so at most ``_DRIVE_CHUNK``
-    propagators exist at once whatever the batch size.  Per chunk: the
+    run.  A run whose full step bound ``h (|h0|_1 + |x0| |c|_1)`` exceeds
+    ``_STEP_BOUND_MAX``, the cap of the mean-field step, fails before its
+    first step and builds no table.  The live runs step together in
+    chunks of ``max(1, _DRIVE_CHUNK // live)`` steps, so at most
+    ``_DRIVE_CHUNK`` propagators exist at once whatever the batch size.  Per chunk: the
     propagators of every (step, run) from the tables (``_table_step``); a
     serial loop of one batched matvec per step on the raw, never
     renormalised state; one ``_guard`` pass over the chunk's raw states, in
@@ -607,7 +558,8 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     x0s, nus, t_ends = (np.asarray(a, dtype=float) for a in (x0s, nus, t_ends))
     n_steps = np.asarray(n_steps, dtype=int)
     dts = t_ends / n_steps
-    bounds = dts * np.abs(x0s) * norms[1]
+    drives = dts * np.abs(x0s) * norms[1]
+    bounds = dts * norms[0] + drives
     top_slots = _boson_top_indices(psi0.space)
     n_runs, dim = len(n_steps), psi0.space.total_dim
     final = np.full((n_runs, dim), np.nan, dtype=complex)
@@ -624,7 +576,7 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     plans = {}
     key = np.zeros(n_runs, dtype=int)
     for b in live:
-        key[b] = plans.setdefault((dts[b], *_taylor_plan(bounds[b])), len(plans))
+        key[b] = plans.setdefault((dts[b], *_taylor_plan(drives[b])), len(plans))
     degree, substeps = (np.array([plan[i] for plan in plans], dtype=int) for i in (1, 2))
     scales = np.empty(len(plans))
     tables = np.zeros((len(plans), degree.max(initial=0) + 1, dim, 2 * dim))
@@ -706,8 +658,9 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     classical half-flow with the refreshed <C>.
 
     The state is held in its real view (``_real_form``), so the quantum
-    step is ``_expi_state``: a Taylor sum on the state whose degree and
-    substeps follow from the 1-norm bound (past ``_STEP_BOUND_MAX`` it
+    step is ``_taylor`` on the state with g = x m1 + m0, the real forms of
+    -i c and -i h0: a Taylor sum whose degree and substeps follow from the
+    1-norm bound ``dt (|h0|_1 + |x| |c|_1)`` (past ``_STEP_BOUND_MAX`` it
     raises), with no decomposition.  The run carries and stores the raw
     state; <C>, one product with the real form of the bare C over the
     squared norm, feeds both half-flows.  One ``_checked_state`` pass over
@@ -759,7 +712,7 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
             stop = ToleranceError(f"quantum step 1-norm bound {bound:.3e} exceeds "
                                   f"{_STEP_BOUND_MAX:.0e} at t={t1:g} (reduce dt)")
             break
-        v = _expi_state(m0, m1, norms, x, dt, v)
+        v = _taylor(x * m1 + m0, dt, bound, v)
         mean = float(np.dot(v, np.dot(c_bare, v)) / np.dot(v, v))
         x, p = classical_half(x, p, mean, ch, sh)
         if not (math.isfinite(x) and math.isfinite(p)):

@@ -57,12 +57,14 @@ def _require_positive(**kwargs):
     for name, value in kwargs.items():
         if not value > 0:
             raise ValueError(f"{name} must be > 0, got {value}")
+    _require_finite(**kwargs)
 
 
 def _require_nonnegative(**kwargs):
     for name, value in kwargs.items():
         if not value >= 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
+    _require_finite(**kwargs)
 
 
 def _require_finite(**kwargs):

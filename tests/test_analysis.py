@@ -531,7 +531,7 @@ def test_driven_scans_match_serial_run_point():
 
 @pytest.mark.parametrize("method, dt, t_max", [
     (Method.MIDPOINT, 0.01, 3.0),
-    (Method.MIDPOINT, 0.5, 20.0),     # every step table takes the double-angle branch
+    (Method.MIDPOINT, 0.5, 20.0),     # each table's Taylor sum runs to degree 12 or 25
 ], ids=["midpoint", "midpoint-coarse"])
 @pytest.mark.parametrize("make", [
     lambda: _osc_model(coupling=0.01, detector_cutoff=6),

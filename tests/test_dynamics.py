@@ -46,7 +46,6 @@ from quantex import (
 from quantex import dynamics
 from quantex.dynamics import (
     _DRIVE_CHUNK,
-    _EXPI_THETA,
     _TAYLOR_REACH,
     _block_eigh,
     _boson_top_indices,
@@ -54,10 +53,9 @@ from quantex.dynamics import (
     _checked_state,
     _drive_table,
     _evolve_driven_batch,
-    _expi,
-    _expi_state,
     _real_form,
     _table_step,
+    _taylor,
     _taylor_plan,
 )
 from quantex.hilbert import NORM_ATOL, CoherentSpec, Hamiltonian, StateVector
@@ -295,6 +293,24 @@ def test_midpoint_second_order_convergence():
 
 # -- chunked driven stepping against the per-step route -----------------------
 
+# a 1-norm bound whose Taylor plan is one sum of degree 9: up to it a Taylor
+# sum holds to a few ulps, and a step beyond it counts as coarse here
+_SMALL_BOUND = 0.1
+
+
+def _norm_1(m):
+    return np.abs(m).sum(axis=-2).max(axis=-1)
+
+
+def _table_plan(h0, c, x0, dt):
+    """The Taylor plan (degree, substeps) by which ``_drive_table`` builds
+    the table of a run of drive amplitude x0 and step dt, from the table's
+    own bound h (|h0|_1 + sigma |c|_1)."""
+    norms = [_norm_1(m) for m in (h0, c)]
+    degree, substeps = _taylor_plan(dt * abs(x0) * norms[1])
+    scale, _ = _drive_table(h0, c, norms, dt, degree, substeps)
+    return _taylor_plan(dt / substeps * (norms[0] + scale * norms[1]))
+
 
 def _reference_step(h0, c, x_of, t0, t1, amp):
     """One step of one state ``(d,)`` from t0 to t1 under h0 + x_of(t) c:
@@ -347,16 +363,20 @@ def test_chunked_driven_matches_per_step_route(params, method):
 
 @pytest.mark.parametrize("params", _DRIVEN_PARAMS, ids=["qubit", "oscillator"])
 def test_coarse_midpoint_steps_match_per_step_route(params):
-    # at dt 0.5 every step's 1-norm bound exceeds _EXPI_THETA, so every
-    # propagator is scaled down and doubled back; each doubling roughly
-    # doubles the rounding of the raw norm, hence 1e-13 on the drift
-    cfg = EvolutionConfig(dt=0.5, t_max=20.0, method=Method.MIDPOINT)
-    h0, _ = params.free_and_coupling()
-    assert cfg.dt * np.abs(h0).sum(axis=0).max() > _EXPI_THETA
-    traj = evolve_driven(params, None, cfg)
-    ref, drifts = per_step_driven(params, cfg)
-    npt.assert_allclose(traj.amplitudes, ref, rtol=0, atol=1e-12)
-    assert abs(traj.max_norm_drift - drifts.max()) <= 1e-13
+    # at dt 0.5 and 1.0 every step's 1-norm bound exceeds _SMALL_BOUND, so
+    # the table's Taylor sum runs to a high degree, and at dt 1.0 the
+    # oscillator's table takes substeps; the table's rounding grows with
+    # the parts' norms, hence 1e-13 on the drift
+    h0, c = params.free_and_coupling()
+    for dt in (0.5, 1.0):
+        cfg = EvolutionConfig(dt=dt, t_max=20.0, method=Method.MIDPOINT)
+        assert dt * _norm_1(h0) > _SMALL_BOUND
+        substeps = _table_plan(h0, c, params.x0, dt)[1]
+        assert (substeps > 1) == (dt == 1.0 and isinstance(params, DrivenOscillatorParams))
+        traj = evolve_driven(params, None, cfg)
+        ref, drifts = per_step_driven(params, cfg)
+        npt.assert_allclose(traj.amplitudes, ref, rtol=0, atol=1e-12)
+        assert abs(traj.max_norm_drift - drifts.max()) <= 1e-13
 
 
 def test_midpoint_kernel_runs_without_eigh(monkeypatch):
@@ -524,12 +544,14 @@ def test_hybrid_matches_per_step_route(family, coupling, dt, t_max):
                                         ("qubit", 0.5), ("oscillator", 0.5),
                                         ("qubit", 1.0), ("oscillator", 1.0)])
 def test_coarse_hybrid_steps_match_per_step_route(family, dt):
-    # every step's 1-norm bound exceeds _EXPI_THETA; the oscillator's
+    # every step's 1-norm bound exceeds _SMALL_BOUND; the oscillator's
     # coarsest steps (bound up to about 16) are cut into substeps of
     # degree up to 30
     model, s0 = _hybrid(family, 0.1)
     h0, _ = model.params.free_and_coupling()
-    assert dt * np.abs(h0).sum(axis=0).max() > _EXPI_THETA
+    assert dt * _norm_1(h0) > _SMALL_BOUND
+    substeps = _taylor_plan(dt * _norm_1(h0))[1]
+    assert (substeps > 1) == (family == "oscillator" and dt >= 0.5)
     _assert_hybrid_matches_per_step(
         model, s0, EvolutionConfig(dt=dt, t_max=20.0, method=Method.MIDPOINT))
 
@@ -580,10 +602,10 @@ def test_hybrid_step_bound_beyond_the_cap_raises():
         evolve_hybrid(model, s0, cfg)
 
 
-def test_driven_step_bound_beyond_the_cap_fails_only_its_run():
-    # a drive bound dt |x0| |c|_1 of 2.5e3 would take about 660 substeps
-    # of degree 30; a bound past 1e3 fails the run before its first step,
-    # and the other runs of the batch keep the bits they get alone
+def test_driven_step_bound_beyond_the_cap_fails_only_its_run(monkeypatch):
+    # a step bound dt (|h0|_1 + |x0| |c|_1) of 2.5e3 would take about 660
+    # substeps of degree 30; a bound past 1e3 fails the run before its
+    # first step, and the other runs of the batch keep the bits they get alone
     p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.5, x0=1e4)
     cfg = EvolutionConfig(dt=0.5, t_max=5.0, method=Method.MIDPOINT)
     text = r"^drive step 1-norm bound 2\.500e\+03 exceeds 1e\+03 \(reduce dt\)$"
@@ -594,6 +616,23 @@ def test_driven_step_bound_beyond_the_cap_fails_only_its_run():
     assert re.match(text, str(errors[0])) and errors[1] is None
     assert np.all(np.isnan(finals[0]))
     alone = evolve_driven(replace(p, x0=1.0), None, cfg).final_state().amplitudes
+    assert finals[1].tobytes() == alone.tobytes()
+    # the cap counts the free part too: a run whose drive bound is 1.25 but
+    # whose dt |h0|_1 alone is 1250 would build its table from about 330
+    # substeps of degree 30, so it fails before its first step and builds
+    # no table, and its batch mate keeps its bits
+    h0, c = p.free_and_coupling()
+    assert 2500.0 * _norm_1(h0) > 1e3 > 2500.0 * 1e-3 * _norm_1(c)
+    builds = []
+    table = dynamics._drive_table
+    monkeypatch.setattr(dynamics, "_drive_table",
+                        lambda *args: builds.append(args[3]) or table(*args))
+    finals, errors, _ = _evolve_driven_batch(h0, c, ground_state(p.space), [1e-3, 1.0],
+                                             [1.0, 1.0], [5000.0, 5.0], [2, 10], cfg)
+    assert re.match(r"^drive step 1-norm bound 1\.251e\+03 exceeds 1e\+03 \(reduce dt\)$",
+                    str(errors[0])) and errors[1] is None
+    assert np.all(np.isnan(finals[0]))
+    assert builds == [0.5]
     assert finals[1].tobytes() == alone.tobytes()
 
 
@@ -1108,48 +1147,11 @@ def test_unitary_evolution_keeps_norm_and_matches_expm(h_psi0, times):
 # -- the eigh-free exponential of the midpoint step ------------------------------
 
 
-def _norm_1(m):
-    return np.abs(m).sum(axis=-2).max(axis=-1)
-
-
-@st.composite
-def _symmetric_stack(draw):
-    """A stack of 1 to 5 random real symmetric d x d matrices, d from 1 to
-    12, each scaled to a drawn 1-norm: some below _EXPI_THETA, the others
-    up to 50, so the double-angle branch runs."""
-    d = draw(st.integers(1, 12))
-    norms = np.array(draw(st.lists(st.one_of(st.floats(0.0, _EXPI_THETA),
-                                             st.floats(0.0, 50.0)),
-                                   min_size=1, max_size=5)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    m = rng.normal(size=(len(norms), d, d))
-    m = m + np.swapaxes(m, -1, -2)
-    return m * (norms / _norm_1(m))[:, None, None]
-
-
-@settings(max_examples=150, deadline=None)
-@given(_symmetric_stack())
-@example(np.zeros((1, 4, 4)))
-@example(np.array([[[0.7]]]))
-@example(np.array([[[_EXPI_THETA]], [[-_EXPI_THETA]]]))   # the largest undoubled sums
-@example(np.array([[[-40.0, 3.0], [3.0, 25.0]]]))      # 1-norm 43: nine doublings
-def test_expi_matches_expm_and_each_matrix_alone(a):
-    norms = _norm_1(a)
-    u = _expi(a, norms)
-    assert u.shape == a.shape and u.dtype == complex
-    for k in range(len(a)):
-        # up to _EXPI_THETA no doubling runs and the Taylor sums alone must
-        # hold to a few ulps, which a lower degree would miss by far
-        tol = 1e-15 if norms[k] <= _EXPI_THETA else 1e-13 * max(1.0, norms[k])
-        npt.assert_allclose(u[k], expm(-1j * a[k]), rtol=0, atol=tol)
-        assert _expi(a[k], norms[k]).tobytes() == u[k].tobytes()
-
-
 @st.composite
 def _midpoint_hamiltonian(draw):
     """A hybrid step's pieces: a real diagonal h0, a real symmetric c, x,
     dt and a normalised complex state of dimension 1 to 16, with
-    |h0 dt|_1 and |x c dt|_1 each at most 25, some below _EXPI_THETA."""
+    |h0 dt|_1 and |x c dt|_1 each at most 25, some below _SMALL_BOUND."""
     d = draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     h0 = np.diag(rng.normal(size=d))
@@ -1157,7 +1159,7 @@ def _midpoint_hamiltonian(draw):
     c = c + c.T
     x = draw(st.floats(-3.0, 3.0))
     dt = draw(st.floats(1e-3, 1.0))
-    n_h, n_c = (draw(st.one_of(st.floats(0.0, 0.5 * _EXPI_THETA), st.floats(0.0, 25.0)))
+    n_h, n_c = (draw(st.one_of(st.floats(0.0, 0.5 * _SMALL_BOUND), st.floats(0.0, 25.0)))
                 for _ in range(2))
     h0 *= n_h / (dt * _norm_1(h0))
     c *= n_c / (dt * _norm_1(c) * max(abs(x), 1.0))
@@ -1173,17 +1175,24 @@ def _midpoint_hamiltonian(draw):
           np.array([1.0 + 0j, 0.0])))                     # the bundled qubit step
 @example((np.diag([-40.0, 25.0]), np.array([[0.0, 3.0], [3.0, 0.0]]), -1.0, 1.0,
           np.array([0.6 + 0j, 0.8j])))                    # bound 43: 12 substeps
-def test_expi_state_matches_expm(step):
+def test_taylor_matches_expm(step):
+    # the hybrid's call, on the real view of one state, and the drive
+    # table's call, on a complex block of columns
     h0, c, x, dt, psi = step
     norms = [_norm_1(m) for m in (h0, c)]
     bound = dt * (norms[0] + abs(x) * norms[1])
     h_dt = (h0 + x * c) * dt
-    out = _expi_state(_real_form(-1j * h0), _real_form(-1j * c), norms, x, dt,
-                      psi.view(float))
+    out = _taylor(x * _real_form(-1j * c) + _real_form(-1j * h0), dt, bound,
+                  psi.view(float))
     assert out.shape == (2 * len(psi),) and out.dtype == float
-    # up to _EXPI_THETA one Taylor sum runs, and it must hold to a few ulps
-    tol = 1e-15 if bound <= _EXPI_THETA else 1e-13 * max(1.0, _norm_1(h_dt))
-    npt.assert_allclose(out.view(complex), expm(-1j * h_dt) @ psi, rtol=0, atol=tol)
+    block = np.column_stack([psi, np.roll(psi, 1).conj()])
+    out_block = _taylor(-1j * (h0 + x * c), dt, bound, block)
+    assert out_block.shape == block.shape and out_block.dtype == complex
+    # up to _SMALL_BOUND one Taylor sum runs, and it must hold to a few ulps
+    tol = 1e-15 if bound <= _SMALL_BOUND else 1e-13 * max(1.0, _norm_1(h_dt))
+    u = expm(-1j * h_dt)
+    npt.assert_allclose(out.view(complex), u @ psi, rtol=0, atol=tol)
+    npt.assert_allclose(out_block, u @ block, rtol=0, atol=tol)
 
 
 @st.composite
@@ -1201,7 +1210,7 @@ def _drive_step(draw):
     dt = draw(st.floats(1e-3, 1.0))
     x0 = draw(st.floats(1e-3, 1e3))
     x = x0 * draw(st.floats(-1.0, 1.0))
-    n_h = draw(st.one_of(st.floats(0.0, 0.5 * _EXPI_THETA), st.floats(0.0, 25.0)))
+    n_h = draw(st.one_of(st.floats(0.0, 0.5 * _SMALL_BOUND), st.floats(0.0, 25.0)))
     bound = draw(st.one_of(st.floats(0.0, _TAYLOR_REACH[-1]),
                            st.floats(_TAYLOR_REACH[-1], 60.0)))
     h0 *= n_h / (dt * _norm_1(h0))
@@ -1253,13 +1262,14 @@ def test_driven_batch_builds_one_table_per_distinct_step(monkeypatch):
     plans = [(t / n, *_taylor_plan(t / n * x0 * norm_c)) for _, x0, t in runs]
     assert len(set(plans)) == 4 and plans[3][2] > 1
     builds = []
-    expi = dynamics._expi
-    monkeypatch.setattr(dynamics, "_expi", lambda a, bound: builds.append(a) or expi(a, bound))
+    table = dynamics._drive_table
+    monkeypatch.setattr(dynamics, "_drive_table",
+                        lambda *args: builds.append(args[3:]) or table(*args))
     nus, x0s, t_ends = zip(*runs)
     finals, errors, _ = _evolve_driven_batch(h0, c, ground_state(p.space), x0s, nus, t_ends,
                                              [n] * len(runs), cfg)
     assert errors == [None] * len(runs)
-    assert len(builds) == 4
+    assert sorted(builds) == sorted(set(plans))
     for (nu, x0, t), final in zip(runs, finals):
         alone, _, _ = _evolve_driven_batch(h0, c, ground_state(p.space), [x0], [nu], [t],
                                            [n], cfg)

@@ -390,3 +390,22 @@ def test_gravito_rejects_nonpositive_inputs():
         _params(volume=-1.0)
     with pytest.raises(ValueError):
         _params(strain=0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("params, field", [
+    (params, field) for params, fields in [
+        (QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0),
+         ("omega", "nu", "coupling")),
+        (DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0),
+         ("omega", "nu", "coupling")),
+        (JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4),
+         ("nu", "omega", "g")),
+        (BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=8, detector_cutoff=3),
+         ("nu", "omega", "g")),
+        (_params(), ("mass", "length", "nu", "omega0", "strain", "volume")),
+    ] for field in fields],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_params_reject_a_non_finite_input(params, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        replace(params, **{field: value})
