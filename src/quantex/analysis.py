@@ -463,7 +463,10 @@ def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
 
 def rabi_peak_scan(g: float, deltas) -> ScanResult:
     """Peak (over time) two-level transition probability per detuning,
-    from the closed form, with the far-detuned limit alongside."""
+    from the closed form, with the far-detuned limit alongside.  The
+    coupling g must be finite and > 0 (ValueError otherwise)."""
+    if not (math.isfinite(g) and g > 0):
+        raise ValueError(f"coupling g must be finite and > 0, got {g}")
     deltas = np.asarray(deltas, dtype=float)
     peaks = np.array([rabi_probability(g, d, math.pi / math.hypot(g, d))
                       for d in deltas])
@@ -599,13 +602,17 @@ class FitResult:
 
 
 def loglog_slope(x, y) -> FitResult:
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x) over the finite,
+    positive points; ValueError when fewer than three remain or their
+    log(x) take fewer than two distinct values."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = np.isfinite(x) & np.isfinite(y) & (x > 0) & (y > 0)
     if keep.sum() < 3:
         raise ValueError("need at least three positive points for a log-log fit")
     lx, ly = np.log(x[keep]), np.log(y[keep])
+    if np.unique(lx).size < 2:
+        raise ValueError("need at least two distinct x for a log-log fit")
     coeffs, cov = np.polyfit(lx, ly, 1, cov=True)
     return FitResult(slope=float(coeffs[0]), stderr=float(math.sqrt(cov[0, 0])),
                      intercept=float(coeffs[1]), n_points=int(keep.sum()))

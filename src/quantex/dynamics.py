@@ -12,12 +12,12 @@ Three propagators, each the one route of its model kind:
   drive ``x(t) = x0 sin(nu t)``, with the Hamiltonian frozen at interval
   midpoints (second order in dt).  It is one run of the stepping kernel
   ``_evolve_driven_batch``, which every prescribed-drive run goes
-  through, scans included.  Only the drive value x changes from step to
-  step, so each distinct step gets one table ``F_j`` with
-  ``exp(-i dt (h0 + x c)) = sum_j x^j F_j`` from one ``_taylor`` call on
-  a block matrix; runs then step together in chunks, each with one
-  elementwise Horner evaluation of every step's polynomial and one guard
-  pass;
+  through, scans included.  Only the drive shape y = sin(nu t) changes
+  from step to step, so each distinct (step length, amplitude) gets one
+  table ``F_j`` with ``exp(-i dt (h0 + x0 y c)) = sum_j y^j F_j`` from one
+  ``_taylor`` call on a block matrix; runs then step together in chunks,
+  each with one elementwise Horner evaluation of every step's polynomial
+  and one guard pass;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
   values, advanced by a Strang split (exact classical half-flows around a
@@ -404,7 +404,6 @@ _TAYLOR_REACH = tuple((math.factorial(m + 1) * 2.0 ** -53) ** (1.0 / (m + 1))
                       for m in range(1, 31))
 # the largest 1-norm bound that a Taylor plan takes: 264 substeps of degree 30
 _STEP_BOUND_MAX = 1e3
-_SCALE_MAX = 2.0 ** 1023     # the largest power of two a float holds
 
 
 def _taylor_plan(bound: float) -> tuple[int, int]:
@@ -454,44 +453,36 @@ def _taylor(g: np.ndarray, h: float, bound: float, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _drive_table(h0, c, norms, dt: float, degree: int, substeps: int):
-    """The step table of a prescribed-drive step of length dt whose drive
-    never exceeds the reach of ``(degree, substeps)``: the scale sigma and
-    ``F (degree + 1, d, d)`` with exp(-i h (h0 + x c)) = sum_j (x / sigma)^j F_j,
-    h = dt / substeps, to a first omitted term of at most 2^-53.
+def _drive_table(h0, c, norms, dt: float, x0: float):
+    """The step table of a prescribed-drive step of length dt under the
+    drive amplitude x0: ``F (J + 1, d, d)`` and the substeps s, with
+    exp(-i h (h0 + x0 y c)) = sum_j y^j F_j, h = dt / s, for every drive
+    shape y = sin(nu t) in [-1, 1], to a first omitted term of at most 2^-53.
 
-    Take g, the block-bidiagonal matrix with -i h0 on its diagonal blocks
-    and -i sigma c above them.  Such matrices multiply as polynomials in
-    x / sigma truncated after the power ``degree``, so the blocks of the
-    last block column of exp(h g) are F_J, ..., F_0 from top to bottom
-    (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)); one ``_taylor``
-    call on that column of the identity gives them all, with the bound
-    ``h (|h0|_1 + sigma |c|_1)``.  sigma is the power of two at or above
-    the largest |x| that the plan admits, ``_TAYLOR_REACH / (h |c|_1)``, so
-    |x / sigma| <= 1: the F_j stay on the scale of their terms at any
-    drive amplitude, with no overflow or underflow, the bound of g also
-    bounds every step's, and y = x / sigma is exact.  Where no float power
-    of two reaches that far (c = 0, or h |c|_1 near the underflow
-    threshold), sigma is the largest one, 2^1023, and h sigma |c|_1 still
-    stays within the reach.
+    ``_taylor_plan`` of the drive bound ``dt |x0| |c|_1`` gives the degree J
+    and the substeps s.  Take g, the block-bidiagonal matrix with -i h0 on
+    its diagonal blocks and -i x0 c above them.  Such matrices multiply as
+    polynomials in y truncated after the power J, so the blocks of the last
+    block column of exp(h g) are F_J, ..., F_0 from top to bottom (Van Loan,
+    IEEE Trans. Autom. Control 23, 395 (1978)); one ``_taylor`` call on that
+    column of the identity gives them all, with the bound
+    ``h (|h0|_1 + |x0| |c|_1)``, which bounds every step's too, as |y| <= 1.
     """
+    degree, substeps = _taylor_plan(dt * abs(x0) * norms[1])
     d, h = len(h0), dt / substeps
-    span = float(h * norms[1])          # a float quotient overflows to inf, silently
-    reach = _TAYLOR_REACH[degree - 1] / span if span else math.inf
-    scale = math.ldexp(1.0, math.frexp(reach)[1]) if reach < _SCALE_MAX else _SCALE_MAX
     n = (degree + 1) * d
     g = np.zeros((n, n), dtype=complex)
     for j in range(degree + 1):
         g[j * d:(j + 1) * d, j * d:(j + 1) * d] = -1j * h0
         if j:
-            g[(j - 1) * d:j * d, j * d:(j + 1) * d] = (-1j * scale) * c
-    f = _taylor(g, h, h * (norms[0] + scale * norms[1]), np.eye(n, d, d - n, dtype=complex))
-    return scale, f.reshape(degree + 1, d, d)[::-1]
+            g[(j - 1) * d:j * d, j * d:(j + 1) * d] = (-1j * x0) * c
+    f = _taylor(g, h, h * (norms[0] + abs(x0) * norms[1]), np.eye(n, d, d - n, dtype=complex))
+    return f.reshape(degree + 1, d, d)[::-1], substeps
 
 
 def _table_step(tables: np.ndarray, y: np.ndarray, substeps: np.ndarray) -> np.ndarray:
-    """The step propagators ``(K, L, d, d)`` of L runs at drive values
-    y = x / sigma ``(K, L)``, from the real views ``(L, J + 1, d, 2d)`` of
+    """The step propagators ``(K, L, d, d)`` of L runs at drive shapes
+    y = sin(nu t) ``(K, L)``, from the real views ``(L, J + 1, d, 2d)`` of
     the runs' tables (shorter ones padded with zeros) and their substeps.
 
     The polynomial is summed by elementwise Horner, ``u = F_J y + F_{J-1}``
@@ -533,20 +524,20 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     step's midpoint.  h0 and c are real, as both driven families build them.
 
     The propagators come from step tables (``_drive_table``), one per
-    distinct (step length, degree, substeps), where ``_taylor_plan`` of the
-    run's own drive bound ``h |x0| |c|_1`` gives the degree and substeps,
-    so the table, like the rest of a run's arithmetic, depends only on the
-    run.  A run whose full step bound ``h (|h0|_1 + |x0| |c|_1)`` exceeds
-    ``_STEP_BOUND_MAX``, the cap of the mean-field step, fails before its
-    first step and builds no table.  The live runs step together in
-    chunks of ``max(1, _DRIVE_CHUNK // live)`` steps, so at most
-    ``_DRIVE_CHUNK`` propagators exist at once whatever the batch size.  Per chunk: the
-    propagators of every (step, run) from the tables (``_table_step``); a
-    serial loop of one batched matvec per step on the raw, never
-    renormalised state; one ``_guard`` pass over the chunk's raw states, in
-    which each run takes the earliest trip among the steps it actually
-    takes (``_trip_error`` on its column; steps past its end are masked
-    out).  A run leaves at the end of the chunk in which it finishes or trips.
+    distinct (step length, x0), each a polynomial in the drive shape
+    y = sin(nu t_mid), so the table, like the rest of a run's arithmetic,
+    depends only on the run.  A run whose full step bound
+    ``h (|h0|_1 + |x0| |c|_1)`` exceeds ``_STEP_BOUND_MAX``, the cap of the
+    mean-field step, fails before its first step and builds no table.  The
+    live runs step together in chunks of ``max(1, _DRIVE_CHUNK // live)``
+    steps, so at most ``_DRIVE_CHUNK`` propagators exist at once whatever
+    the batch size.  Per chunk: the propagators of every (step, run) from
+    the tables at the steps' drive shapes (``_table_step``); a serial loop
+    of one batched matvec per step on the raw, never renormalised state;
+    one ``_guard`` pass over the chunk's raw states, in which each run
+    takes the earliest trip among the steps it actually takes
+    (``_trip_error`` on its column; steps past its end are masked out).  A
+    run leaves at the end of the chunk in which it finishes or trips.
 
     Returns the final amplitudes ``(B, d)`` (NaN rows for failed runs),
     the ToleranceError of each run (None where it passed) and the worst
@@ -558,8 +549,7 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     x0s, nus, t_ends = (np.asarray(a, dtype=float) for a in (x0s, nus, t_ends))
     n_steps = np.asarray(n_steps, dtype=int)
     dts = t_ends / n_steps
-    drives = dts * np.abs(x0s) * norms[1]
-    bounds = dts * norms[0] + drives
+    bounds = dts * norms[0] + dts * np.abs(x0s) * norms[1]
     top_slots = _boson_top_indices(psi0.space)
     n_runs, dim = len(n_steps), psi0.space.total_dim
     final = np.full((n_runs, dim), np.nan, dtype=complex)
@@ -573,28 +563,28 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     for b in np.flatnonzero(~(bounds <= _STEP_BOUND_MAX)):
         errors[b] = ToleranceError(f"drive step 1-norm bound {bounds[b]:.3e} exceeds "
                                    f"{_STEP_BOUND_MAX:.0e} (reduce dt)")
-    plans = {}
+    table_of = {}
     key = np.zeros(n_runs, dtype=int)
     for b in live:
-        key[b] = plans.setdefault((dts[b], *_taylor_plan(drives[b])), len(plans))
-    degree, substeps = (np.array([plan[i] for plan in plans], dtype=int) for i in (1, 2))
-    scales = np.empty(len(plans))
-    tables = np.zeros((len(plans), degree.max(initial=0) + 1, dim, 2 * dim))
-    for i, plan in enumerate(plans):
-        scales[i], f = _drive_table(h0, c, norms, *plan)
+        key[b] = table_of.setdefault((dts[b], x0s[b]), len(table_of))
+    built = [_drive_table(h0, c, norms, *step) for step in table_of]
+    terms = np.array([len(f) for f, _ in built], dtype=int)
+    substeps = np.array([s for _, s in built], dtype=int)
+    tables = np.zeros((len(built), terms.max(initial=1), dim, 2 * dim))
+    for i, (f, _) in enumerate(built):
         tables[i, :len(f)] = f.view(float)
 
     amp = np.repeat(psi0.amplitudes[None, :, None], live.size, axis=0)
     lo = 0
     while live.size:
-        n, dt, x0, nu, kl = n_steps[live], dts[live], x0s[live], nus[live], key[live]
+        n, dt, nu, kl = n_steps[live], dts[live], nus[live], key[live]
         # step k of every live run as a (steps, 1) column against (runs,)
         k = lo + np.arange(min(max(1, _DRIVE_CHUNK // live.size),
                                n.max() - lo))[:, None]
         t0 = k * dt
         t1 = np.where(k == n - 1, t_ends[live], (k + 1) * dt)
-        x = x0 * np.sin(nu * (0.5 * (t0 + t1)))
-        u = _table_step(tables[kl, :degree[kl].max() + 1], x / scales[kl], substeps[kl])
+        y = np.sin(nu * (0.5 * (t0 + t1)))
+        u = _table_step(tables[kl, :terms[kl].max()], y, substeps[kl])
         # states as (runs, d, 1) columns: a step is one stacked matvec
         raw = np.empty((len(k), live.size, dim, 1), dtype=complex)
         # steps past a guard trip or a run's end may overflow or turn NaN;

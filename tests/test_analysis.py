@@ -980,6 +980,20 @@ def test_loglog_slope_exact_on_synthetic_power_law():
     assert fit.stderr == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("x", [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0, -1.0, np.nan]])
+def test_loglog_slope_needs_two_distinct_x(x):
+    # three kept points on one x leave no slope to fit: a ValueError, the
+    # error that the intensity check reads as inconclusive
+    with pytest.raises(ValueError, match="two distinct x"):
+        loglog_slope(x, [1.0, 2.0, 3.0, 4.0, 5.0][:len(x)])
+
+
+@pytest.mark.parametrize("g", [0.0, -1e-3, math.inf, math.nan])
+def test_rabi_peak_scan_rejects_a_coupling_that_is_not_positive(g):
+    with pytest.raises(ValueError, match="coupling g must be finite and > 0"):
+        rabi_peak_scan(g, [0.0, 1.0])
+
+
 def test_golden_rule_fit_slope_on_peak_scan():
     scan = rabi_peak_scan(1e-3, 1e-3 * np.geomspace(10, 1000, 25))
     fit = golden_rule_fit(scan)

@@ -305,11 +305,10 @@ def _norm_1(m):
 def _table_plan(h0, c, x0, dt):
     """The Taylor plan (degree, substeps) by which ``_drive_table`` builds
     the table of a run of drive amplitude x0 and step dt, from the table's
-    own bound h (|h0|_1 + sigma |c|_1)."""
+    own bound h (|h0|_1 + |x0| |c|_1)."""
     norms = [_norm_1(m) for m in (h0, c)]
-    degree, substeps = _taylor_plan(dt * abs(x0) * norms[1])
-    scale, _ = _drive_table(h0, c, norms, dt, degree, substeps)
-    return _taylor_plan(dt / substeps * (norms[0] + scale * norms[1]))
+    _, substeps = _drive_table(h0, c, norms, dt, x0)
+    return _taylor_plan(dt / substeps * (norms[0] + abs(x0) * norms[1]))
 
 
 def _reference_step(h0, c, x_of, t0, t1, amp):
@@ -454,10 +453,9 @@ def test_driven_states_are_the_raw_product_normalised_once(params):
     dt = np.array([cfg.t_max]) / np.array([n])
     t0 = k * dt
     t1 = np.where(k == n - 1, cfg.t_max, (k + 1) * dt)
-    x = params.x0 * np.sin(params.nu * (0.5 * (t0 + t1)))
-    degree, substeps = _taylor_plan(dt[0] * abs(params.x0) * norms[1])
-    scale, f = _drive_table(h0, c, norms, dt[0], degree, substeps)
-    u = _table_step(f.view(float)[None], x / scale, np.array([substeps]))
+    y = np.sin(params.nu * (0.5 * (t0 + t1)))
+    f, substeps = _drive_table(h0, c, norms, dt[0], params.x0)
+    u = _table_step(f.view(float)[None], y, np.array([substeps]))
     raw = [params.default_initial_state().amplitudes[None, :, None]]
     for j in range(n):
         raw.append(np.matmul(u[j], raw[-1]))
@@ -1198,7 +1196,7 @@ def test_taylor_matches_expm(step):
 @st.composite
 def _drive_step(draw):
     """A prescribed-drive step: a real diagonal h0, a real symmetric c,
-    dt, a drive amplitude x0 and a drive value x in [-x0, x0], of
+    dt, a drive amplitude x0 and a drive shape y in [-1, 1], of
     dimension 1 to 8, with |h0 dt|_1 up to 25 and the drive bound
     dt x0 |c|_1 up to 60, past the reach of degree 30, so that some
     steps take substeps."""
@@ -1209,13 +1207,13 @@ def _drive_step(draw):
     c = c + c.T
     dt = draw(st.floats(1e-3, 1.0))
     x0 = draw(st.floats(1e-3, 1e3))
-    x = x0 * draw(st.floats(-1.0, 1.0))
+    y = draw(st.floats(-1.0, 1.0))
     n_h = draw(st.one_of(st.floats(0.0, 0.5 * _SMALL_BOUND), st.floats(0.0, 25.0)))
     bound = draw(st.one_of(st.floats(0.0, _TAYLOR_REACH[-1]),
                            st.floats(_TAYLOR_REACH[-1], 60.0)))
     h0 *= n_h / (dt * _norm_1(h0))
     c *= bound / (dt * x0 * _norm_1(c))
-    return h0, c, dt, x0, x
+    return h0, c, dt, x0, y
 
 
 @settings(max_examples=150, deadline=None)
@@ -1223,44 +1221,65 @@ def _drive_step(draw):
 @example((np.zeros((2, 2)), np.zeros((2, 2)), 0.1, 0.0, 0.0))
 @example((np.diag([0.5, -0.5]), np.array([[0.0, 0.3], [0.3, 0.0]]), 0.5, 1.0, -0.7))
 @example((np.diag([-1.0, 1.0]), np.array([[0.0, 3.0], [3.0, 0.0]]), 1.0, 20.0,
-          -20.0))                                         # drive bound 60: substeps
+          -1.0))                                          # drive bound 60: substeps
 @example((np.array([[20250.0]]), np.array([[-89.41139413]]), 1e-3, 255.0,
-          239.0625))                                      # h0 dt and x c dt cancel
-@example((np.zeros((1, 1)), np.array([[1e-320]]), 0.5, 1e3, -1e3))  # reach past 2^1023
+          0.9375))                                        # h0 dt and x c dt cancel
+@example((np.zeros((1, 1)), np.array([[1e-320]]), 0.5, 1e3, -1.0))  # a subnormal c
 def test_drive_table_matches_expm(step):
-    # sum_j (x / sigma)^j F_j, to the power of the substeps, is the step's
-    # exponential: the table's truncation in x and its rounding stay at
+    # sum_j y^j F_j, to the power of the substeps, is the step's
+    # exponential: the table's truncation in y and its rounding stay at
     # the level of one exponential of the step.  The table sums the parts
     # h0 dt and x c dt, not their sum, so its rounding scales with their
     # norms: where they cancel, as in the example above (20.25 and -21.4),
     # it errs by 1.6e-14 against a 40-digit exponential
-    h0, c, dt, x0, x = step
+    h0, c, dt, x0, y = step
     norms = [_norm_1(m) for m in (h0, c)]
     degree, substeps = _taylor_plan(dt * x0 * norms[1])
-    scale, f = _drive_table(h0, c, norms, dt, degree, substeps)
-    assert f.shape == (degree + 1,) + h0.shape
-    assert abs(x) <= scale or norms[1] == 0
-    u = _table_step(f.view(float)[None], np.array([[x / scale]]), np.array([substeps]))
+    f, table_substeps = _drive_table(h0, c, norms, dt, x0)
+    assert f.shape == (degree + 1,) + h0.shape and table_substeps == substeps
+    u = _table_step(f.view(float)[None], np.array([[y]]), np.array([substeps]))
+    x = x0 * y
     parts = dt * (norms[0] + abs(x) * norms[1])
     npt.assert_allclose(u[0, 0], expm(-1j * (h0 + x * c) * dt), rtol=0,
                         atol=1e-14 * max(1.0, parts))
 
 
+def test_drive_table_is_planned_from_its_own_amplitude(monkeypatch):
+    # the table's Taylor sum is planned from the step's own bound
+    # h (|h0|_1 + |x0| |c|_1), h = dt / s, with no scale on the c blocks:
+    # weak, negative, zero and substepping drives of the oscillator
+    h0, c = _DRIVEN_PARAMS[1].free_and_coupling()
+    norms = [_norm_1(m) for m in (h0, c)]
+    calls = []
+    taylor = dynamics._taylor
+    monkeypatch.setattr(dynamics, "_taylor",
+                        lambda g, h, bound, v: calls.append((h, bound)) or taylor(g, h, bound, v))
+    for dt, x0 in ((0.01, 1.0), (0.5, -3.0), (0.5, 0.0), (1.0, 40.0)):
+        _, substeps = _drive_table(h0, c, norms, dt, x0)
+        assert substeps == _taylor_plan(dt * abs(x0) * norms[1])[1]
+        h = dt / substeps
+        assert calls.pop() == (h, h * (norms[0] + abs(x0) * norms[1]))
+    assert substeps > 1 and not calls
+
+
 def test_driven_batch_builds_one_table_per_distinct_step(monkeypatch):
-    # runs of (nu, x0, t_end): the first two share a step length and a
-    # plan, the third needs a higher degree, the fourth substeps and the
-    # last has its own step length; 600 steps each span a dozen chunks,
-    # yet each distinct (step, degree, substeps) builds one table, and
-    # every run keeps the bits it gets alone
+    # runs of (nu, x0, t_end): the first two share a step length and an
+    # amplitude, the third has its own amplitude but the same Taylor plan,
+    # the fourth needs a higher degree, the fifth substeps and the last has
+    # its own step length; 600 steps each span a dozen chunks, yet each
+    # distinct (step, amplitude) builds one table, and every run keeps the
+    # bits it gets alone
     p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.3, x0=1.0)
     h0, c = p.free_and_coupling()
-    runs = [(0.9, 1.0, 6.0), (1.1, 1.0, 6.0), (0.9, 50.0, 6.0), (0.9, 2000.0, 6.0),
-            (0.9, 1.0, 5.0)]
+    runs = [(0.9, 1.0, 6.0), (1.1, 1.0, 6.0), (0.9, 1.5, 6.0), (0.9, 50.0, 6.0),
+            (0.9, 2000.0, 6.0), (0.9, 1.0, 5.0)]
     n = 600
     cfg = EvolutionConfig(dt=0.01, t_max=6.0, method=Method.MIDPOINT)
     norm_c = np.abs(c).sum(axis=0).max()
-    plans = [(t / n, *_taylor_plan(t / n * x0 * norm_c)) for _, x0, t in runs]
-    assert len(set(plans)) == 4 and plans[3][2] > 1
+    plans = [_taylor_plan(t / n * x0 * norm_c) for _, x0, t in runs]
+    assert plans[2] == plans[0] and plans[3][0] > plans[0][0] and plans[4][1] > 1
+    steps = [(t / n, x0) for _, x0, t in runs]
+    assert len(set(steps)) == 5
     builds = []
     table = dynamics._drive_table
     monkeypatch.setattr(dynamics, "_drive_table",
@@ -1269,7 +1288,7 @@ def test_driven_batch_builds_one_table_per_distinct_step(monkeypatch):
     finals, errors, _ = _evolve_driven_batch(h0, c, ground_state(p.space), x0s, nus, t_ends,
                                              [n] * len(runs), cfg)
     assert errors == [None] * len(runs)
-    assert sorted(builds) == sorted(set(plans))
+    assert sorted(builds) == sorted(set(steps))
     for (nu, x0, t), final in zip(runs, finals):
         alone, _, _ = _evolve_driven_batch(h0, c, ground_state(p.space), [x0], [nu], [t],
                                            [n], cfg)
