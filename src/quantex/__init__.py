@@ -23,7 +23,6 @@ from .errors import (
 )
 from .hilbert import (
     Boson,
-    CoherentSpec,
     Hamiltonian,
     SpaceDescriptor,
     StateVector,

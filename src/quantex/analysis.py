@@ -198,15 +198,15 @@ class DeficitReport:
         return asdict(self)
 
 
-def conditioned_energy_deficit(traj: Trajectory, model: ModelSpec,
-                               level: int = 1) -> DeficitReport:
-    """Post-select the detector's excited free eigenstate at readout and
-    compare joint free energies before and after.
+def conditioned_energy_deficit(traj: Trajectory, model: ModelSpec) -> DeficitReport:
+    """Post-select the detector's first excited free eigenstate
+    (``default_target``) at readout and compare joint free energies
+    before and after.
 
     The joint free energy is field_free + detector_free, plus the classical
     drive energy in the driven families, which a prescribed drive keeps
     constant.  There the detector is the whole quantum state, so the energy
-    after readout is the detector's free eigenvalue at ``level`` and the
+    after readout is the detector's free eigenvalue at level 1 and the
     deficit is that eigenvalue minus the detector's free energy in the
     first state: exactly one detector quantum from the ground state, the
     bookkeeping violation the quantized-field models close.  For quantum
@@ -220,8 +220,9 @@ def conditioned_energy_deficit(traj: Trajectory, model: ModelSpec,
             "conditioned deficit is defined for the prescribed-drive and "
             "quantized-field models; mean-field runs are audited by ledger")
     p = model.params
+    detector, level = default_target(model)
     final = traj.final_state()
-    prob = final.population(p.detector, level)
+    prob = final.population(detector, level)
     if prob < CONDITION_FLOOR:
         raise ToleranceError(
             f"transition probability {prob:.3e} below {CONDITION_FLOOR:.0e}; "
@@ -269,9 +270,7 @@ class ScanResult:
         axis, probs = _readonly(self.axis, float), _readonly(self.probabilities, float)
         if len(axis) != len(probs):
             raise ValueError("axis and probability lengths differ")
-        steps = np.diff(axis)
-        if len(axis) > 1 and not (np.all(steps > 0) or np.all(steps < 0)):
-            raise ValueError("scan axis must be strictly monotone")
+        _check_monotone(axis)
         errors = tuple(self.errors) if self.errors else tuple([None] * len(axis))
         if len(errors) != len(axis):
             raise ValueError("error tags must match axis length")
@@ -281,11 +280,19 @@ class ScanResult:
         object.__setattr__(self, "aux", {k: _readonly(v, float) for k, v in self.aux.items()})
 
 
+def _check_monotone(axis: np.ndarray) -> None:
+    """ValueError unless the axis strictly rises or strictly falls."""
+    steps = np.diff(axis)
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        raise ValueError("scan axis must be strictly monotone")
+
+
 def _scan_axis(model: ModelSpec, axis_name: str, values) -> np.ndarray:
     """The values of an ``axis_name`` scan of ``model`` as floats, once
     every whole-scan rule holds (ValueError otherwise): no mean-field
     model, an intensity field for an intensity scan, finite detunings and
-    finite, positive intensities and readout times.  The scans and
+    finite, positive intensities and readout times, and a strictly
+    monotone axis, as ``ScanResult`` demands.  The scans and
     ``cli.validate_config`` read the rules here alone."""
     if model.back_reaction:
         raise ValueError("scans drive the prescribed or quantized models only")
@@ -300,41 +307,41 @@ def _scan_axis(model: ModelSpec, axis_name: str, values) -> np.ndarray:
             raise ValueError("intensity scan needs finite, positive intensities")
     elif not np.all(np.isfinite(values) & (values > 0)):
         raise ValueError("time scan needs finite, positive readout times")
+    _check_monotone(values)
     return values
 
 
 def run_point(model: ModelSpec, cfg: EvolutionConfig,
-              target: tuple[int, int] | None = None,
               initial: StateVector | None = None) -> tuple[Trajectory, float]:
     """One evolution of a (non-mean-field) model; returns the trajectory
-    and the target population at the final time.  A quantized model runs
-    its Hamiltonian record through ``evolve_unitary_at``, a batch of one
-    of the kernel its scans use."""
+    and the population of ``default_target(model)``, the detector's first
+    excited level, at the final time.  A quantized model runs its
+    Hamiltonian record through ``evolve_unitary_at``, a batch of one of
+    the kernel its scans use."""
     _scan_axis(model, "time", [cfg.t_max])      # a one-point time scan
-    if target is None:
-        target = default_target(model)
     if initial is None:
         initial = default_initial_state(model)
     if model.params.driven:
         traj = evolve_driven(model.params, initial, cfg)
     else:
         traj = evolve_unitary_at(model.params.hamiltonian(), initial, cfg.time_grid(), cfg)
-    return traj, traj.final_state().population(*target)
+    return traj, traj.final_state().population(*default_target(model))
 
 
 def _failed(exc: Exception) -> tuple:
     return math.nan, None, None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_points(model, cfg, target, vary, horizons):
+def _run_points(model, cfg, vary, horizons):
     """Evolve the points of a scan of ``model`` whose rules ``_scan_axis``
     has checked, point i being the model ``vary(i)`` on the grid of
     ``dynamics._steps`` up to ``horizons[i]``, every point guarded by the
-    scan's one config ``cfg``.  Returns per point the target population,
-    the initial and final amplitudes and the error tag (NaN, None, None,
-    tag on a failed point).  A ValueError raised while a point is built
-    (a nu <= 0, a coherent tail past the cutoff) tags that point, and a
-    guard trip tags it with the error its serial run raises.
+    scan's one config ``cfg``.  Returns per point the population of
+    ``default_target(model)``, the initial and final amplitudes and the
+    error tag (NaN, None, None, tag on a failed point).  A ValueError
+    raised while a point is built (a nu <= 0, a coherent tail past the
+    cutoff) tags that point, and a guard trip tags it with the error its
+    serial run raises.
 
     The points run as one batch of the kernel that also runs a single
     point, so each gives the bits of its own serial run.  Quantized points
@@ -344,8 +351,6 @@ def _run_points(model, cfg, target, vary, horizons):
     the drive and the horizon, and step together in
     ``dynamics._evolve_driven_batch`` from ``model``'s h0, c and state.
     """
-    if target is None:
-        target = default_target(model)
     p, results = model.params, [None] * len(horizons)
     index, points = [], []
     for i in range(len(horizons)):
@@ -381,6 +386,7 @@ def _run_points(model, cfg, target, vary, horizons):
         # a copy of the two rows, so the point's samples are freed
         runs = ((None, None, exc) if amps is None else (*amps[[0, -1]], exc)
                 for amps, _, exc in blocks)
+    target = default_target(model)
     for i, (first, final, exc) in zip(index, runs):
         results[i] = _failed(exc) if exc is not None else (
             StateVector(p.space, final).population(*target), first, final, None)
@@ -393,18 +399,18 @@ def _scan_result(axis_name, axis, results, model, fixed, aux=None) -> ScanResult
                       errors=tuple(r[3] for r in results), aux=aux or {})
 
 
-def detuning_scan(model: ModelSpec, cfg: EvolutionConfig, deltas,
-                  target: tuple[int, int] | None = None) -> ScanResult:
-    """Final-time target population versus detuning (field/drive frequency
-    minus detector frequency).  A scan that breaks a rule of
-    ``_scan_axis`` raises ValueError before any point runs; a point at
-    nu <= 0 or that trips a guard is tagged and reported as NaN.  The
+def detuning_scan(model: ModelSpec, cfg: EvolutionConfig, deltas) -> ScanResult:
+    """Final-time population of the detector's first excited level versus
+    detuning (field/drive frequency minus detector frequency).  A scan
+    that breaks a rule of ``_scan_axis`` raises ValueError before any
+    point runs; a point at nu <= 0 or that trips a guard is tagged and
+    reported as NaN.  The
     points run as one batch under ``cfg`` (see ``_run_points``) from
     ``model``'s initial state, which ``ModelSpec.with_nu`` hands on.
     """
     deltas = _scan_axis(model, "detuning", deltas)
     omega = model.params.omega
-    results = _run_points(model, cfg, target, lambda i: model.with_nu(omega + deltas[i]),
+    results = _run_points(model, cfg, lambda i: model.with_nu(omega + deltas[i]),
                           [cfg.t_max] * len(deltas))
     return _scan_result("detuning", deltas, results, model,
                         {"t_max": cfg.t_max, "omega": omega,
@@ -416,20 +422,20 @@ def _coupling_of(model: ModelSpec) -> float:
     return float(getattr(p, "g", getattr(p, "coupling", 0.0)))
 
 
-def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities,
-                   target: tuple[int, int] | None = None) -> ScanResult:
-    """Final-time target population versus field intensity (|alpha|^2 for
-    the two-mode model, x0^2 for the driven ones).  The aux column
-    ``transition_gap`` measures the detector energy gained per absorbed
-    excitation, the intensity-independent transition quantum.  A scan
-    that breaks a rule of ``_scan_axis`` raises ValueError before any
-    point runs; a coherent tail past the cutoff or a guard trip is tagged
-    per point.  The points run as one batch under ``cfg`` (see
-    ``_run_points``), each quantized point from its own initial state."""
+def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities) -> ScanResult:
+    """Final-time population of the detector's first excited level versus
+    field intensity (|alpha|^2 for the two-mode model, x0^2 for the
+    driven ones).  The aux column ``transition_gap`` measures the
+    detector energy gained per absorbed excitation, the
+    intensity-independent transition quantum.  A scan that breaks a rule
+    of ``_scan_axis`` raises ValueError before any point runs; a coherent
+    tail past the cutoff or a guard trip is tagged per point.  The points
+    run as one batch under ``cfg`` (see ``_run_points``), each quantized
+    point from its own initial state."""
     intensities = _scan_axis(model, "intensity", intensities)
     _, detector_free, _ = model.params.parts()
     levels = model.params.detector_levels()
-    results = _run_points(model, cfg, target, lambda i: model.with_intensity(intensities[i]),
+    results = _run_points(model, cfg, lambda i: model.with_intensity(intensities[i]),
                           [cfg.t_max] * len(intensities))
     gaps = []
     for _, a0, af, _ in results:
@@ -445,18 +451,18 @@ def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities,
                         aux={"transition_gap": np.array(gaps)})
 
 
-def time_scan(model: ModelSpec, cfg: EvolutionConfig, times,
-              target: tuple[int, int] | None = None) -> ScanResult:
-    """Target population versus readout time: every readout time t is a
-    run of its own, to exactly t on the grid of ``dynamics._steps``, so
-    log-spaced grids stay exact and the guards check every sample up to
-    t; ``cfg.t_max`` plays no part.  The points run as one batch under
-    ``cfg`` (see ``_run_points``) from ``model``'s initial state.  A scan
-    that breaks a rule of ``_scan_axis`` raises ValueError before any
-    point runs; a point that trips a guard is tagged with its run's error.
+def time_scan(model: ModelSpec, cfg: EvolutionConfig, times) -> ScanResult:
+    """Population of the detector's first excited level versus readout
+    time: every readout time t is a run of its own, to exactly t on the
+    grid of ``dynamics._steps``, so log-spaced grids stay exact and the
+    guards check every sample up to t; ``cfg.t_max`` plays no part.  The
+    points run as one batch under ``cfg`` (see ``_run_points``) from
+    ``model``'s initial state.  A scan that breaks a rule of
+    ``_scan_axis`` raises ValueError before any point runs; a point that
+    trips a guard is tagged with its run's error.
     """
     times = _scan_axis(model, "time", times)
-    results = _run_points(model, cfg, target, lambda i: model, times.tolist())
+    results = _run_points(model, cfg, lambda i: model, times.tolist())
     return _scan_result("time", times, results, model,
                         {"omega": model.params.omega, "coupling": _coupling_of(model)})
 
@@ -604,14 +610,18 @@ class FitResult:
 def loglog_slope(x, y) -> FitResult:
     """Least-squares slope of log(y) against log(x) over the finite,
     positive points; ValueError when fewer than three remain or their
-    log(x) take fewer than two distinct values."""
+    log(x) spread too little for a line: all equal, or within polyfit's
+    own rank tolerance (``len(x) * eps`` relative), where it could fit
+    only a constant and cannot form the slope's covariance."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = np.isfinite(x) & np.isfinite(y) & (x > 0) & (y > 0)
     if keep.sum() < 3:
         raise ValueError("need at least three positive points for a log-log fit")
     lx, ly = np.log(x[keep]), np.log(y[keep])
-    if np.unique(lx).size < 2:
+    # equal log(x), whose column polyfit would scale by zero norm when x = 1,
+    # or polyfit's own rank test, asked for in full so that it warns of nothing
+    if np.ptp(lx) == 0 or np.polyfit(lx, ly, 1, full=True)[2] < 2:
         raise ValueError("need at least two distinct x for a log-log fit")
     coeffs, cov = np.polyfit(lx, ly, 1, cov=True)
     return FitResult(slope=float(coeffs[0]), stderr=float(math.sqrt(cov[0, 0])),

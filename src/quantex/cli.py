@@ -145,7 +145,6 @@ class Scenario:
     outputs: dict[str, str] = field(default_factory=dict)
     model: ModelSpec | None = None
     evolution: EvolutionConfig | None = None
-    target: tuple[int, int] | None = None
     # an audit's starting state
     initial: StateVector | HybridState | None = None
     # axis name -> values of each scan a scan or signatures run makes
@@ -201,7 +200,7 @@ def validate_config(cfg: dict) -> Scenario:
     """Schema plus physics-domain validation; runs nothing.  Every number
     must be finite.  The returned scenario holds all that its runner reads
     but a golden-rule or constants block: the model, the evolution config,
-    the target, an audit's initial state and a scan's axes."""
+    an audit's initial state and a scan's axes."""
     for path in _non_finite(cfg):
         raise ConfigError(f"non-finite number at {list(path)}")
     error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
@@ -241,19 +240,7 @@ def validate_config(cfg: dict) -> Scenario:
         if scenario.evolution.method is not method:
             raise ConfigError(f"{model.tag} models evolve with method {method.value}")
 
-    if "target" in cfg:
-        t = (cfg["target"]["factor"], cfg["target"]["level"])
-        dims = model.params.space.dims if model is not None else ()
-        if model is None or t[0] >= len(dims) or t[1] >= dims[t[0]]:
-            raise ConfigError(f"target {t} outside the model space")
-        scenario.target = t
-
-    if kind == "audit":
-        if scenario.target is not None and scenario.target[0] != model.params.detector:
-            raise ConfigError(f"audit target {scenario.target} must sit on the "
-                              f"detector factor {model.params.detector}: the "
-                              "deficit conditions on a detector level")
-    elif kind == "golden_rule":
+    if kind == "golden_rule":
         block = cfg["golden_rule"]
         if block["ratio_max"] <= block["ratio_min"]:
             raise ConfigError("golden_rule needs ratio_max > ratio_min")
@@ -319,8 +306,7 @@ def _run_audit(scenario: Scenario) -> dict:
                 if residual is not None else None,
                 "e_classical_delta": float(ledger.e_classical[-1] - ledger.e_classical[0]),
             }
-        level = scenario.target[1] if scenario.target else 1
-        report = conditioned_energy_deficit(traj, model, level=level)
+        report = conditioned_energy_deficit(traj, model)
         return {"model": model.tag, **report.to_dict()}
 
     return _named(scenario, csv=functools.partial(ledger_to_csv, ledger),
@@ -329,8 +315,7 @@ def _run_audit(scenario: Scenario) -> dict:
 
 def _scans(scenario: Scenario) -> dict:
     runs = {"detuning": detuning_scan, "intensity": intensity_scan, "time": time_scan}
-    return {axis: runs[axis](scenario.model, scenario.evolution, values,
-                             target=scenario.target)
+    return {axis: runs[axis](scenario.model, scenario.evolution, values)
             for axis, values in scenario.axes.items()}
 
 

@@ -293,8 +293,9 @@ def _block_eigh(diagonals: np.ndarray, hops) -> tuple[np.ndarray, list]:
     (``_component_labels``, called once): basis states that no chain of
     hops links never mix.  This needs no knowledge of the model: the
     excitation-number sectors of the beam splitter and Jaynes-Cummings,
-    the two-state blocks of the counter-rotating Jaynes-Cummings order and
-    the 1x1 blocks of an uncoupled model all show up in the graph.  Only
+    the two-state blocks of a counter-rotating Jaynes-Cummings record
+    (which the tests build) and the 1x1 blocks of an uncoupled model all
+    show up in the graph.  Only
     the U distinct diagonals are decomposed: the blocks of one size s of
     all of them are built straight from the hops as one
     ``(U, n_blocks, s, s)`` stack, real when the diagonals and the hop
@@ -486,11 +487,11 @@ def _table_step(tables: np.ndarray, y: np.ndarray, substeps: np.ndarray) -> np.n
     the runs' tables (shorter ones padded with zeros) and their substeps.
 
     The polynomial is summed by elementwise Horner, ``u = F_J y + F_{J-1}``
-    and so on, from zero, and a run with s substeps then takes u^s by
-    left-to-right binary powering in stacked matmuls, each of a run's own
-    squarings and products on the runs that still owe it.  A padded zero
-    table leaves u zero, and every operation acts on each run alone, so
-    each run gives the bits it gets alone.
+    and so on, from zero, and the runs with s > 1 substeps then take u^s
+    together, one ``np.linalg.matrix_power`` on the stack of their
+    propagators per distinct s.  A padded zero table leaves u zero, and
+    every operation acts on each run alone, so each run gives the bits it
+    gets alone.
     """
     u = np.zeros(y.shape + tables.shape[-2:])
     y = y[..., None, None]
@@ -498,15 +499,8 @@ def _table_step(tables: np.ndarray, y: np.ndarray, substeps: np.ndarray) -> np.n
         u *= y
         u += tables[:, j]
     u = u.view(complex)
-    top = np.frexp(substeps)[1] - 1             # the place of each exponent's top bit
-    if top.any():
-        base = u.copy()
-        for bit in range(top.max() - 1, -1, -1):
-            owe = top > bit
-            v = u[:, owe]
-            u[:, owe] = v @ v
-            owe &= ((substeps >> bit) & 1) == 1
-            u[:, owe] = u[:, owe] @ base[:, owe]
+    for s in np.unique(substeps[substeps > 1]):
+        u[:, substeps == s] = np.linalg.matrix_power(u[:, substeps == s], s)
     return u
 
 

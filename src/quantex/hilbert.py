@@ -34,8 +34,7 @@ COHERENT_TAIL_TOL = 1e-12
 
 __all__ = [
     "Boson", "TwoLevel", "SpaceDescriptor", "Hamiltonian", "StateVector",
-    "CoherentSpec", "basis_state", "ground_state", "coherent_state",
-    "min_coherent_cutoff",
+    "basis_state", "ground_state", "coherent_state", "min_coherent_cutoff",
 ]
 
 
@@ -183,18 +182,6 @@ class StateVector:
         return float(pops[level])
 
 
-@dataclass(frozen=True)
-class CoherentSpec:
-    """Coherent amplitude plus the probability mass allowed above the cutoff."""
-
-    alpha: complex
-    tail_tolerance: float = COHERENT_TAIL_TOL
-
-    def __post_init__(self):
-        if not 0.0 < self.tail_tolerance < 1.0:
-            raise ValueError("tail_tolerance must lie in (0, 1)")
-
-
 # ---------------------------------------------------------------------------
 # states
 
@@ -239,14 +226,12 @@ def poisson_tail(mean: float, cutoff_dim: int) -> float:
     return math.fsum(terms[cutoff_dim - lo:]) / math.fsum(terms[:mode + width - lo])
 
 
-def min_coherent_cutoff(alpha: complex, tail_tolerance: float = COHERENT_TAIL_TOL) -> int:
-    """Smallest Fock dim whose Poisson tail is within tolerance."""
-    if not 0.0 < tail_tolerance < 1.0:
-        raise ValueError("tail_tolerance must lie in (0, 1)")
+def min_coherent_cutoff(alpha: complex) -> int:
+    """Smallest Fock dim whose Poisson tail is within ``COHERENT_TAIL_TOL``."""
     mean = abs(alpha) ** 2
 
     def within(dim):
-        return poisson_tail(mean, dim) <= tail_tolerance
+        return poisson_tail(mean, dim) <= COHERENT_TAIL_TOL
 
     # the tail falls monotonically with dim: double dim until it is within
     # tolerance, then bisect the last doubling for the first dim that is
@@ -256,33 +241,33 @@ def min_coherent_cutoff(alpha: complex, tail_tolerance: float = COHERENT_TAIL_TO
     return bisect.bisect_left(range(dim + 1), True, lo=max(2, dim // 2 + 1), key=within)
 
 
-def check_coherent_cutoff(alpha: complex, dim: int,
-                          tail_tolerance: float = COHERENT_TAIL_TOL) -> None:
+def check_coherent_cutoff(alpha: complex, dim: int) -> None:
     """Raise CoherentTailError when the Fock cutoff ``dim`` leaves more than
-    ``tail_tolerance`` of the coherent state's Poisson mass above it."""
+    ``COHERENT_TAIL_TOL`` of the coherent state's Poisson mass above it."""
     mean = abs(alpha) ** 2
     tail = poisson_tail(mean, dim)
-    if tail > tail_tolerance:
+    if tail > COHERENT_TAIL_TOL:
         raise CoherentTailError(
-            f"cutoff {dim} leaves tail mass {tail:.3e} > {tail_tolerance:.3e} "
+            f"cutoff {dim} leaves tail mass {tail:.3e} > {COHERENT_TAIL_TOL:.3e} "
             f"for |alpha|^2 = {mean:g}")
 
 
 def coherent_state(space: SpaceDescriptor, factor_index: int,
-                   spec: CoherentSpec) -> StateVector:
-    """Coherent state on one bosonic factor, ground state on all others.
+                   alpha: complex) -> StateVector:
+    """Coherent state of amplitude ``alpha`` on one bosonic factor, ground
+    state on all others.
 
     Fails loudly (CoherentTailError) when the truncated tail mass exceeds
-    spec.tail_tolerance instead of silently renormalizing a bad cutoff.
+    ``COHERENT_TAIL_TOL`` instead of silently renormalizing a bad cutoff.
     """
     dim = space.boson_factor(factor_index).dim
-    check_coherent_cutoff(spec.alpha, dim, spec.tail_tolerance)
-    mean = abs(spec.alpha) ** 2
+    check_coherent_cutoff(alpha, dim)
+    mean = abs(alpha) ** 2
     n = np.arange(dim)
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
-    mags = np.exp(-mean / 2.0 + n * np.log(abs(spec.alpha)) - log_fact / 2.0) \
+    mags = np.exp(-mean / 2.0 + n * np.log(abs(alpha)) - log_fact / 2.0) \
         if mean > 0 else np.eye(dim)[0]
-    phases = np.exp(1j * n * np.angle(spec.alpha)) if mean > 0 else np.ones(dim)
+    phases = np.exp(1j * n * np.angle(alpha)) if mean > 0 else np.ones(dim)
     amp = mags * phases
     others = np.delete(space.levels, factor_index, axis=0)
     psi = np.zeros(space.total_dim, dtype=complex)

@@ -33,7 +33,6 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS
 from .hilbert import (
     Boson,
-    CoherentSpec,
     Hamiltonian,
     SpaceDescriptor,
     StateVector,
@@ -103,10 +102,12 @@ class _Family:
     def default_initial_state(self) -> StateVector:
         return ground_state(self.space)
 
-    def hamiltonian(self, x: float = 1.0) -> Hamiltonian:
-        """H(x) as a record: the free diagonal and the coupling hops times x."""
-        field, detector, (src, dst, amp) = self.parts()
-        return Hamiltonian(self.space, field + detector, (src, dst, x * amp))
+    def hamiltonian(self) -> Hamiltonian:
+        """H at x = 1 as a record, the free diagonal plus the coupling hops:
+        a quantized family's Hamiltonian (the driven kernels step on
+        ``free_and_coupling``)."""
+        field, detector, hops = self.parts()
+        return Hamiltonian(self.space, field + detector, hops)
 
     def detector_levels(self) -> np.ndarray:
         """The detector's level in every basis state: its excitation number."""
@@ -173,14 +174,12 @@ class JaynesCummingsParams(_Family):
     def space(self) -> SpaceDescriptor:
         return SpaceDescriptor((Boson(self.field_cutoff), TwoLevel()))
 
-    def parts(self, counter_rotating_order: bool = False):
-        """nu a+a, (omega/2) sigma_z and g (a sigma+ + a+ sigma-), or
-        g (a sigma- + a+ sigma+) in the counter-rotating order.  ``a sigma+``
-        takes |n, g> to |n - 1, e> and ``a sigma-`` takes |n, e> to
-        |n - 1, g>, with amplitude sqrt(n)."""
+    def parts(self):
+        """nu a+a, (omega/2) sigma_z and g (a sigma+ + a+ sigma-).  ``a sigma+``
+        takes |n, g> to |n - 1, e> with amplitude sqrt(n)."""
         n, s = self.space.levels
-        src = np.flatnonzero((n > 0) & (s == int(counter_rotating_order)))
-        dst = np.ravel_multi_index((n[src] - 1, 1 - s[src]), self.space.dims)
+        src = np.flatnonzero((n > 0) & (s == 0))
+        dst = np.ravel_multi_index((n[src] - 1, s[src] + 1), self.space.dims)
         return self.nu * n, self.omega * (s - 0.5), (src, dst, self.g * np.sqrt(n[src]))
 
     def default_initial_state(self) -> StateVector:
@@ -227,7 +226,7 @@ class BeamSplitterParams(_Family):
 
     def default_initial_state(self) -> StateVector:
         """Coherent field, ground detector."""
-        return coherent_state(self.space, 0, CoherentSpec(self.alpha))
+        return coherent_state(self.space, 0, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -355,16 +354,10 @@ class ModelSpec:
 # Hamiltonian builders (natural units)
 
 
-def build_jc_hamiltonian(p: JaynesCummingsParams,
-                         counter_rotating_order: bool = False) -> Hamiltonian:
-    """nu a+a + (omega/2) sigma_z + g (a sigma+ + a+ sigma-).
-
-    With ``counter_rotating_order=True`` the interaction is built as
-    g (a sigma- + a+ sigma+), which does NOT conserve the excitation
-    number; it exists for side-by-side comparison only.
-    """
-    field, detector, hops = p.parts(counter_rotating_order)
-    return Hamiltonian(p.space, field + detector, hops)
+def build_jc_hamiltonian(p: JaynesCummingsParams) -> Hamiltonian:
+    """nu a+a + (omega/2) sigma_z + g (a sigma+ + a+ sigma-), written entry
+    by entry from the Fock labels (``JaynesCummingsParams.parts``)."""
+    return p.hamiltonian()
 
 
 def build_beam_splitter_hamiltonian(p: BeamSplitterParams) -> Hamiltonian:

@@ -16,7 +16,6 @@ import pytest
 
 from quantex import (
     BeamSplitterParams,
-    CoherentSpec,
     DrivenOscillatorParams,
     EvolutionConfig,
     GravitoParams,
@@ -81,7 +80,7 @@ def test_criterion_1_oracle_triangle():
     p = BeamSplitterParams(nu=1.0, omega=1.0, g=1e-3, field_cutoff=32,
                            detector_cutoff=6, alpha=2.0)
     h = build_beam_splitter_hamiltonian(p)
-    psi0 = coherent_state(p.space, 0, CoherentSpec(2.0))
+    psi0 = coherent_state(p.space, 0, 2.0)
     traj = evolve_unitary(h, psi0, EvolutionConfig(dt=0.5, t_max=10.0))
     for t in (2.0, 5.0, 10.0):
         d = dyson_first_order(p, t)
@@ -119,7 +118,7 @@ def test_criterion_2_unitarity_conservation():
                             detector_cutoff=6, alpha=2.0)
     cases.append((build_beam_splitter_hamiltonian(bs), beam_splitter(bs),
                   total_number(bs.space),
-                  coherent_state(bs.space, 0, CoherentSpec(2.0)),
+                  coherent_state(bs.space, 0, 2.0),
                   EvolutionConfig(dt=0.5, t_max=10.0)))
     bs_det = BeamSplitterParams(nu=1.2, omega=1.0, g=0.05, field_cutoff=5,
                                 detector_cutoff=5)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -592,7 +593,7 @@ def test_quantized_scan_points_equal_their_serial_runs(model, cfg):
         serial = [run_point(build(i), cfgs[i]) for i in range(len(cfgs))]
         assert scan(model, cfg, axis).probabilities.tolist() == [p for _, p in serial]
         for (traj, prob), (p, first, final, error) in zip(serial,
-                                                          _run_points(model, cfg, None, build,
+                                                          _run_points(model, cfg, build,
                                                                       [q.t_max for q in cfgs])):
             assert error is None and p == prob
             assert np.array_equal(first, traj.amplitudes[0])
@@ -621,7 +622,7 @@ def test_quantized_batch_tags_each_point_like_its_serial_run():
     scan = detuning_scan(model, cfg, deltas)
     assert list(scan.errors) == [tag for tag, _ in serial]
     assert np.isnan(scan.probabilities[[0, 2]]).all()
-    batch = _run_points(model, cfg, None, build, [cfg.t_max] * len(deltas))
+    batch = _run_points(model, cfg, build, [cfg.t_max] * len(deltas))
     for (tag, final), (_, _, batch_final, batch_tag) in zip(serial, batch):
         assert batch_tag == tag
         assert (final is None and batch_final is None) or np.array_equal(final, batch_final)
@@ -713,9 +714,9 @@ def test_scans_build_each_initial_state_once(monkeypatch, tmp_path):
                 == p.default_initial_state().amplitudes.tobytes())
     coherent, built = models.coherent_state, []
 
-    def counting(space, factor, spec):
-        built.append(spec.alpha)
-        return coherent(space, factor, spec)
+    def counting(space, factor, alpha):
+        built.append(alpha)
+        return coherent(space, factor, alpha)
 
     monkeypatch.setattr(models, "coherent_state", counting)
     # 41 detuning and 25 time points start from the scanned model's one
@@ -728,10 +729,10 @@ def test_a_failed_initial_state_tags_only_its_own_points(monkeypatch):
     from quantex import models
     coherent = models.coherent_state
 
-    def failing(space, factor, spec):
-        if spec.alpha == 2.0:
+    def failing(space, factor, alpha):
+        if alpha == 2.0:
             raise CoherentTailError("forced")
-        return coherent(space, factor, spec)
+        return coherent(space, factor, alpha)
 
     monkeypatch.setattr(models, "coherent_state", failing)
     model = _bs_model()     # alpha = 2
@@ -875,6 +876,24 @@ def test_a_nan_scan_value_raises_before_any_point_runs(monkeypatch, model, scan,
     assert calls == []
 
 
+@pytest.mark.parametrize("scan, axis", [
+    (detuning_scan, np.linspace(0.0, 5e-324, 3)),
+    (intensity_scan, np.geomspace(1.0, 1.0000000000000002, 9)),
+    (time_scan, [1.0, 2.0, 1.5]),
+], ids=["detuning", "intensity", "time"])
+@pytest.mark.parametrize("model", [_bs_model(), _osc_model()], ids=["quantized", "driven"])
+def test_a_scan_axis_that_is_not_strictly_monotone_raises_before_any_point_runs(
+        monkeypatch, model, scan, axis):
+    # a span of an ulp or two rounds onto repeated values, which no
+    # ScanResult may hold: the scan is refused before its points run
+    calls = []
+    for name in ("_evolve_blocks", "_evolve_driven_batch"):
+        monkeypatch.setattr(dynamics, name, lambda *a, name=name, **kw: calls.append(name))
+    with pytest.raises(ValueError, match="scan axis must be strictly monotone"):
+        scan(model, EvolutionConfig(dt=0.5, t_max=10.0), axis)
+    assert calls == []
+
+
 def test_quantized_scan_points_must_share_one_hop_list(monkeypatch):
     # hops that read nu give each detuning point a hop list of its own,
     # which no single batch can hold
@@ -980,12 +999,21 @@ def test_loglog_slope_exact_on_synthetic_power_law():
     assert fit.stderr == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("x", [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0, -1.0, np.nan]])
+@pytest.mark.parametrize("x", [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0, -1.0, np.nan],
+                               [5e9, 5e9, 5e9 * (1 + 4.5e-16)]])
 def test_loglog_slope_needs_two_distinct_x(x):
-    # three kept points on one x leave no slope to fit: a ValueError, the
-    # error that the intensity check reads as inconclusive
-    with pytest.raises(ValueError, match="two distinct x"):
-        loglog_slope(x, [1.0, 2.0, 3.0, 4.0, 5.0][:len(x)])
+    # three kept points on one x, or on x whose logs differ only by rounding
+    # (within polyfit's rank tolerance), leave no slope to fit: a ValueError,
+    # the error that the intensity check reads as inconclusive, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="two distinct x"):
+            loglog_slope(x, [1.0, 2.0, 3.0, 4.0, 5.0][:len(x)])
+
+
+def test_loglog_slope_fits_x_a_millionth_apart():
+    x = 5e9 * np.array([1.0, 1.0 + 5e-7, 1.0 + 1e-6])
+    assert loglog_slope(x, x ** 2).slope == pytest.approx(2.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("g", [0.0, -1e-3, math.inf, math.nan])

@@ -1,7 +1,10 @@
-"""The public surface of the package, pinned name by name, so that adding
-or removing a public name is a deliberate edit of this list."""
+"""The public surface of the package, pinned name by name and option by
+option, so that adding or removing a public name or a defaulted parameter
+is a deliberate edit of these lists."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -17,9 +20,8 @@ PUBLIC_NAMES = {
     "NormalizationError", "QuantexError", "RegimeError", "RegimeWarning",
     "ToleranceError",
     # hilbert
-    "Boson", "CoherentSpec", "Hamiltonian", "SpaceDescriptor", "StateVector",
-    "TwoLevel", "basis_state", "coherent_state", "ground_state",
-    "min_coherent_cutoff",
+    "Boson", "Hamiltonian", "SpaceDescriptor", "StateVector", "TwoLevel",
+    "basis_state", "coherent_state", "ground_state", "min_coherent_cutoff",
     # models
     "BeamSplitterParams", "DrivenOscillatorParams", "GravitoParams",
     "JaynesCummingsParams", "ModelFamily", "ModelSpec",
@@ -40,6 +42,54 @@ PUBLIC_NAMES = {
     "loglog_slope", "rabi_peak_scan", "scan_to_csv", "signature_report",
     "time_scan",
 }
+
+
+# every value a caller may leave out: each doubles the configurations that
+# tests and benchmarks must cover
+OPTIONS = {
+    "analysis.EnergyLedger.backreaction_residual", "analysis.ScanResult.aux",
+    "analysis.ScanResult.errors", "analysis.run_point(initial)",
+    "dynamics.EvolutionConfig.method", "dynamics.EvolutionConfig.norm_drift_tol",
+    "dynamics.EvolutionConfig.top_level_tol", "dynamics.Trajectory.classical",
+    "dynamics.Trajectory.max_norm_drift", "models.BeamSplitterParams.alpha",
+    "models.DrivenOscillatorParams.detector_cutoff", "models.ModelSpec.back_reaction",
+    "cli.main(argv)",
+}
+
+
+def _defaulted(prefix, fn):
+    return {f"{prefix}.{fn.__qualname__}({name})"
+            for name, prm in inspect.signature(fn).parameters.items()
+            if prm.default is not inspect.Parameter.empty}
+
+
+def _options_of_class(prefix, cls):
+    """The defaulted parameters of the methods ``cls`` defines, and its
+    dataclass fields with a default (which its generated __init__ takes)."""
+    found = set()
+    is_dataclass = dataclasses.is_dataclass(cls)
+    for name, attr in vars(cls).items():
+        attr = getattr(attr, "__func__", attr)      # staticmethod, classmethod
+        if inspect.isfunction(attr) and not (is_dataclass and name == "__init__"):
+            found |= _defaulted(prefix, attr)
+    if is_dataclass:
+        found |= {f"{prefix}.{cls.__name__}.{f.name}" for f in dataclasses.fields(cls)
+                  if f.init and (f.default is not dataclasses.MISSING
+                                 or f.default_factory is not dataclasses.MISSING)}
+    return found
+
+
+def test_package_options_are_pinned():
+    from quantex import cli, models
+    found = _options_of_class("models", models._Family) | _defaulted("cli", cli.main)
+    for prefix in ("hilbert", "models", "dynamics", "analysis"):
+        module = importlib.import_module(f"quantex.{prefix}")
+        for obj in map(module.__dict__.get, module.__all__):
+            if inspect.isclass(obj):
+                found |= _options_of_class(prefix, obj)
+            elif callable(obj):
+                found |= _defaulted(prefix, obj)
+    assert found == OPTIONS
 
 
 def test_package_public_names_are_pinned():

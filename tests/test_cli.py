@@ -188,34 +188,22 @@ def test_run_audit_scenario_with_overrides(tmp_path):
     assert report["deficit"] == 1.0
 
 
-@pytest.mark.parametrize("level", [1, 3])
-def test_audit_target_off_the_detector_exits_2_without_artifacts(tmp_path, capsys,
-                                                                  level):
-    # factor 0 of the Jaynes-Cummings space is the field; the deficit
-    # conditions on the detector (factor 1), so a field target is rejected
-    # rather than silently read as the detector's level
-    cfg = json.loads(bundled_scenarios()["jc_vacuum_exchange"])
-    cfg["target"] = {"factor": 0, "level": level}
-    with pytest.raises(ConfigError, match="detector factor 1"):
-        validate_config(cfg)
-    path = tmp_path / "field_target.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--output-dir", str(out)]) == EXIT_CONFIG
-    assert "detector factor 1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_audit_target_on_the_detector_is_reported(tmp_path):
-    cfg = json.loads(bundled_scenarios()["jc_vacuum_exchange"])
+@pytest.mark.parametrize("scenario", ["jc_vacuum_exchange", "signatures_driven_oscillator"])
+def test_a_config_holding_target_exits_2_without_artifacts(tmp_path, capsys, scenario):
+    # every audit and scan reads the detector's first excited level, and the
+    # schema names no readout key: a config that names one is rejected, even
+    # one naming that very level, rather than run as if it chose something
+    cfg = json.loads(bundled_scenarios()[scenario])
     cfg["target"] = {"factor": 1, "level": 1}
-    path = tmp_path / "detector_target.json"
+    with pytest.raises(ConfigError, match="'target' was unexpected"):
+        validate_config(cfg)
+    path = tmp_path / "target.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    assert main(["run", str(path), "--output-dir", str(out)]) == EXIT_OK
-    report = json.loads((out / "deficit_report.json").read_text())
-    # resonant vacuum exchange read out at g t = pi / 2: P(e) = sin^2(g t) = 1
-    assert report["probability"] == pytest.approx(1.0, abs=1e-9)
+    for argv in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(argv) == EXIT_CONFIG
+        assert "'target' was unexpected" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 _BAD_OUTPUTS = [
@@ -512,6 +500,26 @@ def _set(keys, value):
     return edit
 
 
+@pytest.mark.parametrize("scenario, keys, axis", [
+    ("qubit_drive_threshold", ("scan",),
+     {"axis": "detuning", "start": 0.0, "stop": 5e-324, "points": 3}),
+    ("signatures_beam_splitter", ("scans", "intensity"),
+     {"start": 1.0, "stop": 1.0000000000000002, "points": 9, "scale": "log"}),
+], ids=["detuning", "intensity"])
+def test_a_scan_axis_that_is_not_strictly_monotone_exits_2_without_artifacts(
+        tmp_path, capsys, scenario, keys, axis):
+    # linspace and geomspace round a span of an ulp or two onto repeated
+    # values, which no scan may hold: refused before anything runs
+    path = tmp_path / "cfg.json"
+    path.write_text(_set(keys, axis)(bundled_scenarios()[scenario]))
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("invalid configuration: scan axis must "
+                                           "be strictly monotone\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("scenario, edit, run_args", [
     ("beam_splitter_resonance", _set(("model", "params", "alpha"), math.inf), []),
     ("beam_splitter_resonance", _set(("model", "params", "alpha"), math.nan), []),
@@ -645,11 +653,10 @@ def test_each_initial_state_type_is_the_first_row_of_the_run(tmp_path, monkeypat
 
 @pytest.mark.parametrize("scenario, edit", [
     ("jc_vacuum_exchange", _set(("initial_state",), {"type": "ground"})),
-    ("energy_audit_semiclassical", _set(("target",), {"factor": 0, "level": 9})),
-], ids=["ground_start", "top_level_target"])
+], ids=["ground_start"])
 def test_an_audit_with_nothing_to_condition_on_exits_3_without_artifacts(tmp_path, capsys,
                                                                          scenario, edit):
-    # the readout population of the target level is below the floor the
+    # the readout population of the detector's level 1 is below the floor the
     # deficit conditions on: a tolerance abort with one line on stderr
     path = tmp_path / "cfg.json"
     path.write_text(edit(bundled_scenarios()[scenario]))

@@ -58,7 +58,7 @@ from quantex.dynamics import (
     _taylor,
     _taylor_plan,
 )
-from quantex.hilbert import NORM_ATOL, CoherentSpec, Hamiltonian, StateVector
+from quantex.hilbert import NORM_ATOL, Hamiltonian, StateVector
 
 from kron_reference import (
     annihilation,
@@ -149,7 +149,7 @@ def test_unitary_energy_and_norm_constant():
     p = BeamSplitterParams(nu=1.0, omega=1.1, g=0.02, field_cutoff=32,
                            detector_cutoff=12, alpha=2.0)
     h = build_beam_splitter_hamiltonian(p)
-    psi0 = coherent_state(p.space, 0, CoherentSpec(2.0))
+    psi0 = coherent_state(p.space, 0, 2.0)
     traj = evolve_unitary(h, psi0, EvolutionConfig(dt=0.25, t_max=25.0))
     # <H> and Var(H) from the Kronecker-built H
     h_amps = traj.amplitudes @ beam_splitter(p).T
@@ -945,7 +945,7 @@ def test_dyson_matches_exact_evolution():
     p = BeamSplitterParams(nu=1.0, omega=1.0, g=0.001, field_cutoff=32,
                            detector_cutoff=6, alpha=2.0)
     d = dyson_first_order(p, 10.0)
-    psi0 = coherent_state(p.space, 0, CoherentSpec(2.0))
+    psi0 = coherent_state(p.space, 0, 2.0)
     traj = evolve_unitary(build_beam_splitter_hamiltonian(p), psi0,
                           EvolutionConfig(dt=0.5, t_max=10.0))
     exact = traj.final_state().population(1, 1)
@@ -979,7 +979,7 @@ def test_block_propagator_matches_linear_optics_closed_form(nu, g, cutoffs):
                            detector_cutoff=cutoffs[1], alpha=2.0)
     times = np.array([0.5, 3.0, 10.0, 17.5])
     traj = evolve_unitary_at(build_beam_splitter_hamiltonian(p),
-                             coherent_state(p.space, 0, CoherentSpec(2.0)),
+                             coherent_state(p.space, 0, 2.0),
                              times, EvolutionConfig(dt=0.5, t_max=17.5))
     numeric = traj.population_series(1, 1)
     exact = np.array([_linear_optics_pn1(p, t) for t in times])
@@ -999,12 +999,12 @@ _BUNDLED_BS = BeamSplitterParams(nu=1.0, omega=1.0, g=0.001, field_cutoff=60,
 
 @pytest.mark.parametrize("h, m, psi0", [
     (build_beam_splitter_hamiltonian(_BUNDLED_BS), beam_splitter(_BUNDLED_BS),
-     coherent_state(_BUNDLED_BS.space, 0, CoherentSpec(2.0))),
+     coherent_state(_BUNDLED_BS.space, 0, 2.0)),
     (build_beam_splitter_hamiltonian(replace(_BUNDLED_BS, g=0.0)),
      beam_splitter(replace(_BUNDLED_BS, g=0.0)),
-     coherent_state(_BUNDLED_BS.space, 0, CoherentSpec(2.0))),
+     coherent_state(_BUNDLED_BS.space, 0, 2.0)),
     (build_jc_hamiltonian(_JC), jaynes_cummings(_JC), basis_state(_JC.space, [2, 0])),
-    (build_jc_hamiltonian(_JC, counter_rotating_order=True),
+    (record(_JC.space, jaynes_cummings(_JC, counter_rotating=True)),
      jaynes_cummings(_JC, counter_rotating=True), basis_state(_JC.space, [2, 0])),
 ], ids=["beam_splitter_60x6", "beam_splitter_g0", "jc", "jc_counter_rotating"])
 def test_block_route_matches_dense_eigh(h, m, psi0):

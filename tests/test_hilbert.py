@@ -8,7 +8,6 @@ import pytest
 
 from quantex import (
     Boson,
-    CoherentSpec,
     CoherentTailError,
     FactorError,
     Hamiltonian,
@@ -206,13 +205,13 @@ def test_records_copy_writable_inputs_and_take_read_only_ones():
 
 def test_coherent_state_vacuum_limit():
     sp = SpaceDescriptor((Boson(8),))
-    psi = coherent_state(sp, 0, CoherentSpec(0.0))
+    psi = coherent_state(sp, 0, 0.0)
     npt.assert_allclose(psi.amplitudes, basis_state(sp, [0]).amplitudes, atol=0.0)
 
 
 def test_coherent_state_mean_and_variance():
     sp = SpaceDescriptor((Boson(40),))
-    psi = coherent_state(sp, 0, CoherentSpec(2.0, 1e-12)).amplitudes
+    psi = coherent_state(sp, 0, 2.0).amplitudes
     n_psi = number(sp, 0) @ psi
     mean = np.vdot(psi, n_psi).real
     assert mean == pytest.approx(4.0, abs=1e-9)
@@ -221,20 +220,20 @@ def test_coherent_state_mean_and_variance():
 
 def test_coherent_state_rejects_small_cutoff():
     # direct Poisson tail for |alpha|^2 = 25 above n = 10: about 6.7e-4,
-    # far beyond any sane tolerance
+    # far beyond COHERENT_TAIL_TOL
     mean = 25.0
     tail = 1.0 - sum(math.exp(-mean) * mean ** n / math.factorial(n)
                      for n in range(10))
     assert tail > 1e-4
     sp = SpaceDescriptor((Boson(10),))
     with pytest.raises(CoherentTailError):
-        coherent_state(sp, 0, CoherentSpec(5.0, 1e-12))
+        coherent_state(sp, 0, 5.0)
 
 
 def test_min_coherent_cutoff_tail_bound():
     from quantex.hilbert import poisson_tail
     for alpha in (0.5, 2.0, 4.0, 6.0):
-        dim = min_coherent_cutoff(alpha, 1e-12)
+        dim = min_coherent_cutoff(alpha)
         assert poisson_tail(alpha ** 2, dim) <= 1e-12
         assert poisson_tail(alpha ** 2, dim - 1) > 1e-12 or dim == 2
 
@@ -256,33 +255,35 @@ def _exact_poisson_tail(mean: float, dim: int) -> float:
         return float(total)
 
 
-def _check_tail_and_cutoffs(mean, dims, tols):
-    from quantex.hilbert import poisson_tail
+def _check_tail_and_cutoffs(mean, dims, tols, monkeypatch):
+    from quantex import hilbert
     for dim in dims:
-        assert poisson_tail(mean, dim) == pytest.approx(
+        assert hilbert.poisson_tail(mean, dim) == pytest.approx(
             _exact_poisson_tail(mean, dim), rel=1e-14, abs=1e-300)
     for tol in tols:
-        # the smallest dim >= 2 whose tail mass is within tolerance
-        dim = min_coherent_cutoff(math.sqrt(mean), tol)
+        # the smallest dim >= 2 whose tail mass is within the tolerance: the
+        # search holds for any tolerance, so it is checked at several
+        monkeypatch.setattr(hilbert, "COHERENT_TAIL_TOL", tol)
+        dim = min_coherent_cutoff(math.sqrt(mean))
         assert _exact_poisson_tail(mean, dim) <= tol
         assert dim == 2 or _exact_poisson_tail(mean, dim - 1) > tol
 
 
-def test_poisson_tail_and_cutoff_match_exact_sum():
+def test_poisson_tail_and_cutoff_match_exact_sum(monkeypatch):
     for mean in (1e-6, 0.01, 0.5, 1.0, 3.7, 4.0, 16.0, 50.0, 400.0):
         _check_tail_and_cutoffs(mean, range(2, 120, 3),
-                                (0.5, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15))
+                                (0.5, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15), monkeypatch)
 
 
 @pytest.mark.parametrize("mean", [750.5, 1e3, 1e4])
-def test_poisson_tail_holds_where_exp_of_minus_mean_underflows(mean):
+def test_poisson_tail_holds_where_exp_of_minus_mean_underflows(mean, monkeypatch):
     # exp(-mean) is 0 in double precision above a mean of about 745; the
     # terms are built from the mode, so the tail needs no exp(-mean)
     assert math.exp(-mean) == 0.0
     s = math.sqrt(mean)
     dims = [2, int(mean - 5 * s), int(mean), int(mean + 3 * s), int(mean + 8 * s),
             int(mean + 12 * s)]
-    _check_tail_and_cutoffs(mean, dims, (0.5, 1e-6, 1e-12, 1e-40))
+    _check_tail_and_cutoffs(mean, dims, (0.5, 1e-6, 1e-12, 1e-40), monkeypatch)
 
 
 def test_poisson_tail_far_from_the_mode():
@@ -295,23 +296,10 @@ def test_poisson_tail_far_from_the_mode():
     assert poisson_tail(0.0, 2) == 0.0
 
 
-@pytest.mark.parametrize("tol", [-1e-12, 0.0, 1.0, float("nan")])
-def test_min_coherent_cutoff_rejects_tolerance_outside_unit_interval(tol):
-    with pytest.raises(ValueError):
-        min_coherent_cutoff(2.0, tol)
-
-
 def test_coherent_state_complex_amplitude_phase():
     sp = SpaceDescriptor((Boson(30),))
-    psi = coherent_state(sp, 0, CoherentSpec(1.0j)).amplitudes
+    psi = coherent_state(sp, 0, 1.0j).amplitudes
     assert np.vdot(psi, annihilation(sp, 0) @ psi) == pytest.approx(1.0j, abs=1e-9)
-
-
-def test_coherent_spec_tolerance_domain():
-    with pytest.raises(ValueError):
-        CoherentSpec(1.0, 0.0)
-    with pytest.raises(ValueError):
-        CoherentSpec(1.0, 1.0)
 
 
 def test_factor_zero_is_slowest_index():
@@ -368,9 +356,9 @@ def test_basis_layout_matches_the_kronecker_embedding():
     for levels in itertools.product(*map(range, sp.dims)):
         npt.assert_array_equal(basis_state(sp, levels).amplitudes,
                                product_state(u[lv] for u, lv in zip(units, levels)))
-    spec = CoherentSpec(0.6 + 0.3j, tail_tolerance=0.05)
-    mode = coherent_state(SpaceDescriptor((Boson(3),)), 0, spec).amplitudes
-    npt.assert_array_equal(coherent_state(sp, 2, spec).amplitudes,
+    alpha = 0.006 + 0.003j      # its tail above a 3-level mode is within tolerance
+    mode = coherent_state(SpaceDescriptor((Boson(3),)), 0, alpha).amplitudes
+    npt.assert_array_equal(coherent_state(sp, 2, alpha).amplitudes,
                            product_state([units[0][0], units[1][0], mode]))
 
     rng = np.random.default_rng(11)
