@@ -8,6 +8,10 @@ Every file of a run is written into a staging directory beside the output
 directory and moved in only once all of them are written, so a failed run
 leaves no partial artifacts.
 
+``validate_config`` builds one frozen ``Scenario``; each kind's runner
+(``scan`` and ``signatures`` share one) returns ``{output key: writer}``,
+and ``run_scenario`` names the writers from ``Scenario.outputs``.
+
 Exit codes: 0 success, 2 validation failure, 3 numerical-tolerance abort,
 64 unknown subcommand, 73 artifacts could not be written.  A stdout whose
 reader has gone (``quantex list-scenarios | head -1``) is not an error.
@@ -24,7 +28,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -115,11 +119,13 @@ def _unique_keys(pairs: list) -> dict:
 def load_config(source: str) -> dict:
     """Load a scenario from a file (not a directory) or a bundled name."""
     if os.path.isfile(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
                 return json.load(fh, object_pairs_hook=_unique_keys)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{source} is not valid JSON: {exc}") from exc
+        except (UnicodeDecodeError, OSError) as exc:
+            raise ConfigError(f"cannot read {source}: {exc}") from exc
     bundle = bundled_scenarios()
     if source in bundle:
         return json.loads(bundle[source], object_pairs_hook=_unique_keys)
@@ -136,19 +142,19 @@ def _non_finite(value, path: tuple = ()):
         yield from _non_finite(item, path + (key,))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
     kind: str
     config: dict
     # output key -> file name of each artifact but the manifest
-    outputs: dict[str, str] = field(default_factory=dict)
-    model: ModelSpec | None = None
-    evolution: EvolutionConfig | None = None
+    outputs: dict[str, str]
+    model: ModelSpec | None
+    evolution: EvolutionConfig | None
     # an audit's starting state
-    initial: StateVector | HybridState | None = None
-    # axis name -> values of each scan a scan or signatures run makes
-    axes: dict[str, np.ndarray] = field(default_factory=dict)
+    initial: StateVector | HybridState | None
+    # axis name -> values of each scan a scan, signatures or golden-rule run makes
+    axes: dict[str, np.ndarray]
 
 
 _SIGNATURE_AXES = ("detuning", "intensity", "time")
@@ -159,21 +165,25 @@ _OUTPUT_KEYS = {"audit": ("csv", "json"), "scan": ("csv",),
                 "golden_rule": ("csv", "json"), "constants": ("csv", "json")}
 
 
-def _output_names(kind: str, output: dict) -> dict[str, str]:
-    """Output key -> file name of each artifact but the manifest that a
-    ``kind`` run writes, and the one place its runner takes names from."""
-    unknown = [key for key in output if key not in _OUTPUT_KEYS[kind]]
+def _output_names(cfg: dict) -> dict[str, str]:
+    """Output key -> file name of each artifact but the manifest; a scan's
+    CSV is keyed by its axis, as each CSV of a signatures run is."""
+    kind, names = cfg["kind"], dict(cfg["output"])
+    unknown = [key for key in names if key not in _OUTPUT_KEYS[kind]]
     if unknown:
         raise ConfigError(f"{kind} scenarios write no output {', '.join(unknown)}; "
                           f"they take {' and '.join(_OUTPUT_KEYS[kind])}")
-    names = dict(output)
-    if kind == "signatures":
+    if kind == "scan":
+        names = {cfg["scan"]["axis"]: names["csv"]}
+    elif kind == "signatures":
         prefix = names.pop("csv_prefix", "scan")
         names = {axis: f"{prefix}_{axis}.csv" for axis in _SIGNATURE_AXES} | names
     files = list(names.values())
     for name in files:
         if name == "manifest.json":
             raise ConfigError("the output name manifest.json is the run manifest's")
+        if name in (".", ".."):
+            raise ConfigError(f"the output name {name} is a directory's")
         if files.count(name) > 1:
             raise ConfigError(f"two outputs are named {name}")
     return names
@@ -187,8 +197,6 @@ def _build_model(block: dict) -> ModelSpec:
 
 def _build_axis(block: dict, name: str) -> np.ndarray:
     start, stop, points = block["start"], block["stop"], block["points"]
-    if start == stop:
-        raise ConfigError(f"{name} axis must span a nonzero range")
     if block.get("scale", "linear") == "log":
         if start <= 0 or stop <= 0:
             raise ConfigError(f"{name} axis on a log scale needs positive bounds")
@@ -198,9 +206,10 @@ def _build_axis(block: dict, name: str) -> np.ndarray:
 
 def validate_config(cfg: dict) -> Scenario:
     """Schema plus physics-domain validation; runs nothing.  Every number
-    must be finite.  The returned scenario holds all that its runner reads
-    but a golden-rule or constants block: the model, the evolution config,
-    an audit's initial state and a scan's axes."""
+    must be finite.  The returned scenario, built once and frozen, holds
+    all that its runner reads but a constants block: the output names,
+    the model, the evolution config, an audit's initial state and the
+    axes of a scan or a golden-rule run."""
     for path in _non_finite(cfg):
         raise ConfigError(f"non-finite number at {list(path)}")
     error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
@@ -208,47 +217,50 @@ def validate_config(cfg: dict) -> Scenario:
         raise ConfigError(f"schema violation at {list(error.absolute_path)}: "
                           f"{error.message}") from error
 
-    scenario = Scenario(name=cfg["scenario"], kind=cfg["kind"], config=cfg,
-                        outputs=_output_names(cfg["kind"], cfg["output"]))
-    model, kind = None, scenario.kind
+    kind, outputs = cfg["kind"], _output_names(cfg)
     if "initial_state" in cfg and kind != "audit":
         raise ConfigError("initial_state applies to audit scenarios only")
+    model = evolution = initial = None
+    axes = {}
     try:
         if "model" in cfg:
-            scenario.model = model = _build_model(cfg["model"])
+            model = _build_model(cfg["model"])
         if "evolution" in cfg:
             ev = dict(cfg["evolution"])
             ev["method"] = Method(ev["method"])
-            scenario.evolution = EvolutionConfig(**ev)
+            evolution = EvolutionConfig(**ev)
         if kind == "audit":
-            scenario.initial = _initial_state(
-                cfg.get("initial_state", {"type": "default"}), model)
+            initial = _initial_state(cfg.get("initial_state", {"type": "default"}), model)
         elif kind in ("scan", "signatures"):
             blocks = ({cfg["scan"]["axis"]: cfg["scan"]} if kind == "scan"
                       else {axis: cfg["scans"][axis] for axis in _SIGNATURE_AXES})
-            for name, block in blocks.items():
-                scenario.axes[name] = _scan_axis(model, name, _build_axis(block, name))
+            axes = {name: _scan_axis(model, name, _build_axis(block, name))
+                    for name, block in blocks.items()}
             # a scan tags a point at nu <= 0; a config may not plan one
-            if np.min(scenario.axes.get("detuning", np.inf)) + model.params.omega <= 0:
+            if np.min(axes.get("detuning", np.inf)) + model.params.omega <= 0:
                 raise ConfigError("detuning scan would push the field frequency "
                                   "to zero or below")
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    if model is not None and scenario.evolution is not None:
+    if model is not None and evolution is not None:
         (method,) = allowed_methods(model)
-        if scenario.evolution.method is not method:
+        if evolution.method is not method:
             raise ConfigError(f"{model.tag} models evolve with method {method.value}")
 
     if kind == "golden_rule":
         block = cfg["golden_rule"]
-        if block["ratio_max"] <= block["ratio_min"]:
-            raise ConfigError("golden_rule needs ratio_max > ratio_min")
+        with np.errstate(over="ignore"):
+            axes["detuning"] = deltas = block["g"] * np.geomspace(
+                block["ratio_min"], block["ratio_max"], block["points"])
+        if not (np.isfinite(deltas[-1]) and np.all(np.diff(deltas) > 0)):
+            raise ConfigError("golden_rule needs finite detunings g * ratio that rise "
+                              "strictly from ratio_min to ratio_max")
     elif kind == "constants":
         g = cfg["gravito"]
         if g["points"] > 1 and g["nu_stop"] == g["nu_start"]:
             raise ConfigError("constants grid needs distinct nu bounds")
-    return scenario
+    return Scenario(cfg["scenario"], kind, cfg, outputs, model, evolution, initial, axes)
 
 
 def _initial_state(block: dict, model: ModelSpec) -> StateVector | HybridState:
@@ -268,7 +280,7 @@ def _initial_state(block: dict, model: ModelSpec) -> StateVector | HybridState:
 
 
 # ---------------------------------------------------------------------------
-# execution: each runner returns its artifacts as {file name: writer(path)}
+# execution: each runner returns its artifacts as {output key: writer(path)}
 
 
 def _write_text(path: Path, text: str):
@@ -279,13 +291,6 @@ def _json(payload):
     """Writer of the JSON document ``payload()``, built only when written."""
     return lambda path: _write_text(
         path, json.dumps(payload(), sort_keys=True, indent=2) + "\n")
-
-
-def _named(scenario: Scenario, **writers) -> dict:
-    """{file name: writer} for each of ``writers``, keyed like
-    ``scenario.outputs``, that the config names a file for."""
-    return {scenario.outputs[key]: write for key, write in writers.items()
-            if key in scenario.outputs}
 
 
 def _run_audit(scenario: Scenario) -> dict:
@@ -309,36 +314,30 @@ def _run_audit(scenario: Scenario) -> dict:
         report = conditioned_energy_deficit(traj, model)
         return {"model": model.tag, **report.to_dict()}
 
-    return _named(scenario, csv=functools.partial(ledger_to_csv, ledger),
-                  json=_json(summary))
+    return {"csv": functools.partial(ledger_to_csv, ledger), "json": _json(summary)}
 
 
-def _scans(scenario: Scenario) -> dict:
+def _run_scans(scenario: Scenario) -> dict:
+    """A CSV per axis and the report, which only signatures runs name."""
+    # looked up at call time: the benchmark's tracer wraps these names in cli
     runs = {"detuning": detuning_scan, "intensity": intensity_scan, "time": time_scan}
-    return {axis: runs[axis](scenario.model, scenario.evolution, values)
-            for axis, values in scenario.axes.items()}
-
-
-def _run_scan(scenario: Scenario) -> dict:
-    (scan,) = _scans(scenario).values()
-    return _named(scenario, csv=functools.partial(scan_to_csv, scan))
-
-
-def _run_signatures(scenario: Scenario) -> dict:
-    scans = _scans(scenario)
-    csvs = {axis: functools.partial(scan_to_csv, scan) for axis, scan in scans.items()}
-    return _named(scenario, **csvs,
-                  json=_json(lambda: signature_report(*scans.values()).to_dict()))
+    scans = {axis: runs[axis](scenario.model, scenario.evolution, values)
+             for axis, values in scenario.axes.items()}
+    return {**{axis: functools.partial(scan_to_csv, scan) for axis, scan in scans.items()},
+            "json": _json(lambda: signature_report(*scans.values()).to_dict())}
 
 
 def _run_golden_rule(scenario: Scenario) -> dict:
-    block = scenario.config["golden_rule"]
-    deltas = block["g"] * np.geomspace(block["ratio_min"], block["ratio_max"],
-                                       block["points"])
-    scan = rabi_peak_scan(block["g"], deltas)
-    return _named(scenario, csv=functools.partial(scan_to_csv, scan),
-                  json=_json(lambda: {"fit": golden_rule_fit(scan).to_dict(),
-                                      "expected_slope": -2.0}))
+    g = scenario.config["golden_rule"]["g"]
+    scan = rabi_peak_scan(g, scenario.axes["detuning"])
+
+    def fit():
+        try:
+            return {"fit": golden_rule_fit(scan).to_dict(), "expected_slope": -2.0}
+        except ValueError as exc:
+            raise ToleranceError(f"golden-rule fit: {exc}") from exc
+
+    return {"csv": functools.partial(scan_to_csv, scan), "json": _json(fit)}
 
 
 def _run_constants(scenario: Scenario) -> dict:
@@ -350,22 +349,29 @@ def _run_constants(scenario: Scenario) -> dict:
         p = GravitoParams(mass=block["mass"], length=block["length"], nu=float(nu),
                           omega0=block["omega0"], strain=block["strain"],
                           volume=block["volume"])
-        mapped = gravito_classical_params(p)
-        coeff = gravito_interaction_coefficient(p)
-        row = (nu, gravito_vacuum_coupling(p), mapped.coupling, mapped.x0, coeff,
-               gw_energy_density(p))
+        try:
+            mapped = gravito_classical_params(p)
+            coeff = gravito_interaction_coefficient(p)
+            row = (nu, gravito_vacuum_coupling(p), mapped.coupling, mapped.x0, coeff,
+                   gw_energy_density(p))
+            if not (coeff > 0 and all(map(math.isfinite, row))):
+                raise ArithmeticError("the interaction coefficient is zero "
+                                      "or an entry is not finite")
+        except (ArithmeticError, ValueError) as exc:
+            raise ToleranceError(f"the gravito table leaves the float range at "
+                                 f"nu={float(nu)!r}: {exc}") from exc
         lines.append(",".join(repr(float(v)) for v in row))
         worst = max(worst, abs(mapped.coupling * mapped.x0 - coeff) / coeff)
     table = "\n".join(lines) + "\n"
-    return _named(scenario, csv=lambda path: _write_text(path, table),
-                  json=_json(lambda: {
-                      "constants_version": DEFAULT_CONSTANTS.version,
-                      "constants_hash": DEFAULT_CONSTANTS.table_hash(),
-                      "identity_max_relative_deviation": worst,
-                  }))
+    return {"csv": lambda path: _write_text(path, table),
+            "json": _json(lambda: {
+                "constants_version": DEFAULT_CONSTANTS.version,
+                "constants_hash": DEFAULT_CONSTANTS.table_hash(),
+                "identity_max_relative_deviation": worst,
+            })}
 
 
-_RUNNERS = {"audit": _run_audit, "scan": _run_scan, "signatures": _run_signatures,
+_RUNNERS = {"audit": _run_audit, "scan": _run_scans, "signatures": _run_scans,
             "golden_rule": _run_golden_rule, "constants": _run_constants}
 
 
@@ -412,8 +418,12 @@ def write_artifacts(scenario: Scenario, artifacts: dict, out_dir: Path) -> list[
 
 
 def run_scenario(scenario: Scenario, out_dir: Path) -> list[str]:
-    """Run the scenario, then write its artifacts; returns their names."""
-    return write_artifacts(scenario, _RUNNERS[scenario.kind](scenario), out_dir)
+    """Run the kind's runner from ``_RUNNERS`` and write, in its order, each
+    artifact the config names a file for, under that name; returns them."""
+    writers = _RUNNERS[scenario.kind](scenario)
+    return write_artifacts(scenario, {scenario.outputs[key]: write
+                                      for key, write in writers.items()
+                                      if key in scenario.outputs}, out_dir)
 
 
 # ---------------------------------------------------------------------------

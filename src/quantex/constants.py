@@ -23,10 +23,10 @@ REDUCED_PLANCK = PLANCK_CONSTANT / (2.0 * math.pi)
 class PhysicalConstants:
     """One row of SI constants used by the gravito parameter mappings."""
 
-    c: float = SPEED_OF_LIGHT
-    G: float = GRAVITATIONAL_CONSTANT
-    hbar: float = REDUCED_PLANCK
-    version: str = CODATA_VERSION
+    c: float
+    G: float
+    hbar: float
+    version: str
 
     def table_hash(self) -> str:
         """SHA-256 over the canonical serialization of the table."""
@@ -38,4 +38,5 @@ class PhysicalConstants:
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-DEFAULT_CONSTANTS = PhysicalConstants()
+DEFAULT_CONSTANTS = PhysicalConstants(c=SPEED_OF_LIGHT, G=GRAVITATIONAL_CONSTANT,
+                                      hbar=REDUCED_PLANCK, version=CODATA_VERSION)

@@ -635,18 +635,19 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     """Mean-field evolution of (x, p, psi) under the Strang split.
 
     Classical flow (exact, symplectic for each frozen expectation):
-        dx/dt = nu p,   dp/dt = -nu x - coupling <C>,
-    with C = sigma_x for the qubit and C = b + b^+ for the oscillator.
-    Each step of ``cfg.time_grid()`` is a classical half-flow, the
-    quantum step ``exp(-i (h0 + x c) dt)`` at the half-step x, and a
-    classical half-flow with the refreshed <C>.
+        dx/dt = nu p,   dp/dt = -nu x - coupling <C> = -nu x - <c>,
+    with C = sigma_x for the qubit and C = b + b^+ for the oscillator,
+    and c = coupling C the coupling part of the Hamiltonian.  Each step
+    of ``cfg.time_grid()`` is a classical half-flow, the quantum step
+    ``exp(-i (h0 + x c) dt)`` at the half-step x, and a classical
+    half-flow with the refreshed <c>.
 
     The state is held in its real view (``_real_form``), so the quantum
     step is ``_taylor`` on the state with g = x m1 + m0, the real forms of
     -i c and -i h0: a Taylor sum whose degree and substeps follow from the
     1-norm bound ``dt (|h0|_1 + |x| |c|_1)`` (past ``_STEP_BOUND_MAX`` it
     raises), with no decomposition.  The run carries and stores the raw
-    state; <C>, one product with the real form of the bare C over the
+    state; the force <c>, one product with the real form of c over the
     squared norm, feeds both half-flows.  One ``_checked_state`` pass over
     the stored rows then normalises and judges them: a run that trips
     raises after its last step, or after an abort, whose earlier trips
@@ -656,21 +657,19 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     """
     if not model.back_reaction:
         raise ValueError("evolve_hybrid needs a back-reaction (mean-field) model")
-    space, lam, nu = model.params.space, model.params.coupling, model.params.nu
+    space, nu = model.params.space, model.params.nu
     h0, c = model.params.free_and_coupling()
     if s0.psi.space != space:
         raise ValueError("initial quantum state space does not match the model")
     times = cfg.time_grid()
     m0, m1 = _real_form(-1j * h0), _real_form(-1j * c)
     norms = [np.abs(m).sum(axis=0).max(initial=0.0) for m in (h0, c)]
-    # c = coupling * (quadrature or sigma_x); the force needs the bare
-    # quadrature expectation, so divide the coupling back out when nonzero.
-    c_bare = _real_form(c / lam) if lam != 0.0 else np.zeros_like(m0)
+    c_real = _real_form(c)
 
     def classical_half(x, p, mean, ch, sh):
         # exact rotation of the displaced harmonic flow over a half step,
         # ch, sh = cos, sin of nu times its length
-        xc = -lam * mean / nu
+        xc = -mean / nu
         dx = x - xc
         return xc + dx * ch + p * sh, p * ch - dx * sh
 
@@ -682,8 +681,8 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     rows = np.empty((len(times), 2 * space.total_dim))
     v = rows[0] = s0.psi.amplitudes.view(float)
     track = [(x, p)]
-    # <C> of the normalised state, from the raw one
-    mean = float(np.dot(v, np.dot(c_bare, v)) / np.dot(v, v))
+    # <c> of the normalised state, from the raw one
+    mean = float(np.dot(v, np.dot(c_real, v)) / np.dot(v, v))
     stop = None
     grid = times.tolist()
     for k in range(len(grid) - 1):
@@ -697,7 +696,7 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
                                   f"{_STEP_BOUND_MAX:.0e} at t={t1:g} (reduce dt)")
             break
         v = _taylor(x * m1 + m0, dt, bound, v)
-        mean = float(np.dot(v, np.dot(c_bare, v)) / np.dot(v, v))
+        mean = float(np.dot(v, np.dot(c_real, v)) / np.dot(v, v))
         x, p = classical_half(x, p, mean, ch, sh)
         if not (math.isfinite(x) and math.isfinite(p)):
             stop = ToleranceError(f"classical variables diverged at t={t1:g}")
@@ -730,11 +729,15 @@ def _sinc(x: float) -> float:
 
 def rabi_probability(g: float, delta: float, t: float) -> float:
     """Resonant-exchange transition probability
-    g^2/(g^2+delta^2) * sin^2(sqrt(g^2+delta^2) t / 2)."""
-    omega_sq = g * g + delta * delta
-    if omega_sq == 0.0:
+    g^2/(g^2+delta^2) * sin^2(sqrt(g^2+delta^2) t / 2), with the Rabi
+    frequency from ``math.hypot``, so that no square overflows."""
+    omega = math.hypot(g, delta)
+    if omega == 0.0:
         return 0.0
-    return (g * g / omega_sq) * math.sin(0.5 * math.sqrt(omega_sq) * t) ** 2
+    # g and delta scaled exactly by a power of two, to a frequency in [1/2, 1)
+    k = -math.frexp(omega)[1]
+    gs, ds = math.ldexp(g, k), math.ldexp(delta, k)
+    return (gs * gs / (gs * gs + ds * ds)) * math.sin(0.5 * omega * t) ** 2
 
 
 def golden_rule_limit(g: float, delta: float, t: float) -> float:

@@ -45,8 +45,8 @@ class Boson:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"Boson cutoff must be >= 2, got {self.dim}")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
+            raise ValueError(f"Boson cutoff must be an integer >= 2, got {self.dim!r}")
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,12 @@ energy is ``(nu / 2) (x^2 + p^2)`` so that ``x(t) = x0 sin(nu t)`` is the
 free solution of the rescaled phase-space pair ``(x, p)``.
 
 Each params class is the record of its family (``_Family``): its space
-(built once per instance and cached), its Hamiltonian parts written from
-the Fock labels, its detector factor, its default initial state, its
-intensity field and whether it is classically driven.  Every other layer
-reads a family from its record.  A Hamiltonian is a ``hilbert.Hamiltonian``
-record, a diagonal plus hops; only the driven families' stepping kernels
-take dense parts (``free_and_coupling``).
+(built at construction, where ``hilbert.Boson`` checks each cutoff), its
+Hamiltonian parts written from the Fock labels, its detector factor, its
+default initial state, its intensity field and whether it is classically
+driven.  Every other layer reads a family from its record.  A Hamiltonian
+is a ``hilbert.Hamiltonian`` record, a diagonal plus hops; only the driven
+families' stepping kernels take dense parts (``free_and_coupling``).
 """
 
 from __future__ import annotations
@@ -138,10 +138,7 @@ class QubitSemiClassicalParams(_Family):
         _require_positive(omega=self.omega, nu=self.nu)
         _require_nonnegative(coupling=self.coupling)
         _require_finite(x0=self.x0)
-
-    @cached_property
-    def space(self) -> SpaceDescriptor:
-        return SpaceDescriptor((TwoLevel(),))
+        object.__setattr__(self, "space", SpaceDescriptor((TwoLevel(),)))
 
     def parts(self):
         """No field part (the drive is classical), (omega/2) sigma_z and
@@ -167,12 +164,8 @@ class JaynesCummingsParams(_Family):
     def __post_init__(self):
         _require_positive(nu=self.nu, omega=self.omega)
         _require_nonnegative(g=self.g)
-        if self.field_cutoff < 2:
-            raise ValueError("field_cutoff must be >= 2")
-
-    @cached_property
-    def space(self) -> SpaceDescriptor:
-        return SpaceDescriptor((Boson(self.field_cutoff), TwoLevel()))
+        object.__setattr__(self, "space",
+                           SpaceDescriptor((Boson(self.field_cutoff), TwoLevel())))
 
     def parts(self):
         """nu a+a, (omega/2) sigma_z and g (a sigma+ + a+ sigma-).  ``a sigma+``
@@ -205,13 +198,9 @@ class BeamSplitterParams(_Family):
     def __post_init__(self):
         _require_positive(nu=self.nu, omega=self.omega)
         _require_nonnegative(g=self.g)
-        if min(self.field_cutoff, self.detector_cutoff) < 2:
-            raise ValueError("cutoffs must be >= 2")
+        object.__setattr__(self, "space", SpaceDescriptor(
+            (Boson(self.field_cutoff), Boson(self.detector_cutoff))))
         check_coherent_cutoff(self.alpha, self.field_cutoff)
-
-    @cached_property
-    def space(self) -> SpaceDescriptor:
-        return SpaceDescriptor((Boson(self.field_cutoff), Boson(self.detector_cutoff)))
 
     def parts(self):
         """nu a+a, omega b+b and g (a b+ + b a+).  ``a b+`` takes
@@ -247,12 +236,7 @@ class DrivenOscillatorParams(_Family):
         _require_positive(omega=self.omega, nu=self.nu)
         _require_nonnegative(coupling=self.coupling)
         _require_finite(x0=self.x0)
-        if self.detector_cutoff < 2:
-            raise ValueError("detector_cutoff must be >= 2")
-
-    @cached_property
-    def space(self) -> SpaceDescriptor:
-        return SpaceDescriptor((Boson(self.detector_cutoff),))
+        object.__setattr__(self, "space", SpaceDescriptor((Boson(self.detector_cutoff),)))
 
     def parts(self):
         """No field part (the drive is classical), omega b+b and

@@ -80,8 +80,10 @@ def _options_of_class(prefix, cls):
 
 
 def test_package_options_are_pinned():
-    from quantex import cli, models
-    found = _options_of_class("models", models._Family) | _defaulted("cli", cli.main)
+    from quantex import cli, constants, models
+    found = (_options_of_class("models", models._Family) | _defaulted("cli", cli.main)
+             | _options_of_class("constants", constants.PhysicalConstants)
+             | _options_of_class("cli", cli.Scenario))
     for prefix in ("hilbert", "models", "dynamics", "analysis"):
         module = importlib.import_module(f"quantex.{prefix}")
         for obj in map(module.__dict__.get, module.__all__):

@@ -218,6 +218,9 @@ _BAD_OUTPUTS = [
     ("signatures_driven_oscillator", {"csv_prefix": "s", "json": "s_time.csv"}),
     ("energy_audit_semiclassical", {"csv": "manifest.json"}),
     ("rabi_golden_rule", {"csv": "peak_scan.csv", "json": "manifest.json"}),
+    # a directory's name, which the run could only fail to write
+    ("rabi_golden_rule", {"csv": "..", "json": "fit.json"}),
+    ("rabi_golden_rule", {"csv": "peak_scan.csv", "json": "."}),
 ]
 
 
@@ -234,7 +237,7 @@ def test_outputs_the_run_cannot_write_exit_2_without_artifacts(tmp_path, capsys,
     assert main(["validate", str(path)]) == EXIT_CONFIG
     assert main(["run", str(path), "--output-dir", str(out)]) == EXIT_CONFIG
     assert "invalid configuration" in capsys.readouterr().err
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == [path]
 
 
 _QUICK_SIGNATURES = ["run", "signatures_driven_oscillator", "--t-max", "2",
@@ -667,4 +670,79 @@ def test_an_audit_with_nothing_to_condition_on_exits_3_without_artifacts(tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("numerical-tolerance abort: transition probability ")
     assert err.endswith("nothing to condition on\n") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _denied(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+@pytest.mark.parametrize("text, deny", [
+    ('{"scenario": "caf\u00e9"}'.encode("latin-1"), False),
+    (json.dumps(json.loads(bundled_scenarios()["rabi_golden_rule"])).encode(), True),
+], ids=["latin_1", "permission_denied"])
+def test_a_config_that_cannot_be_decoded_or_read_exits_2_without_artifacts(
+        tmp_path, capsys, monkeypatch, text, deny):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    if deny:
+        # unreadable files cannot be made as root: the module's open refuses
+        monkeypatch.setattr(cli, "open", _denied, raising=False)
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: cannot read {path}: ")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("signatures_driven_oscillator", "detector_cutoff", 8.0),
+    ("beam_splitter_resonance", "field_cutoff", 32.0),
+])
+def test_a_float_cutoff_exits_2_without_artifacts(tmp_path, capsys, scenario, key,
+                                                  value):
+    # JSON Schema counts 8.0 as an integer; hilbert.Boson does not
+    path = tmp_path / "cfg.json"
+    path.write_text(_set(("model", "params", key), value)(bundled_scenarios()[scenario]))
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("invalid configuration: Boson cutoff must "
+                                           f"be an integer >= 2, got {value}\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+_NARROW_RATIO = 10.00000000000001       # five ulps above ratio_min = 10
+
+
+@pytest.mark.parametrize("scenario, block, edit, validate_code, run_code, message", [
+    ("rabi_golden_rule", "golden_rule", {"ratio_max": 1e300}, EXIT_CONFIG, EXIT_CONFIG,
+     "invalid configuration: schema violation at ['golden_rule', 'ratio_max']"),
+    ("rabi_golden_rule", "golden_rule", {"g": 1e300, "ratio_max": 1e150}, EXIT_CONFIG,
+     EXIT_CONFIG, "invalid configuration: golden_rule needs finite detunings"),
+    ("rabi_golden_rule", "golden_rule", {"ratio_max": _NARROW_RATIO}, EXIT_CONFIG,
+     EXIT_CONFIG, "invalid configuration: golden_rule needs finite detunings"),
+    ("rabi_golden_rule", "golden_rule", {"ratio_max": _NARROW_RATIO, "points": 3},
+     EXIT_OK, EXIT_TOLERANCE, "numerical-tolerance abort: golden-rule fit: need at "
+     "least two distinct x"),
+    ("gravito_constants", "gravito", {"nu_stop": 1e200}, EXIT_OK, EXIT_TOLERANCE,
+     "numerical-tolerance abort: the gravito table leaves the float range"),
+    ("gravito_constants", "gravito", {"mass": 1e-320}, EXIT_OK, EXIT_TOLERANCE,
+     "numerical-tolerance abort: the gravito table leaves the float range"),
+], ids=["ratio_max_1e300", "detuning_overflow", "narrow_ratios", "narrow_fit",
+        "nu_stop_1e200", "mass_1e-320"])
+def test_a_closed_form_outside_the_float_range_exits_2_or_3_without_artifacts(
+        tmp_path, capsys, scenario, block, edit, validate_code, run_code, message):
+    cfg = json.loads(bundled_scenarios()[scenario])
+    cfg[block].update(edit)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["validate", str(path)]) == validate_code
+    capsys.readouterr()
+    assert main(["run", str(path), "--output-dir", str(out)]) == run_code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [path]

@@ -797,6 +797,17 @@ def test_rabi_vanishing_coupling():
     assert rabi_probability(0.0, 0.0, 10.0) == 0.0
 
 
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -560],
+                         ids=["2**600", "2**-560"])
+def test_rabi_probability_holds_where_the_squares_leave_the_float_range(scale):
+    # P(s g, s delta, t / s) = P(g, delta, t), and a power of two s scales
+    # exactly, so the bits must match where g^2 and delta^2 would overflow
+    # or underflow
+    for g, delta, t in [(0.3, 4.0, 1.7), (1e-3, 0.5, 2e3), (0.02, 0.0, 50.0)]:
+        assert rabi_probability(g * scale, delta * scale, t / scale) \
+            == rabi_probability(g, delta, t)
+
+
 def test_rabi_matches_exact_two_level():
     # H = (delta/2) sigma_z + (g/2) sigma_x reproduces the closed form
     g, delta = 0.01, 1.0

@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -45,6 +46,16 @@ def test_space_total_dim_is_product_of_factors():
 def test_boson_cutoff_below_two_rejected():
     with pytest.raises(ValueError):
         Boson(1)
+
+
+@pytest.mark.parametrize("dim", [8.0, 2.5, "3", None])
+def test_boson_rejects_a_cutoff_that_is_not_an_integer(dim):
+    with pytest.raises(ValueError, match=re.escape(f"got {dim!r}")):
+        Boson(dim)
+
+
+def test_boson_takes_a_numpy_integer_cutoff():
+    assert SpaceDescriptor((Boson(np.int64(3)),)).total_dim == 3
 
 
 def test_annihilation_ladder_entries():

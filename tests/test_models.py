@@ -401,3 +401,22 @@ def test_gravito_rejects_nonpositive_inputs():
 def test_params_reject_a_non_finite_input(params, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         replace(params, **{field: value})
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda n: JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=n),
+     "field_cutoff"),
+    (lambda n: BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=n,
+                                  detector_cutoff=3), "field_cutoff"),
+    (lambda n: BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=8,
+                                  detector_cutoff=n), "detector_cutoff"),
+    (lambda n: DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0,
+                                      detector_cutoff=n), "detector_cutoff"),
+], ids=["jaynes_cummings", "beam_splitter_field", "beam_splitter_detector",
+        "driven_oscillator"])
+@pytest.mark.parametrize("cutoff", [1, 8.0])
+def test_params_take_the_cutoff_check_of_their_boson(build, field, cutoff):
+    # the space is built with the record, so hilbert.Boson judges each cutoff
+    with pytest.raises(ValueError, match=f"^Boson cutoff must be an integer >= 2, "
+                                         f"got {cutoff}$"):
+        build(cutoff)
