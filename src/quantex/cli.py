@@ -20,6 +20,7 @@ reader has gone (``quantex list-scenarios | head -1``) is not an error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -385,7 +386,9 @@ def write_artifacts(scenario: Scenario, artifacts: dict, out_dir: Path) -> list[
 
     Every file is written into a staging directory beside ``out_dir`` and
     moved in only once all of them exist, and the staging directory is
-    removed either way, so a failed write leaves nothing behind."""
+    removed either way.  A failed write also removes the parents of
+    ``out_dir`` that this call made, deepest first and each only if empty,
+    so it leaves nothing behind."""
     ev = scenario.evolution
     manifest = {
         "scenario": scenario.name,
@@ -403,6 +406,7 @@ def write_artifacts(scenario: Scenario, artifacts: dict, out_dir: Path) -> list[
         "artifacts": sorted(artifacts),
     }
     artifacts = {**artifacts, "manifest.json": _json(lambda: manifest)}
+    made = [parent for parent in out_dir.parents if not parent.exists()]
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", suffix=".tmp",
                                   dir=out_dir.parent))
@@ -412,8 +416,13 @@ def write_artifacts(scenario: Scenario, artifacts: dict, out_dir: Path) -> list[
         out_dir.mkdir(exist_ok=True)
         for name in artifacts:
             os.replace(stage / name, out_dir / name)
-    finally:
+    except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
+        for parent in made:
+            with contextlib.suppress(OSError):
+                parent.rmdir()
+        raise
+    shutil.rmtree(stage, ignore_errors=True)
     return list(artifacts)
 
 

@@ -16,8 +16,8 @@ Three propagators, each the one route of its model kind:
   from step to step, so each distinct (step length, amplitude) gets one
   table ``F_j`` with ``exp(-i dt (h0 + x0 y c)) = sum_j y^j F_j`` from one
   ``_taylor`` call on a block matrix; runs then step together in chunks,
-  each with one elementwise Horner evaluation of every step's polynomial
-  and one guard pass;
+  each with one ``einsum`` contraction of every step's powers of y
+  against the tables and one guard pass;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
   values, advanced by a Strang split (exact classical half-flows around a
@@ -486,19 +486,21 @@ def _table_step(tables: np.ndarray, y: np.ndarray, substeps: np.ndarray) -> np.n
     y = sin(nu t) ``(K, L)``, from the real views ``(L, J + 1, d, 2d)`` of
     the runs' tables (shorter ones padded with zeros) and their substeps.
 
-    The polynomial is summed by elementwise Horner, ``u = F_J y + F_{J-1}``
-    and so on, from zero, and the runs with s > 1 substeps then take u^s
-    together, one ``np.linalg.matrix_power`` on the stack of their
-    propagators per distinct s.  A padded zero table leaves u zero, and
-    every operation acts on each run alone, so each run gives the bits it
-    gets alone.
+    The powers y^j ``(L, K, J + 1)`` are one product each, and the sum
+    ``u = sum_j y^j F_j`` is one ``np.einsum`` contraction over j, taken
+    from the top power down in numpy's own loops (no BLAS).  The runs with
+    s > 1 substeps then take u^s together, one ``np.linalg.matrix_power``
+    on the stack of their propagators per distinct s.  A padded zero table
+    adds exact zeros, and every operation acts on each run alone, so each
+    run gives the bits it gets alone.
     """
-    u = np.zeros(y.shape + tables.shape[-2:])
-    y = y[..., None, None]
-    for j in range(tables.shape[1] - 1, -1, -1):
-        u *= y
-        u += tables[:, j]
-    u = u.view(complex)
+    runs, terms = tables.shape[:2]
+    powers = np.empty((runs, len(y), terms))
+    powers[..., 0] = 1.0
+    for j in range(1, terms):
+        np.multiply(powers[..., j - 1], y.T, out=powers[..., j])
+    u = np.einsum("lkj,ljm->klm", powers[..., ::-1], tables.reshape(runs, terms, -1)[:, ::-1])
+    u = u.reshape(y.shape + tables.shape[-2:]).view(complex)
     for s in np.unique(substeps[substeps > 1]):
         u[:, substeps == s] = np.linalg.matrix_power(u[:, substeps == s], s)
     return u

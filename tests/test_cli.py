@@ -260,9 +260,8 @@ def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, capsys):
     assert main(_QUICK_SIGNATURES + [str(out)]) == EXIT_CANTCREAT
     assert capsys.readouterr().err == "cannot write artifacts: disk full\n"
     assert len(calls) == 2
-    assert not out.exists() or not any(out.iterdir())
-    assert [p for p in runs.iterdir() if p != out] == []
-    assert list(tmp_path.rglob("*.tmp")) == []
+    # runs/ was made by the run, so it goes with the staging directory
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_rerun_into_the_same_directory_gives_the_same_bytes(tmp_path, monkeypatch):
@@ -746,3 +745,28 @@ def test_a_closed_form_outside_the_float_range_exits_2_or_3_without_artifacts(
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [path]
+
+
+def _fail_every_write(scan, path):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("failure", ["tolerance", "write"])
+def test_a_failed_run_removes_the_parents_it_made(tmp_path, monkeypatch, capsys, failure):
+    # kept/ exists before the run and stays; kept/a and kept/a/b are the
+    # run's own and go, deepest first
+    (tmp_path / "kept").mkdir()
+    out = tmp_path / "kept" / "a" / "b" / "out"
+    if failure == "tolerance":
+        cfg = json.loads(bundled_scenarios()["rabi_golden_rule"])
+        cfg["golden_rule"].update(ratio_max=_NARROW_RATIO, points=3)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv, code, before = ["run", str(path), "--output-dir", str(out)], EXIT_TOLERANCE, [path]
+    else:
+        monkeypatch.setattr(cli, "scan_to_csv", _fail_every_write)
+        argv, code, before = _QUICK_SIGNATURES + [str(out)], EXIT_CANTCREAT, []
+    assert main(argv) == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == sorted(before + [tmp_path / "kept"])
+    assert list((tmp_path / "kept").iterdir()) == []

@@ -1255,6 +1255,44 @@ def test_drive_table_matches_expm(step):
                         atol=1e-14 * max(1.0, parts))
 
 
+def test_table_step_gives_a_run_the_bits_it_gets_alone():
+    # one run's propagators do not depend on the chunk they are built in:
+    # steps per chunk K, batch size L, the run's place in the batch and
+    # zero padding up to a higher-degree table all leave them bit for bit
+    # as the run's own table gives them alone.  Tables of 6, 11, 17 and 26
+    # terms, the last with 2 substeps
+    h0, c = _DRIVEN_PARAMS[1].free_and_coupling()
+    norms = [_norm_1(m) for m in (h0, c)]
+    built = [_drive_table(h0, c, norms, dt, x0)
+             for dt, x0 in ((0.01, 1.0), (0.1, 5.0), (0.3, 10.0), (0.5, 40.0))]
+    assert [len(f) for f, _ in built] == [6, 11, 17, 26] and built[-1][1] == 2
+    top = len(built[-1][0])
+    rng = np.random.default_rng(7)
+    y = rng.uniform(-1.0, 1.0, 256)
+
+    def step(members, steps, pad):
+        """The first ``steps`` propagators of the middle run of a batch whose
+        runs take the tables ``members``, padded to ``pad`` terms; the
+        middle run steps through y, the others through random shapes."""
+        tables = np.zeros((len(members), pad, len(h0), 2 * len(h0)))
+        for i, r in enumerate(members):
+            tables[i, :len(built[r][0])] = built[r][0].view(float)
+        shapes = rng.uniform(-1.0, 1.0, (steps, len(members)))
+        shapes[:, len(members) // 2] = y[:steps]
+        substeps = np.array([built[r][1] for r in members])
+        return _table_step(tables, shapes, substeps)[:, len(members) // 2]
+
+    for r, (f, _) in enumerate(built):
+        alone = step([r], len(y), len(f))
+        for steps in (1, 5, 37, 256):
+            for runs in (1, 3, 41):
+                same = [r] * runs
+                mixed = [(r + i - runs // 2) % len(built) for i in range(runs)]
+                for members, pad in ((same, len(f)), (mixed, top)):
+                    u = step(members, steps, pad)
+                    assert u.tobytes() == alone[:steps].tobytes(), (r, steps, runs, pad)
+
+
 def test_drive_table_is_planned_from_its_own_amplitude(monkeypatch):
     # the table's Taylor sum is planned from the step's own bound
     # h (|h0|_1 + |x0| |c|_1), h = dt / s, with no scale on the c blocks:
