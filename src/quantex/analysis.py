@@ -75,7 +75,9 @@ def default_initial_state(model: ModelSpec) -> StateVector:
 class EnergyLedger:
     """Per-time energy decomposition; ``e_total`` is the sum of the three
     component columns and ``energy_std`` is sqrt(Var(H)) of the full
-    instantaneous Hamiltonian operator."""
+    instantaneous Hamiltonian operator.  ``backreaction_residual`` is the
+    mean-field power residual: None without back-reaction or with fewer
+    than three samples."""
 
     times: np.ndarray
     e_classical: np.ndarray
@@ -83,7 +85,7 @@ class EnergyLedger:
     e_interaction: np.ndarray
     e_total: np.ndarray
     energy_std: np.ndarray
-    backreaction_residual: np.ndarray | None = None
+    backreaction_residual: np.ndarray | None
 
     def total_drift(self) -> float:
         return float(np.max(np.abs(self.e_total - self.e_total[0])))
@@ -312,15 +314,14 @@ def _scan_axis(model: ModelSpec, axis_name: str, values) -> np.ndarray:
 
 
 def run_point(model: ModelSpec, cfg: EvolutionConfig,
-              initial: StateVector | None = None) -> tuple[Trajectory, float]:
-    """One evolution of a (non-mean-field) model; returns the trajectory
+              initial: StateVector) -> tuple[Trajectory, float]:
+    """One evolution of a (non-mean-field) model from ``initial`` (an
+    audit's start, or ``model.default_state``); returns the trajectory
     and the population of ``default_target(model)``, the detector's first
     excited level, at the final time.  A quantized model runs its
     Hamiltonian record through ``evolve_unitary_at``, a batch of one of
     the kernel its scans use."""
     _scan_axis(model, "time", [cfg.t_max])      # a one-point time scan
-    if initial is None:
-        initial = default_initial_state(model)
     if model.params.driven:
         traj = evolve_driven(model.params, initial, cfg)
     else:

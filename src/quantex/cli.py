@@ -1,9 +1,12 @@
 """Config-driven scenario runner.
 
 Scenarios are JSON documents validated against the published schema
-(``quantex/schema/scenario.schema.json``; unknown keys are rejected).  A
-run writes CSV/JSON artifacts plus ``manifest.json`` (config hash,
-constants-table version and hash, tolerances) into the output directory.
+(``quantex/schema/scenario.schema.json``; unknown keys are rejected).  An
+audit starts from its ``fock`` or ``hybrid`` ``initial_state``, else from
+its model's default state.  A run holds ``EvolutionConfig``'s guard
+tolerances, which no config sets, and writes CSV/JSON artifacts plus
+``manifest.json`` (config hash, constants-table version and hash,
+tolerances) into the output directory.
 Every file of a run is written into a staging directory beside the output
 directory and moved in only once all of them are written, so a failed run
 leaves no partial artifacts.
@@ -231,7 +234,7 @@ def validate_config(cfg: dict) -> Scenario:
             ev["method"] = Method(ev["method"])
             evolution = EvolutionConfig(**ev)
         if kind == "audit":
-            initial = _initial_state(cfg.get("initial_state", {"type": "default"}), model)
+            initial = _initial_state(cfg.get("initial_state"), model)
         elif kind in ("scan", "signatures"):
             blocks = ({cfg["scan"]["axis"]: cfg["scan"]} if kind == "scan"
                       else {axis: cfg["scans"][axis] for axis in _SIGNATURE_AXES})
@@ -264,20 +267,19 @@ def validate_config(cfg: dict) -> Scenario:
     return Scenario(cfg["scenario"], kind, cfg, outputs, model, evolution, initial, axes)
 
 
-def _initial_state(block: dict, model: ModelSpec) -> StateVector | HybridState:
-    """An audit's starting state; a mean-field model's starts with the
-    detector in its ground state."""
-    kind, space = block["type"], model.params.space
+def _initial_state(block: dict | None, model: ModelSpec) -> StateVector | HybridState:
+    """An audit's starting state: its ``fock`` or ``hybrid`` block's, else
+    ``model.default_state`` or, for a mean-field model, (x, p) = (0, x0);
+    a mean-field state starts with the detector in its ground state."""
+    kind, space = block["type"] if block else None, model.params.space
     if model.back_reaction:
-        if kind not in ("default", "hybrid"):
+        if kind == "fock":
             raise ConfigError("mean-field audits start from a hybrid (x, p) point")
-        x, p = ((block["x"], block["p"]) if kind == "hybrid"
-                else (0.0, model.params.x0))
+        x, p = (block["x"], block["p"]) if kind else (0.0, model.params.x0)
         return HybridState(float(x), float(p), ground_state(space))
     if kind == "hybrid":
         raise ConfigError("hybrid initial state needs a back_reaction model")
-    return (basis_state(space, block["levels"]) if kind == "fock"
-            else ground_state(space) if kind == "ground" else model.default_state)
+    return basis_state(space, block["levels"]) if kind else model.default_state
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ __all__ = [
     "evolve_unitary", "evolve_unitary_at", "evolve_driven", "evolve_hybrid",
     "DysonFirstOrder", "dyson_first_order", "rabi_probability",
     "golden_rule_limit", "perturbative_pe", "semiclassical_pn1",
-    "coherent_amplitude_beta", "pn1_from_amplitude", "classical_drive",
+    "coherent_amplitude_beta", "pn1_from_amplitude",
 ]
 
 
@@ -392,13 +392,6 @@ def evolve_unitary(h: Hamiltonian, psi0: StateVector, cfg: EvolutionConfig) -> T
     return evolve_unitary_at(h, psi0, cfg.time_grid(), cfg)
 
 
-def classical_drive(params, times: np.ndarray) -> np.ndarray:
-    """Prescribed drive track x = x0 sin(nu t), p = x0 cos(nu t)."""
-    x = params.x0 * np.sin(params.nu * times)
-    p = params.x0 * np.cos(params.nu * times)
-    return np.column_stack([x, p])
-
-
 # the largest 1-norm bound at which a Taylor sum of degree m = 1, 2, ..., 30
 # leaves a first omitted term b^(m+1) / (m+1)! of at most 2^-53
 _TAYLOR_REACH = tuple((math.factorial(m + 1) * 2.0 ** -53) ** (1.0 / (m + 1))
@@ -629,7 +622,10 @@ def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Tra
     if errors[0] is not None:
         raise errors[0]
     amps.setflags(write=False)
-    return Trajectory(space, times, amps[:, 0], classical=classical_drive(params, times),
+    # the prescribed drive track x = x0 sin(nu t), p = x0 cos(nu t)
+    phase = params.nu * times
+    track = params.x0 * np.column_stack([np.sin(phase), np.cos(phase)])
+    return Trajectory(space, times, amps[:, 0], classical=track,
                       max_norm_drift=float(worst[0]))
 
 

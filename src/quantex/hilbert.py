@@ -31,6 +31,8 @@ from .errors import (
 
 NORM_ATOL = 1e-9
 COHERENT_TAIL_TOL = 1e-12
+# the largest cutoff a CoherentTailError names (|alpha| about 1e3; 0.05 s)
+_NAMED_CUTOFF_MAX = 10 ** 6
 
 __all__ = [
     "Boson", "TwoLevel", "SpaceDescriptor", "Hamiltonian", "StateVector",
@@ -243,13 +245,18 @@ def min_coherent_cutoff(alpha: complex) -> int:
 
 def check_coherent_cutoff(alpha: complex, dim: int) -> None:
     """Raise CoherentTailError when the Fock cutoff ``dim`` leaves more than
-    ``COHERENT_TAIL_TOL`` of the coherent state's Poisson mass above it."""
+    ``COHERENT_TAIL_TOL`` of the coherent state's Poisson mass above it,
+    naming the smallest cutoff that holds the tail up to ``_NAMED_CUTOFF_MAX``
+    (``min_coherent_cutoff``'s sums grow with |alpha|), else that bound."""
     mean = abs(alpha) ** 2
     tail = poisson_tail(mean, dim)
     if tail > COHERENT_TAIL_TOL:
+        need = (f"the smallest cutoff that holds it is {min_coherent_cutoff(alpha)}"
+                if poisson_tail(mean, _NAMED_CUTOFF_MAX) <= COHERENT_TAIL_TOL
+                else f"no cutoff up to {_NAMED_CUTOFF_MAX} holds it")
         raise CoherentTailError(
             f"cutoff {dim} leaves tail mass {tail:.3e} > {COHERENT_TAIL_TOL:.3e} "
-            f"for |alpha|^2 = {mean:g}")
+            f"for |alpha|^2 = {mean:g}; {need}")
 
 
 def coherent_state(space: SpaceDescriptor, factor_index: int,

@@ -189,7 +189,7 @@ class BeamSplitterParams(_Family):
     g: float            # exchange coupling
     field_cutoff: int
     detector_cutoff: int
-    alpha: complex = 0.0        # initial field coherent amplitude
+    alpha: complex              # initial field coherent amplitude
 
     detector = 1
     intensity_field = "alpha"

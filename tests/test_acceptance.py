@@ -121,7 +121,7 @@ def test_criterion_2_unitarity_conservation():
                   coherent_state(bs.space, 0, 2.0),
                   EvolutionConfig(dt=0.5, t_max=10.0)))
     bs_det = BeamSplitterParams(nu=1.2, omega=1.0, g=0.05, field_cutoff=5,
-                                detector_cutoff=5)
+                                detector_cutoff=5, alpha=0.0)
     cases.append((build_beam_splitter_hamiltonian(bs_det), beam_splitter(bs_det),
                   total_number(bs_det.space),
                   basis_state(bs_det.space, [1, 0]),

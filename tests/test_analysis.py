@@ -280,7 +280,7 @@ def test_deficit_detuned_reports_quantum_mismatch():
 
 def test_deficit_quantum_bookkeeping_closes_on_resonance():
     p = BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=4,
-                           detector_cutoff=4)
+                           detector_cutoff=4, alpha=0.0)
     model = ModelSpec(ModelFamily.BEAM_SPLITTER, p)
     t_swap = math.pi / 0.02
     traj = evolve_unitary(build_beam_splitter_hamiltonian(p),
@@ -296,7 +296,7 @@ def test_deficit_quantum_detuned_is_minus_detuning():
     # omega quantum in the detector
     delta = 0.2
     p = BeamSplitterParams(nu=1.0 + delta, omega=1.0, g=0.1, field_cutoff=4,
-                           detector_cutoff=4)
+                           detector_cutoff=4, alpha=0.0)
     model = ModelSpec(ModelFamily.BEAM_SPLITTER, p)
     omega_r = math.hypot(0.1, delta / 2)
     traj = evolve_unitary(build_beam_splitter_hamiltonian(p),
@@ -520,12 +520,14 @@ def test_driven_scans_match_serial_run_point():
     cfg = EvolutionConfig(dt=0.01, t_max=2.0, method=Method.MIDPOINT)
     deltas = np.array([-0.5, 0.0, 0.5])
     scan = detuning_scan(model, cfg, deltas)
-    serial = [run_point(model.with_nu(1.0 + d), cfg)[1] for d in deltas]
+    points = [model.with_nu(1.0 + d) for d in deltas]
+    serial = [run_point(m, cfg, m.default_state)[1] for m in points]
     npt.assert_allclose(scan.probabilities, serial, rtol=1e-12, atol=0)
     times = np.array([0.013, 0.5, 2.0])
     scan = time_scan(model, cfg, times)
     serial = [run_point(model, EvolutionConfig(dt=t / round(t / 0.01), t_max=t,
-                                               method=Method.MIDPOINT))[1]
+                                               method=Method.MIDPOINT),
+                        model.default_state)[1]
               for t in times]
     npt.assert_allclose(scan.probabilities, serial, rtol=1e-12, atol=0)
 
@@ -546,13 +548,15 @@ def test_driven_scan_points_equal_their_serial_runs(make, method, dt, t_max):
     deltas = np.array([-0.5, -0.1, 0.0, 0.3, 0.5])
     scan = detuning_scan(model, cfg, deltas)
     assert scan.errors == (None,) * len(deltas)
+    points = [model.with_nu(1.0 + d) for d in deltas]
     assert scan.probabilities.tolist() == [
-        run_point(model.with_nu(1.0 + d), cfg)[1] for d in deltas]
+        run_point(m, cfg, m.default_state)[1] for m in points]
     times = t_max * np.array([0.03, 0.2, 0.57, 1.0])
     scan = time_scan(model, cfg, times)
     assert scan.errors == (None,) * len(times)
     assert scan.probabilities.tolist() == [
-        run_point(model, replace(cfg, dt=t / max(1, round(t / dt)), t_max=t))[1]
+        run_point(model, replace(cfg, dt=t / max(1, round(t / dt)), t_max=t),
+                  model.default_state)[1]
         for t in times]
     # each point plans its own step table: these drives need three degrees
     intensities = np.array([1e-6, 1e-2, 1.0])
@@ -561,8 +565,9 @@ def test_driven_scan_points_equal_their_serial_runs(make, method, dt, t_max):
     assert len(degrees) == len(intensities)
     scan = intensity_scan(model, cfg, intensities)
     assert scan.errors == (None,) * len(intensities)
+    points = [model.with_intensity(i) for i in intensities]
     assert scan.probabilities.tolist() == [
-        run_point(model.with_intensity(i), cfg)[1] for i in intensities]
+        run_point(m, cfg, m.default_state)[1] for m in points]
 
 
 def _time_scan_cfgs(cfg, times):
@@ -590,7 +595,8 @@ def test_quantized_scan_points_equal_their_serial_runs(model, cfg):
         axes.append((intensity_scan, intensities,
                      lambda i: model.with_intensity(intensities[i]), [cfg] * 3))
     for scan, axis, build, cfgs in axes:
-        serial = [run_point(build(i), cfgs[i]) for i in range(len(cfgs))]
+        points = [build(i) for i in range(len(cfgs))]
+        serial = [run_point(m, q, m.default_state) for m, q in zip(points, cfgs)]
         assert scan(model, cfg, axis).probabilities.tolist() == [p for _, p in serial]
         for (traj, prob), (p, first, final, error) in zip(serial,
                                                           _run_points(model, cfg, build,
@@ -614,7 +620,8 @@ def test_quantized_batch_tags_each_point_like_its_serial_run():
     serial = []
     for i in range(len(deltas)):
         try:
-            serial.append((None, run_point(build(i), cfg)[0].amplitudes[-1]))
+            m = build(i)
+            serial.append((None, run_point(m, cfg, m.default_state)[0].amplitudes[-1]))
         except (ToleranceError, ValueError) as exc:
             serial.append((f"{type(exc).__name__}: {exc}", None))
     assert serial[0][0] == "ValueError: nu must be > 0, got 0.0"
@@ -692,7 +699,8 @@ _JC_ON = JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4)
 ], ids=["beam_splitter_60x6", "beam_splitter_g0", "jc_resonant", "jc_detuned", "jc_g0"])
 def test_run_point_matches_evolve_unitary_of_the_dense_hamiltonian(family, p, cfg):
     # the second route: a dense eigh propagation of the Kronecker-built H
-    traj, prob = run_point(ModelSpec(family, p), cfg)
+    model = ModelSpec(family, p)
+    traj, prob = run_point(model, cfg, model.default_state)
     m = beam_splitter(p) if family is ModelFamily.BEAM_SPLITTER else jaynes_cummings(p)
     dense = _dense_route(m, p.default_initial_state().amplitudes, cfg.time_grid())
     npt.assert_array_equal(traj.times, cfg.time_grid())
@@ -784,7 +792,7 @@ def test_reversing_a_scan_axis_reverses_its_points(deltas, small_cutoff):
 
 def _serial_tag(model, cfg):
     try:
-        run_point(model, cfg)
+        run_point(model, cfg, model.default_state)
     except ToleranceError as exc:
         return f"ToleranceError: {exc}"
     return None

@@ -3,6 +3,7 @@ option, so that adding or removing a public name or a defaulted parameter
 is a deliberate edit of these lists."""
 
 import dataclasses
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -47,14 +48,70 @@ PUBLIC_NAMES = {
 # every value a caller may leave out: each doubles the configurations that
 # tests and benchmarks must cover
 OPTIONS = {
-    "analysis.EnergyLedger.backreaction_residual", "analysis.ScanResult.aux",
-    "analysis.ScanResult.errors", "analysis.run_point(initial)",
+    "analysis.ScanResult.aux", "analysis.ScanResult.errors",
     "dynamics.EvolutionConfig.method", "dynamics.EvolutionConfig.norm_drift_tol",
     "dynamics.EvolutionConfig.top_level_tol", "dynamics.Trajectory.classical",
-    "dynamics.Trajectory.max_norm_drift", "models.BeamSplitterParams.alpha",
+    "dynamics.Trajectory.max_norm_drift",
     "models.DrivenOscillatorParams.detector_cutoff", "models.ModelSpec.back_reaction",
     "cli.main(argv)",
 }
+
+
+# every key a scenario config may leave out and every value an enum (or a
+# const) offers, as a dotted path into the config: the scenario format's
+# options, pinned as OPTIONS pins the package's
+SCENARIO_OPTIONS = {
+    "description", "model", "evolution", "initial_state", "scan", "scans",
+    "golden_rule", "gravito", "output.csv", "output.json", "output.csv_prefix",
+    "model.back_reaction", "scan.scale", "scans.detuning.scale",
+    "scans.intensity.scale", "scans.time.scale",
+}
+SCENARIO_VALUES = {
+    "kind=scan", "kind=audit", "kind=signatures", "kind=golden_rule",
+    "kind=constants",
+    "model.family=qubit_drive", "model.family=jaynes_cummings",
+    "model.family=beam_splitter", "model.family=oscillator_drive",
+    "evolution.method=matrix_exponential", "evolution.method=midpoint_piecewise",
+    "initial_state.type=fock", "initial_state.type=hybrid",
+    "scan.axis=detuning", "scan.axis=intensity", "scan.axis=time",
+    "scan.scale=linear", "scan.scale=log",
+    "scans.detuning.scale=linear", "scans.detuning.scale=log",
+    "scans.intensity.scale=linear", "scans.intensity.scale=log",
+    "scans.time.scale=linear", "scans.time.scale=log",
+}
+
+
+def _schema_options(schema):
+    """The optional keys and the enum and const values of ``schema``: an
+    object's keys that its own ``required`` leaves out, and the values
+    outside an ``if`` (whose consts only select a branch)."""
+    keys, values = set(), set()
+
+    def walk(node, path):
+        if "$ref" in node:
+            node = functools.reduce(dict.get, node["$ref"][2:].split("/"), schema)
+        props = node.get("properties", {})
+        if node.get("type") == "object":
+            keys.update(".".join(path + (k,)) for k in props
+                        if k not in node.get("required", ()))
+        offered = node.get("enum", [node["const"]] if "const" in node else [])
+        values.update(f"{'.'.join(path)}={v}" for v in offered)
+        for name, sub in props.items():
+            walk(sub, path + (name,))
+        for sub in node.get("allOf", []) + node.get("oneOf", []):
+            walk(sub, path)
+        if "then" in node:
+            walk(node["then"], path)
+        if "items" in node:
+            walk(node["items"], path + ("[]",))
+
+    walk(schema, ())
+    return keys, values
+
+
+def test_scenario_format_options_are_pinned():
+    from quantex import cli
+    assert _schema_options(cli._schema()) == (SCENARIO_OPTIONS, SCENARIO_VALUES)
 
 
 def _defaulted(prefix, fn):

@@ -26,7 +26,7 @@ from quantex.cli import (
 from quantex.analysis import detuning_scan, intensity_scan, time_scan
 from quantex.dynamics import GOLDEN_RULE_MIN_RATIO, EvolutionConfig, HybridState, Method
 from quantex.errors import ConfigError
-from quantex.hilbert import basis_state, ground_state
+from quantex.hilbert import basis_state, ground_state, min_coherent_cutoff
 
 
 def test_version_prints_constants_hash(capsys):
@@ -121,7 +121,7 @@ def test_validate_rejects_unknown_keys(tmp_path):
 
 def test_validate_rejects_initial_state_outside_audit(tmp_path):
     cfg = json.loads(bundled_scenarios()["beam_splitter_resonance"])
-    cfg["initial_state"] = {"type": "ground"}
+    cfg["initial_state"] = {"type": "fock", "levels": [0, 0]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["validate", str(path)]) == EXIT_CONFIG
@@ -129,7 +129,7 @@ def test_validate_rejects_initial_state_outside_audit(tmp_path):
 
 def test_mean_field_audit_rejects_a_quantum_only_initial_state(tmp_path, capsys):
     cfg = json.loads(bundled_scenarios()["oscillator_backreaction_audit"])
-    cfg["initial_state"] = {"type": "ground"}
+    cfg["initial_state"] = {"type": "fock", "levels": [0]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -502,6 +502,15 @@ def _set(keys, value):
     return edit
 
 
+def _drop(key):
+    """An edit of a scenario's JSON text that removes its top-level ``key``."""
+    def edit(text):
+        cfg = json.loads(text)
+        del cfg[key]
+        return json.dumps(cfg)
+    return edit
+
+
 @pytest.mark.parametrize("scenario, keys, axis", [
     ("qubit_drive_threshold", ("scan",),
      {"axis": "detuning", "start": 0.0, "stop": 5e-324, "points": 3}),
@@ -556,6 +565,17 @@ def test_a_non_finite_coherent_amplitude_is_a_config_error(tmp_path, capsys, sce
     assert not out.exists()
 
 
+def test_a_beam_splitter_config_past_its_tail_names_the_cutoff(tmp_path, capsys):
+    cfg = json.loads(bundled_scenarios()["beam_splitter_resonance"])
+    cfg["model"]["params"]["alpha"] = 6.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.endswith(f"; the smallest cutoff that holds it is "
+                        f"{min_coherent_cutoff(6.0)}\n")
+
+
 def test_a_non_finite_number_in_a_config_dict_names_its_key_path():
     cfg = json.loads(bundled_scenarios()["signatures_driven_oscillator"])
     cfg["scans"]["time"]["stop"] = math.inf
@@ -601,7 +621,7 @@ def test_the_schema_alone_holds_the_golden_rule_regime_bound():
     ("jc_vacuum_exchange", {"type": "fock", "levels": [0, 2]}, "out of range"),
     ("qubit_backreaction_audit", {"type": "fock", "levels": [0]},
      "mean-field audits start from a hybrid (x, p) point"),
-    ("oscillator_backreaction_audit", {"type": "ground"},
+    ("oscillator_backreaction_audit", {"type": "fock", "levels": [0]},
      "mean-field audits start from a hybrid (x, p) point"),
 ], ids=["levels_length", "level_at_dim", "mean_field_fock", "mean_field_ground"])
 def test_a_bad_initial_state_exits_2_without_artifacts(tmp_path, capsys, scenario,
@@ -617,16 +637,16 @@ def test_a_bad_initial_state_exits_2_without_artifacts(tmp_path, capsys, scenari
 
 
 @pytest.mark.parametrize("scenario, edit, expected", [
-    ("jc_vacuum_exchange", _set(("initial_state",), {"type": "default"}),
-     lambda m: m.default_state),
-    ("energy_audit_semiclassical", _set(("initial_state",), {"type": "ground"}),
+    ("jc_vacuum_exchange", _drop("initial_state"), lambda m: m.default_state),
+    ("energy_audit_semiclassical",
+     _set(("initial_state",), {"type": "fock", "levels": [0]}),
      lambda m: ground_state(m.params.space)),
     ("jc_vacuum_exchange", _set(("initial_state",), {"type": "fock", "levels": [0, 1]}),
      lambda m: basis_state(m.params.space, [0, 1])),
     ("qubit_backreaction_audit",
      _set(("initial_state",), {"type": "hybrid", "x": 0.3, "p": 0.7}),
      lambda m: HybridState(0.3, 0.7, ground_state(m.params.space))),
-    ("oscillator_backreaction_audit", _set(("initial_state",), {"type": "default"}),
+    ("oscillator_backreaction_audit", _drop("initial_state"),
      lambda m: HybridState(0.0, m.params.x0, ground_state(m.params.space))),
 ], ids=["default", "ground", "fock", "hybrid", "mean_field_default"])
 def test_each_initial_state_type_is_the_first_row_of_the_run(tmp_path, monkeypatch,
@@ -654,7 +674,40 @@ def test_each_initial_state_type_is_the_first_row_of_the_run(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("scenario, edit", [
+    ("energy_audit_semiclassical", _set(("evolution", "norm_drift_tol"), 1e-9)),
+    ("energy_audit_semiclassical", _set(("evolution", "top_level_tol"), 1e-8)),
+    ("jc_vacuum_exchange", _set(("initial_state",), {"type": "default"})),
     ("jc_vacuum_exchange", _set(("initial_state",), {"type": "ground"})),
+], ids=["norm_drift_tol", "top_level_tol", "default", "ground"])
+def test_a_retired_option_exits_2_without_artifacts(tmp_path, capsys, scenario, edit):
+    # a run holds EvolutionConfig's guard tolerances, even set to their own
+    # values; the default start is an omitted block, the ground start fock
+    # at all-zero levels
+    path = tmp_path / "cfg.json"
+    path.write_text(edit(bundled_scenarios()[scenario]))
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: schema violation at ")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_every_bundled_manifest_records_the_guard_tolerances(tmp_path):
+    for name, text in bundled_scenarios().items():
+        kind = json.loads(text)["kind"]
+        out = tmp_path / name
+        assert main(["run", name, "--output-dir", str(out)]) == EXIT_OK
+        tolerances = json.loads((out / "manifest.json").read_text())["tolerances"]
+        if kind in ("scan", "audit", "signatures"):
+            assert tolerances == {"norm_drift_tol": 1e-9, "top_level_tol": 1e-8}, name
+        else:
+            assert tolerances == {"norm_drift_tol": None, "top_level_tol": None}, name
+
+
+@pytest.mark.parametrize("scenario, edit", [
+    ("jc_vacuum_exchange", _set(("initial_state",), {"type": "fock", "levels": [0, 0]})),
 ], ids=["ground_start"])
 def test_an_audit_with_nothing_to_condition_on_exits_3_without_artifacts(tmp_path, capsys,
                                                                          scenario, edit):

@@ -136,7 +136,7 @@ def test_jc_resonant_vacuum_exchange_closed_form():
 
 def test_beam_splitter_full_swap_at_quarter_period():
     p = BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=3,
-                           detector_cutoff=3)
+                           detector_cutoff=3, alpha=0.0)
     t_swap = math.pi / (2 * 0.01)
     traj = evolve_unitary(build_beam_splitter_hamiltonian(p),
                           basis_state(p.space, [1, 0]),
@@ -173,7 +173,8 @@ def test_unitary_requires_hermitian():
 def test_unitary_sample_times_must_be_a_non_empty_finite_list():
     # rejected as input before any work: no empty trajectory, no warning
     # and no tolerance abort
-    p = BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=3, detector_cutoff=3)
+    p = BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=3, detector_cutoff=3,
+                           alpha=0.0)
     cfg = EvolutionConfig(dt=0.5, t_max=1.0)
     for times in ([], [math.nan], [0.5, math.inf], [[0.5]]):
         with warnings.catch_warnings():
@@ -186,7 +187,7 @@ def test_unitary_sample_times_must_be_a_non_empty_finite_list():
 def test_top_level_guard_flags_small_cutoff():
     # strong exchange into a two-level detector cutoff fills the top level
     p = BeamSplitterParams(nu=1.0, omega=1.0, g=0.1, field_cutoff=3,
-                           detector_cutoff=2)
+                           detector_cutoff=2, alpha=0.0)
     with pytest.raises(ToleranceError):
         evolve_unitary(build_beam_splitter_hamiltonian(p),
                        basis_state(p.space, [1, 0]),
@@ -676,7 +677,8 @@ def test_kernels_hand_their_frozen_buffers_to_the_trajectory(monkeypatch):
     evolve_driven(p, None, cfg)
     evolve_hybrid(ModelSpec(ModelFamily.OSCILLATOR_DRIVE, p, back_reaction=True),
                   HybridState(0.0, 1.0, ground_state(p.space)), cfg)
-    bs = BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=3, detector_cutoff=3)
+    bs = BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=3, detector_cutoff=3,
+                            alpha=0.0)
     evolve_unitary(bs.hamiltonian(), basis_state(bs.space, [1, 0]),
                    EvolutionConfig(dt=0.1, t_max=2.0))
     assert taken == [True, True, True]
@@ -1029,7 +1031,8 @@ def test_block_route_matches_dense_eigh(h, m, psi0):
 
 def test_samples_at_t0_are_the_initial_state_itself():
     # U(0) = I exactly: v v^+ psi0 would round in this 3-state sector
-    p = BeamSplitterParams(nu=1.0, omega=0.9, g=0.3, field_cutoff=4, detector_cutoff=4)
+    p = BeamSplitterParams(nu=1.0, omega=0.9, g=0.3, field_cutoff=4, detector_cutoff=4,
+                           alpha=0.0)
     psi0 = basis_state(p.space, [2, 0])
     traj = evolve_unitary_at(p.hamiltonian(), psi0, [0.0, 1.0, 0.0],
                              EvolutionConfig(dt=0.1, t_max=1.0))

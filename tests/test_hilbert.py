@@ -249,6 +249,30 @@ def test_min_coherent_cutoff_tail_bound():
         assert poisson_tail(alpha ** 2, dim - 1) > 1e-12 or dim == 2
 
 
+@pytest.mark.parametrize("alpha, dim", [(4.0, 8), (0.5, 2), (30.0, 900)])
+def test_a_tail_error_names_the_smallest_cutoff_that_holds_the_tail(alpha, dim):
+    from quantex.hilbert import check_coherent_cutoff
+    with pytest.raises(CoherentTailError) as info:
+        check_coherent_cutoff(alpha, dim)
+    need = int(re.fullmatch(r"cutoff \d+ leaves .*; the smallest cutoff that holds "
+                            r"it is (\d+)", str(info.value)).group(1))
+    assert need == min_coherent_cutoff(alpha)
+    check_coherent_cutoff(alpha, need)
+    with pytest.raises(CoherentTailError):
+        check_coherent_cutoff(alpha, need - 1)
+
+
+def test_a_tail_error_past_a_million_levels_names_the_bound():
+    # min_coherent_cutoff's sums grow with |alpha|: past 1e6 levels the
+    # text bounds the cutoff, which the check confirms, instead of naming it
+    from quantex.hilbert import check_coherent_cutoff
+    for alpha in (1e3, 1e4, 1e100):
+        with pytest.raises(CoherentTailError, match=r"; no cutoff up to 1000000 holds it$"):
+            check_coherent_cutoff(alpha, 8)
+        with pytest.raises(CoherentTailError):
+            check_coherent_cutoff(alpha, 10 ** 6)
+
+
 def _exact_poisson_tail(mean: float, dim: int) -> float:
     """P(N >= dim) for N ~ Poisson(mean), summed term by term in 60-digit
     decimal arithmetic from the exact binary value of ``mean``."""

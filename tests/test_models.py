@@ -84,7 +84,8 @@ def test_jc_excitation_number_conserved_standard_order():
 _bs_params = st.builds(
     BeamSplitterParams,
     nu=st.floats(0.1, 3.0), omega=st.floats(0.1, 3.0), g=st.floats(0.0, 2.0),
-    field_cutoff=st.integers(2, 9), detector_cutoff=st.integers(2, 9))
+    field_cutoff=st.integers(2, 9), detector_cutoff=st.integers(2, 9),
+    alpha=st.just(0.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,7 +158,7 @@ def test_direct_beam_splitter_build_matches_kronecker_embedding(case):
 
 def test_beam_splitter_single_excitation_splitting():
     p = BeamSplitterParams(nu=1.0, omega=1.0, g=0.001, field_cutoff=3,
-                           detector_cutoff=3)
+                           detector_cutoff=3, alpha=0.0)
     w = np.sort(np.linalg.eigvalsh(dense(build_beam_splitter_hamiltonian(p))))
     # single-excitation manifold: 1 +/- g
     assert w[2] - w[1] == pytest.approx(2 * 0.001, abs=1e-12)
@@ -166,7 +167,7 @@ def test_beam_splitter_single_excitation_splitting():
 def test_beam_splitter_decoupled_fock_state_is_stationary():
     from quantex import EvolutionConfig, basis_state, evolve_unitary
     p = BeamSplitterParams(nu=1.0, omega=1.0, g=0.0, field_cutoff=4,
-                           detector_cutoff=4)
+                           detector_cutoff=4, alpha=0.0)
     h = build_beam_splitter_hamiltonian(p)
     traj = evolve_unitary(h, basis_state(p.space, [1, 0]),
                           EvolutionConfig(dt=0.5, t_max=10.0))
@@ -251,7 +252,7 @@ def test_driven_params_reject_a_non_finite_drive_amplitude(params, x0):
               QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0)),
     ModelSpec(ModelFamily.BEAM_SPLITTER,
               BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=8,
-                                 detector_cutoff=3)),
+                                 detector_cutoff=3, alpha=0.0)),
 ], ids=["oscillator", "qubit", "beam_splitter"])
 def test_with_intensity_rejects_a_negative_or_non_finite_intensity(model, intensity):
     with pytest.raises(ValueError, match="intensity must be finite and >= 0"):
@@ -263,7 +264,8 @@ def test_with_intensity_rejects_a_negative_or_non_finite_intensity(model, intens
 @pytest.mark.parametrize("p", [
     QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0),
     JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4),
-    BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=8, detector_cutoff=3),
+    BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=8, detector_cutoff=3,
+                       alpha=0.0),
     DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0),
 ])
 def test_params_build_their_space_once(p):
@@ -393,7 +395,8 @@ def test_gravito_rejects_nonpositive_inputs():
          ("omega", "nu", "coupling")),
         (JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4),
          ("nu", "omega", "g")),
-        (BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=8, detector_cutoff=3),
+        (BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=8, detector_cutoff=3,
+                            alpha=0.0),
          ("nu", "omega", "g")),
         (_params(), ("mass", "length", "nu", "omega0", "strain", "volume")),
     ] for field in fields],
@@ -407,9 +410,9 @@ def test_params_reject_a_non_finite_input(params, field, value):
     (lambda n: JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=n),
      "field_cutoff"),
     (lambda n: BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=n,
-                                  detector_cutoff=3), "field_cutoff"),
+                                  detector_cutoff=3, alpha=0.0), "field_cutoff"),
     (lambda n: BeamSplitterParams(nu=1.0, omega=1.0, g=0.01, field_cutoff=8,
-                                  detector_cutoff=n), "detector_cutoff"),
+                                  detector_cutoff=n, alpha=0.0), "detector_cutoff"),
     (lambda n: DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0,
                                       detector_cutoff=n), "detector_cutoff"),
 ], ids=["jaynes_cummings", "beam_splitter_field", "beam_splitter_detector",
