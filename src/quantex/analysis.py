@@ -353,16 +353,20 @@ def _run_points(model, cfg, vary, horizons):
     ``dynamics._evolve_driven_batch`` from ``model``'s h0, c and state.
     """
     p, results = model.params, [None] * len(horizons)
-    index, points = [], []
+    index, points, built = [], [], None
     for i in range(len(horizons)):
         try:
             point = vary(i)
             if p.driven:
                 points.append((point.params.x0, point.params.nu))
+            elif point is built:
+                # a time scan's points are all the model itself: built once
+                points.append(points[-1])
             else:
                 field, detector, hops = point.params.parts()
                 # built before the batch opens, so that its failure tags the point
                 points.append((field + detector, point.default_state, hops))
+                built = point
         except ValueError as exc:
             results[i] = _failed(exc)
             continue
@@ -380,7 +384,8 @@ def _run_points(model, cfg, vary, horizons):
         runs = ((psi0.amplitudes, final, exc) for final, exc in zip(finals, errors))
     else:
         diagonals, psi0s, hop_lists = zip(*points)
-        if len({tuple(a.tobytes() for a in hops) for hops in hop_lists}) > 1:
+        distinct = {id(hops): hops for hops in hop_lists}.values()
+        if len({tuple(a.tobytes() for a in hops) for hops in distinct}) > 1:
             raise ValueError("the points of a quantized scan must share one hop list")
         blocks = _dyn._evolve_blocks(p.space, np.array(diagonals), hop_lists[0], psi0s,
                                      [_dyn._grid(t, cfg.dt) for t in t_ends], cfg)

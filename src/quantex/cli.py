@@ -1,9 +1,19 @@
 """Config-driven scenario runner.
 
 Scenarios are JSON documents validated against the published schema
-(``quantex/schema/scenario.schema.json``; unknown keys are rejected).  An
-audit starts from its ``fock`` or ``hybrid`` ``initial_state``, else from
-its model's default state.  A run holds ``EvolutionConfig``'s guard
+(``quantex/schema/scenario.schema.json``; unknown keys are rejected).  The
+schema is the single source of the rules, and ``_violations`` checks a
+config against it without jsonschema: it implements the draft 2020-12
+keywords the schema uses (``type``, ``properties``, ``required``,
+``additionalProperties: false``, ``enum``, ``const``, ``minimum``,
+``exclusiveMinimum``, ``maximum``, ``pattern``, ``minProperties``,
+``minItems``, ``items``, local ``$ref``, ``allOf``, ``if``/``then``,
+``oneOf``), raises NotImplementedError on any other, and words each
+violation as jsonschema does; a config that breaks several rules is
+reported at the first violation in schema order.
+
+An audit starts from its ``fock`` or ``hybrid`` ``initial_state``, else
+from its model's default state.  A run holds ``EvolutionConfig``'s guard
 tolerances, which no config sets, and writes CSV/JSON artifacts plus
 ``manifest.json`` (config hash, constants-table version and hash,
 tolerances) into the output directory.
@@ -28,7 +38,10 @@ import functools
 import hashlib
 import json
 import math
+import numbers
+import operator
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -36,7 +49,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -87,18 +99,133 @@ EXIT_CANTCREAT = 73
 # config loading and validation
 
 
+@functools.cache
 def _schema() -> dict:
+    """The scenario schema; the tests, not each process, check it against
+    its metaschema."""
     text = resources.files("quantex").joinpath(
         "schema/scenario.schema.json").read_text(encoding="utf-8")
     return json.loads(text)
 
 
-@functools.cache
-def _validator():
-    """The scenario schema's validator; the tests, not each process, check
-    the bundled schema against its metaschema."""
-    schema = _schema()
-    return jsonschema.validators.validator_for(schema)(schema)
+# the keywords ``_violations`` implements, and (first line) those that only
+# annotate or that ``if`` reads
+_KEYWORDS = {
+    "$schema", "$id", "title", "description", "$defs", "then",
+    "type", "properties", "required", "additionalProperties", "enum", "const",
+    "minimum", "exclusiveMinimum", "maximum", "pattern", "minProperties",
+    "minItems", "items", "$ref", "allOf", "if", "oneOf"}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum of"),
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+           "maximum": (operator.gt, "greater than the maximum of")}
+
+
+def _is_type(instance, name: str) -> bool:
+    """Draft 2020-12 types: a bool is no number, and 8.0 is an integer."""
+    if name not in ("number", "integer"):
+        return isinstance(instance, _TYPES[name])
+    if isinstance(instance, bool) or not isinstance(instance, numbers.Number):
+        return False
+    return (name == "number" or isinstance(instance, int)
+            or isinstance(instance, float) and instance.is_integer())
+
+
+def _equal(a, b) -> bool:
+    """JSON equality of scalars: ``True`` is not ``1``."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _names_branch(instance, branch: dict) -> bool:
+    """Whether ``instance`` holds every ``const`` property of the ``oneOf``
+    branch, as ``{"type": "hybrid", ...}`` names the hybrid branch."""
+    consts = [(key, sub["const"]) for key, sub in branch.get("properties", {}).items()
+              if "const" in sub]
+    return bool(consts) and isinstance(instance, dict) and all(
+        key in instance and _equal(instance[key], value) for key, value in consts)
+
+
+def _violations(instance, schema: dict, root: dict, path: tuple = ()):
+    """Yield ``(path, message)`` for each violation of ``schema`` (a part of
+    ``root``, which local ``$ref``s resolve in) by ``instance``, in schema
+    order (``validate_config`` reports the first), worded as jsonschema
+    words it under draft 2020-12.
+
+    It implements ``type``, ``properties``, ``required``,
+    ``additionalProperties: false``, ``enum``, ``const``, ``minimum``,
+    ``exclusiveMinimum``, ``maximum``, ``pattern``, ``minProperties``,
+    ``minItems``, ``items``, local ``$ref``, ``allOf``, ``if``/``then`` and
+    ``oneOf``, and raises NotImplementedError on a schema that holds any
+    other keyword (``$schema``, ``$id``, ``title``, ``description`` and
+    ``$defs`` annotate) rather than pass it.  A failing ``oneOf`` yields the
+    violations of the one branch whose ``const`` properties the instance
+    holds, if exactly one does, and "not valid under any" otherwise."""
+    unknown = set(schema) - _KEYWORDS
+    if unknown or schema.get("additionalProperties", False) is not False:
+        raise NotImplementedError(f"the scenario check implements no schema keyword "
+                                  f"{sorted(unknown) or 'additionalProperties'}")
+    is_object = isinstance(instance, dict)
+    for key, value in schema.items():
+        if key == "type" and not _is_type(instance, value):
+            yield path, f"{instance!r} is not of type {value!r}"
+        elif key == "properties" and is_object:
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _violations(instance[name], sub, root, path + (name,))
+        elif key == "required" and is_object:
+            for name in value:
+                if name not in instance:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and is_object:
+            known = schema.get("properties", {})
+            extras = sorted(name for name in instance if name not in known)
+            if extras:
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extras))} "
+                             f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif key == "enum" and not any(_equal(instance, each) for each in value):
+            yield path, f"{instance!r} is not one of {value!r}"
+        elif key == "const" and not _equal(instance, value):
+            yield path, f"{value!r} was expected"
+        elif key in _BOUNDS and _is_type(instance, "number"):
+            breaks, words = _BOUNDS[key]
+            if breaks(instance, value):
+                yield path, f"{instance!r} is {words} {value!r}"
+        elif (key == "pattern" and isinstance(instance, str)
+              and not re.search(value, instance)):
+            yield path, f"{instance!r} does not match {value!r}"
+        elif key == "minProperties" and is_object and len(instance) < value:
+            yield path, f"{instance!r} " + ("should be non-empty" if value == 1
+                                            else "does not have enough properties")
+        elif key == "minItems" and isinstance(instance, list) and len(instance) < value:
+            yield path, f"{instance!r} " + ("should be non-empty" if value == 1
+                                            else "is too short")
+        elif key == "items" and isinstance(instance, list):
+            for index, item in enumerate(instance):
+                yield from _violations(item, value, root, path + (index,))
+        elif key == "$ref":
+            if not value.startswith("#/"):
+                raise NotImplementedError(f"the scenario check resolves no $ref "
+                                          f"{value!r}")
+            target = functools.reduce(operator.getitem, value[2:].split("/"), root)
+            yield from _violations(instance, target, root, path)
+        elif key == "allOf":
+            for sub in value:
+                yield from _violations(instance, sub, root, path)
+        elif (key == "if" and "then" in schema
+              and next(_violations(instance, value, root, path), None) is None):
+            yield from _violations(instance, schema["then"], root, path)
+        elif key == "oneOf":
+            found = [list(_violations(instance, sub, root, path)) for sub in value]
+            valid = [sub for sub, errors in zip(value, found) if not errors]
+            named = [errors for sub, errors in zip(value, found)
+                     if _names_branch(instance, sub)]
+            if len(valid) > 1:
+                yield path, (f"{instance!r} is valid under each of "
+                             f"{', '.join(map(repr, valid[1:] + valid[:1]))}")
+            elif not valid:
+                yield from named[0] if len(named) == 1 else [
+                    (path, f"{instance!r} is not valid under any of the given schemas")]
 
 
 def bundled_scenarios() -> dict[str, str]:
@@ -216,10 +343,9 @@ def validate_config(cfg: dict) -> Scenario:
     axes of a scan or a golden-rule run."""
     for path in _non_finite(cfg):
         raise ConfigError(f"non-finite number at {list(path)}")
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"schema violation at {list(error.absolute_path)}: "
-                          f"{error.message}") from error
+    schema = _schema()
+    for path, message in _violations(cfg, schema, schema):
+        raise ConfigError(f"schema violation at {list(path)}: {message}")
 
     kind, outputs = cfg["kind"], _output_names(cfg)
     if "initial_state" in cfg and kind != "audit":

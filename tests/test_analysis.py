@@ -673,10 +673,28 @@ def test_quantized_scans_read_the_hop_lists_once_per_point(monkeypatch):
     assert not calls
     detuning_scan(model, cfg, np.linspace(-0.5, 0.5, 5))
     assert len(calls) == 5
-    # a time scan runs every readout time as a point of its own
+    # a time scan runs every readout time as a point of its own, each the
+    # model itself, whose hop lists it reads once
     time_scan(model, cfg, np.array([0.1, 1.0, 10.0]))
-    assert len(calls) == 8
+    assert len(calls) == 6
     assert not dense
+
+
+@pytest.mark.parametrize("params", [
+    BeamSplitterParams(nu=1.0, omega=1.0, g=0.001, field_cutoff=60, detector_cutoff=6,
+                       alpha=2.0),
+    JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4),
+], ids=["beam_splitter", "jaynes_cummings"])
+def test_a_quantized_time_scan_builds_its_model_once(monkeypatch, params):
+    cls = type(params)
+    family = next(f for f in ModelFamily if f.params_type is cls)
+    # the bundled time scan's 25 points; that each point gives the bits of
+    # its serial run is test_quantized_scan_points_equal_their_serial_runs's
+    calls, parts = [], cls.parts
+    monkeypatch.setattr(cls, "parts", lambda p: calls.append(p) or parts(p))
+    scan = time_scan(ModelSpec(family, params), EvolutionConfig(dt=0.5, t_max=10.0),
+                     np.geomspace(0.001, 10.0, 25))
+    assert calls == [params] and not any(scan.errors)
 
 
 _JC_ON = JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4)

@@ -1,0 +1,149 @@
+"""The scenario schema's own check in ``cli`` against jsonschema, the
+reference implementation of draft 2020-12 that the runtime no longer
+imports."""
+
+import copy
+import importlib.util
+import json
+import random
+from pathlib import Path
+
+import jsonschema
+import pytest
+
+from quantex import cli
+from quantex.cli import bundled_scenarios, validate_config
+from quantex.errors import ConfigError
+
+# a bool, 8.0 (an integer to JSON Schema), negatives, zeros, values past a
+# bound, strings off every pattern and enum, and the wrong containers
+_VALUES = ["x", "Bad name/", "", [], [0, -1], {}, None, True, False, 8.0, 8, -1,
+           -0.5, 0, 0.0, 1e200, "rk4", {"type": "fock", "levels": [0]}]
+_KEYS = ["colour", "target", "scale", "type", "p", "levels", "method", "csv"]
+# the keywords whose violations the sweep must reach
+_FAILING = {"type", "required", "additionalProperties", "enum", "minimum",
+            "exclusiveMinimum", "maximum", "pattern", "minProperties", "minItems",
+            "oneOf"}
+
+
+def _workload_configs() -> list[dict]:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [cfg for name in sorted(workloads.TEMPLATES)
+            for cfg in workloads.generate(name, 0)]
+
+
+def _nodes(value, path=()):
+    """(path, value) of every node below the root, depth first."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,), item
+        yield from _nodes(item, path + (key,))
+
+
+def _mutate(cfg: dict, rng: random.Random) -> dict:
+    """``cfg`` with one to three random edits: a key deleted, an unknown or
+    misplaced key added, a value swapped, or an object or array emptied."""
+    cfg = copy.deepcopy(cfg)
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        nodes = list(_nodes(cfg))
+        edit = rng.choice(("delete", "add", "swap", "swap", "empty"))
+        if edit == "add":
+            dicts = [cfg] + [node for _, node in nodes if isinstance(node, dict)]
+            rng.choice(dicts)[rng.choice(_KEYS)] = copy.deepcopy(rng.choice(_VALUES))
+            continue
+        if edit == "empty":
+            nodes = [node for node in nodes if isinstance(node[1], (dict, list))]
+        if not nodes:
+            continue
+        path, node = rng.choice(nodes)
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if edit == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif edit == "empty":
+            parent[path[-1]] = type(node)()
+        else:
+            parent[path[-1]] = copy.deepcopy(rng.choice(_VALUES))
+    return cfg
+
+
+def _cases(count: int, seed: int = 2030) -> list[dict]:
+    bases = [json.loads(text) for text in bundled_scenarios().values()]
+    bases += _workload_configs()
+    rng = random.Random(seed)
+    return bases + [_mutate(rng.choice(bases), rng) for _ in range(count)]
+
+
+def _check(cfg):
+    schema = cli._schema()
+    return [(list(path), message)
+            for path, message in cli._violations(cfg, schema, schema)]
+
+
+def test_the_check_agrees_with_jsonschema_on_seeded_mutations():
+    reference = jsonschema.Draft202012Validator(cli._schema())
+    cases = _cases(2400)
+    rejected = compared = 0
+    seen = set()
+    for cfg in cases:
+        errors = list(reference.iter_errors(cfg))
+        got = _check(cfg)
+        assert bool(got) == bool(errors), cfg
+        rejected += bool(errors)
+        seen |= {e.validator for error in errors for e in (error, *error.context)}
+        if any("oneOf" in error.absolute_schema_path for error in errors):
+            continue
+        # outside a oneOf, every violation, with its path and its words, in
+        # jsonschema's order, which is schema order; so the first one too
+        assert got == [(list(e.absolute_path), e.message) for e in errors], cfg
+        compared += len(errors) == 1
+    assert len(cases) > 2400 and rejected > 2000 and compared > 800
+    assert seen >= _FAILING
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "number", "multipleOf": 2},
+    {"properties": {"n": {"multipleOf": 2}}},
+    {"additionalProperties": {"type": "string"}},
+    {"$ref": "other.schema.json#/$defs/n"},
+    {"if": {"type": "number"}, "then": {"minimum": 0}, "else": {"type": "string"}},
+], ids=["multipleOf", "nested_multipleOf", "additionalProperties_schema",
+        "remote_ref", "else"])
+@pytest.mark.parametrize("instance", [{"n": 3}, {"n": 4}, 3, 4, "x"])
+def test_a_keyword_the_check_does_not_implement_raises(schema, instance):
+    # whether or not the instance would meet it: a keyword is never passed
+    # over as if it held
+    if "properties" in schema and not isinstance(instance, dict):
+        instance = {"n": instance}
+    with pytest.raises(NotImplementedError):
+        list(cli._violations(instance, schema, schema))
+
+
+def test_overlapping_one_of_branches_are_worded_as_jsonschema_words_them():
+    schema = {"oneOf": [{"type": "number"}, {"type": "integer"}, {"minimum": 0}]}
+    for instance in (-1.5, -2, 1.5, 2, "x"):
+        errors = list(jsonschema.Draft202012Validator(schema).iter_errors(instance))
+        got = [message for _, message in cli._violations(instance, schema, schema)]
+        assert got == [error.message for error in errors]
+
+
+@pytest.mark.parametrize("initial, message", [
+    ({"type": "fock", "levels": []}, "['initial_state', 'levels']: [] should be non-empty"),
+    ({"type": "hybrid", "x": 0.1}, "['initial_state']: 'p' is a required property"),
+    ({"type": "coherent", "alpha": 1.0},
+     "['initial_state']: {'type': 'coherent', 'alpha': 1.0} is not valid under any "
+     "of the given schemas"),
+], ids=["fock", "hybrid", "no_branch"])
+def test_a_failing_initial_state_reports_the_branch_its_type_names(initial, message):
+    # jsonschema's best match words the hybrid start "'fock' was expected"
+    # at ['initial_state', 'type']
+    cfg = json.loads(bundled_scenarios()["oscillator_backreaction_audit"])
+    cfg["initial_state"] = initial
+    with pytest.raises(ConfigError) as got:
+        validate_config(cfg)
+    assert str(got.value) == f"schema violation at {message}"
