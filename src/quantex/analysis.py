@@ -329,80 +329,130 @@ def run_point(model: ModelSpec, cfg: EvolutionConfig,
     return traj, traj.final_state().population(*default_target(model))
 
 
-def _failed(exc: Exception) -> tuple:
-    return math.nan, None, None, f"{type(exc).__name__}: {exc}"
+def _point(model: ModelSpec, axis_name: str, value: float, cfg: EvolutionConfig):
+    """The model and the horizon of the point ``value`` of an ``axis_name``
+    scan of ``model``: a detuning moves nu to omega + value and an
+    intensity sets the field (``ModelSpec.with_intensity``), both read out
+    at ``cfg.t_max``; a readout time runs ``model`` itself up to it."""
+    if axis_name == "detuning":
+        return model.with_nu(model.params.omega + value), cfg.t_max
+    if axis_name == "intensity":
+        return model.with_intensity(value), cfg.t_max
+    return model, float(value)
 
 
-def _run_points(model, cfg, vary, horizons):
-    """Evolve the points of a scan of ``model`` whose rules ``_scan_axis``
-    has checked, point i being the model ``vary(i)`` on the grid of
-    ``dynamics._steps`` up to ``horizons[i]``, every point guarded by the
-    scan's one config ``cfg``.  Returns per point the population of
-    ``default_target(model)``, the initial and final amplitudes and the
-    error tag (NaN, None, None, tag on a failed point).  A ValueError
-    raised while a point is built (a nu <= 0, a coherent tail past the
-    cutoff) tags that point, and a guard trip tags it with the error its
-    serial run raises.
+def _run_points(model: ModelSpec, cfg: EvolutionConfig, axes: dict) -> dict:
+    """Evolve every point of the scans ``axes`` ({axis name: values}) of
+    ``model``, whose rules ``_scan_axis`` has checked, as one batch:
+    point ``value`` of an axis is the model and horizon of ``_point``, on
+    the grid of ``dynamics._steps``, every point guarded by the scans'
+    one config ``cfg``.  Returns per axis, point by point, the population
+    of ``default_target(model)``, on the intensity axis the transition
+    gap (else NaN), and the error tag (NaN, NaN, tag on a failed point).
+    A ValueError raised while a point is built (a nu <= 0, a
+    coherent tail past the cutoff) tags that point, and a guard trip tags
+    it with the error its serial run raises.
 
     The points run as one batch of the kernel that also runs a single
     point, so each gives the bits of its own serial run.  Quantized points
     form one ``dynamics._evolve_blocks`` batch of their own diagonals and
     default states and the first point's hop list, which every point must
-    share (ValueError otherwise).  Prescribed-drive points differ only in
+    share (ValueError otherwise); a point's samples are freed once its
+    population and gap are read.  Prescribed-drive points differ only in
     the drive and the horizon, and step together in
     ``dynamics._evolve_driven_batch`` from ``model``'s h0, c and state.
+    The transition gap is the detector energy gained per absorbed
+    excitation between the first and the final state.
     """
-    p, results = model.params, [None] * len(horizons)
+    p, target = model.params, default_target(model)
+    if "intensity" in axes:
+        detector_free, levels = p.parts()[1], p.detector_levels()
+
+    def read(name, exc, first=None, final=None) -> tuple:
+        """The row of a point of axis ``name`` from its error or its first
+        and final amplitudes."""
+        if exc is not None:
+            return math.nan, math.nan, f"{type(exc).__name__}: {exc}"
+        prob = StateVector(p.space, final).population(*target)
+        if name != "intensity":
+            return prob, math.nan, None
+        de = _expect_diag(detector_free, final) - _expect_diag(detector_free, first)
+        dn = _expect_diag(levels, final) - _expect_diag(levels, first)
+        return prob, de / dn if dn != 0.0 else math.nan, None
+
+    results = {name: [None] * len(values) for name, values in axes.items()}
+    # the (axis, place) of each point that builds, and its model data and horizon
     index, points, built = [], [], None
-    for i in range(len(horizons)):
-        try:
-            point = vary(i)
-            if p.driven:
-                points.append((point.params.x0, point.params.nu))
-            elif point is built:
-                # a time scan's points are all the model itself: built once
-                points.append(points[-1])
-            else:
-                field, detector, hops = point.params.parts()
-                # built before the batch opens, so that its failure tags the point
-                points.append((field + detector, point.default_state, hops))
-                built = point
-        except ValueError as exc:
-            results[i] = _failed(exc)
-            continue
-        index.append(i)
+    for name, values in axes.items():
+        for i, value in enumerate(values):
+            try:
+                point, horizon = _point(model, name, value, cfg)
+                if p.driven:
+                    data = (point.params.x0, point.params.nu)
+                elif point is built:
+                    # a time scan's points are all the model itself: built once
+                    data = points[-1][0]
+                else:
+                    field, detector, hops = point.params.parts()
+                    # built before the batch opens, so that its failure tags the point
+                    data = (field + detector, point.default_state, hops)
+                    built = point
+            except ValueError as exc:
+                results[name][i] = read(name, exc)
+                continue
+            index.append((name, i))
+            points.append((data, horizon))
     if not index:
         return results
 
-    t_ends = [horizons[i] for i in index]
+    data, t_ends = zip(*points)
     if p.driven:
         psi0 = default_initial_state(model)
-        x0s, nus = zip(*points)
+        x0s, nus = zip(*data)
         finals, errors, _ = _dyn._evolve_driven_batch(
             *p.free_and_coupling(), psi0, x0s, nus, t_ends,
             [_dyn._steps(t, cfg.dt) for t in t_ends], cfg)
-        runs = ((psi0.amplitudes, final, exc) for final, exc in zip(finals, errors))
+        rows = (read(name, exc, psi0.amplitudes, final)
+                for (name, _), final, exc in zip(index, finals, errors))
     else:
-        diagonals, psi0s, hop_lists = zip(*points)
+        diagonals, psi0s, hop_lists = zip(*data)
         distinct = {id(hops): hops for hops in hop_lists}.values()
         if len({tuple(a.tobytes() for a in hops) for hops in distinct}) > 1:
             raise ValueError("the points of a quantized scan must share one hop list")
         blocks = _dyn._evolve_blocks(p.space, np.array(diagonals), hop_lists[0], psi0s,
                                      [_dyn._grid(t, cfg.dt) for t in t_ends], cfg)
-        # a copy of the two rows, so the point's samples are freed
-        runs = ((None, None, exc) if amps is None else (*amps[[0, -1]], exc)
-                for amps, _, exc in blocks)
-    target = default_target(model)
-    for i, (first, final, exc) in zip(index, runs):
-        results[i] = _failed(exc) if exc is not None else (
-            StateVector(p.space, final).population(*target), first, final, None)
+        rows = (read(name, exc, *([] if amps is None else amps[[0, -1]]))
+                for (name, _), (amps, _, exc) in zip(index, blocks))
+    for (name, i), row in zip(index, rows):
+        results[name][i] = row
     return results
 
 
-def _scan_result(axis_name, axis, results, model, fixed, aux=None) -> ScanResult:
-    return ScanResult(axis_name, axis, np.array([r[0] for r in results]),
-                      model.tag, fixed=fixed,
-                      errors=tuple(r[3] for r in results), aux=aux or {})
+def _coupling_of(model: ModelSpec) -> float:
+    p = model.params
+    return float(getattr(p, "g", getattr(p, "coupling", 0.0)))
+
+
+def _scans(model: ModelSpec, cfg: EvolutionConfig, axes: dict) -> dict:
+    """The ``ScanResult`` of each scan of ``axes`` ({axis name: values}) of
+    ``model``, in the order of ``axes``.  Every axis must pass
+    ``_scan_axis`` (ValueError before any point runs); then the points
+    of all the axes run as one batch (``_run_points``) and are split
+    into their axes.  ``cli`` runs a scenario's scans here, and
+    ``detuning_scan``, ``intensity_scan`` and ``time_scan`` are its
+    one-axis cases."""
+    axes = {name: _scan_axis(model, name, values) for name, values in axes.items()}
+    results = _run_points(model, cfg, axes)
+    fixed = {"omega": model.params.omega, "coupling": _coupling_of(model)}
+    scans = {}
+    for name, values in axes.items():
+        probs, gaps, errors = zip(*results[name])
+        scans[name] = ScanResult(
+            name, values, np.array(probs), model.tag,
+            fixed=fixed if name == "time" else {"t_max": cfg.t_max, **fixed},
+            errors=errors,
+            aux={"transition_gap": np.array(gaps)} if name == "intensity" else {})
+    return scans
 
 
 def detuning_scan(model: ModelSpec, cfg: EvolutionConfig, deltas) -> ScanResult:
@@ -414,18 +464,7 @@ def detuning_scan(model: ModelSpec, cfg: EvolutionConfig, deltas) -> ScanResult:
     points run as one batch under ``cfg`` (see ``_run_points``) from
     ``model``'s initial state, which ``ModelSpec.with_nu`` hands on.
     """
-    deltas = _scan_axis(model, "detuning", deltas)
-    omega = model.params.omega
-    results = _run_points(model, cfg, lambda i: model.with_nu(omega + deltas[i]),
-                          [cfg.t_max] * len(deltas))
-    return _scan_result("detuning", deltas, results, model,
-                        {"t_max": cfg.t_max, "omega": omega,
-                         "coupling": _coupling_of(model)})
-
-
-def _coupling_of(model: ModelSpec) -> float:
-    p = model.params
-    return float(getattr(p, "g", getattr(p, "coupling", 0.0)))
+    return _scans(model, cfg, {"detuning": deltas})["detuning"]
 
 
 def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities) -> ScanResult:
@@ -438,23 +477,7 @@ def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities) -> ScanR
     tail past the cutoff or a guard trip is tagged per point.  The points
     run as one batch under ``cfg`` (see ``_run_points``), each quantized
     point from its own initial state."""
-    intensities = _scan_axis(model, "intensity", intensities)
-    _, detector_free, _ = model.params.parts()
-    levels = model.params.detector_levels()
-    results = _run_points(model, cfg, lambda i: model.with_intensity(intensities[i]),
-                          [cfg.t_max] * len(intensities))
-    gaps = []
-    for _, a0, af, _ in results:
-        if a0 is None:
-            gaps.append(math.nan)
-            continue
-        de = _expect_diag(detector_free, af) - _expect_diag(detector_free, a0)
-        dn = _expect_diag(levels, af) - _expect_diag(levels, a0)
-        gaps.append(de / dn if dn != 0.0 else math.nan)
-    return _scan_result("intensity", intensities, results, model,
-                        {"t_max": cfg.t_max, "omega": model.params.omega,
-                         "coupling": _coupling_of(model)},
-                        aux={"transition_gap": np.array(gaps)})
+    return _scans(model, cfg, {"intensity": intensities})["intensity"]
 
 
 def time_scan(model: ModelSpec, cfg: EvolutionConfig, times) -> ScanResult:
@@ -467,10 +490,7 @@ def time_scan(model: ModelSpec, cfg: EvolutionConfig, times) -> ScanResult:
     ``_scan_axis`` raises ValueError before any point runs; a point that
     trips a guard is tagged with its run's error.
     """
-    times = _scan_axis(model, "time", times)
-    results = _run_points(model, cfg, lambda i: model, times.tolist())
-    return _scan_result("time", times, results, model,
-                        {"omega": model.params.omega, "coupling": _coupling_of(model)})
+    return _scans(model, cfg, {"time": times})["time"]
 
 
 def rabi_peak_scan(g: float, deltas) -> ScanResult:

@@ -15,9 +15,11 @@ Three propagators, each the one route of its model kind:
   through, scans included.  Only the drive shape y = sin(nu t) changes
   from step to step, so each distinct (step length, amplitude) gets one
   table ``F_j`` with ``exp(-i dt (h0 + x0 y c)) = sum_j y^j F_j`` from one
-  ``_taylor`` call on a block matrix; runs then step together in chunks,
-  each with one ``einsum`` contraction of every step's powers of y
-  against the tables and one guard pass;
+  ``_taylor`` call on a block matrix; runs then step together in chunks
+  of at most ``_DRIVE_CHUNK_BYTES`` (1 MiB) of propagators, each chunk
+  with one ``einsum`` contraction of the steps' powers of y against the
+  tables per term count of the live runs, and one guard pass.  A scan
+  scenario steps all the points of all its axes in one such batch;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
   values, advanced by a Strang split (exact classical half-flows around a
@@ -28,9 +30,10 @@ Taylor sum for ``exp(h g) v`` whose degree and substeps follow from a
 1-norm bound on h g, which ``_STEP_BOUND_MAX`` caps for every driven step.
 
 The kernels only propagate raw states.  One ``_guard`` pass over the
-stored raw states normalises them and measures their norm drift since
-t = 0 and top Fock levels; ``_trip_error`` names the earliest trip.  Each
-propagator hands its frozen amplitude array to its ``Trajectory`` uncopied.
+raw states measures their norms, norm drift since t = 0 and top Fock
+levels, and the states a kernel keeps are normalised by those norms;
+``_trip_error`` names the earliest trip.  Each propagator hands its
+frozen amplitude array to its ``Trajectory`` uncopied.
 
 The closed-form expressions at the bottom use a guarded ``sin(x)/x``
 branch below ``|detuning * t| < 1e-6`` where the removable singularity
@@ -206,9 +209,11 @@ def _boson_top_indices(space: SpaceDescriptor):
 
 def _guard(amp: np.ndarray, cfg: EvolutionConfig, top_slots):
     """Norm and top-level guards on one state ``(d,)`` or a stack ``(..., d)``:
-    per state, the renormalised amplitudes, the raw norm drift, the top-level
-    population of each ``top_slots`` factor (a list) and whether a guard
-    trips (a bool mask).  A non-finite norm counts as drift."""
+    per state, the raw norm, the raw norm drift, the top-level population
+    of each ``top_slots`` factor (a list) and whether a guard trips (a
+    bool mask).  A non-finite norm counts as drift.  A state is
+    normalised as ``amp / nrm[..., None]``, by the caller and only where
+    it needs the state."""
     probs = np.abs(amp) ** 2
     nrm_sq = probs.sum(axis=-1)
     nrm = np.sqrt(nrm_sq)
@@ -217,7 +222,7 @@ def _guard(amp: np.ndarray, cfg: EvolutionConfig, top_slots):
     tripped = ~(drift <= cfg.norm_drift_tol)
     for pop in pops:
         tripped = tripped | (pop > cfg.top_level_tol)
-    return amp / nrm[..., None], drift, pops, tripped
+    return nrm, drift, pops, tripped
 
 
 def _trip_error(drift, pops, tripped, t, cfg: EvolutionConfig, top_slots):
@@ -244,11 +249,11 @@ def _checked_state(amp: np.ndarray, t, cfg: EvolutionConfig,
     """``_guard`` that raises instead of reporting: on one state at time t,
     or on a stack of states at times t, where the earliest trip is raised
     (``_trip_error``).  Returns the renormalised amplitudes and raw drift."""
-    amp, drift, pops, tripped = _guard(amp, cfg, top_slots)
+    nrm, drift, pops, tripped = _guard(amp, cfg, top_slots)
     error = _trip_error(drift, pops, tripped, t, cfg, top_slots)
     if error is not None:
         raise error
-    return amp, drift
+    return amp / nrm[..., None], drift
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +367,10 @@ def _evolve_blocks(space: SpaceDescriptor, diagonals: np.ndarray, hops,
             phases = np.exp(-1j * w[u] * times[:, None, None])[..., None]
             amps[:, idx] = (v[u] @ (phases * coeffs))[..., 0]
         amps[times == 0] = psi0.amplitudes
-        amps, drift, pops, tripped = _guard(amps, cfg, top_slots)
+        nrm, drift, pops, tripped = _guard(amps, cfg, top_slots)
         error = _trip_error(drift, pops, tripped, times, cfg, top_slots)
+        if error is None:
+            amps /= nrm[:, None]
         yield (amps if error is None else None), float(drift.max(initial=0.0)), error
 
 
@@ -474,32 +481,56 @@ def _drive_table(h0, c, norms, dt: float, x0: float):
     return f.reshape(degree + 1, d, d)[::-1], substeps
 
 
-def _table_step(tables: np.ndarray, y: np.ndarray, substeps: np.ndarray) -> np.ndarray:
-    """The step propagators ``(K, L, d, d)`` of L runs at drive shapes
-    y = sin(nu t) ``(K, L)``, from the real views ``(L, J + 1, d, 2d)`` of
-    the runs' tables (shorter ones padded with zeros) and their substeps.
+def _step_groups(tables: np.ndarray, terms: np.ndarray, substeps: np.ndarray,
+                 keys: np.ndarray) -> list:
+    """The groups ``_table_step`` takes for runs that step through the
+    built tables ``keys``: one per stretch of consecutive runs whose
+    tables share a term count J + 1 and a substep count s, as
+    ``(columns, views, s)``, the columns a slice of the runs and the
+    views ``(L_g, J + 1, d, 2d)`` the real views of their tables,
+    gathered from the zero-padded stack ``tables`` and cut at J + 1, top
+    power first."""
+    cuts = np.flatnonzero((np.diff(terms[keys]) != 0) | (np.diff(substeps[keys]) != 0)) + 1
+    edges = [0, *cuts.tolist(), len(keys)]
+    return [(slice(a, b), np.ascontiguousarray(tables[keys[a:b], terms[keys[a]] - 1::-1]),
+             int(substeps[keys[a]]))
+            for a, b in zip(edges[:-1], edges[1:])]
 
-    The powers y^j ``(L, K, J + 1)`` are one product each, and the sum
-    ``u = sum_j y^j F_j`` is one ``np.einsum`` contraction over j, taken
-    from the top power down in numpy's own loops (no BLAS).  The runs with
-    s > 1 substeps then take u^s together, one ``np.linalg.matrix_power``
-    on the stack of their propagators per distinct s.  A padded zero table
-    adds exact zeros, and every operation acts on each run alone, so each
-    run gives the bits it gets alone.
+
+def _table_step(groups: list, y: np.ndarray) -> np.ndarray:
+    """The step propagators ``(K, L, d, d)`` of L runs at drive shapes
+    y = sin(nu t) ``(K, L)``, from the runs' tables in ``groups``
+    (``_step_groups``).
+
+    Per group, the powers y^j ``(L_g, K, J + 1)`` are one product each,
+    and the sum ``u = sum_j y^j F_j`` is one ``np.einsum`` contraction
+    over the group's own J + 1 terms, taken from the top power down in
+    numpy's own loops (no BLAS) and written into the group's columns of
+    u.  Powers and tables are held top power first: einsum runs a
+    reversed view's axis forward once it is handed its output, which
+    would sum from y^0 up and round differently.  A group with s > 1
+    substeps then takes u^s, one ``np.linalg.matrix_power`` on the stack
+    of its propagators.  Every operation acts on each run alone, so each
+    run gives the bits it gets alone, in any group and chunk.
     """
-    runs, terms = tables.shape[:2]
-    powers = np.empty((runs, len(y), terms))
-    powers[..., 0] = 1.0
-    for j in range(1, terms):
-        np.multiply(powers[..., j - 1], y.T, out=powers[..., j])
-    u = np.einsum("lkj,ljm->klm", powers[..., ::-1], tables.reshape(runs, terms, -1)[:, ::-1])
-    u = u.reshape(y.shape + tables.shape[-2:]).view(complex)
-    for s in np.unique(substeps[substeps > 1]):
-        u[:, substeps == s] = np.linalg.matrix_power(u[:, substeps == s], s)
+    dim = groups[0][1].shape[2]
+    u = np.empty(y.shape + (dim, dim), dtype=complex)
+    flat = u.view(float).reshape(y.shape + (-1,))
+    for columns, tables, substeps in groups:
+        runs, terms = tables.shape[:2]
+        powers = np.empty((runs, len(y), terms))
+        powers[..., -1] = 1.0
+        for j in range(terms - 2, -1, -1):
+            np.multiply(powers[..., j + 1], y[:, columns].T, out=powers[..., j])
+        np.einsum("lkj,ljm->klm", powers, tables.reshape(runs, terms, -1),
+                  out=flat[:, columns])
+        if substeps > 1:
+            u[:, columns] = np.linalg.matrix_power(u[:, columns], substeps)
     return u
 
 
-_DRIVE_CHUNK = 256      # propagators (runs x steps) that exist at once
+# the bytes of step propagators (runs x steps) that exist at once: 1024 at d = 8
+_DRIVE_CHUNK_BYTES = 1 << 20
 
 
 def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
@@ -518,15 +549,20 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     depends only on the run.  A run whose full step bound
     ``h (|h0|_1 + |x0| |c|_1)`` exceeds ``_STEP_BOUND_MAX``, the cap of the
     mean-field step, fails before its first step and builds no table.  The
-    live runs step together in chunks of ``max(1, _DRIVE_CHUNK // live)``
-    steps, so at most ``_DRIVE_CHUNK`` propagators exist at once whatever
-    the batch size.  Per chunk: the propagators of every (step, run) from
-    the tables at the steps' drive shapes (``_table_step``); a serial loop
-    of one batched matvec per step on the raw, never renormalised state;
-    one ``_guard`` pass over the chunk's raw states, in which each run
-    takes the earliest trip among the steps it actually takes
-    (``_trip_error`` on its column; steps past its end are masked out).  A
-    run leaves at the end of the chunk in which it finishes or trips.
+    live runs, ordered by their tables' term and substep counts, step
+    together in chunks of ``max(1, P // live)`` steps, where P
+    propagators fill ``_DRIVE_CHUNK_BYTES`` (1024 at d = 8), so at most P
+    propagators exist at once whatever the batch size: each chunk's
+    arrays are released before the next chunk builds.  Per chunk: the
+    propagators of every (step, run) from the tables at the steps' drive
+    shapes (``_table_step``, whose groups are gathered again only when the
+    live set changes); a serial loop of one batched matvec per step on
+    the raw, never renormalised state; one ``_guard`` pass over the
+    chunk's raw states, in which each run takes the earliest trip among
+    the steps it actually takes (``_trip_error`` on its column; steps past
+    its end are masked out).  Only the states that are stored or final are
+    normalised.  A run leaves at the end of the chunk in which it
+    finishes or trips.
 
     Returns the final amplitudes ``(B, d)`` (NaN rows for failed runs),
     the ToleranceError of each run (None where it passed) and the worst
@@ -541,6 +577,7 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     bounds = dts * norms[0] + dts * np.abs(x0s) * norms[1]
     top_slots = _boson_top_indices(psi0.space)
     n_runs, dim = len(n_steps), psi0.space.total_dim
+    per_chunk = max(1, _DRIVE_CHUNK_BYTES // (16 * dim * dim))
     final = np.full((n_runs, dim), np.nan, dtype=complex)
     errors = [None] * n_runs
 
@@ -562,40 +599,50 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     tables = np.zeros((len(built), terms.max(initial=1), dim, 2 * dim))
     for i, (f, _) in enumerate(built):
         tables[i, :len(f)] = f.view(float)
+    # runs that share a table's term and substep counts sit side by side
+    live = live[np.lexsort((substeps[key[live]], terms[key[live]]))]
 
     amp = np.repeat(psi0.amplitudes[None, :, None], live.size, axis=0)
-    lo = 0
-    while live.size:
-        n, dt, nu, kl = n_steps[live], dts[live], nus[live], key[live]
-        # step k of every live run as a (steps, 1) column against (runs,)
-        k = lo + np.arange(min(max(1, _DRIVE_CHUNK // live.size),
-                               n.max() - lo))[:, None]
-        t0 = k * dt
-        t1 = np.where(k == n - 1, t_ends[live], (k + 1) * dt)
-        y = np.sin(nu * (0.5 * (t0 + t1)))
-        u = _table_step(tables[kl, :terms[kl].max()], y, substeps[kl])
-        # states as (runs, d, 1) columns: a step is one stacked matvec
-        raw = np.empty((len(k), live.size, dim, 1), dtype=complex)
-        # steps past a guard trip or a run's end may overflow or turn NaN;
-        # the guard pass only judges the steps before both
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+    lo, groups = 0, None
+    # steps past a guard trip or a run's end may overflow or turn NaN;
+    # the guard pass only judges the steps before both
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        while live.size:
+            if groups is None:
+                n, dt, nu, t_end = n_steps[live], dts[live], nus[live], t_ends[live]
+                groups = _step_groups(tables, terms, substeps, key[live])
+            # step k of every live run as a (steps, 1) column against (runs,)
+            k = lo + np.arange(min(max(1, per_chunk // live.size), n.max() - lo))[:, None]
+            t0 = k * dt
+            t1 = np.where(k == n - 1, t_end, (k + 1) * dt)
+            u = _table_step(groups, np.sin(nu * (0.5 * (t0 + t1))))
+            # states as (runs, d, 1) columns: a step is one stacked matvec
+            raw = np.empty((len(k), live.size, dim, 1), dtype=complex)
             for j in range(len(k)):
                 amp = np.matmul(u[j], amp, out=raw[j])
-            normed, drift, pops, tripped = _guard(raw[..., 0], cfg, top_slots)
-        taken = k < n
-        worst[live] = np.maximum(worst[live], np.where(taken, drift, 0.0).max(axis=0))
-        hit = taken & tripped
-        failed = hit.any(axis=0)
-        for b in np.flatnonzero(failed):
-            errors[live[b]] = _trip_error(drift[:, b], [pop[:, b] for pop in pops],
-                                          hit[:, b], t1[:, b], cfg, top_slots)
-        done = ~failed & (n <= k[-1, 0] + 1)
-        final[live[done]] = normed[n[done] - 1 - lo, np.flatnonzero(done)]
-        if states is not None:
-            states[lo + 1:lo + 1 + len(k), live] = normed
-        keep = ~(done | failed)
-        live, amp = live[keep], amp[keep]
-        lo += len(k)
+            del u
+            raw = raw[..., 0]
+            nrm, drift, pops, tripped = _guard(raw, cfg, top_slots)
+            taken = k < n
+            worst[live] = np.maximum(worst[live], np.where(taken, drift, 0.0).max(axis=0))
+            hit = taken & tripped
+            failed = hit.any(axis=0)
+            for b in np.flatnonzero(failed):
+                errors[live[b]] = _trip_error(drift[:, b], [pop[:, b] for pop in pops],
+                                              hit[:, b], t1[:, b], cfg, top_slots)
+            finished = n <= k[-1, 0] + 1
+            done = np.flatnonzero(~failed & finished)
+            last = n[done] - 1 - lo
+            final[live[done]] = raw[last, done] / nrm[last, done, None]
+            if states is not None:
+                states[lo + 1:lo + 1 + len(k), live] = raw / nrm[..., None]
+            keep = ~(failed | finished)
+            if not keep.all():
+                live, groups = live[keep], None
+            # a copy of the last states, so that the chunk's arrays are freed
+            amp = amp[keep]
+            lo += len(k)
+            del raw, nrm, drift, pops, tripped, hit
     return final, errors, worst
 
 

@@ -48,7 +48,7 @@ from quantex import (
 from quantex import dynamics
 from quantex.analysis import run_point
 from kron_reference import beam_splitter, jaynes_cummings
-from test_dynamics import _dense_route, per_step_driven
+from test_dynamics import _chunk_of, _dense_route, per_step_driven
 
 
 def _bs_model(**overrides):
@@ -491,18 +491,21 @@ def test_batched_final_states_match_serial_on_every_scan_axis(make, method):
                           st.floats(0.05, 10.0), st.integers(1, 300)),
                 min_size=1, max_size=50))
 def test_batched_runs_match_per_step_reference_across_chunks(runs):
-    # runs of (nu, x0, t_end, n_steps): the chunk length shrinks with the
-    # number of live runs, so the step counts straddle chunk boundaries;
-    # at cutoff 4 the strong near-resonant drives trip the top-level guard
-    # at different steps, and the other runs keep going
+    # runs of (nu, x0, t_end, n_steps): the chunk length, 256 propagators
+    # over the number of live runs, shrinks with it, so the step counts
+    # straddle chunk boundaries; at cutoff 4 the strong near-resonant
+    # drives trip the top-level guard at different steps, and the other
+    # runs keep going
     make = lambda nu, x0: DrivenOscillatorParams(omega=1.0, nu=nu, coupling=0.05,
                                                  x0=x0, detector_cutoff=4)
     cfg = EvolutionConfig(dt=0.1, t_max=1.0, method=Method.MIDPOINT, top_level_tol=1e-5)
     base = make(1.0, 1.0)
     nus, x0s, t_ends, n_steps = zip(*runs)
-    finals, errors, _ = dynamics._evolve_driven_batch(
-        *base.free_and_coupling(), ground_state(base.space), x0s, nus, t_ends,
-        n_steps, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        _chunk_of(patch, base)
+        finals, errors, _ = dynamics._evolve_driven_batch(
+            *base.free_and_coupling(), ground_state(base.space), x0s, nus, t_ends,
+            n_steps, cfg)
     for (nu, x0, t_end, n), final, exc in zip(runs, finals, errors):
         run_cfg = replace(cfg, dt=t_end / n, t_max=t_end)
         assert run_cfg.n_steps == n
@@ -583,27 +586,36 @@ def _time_scan_cfgs(cfg, times):
 ], ids=["beam_splitter", "jaynes_cummings"])
 def test_quantized_scan_points_equal_their_serial_runs(model, cfg):
     # one batch shares the layout and the stacked eigh, never the
-    # arithmetic of one point, so each point gives its serial run's bits
-    from quantex.analysis import _run_points
+    # arithmetic of one point, so each point gives its serial run's bits,
+    # whether its axis runs alone or in one batch with the other axes
+    from quantex.analysis import _expect_diag, _run_points
     deltas = np.array([-0.5, -0.1, 0.0, 0.3, 0.5])
     times = cfg.t_max * np.array([0.001, 0.2, 0.57, 1.0])
-    axes = [(detuning_scan, deltas, lambda i: model.with_nu(1.0 + deltas[i]),
-             [cfg] * len(deltas)),
-            (time_scan, times, lambda i: model, _time_scan_cfgs(cfg, times))]
+    axes = {"detuning": (deltas, [model.with_nu(1.0 + d) for d in deltas],
+                         [cfg] * len(deltas)),
+            "time": (times, [model] * len(times), _time_scan_cfgs(cfg, times))}
     if model.params.intensity_field is not None:
         intensities = np.array([1.0, 2.0, 4.0])
-        axes.append((intensity_scan, intensities,
-                     lambda i: model.with_intensity(intensities[i]), [cfg] * 3))
-    for scan, axis, build, cfgs in axes:
-        points = [build(i) for i in range(len(cfgs))]
+        axes["intensity"] = (intensities, [model.with_intensity(i) for i in intensities],
+                             [cfg] * 3)
+    scans = {"detuning": detuning_scan, "intensity": intensity_scan, "time": time_scan}
+    together = _run_points(model, cfg, {name: axis for name, (axis, _, _) in axes.items()})
+    _, detector_free, _ = model.params.parts()
+    levels = model.params.detector_levels()
+    for name, (axis, points, cfgs) in axes.items():
         serial = [run_point(m, q, m.default_state) for m, q in zip(points, cfgs)]
-        assert scan(model, cfg, axis).probabilities.tolist() == [p for _, p in serial]
-        for (traj, prob), (p, first, final, error) in zip(serial,
-                                                          _run_points(model, cfg, build,
-                                                                      [q.t_max for q in cfgs])):
+        assert scans[name](model, cfg, axis).probabilities.tolist() == [p for _, p in serial]
+        alone = _run_points(model, cfg, {name: axis})[name]
+        assert repr(alone) == repr(together[name])
+        for (traj, prob), (p, gap, error) in zip(serial, alone):
             assert error is None and p == prob
-            assert np.array_equal(first, traj.amplitudes[0])
-            assert np.array_equal(final, traj.amplitudes[-1])
+            if name != "intensity":
+                assert math.isnan(gap)
+                continue
+            first, final = traj.amplitudes[[0, -1]]
+            de = _expect_diag(detector_free, final) - _expect_diag(detector_free, first)
+            dn = _expect_diag(levels, final) - _expect_diag(levels, first)
+            assert gap == de / dn
 
 
 def test_quantized_batch_tags_each_point_like_its_serial_run():
@@ -613,15 +625,11 @@ def test_quantized_batch_tags_each_point_like_its_serial_run():
     model = _bs_model(g=0.002, detector_cutoff=3)
     cfg = EvolutionConfig(dt=0.5, t_max=10.0)
     deltas = np.array([-1.0, -0.8, 0.0, 0.8])
-
-    def build(i):
-        return model.with_nu(1.0 + deltas[i])
-
     serial = []
-    for i in range(len(deltas)):
+    for delta in deltas:
         try:
-            m = build(i)
-            serial.append((None, run_point(m, cfg, m.default_state)[0].amplitudes[-1]))
+            m = model.with_nu(1.0 + delta)
+            serial.append((None, run_point(m, cfg, m.default_state)[1]))
         except (ToleranceError, ValueError) as exc:
             serial.append((f"{type(exc).__name__}: {exc}", None))
     assert serial[0][0] == "ValueError: nu must be > 0, got 0.0"
@@ -629,10 +637,10 @@ def test_quantized_batch_tags_each_point_like_its_serial_run():
     scan = detuning_scan(model, cfg, deltas)
     assert list(scan.errors) == [tag for tag, _ in serial]
     assert np.isnan(scan.probabilities[[0, 2]]).all()
-    batch = _run_points(model, cfg, build, [cfg.t_max] * len(deltas))
-    for (tag, final), (_, _, batch_final, batch_tag) in zip(serial, batch):
-        assert batch_tag == tag
-        assert (final is None and batch_final is None) or np.array_equal(final, batch_final)
+    batch = _run_points(model, cfg, {"detuning": deltas})["detuning"]
+    for (tag, prob), (batch_prob, gap, batch_tag) in zip(serial, batch):
+        assert batch_tag == tag and math.isnan(gap)
+        assert (prob is None and math.isnan(batch_prob)) or prob == batch_prob
 
 
 def test_quantized_scans_decompose_once_per_block_size(monkeypatch):

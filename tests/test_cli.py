@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import functools
 import json
 import math
@@ -11,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from quantex import cli
+from quantex import cli, dynamics
 from quantex.cli import (
     EXIT_CANTCREAT,
     EXIT_CONFIG,
@@ -425,6 +427,41 @@ def test_validate_and_the_scan_reject_a_scan_with_one_message(tmp_path, capsys, 
         scan(cli._build_model(cfg["model"]), EvolutionConfig(**evolution),
              cli._build_axis(cfg["scans"][axis], axis))
     assert err == f"invalid configuration: {exc.value}\n"
+
+
+@pytest.mark.parametrize("scenario, params", [
+    ("signatures_driven_oscillator", {"coupling": 0.1}),
+    ("signatures_beam_splitter", {"g": 0.05}),
+])
+def test_one_batch_of_every_axis_writes_what_each_axis_writes_alone(tmp_path, monkeypatch,
+                                                                    scenario, params):
+    # the stronger coupling makes the points near resonance trip the
+    # top-level guard, and a detuning of -omega puts a point at nu = 0,
+    # which validation refuses, so it joins the axes afterwards; both keep
+    # their tags, and the run's files, report included, are the bytes that
+    # running each axis on its own writes
+    cfg = load_config(scenario)
+    cfg["model"]["params"].update(params)
+    built = validate_config(cfg)
+    detuning = np.concatenate([[-built.model.params.omega], built.axes["detuning"]])
+    built = dataclasses.replace(built, axes={**built.axes, "detuning": detuning})
+    kernel = "_evolve_driven_batch" if built.model.params.driven else "_evolve_blocks"
+    calls, run = [], getattr(dynamics, kernel)
+    monkeypatch.setattr(dynamics, kernel, lambda *a, **kw: calls.append(1) or run(*a, **kw))
+    written = cli.run_scenario(built, tmp_path / "batch")
+    assert len(calls) == 1
+    scans = cli._scans
+    monkeypatch.setattr(cli, "_scans", lambda model, ev, axes: {
+        name: scans(model, ev, {name: values})[name] for name, values in axes.items()})
+    assert cli.run_scenario(built, tmp_path / "alone") == written
+    assert len(calls) == 4
+    for name in written:
+        assert (tmp_path / "batch" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+    with open(tmp_path / "batch" / "signatures_detuning.csv", newline="") as fh:
+        tags = [row["error"] for row in csv.DictReader(fh)]
+    assert tags[0] == "ValueError: nu must be > 0, got 0.0"
+    assert any(tag.startswith("ToleranceError: top Fock level") for tag in tags)
+    assert "" in tags
 
 
 def test_module_entrypoint_runs():

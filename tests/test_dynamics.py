@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -45,7 +46,6 @@ from quantex import (
 )
 from quantex import dynamics
 from quantex.dynamics import (
-    _DRIVE_CHUNK,
     _TAYLOR_REACH,
     _block_eigh,
     _boson_top_indices,
@@ -54,6 +54,7 @@ from quantex.dynamics import (
     _drive_table,
     _evolve_driven_batch,
     _real_form,
+    _step_groups,
     _table_step,
     _taylor,
     _taylor_plan,
@@ -346,12 +347,29 @@ _DRIVEN_PARAMS = [
                            detector_cutoff=8),
 ]
 
+# the propagators per chunk that the chunk-boundary tests are laid out for
+_CHUNK = 256
+
+
+def _chunk_of(monkeypatch, params, propagators=_CHUNK):
+    """Patch the driven kernel's chunk budget to ``propagators`` step
+    propagators of ``params``' dimension, as the trip tests patch bounds."""
+    dim = params.space.total_dim
+    monkeypatch.setattr(dynamics, "_DRIVE_CHUNK_BYTES", propagators * 16 * dim * dim)
+
+
+def _one_group(f, substeps):
+    """``_table_step``'s groups for one run of the table f."""
+    return _step_groups(f.view(float)[None], np.array([len(f)]), np.array([substeps]),
+                        np.array([0]))
+
 
 @pytest.mark.parametrize("method", [Method.MIDPOINT])
 @pytest.mark.parametrize("params", _DRIVEN_PARAMS, ids=["qubit", "oscillator"])
-def test_chunked_driven_matches_per_step_route(params, method):
+def test_chunked_driven_matches_per_step_route(monkeypatch, params, method):
     # two whole chunks and a partial one
-    n_steps = 2 * _DRIVE_CHUNK + 37
+    _chunk_of(monkeypatch, params)
+    n_steps = 2 * _CHUNK + 37
     cfg = EvolutionConfig(dt=0.01, t_max=0.01 * n_steps, method=method)
     assert cfg.n_steps == n_steps
     traj = evolve_driven(params, None, cfg)
@@ -398,18 +416,19 @@ def _trip_texts(params, cfg):
     return str(chunked.value), str(per_step.value)
 
 
-def test_chunked_driven_top_level_trip_in_a_later_chunk():
+def test_chunked_driven_top_level_trip_in_a_later_chunk(monkeypatch):
     p = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.2, x0=1.0,
                                detector_cutoff=5)
+    _chunk_of(monkeypatch, p)
     cfg = EvolutionConfig(dt=0.01, t_max=10.0, method=Method.MIDPOINT,
                           top_level_tol=0.5)
     ref, _ = per_step_driven(p, cfg)
     top = np.abs(ref[:, -1]) ** 2
     # a tolerance the top level first passes after two whole chunks, with
     # a margin far above rounding on both sides of the tripping step
-    tol = 0.5 * (top[:2 * _DRIVE_CHUNK + 1].max() + top.max())
+    tol = 0.5 * (top[:2 * _CHUNK + 1].max() + top.max())
     k = int(np.argmax(top > tol))
-    assert k > 2 * _DRIVE_CHUNK
+    assert k > 2 * _CHUNK
     assert top[k] > tol * (1 + 1e-6) and top[:k].max() < tol * (1 - 1e-6)
     chunked, per_step = _trip_texts(p, replace(cfg, top_level_tol=tol))
     assert chunked == per_step
@@ -438,14 +457,15 @@ def test_midpoint_norm_guard_trips_below_rounding_drift(params):
 
 
 @pytest.mark.parametrize("params", _DRIVEN_PARAMS, ids=["qubit", "oscillator"])
-def test_driven_states_are_the_raw_product_normalised_once(params):
+def test_driven_states_are_the_raw_product_normalised_once(monkeypatch, params):
     # the kernel only multiplies: its stored states are the product of the
     # run's own step propagators, never renormalised on the way, each
     # normalised once, and max_norm_drift is that product's worst raw
     # norm deviation.  A chunk and a partial one, with the propagators
     # built from the run's step table as the kernel builds them (a
     # propagator gets the same bits in any stack)
-    n = _DRIVE_CHUNK + 44
+    _chunk_of(monkeypatch, params)
+    n = _CHUNK + 44
     cfg = EvolutionConfig(dt=0.01, t_max=0.01 * n, method=Method.MIDPOINT)
     traj = evolve_driven(params, None, cfg)
     h0, c = params.free_and_coupling()
@@ -456,7 +476,7 @@ def test_driven_states_are_the_raw_product_normalised_once(params):
     t1 = np.where(k == n - 1, cfg.t_max, (k + 1) * dt)
     y = np.sin(params.nu * (0.5 * (t0 + t1)))
     f, substeps = _drive_table(h0, c, norms, dt[0], params.x0)
-    u = _table_step(f.view(float)[None], y, np.array([substeps]))
+    u = _table_step(_one_group(f, substeps), y)
     raw = [params.default_initial_state().amplitudes[None, :, None]]
     for j in range(n):
         raw.append(np.matmul(u[j], raw[-1]))
@@ -1251,7 +1271,7 @@ def test_drive_table_matches_expm(step):
     degree, substeps = _taylor_plan(dt * x0 * norms[1])
     f, table_substeps = _drive_table(h0, c, norms, dt, x0)
     assert f.shape == (degree + 1,) + h0.shape and table_substeps == substeps
-    u = _table_step(f.view(float)[None], np.array([[y]]), np.array([substeps]))
+    u = _table_step(_one_group(f, substeps), np.array([[y]]))
     x = x0 * y
     parts = dt * (norms[0] + abs(x) * norms[1])
     npt.assert_allclose(u[0, 0], expm(-1j * (h0 + x * c) * dt), rtol=0,
@@ -1261,39 +1281,99 @@ def test_drive_table_matches_expm(step):
 def test_table_step_gives_a_run_the_bits_it_gets_alone():
     # one run's propagators do not depend on the chunk they are built in:
     # steps per chunk K, batch size L, the run's place in the batch and
-    # zero padding up to a higher-degree table all leave them bit for bit
-    # as the run's own table gives them alone.  Tables of 6, 11, 17 and 26
-    # terms, the last with 2 substeps
+    # the groups of other term counts around it all leave them bit for
+    # bit as the run's own table gives them alone.  Tables of 6, 11, 17
+    # and 26 terms, the last with 2 substeps, in a stack padded with zeros
+    # to 26 terms, as the kernel holds them
     h0, c = _DRIVEN_PARAMS[1].free_and_coupling()
     norms = [_norm_1(m) for m in (h0, c)]
     built = [_drive_table(h0, c, norms, dt, x0)
              for dt, x0 in ((0.01, 1.0), (0.1, 5.0), (0.3, 10.0), (0.5, 40.0))]
-    assert [len(f) for f, _ in built] == [6, 11, 17, 26] and built[-1][1] == 2
-    top = len(built[-1][0])
+    terms = np.array([len(f) for f, _ in built])
+    substeps = np.array([s for _, s in built])
+    assert terms.tolist() == [6, 11, 17, 26] and substeps.tolist() == [1, 1, 1, 2]
+    stack = np.zeros((len(built), terms.max(), len(h0), 2 * len(h0)))
+    for i, (f, _) in enumerate(built):
+        stack[i, :len(f)] = f.view(float)
     rng = np.random.default_rng(7)
     y = rng.uniform(-1.0, 1.0, 256)
 
-    def step(members, steps, pad):
-        """The first ``steps`` propagators of the middle run of a batch whose
-        runs take the tables ``members``, padded to ``pad`` terms; the
-        middle run steps through y, the others through random shapes."""
-        tables = np.zeros((len(members), pad, len(h0), 2 * len(h0)))
-        for i, r in enumerate(members):
-            tables[i, :len(built[r][0])] = built[r][0].view(float)
+    def step(members, steps, at):
+        """The first ``steps`` propagators of run ``at`` of a batch whose
+        runs take the tables ``members``; run ``at`` steps through y, the
+        others through random shapes."""
         shapes = rng.uniform(-1.0, 1.0, (steps, len(members)))
-        shapes[:, len(members) // 2] = y[:steps]
-        substeps = np.array([built[r][1] for r in members])
-        return _table_step(tables, shapes, substeps)[:, len(members) // 2]
+        shapes[:, at] = y[:steps]
+        groups = _step_groups(stack, terms, substeps, np.array(members))
+        return _table_step(groups, shapes)[:, at]
 
-    for r, (f, _) in enumerate(built):
-        alone = step([r], len(y), len(f))
+    for r, (f, s) in enumerate(built):
+        alone = _table_step(_one_group(f, s), y[:, None])[:, 0]
         for steps in (1, 5, 37, 256):
             for runs in (1, 3, 41):
                 same = [r] * runs
                 mixed = [(r + i - runs // 2) % len(built) for i in range(runs)]
-                for members, pad in ((same, len(f)), (mixed, top)):
-                    u = step(members, steps, pad)
-                    assert u.tobytes() == alone[:steps].tobytes(), (r, steps, runs, pad)
+                for members, at in ((same, runs // 2), (mixed, runs // 2),
+                                    (sorted(mixed), sorted(mixed).index(r))):
+                    u = step(members, steps, at)
+                    assert u.tobytes() == alone[:steps].tobytes(), (r, steps, members)
+
+
+def test_a_mixed_degree_batch_contracts_each_run_at_its_own_term_count(monkeypatch):
+    # runs whose tables hold 5, 7 and 9 terms, interleaved in the batch:
+    # the live runs are ordered by term count, each chunk makes one einsum
+    # per count over exactly the runs of that count, so no run pays for a
+    # higher-degree run's zero terms, and each run keeps the bits it gets
+    # alone
+    p = _DRIVEN_PARAMS[1]
+    h0, c = p.free_and_coupling()
+    x0s = [0.1, 1.0, 3.0, 1.0, 0.1, 3.0, 0.1]
+    t_end, n = 5.0, 100
+    norm_c = _norm_1(c)
+    counts = [_taylor_plan(t_end / n * x0 * norm_c)[0] + 1 for x0 in x0s]
+    assert counts == [5, 7, 9, 7, 5, 9, 5]
+    _chunk_of(monkeypatch, p, 35)       # 5 steps of the 7 runs per chunk
+    calls, einsum = [], np.einsum
+
+    def counting_einsum(subscripts, powers, tables, **kwargs):
+        assert powers.shape[-1] == tables.shape[1]
+        calls.append((len(tables), tables.shape[1]))
+        return einsum(subscripts, powers, tables, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    cfg = EvolutionConfig(dt=t_end / n, t_max=t_end, method=Method.MIDPOINT)
+    psi0 = ground_state(p.space)
+    finals, errors, _ = _evolve_driven_batch(h0, c, psi0, x0s, [p.nu] * len(x0s),
+                                             [t_end] * len(x0s), [n] * len(x0s), cfg)
+    assert errors == [None] * len(x0s)
+    assert sorted(calls) == sorted([(3, 5), (2, 7), (2, 9)] * (n // 5))
+    for x0, final in zip(x0s, finals):
+        alone, _, _ = _evolve_driven_batch(h0, c, psi0, [x0], [p.nu], [t_end], [n], cfg)
+        assert alone[0].tobytes() == final.tobytes()
+
+
+def test_the_driven_batch_holds_one_chunk_of_propagators_at_a_time():
+    # the bundled driven signatures' 75 runs, all of 4000 steps, at d = 8,
+    # with no stored states: each chunk's arrays are freed before the next
+    # chunk builds, so the traced peak, one chunk's propagators plus the
+    # tables, the states and the guard pass, stays below two chunks'
+    p = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.001, x0=1.0,
+                               detector_cutoff=8)
+    h0, c = p.free_and_coupling()
+    assert len(h0) == 8
+    nus = np.concatenate([1.0 + np.linspace(-0.9, 0.9, 41), np.ones(34)])
+    x0s = np.concatenate([np.ones(41), np.sqrt(np.geomspace(1.0, 16.0, 34))])
+    cfg = EvolutionConfig(dt=0.005, t_max=20.0, method=Method.MIDPOINT)
+    psi0 = ground_state(p.space)
+    tracemalloc.start()
+    try:
+        _, errors, _ = _evolve_driven_batch(h0, c, psi0, x0s, nus, [20.0] * 75,
+                                            [4000] * 75, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errors == [None] * 75
+    assert peak < 2 * dynamics._DRIVE_CHUNK_BYTES, peak
 
 
 def test_drive_table_is_planned_from_its_own_amplitude(monkeypatch):
@@ -1322,6 +1402,7 @@ def test_driven_batch_builds_one_table_per_distinct_step(monkeypatch):
     # distinct (step, amplitude) builds one table, and every run keeps the
     # bits it gets alone
     p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.3, x0=1.0)
+    _chunk_of(monkeypatch, p)
     h0, c = p.free_and_coupling()
     runs = [(0.9, 1.0, 6.0), (1.1, 1.0, 6.0), (0.9, 1.5, 6.0), (0.9, 50.0, 6.0),
             (0.9, 2000.0, 6.0), (0.9, 1.0, 5.0)]
