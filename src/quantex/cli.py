@@ -7,10 +7,10 @@ config against it without jsonschema: it implements the draft 2020-12
 keywords the schema uses (``type``, ``properties``, ``required``,
 ``additionalProperties: false``, ``enum``, ``const``, ``minimum``,
 ``exclusiveMinimum``, ``maximum``, ``pattern``, ``minProperties``,
-``minItems``, ``items``, local ``$ref``, ``allOf``, ``if``/``then``,
-``oneOf``), raises NotImplementedError on any other, and words each
-violation as jsonschema does; a config that breaks several rules is
-reported at the first violation in schema order.
+``minItems``, ``items``, local ``$ref``, ``allOf``, ``if``/``then``),
+raises NotImplementedError on any other, and words each violation as
+jsonschema does; a config that breaks several rules is reported at the
+first violation in schema order.
 
 An audit starts from its ``fock`` or ``hybrid`` ``initial_state``, else
 from its model's default state.  A run holds ``EvolutionConfig``'s guard
@@ -64,8 +64,6 @@ from .analysis import (
     scan_to_csv,
     signature_report,
 )
-# the benchmark's tracer wraps these names in cli (see _run_scans)
-from .analysis import detuning_scan, intensity_scan, time_scan  # noqa: F401
 from .constants import DEFAULT_CONSTANTS
 from .dynamics import (
     EvolutionConfig,
@@ -111,10 +109,10 @@ def _schema() -> dict:
 # the keywords ``_violations`` implements, and (first line) those that only
 # annotate or that ``if`` reads
 _KEYWORDS = {
-    "$schema", "$id", "title", "description", "$defs", "then",
+    "$schema", "$id", "title", "$defs", "then",
     "type", "properties", "required", "additionalProperties", "enum", "const",
     "minimum", "exclusiveMinimum", "maximum", "pattern", "minProperties",
-    "minItems", "items", "$ref", "allOf", "if", "oneOf"}
+    "minItems", "items", "$ref", "allOf", "if"}
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
 _BOUNDS = {"minimum": (operator.lt, "less than the minimum of"),
            "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
@@ -136,15 +134,6 @@ def _equal(a, b) -> bool:
     return a == b and isinstance(a, bool) == isinstance(b, bool)
 
 
-def _names_branch(instance, branch: dict) -> bool:
-    """Whether ``instance`` holds every ``const`` property of the ``oneOf``
-    branch, as ``{"type": "hybrid", ...}`` names the hybrid branch."""
-    consts = [(key, sub["const"]) for key, sub in branch.get("properties", {}).items()
-              if "const" in sub]
-    return bool(consts) and isinstance(instance, dict) and all(
-        key in instance and _equal(instance[key], value) for key, value in consts)
-
-
 def _violations(instance, schema: dict, root: dict, path: tuple = ()):
     """Yield ``(path, message)`` for each violation of ``schema`` (a part of
     ``root``, which local ``$ref``s resolve in) by ``instance``, in schema
@@ -154,12 +143,10 @@ def _violations(instance, schema: dict, root: dict, path: tuple = ()):
     It implements ``type``, ``properties``, ``required``,
     ``additionalProperties: false``, ``enum``, ``const``, ``minimum``,
     ``exclusiveMinimum``, ``maximum``, ``pattern``, ``minProperties``,
-    ``minItems``, ``items``, local ``$ref``, ``allOf``, ``if``/``then`` and
-    ``oneOf``, and raises NotImplementedError on a schema that holds any
-    other keyword (``$schema``, ``$id``, ``title``, ``description`` and
-    ``$defs`` annotate) rather than pass it.  A failing ``oneOf`` yields the
-    violations of the one branch whose ``const`` properties the instance
-    holds, if exactly one does, and "not valid under any" otherwise."""
+    ``minItems``, ``items``, local ``$ref``, ``allOf`` and ``if``/``then``,
+    and raises NotImplementedError on a schema that holds any other keyword
+    (``$schema``, ``$id``, ``title`` and ``$defs`` annotate) rather than
+    pass it."""
     unknown = set(schema) - _KEYWORDS
     if unknown or schema.get("additionalProperties", False) is not False:
         raise NotImplementedError(f"the scenario check implements no schema keyword "
@@ -215,17 +202,6 @@ def _violations(instance, schema: dict, root: dict, path: tuple = ()):
         elif (key == "if" and "then" in schema
               and next(_violations(instance, value, root, path), None) is None):
             yield from _violations(instance, schema["then"], root, path)
-        elif key == "oneOf":
-            found = [list(_violations(instance, sub, root, path)) for sub in value]
-            valid = [sub for sub, errors in zip(value, found) if not errors]
-            named = [errors for sub, errors in zip(value, found)
-                     if _names_branch(instance, sub)]
-            if len(valid) > 1:
-                yield path, (f"{instance!r} is valid under each of "
-                             f"{', '.join(map(repr, valid[1:] + valid[:1]))}")
-            elif not valid:
-                yield from named[0] if len(named) == 1 else [
-                    (path, f"{instance!r} is not valid under any of the given schemas")]
 
 
 def bundled_scenarios() -> dict[str, str]:
@@ -449,9 +425,6 @@ def _run_audit(scenario: Scenario) -> dict:
 def _run_scans(scenario: Scenario) -> dict:
     """A CSV per axis and the report, which only signatures runs name.
     Every point of every axis runs in one batch (``analysis._scans``)."""
-    # cli no longer calls detuning_scan, intensity_scan and time_scan, so the
-    # benchmark tracer's spans around them read 0 until it times _scans
-    # instead (ROADMAP item 8)
     scans = _scans(scenario.model, scenario.evolution, scenario.axes)
     return {**{axis: functools.partial(scan_to_csv, scan) for axis, scan in scans.items()},
             "json": _json(lambda: signature_report(*scans.values()).to_dict())}

@@ -98,7 +98,7 @@ def _schema_options(schema):
         values.update(f"{'.'.join(path)}={v}" for v in offered)
         for name, sub in props.items():
             walk(sub, path + (name,))
-        for sub in node.get("allOf", []) + node.get("oneOf", []):
+        for sub in node.get("allOf", []):
             walk(sub, path)
         if "then" in node:
             walk(node["then"], path)

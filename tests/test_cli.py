@@ -724,6 +724,26 @@ def test_a_retired_option_exits_2_without_artifacts(tmp_path, capsys, scenario, 
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("scenario, keys, name", [
+    ("jc_vacuum_exchange", ("scenario",), "rabi\n"),
+    ("rabi_golden_rule", ("output", "csv"), "peak.csv\n"),
+    ("signatures_driven_oscillator", ("output", "csv_prefix"), "scan\n"),
+], ids=["scenario", "filename", "csv_prefix"])
+def test_a_name_that_ends_in_a_newline_exits_2_without_artifacts(tmp_path, capsys,
+                                                                 monkeypatch, scenario,
+                                                                 keys, name):
+    # Python's ``$`` also matches just before a final newline; a run would
+    # name its output directory or a file with the newline in it
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(_set(keys, name)(bundled_scenarios()[scenario]))
+    for args in (["validate", str(path)], ["run", str(path)]):
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"schema violation at {list(keys)}: {name!r} does not match" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_every_bundled_manifest_records_the_guard_tolerances(tmp_path):
     for name, text in bundled_scenarios().items():
         kind = json.loads(text)["kind"]
