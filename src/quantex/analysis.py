@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -265,15 +265,15 @@ class ScanResult:
     probabilities: np.ndarray
     model_tag: str
     fixed: dict
-    errors: tuple = ()
-    aux: dict = field(default_factory=dict)
+    errors: tuple
+    aux: dict
 
     def __post_init__(self):
         axis, probs = _readonly(self.axis, float), _readonly(self.probabilities, float)
         if len(axis) != len(probs):
             raise ValueError("axis and probability lengths differ")
         _check_monotone(axis)
-        errors = tuple(self.errors) if self.errors else tuple([None] * len(axis))
+        errors = tuple(self.errors)
         if len(errors) != len(axis):
             raise ValueError("error tags must match axis length")
         object.__setattr__(self, "axis", axis)
@@ -295,7 +295,9 @@ def _scan_axis(model: ModelSpec, axis_name: str, values) -> np.ndarray:
     model, an intensity field for an intensity scan, finite detunings and
     finite, positive intensities and readout times, and a strictly
     monotone axis, as ``ScanResult`` demands.  The scans and
-    ``cli.validate_config`` read the rules here alone."""
+    ``cli.validate_config`` read these rules here; ``validate_config``
+    also refuses a detuning axis that reaches nu <= 0, whose points a
+    scan would tag one by one."""
     if model.back_reaction:
         raise ValueError("scans drive the prescribed or quantized models only")
     values = np.asarray(values, dtype=float)
@@ -505,7 +507,7 @@ def rabi_peak_scan(g: float, deltas) -> ScanResult:
     golden = np.array([(g / d) ** 2 if d != 0 else math.nan for d in deltas])
     return ScanResult("detuning", deltas, peaks, "two_level_closed_form",
                       fixed={"coupling": g, "omega": math.nan, "t_max": math.nan},
-                      aux={"golden_rule_peak": golden})
+                      errors=(None,) * len(deltas), aux={"golden_rule_peak": golden})
 
 
 # ---------------------------------------------------------------------------

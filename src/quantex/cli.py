@@ -12,11 +12,12 @@ raises NotImplementedError on any other, and words each violation as
 jsonschema does; a config that breaks several rules is reported at the
 first violation in schema order.
 
-An audit starts from its ``fock`` or ``hybrid`` ``initial_state``, else
-from its model's default state.  A run holds ``EvolutionConfig``'s guard
-tolerances, which no config sets, and writes CSV/JSON artifacts plus
-``manifest.json`` (config hash, constants-table version and hash,
-tolerances) into the output directory.
+A kind reads only the blocks ``_KINDS`` names for it; a config holding
+any other exits 2.  An audit starts from its ``fock`` or ``hybrid``
+``initial_state``, else from its model's default state.  A run holds
+``EvolutionConfig``'s fixed guard bounds, which no config sets, and
+writes CSV/JSON artifacts plus ``manifest.json`` (config hash,
+constants-table version and hash, guard bounds) into the output directory.
 Every file of a run is written into a staging directory beside the output
 directory and moved in only once all of them are written, so a failed run
 leaves no partial artifacts.
@@ -260,26 +261,28 @@ class Scenario:
     evolution: EvolutionConfig | None
     # an audit's starting state
     initial: StateVector | HybridState | None
-    # axis name -> values of each scan a scan, signatures or golden-rule run makes
+    # axis name -> values of each axis that a run but an audit scans or tabulates
     axes: dict[str, np.ndarray]
 
 
 _SIGNATURE_AXES = ("detuning", "intensity", "time")
 
-# the output keys each kind names its files from
-_OUTPUT_KEYS = {"audit": ("csv", "json"), "scan": ("csv",),
-                "signatures": ("csv_prefix", "json"),
-                "golden_rule": ("csv", "json"), "constants": ("csv", "json")}
+# the blocks each kind reads and the output keys it names its files from
+_KINDS = {"audit": (("model", "evolution", "initial_state"), ("csv", "json")),
+          "scan": (("model", "evolution", "scan"), ("csv",)),
+          "signatures": (("model", "evolution", "scans"), ("csv_prefix", "json")),
+          "golden_rule": (("golden_rule",), ("csv", "json")),
+          "constants": (("gravito",), ("csv", "json"))}
 
 
 def _output_names(cfg: dict) -> dict[str, str]:
     """Output key -> file name of each artifact but the manifest; a scan's
     CSV is keyed by its axis, as each CSV of a signatures run is."""
     kind, names = cfg["kind"], dict(cfg["output"])
-    unknown = [key for key in names if key not in _OUTPUT_KEYS[kind]]
+    unknown = [key for key in names if key not in _KINDS[kind][1]]
     if unknown:
         raise ConfigError(f"{kind} scenarios write no output {', '.join(unknown)}; "
-                          f"they take {' and '.join(_OUTPUT_KEYS[kind])}")
+                          f"they take {' and '.join(_KINDS[kind][1])}")
     if kind == "scan":
         names = {cfg["scan"]["axis"]: names["csv"]}
     elif kind == "signatures":
@@ -313,21 +316,24 @@ def _build_axis(block: dict, name: str) -> np.ndarray:
 
 def validate_config(cfg: dict) -> Scenario:
     """Schema plus physics-domain validation; runs nothing.  Every number
-    must be finite.  The returned scenario, built once and frozen, holds
-    all that its runner reads but a constants block: the output names,
-    the model, the evolution config, an audit's initial state and the
-    axes of a scan or a golden-rule run."""
+    must be finite, and every block one its kind reads.  The returned
+    scenario, built once and frozen, holds all that its runner reads but
+    a constants block's parameters: the output names, the model, the
+    evolution config, an audit's initial state and every axis."""
     for path in _non_finite(cfg):
         raise ConfigError(f"non-finite number at {list(path)}")
     schema = _schema()
     for path, message in _violations(cfg, schema, schema):
         raise ConfigError(f"schema violation at {list(path)}: {message}")
 
-    kind, outputs = cfg["kind"], _output_names(cfg)
-    if "initial_state" in cfg and kind != "audit":
-        raise ConfigError("initial_state applies to audit scenarios only")
+    kind, reads = cfg["kind"], _KINDS[cfg["kind"]][0]
+    stray = sorted(set(cfg) - {"scenario", "description", "kind", "output", *reads})
+    if stray:
+        raise ConfigError(f"{kind} scenarios read no block {', '.join(stray)}; "
+                          f"they read {', '.join(reads)}")
+    outputs = _output_names(cfg)
     model = evolution = initial = None
-    axes = {}
+    axes, where = {}, [reads[0]]        # the block a MemoryError names
     try:
         if "model" in cfg:
             model = _build_model(cfg["model"])
@@ -338,14 +344,30 @@ def validate_config(cfg: dict) -> Scenario:
         if kind == "audit":
             initial = _initial_state(cfg.get("initial_state"), model)
         elif kind in ("scan", "signatures"):
-            blocks = ({cfg["scan"]["axis"]: cfg["scan"]} if kind == "scan"
-                      else {axis: cfg["scans"][axis] for axis in _SIGNATURE_AXES})
-            axes = {name: _scan_axis(model, name, _build_axis(block, name))
-                    for name, block in blocks.items()}
+            paths = ({cfg["scan"]["axis"]: ["scan"]} if kind == "scan"
+                     else {axis: ["scans", axis] for axis in _SIGNATURE_AXES})
+            for name, where in paths.items():
+                block = functools.reduce(operator.getitem, where, cfg)
+                axes[name] = _scan_axis(model, name, _build_axis(block, name))
             # a scan tags a point at nu <= 0; a config may not plan one
             if np.min(axes.get("detuning", np.inf)) + model.params.omega <= 0:
                 raise ConfigError("detuning scan would push the field frequency "
                                   "to zero or below")
+        elif kind == "golden_rule":
+            block = cfg["golden_rule"]
+            with np.errstate(over="ignore"):
+                axes["detuning"] = deltas = block["g"] * np.geomspace(
+                    block["ratio_min"], block["ratio_max"], block["points"])
+            if not (np.isfinite(deltas[-1]) and np.all(np.diff(deltas) > 0)):
+                raise ConfigError("golden_rule needs finite detunings g * ratio that "
+                                  "rise strictly from ratio_min to ratio_max")
+        elif kind == "constants":
+            g = cfg["gravito"]
+            if g["points"] > 1 and g["nu_stop"] == g["nu_start"]:
+                raise ConfigError("constants grid needs distinct nu bounds")
+            axes["nu"] = np.linspace(g["nu_start"], g["nu_stop"], g["points"])
+    except MemoryError as exc:
+        raise ConfigError(f"the block at {where} cannot be allocated: {exc}") from exc
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -353,19 +375,6 @@ def validate_config(cfg: dict) -> Scenario:
         (method,) = allowed_methods(model)
         if evolution.method is not method:
             raise ConfigError(f"{model.tag} models evolve with method {method.value}")
-
-    if kind == "golden_rule":
-        block = cfg["golden_rule"]
-        with np.errstate(over="ignore"):
-            axes["detuning"] = deltas = block["g"] * np.geomspace(
-                block["ratio_min"], block["ratio_max"], block["points"])
-        if not (np.isfinite(deltas[-1]) and np.all(np.diff(deltas) > 0)):
-            raise ConfigError("golden_rule needs finite detunings g * ratio that rise "
-                              "strictly from ratio_min to ratio_max")
-    elif kind == "constants":
-        g = cfg["gravito"]
-        if g["points"] > 1 and g["nu_stop"] == g["nu_start"]:
-            raise ConfigError("constants grid needs distinct nu bounds")
     return Scenario(cfg["scenario"], kind, cfg, outputs, model, evolution, initial, axes)
 
 
@@ -445,10 +454,9 @@ def _run_golden_rule(scenario: Scenario) -> dict:
 
 def _run_constants(scenario: Scenario) -> dict:
     block = scenario.config["gravito"]
-    nus = np.linspace(block["nu_start"], block["nu_stop"], block["points"])
     lines, worst = ["nu,vacuum_coupling,drive_coupling,zero_point_x0,"
                     "interaction_coefficient,wave_energy_density"], 0.0
-    for nu in nus:
+    for nu in scenario.axes["nu"]:
         p = GravitoParams(mass=block["mass"], length=block["length"], nu=float(nu),
                           omega0=block["omega0"], strain=block["strain"],
                           volume=block["volume"])

@@ -498,24 +498,26 @@ def test_batched_runs_match_per_step_reference_across_chunks(runs):
     # runs keep going
     make = lambda nu, x0: DrivenOscillatorParams(omega=1.0, nu=nu, coupling=0.05,
                                                  x0=x0, detector_cutoff=4)
-    cfg = EvolutionConfig(dt=0.1, t_max=1.0, method=Method.MIDPOINT, top_level_tol=1e-5)
+    cfg = EvolutionConfig(dt=0.1, t_max=1.0, method=Method.MIDPOINT)
     base = make(1.0, 1.0)
     nus, x0s, t_ends, n_steps = zip(*runs)
+    # the batch and every per-step reference run under the same bound
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EvolutionConfig, "top_level_tol", 1e-5)
         _chunk_of(patch, base)
         finals, errors, _ = dynamics._evolve_driven_batch(
             *base.free_and_coupling(), ground_state(base.space), x0s, nus, t_ends,
             n_steps, cfg)
-    for (nu, x0, t_end, n), final, exc in zip(runs, finals, errors):
-        run_cfg = replace(cfg, dt=t_end / n, t_max=t_end)
-        assert run_cfg.n_steps == n
-        ref, ref_exc = _reference_run(ModelSpec(ModelFamily.OSCILLATOR_DRIVE,
-                                                make(nu, x0)), run_cfg)
-        assert str(exc) == str(ref_exc)
-        if ref_exc is None:
-            npt.assert_allclose(final, ref, rtol=0, atol=1e-12)
-        else:
-            assert np.all(np.isnan(final))
+        for (nu, x0, t_end, n), final, exc in zip(runs, finals, errors):
+            run_cfg = replace(cfg, dt=t_end / n, t_max=t_end)
+            assert run_cfg.n_steps == n
+            ref, ref_exc = _reference_run(ModelSpec(ModelFamily.OSCILLATOR_DRIVE,
+                                                    make(nu, x0)), run_cfg)
+            assert str(exc) == str(ref_exc)
+            if ref_exc is None:
+                npt.assert_allclose(final, ref, rtol=0, atol=1e-12)
+            else:
+                assert np.all(np.isnan(final))
 
 
 def test_driven_scans_match_serial_run_point():
@@ -846,13 +848,13 @@ def test_batched_scan_tags_top_level_trip_like_serial():
     assert np.isfinite(scan.probabilities[0]) and math.isnan(scan.probabilities[1])
 
 
-def test_batched_scan_tags_norm_trip_like_serial():
+def test_batched_scan_tags_norm_trip_like_serial(monkeypatch):
     # a midpoint step drifts from norm 1 by rounding alone, a few 1e-16, so
     # a tolerance below that trips every point; each tag must name the
     # drift and time of the point's own serial run, bit for bit
     model = _qubit_model()
-    cfg = EvolutionConfig(dt=0.1, t_max=5.0, method=Method.MIDPOINT,
-                          norm_drift_tol=1e-17)
+    cfg = EvolutionConfig(dt=0.1, t_max=5.0, method=Method.MIDPOINT)
+    monkeypatch.setattr(EvolutionConfig, "norm_drift_tol", 1e-17)
     intensities = np.array([0.25, 1.0, 400.0])
     scan = intensity_scan(model, cfg, intensities)
     tags = [_serial_tag(ModelSpec(model.family,
@@ -866,13 +868,14 @@ def test_batched_scan_tags_norm_trip_like_serial():
 
 def test_scan_result_requires_monotone_axis():
     with pytest.raises(ValueError):
-        ScanResult("detuning", np.array([0.0, 1.0, 0.5]), np.zeros(3), "x", {})
+        ScanResult("detuning", np.array([0.0, 1.0, 0.5]), np.zeros(3), "x", {},
+                   errors=(None,) * 3, aux={})
 
 
 def test_scan_result_aux_columns_are_read_only():
     gaps = np.array([1.0, 2.0])
     scan = ScanResult("intensity", np.array([1.0, 2.0]), np.zeros(2), "x", {},
-                      aux={"transition_gap": gaps})
+                      errors=(None,) * 2, aux={"transition_gap": gaps})
     with pytest.raises(ValueError):
         scan.aux["transition_gap"][0] = 5.0
     # the caller's array stays its own and writable
@@ -995,6 +998,7 @@ def test_signature_checks_on_scans_with_failed_points_are_inconclusive():
     det, inten, tim = _bs_signature_scans()
     axis = np.geomspace(1.0, 8.0, 4)
     healed = ScanResult("intensity", axis, 1e-4 * axis, inten.model_tag, inten.fixed,
+                        errors=(None,) * 4,
                         aux={"transition_gap": np.array([1.0, 1.0, 5.0, 1.0])})
     assert signature_report(det, healed, tim).intensity_independence.status == "fail"
     probs, gaps = 1e-4 * axis, np.array([1.0, math.nan, 5.0, 1.0])

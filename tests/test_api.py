@@ -48,10 +48,7 @@ PUBLIC_NAMES = {
 # every value a caller may leave out: each doubles the configurations that
 # tests and benchmarks must cover
 OPTIONS = {
-    "analysis.ScanResult.aux", "analysis.ScanResult.errors",
-    "dynamics.EvolutionConfig.method", "dynamics.EvolutionConfig.norm_drift_tol",
-    "dynamics.EvolutionConfig.top_level_tol", "dynamics.Trajectory.classical",
-    "dynamics.Trajectory.max_norm_drift",
+    "dynamics.EvolutionConfig.method", "dynamics.Trajectory.classical",
     "models.DrivenOscillatorParams.detector_cutoff", "models.ModelSpec.back_reaction",
     "cli.main(argv)",
 }

@@ -710,9 +710,9 @@ def test_each_initial_state_type_is_the_first_row_of_the_run(tmp_path, monkeypat
     ("jc_vacuum_exchange", _set(("initial_state",), {"type": "ground"})),
 ], ids=["norm_drift_tol", "top_level_tol", "default", "ground"])
 def test_a_retired_option_exits_2_without_artifacts(tmp_path, capsys, scenario, edit):
-    # a run holds EvolutionConfig's guard tolerances, even set to their own
-    # values; the default start is an omitted block, the ground start fock
-    # at all-zero levels
+    # the guard bounds are EvolutionConfig's class bounds, which no config
+    # sets, not even to their own values; the default start is an omitted
+    # block, the ground start fock at all-zero levels
     path = tmp_path / "cfg.json"
     path.write_text(edit(bundled_scenarios()[scenario]))
     out = tmp_path / "out"
@@ -720,6 +720,59 @@ def test_a_retired_option_exits_2_without_artifacts(tmp_path, capsys, scenario, 
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration: schema violation at ")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("scenario, donors, message", [
+    ("gravito_constants", {"evolution": "jc_vacuum_exchange",
+                           "scan": "beam_splitter_resonance"},
+     "constants scenarios read no block evolution, scan; they read gravito"),
+    ("rabi_golden_rule", {"model": "jc_vacuum_exchange"},
+     "golden_rule scenarios read no block model; they read golden_rule"),
+    ("signatures_beam_splitter", {"scan": "beam_splitter_resonance"},
+     "signatures scenarios read no block scan; they read model, evolution, scans"),
+    ("jc_vacuum_exchange", {"scans": "signatures_beam_splitter"},
+     "audit scenarios read no block scans; they read model, evolution, initial_state"),
+    ("beam_splitter_resonance", {"initial_state": "jc_vacuum_exchange"},
+     "scan scenarios read no block initial_state; they read model, evolution, scan"),
+], ids=["constants", "golden_rule", "signatures", "audit", "scan"])
+def test_a_block_the_kind_does_not_read_exits_2_without_artifacts(tmp_path, capsys,
+                                                                  scenario, donors,
+                                                                  message):
+    # each stray block is a bundled scenario's own, so the schema passes it;
+    # a run would ignore it, and a constants run would record guard bounds
+    # in its manifest for a run that evolves nothing
+    cfg = json.loads(bundled_scenarios()[scenario])
+    for block, donor in donors.items():
+        cfg[block] = json.loads(bundled_scenarios()[donor])[block]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("scenario, keys", [
+    ("beam_splitter_resonance", ("scan", "points")),
+    ("signatures_driven_oscillator", ("scans", "time", "points")),
+    ("rabi_golden_rule", ("golden_rule", "points")),
+    ("gravito_constants", ("gravito", "points")),
+], ids=["scan", "signatures", "golden_rule", "constants"])
+def test_an_axis_too_long_to_allocate_exits_2_without_artifacts(tmp_path, capsys,
+                                                                scenario, keys):
+    # numpy refuses an array of 10**15 floats (7.11 PiB) at once, so the
+    # test allocates nothing; the message names the block of the axis
+    path = tmp_path / "cfg.json"
+    path.write_text(_set(keys, 10 ** 15)(bundled_scenarios()[scenario]))
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: the block at {list(keys[:-1])} "
+                              "cannot be allocated: ")
         assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [path]
 

@@ -78,9 +78,14 @@ def test_evolution_config_validation():
     with pytest.raises(ValueError):
         EvolutionConfig(dt=1.0, t_max=0.5)
     with pytest.raises(ValueError):
-        EvolutionConfig(dt=0.1, t_max=1.0, norm_drift_tol=2.0)
-    with pytest.raises(ValueError):
         EvolutionConfig(dt=0.1, t_max=math.inf)
+
+
+def test_the_guard_bounds_are_class_bounds_that_no_config_sets():
+    assert (EvolutionConfig.norm_drift_tol, EvolutionConfig.top_level_tol) == (1e-9, 1e-8)
+    for name in ("norm_drift_tol", "top_level_tol"):
+        with pytest.raises(TypeError):
+            EvolutionConfig(dt=0.1, t_max=1.0, **{name: getattr(EvolutionConfig, name)})
 
 
 def test_time_grid_lands_on_t_max():
@@ -111,7 +116,8 @@ def test_hybrid_steps_on_the_grid_when_dt_does_not_divide_t_max():
 def test_trajectory_length_mismatch_rejected():
     sp = SpaceDescriptor((TwoLevel(),))
     with pytest.raises(ValueError):
-        Trajectory(sp, np.array([0.0, 1.0]), ground_state(sp).amplitudes[None, :])
+        Trajectory(sp, np.array([0.0, 1.0]), ground_state(sp).amplitudes[None, :],
+                   max_norm_drift=0.0)
 
 
 # -- exact propagation --------------------------------------------------------
@@ -420,8 +426,8 @@ def test_chunked_driven_top_level_trip_in_a_later_chunk(monkeypatch):
     p = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.2, x0=1.0,
                                detector_cutoff=5)
     _chunk_of(monkeypatch, p)
-    cfg = EvolutionConfig(dt=0.01, t_max=10.0, method=Method.MIDPOINT,
-                          top_level_tol=0.5)
+    cfg = EvolutionConfig(dt=0.01, t_max=10.0, method=Method.MIDPOINT)
+    monkeypatch.setattr(EvolutionConfig, "top_level_tol", 0.5)
     ref, _ = per_step_driven(p, cfg)
     top = np.abs(ref[:, -1]) ** 2
     # a tolerance the top level first passes after two whole chunks, with
@@ -430,14 +436,15 @@ def test_chunked_driven_top_level_trip_in_a_later_chunk(monkeypatch):
     k = int(np.argmax(top > tol))
     assert k > 2 * _CHUNK
     assert top[k] > tol * (1 + 1e-6) and top[:k].max() < tol * (1 - 1e-6)
-    chunked, per_step = _trip_texts(p, replace(cfg, top_level_tol=tol))
+    monkeypatch.setattr(EvolutionConfig, "top_level_tol", tol)
+    chunked, per_step = _trip_texts(p, cfg)
     assert chunked == per_step
     assert chunked.startswith("top Fock level of factor 0")
     assert f"at t={cfg.time_grid()[k]:g} " in chunked
 
 
 @pytest.mark.parametrize("params", _DRIVEN_PARAMS, ids=["qubit", "oscillator"])
-def test_midpoint_norm_guard_trips_below_rounding_drift(params):
+def test_midpoint_norm_guard_trips_below_rounding_drift(monkeypatch, params):
     # a midpoint step is unitary, so the raw norm drifts by rounding alone:
     # the kernel never renormalises, so its drift builds up over the run,
     # by at most one unit roundoff per step; a tolerance below that trips
@@ -448,7 +455,8 @@ def test_midpoint_norm_guard_trips_below_rounding_drift(params):
     worst = evolve_driven(params, None, cfg).max_norm_drift
     assert 0.0 < worst <= cfg.n_steps * 2.0 ** -53
     grid = cfg.time_grid().tolist()
-    for text in _trip_texts(params, replace(cfg, norm_drift_tol=1e-17)):
+    monkeypatch.setattr(EvolutionConfig, "norm_drift_tol", 1e-17)
+    for text in _trip_texts(params, cfg):
         match = re.fullmatch(r"norm drift (\S+) exceeds 1\.0e-17 at t=(\S+) "
                              r"\(reduce dt\)", text)
         assert match, text
@@ -708,9 +716,10 @@ def test_trajectory_rejects_unnormalized_rows():
     sp = SpaceDescriptor((TwoLevel(),))
     from quantex.errors import NormalizationError
     with pytest.raises(NormalizationError):
-        Trajectory(sp, np.array([0.0, 1.0]), np.array([[1.0, 0.0], [1.0, 1.0]]))
+        Trajectory(sp, np.array([0.0, 1.0]), np.array([[1.0, 0.0], [1.0, 1.0]]),
+                   max_norm_drift=0.0)
     with pytest.raises(NormalizationError):
-        Trajectory(sp, np.array([0.0]), np.array([[np.nan, 0.0]]))
+        Trajectory(sp, np.array([0.0]), np.array([[np.nan, 0.0]]), max_norm_drift=0.0)
 
 
 # -- hybrid mean-field evolution ----------------------------------------------

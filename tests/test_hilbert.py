@@ -201,7 +201,7 @@ def test_records_copy_writable_inputs_and_take_read_only_ones():
     psi[1] = 0.5
     assert state.amplitudes.tolist() == [1.0, 0.0]
     rows = np.eye(2, dtype=complex)
-    traj = Trajectory(sp, [0.0, 1.0], rows)
+    traj = Trajectory(sp, [0.0, 1.0], rows, max_norm_drift=0.0)
     rows[0, 1] = 0.5
     assert traj.amplitudes.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     diag, src = np.array([0.0, 1.0]), np.array([1])
@@ -211,7 +211,7 @@ def test_records_copy_writable_inputs_and_take_read_only_ones():
     # a read-only array is taken as it is
     rows.setflags(write=False)
     assert StateVector(sp, rows[1]).amplitudes.base is rows
-    assert Trajectory(sp, [0.0], rows[1:]).amplitudes.base is rows
+    assert Trajectory(sp, [0.0], rows[1:], max_norm_drift=0.0).amplitudes.base is rows
 
 
 def test_coherent_state_vacuum_limit():
@@ -398,7 +398,7 @@ def test_basis_layout_matches_the_kronecker_embedding():
 
     rng = np.random.default_rng(11)
     rows = np.array([_dyadic_state(sp, rng) for _ in range(6)])
-    traj = Trajectory(sp, np.arange(6.0), rows)
+    traj = Trajectory(sp, np.arange(6.0), rows, max_norm_drift=0.0)
     for k, dim in enumerate(sp.dims):
         ref = np.array([[np.vdot(a, level_projector(sp, k, lv) @ a).real
                          for lv in range(dim)] for a in rows])
