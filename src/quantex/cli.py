@@ -70,6 +70,7 @@ from .dynamics import (
     EvolutionConfig,
     HybridState,
     Method,
+    _steps,
     allowed_methods,
     evolve_hybrid,
 )
@@ -316,10 +317,12 @@ def _build_axis(block: dict, name: str) -> np.ndarray:
 
 def validate_config(cfg: dict) -> Scenario:
     """Schema plus physics-domain validation; runs nothing.  Every number
-    must be finite, and every block one its kind reads.  The returned
+    must be finite, every block one its kind reads, and every horizon and
+    readout time a step count an array can index.  The returned
     scenario, built once and frozen, holds all that its runner reads but
-    a constants block's parameters: the output names, the model, the
-    evolution config, an audit's initial state and every axis."""
+    a constants block's parameters: the output names, the model (with a
+    scan's default state built and cached), the evolution config, an
+    audit's initial state and every axis."""
     for path in _non_finite(cfg):
         raise ConfigError(f"non-finite number at {list(path)}")
     schema = _schema()
@@ -341,14 +344,18 @@ def validate_config(cfg: dict) -> Scenario:
             ev = dict(cfg["evolution"])
             ev["method"] = Method(ev["method"])
             evolution = EvolutionConfig(**ev)
+            _check_steps(evolution.t_max, evolution.dt, ["evolution"])
         if kind == "audit":
             initial = _initial_state(cfg.get("initial_state"), model)
         elif kind in ("scan", "signatures"):
+            model.default_state         # cached: the run reuses it
             paths = ({cfg["scan"]["axis"]: ["scan"]} if kind == "scan"
                      else {axis: ["scans", axis] for axis in _SIGNATURE_AXES})
             for name, where in paths.items():
                 block = functools.reduce(operator.getitem, where, cfg)
                 axes[name] = _scan_axis(model, name, _build_axis(block, name))
+                if name == "time":
+                    _check_steps(axes[name].max(), evolution.dt, where)
             # a scan tags a point at nu <= 0; a config may not plan one
             if np.min(axes.get("detuning", np.inf)) + model.params.omega <= 0:
                 raise ConfigError("detuning scan would push the field frequency "
@@ -376,6 +383,15 @@ def validate_config(cfg: dict) -> Scenario:
         if evolution.method is not method:
             raise ConfigError(f"{model.tag} models evolve with method {method.value}")
     return Scenario(cfg["scenario"], kind, cfg, outputs, model, evolution, initial, axes)
+
+
+def _check_steps(t: float, dt: float, where: list):
+    """A ConfigError naming the block at ``where`` if a run up to time t
+    would take more steps of about dt (``_steps``) than an array can index."""
+    limit = np.iinfo(np.intp).max
+    if not (math.isfinite(t / dt) and _steps(t, dt) <= limit):
+        raise ConfigError(f"the block at {where} asks for {t / dt:.3g} steps of "
+                          f"about dt = {dt:g}, more than an array can index ({limit})")
 
 
 def _initial_state(block: dict | None, model: ModelSpec) -> StateVector | HybridState:

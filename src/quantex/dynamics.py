@@ -16,9 +16,10 @@ Three propagators, each the one route of its model kind:
   from step to step, so each distinct (step length, amplitude) gets one
   table ``F_j`` with ``exp(-i dt (h0 + x0 y c)) = sum_j y^j F_j`` from one
   ``_taylor`` call on a block matrix; runs then step together in chunks
-  of at most ``_DRIVE_CHUNK_BYTES`` (1 MiB) of propagators, each chunk
-  with one ``einsum`` contraction of the steps' powers of y against the
-  tables per term count of the live runs, and one guard pass.  A scan
+  of a multiple of 8 steps, at most ``_DRIVE_CHUNK_BYTES`` (1 MiB) of
+  propagators or one block of 8 steps per run, each chunk with one BLAS
+  product of the steps' powers of y against the tables per term count of
+  the live runs, in fixed blocks of 8 steps, and one guard pass.  A scan
   scenario steps all the points of all its axes in one such batch;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
@@ -479,6 +480,10 @@ def _drive_table(h0, c, norms, dt: float, x0: float):
     return f.reshape(degree + 1, d, d)[::-1], substeps
 
 
+# the steps per row block of ``_table_step``'s products
+_STEP_BLOCK = 8
+
+
 def _step_groups(tables: np.ndarray, terms: np.ndarray, substeps: np.ndarray,
                  keys: np.ndarray) -> list:
     """The groups ``_table_step`` takes for runs that step through the
@@ -501,33 +506,41 @@ def _table_step(groups: list, y: np.ndarray) -> np.ndarray:
     (``_step_groups``).
 
     Per group, the powers y^j ``(L_g, K, J + 1)`` are one product each,
-    and the sum ``u = sum_j y^j F_j`` is one ``np.einsum`` contraction
-    over the group's own J + 1 terms, taken from the top power down in
-    numpy's own loops (no BLAS) and written into the group's columns of
-    u.  Powers and tables are held top power first: einsum runs a
-    reversed view's axis forward once it is handed its output, which
-    would sum from y^0 up and round differently.  A group with s > 1
-    substeps then takes u^s, one ``np.linalg.matrix_power`` on the stack
-    of its propagators.  Every operation acts on each run alone, so each
-    run gives the bits it gets alone, in any group and chunk.
+    top power first, and the sum ``u = sum_j y^j F_j`` is one BLAS
+    product ``np.matmul`` over the group's own J + 1 terms, written
+    straight into the group's columns of u.  The product takes the steps
+    in blocks of ``_STEP_BLOCK``, ``(L_g, blocks, 8, J + 1) @ (L_g, 1,
+    J + 1, 2d^2)``, the last block padded with zero powers, so step k of
+    a run sits in row k mod 8 of a product of one fixed shape whatever K
+    and the batch are: BLAS kernels choose their code by a product's row
+    count, and a matrix-vector product for K = 1 would round otherwise.
+    A group with s > 1 substeps then takes u^s, one
+    ``np.linalg.matrix_power`` on the stack of its propagators.  Every
+    operation acts on each run alone, so each run gives the bits it gets
+    alone, in any group and in any chunk that starts at a multiple of 8
+    steps.
     """
-    dim = groups[0][1].shape[2]
-    u = np.empty(y.shape + (dim, dim), dtype=complex)
-    flat = u.view(float).reshape(y.shape + (-1,))
+    steps, dim = len(y), groups[0][1].shape[2]
+    padded = -(-steps // _STEP_BLOCK) * _STEP_BLOCK
+    u = np.empty((padded, y.shape[1], dim, dim), dtype=complex)
+    # u's real view as (blocks, 8, L, 2d^2): a group's out is its columns
+    flat = u.view(float).reshape(-1, _STEP_BLOCK, y.shape[1], 2 * dim * dim)
     for columns, tables, substeps in groups:
         runs, terms = tables.shape[:2]
-        powers = np.empty((runs, len(y), terms))
-        powers[..., -1] = 1.0
+        powers = np.zeros((runs, padded, terms))
+        powers[:, :steps, -1] = 1.0
         for j in range(terms - 2, -1, -1):
-            np.multiply(powers[..., j + 1], y[:, columns].T, out=powers[..., j])
-        np.einsum("lkj,ljm->klm", powers, tables.reshape(runs, terms, -1),
-                  out=flat[:, columns])
+            np.multiply(powers[:, :steps, j + 1], y[:, columns].T, out=powers[:, :steps, j])
+        np.matmul(powers.reshape(runs, -1, _STEP_BLOCK, terms),
+                  tables.reshape(runs, 1, terms, -1),
+                  out=flat[:, :, columns].transpose(2, 0, 1, 3))
         if substeps > 1:
-            u[:, columns] = np.linalg.matrix_power(u[:, columns], substeps)
-    return u
+            u[:steps, columns] = np.linalg.matrix_power(u[:steps, columns], substeps)
+    return u[:steps]
 
 
-# the bytes of step propagators (runs x steps) that exist at once: 1024 at d = 8
+# the bytes of step propagators (runs x steps) that exist at once: 1024 at
+# d = 8, or one block of steps per run if the batch holds more runs
 _DRIVE_CHUNK_BYTES = 1 << 20
 
 
@@ -548,10 +561,13 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     ``h (|h0|_1 + |x0| |c|_1)`` exceeds ``_STEP_BOUND_MAX``, the cap of the
     mean-field step, fails before its first step and builds no table.  The
     live runs, ordered by their tables' term and substep counts, step
-    together in chunks of ``max(1, P // live)`` steps, where P
-    propagators fill ``_DRIVE_CHUNK_BYTES`` (1024 at d = 8), so at most P
-    propagators exist at once whatever the batch size: each chunk's
-    arrays are released before the next chunk builds.  Per chunk: the
+    together in chunks of ``max(8, P // live // 8 * 8)`` steps, where P
+    propagators fill ``_DRIVE_CHUNK_BYTES`` (1024 at d = 8), so at most
+    max(P, 8 live) propagators exist at once: each chunk's arrays are
+    released before the next chunk builds.  Every chunk but the last
+    holds a multiple of 8 steps, so each starts at a multiple of 8, as
+    ``_table_step``'s blocks need for a run to keep the bits it gets
+    alone.  Per chunk: the
     propagators of every (step, run) from the tables at the steps' drive
     shapes (``_table_step``, whose groups are gathered again only when the
     live set changes); a serial loop of one batched matvec per step on
@@ -610,7 +626,9 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
                 n, dt, nu, t_end = n_steps[live], dts[live], nus[live], t_ends[live]
                 groups = _step_groups(tables, terms, substeps, key[live])
             # step k of every live run as a (steps, 1) column against (runs,)
-            k = lo + np.arange(min(max(1, per_chunk // live.size), n.max() - lo))[:, None]
+            k = lo + np.arange(min(max(_STEP_BLOCK, per_chunk // live.size
+                                           // _STEP_BLOCK * _STEP_BLOCK),
+                                       n.max() - lo))[:, None]
             t0 = k * dt
             t1 = np.where(k == n - 1, t_end, (k + 1) * dt)
             u = _table_step(groups, np.sin(nu * (0.5 * (t0 + t1))))

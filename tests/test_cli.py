@@ -777,6 +777,37 @@ def test_an_axis_too_long_to_allocate_exits_2_without_artifacts(tmp_path, capsys
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("scenario, keys, value, message", [
+    ("jc_vacuum_exchange", ("evolution", "t_max"), 1e300,
+     "the block at ['evolution'] asks for 1e+301 steps of about dt = 0.1, "),
+    ("signatures_driven_oscillator", ("scans", "time", "stop"), 1e300,
+     "the block at ['scans', 'time'] asks for 2e+302 steps of about dt = 0.005, "),
+    ("signatures_beam_splitter", ("model", "params", "field_cutoff"), 10 ** 15,
+     "the block at ['model'] cannot be allocated: "),
+], ids=["horizon", "readout", "cutoff"])
+def test_a_run_too_long_or_a_state_too_large_to_allocate_exits_2(tmp_path, capsys, scenario,
+                                                                  keys, value, message):
+    # a step count past np.intp's range and a default state of 10**15
+    # levels passed validate and crashed the run; a scan's default state
+    # is built (and cached for the run) while the config is validated
+    path = tmp_path / "cfg.json"
+    path.write_text(_set(keys, value)(bundled_scenarios()[scenario]))
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: {message}"), err
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_moderate_horizon_still_validates(tmp_path, capsys):
+    # a step budget is a separate rule: 10**7 steps of dt 0.1 index fine
+    path = tmp_path / "cfg.json"
+    path.write_text(_set(("evolution", "t_max"), 1e6)(bundled_scenarios()["jc_vacuum_exchange"]))
+    assert main(["validate", str(path)]) == 0
+
+
 @pytest.mark.parametrize("scenario, keys, name", [
     ("jc_vacuum_exchange", ("scenario",), "rabi\n"),
     ("rabi_golden_rule", ("output", "csv"), "peak.csv\n"),

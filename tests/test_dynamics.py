@@ -1330,7 +1330,7 @@ def test_table_step_gives_a_run_the_bits_it_gets_alone():
 
 def test_a_mixed_degree_batch_contracts_each_run_at_its_own_term_count(monkeypatch):
     # runs whose tables hold 5, 7 and 9 terms, interleaved in the batch:
-    # the live runs are ordered by term count, each chunk makes one einsum
+    # the live runs are ordered by term count, each chunk makes one product
     # per count over exactly the runs of that count, so no run pays for a
     # higher-degree run's zero terms, and each run keeps the bits it gets
     # alone
@@ -1341,24 +1341,59 @@ def test_a_mixed_degree_batch_contracts_each_run_at_its_own_term_count(monkeypat
     norm_c = _norm_1(c)
     counts = [_taylor_plan(t_end / n * x0 * norm_c)[0] + 1 for x0 in x0s]
     assert counts == [5, 7, 9, 7, 5, 9, 5]
-    _chunk_of(monkeypatch, p, 35)       # 5 steps of the 7 runs per chunk
-    calls, einsum = [], np.einsum
+    _chunk_of(monkeypatch, p, 56)       # one block of 8 steps of the 7 runs per chunk
+    calls, matmul = [], np.matmul
 
-    def counting_einsum(subscripts, powers, tables, **kwargs):
-        assert powers.shape[-1] == tables.shape[1]
-        calls.append((len(tables), tables.shape[1]))
-        return einsum(subscripts, powers, tables, **kwargs)
+    def counting_matmul(powers, tables, **kwargs):
+        # the table products, (runs, blocks, 8, J + 1) @ (runs, 1, J + 1, 2d^2);
+        # the serial loop's stacked matvecs are 3-d
+        if powers.ndim == 4:
+            assert powers.shape[2] == 8 and powers.shape[-1] == tables.shape[2]
+            calls.append((len(tables), tables.shape[2]))
+        return matmul(powers, tables, **kwargs)
 
-    monkeypatch.setattr(np, "einsum", counting_einsum)
+    monkeypatch.setattr(np, "matmul", counting_matmul)
     cfg = EvolutionConfig(dt=t_end / n, t_max=t_end, method=Method.MIDPOINT)
     psi0 = ground_state(p.space)
     finals, errors, _ = _evolve_driven_batch(h0, c, psi0, x0s, [p.nu] * len(x0s),
                                              [t_end] * len(x0s), [n] * len(x0s), cfg)
     assert errors == [None] * len(x0s)
-    assert sorted(calls) == sorted([(3, 5), (2, 7), (2, 9)] * (n // 5))
+    assert sorted(calls) == sorted([(3, 5), (2, 7), (2, 9)] * -(-n // 8))
     for x0, final in zip(x0s, finals):
         alone, _, _ = _evolve_driven_batch(h0, c, psi0, [x0], [p.nu], [t_end], [n], cfg)
         assert alone[0].tobytes() == final.tobytes()
+
+
+def test_a_batch_too_large_for_a_full_chunk_steps_one_block_at_a_time(monkeypatch):
+    # 2056 qubit runs, more than the 16384 propagators of a chunk at d = 2
+    # hold 8 steps of: each chunk is one block of 8 steps per run, the
+    # chunk budget's floor, yet every run ends byte for byte as it ends
+    # alone, where one chunk holds all its steps.  Tables of four
+    # amplitudes, the largest with 2 substeps, whose kicks would put an
+    # oscillator at d = 8 on its top level, and three horizons, so that
+    # runs leave the batch mid-way
+    p = _DRIVEN_PARAMS[0]
+    h0, c = p.free_and_coupling()
+    dt, runs = 0.5, 2056
+    assert dynamics._DRIVE_CHUNK_BYTES // (16 * 4) < 8 * runs
+    x0s = np.resize([0.1, 1.0, 3.0, 40.0], runs)
+    nus = np.linspace(0.5, 1.5, runs)
+    n = np.resize([13, 20, 27], runs)
+    norms = [_norm_1(m) for m in (h0, c)]
+    built = [_drive_table(h0, c, norms, dt, x0) for x0 in x0s[:4]]
+    assert [(len(f), s) for f, s in built] == [(7, 1), (11, 1), (15, 1), (28, 2)]
+    chunks, table_step = [], dynamics._table_step
+    monkeypatch.setattr(dynamics, "_table_step",
+                        lambda groups, y: chunks.append(y.shape) or table_step(groups, y))
+    cfg = EvolutionConfig(dt=dt, t_max=dt * n.max(), method=Method.MIDPOINT)
+    psi0 = p.default_initial_state()
+    finals, errors, _ = _evolve_driven_batch(h0, c, psi0, x0s, nus, dt * n, n, cfg)
+    assert errors == [None] * runs
+    assert chunks[0] == (8, runs) and all(k <= 8 for k, _ in chunks)
+    for b in range(runs):
+        alone, _, _ = _evolve_driven_batch(h0, c, psi0, x0s[b:b + 1], nus[b:b + 1],
+                                           dt * n[b:b + 1], n[b:b + 1], cfg)
+        assert alone[0].tobytes() == finals[b].tobytes(), b
 
 
 def test_the_driven_batch_holds_one_chunk_of_propagators_at_a_time():
