@@ -73,14 +73,12 @@ from .analysis import (
     SignatureCheck,
     SignatureReport,
     conditioned_energy_deficit,
-    detuning_scan,
     energy_ledger,
     golden_rule_fit,
-    intensity_scan,
     ledger_to_csv,
     loglog_slope,
     rabi_peak_scan,
     scan_to_csv,
+    scans,
     signature_report,
-    time_scan,
 )

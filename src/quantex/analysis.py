@@ -27,23 +27,15 @@ import numpy as np
 from .errors import RegimeError, ToleranceError
 from .hilbert import StateVector, _readonly
 from .models import ModelSpec
-from .dynamics import (
-    GOLDEN_RULE_MIN_RATIO,
-    EvolutionConfig,
-    Trajectory,
-    evolve_driven,
-    evolve_unitary_at,
-    rabi_probability,
-)
+from .dynamics import GOLDEN_RULE_MIN_RATIO, EvolutionConfig, Trajectory, rabi_probability
 from . import dynamics as _dyn
 
 __all__ = [
     "EnergyLedger", "energy_ledger", "DeficitReport",
-    "conditioned_energy_deficit", "ScanResult",
-    "detuning_scan", "intensity_scan", "time_scan", "rabi_peak_scan",
+    "conditioned_energy_deficit", "ScanResult", "scans", "rabi_peak_scan",
     "SignatureCheck", "SignatureReport", "signature_report", "FitResult",
     "loglog_slope", "golden_rule_fit", "ledger_to_csv", "scan_to_csv",
-    "default_initial_state", "default_target", "run_point",
+    "default_initial_state", "default_target",
 ]
 
 LEDGER_DRIFT_RTOL = 1e-8
@@ -294,10 +286,10 @@ def _scan_axis(model: ModelSpec, axis_name: str, values) -> np.ndarray:
     every whole-scan rule holds (ValueError otherwise): no mean-field
     model, an intensity field for an intensity scan, finite detunings and
     finite, positive intensities and readout times, and a strictly
-    monotone axis, as ``ScanResult`` demands.  The scans and
-    ``cli.validate_config`` read these rules here; ``validate_config``
-    also refuses a detuning axis that reaches nu <= 0, whose points a
-    scan would tag one by one."""
+    monotone axis, as ``ScanResult`` demands.  ``scans`` checks each axis
+    it is given here, and ``cli.validate_config`` each axis of a config,
+    so both give one message; ``validate_config`` also refuses a detuning
+    axis that reaches nu <= 0, whose points a scan would tag one by one."""
     if model.back_reaction:
         raise ValueError("scans drive the prescribed or quantized models only")
     values = np.asarray(values, dtype=float)
@@ -313,22 +305,6 @@ def _scan_axis(model: ModelSpec, axis_name: str, values) -> np.ndarray:
         raise ValueError("time scan needs finite, positive readout times")
     _check_monotone(values)
     return values
-
-
-def run_point(model: ModelSpec, cfg: EvolutionConfig,
-              initial: StateVector) -> tuple[Trajectory, float]:
-    """One evolution of a (non-mean-field) model from ``initial`` (an
-    audit's start, or ``model.default_state``); returns the trajectory
-    and the population of ``default_target(model)``, the detector's first
-    excited level, at the final time.  A quantized model runs its
-    Hamiltonian record through ``evolve_unitary_at``, a batch of one of
-    the kernel its scans use."""
-    _scan_axis(model, "time", [cfg.t_max])      # a one-point time scan
-    if model.params.driven:
-        traj = evolve_driven(model.params, initial, cfg)
-    else:
-        traj = evolve_unitary_at(model.params.hamiltonian(), initial, cfg.time_grid(), cfg)
-    return traj, traj.final_state().population(*default_target(model))
 
 
 def _point(model: ModelSpec, axis_name: str, value: float, cfg: EvolutionConfig):
@@ -347,17 +323,18 @@ def _run_points(model: ModelSpec, cfg: EvolutionConfig, axes: dict) -> dict:
     """Evolve every point of the scans ``axes`` ({axis name: values}) of
     ``model``, whose rules ``_scan_axis`` has checked, as one batch:
     point ``value`` of an axis is the model and horizon of ``_point``, on
-    the grid of ``dynamics._steps``, every point guarded by the scans'
-    one config ``cfg``.  Returns per axis, point by point, the population
-    of ``default_target(model)``, on the intensity axis the transition
-    gap (else NaN), and the error tag (NaN, NaN, tag on a failed point).
-    A ValueError raised while a point is built (a nu <= 0, a
-    coherent tail past the cutoff) tags that point, and a guard trip tags
-    it with the error its serial run raises.
+    the grid of ``dynamics._steps`` at ``cfg.dt``, every point held to
+    ``EvolutionConfig``'s guard bounds.  Returns per axis, point by point,
+    the population of ``default_target(model)``, on the intensity axis the
+    transition gap (else NaN), and the error tag (NaN, NaN, tag on a
+    failed point).  A ValueError raised while a point is built (a nu <= 0,
+    a coherent tail past the cutoff) tags that point, and a guard trip
+    tags it with the error its serial run raises.
 
     The points run as one batch of the kernel that also runs a single
-    point, so each gives the bits of its own serial run.  Quantized points
-    form one ``dynamics._evolve_blocks`` batch of their own diagonals and
+    point, so each gives the bits of its own serial run, ``evolve_unitary``
+    or ``evolve_driven`` of the point's model to its horizon.  Quantized
+    points form one ``dynamics._evolve_blocks`` batch of their own diagonals and
     default states and the first point's hop list, which every point must
     share (ValueError otherwise); a point's samples are freed once its
     population and gap are read.  Prescribed-drive points differ only in
@@ -435,64 +412,42 @@ def _coupling_of(model: ModelSpec) -> float:
     return float(getattr(p, "g", getattr(p, "coupling", 0.0)))
 
 
-def _scans(model: ModelSpec, cfg: EvolutionConfig, axes: dict) -> dict:
+def scans(model: ModelSpec, cfg: EvolutionConfig, axes: dict) -> dict:
     """The ``ScanResult`` of each scan of ``axes`` ({axis name: values}) of
-    ``model``, in the order of ``axes``.  Every axis must pass
-    ``_scan_axis`` (ValueError before any point runs); then the points
-    of all the axes run as one batch (``_run_points``) and are split
-    into their axes.  ``cli`` runs a scenario's scans here, and
-    ``detuning_scan``, ``intensity_scan`` and ``time_scan`` are its
-    one-axis cases."""
+    ``model``, in the order of ``axes``: per point, the population of the
+    detector's first excited level (``default_target``) against
+
+    * ``detuning``, the field or drive frequency minus the detector
+      frequency, read out at ``cfg.t_max``; ``ModelSpec.with_nu`` hands
+      ``model``'s initial state on;
+    * ``intensity``, the field intensity (|alpha|^2 for the two-mode
+      model, x0^2 for the driven ones), read out at ``cfg.t_max``, each
+      quantized point from its own initial state.  The aux column
+      ``transition_gap`` holds the detector energy gained per absorbed
+      excitation, the intensity-independent transition quantum;
+    * ``time``, the readout time: each t is a run of its own from
+      ``model``'s initial state to exactly t on the grid of
+      ``dynamics._steps``, so log-spaced grids stay exact and the guards
+      check every sample up to t; ``cfg.t_max`` plays no part.
+
+    An axis that breaks a rule of ``_scan_axis`` raises ValueError before
+    any point runs.  Then the points of all the axes run as one batch
+    under ``cfg`` (``_run_points``) and are split into their axes; a point
+    that cannot be built (nu <= 0, a coherent tail past the cutoff) or
+    that trips a guard is tagged with its error and reported as NaN.
+    ``cli`` runs a scenario's scans here."""
     axes = {name: _scan_axis(model, name, values) for name, values in axes.items()}
     results = _run_points(model, cfg, axes)
     fixed = {"omega": model.params.omega, "coupling": _coupling_of(model)}
-    scans = {}
+    out = {}
     for name, values in axes.items():
         probs, gaps, errors = zip(*results[name])
-        scans[name] = ScanResult(
+        out[name] = ScanResult(
             name, values, np.array(probs), model.tag,
             fixed=fixed if name == "time" else {"t_max": cfg.t_max, **fixed},
             errors=errors,
             aux={"transition_gap": np.array(gaps)} if name == "intensity" else {})
-    return scans
-
-
-def detuning_scan(model: ModelSpec, cfg: EvolutionConfig, deltas) -> ScanResult:
-    """Final-time population of the detector's first excited level versus
-    detuning (field/drive frequency minus detector frequency).  A scan
-    that breaks a rule of ``_scan_axis`` raises ValueError before any
-    point runs; a point at nu <= 0 or that trips a guard is tagged and
-    reported as NaN.  The
-    points run as one batch under ``cfg`` (see ``_run_points``) from
-    ``model``'s initial state, which ``ModelSpec.with_nu`` hands on.
-    """
-    return _scans(model, cfg, {"detuning": deltas})["detuning"]
-
-
-def intensity_scan(model: ModelSpec, cfg: EvolutionConfig, intensities) -> ScanResult:
-    """Final-time population of the detector's first excited level versus
-    field intensity (|alpha|^2 for the two-mode model, x0^2 for the
-    driven ones).  The aux column ``transition_gap`` measures the
-    detector energy gained per absorbed excitation, the
-    intensity-independent transition quantum.  A scan that breaks a rule
-    of ``_scan_axis`` raises ValueError before any point runs; a coherent
-    tail past the cutoff or a guard trip is tagged per point.  The points
-    run as one batch under ``cfg`` (see ``_run_points``), each quantized
-    point from its own initial state."""
-    return _scans(model, cfg, {"intensity": intensities})["intensity"]
-
-
-def time_scan(model: ModelSpec, cfg: EvolutionConfig, times) -> ScanResult:
-    """Population of the detector's first excited level versus readout
-    time: every readout time t is a run of its own, to exactly t on the
-    grid of ``dynamics._steps``, so log-spaced grids stay exact and the
-    guards check every sample up to t; ``cfg.t_max`` plays no part.  The
-    points run as one batch under ``cfg`` (see ``_run_points``) from
-    ``model``'s initial state.  A scan that breaks a rule of
-    ``_scan_axis`` raises ValueError before any point runs; a point that
-    trips a guard is tagged with its run's error.
-    """
-    return _scans(model, cfg, {"time": times})["time"]
+    return out
 
 
 def rabi_peak_scan(g: float, deltas) -> ScanResult:

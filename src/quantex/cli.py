@@ -2,7 +2,10 @@
 
 Scenarios are JSON documents validated against the published schema
 (``quantex/schema/scenario.schema.json``; unknown keys are rejected).  The
-schema is the single source of the rules, and ``_violations`` checks a
+schema is the single source of the rules on a config's shape: the keys,
+types and bounds of every block, the blocks and the output keys of each
+kind and the one evolution method of each model family, so a config
+holding a block its kind does not read exits 2.  ``_violations`` checks a
 config against it without jsonschema: it implements the draft 2020-12
 keywords the schema uses (``type``, ``properties``, ``required``,
 ``additionalProperties: false``, ``enum``, ``const``, ``minimum``,
@@ -12,12 +15,11 @@ raises NotImplementedError on any other, and words each violation as
 jsonschema does; a config that breaks several rules is reported at the
 first violation in schema order.
 
-A kind reads only the blocks ``_KINDS`` names for it; a config holding
-any other exits 2.  An audit starts from its ``fock`` or ``hybrid``
-``initial_state``, else from its model's default state.  A run holds
-``EvolutionConfig``'s fixed guard bounds, which no config sets, and
-writes CSV/JSON artifacts plus ``manifest.json`` (config hash,
-constants-table version and hash, guard bounds) into the output directory.
+An audit starts from its ``fock`` or ``hybrid`` ``initial_state``, else
+from its model's default state.  A run holds ``EvolutionConfig``'s fixed
+guard bounds, which no config sets, and writes CSV/JSON artifacts plus
+``manifest.json`` (config hash, constants-table version and hash, guard
+bounds) into the output directory.
 Every file of a run is written into a staging directory beside the output
 directory and moved in only once all of them are written, so a failed run
 leaves no partial artifacts.
@@ -55,14 +57,13 @@ import numpy as np
 from . import __version__
 from .analysis import (
     _scan_axis,
-    _scans,
     conditioned_energy_deficit,
     energy_ledger,
     golden_rule_fit,
     ledger_to_csv,
     rabi_peak_scan,
-    run_point,
     scan_to_csv,
+    scans,
     signature_report,
 )
 from .constants import DEFAULT_CONSTANTS
@@ -71,8 +72,9 @@ from .dynamics import (
     HybridState,
     Method,
     _steps,
-    allowed_methods,
+    evolve_driven,
     evolve_hybrid,
+    evolve_unitary,
 )
 from .errors import CoherentTailError, ConfigError, ToleranceError
 from .hilbert import StateVector, basis_state, ground_state
@@ -268,22 +270,11 @@ class Scenario:
 
 _SIGNATURE_AXES = ("detuning", "intensity", "time")
 
-# the blocks each kind reads and the output keys it names its files from
-_KINDS = {"audit": (("model", "evolution", "initial_state"), ("csv", "json")),
-          "scan": (("model", "evolution", "scan"), ("csv",)),
-          "signatures": (("model", "evolution", "scans"), ("csv_prefix", "json")),
-          "golden_rule": (("golden_rule",), ("csv", "json")),
-          "constants": (("gravito",), ("csv", "json"))}
-
 
 def _output_names(cfg: dict) -> dict[str, str]:
     """Output key -> file name of each artifact but the manifest; a scan's
     CSV is keyed by its axis, as each CSV of a signatures run is."""
     kind, names = cfg["kind"], dict(cfg["output"])
-    unknown = [key for key in names if key not in _KINDS[kind][1]]
-    if unknown:
-        raise ConfigError(f"{kind} scenarios write no output {', '.join(unknown)}; "
-                          f"they take {' and '.join(_KINDS[kind][1])}")
     if kind == "scan":
         names = {cfg["scan"]["axis"]: names["csv"]}
     elif kind == "signatures":
@@ -317,26 +308,21 @@ def _build_axis(block: dict, name: str) -> np.ndarray:
 
 def validate_config(cfg: dict) -> Scenario:
     """Schema plus physics-domain validation; runs nothing.  Every number
-    must be finite, every block one its kind reads, and every horizon and
-    readout time a step count an array can index.  The returned
-    scenario, built once and frozen, holds all that its runner reads but
-    a constants block's parameters: the output names, the model (with a
-    scan's default state built and cached), the evolution config, an
-    audit's initial state and every axis."""
+    must be finite, every horizon and readout time a step count an array
+    can index, and an audit's stored states an array numpy can allocate.
+    The returned scenario, built once and frozen, holds all that its
+    runner reads but a constants block's parameters: the output names, the
+    model (with a scan's default state built and cached), the evolution
+    config, an audit's initial state and every axis."""
     for path in _non_finite(cfg):
         raise ConfigError(f"non-finite number at {list(path)}")
     schema = _schema()
     for path, message in _violations(cfg, schema, schema):
         raise ConfigError(f"schema violation at {list(path)}: {message}")
 
-    kind, reads = cfg["kind"], _KINDS[cfg["kind"]][0]
-    stray = sorted(set(cfg) - {"scenario", "description", "kind", "output", *reads})
-    if stray:
-        raise ConfigError(f"{kind} scenarios read no block {', '.join(stray)}; "
-                          f"they read {', '.join(reads)}")
-    outputs = _output_names(cfg)
+    kind, outputs = cfg["kind"], _output_names(cfg)
     model = evolution = initial = None
-    axes, where = {}, [reads[0]]        # the block a MemoryError names
+    axes, where = {}, ["model"]         # the block a MemoryError names
     try:
         if "model" in cfg:
             model = _build_model(cfg["model"])
@@ -347,6 +333,9 @@ def validate_config(cfg: dict) -> Scenario:
             _check_steps(evolution.t_max, evolution.dt, ["evolution"])
         if kind == "audit":
             initial = _initial_state(cfg.get("initial_state"), model)
+            # the run's stored states, which numpy refuses at once past memory
+            where = ["evolution"]
+            np.empty((evolution.n_steps + 1, model.params.space.total_dim), dtype=complex)
         elif kind in ("scan", "signatures"):
             model.default_state         # cached: the run reuses it
             paths = ({cfg["scan"]["axis"]: ["scan"]} if kind == "scan"
@@ -361,7 +350,7 @@ def validate_config(cfg: dict) -> Scenario:
                 raise ConfigError("detuning scan would push the field frequency "
                                   "to zero or below")
         elif kind == "golden_rule":
-            block = cfg["golden_rule"]
+            block, where = cfg["golden_rule"], ["golden_rule"]
             with np.errstate(over="ignore"):
                 axes["detuning"] = deltas = block["g"] * np.geomspace(
                     block["ratio_min"], block["ratio_max"], block["points"])
@@ -369,7 +358,7 @@ def validate_config(cfg: dict) -> Scenario:
                 raise ConfigError("golden_rule needs finite detunings g * ratio that "
                                   "rise strictly from ratio_min to ratio_max")
         elif kind == "constants":
-            g = cfg["gravito"]
+            g, where = cfg["gravito"], ["gravito"]
             if g["points"] > 1 and g["nu_stop"] == g["nu_start"]:
                 raise ConfigError("constants grid needs distinct nu bounds")
             axes["nu"] = np.linspace(g["nu_start"], g["nu_stop"], g["points"])
@@ -377,11 +366,6 @@ def validate_config(cfg: dict) -> Scenario:
         raise ConfigError(f"the block at {where} cannot be allocated: {exc}") from exc
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-
-    if model is not None and evolution is not None:
-        (method,) = allowed_methods(model)
-        if evolution.method is not method:
-            raise ConfigError(f"{model.tag} models evolve with method {method.value}")
     return Scenario(cfg["scenario"], kind, cfg, outputs, model, evolution, initial, axes)
 
 
@@ -424,11 +408,13 @@ def _json(payload):
 
 
 def _run_audit(scenario: Scenario) -> dict:
-    model, cfg = scenario.model, scenario.evolution
+    model, cfg, initial = scenario.model, scenario.evolution, scenario.initial
     if model.back_reaction:
-        traj = evolve_hybrid(model, scenario.initial, cfg)
+        traj = evolve_hybrid(model, initial, cfg)
+    elif model.params.driven:
+        traj = evolve_driven(model.params, initial, cfg)
     else:
-        traj, _ = run_point(model, cfg, initial=scenario.initial)
+        traj = evolve_unitary(model.params.hamiltonian(), initial, cfg)
     ledger = energy_ledger(traj, model)
 
     def summary():
@@ -449,10 +435,10 @@ def _run_audit(scenario: Scenario) -> dict:
 
 def _run_scans(scenario: Scenario) -> dict:
     """A CSV per axis and the report, which only signatures runs name.
-    Every point of every axis runs in one batch (``analysis._scans``)."""
-    scans = _scans(scenario.model, scenario.evolution, scenario.axes)
-    return {**{axis: functools.partial(scan_to_csv, scan) for axis, scan in scans.items()},
-            "json": _json(lambda: signature_report(*scans.values()).to_dict())}
+    Every point of every axis runs in one batch (``analysis.scans``)."""
+    results = scans(scenario.model, scenario.evolution, scenario.axes)
+    return {**{axis: functools.partial(scan_to_csv, scan) for axis, scan in results.items()},
+            "json": _json(lambda: signature_report(*results.values()).to_dict())}
 
 
 def _run_golden_rule(scenario: Scenario) -> dict:

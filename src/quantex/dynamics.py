@@ -7,7 +7,7 @@ Three propagators, each the one route of its model kind:
   the batch kernel ``_evolve_blocks``, which diagonalises block by block
   along the connected components of the hop graph, so no Hamiltonian is
   ever a dense matrix.  A quantized scan is one batch, and
-  ``evolve_unitary_at`` (which ``run_point`` calls) a batch of one;
+  ``evolve_unitary_at`` (and so every quantized audit) a batch of one;
 * ``evolve_driven`` -- Schroedinger evolution under a sinusoidal classical
   drive ``x(t) = x0 sin(nu t)``, with the Hamiltonian frozen at interval
   midpoints (second order in dt).  It is one run of the stepping kernel
@@ -82,12 +82,6 @@ __all__ = [
 class Method(enum.Enum):
     MATRIX_EXPONENTIAL = "matrix_exponential"
     MIDPOINT = "midpoint_piecewise"
-
-
-def allowed_methods(model: ModelSpec) -> tuple[Method, ...]:
-    """The one method that evolves ``model``: the midpoint step for the
-    driven families, mean-field runs included, else exact propagation."""
-    return (Method.MIDPOINT,) if model.params.driven else (Method.MATRIX_EXPONENTIAL,)
 
 
 @dataclass(frozen=True)
@@ -347,8 +341,8 @@ def _evolve_blocks(space: SpaceDescriptor, diagonals: np.ndarray, hops,
     point's grid in one stacked product ``v (exp(-i w t) v^H psi0)``, a
     sample at t = 0 is psi0 itself (so U(0) = I exactly), and one guard
     pass checks the norm and the top Fock levels at every sample.  There
-    is no integration error.  The guard tolerances are ``cfg``'s for every
-    point.
+    is no integration error.  Every point is held to ``EvolutionConfig``'s
+    class guard bounds.
 
     Yields, point by point, so that a caller keeps only what it needs:
     the normalised amplitudes ``(len(grids[k]), d)`` (None on a trip), the

@@ -32,7 +32,6 @@ from quantex import (
     coherent_amplitude_beta,
     coherent_state,
     conditioned_energy_deficit,
-    detuning_scan,
     dyson_first_order,
     energy_ledger,
     evolve_driven,
@@ -44,12 +43,11 @@ from quantex import (
     gravito_vacuum_coupling,
     ground_state,
     gw_energy_density,
-    intensity_scan,
     pn1_from_amplitude,
     rabi_peak_scan,
+    scans,
     semiclassical_pn1,
     signature_report,
-    time_scan,
 )
 from quantex.cli import bundled_scenarios, main as cli_main
 
@@ -200,10 +198,10 @@ def test_criterion_4_neoclassical_restoration():
 
 
 def _signatures_for(model, cfg, t_max):
-    detuning = detuning_scan(model, cfg, np.linspace(-0.9, 0.9, 33))
-    intensity = intensity_scan(model, cfg, np.geomspace(1.0, 16.0, 9))
-    times = time_scan(model, cfg, np.geomspace(1e-3, t_max, 17))
-    return signature_report(detuning, intensity, times)
+    return signature_report(*scans(model, cfg, {
+        "detuning": np.linspace(-0.9, 0.9, 33),
+        "intensity": np.geomspace(1.0, 16.0, 9),
+        "time": np.geomspace(1e-3, t_max, 17)}).values())
 
 
 @criterion(5, "photo-electric signature triple passes for quantum AND driven models")

@@ -30,23 +30,21 @@ from quantex import (
     build_beam_splitter_hamiltonian,
     build_jc_hamiltonian,
     conditioned_energy_deficit,
-    detuning_scan,
     energy_ledger,
     evolve_driven,
     evolve_hybrid,
     evolve_unitary,
     golden_rule_fit,
     ground_state,
-    intensity_scan,
     ledger_to_csv,
     loglog_slope,
     rabi_peak_scan,
     scan_to_csv,
+    scans,
     signature_report,
-    time_scan,
 )
 from quantex import dynamics
-from quantex.analysis import run_point
+from quantex.analysis import default_target
 from kron_reference import beam_splitter, jaynes_cummings
 from test_dynamics import _chunk_of, _dense_route, per_step_driven
 
@@ -64,6 +62,22 @@ def _osc_model(**overrides):
     kw.update(overrides)
     return ModelSpec(ModelFamily.OSCILLATOR_DRIVE, DrivenOscillatorParams(**kw),
                      back_reaction=back)
+
+
+def _scan(axis, model, cfg, values):
+    """The one scan ``axis`` of ``model``."""
+    return scans(model, cfg, {axis: values})[axis]
+
+
+def _serial_point(model, cfg):
+    """The serial run of ``model`` from its default state to ``cfg.t_max``,
+    by the call an audit of its family makes, and the final population of
+    the detector's first excited level."""
+    if model.params.driven:
+        traj = evolve_driven(model.params, model.default_state, cfg)
+    else:
+        traj = evolve_unitary(model.params.hamiltonian(), model.default_state, cfg)
+    return traj, traj.final_state().population(*default_target(model))
 
 
 # -- energy ledger ------------------------------------------------------------
@@ -349,7 +363,7 @@ def test_detuning_scan_sinc_zeroes_and_argmax():
     t = 10.0
     zero1 = 2 * math.pi / t
     deltas = np.linspace(-0.9, 0.9, 61)
-    scan = detuning_scan(model, cfg, deltas)
+    scan = _scan("detuning", model, cfg, deltas)
     assert scan.axis_name == "detuning"
     probs = scan.probabilities
     assert np.argmax(probs) == 30
@@ -363,7 +377,7 @@ def test_detuning_scan_tags_bad_points_instead_of_aborting():
                            detector_cutoff=3, alpha=2.0)
     model = ModelSpec(ModelFamily.BEAM_SPLITTER, p)
     cfg = EvolutionConfig(dt=0.5, t_max=30.0)
-    scan = detuning_scan(model, cfg, np.linspace(-0.8, 0.8, 9))
+    scan = _scan("detuning", model, cfg, np.linspace(-0.8, 0.8, 9))
     assert math.isnan(scan.probabilities[4])
     assert "ToleranceError" in scan.errors[4]
     assert np.isfinite(scan.probabilities[0])
@@ -386,7 +400,7 @@ def test_detuning_argmax_at_zero_for_every_family():
     ]
     izero = 10
     for model, cfg in cases:
-        scan = detuning_scan(model, cfg, deltas)
+        scan = _scan("detuning", model, cfg, deltas)
         assert abs(int(np.argmax(scan.probabilities)) - izero) <= 1, model.family
 
 
@@ -403,7 +417,7 @@ def test_signature_report_json_matches_published_schema():
 def test_intensity_scan_slope_and_gap():
     model = _bs_model()
     cfg = EvolutionConfig(dt=1.0, t_max=10.0)
-    scan = intensity_scan(model, cfg, np.geomspace(1.0, 4.0, 7))
+    scan = _scan("intensity", model, cfg, np.geomspace(1.0, 4.0, 7))
     fit = loglog_slope(scan.axis, scan.probabilities)
     assert abs(fit.slope - 1.0) <= 0.01
     npt.assert_allclose(scan.aux["transition_gap"], 1.0, rtol=1e-9)
@@ -412,7 +426,7 @@ def test_intensity_scan_slope_and_gap():
 def test_intensity_scan_driven_family_uses_drive_amplitude():
     model = _osc_model()
     cfg = EvolutionConfig(dt=0.005, t_max=10.0, method=Method.MIDPOINT)
-    scan = intensity_scan(model, cfg, np.array([1.0, 2.0, 4.0, 8.0]))
+    scan = _scan("intensity", model, cfg, np.array([1.0, 2.0, 4.0, 8.0]))
     fit = loglog_slope(scan.axis, scan.probabilities)
     assert abs(fit.slope - 1.0) <= 0.01
 
@@ -421,7 +435,7 @@ def test_time_scan_short_time_quadratic_growth():
     model = _bs_model()
     cfg = EvolutionConfig(dt=0.5, t_max=10.0)
     times = np.geomspace(1e-3, 1e-1, 9)
-    scan = time_scan(model, cfg, times)
+    scan = _scan("time", model, cfg, times)
     fit = loglog_slope(scan.axis, scan.probabilities)
     assert abs(fit.slope - 2.0) <= 0.01
     assert np.all(scan.probabilities > 0)
@@ -431,7 +445,7 @@ def test_time_scan_driven_runs_per_point():
     model = _osc_model()
     cfg = EvolutionConfig(dt=0.01, t_max=10.0, method=Method.MIDPOINT)
     times = np.geomspace(0.001, 10.0, 7)
-    scan = time_scan(model, cfg, times)
+    scan = _scan("time", model, cfg, times)
     assert np.all(scan.probabilities > 0)
     ref = abs(1e-3 * 10.0 ** 2 / 2.0) ** 2  # drive ~ x0 nu^2 t^2/2 at short t
     assert scan.probabilities[0] == pytest.approx((1e-3) ** 2 * 1e-6 / 4, rel=0.01)
@@ -520,19 +534,18 @@ def test_batched_runs_match_per_step_reference_across_chunks(runs):
                 assert np.all(np.isnan(final))
 
 
-def test_driven_scans_match_serial_run_point():
+def test_driven_scans_match_their_serial_runs():
     model = _osc_model(coupling=0.01, detector_cutoff=6)
     cfg = EvolutionConfig(dt=0.01, t_max=2.0, method=Method.MIDPOINT)
     deltas = np.array([-0.5, 0.0, 0.5])
-    scan = detuning_scan(model, cfg, deltas)
+    scan = _scan("detuning", model, cfg, deltas)
     points = [model.with_nu(1.0 + d) for d in deltas]
-    serial = [run_point(m, cfg, m.default_state)[1] for m in points]
+    serial = [_serial_point(m, cfg)[1] for m in points]
     npt.assert_allclose(scan.probabilities, serial, rtol=1e-12, atol=0)
     times = np.array([0.013, 0.5, 2.0])
-    scan = time_scan(model, cfg, times)
-    serial = [run_point(model, EvolutionConfig(dt=t / round(t / 0.01), t_max=t,
-                                               method=Method.MIDPOINT),
-                        model.default_state)[1]
+    scan = _scan("time", model, cfg, times)
+    serial = [_serial_point(model, EvolutionConfig(dt=t / round(t / 0.01), t_max=t,
+                                                   method=Method.MIDPOINT))[1]
               for t in times]
     npt.assert_allclose(scan.probabilities, serial, rtol=1e-12, atol=0)
 
@@ -551,32 +564,31 @@ def test_driven_scan_points_equal_their_serial_runs(make, method, dt, t_max):
     model = make()
     cfg = EvolutionConfig(dt=dt, t_max=t_max, method=method)
     deltas = np.array([-0.5, -0.1, 0.0, 0.3, 0.5])
-    scan = detuning_scan(model, cfg, deltas)
+    scan = _scan("detuning", model, cfg, deltas)
     assert scan.errors == (None,) * len(deltas)
     points = [model.with_nu(1.0 + d) for d in deltas]
     assert scan.probabilities.tolist() == [
-        run_point(m, cfg, m.default_state)[1] for m in points]
+        _serial_point(m, cfg)[1] for m in points]
     times = t_max * np.array([0.03, 0.2, 0.57, 1.0])
-    scan = time_scan(model, cfg, times)
+    scan = _scan("time", model, cfg, times)
     assert scan.errors == (None,) * len(times)
     assert scan.probabilities.tolist() == [
-        run_point(model, replace(cfg, dt=t / max(1, round(t / dt)), t_max=t),
-                  model.default_state)[1]
+        _serial_point(model, replace(cfg, dt=t / max(1, round(t / dt)), t_max=t))[1]
         for t in times]
     # each point plans its own step table: these drives need three degrees
     intensities = np.array([1e-6, 1e-2, 1.0])
     norm_c = np.abs(model.params.free_and_coupling()[1]).sum(axis=0).max()
     degrees = {dynamics._taylor_plan(dt * math.sqrt(i) * norm_c)[0] for i in intensities}
     assert len(degrees) == len(intensities)
-    scan = intensity_scan(model, cfg, intensities)
+    scan = _scan("intensity", model, cfg, intensities)
     assert scan.errors == (None,) * len(intensities)
     points = [model.with_intensity(i) for i in intensities]
     assert scan.probabilities.tolist() == [
-        run_point(m, cfg, m.default_state)[1] for m in points]
+        _serial_point(m, cfg)[1] for m in points]
 
 
 def _time_scan_cfgs(cfg, times):
-    """The per-point configs of ``time_scan``: each readout t on its own grid."""
+    """The per-point configs of a time scan: each readout t on its own grid."""
     return [replace(cfg, dt=t / max(1, round(t / cfg.dt)), t_max=t) for t in times]
 
 
@@ -600,13 +612,12 @@ def test_quantized_scan_points_equal_their_serial_runs(model, cfg):
         intensities = np.array([1.0, 2.0, 4.0])
         axes["intensity"] = (intensities, [model.with_intensity(i) for i in intensities],
                              [cfg] * 3)
-    scans = {"detuning": detuning_scan, "intensity": intensity_scan, "time": time_scan}
     together = _run_points(model, cfg, {name: axis for name, (axis, _, _) in axes.items()})
     _, detector_free, _ = model.params.parts()
     levels = model.params.detector_levels()
     for name, (axis, points, cfgs) in axes.items():
-        serial = [run_point(m, q, m.default_state) for m, q in zip(points, cfgs)]
-        assert scans[name](model, cfg, axis).probabilities.tolist() == [p for _, p in serial]
+        serial = [_serial_point(m, q) for m, q in zip(points, cfgs)]
+        assert _scan(name, model, cfg, axis).probabilities.tolist() == [p for _, p in serial]
         alone = _run_points(model, cfg, {name: axis})[name]
         assert repr(alone) == repr(together[name])
         for (traj, prob), (p, gap, error) in zip(serial, alone):
@@ -631,12 +642,12 @@ def test_quantized_batch_tags_each_point_like_its_serial_run():
     for delta in deltas:
         try:
             m = model.with_nu(1.0 + delta)
-            serial.append((None, run_point(m, cfg, m.default_state)[1]))
+            serial.append((None, _serial_point(m, cfg)[1]))
         except (ToleranceError, ValueError) as exc:
             serial.append((f"{type(exc).__name__}: {exc}", None))
     assert serial[0][0] == "ValueError: nu must be > 0, got 0.0"
     assert serial[2][0].startswith("ToleranceError: top Fock level")
-    scan = detuning_scan(model, cfg, deltas)
+    scan = _scan("detuning", model, cfg, deltas)
     assert list(scan.errors) == [tag for tag, _ in serial]
     assert np.isnan(scan.probabilities[[0, 2]]).all()
     batch = _run_points(model, cfg, {"detuning": deltas})["detuning"]
@@ -656,12 +667,12 @@ def test_quantized_scans_decompose_once_per_block_size(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    time_scan(model, cfg, np.geomspace(0.001, 10.0, 25))
+    _scan("time", model, cfg, np.geomspace(0.001, 10.0, 25))
     assert sorted(shape[-1] for shape in shapes) == [1, 2, 3, 4, 5, 6]
     # one distinct Hamiltonian for the whole time scan
     assert {shape[0] for shape in shapes} == {1}
     shapes.clear()
-    detuning_scan(model, cfg, np.linspace(-0.9, 0.9, 41))
+    _scan("detuning", model, cfg, np.linspace(-0.9, 0.9, 41))
     assert len(shapes) == 6 and {shape[0] for shape in shapes} == {41}
 
 
@@ -681,11 +692,11 @@ def test_quantized_scans_read_the_hop_lists_once_per_point(monkeypatch):
     cfg = EvolutionConfig(dt=0.5, t_max=10.0)
     assert analysis.default_target(model) == (1, 1)
     assert not calls
-    detuning_scan(model, cfg, np.linspace(-0.5, 0.5, 5))
+    _scan("detuning", model, cfg, np.linspace(-0.5, 0.5, 5))
     assert len(calls) == 5
     # a time scan runs every readout time as a point of its own, each the
     # model itself, whose hop lists it reads once
-    time_scan(model, cfg, np.array([0.1, 1.0, 10.0]))
+    _scan("time", model, cfg, np.array([0.1, 1.0, 10.0]))
     assert len(calls) == 6
     assert not dense
 
@@ -702,7 +713,7 @@ def test_a_quantized_time_scan_builds_its_model_once(monkeypatch, params):
     # its serial run is test_quantized_scan_points_equal_their_serial_runs's
     calls, parts = [], cls.parts
     monkeypatch.setattr(cls, "parts", lambda p: calls.append(p) or parts(p))
-    scan = time_scan(ModelSpec(family, params), EvolutionConfig(dt=0.5, t_max=10.0),
+    scan = _scan("time", ModelSpec(family, params), EvolutionConfig(dt=0.5, t_max=10.0),
                      np.geomspace(0.001, 10.0, 25))
     assert calls == [params] and not any(scan.errors)
 
@@ -728,7 +739,7 @@ _JC_ON = JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=4)
 def test_run_point_matches_evolve_unitary_of_the_dense_hamiltonian(family, p, cfg):
     # the second route: a dense eigh propagation of the Kronecker-built H
     model = ModelSpec(family, p)
-    traj, prob = run_point(model, cfg, model.default_state)
+    traj, prob = _serial_point(model, cfg)
     m = beam_splitter(p) if family is ModelFamily.BEAM_SPLITTER else jaynes_cummings(p)
     dense = _dense_route(m, p.default_initial_state().amplitudes, cfg.time_grid())
     npt.assert_array_equal(traj.times, cfg.time_grid())
@@ -773,12 +784,12 @@ def test_a_failed_initial_state_tags_only_its_own_points(monkeypatch):
     monkeypatch.setattr(models, "coherent_state", failing)
     model = _bs_model()     # alpha = 2
     cfg = EvolutionConfig(dt=0.5, t_max=10.0)
-    scan = intensity_scan(model, cfg, np.array([1.0, 4.0, 6.0]))
+    scan = _scan("intensity", model, cfg, np.array([1.0, 4.0, 6.0]))
     assert scan.errors == (None, "CoherentTailError: forced", None)
     assert np.isnan(scan.probabilities[1]) and np.isfinite(scan.probabilities[[0, 2]]).all()
     # a failed build is not kept: every point that needs the state raises its own
-    for scan in (time_scan(model, cfg, np.array([1.0, 2.0])),
-                 detuning_scan(model, cfg, np.array([-0.1, 0.1]))):
+    for scan in (_scan("time", model, cfg, np.array([1.0, 2.0])),
+                 _scan("detuning", model, cfg, np.array([-0.1, 0.1]))):
         assert scan.errors == ("CoherentTailError: forced",) * 2
 
 
@@ -787,7 +798,7 @@ def test_quantized_time_scan_tags_late_top_level_trips_like_serial():
     model = _bs_model(g=0.002, detector_cutoff=3)
     cfg = EvolutionConfig(dt=0.5, t_max=10.0)
     times = np.array([0.5, 2.0, 5.0, 10.0])
-    scan = time_scan(model, cfg, times)
+    scan = _scan("time", model, cfg, times)
     tags = [_serial_tag(model, replace(cfg, dt=t / max(1, round(t / cfg.dt)), t_max=t))
             for t in times]
     assert tags[:2] == [None, None]
@@ -809,8 +820,8 @@ def test_reversing_a_scan_axis_reverses_its_points(deltas, small_cutoff):
          EvolutionConfig(dt=0.5, t_max=10.0)),
     ]
     for model, cfg in cases:
-        forward = detuning_scan(model, cfg, deltas)
-        backward = detuning_scan(model, cfg, deltas[::-1])
+        forward = _scan("detuning", model, cfg, deltas)
+        backward = _scan("detuning", model, cfg, deltas[::-1])
         npt.assert_allclose(backward.probabilities[::-1], forward.probabilities,
                             rtol=0, atol=1e-12)
         assert backward.errors[::-1] == forward.errors
@@ -820,7 +831,7 @@ def test_reversing_a_scan_axis_reverses_its_points(deltas, small_cutoff):
 
 def _serial_tag(model, cfg):
     try:
-        run_point(model, cfg, model.default_state)
+        _serial_point(model, cfg)
     except ToleranceError as exc:
         return f"ToleranceError: {exc}"
     return None
@@ -831,7 +842,7 @@ def test_batched_scan_tags_top_level_trip_like_serial():
     model = _osc_model(coupling=0.03, detector_cutoff=4)
     cfg = EvolutionConfig(dt=0.01, t_max=10.0, method=Method.MIDPOINT)
     deltas = np.array([-0.8, 0.0, 0.8])
-    scan = detuning_scan(model, cfg, deltas)
+    scan = _scan("detuning", model, cfg, deltas)
     tags = [_serial_tag(model.with_nu(1.0 + d), cfg) for d in deltas]
     assert tags[1] is not None and "top Fock level" in tags[1]
     assert list(scan.errors) == tags
@@ -839,7 +850,7 @@ def test_batched_scan_tags_top_level_trip_like_serial():
     assert np.all(np.isfinite(scan.probabilities[[0, 2]]))
     # on resonance the short readout leaves the batch before the long one trips
     times = np.array([1.0, 10.0])
-    scan = time_scan(model, cfg, times)
+    scan = _scan("time", model, cfg, times)
     tags = [_serial_tag(model, EvolutionConfig(dt=t / round(t / 0.01), t_max=t,
                                                method=Method.MIDPOINT))
             for t in times]
@@ -856,7 +867,7 @@ def test_batched_scan_tags_norm_trip_like_serial(monkeypatch):
     cfg = EvolutionConfig(dt=0.1, t_max=5.0, method=Method.MIDPOINT)
     monkeypatch.setattr(EvolutionConfig, "norm_drift_tol", 1e-17)
     intensities = np.array([0.25, 1.0, 400.0])
-    scan = intensity_scan(model, cfg, intensities)
+    scan = _scan("intensity", model, cfg, intensities)
     tags = [_serial_tag(ModelSpec(model.family,
                                   replace(model.params, x0=math.sqrt(i))), cfg)
             for i in intensities]
@@ -881,53 +892,53 @@ def test_scan_result_aux_columns_are_read_only():
     # the caller's array stays its own and writable
     gaps[0] = 5.0
     assert scan.aux["transition_gap"].tolist() == [1.0, 2.0]
-    inten = intensity_scan(_bs_model(), EvolutionConfig(dt=0.5, t_max=10.0),
+    inten = _scan("intensity", _bs_model(), EvolutionConfig(dt=0.5, t_max=10.0),
                            np.array([1.0, 4.0]))
     assert not inten.aux["transition_gap"].flags.writeable
 
 
-@pytest.mark.parametrize("scan, axis", [
-    (detuning_scan, np.array([-0.1, 0.0, 0.1])),
-    (intensity_scan, np.array([1.0, 4.0])),
-    (time_scan, np.array([1.0, 2.0])),
+@pytest.mark.parametrize("axis, values", [
+    ("detuning", np.array([-0.1, 0.0, 0.1])),
+    ("intensity", np.array([1.0, 4.0])),
+    ("time", np.array([1.0, 2.0])),
 ], ids=["detuning", "intensity", "time"])
-def test_scans_of_a_mean_field_model_raise(scan, axis):
+def test_scans_of_a_mean_field_model_raise(axis, values):
     model = _osc_model(back_reaction=True)
     cfg = EvolutionConfig(dt=0.01, t_max=2.0, method=Method.MIDPOINT)
     with pytest.raises(ValueError, match="prescribed or quantized models only"):
-        scan(model, cfg, axis)
+        _scan(axis, model, cfg, values)
 
 
-@pytest.mark.parametrize("scan, axis", [
-    (detuning_scan, [-0.1, math.nan, 0.1]),
-    (intensity_scan, [1.0, math.nan, 4.0]),
-    (time_scan, [1.0, math.nan, 2.0]),
+@pytest.mark.parametrize("axis, values", [
+    ("detuning", [-0.1, math.nan, 0.1]),
+    ("intensity", [1.0, math.nan, 4.0]),
+    ("time", [1.0, math.nan, 2.0]),
 ], ids=["detuning", "intensity", "time"])
 @pytest.mark.parametrize("model", [_bs_model(), _osc_model()], ids=["quantized", "driven"])
-def test_a_nan_scan_value_raises_before_any_point_runs(monkeypatch, model, scan, axis):
+def test_a_nan_scan_value_raises_before_any_point_runs(monkeypatch, model, axis, values):
     calls = []
     for name in ("_evolve_blocks", "_evolve_driven_batch"):
         monkeypatch.setattr(dynamics, name, lambda *a, name=name, **kw: calls.append(name))
     with pytest.raises(ValueError, match="needs finite"):
-        scan(model, EvolutionConfig(dt=0.5, t_max=10.0), np.array(axis))
+        _scan(axis, model, EvolutionConfig(dt=0.5, t_max=10.0), np.array(values))
     assert calls == []
 
 
-@pytest.mark.parametrize("scan, axis", [
-    (detuning_scan, np.linspace(0.0, 5e-324, 3)),
-    (intensity_scan, np.geomspace(1.0, 1.0000000000000002, 9)),
-    (time_scan, [1.0, 2.0, 1.5]),
+@pytest.mark.parametrize("axis, values", [
+    ("detuning", np.linspace(0.0, 5e-324, 3)),
+    ("intensity", np.geomspace(1.0, 1.0000000000000002, 9)),
+    ("time", [1.0, 2.0, 1.5]),
 ], ids=["detuning", "intensity", "time"])
 @pytest.mark.parametrize("model", [_bs_model(), _osc_model()], ids=["quantized", "driven"])
 def test_a_scan_axis_that_is_not_strictly_monotone_raises_before_any_point_runs(
-        monkeypatch, model, scan, axis):
+        monkeypatch, model, axis, values):
     # a span of an ulp or two rounds onto repeated values, which no
     # ScanResult may hold: the scan is refused before its points run
     calls = []
     for name in ("_evolve_blocks", "_evolve_driven_batch"):
         monkeypatch.setattr(dynamics, name, lambda *a, name=name, **kw: calls.append(name))
     with pytest.raises(ValueError, match="scan axis must be strictly monotone"):
-        scan(model, EvolutionConfig(dt=0.5, t_max=10.0), axis)
+        _scan(axis, model, EvolutionConfig(dt=0.5, t_max=10.0), values)
     assert calls == []
 
 
@@ -944,22 +955,20 @@ def test_quantized_scan_points_must_share_one_hop_list(monkeypatch):
     model = _bs_model(detector_cutoff=4)
     cfg = EvolutionConfig(dt=0.5, t_max=10.0)
     with pytest.raises(ValueError, match="share one hop list"):
-        detuning_scan(model, cfg, np.array([-0.1, 0.0, 0.1]))
+        _scan("detuning", model, cfg, np.array([-0.1, 0.0, 0.1]))
     # one point, or points that keep nu, share it
-    assert detuning_scan(model, cfg, np.array([0.0])).errors == (None,)
-    assert time_scan(model, cfg, np.array([1.0, 2.0])).errors == (None, None)
+    assert _scan("detuning", model, cfg, np.array([0.0])).errors == (None,)
+    assert _scan("time", model, cfg, np.array([1.0, 2.0])).errors == (None, None)
 
 
 # -- signature report ----------------------------------------------------------
 
 
 def _bs_signature_scans(t_max=10.0):
-    model = _bs_model()
-    cfg = EvolutionConfig(dt=1.0, t_max=t_max)
-    det = detuning_scan(model, cfg, np.linspace(-0.9, 0.9, 25))
-    inten = intensity_scan(model, cfg, np.geomspace(1.0, 4.0, 5))
-    tim = time_scan(model, cfg, np.geomspace(1e-3, t_max, 9))
-    return det, inten, tim
+    return scans(_bs_model(), EvolutionConfig(dt=1.0, t_max=t_max),
+                 {"detuning": np.linspace(-0.9, 0.9, 25),
+                  "intensity": np.geomspace(1.0, 4.0, 5),
+                  "time": np.geomspace(1e-3, t_max, 9)}).values()
 
 
 def test_signature_report_beam_splitter_passes():
@@ -976,7 +985,7 @@ def test_signature_threshold_inconclusive_when_horizon_too_short():
     # the scan cannot resolve the first interference null at t_max = 1
     model = _bs_model()
     cfg = EvolutionConfig(dt=0.25, t_max=1.0)
-    det = detuning_scan(model, cfg, np.linspace(-0.9, 0.9, 15))
+    det = _scan("detuning", model, cfg, np.linspace(-0.9, 0.9, 15))
     _, inten, tim = _bs_signature_scans()
     rep = signature_report(det, inten, tim)
     assert rep.threshold.status == "inconclusive"
@@ -1013,9 +1022,9 @@ def test_signature_checks_on_scans_with_failed_points_are_inconclusive():
     for name, scan in (("threshold", det), ("short_time", tim)):
         probs = scan.probabilities.copy()
         probs[0] = math.nan
-        scans = {"detuning": det, "intensity": inten, "time": tim}
-        scans[scan.axis_name] = replace(scan, probabilities=probs)
-        assert getattr(signature_report(*scans.values()), name) == inconclusive
+        three = {"detuning": det, "intensity": inten, "time": tim}
+        three[scan.axis_name] = replace(scan, probabilities=probs)
+        assert getattr(signature_report(*three.values()), name) == inconclusive
 
 
 def test_signature_intensity_check_is_inconclusive_below_three_positive_points():
@@ -1070,7 +1079,7 @@ def test_golden_rule_fit_slope_on_peak_scan():
 def test_golden_rule_fit_intensity_axis_cross_check():
     model = _bs_model()
     cfg = EvolutionConfig(dt=1.0, t_max=10.0)
-    scan = intensity_scan(model, cfg, np.geomspace(1.0, 4.0, 5))
+    scan = _scan("intensity", model, cfg, np.geomspace(1.0, 4.0, 5))
     fit = golden_rule_fit(scan)
     assert abs(fit.slope - 1.0) <= 0.01
 
@@ -1101,7 +1110,7 @@ def test_ledger_csv_columns_and_determinism(tmp_path):
 def test_scan_csv_columns(tmp_path):
     model = _bs_model()
     cfg = EvolutionConfig(dt=1.0, t_max=10.0)
-    scan = intensity_scan(model, cfg, np.array([1.0, 2.0]))
+    scan = _scan("intensity", model, cfg, np.array([1.0, 2.0]))
     path = tmp_path / "scan.csv"
     scan_to_csv(scan, path)
     lines = path.read_text().splitlines()

@@ -38,10 +38,9 @@ PUBLIC_NAMES = {
     "semiclassical_pn1",
     # analysis
     "DeficitReport", "EnergyLedger", "FitResult", "ScanResult", "SignatureCheck",
-    "SignatureReport", "conditioned_energy_deficit", "detuning_scan",
-    "energy_ledger", "golden_rule_fit", "intensity_scan", "ledger_to_csv",
-    "loglog_slope", "rabi_peak_scan", "scan_to_csv", "signature_report",
-    "time_scan",
+    "SignatureReport", "conditioned_energy_deficit", "energy_ledger",
+    "golden_rule_fit", "ledger_to_csv", "loglog_slope", "rabi_peak_scan",
+    "scan_to_csv", "scans", "signature_report",
 }
 
 

@@ -25,7 +25,7 @@ from quantex.cli import (
     main,
     validate_config,
 )
-from quantex.analysis import detuning_scan, intensity_scan, time_scan
+from quantex.analysis import scans
 from quantex.dynamics import GOLDEN_RULE_MIN_RATIO, EvolutionConfig, HybridState, Method
 from quantex.errors import ConfigError
 from quantex.hilbert import basis_state, ground_state, min_coherent_cutoff
@@ -421,11 +421,10 @@ def test_validate_and_the_scan_reject_a_scan_with_one_message(tmp_path, capsys, 
     path.write_text(json.dumps(cfg))
     assert main(["validate", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    scan = {"detuning": detuning_scan, "intensity": intensity_scan, "time": time_scan}[axis]
     evolution = {**cfg["evolution"], "method": Method(cfg["evolution"]["method"])}
     with pytest.raises(ValueError) as exc:
-        scan(cli._build_model(cfg["model"]), EvolutionConfig(**evolution),
-             cli._build_axis(cfg["scans"][axis], axis))
+        scans(cli._build_model(cfg["model"]), EvolutionConfig(**evolution),
+              {axis: cli._build_axis(cfg["scans"][axis], axis)})
     assert err == f"invalid configuration: {exc.value}\n"
 
 
@@ -450,8 +449,7 @@ def test_one_batch_of_every_axis_writes_what_each_axis_writes_alone(tmp_path, mo
     monkeypatch.setattr(dynamics, kernel, lambda *a, **kw: calls.append(1) or run(*a, **kw))
     written = cli.run_scenario(built, tmp_path / "batch")
     assert len(calls) == 1
-    scans = cli._scans
-    monkeypatch.setattr(cli, "_scans", lambda model, ev, axes: {
+    monkeypatch.setattr(cli, "scans", lambda model, ev, axes: {
         name: scans(model, ev, {name: values})[name] for name, values in axes.items()})
     assert cli.run_scenario(built, tmp_path / "alone") == written
     assert len(calls) == 4
@@ -727,22 +725,21 @@ def test_a_retired_option_exits_2_without_artifacts(tmp_path, capsys, scenario, 
 @pytest.mark.parametrize("scenario, donors, message", [
     ("gravito_constants", {"evolution": "jc_vacuum_exchange",
                            "scan": "beam_splitter_resonance"},
-     "constants scenarios read no block evolution, scan; they read gravito"),
-    ("rabi_golden_rule", {"model": "jc_vacuum_exchange"},
-     "golden_rule scenarios read no block model; they read golden_rule"),
+     "('evolution', 'scan' were unexpected)"),
+    ("rabi_golden_rule", {"model": "jc_vacuum_exchange"}, "('model' was unexpected)"),
     ("signatures_beam_splitter", {"scan": "beam_splitter_resonance"},
-     "signatures scenarios read no block scan; they read model, evolution, scans"),
-    ("jc_vacuum_exchange", {"scans": "signatures_beam_splitter"},
-     "audit scenarios read no block scans; they read model, evolution, initial_state"),
+     "('scan' was unexpected)"),
+    ("jc_vacuum_exchange", {"scans": "signatures_beam_splitter"}, "('scans' was unexpected)"),
     ("beam_splitter_resonance", {"initial_state": "jc_vacuum_exchange"},
-     "scan scenarios read no block initial_state; they read model, evolution, scan"),
+     "('initial_state' was unexpected)"),
 ], ids=["constants", "golden_rule", "signatures", "audit", "scan"])
 def test_a_block_the_kind_does_not_read_exits_2_without_artifacts(tmp_path, capsys,
                                                                   scenario, donors,
                                                                   message):
-    # each stray block is a bundled scenario's own, so the schema passes it;
+    # each stray block is a bundled scenario's own, valid where it belongs;
     # a run would ignore it, and a constants run would record guard bounds
-    # in its manifest for a run that evolves nothing
+    # in its manifest for a run that evolves nothing, so the schema's
+    # branch for the kind allows only the blocks the kind reads
     cfg = json.loads(bundled_scenarios()[scenario])
     for block, donor in donors.items():
         cfg[block] = json.loads(bundled_scenarios()[donor])[block]
@@ -751,7 +748,27 @@ def test_a_block_the_kind_does_not_read_exits_2_without_artifacts(tmp_path, caps
     out = tmp_path / "out"
     for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
         assert main(args) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+        assert capsys.readouterr().err == ("invalid configuration: schema violation at []: "
+                                           f"Additional properties are not allowed {message}\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("scenario, method, expected", [
+    ("qubit_drive_threshold", "matrix_exponential", "midpoint_piecewise"),
+    ("jc_vacuum_exchange", "midpoint_piecewise", "matrix_exponential"),
+], ids=["driven", "quantized"])
+def test_a_method_the_family_does_not_evolve_by_exits_2_without_artifacts(
+        tmp_path, capsys, scenario, method, expected):
+    # the driven families step by the midpoint rule and the quantized ones
+    # propagate exactly; the schema fixes each family's method label
+    path = tmp_path / "cfg.json"
+    path.write_text(_set(("evolution", "method"), method)(bundled_scenarios()[scenario]))
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("invalid configuration: schema violation at "
+                                           f"['evolution', 'method']: {expected!r} was "
+                                           "expected\n")
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -784,12 +801,16 @@ def test_an_axis_too_long_to_allocate_exits_2_without_artifacts(tmp_path, capsys
      "the block at ['scans', 'time'] asks for 2e+302 steps of about dt = 0.005, "),
     ("signatures_beam_splitter", ("model", "params", "field_cutoff"), 10 ** 15,
      "the block at ['model'] cannot be allocated: "),
-], ids=["horizon", "readout", "cutoff"])
+    # 1e16 stored states of 8 amplitudes, 1.1 EiB, which numpy refuses at once
+    ("jc_vacuum_exchange", ("evolution", "t_max"), 1e15,
+     "the block at ['evolution'] cannot be allocated: "),
+], ids=["horizon", "readout", "cutoff", "stored_horizon"])
 def test_a_run_too_long_or_a_state_too_large_to_allocate_exits_2(tmp_path, capsys, scenario,
                                                                   keys, value, message):
-    # a step count past np.intp's range and a default state of 10**15
-    # levels passed validate and crashed the run; a scan's default state
-    # is built (and cached for the run) while the config is validated
+    # a step count past np.intp's range, a default state of 10**15 levels
+    # and an audit's stored states past memory passed validate and crashed
+    # the run; a scan's default state is built (and cached for the run)
+    # while the config is validated
     path = tmp_path / "cfg.json"
     path.write_text(_set(keys, value)(bundled_scenarios()[scenario]))
     out = tmp_path / "out"

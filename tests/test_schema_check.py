@@ -8,6 +8,7 @@ import importlib.util
 import json
 import operator
 import random
+import re
 from pathlib import Path
 
 import jsonschema
@@ -175,3 +176,31 @@ def test_a_failing_initial_state_reports_the_branch_its_type_names(initial, mess
     with pytest.raises(ConfigError) as got:
         validate_config(cfg)
     assert str(got.value) == f"schema violation at {message}"
+
+
+def _with(name: str, key: str, **changes) -> dict:
+    """Bundled scenario ``name`` with ``changes`` merged into its block ``key``."""
+    cfg = json.loads(bundled_scenarios()[name])
+    cfg[key] = {**cfg[key], **changes}
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, path, message", [
+    ({**json.loads(bundled_scenarios()["gravito_constants"]),
+      "evolution": json.loads(bundled_scenarios()["jc_vacuum_exchange"])["evolution"]},
+     [], "Additional properties are not allowed ('evolution' was unexpected)"),
+    (_with("jc_vacuum_exchange", "output", csv_prefix="run"),
+     ["output"], "Additional properties are not allowed ('csv_prefix' was unexpected)"),
+    (_with("qubit_drive_threshold", "evolution", method="matrix_exponential"),
+     ["evolution", "method"], "'midpoint_piecewise' was expected"),
+    (_with("jc_vacuum_exchange", "evolution", method="midpoint_piecewise"),
+     ["evolution", "method"], "'matrix_exponential' was expected"),
+], ids=["stray_block", "stray_output", "method_driven", "method_quantized"])
+def test_the_schema_alone_rejects_what_a_kind_or_a_family_does_not_take(cfg, path, message):
+    # the blocks and outputs of each kind and the method of each family are
+    # the schema's rules, so a validator used alone rejects them too
+    errors = list(jsonschema.Draft202012Validator(cli._schema()).iter_errors(cfg))
+    assert [(list(e.absolute_path), e.message) for e in errors] == [(path, message)]
+    assert _check(cfg) == [(path, message)]
+    with pytest.raises(ConfigError, match=f"^schema violation at {re.escape(str(path))}: "):
+        validate_config(cfg)
