@@ -390,7 +390,7 @@ def _run_points(model: ModelSpec, cfg: EvolutionConfig, axes: dict) -> dict:
         x0s, nus = zip(*data)
         finals, errors, _ = _dyn._evolve_driven_batch(
             *p.free_and_coupling(), psi0, x0s, nus, t_ends,
-            [_dyn._steps(t, cfg.dt) for t in t_ends], cfg)
+            [_dyn._steps(t, cfg.dt) for t in t_ends])
         rows = (read(name, exc, psi0.amplitudes, final)
                 for (name, _), final, exc in zip(index, finals, errors))
     else:
@@ -399,7 +399,7 @@ def _run_points(model: ModelSpec, cfg: EvolutionConfig, axes: dict) -> dict:
         if len({tuple(a.tobytes() for a in hops) for hops in distinct}) > 1:
             raise ValueError("the points of a quantized scan must share one hop list")
         blocks = _dyn._evolve_blocks(p.space, np.array(diagonals), hop_lists[0], psi0s,
-                                     [_dyn._grid(t, cfg.dt) for t in t_ends], cfg)
+                                     [_dyn._grid(t, cfg.dt) for t in t_ends])
         rows = (read(name, exc, *([] if amps is None else amps[[0, -1]]))
                 for (name, _), (amps, _, exc) in zip(index, blocks))
     for (name, i), row in zip(index, rows):
@@ -592,23 +592,26 @@ class FitResult:
 
 def loglog_slope(x, y) -> FitResult:
     """Least-squares slope of log(y) against log(x) over the finite,
-    positive points; ValueError when fewer than three remain or their
-    log(x) spread too little for a line: all equal, or within polyfit's
-    own rank tolerance (``len(x) * eps`` relative), where it could fit
-    only a constant and cannot form the slope's covariance."""
+    positive points, in closed form from centred sums: the slope
+    Sxy / Sxx and its standard error sqrt(RSS / (n - 2) / Sxx).
+    ValueError when fewer than three points remain or their log(x)
+    spread too little for a line: sqrt(Sxx) within ``n * eps`` of the
+    largest |log(x)|, where the spread is rounding."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = np.isfinite(x) & np.isfinite(y) & (x > 0) & (y > 0)
-    if keep.sum() < 3:
+    n = int(keep.sum())
+    if n < 3:
         raise ValueError("need at least three positive points for a log-log fit")
     lx, ly = np.log(x[keep]), np.log(y[keep])
-    # equal log(x), whose column polyfit would scale by zero norm when x = 1,
-    # or polyfit's own rank test, asked for in full so that it warns of nothing
-    if np.ptp(lx) == 0 or np.polyfit(lx, ly, 1, full=True)[2] < 2:
+    dx, dy = lx - lx.mean(), ly - ly.mean()
+    sxx = float(dx @ dx)
+    if not math.sqrt(sxx) > n * np.finfo(float).eps * np.abs(lx).max():
         raise ValueError("need at least two distinct x for a log-log fit")
-    coeffs, cov = np.polyfit(lx, ly, 1, cov=True)
-    return FitResult(slope=float(coeffs[0]), stderr=float(math.sqrt(cov[0, 0])),
-                     intercept=float(coeffs[1]), n_points=int(keep.sum()))
+    slope = float(dx @ dy) / sxx
+    resid = dy - slope * dx
+    return FitResult(slope=slope, stderr=math.sqrt(float(resid @ resid) / (n - 2) / sxx),
+                     intercept=float(ly.mean() - slope * lx.mean()), n_points=n)
 
 
 def golden_rule_fit(scan: ScanResult) -> FitResult:

@@ -309,7 +309,8 @@ def _build_axis(block: dict, name: str) -> np.ndarray:
 def validate_config(cfg: dict) -> Scenario:
     """Schema plus physics-domain validation; runs nothing.  Every number
     must be finite, every horizon and readout time a step count an array
-    can index, and an audit's stored states an array numpy can allocate.
+    can index, and an audit's stored states and the samples of a quantized
+    scan's longest point arrays numpy can allocate.
     The returned scenario, built once and frozen, holds all that its
     runner reads but a constants block's parameters: the output names, the
     model (with a scan's default state built and cached), the evolution
@@ -345,6 +346,11 @@ def validate_config(cfg: dict) -> Scenario:
                 axes[name] = _scan_axis(model, name, _build_axis(block, name))
                 if name == "time":
                     _check_steps(axes[name].max(), evolution.dt, where)
+                if not model.params.driven:     # a quantized point holds all its samples
+                    h, where = ((axes[name].max(), where) if name == "time"
+                                else (evolution.t_max, ["evolution"]))
+                    np.empty((_steps(h, evolution.dt) + 1, model.params.space.total_dim),
+                             dtype=complex)
             # a scan tags a point at nu <= 0; a config may not plan one
             if np.min(axes.get("detuning", np.inf)) + model.params.omega <= 0:
                 raise ConfigError("detuning scan would push the field frequency "

@@ -30,10 +30,12 @@ Three propagators, each the one route of its model kind:
 Taylor sum for ``exp(h g) v`` whose degree and substeps follow from a
 1-norm bound on h g, which ``_STEP_BOUND_MAX`` caps for every driven step.
 
-The kernels only propagate raw states.  One ``_guard`` pass over the
-raw states measures their norms, norm drift since t = 0 and top Fock
-levels, and the states a kernel keeps are normalised by those norms;
-``_trip_error`` names the earliest trip.  Each propagator hands its
+The kernels only propagate raw states, and one guard judges them all:
+a ``_guard`` call on a ``(steps, runs, d)`` stack of raw states holds
+their norm drift since t = 0 and their top Fock levels
+(``SpaceDescriptor._top_slots``) to ``EvolutionConfig``'s class bounds,
+names each tripped run's earliest trip and returns the norms by which
+a kernel normalises the states it keeps.  Each propagator hands its
 frozen amplitude array to its ``Trajectory`` uncopied.
 
 The closed-form expressions at the bottom use a guarded ``sin(x)/x``
@@ -62,7 +64,6 @@ from .errors import (
 )
 from .hilbert import (
     NORM_ATOL,
-    Boson,
     Hamiltonian,
     SpaceDescriptor,
     StateVector,
@@ -193,60 +194,42 @@ class Trajectory:
 # guards
 
 
-def _boson_top_indices(space: SpaceDescriptor):
-    """(factor index, flat basis indices where that factor sits on its top
-    Fock level) for every bosonic factor."""
-    return [(i, np.flatnonzero(space.levels[i] == f.dim - 1))
-            for i, f in enumerate(space.factors) if isinstance(f, Boson)]
+def _guard(raw: np.ndarray, t, space: SpaceDescriptor, taken=True):
+    """The norm and top-level guards, at ``EvolutionConfig``'s class bounds,
+    on a stack ``(steps, runs, d)`` of raw states at times t, where each
+    run takes the steps ``taken`` (t and taken broadcast to ``(steps,
+    runs)``).  A non-finite norm counts as drift; a step a run does not
+    take is not judged.
 
-
-def _guard(amp: np.ndarray, cfg: EvolutionConfig, top_slots):
-    """Norm and top-level guards on one state ``(d,)`` or a stack ``(..., d)``:
-    per state, the raw norm, the raw norm drift, the top-level population
-    of each ``top_slots`` factor (a list) and whether a guard trips (a
-    bool mask).  A non-finite norm counts as drift.  A state is
-    normalised as ``amp / nrm[..., None]``, by the caller and only where
-    it needs the state."""
-    probs = np.abs(amp) ** 2
+    Returns the raw norms ``(steps, runs)``, by which a caller normalises
+    only the states it keeps, each run's worst raw norm drift over the
+    steps it takes and ``{run: ToleranceError}`` for each run that trips,
+    naming its earliest tripped step (by t, in any order; ties go to the
+    first step).  A pass where nothing trips does no per-run work.
+    """
+    norm_tol, top_tol = EvolutionConfig.norm_drift_tol, EvolutionConfig.top_level_tol
+    probs = np.abs(raw) ** 2
     nrm_sq = probs.sum(axis=-1)
     nrm = np.sqrt(nrm_sq)
-    drift = np.abs(nrm - 1.0)
-    pops = [probs[..., flat].sum(axis=-1) / nrm_sq for _, flat in top_slots]
-    tripped = ~(drift <= cfg.norm_drift_tol)
+    drift = np.where(taken, np.abs(nrm - 1.0), 0.0)
+    pops = [probs[..., flat].sum(axis=-1) / nrm_sq for _, flat in space._top_slots]
+    tripped = ~(drift <= norm_tol)
     for pop in pops:
-        tripped = tripped | (pop > cfg.top_level_tol)
-    return nrm, drift, pops, tripped
-
-
-def _trip_error(drift, pops, tripped, t, cfg: EvolutionConfig, top_slots):
-    """The ToleranceError of the earliest tripped state in a ``_guard``
-    pass over states at times t (any order; ties go to the first index),
-    or None when no state trips."""
-    if not np.any(tripped):
-        return None
-    t = np.broadcast_to(t, np.shape(tripped))
-    i = np.unravel_index(np.argmin(np.where(tripped, t, np.inf)), np.shape(tripped))
-    if not drift[i] <= cfg.norm_drift_tol:
-        return ToleranceError(
-            f"norm drift {drift[i]:.3e} exceeds {cfg.norm_drift_tol:.1e} at t={t[i]:g} "
-            "(reduce dt)")
-    for (idx, _), pop in zip(top_slots, pops):
-        if pop[i] > cfg.top_level_tol:
-            return ToleranceError(
-                f"top Fock level of factor {idx} holds population {pop[i]:.3e} "
-                f"> {cfg.top_level_tol:.1e} at t={t[i]:g} (raise the cutoff)")
-
-
-def _checked_state(amp: np.ndarray, t, cfg: EvolutionConfig,
-                   top_slots) -> tuple[np.ndarray, np.ndarray]:
-    """``_guard`` that raises instead of reporting: on one state at time t,
-    or on a stack of states at times t, where the earliest trip is raised
-    (``_trip_error``).  Returns the renormalised amplitudes and raw drift."""
-    nrm, drift, pops, tripped = _guard(amp, cfg, top_slots)
-    error = _trip_error(drift, pops, tripped, t, cfg, top_slots)
-    if error is not None:
-        raise error
-    return amp / nrm[..., None], drift
+        tripped |= pop > top_tol
+    tripped &= taken
+    trips = {}
+    for r in np.flatnonzero(tripped.any(axis=0)).tolist():
+        at = np.broadcast_to(t, tripped.shape)[:, r]
+        i = np.argmin(np.where(tripped[:, r], at, np.inf))
+        if not drift[i, r] <= norm_tol:
+            trips[r] = ToleranceError(f"norm drift {drift[i, r]:.3e} exceeds {norm_tol:.1e} "
+                                      f"at t={at[i]:g} (reduce dt)")
+            continue
+        idx, pop = next((idx, pop[i, r]) for (idx, _), pop in zip(space._top_slots, pops)
+                        if pop[i, r] > top_tol)
+        trips[r] = ToleranceError(f"top Fock level of factor {idx} holds population "
+                                  f"{pop:.3e} > {top_tol:.1e} at t={at[i]:g} (raise the cutoff)")
+    return nrm, drift.max(axis=0), trips
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +314,7 @@ def _block_eigh(diagonals: np.ndarray, hops) -> tuple[np.ndarray, list]:
 
 
 def _evolve_blocks(space: SpaceDescriptor, diagonals: np.ndarray, hops,
-                   psi0s: Sequence[StateVector], grids, cfg: EvolutionConfig):
+                   psi0s: Sequence[StateVector], grids):
     """exp(-i H_k t) psi0s[k] at each t of the array ``grids[k]``, for a
     batch of points k with H_k = diag(diagonals[k]) + hops: the one route
     of every quantized evolution, ``evolve_unitary_at`` being a batch of one.
@@ -339,10 +322,9 @@ def _evolve_blocks(space: SpaceDescriptor, diagonals: np.ndarray, hops,
     One ``_block_eigh`` decomposes every distinct H_k of the batch.  Then,
     point by point, each block-size class forms every sample of the
     point's grid in one stacked product ``v (exp(-i w t) v^H psi0)``, a
-    sample at t = 0 is psi0 itself (so U(0) = I exactly), and one guard
-    pass checks the norm and the top Fock levels at every sample.  There
-    is no integration error.  Every point is held to ``EvolutionConfig``'s
-    class guard bounds.
+    sample at t = 0 is psi0 itself (so U(0) = I exactly), and one
+    ``_guard`` call judges every sample as a run of one.  There is no
+    integration error.
 
     Yields, point by point, so that a caller keeps only what it needs:
     the normalised amplitudes ``(len(grids[k]), d)`` (None on a trip), the
@@ -352,7 +334,6 @@ def _evolve_blocks(space: SpaceDescriptor, diagonals: np.ndarray, hops,
     if any(psi0.space != space for psi0 in psi0s):
         raise ValueError("Hamiltonian and initial state live on different spaces")
     inverse, classes = _block_eigh(diagonals, hops)
-    top_slots = _boson_top_indices(space)
     for u, psi0, times in zip(inverse, psi0s, grids):
         amps = np.empty((len(times), space.total_dim), dtype=complex)
         for idx, w, v in classes:
@@ -360,11 +341,11 @@ def _evolve_blocks(space: SpaceDescriptor, diagonals: np.ndarray, hops,
             phases = np.exp(-1j * w[u] * times[:, None, None])[..., None]
             amps[:, idx] = (v[u] @ (phases * coeffs))[..., 0]
         amps[times == 0] = psi0.amplitudes
-        nrm, drift, pops, tripped = _guard(amps, cfg, top_slots)
-        error = _trip_error(drift, pops, tripped, times, cfg, top_slots)
+        nrm, worst, trips = _guard(amps[:, None], times[:, None], space)
+        error = trips.get(0)
         if error is None:
-            amps /= nrm[:, None]
-        yield (amps if error is None else None), float(drift.max(initial=0.0)), error
+            amps /= nrm
+        yield (amps if error is None else None), float(worst[0]), error
 
 
 def evolve_unitary_at(h: Hamiltonian, psi0: StateVector, times,
@@ -374,13 +355,14 @@ def evolve_unitary_at(h: Hamiltonian, psi0: StateVector, times,
 
     The diagonal and hops of ``h`` go through ``_evolve_blocks`` as a
     batch of one: no integration error, and the norm / top-level guards
-    run per sample; a trip is raised at the earliest tripped time.
+    run per sample; a trip is raised at the earliest tripped time.  The
+    guard bounds are ``EvolutionConfig``'s class bounds: ``cfg`` is not read.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not times.size or not np.all(np.isfinite(times)):
         raise ValueError("sample times must be a non-empty list of finite numbers")
     ((amps, worst, error),) = _evolve_blocks(h.space, h.diagonal[None], h.hops, [psi0],
-                                             [times], cfg)
+                                             [times])
     if error is not None:
         raise error
     amps.setflags(write=False)
@@ -539,7 +521,7 @@ _DRIVE_CHUNK_BYTES = 1 << 20
 
 
 def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
-                         cfg: EvolutionConfig, states: np.ndarray | None = None):
+                         states: np.ndarray | None = None):
     """Many prescribed-drive runs that share h0, c and the initial state.
 
     Run b is driven by x(t) = x0s[b] sin(nus[b] t) over n_steps[b] steps
@@ -565,11 +547,11 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     propagators of every (step, run) from the tables at the steps' drive
     shapes (``_table_step``, whose groups are gathered again only when the
     live set changes); a serial loop of one batched matvec per step on
-    the raw, never renormalised state; one ``_guard`` pass over the
-    chunk's raw states, in which each run takes the earliest trip among
-    the steps it actually takes (``_trip_error`` on its column; steps past
-    its end are masked out).  Only the states that are stored or final are
-    normalised.  A run leaves at the end of the chunk in which it
+    the raw, never renormalised state; one ``_guard`` call on the chunk's
+    raw states, which judges only the steps each run takes, so a run
+    takes the earliest trip among them.  ``psi0`` is judged by one more
+    call before the first step.  Only the states that are stored or final
+    are normalised.  A run leaves at the end of the chunk in which it
     finishes or trips.
 
     Returns the final amplitudes ``(B, d)`` (NaN rows for failed runs),
@@ -583,16 +565,17 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     n_steps = np.asarray(n_steps, dtype=int)
     dts = t_ends / n_steps
     bounds = dts * norms[0] + dts * np.abs(x0s) * norms[1]
-    top_slots = _boson_top_indices(psi0.space)
     n_runs, dim = len(n_steps), psi0.space.total_dim
     per_chunk = max(1, _DRIVE_CHUNK_BYTES // (16 * dim * dim))
     final = np.full((n_runs, dim), np.nan, dtype=complex)
     errors = [None] * n_runs
 
-    amp0, drift0 = _checked_state(psi0.amplitudes, 0.0, cfg, top_slots)
+    nrm0, worst0, trips = _guard(psi0.amplitudes[None, None], 0.0, psi0.space)
+    if trips:
+        raise trips[0]
     if states is not None:
-        states[0] = amp0
-    worst = np.full(n_runs, float(drift0))
+        states[0] = psi0.amplitudes / nrm0[0]
+    worst = np.full(n_runs, worst0[0])
     live = np.flatnonzero(bounds <= _STEP_BOUND_MAX)
     for b in np.flatnonzero(~(bounds <= _STEP_BOUND_MAX)):
         errors[b] = ToleranceError(f"drive step 1-norm bound {bounds[b]:.3e} exceeds "
@@ -632,14 +615,11 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
                 amp = np.matmul(u[j], amp, out=raw[j])
             del u
             raw = raw[..., 0]
-            nrm, drift, pops, tripped = _guard(raw, cfg, top_slots)
-            taken = k < n
-            worst[live] = np.maximum(worst[live], np.where(taken, drift, 0.0).max(axis=0))
-            hit = taken & tripped
-            failed = hit.any(axis=0)
-            for b in np.flatnonzero(failed):
-                errors[live[b]] = _trip_error(drift[:, b], [pop[:, b] for pop in pops],
-                                              hit[:, b], t1[:, b], cfg, top_slots)
+            nrm, drift, trips = _guard(raw, t1, psi0.space, k < n)
+            worst[live] = np.maximum(worst[live], drift)
+            failed = np.zeros(live.size, dtype=bool)
+            for b, error in trips.items():
+                errors[live[b]], failed[b] = error, True
             finished = n <= k[-1, 0] + 1
             done = np.flatnonzero(~failed & finished)
             last = n[done] - 1 - lo
@@ -652,7 +632,7 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
             # a copy of the last states, so that the chunk's arrays are freed
             amp = amp[keep]
             lo += len(k)
-            del raw, nrm, drift, pops, tripped, hit
+            del raw, nrm
     return final, errors, worst
 
 
@@ -675,7 +655,7 @@ def evolve_driven(params, psi0: StateVector | None, cfg: EvolutionConfig) -> Tra
     amps = np.empty((len(times), 1, space.total_dim), dtype=complex)
     _, errors, worst = _evolve_driven_batch(
         *params.free_and_coupling(), psi0, [params.x0], [params.nu],
-        [cfg.t_max], [cfg.n_steps], cfg, states=amps)
+        [cfg.t_max], [cfg.n_steps], states=amps)
     if errors[0] is not None:
         raise errors[0]
     amps.setflags(write=False)
@@ -703,8 +683,8 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     1-norm bound ``dt (|h0|_1 + |x| |c|_1)`` (past ``_STEP_BOUND_MAX`` it
     raises), with no decomposition.  The run carries and stores the raw
     state; the force <c>, one product with the real form of c over the
-    squared norm, feeds both half-flows.  One ``_checked_state`` pass over
-    the stored rows then normalises and judges them: a run that trips
+    squared norm, feeds both half-flows.  One ``_guard`` call then judges
+    the stored rows, which are normalised by its norms: a run that trips
     raises after its last step, or after an abort, whose earlier trips
     win.  The tests hold the amplitudes and (x, p) to a per-step
     eigendecomposition loop within 1e-12 absolute and the worst norm
@@ -758,14 +738,14 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
             break
         rows[k + 1] = v
         track.append((x, p))
-    n = len(track)
-    amps, drift = _checked_state(rows[:n].view(complex), times[:n], cfg,
-                                 _boson_top_indices(space))
-    if stop is not None:
-        raise stop
+    raw = rows[:len(track)].view(complex)
+    nrm, worst, trips = _guard(raw[:, None], times[:len(track), None], space)
+    error = trips.get(0, stop)
+    if error is not None:
+        raise error
+    amps = raw / nrm
     amps.setflags(write=False)
-    return Trajectory(space, times, amps, classical=track,
-                      max_norm_drift=float(drift.max()))
+    return Trajectory(space, times, amps, classical=track, max_norm_drift=float(worst[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ Conventions:
     with ``sigma_z |e> = +|e>``;
   * hard truncation at the Fock cutoff: raising the top level ``|dim-1>``
     gives zero.  The commutator ``[a, a+] = 1`` therefore holds only below
-    the top level, and evolution code watches the top-level population to
-    keep the truncation error observable.
+    the top level, and evolution code watches the top-level population
+    (``SpaceDescriptor._top_slots``) to keep the truncation error observable.
 """
 
 from __future__ import annotations
@@ -88,6 +88,14 @@ class SpaceDescriptor:
         table = np.indices(self.dims).reshape(len(self.dims), -1)
         table.setflags(write=False)
         return table
+
+    @cached_property
+    def _top_slots(self) -> tuple:
+        """(factor index, flat basis indices where that factor sits on its
+        top Fock level) for each bosonic factor: the populations that the
+        evolution guards watch (see the module docstring)."""
+        return tuple((i, np.flatnonzero(self.levels[i] == f.dim - 1))
+                     for i, f in enumerate(self.factors) if isinstance(f, Boson))
 
     def factor(self, index: int) -> Factor:
         if not 0 <= index < len(self.factors):

@@ -492,7 +492,7 @@ def test_batched_final_states_match_serial_on_every_scan_axis(make, method):
         finals, errors, _ = dynamics._evolve_driven_batch(
             h0, c, psi0, [m.params.x0 for m in models],
             [m.params.nu for m in models], [q.t_max for q in cfgs],
-            [q.n_steps for q in cfgs], cfg)
+            [q.n_steps for q in cfgs])
         assert errors == [None] * len(models), axis
         for final, m, q in zip(finals, models, cfgs):
             ref, exc = _reference_run(m, q)
@@ -521,7 +521,7 @@ def test_batched_runs_match_per_step_reference_across_chunks(runs):
         _chunk_of(patch, base)
         finals, errors, _ = dynamics._evolve_driven_batch(
             *base.free_and_coupling(), ground_state(base.space), x0s, nus, t_ends,
-            n_steps, cfg)
+            n_steps)
         for (nu, x0, t_end, n), final, exc in zip(runs, finals, errors):
             run_cfg = replace(cfg, dt=t_end / n, t_max=t_end)
             assert run_cfg.n_steps == n

@@ -822,6 +822,28 @@ def test_a_run_too_long_or_a_state_too_large_to_allocate_exits_2(tmp_path, capsy
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("keys, value, where", [
+    # 2e15 + 1 samples of 192 amplitudes at every detuning point, 5.33 EiB
+    (("evolution", "t_max"), 1e15, ["evolution"]),
+    # 2.4e15 + 1 samples at the last readout time, 2e15 + 1 at the first
+    (("scan",), {"axis": "time", "start": 1e15, "stop": 1.2e15, "points": 3}, ["scan"]),
+], ids=["horizon", "readout"])
+def test_a_quantized_scan_whose_samples_numpy_refuses_exits_2(tmp_path, capsys, keys, value,
+                                                               where):
+    # validate passed these, and the run crashed allocating a point's time
+    # grid; numpy refuses every such array at once, so nothing is allocated
+    path = tmp_path / "cfg.json"
+    path.write_text(_set(keys, value)(bundled_scenarios()["beam_splitter_resonance"]))
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid configuration: the block at {where} "
+                              "cannot be allocated: "), err
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_a_moderate_horizon_still_validates(tmp_path, capsys):
     # a step budget is a separate rule: 10**7 steps of dt 0.1 index fine
     path = tmp_path / "cfg.json"

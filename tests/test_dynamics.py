@@ -48,11 +48,10 @@ from quantex import dynamics
 from quantex.dynamics import (
     _TAYLOR_REACH,
     _block_eigh,
-    _boson_top_indices,
     _component_labels,
-    _checked_state,
     _drive_table,
     _evolve_driven_batch,
+    _guard,
     _real_form,
     _step_groups,
     _table_step,
@@ -219,7 +218,38 @@ def test_guard_trip_names_the_earliest_time_in_any_order():
     amps = np.sqrt([[0.9, 0.0, 0.1], [0.8, 0.0, 0.2]])
     for times, pop in (([1.0, 1.0], "1.000e-01"), ([2.0, 1.0], "2.000e-01")):
         with pytest.raises(ToleranceError, match=f"population {pop} .* at t=1 "):
-            _checked_state(amps, np.array(times), cfg, _boson_top_indices(space))
+            _checked(amps, times, space)
+
+
+def _checked(raw, t, space):
+    """``_guard`` on one run's raw states ``(steps, d)`` at times t that
+    raises its trip: the renormalised states and the worst raw drift."""
+    nrm, worst, trips = _guard(raw[:, None], np.reshape(t, (-1, 1)), space)
+    if trips:
+        raise trips[0]
+    return raw / nrm, worst[0]
+
+
+def test_guard_judges_each_run_on_the_steps_it_takes():
+    # three runs of three steps: run 0 takes two steps and holds a NaN
+    # state in the third, run 1 fills the top level from step 1 on and
+    # run 2 drifts at step 2; a step not taken neither trips nor counts
+    # in the worst drift, and each run that trips names its own earliest step
+    space = SpaceDescriptor((Boson(3),))
+    ok, drifted = [1.0, 0.0, 0.0], [1.0 + 1e-12, 0.0, 0.0]
+    raw = np.array([[ok, ok, ok],
+                    [drifted, np.sqrt([0.8, 0.0, 0.2]), ok],
+                    [[np.nan] * 3, np.sqrt([0.7, 0.0, 0.3]), [1.1, 0.0, 0.0]]], dtype=complex)
+    taken = np.array([[True] * 3, [True] * 3, [False, True, True]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nrm, worst, trips = _guard(raw, np.array([[0.5], [1.0], [2.0]]), space, taken)
+    assert nrm.shape == (3, 3) and np.isnan(nrm[2, 0])
+    assert worst[0] == abs((1.0 + 1e-12) - 1.0) and 0 not in trips
+    assert sorted(trips) == [1, 2]
+    assert str(trips[1]) == ("top Fock level of factor 0 holds population 2.000e-01 "
+                             "> 1.0e-08 at t=1 (raise the cutoff)")
+    assert str(trips[2]) == "norm drift 1.000e-01 exceeds 1.0e-09 at t=2 (reduce dt)"
 
 
 # -- driven evolution ---------------------------------------------------------
@@ -333,15 +363,15 @@ def per_step_driven(params, cfg):
     raising the first guard trip.  Returns the amplitudes (n_t, d) and the
     raw norm drift of every step."""
     h0, c = params.free_and_coupling()
-    top_slots = _boson_top_indices(params.space)
-    times = cfg.time_grid()
+    space, times = params.space, cfg.time_grid()
     x_of = lambda t: params.x0 * np.sin(params.nu * t)
     amp = params.default_initial_state().amplitudes.copy()
-    rows = [_checked_state(amp, 0.0, cfg, top_slots)[0]]
+    rows = [_checked(amp[None], 0.0, space)[0][0]]
     drifts = []
     for k in range(len(times) - 1):
         amp = _reference_step(h0, c, x_of, times[k], times[k + 1], amp)
-        amp, drift = _checked_state(amp, times[k + 1], cfg, top_slots)
+        amp, drift = _checked(amp[None], times[k + 1], space)
+        amp = amp[0]
         rows.append(amp)
         drifts.append(float(drift))
     return np.array(rows), np.array(drifts)
@@ -498,13 +528,12 @@ def per_step_hybrid(model, s0, cfg):
     """The step-by-step reference for mean-field runs: the Strang split of
     ``evolve_hybrid`` with each quantum step exponentiated through an
     eigendecomposition of the midpoint Hamiltonian, <C> from the complex
-    state and one ``_checked_state`` per step, raising the first trip.
+    state and one ``_guard`` call per step, raising the first trip.
     Returns the amplitudes (n_t, d), the (x, p) track and the worst raw
     norm drift."""
     space, lam, nu = model.params.space, model.params.coupling, model.params.nu
     h0, c = model.params.free_and_coupling()
     times = cfg.time_grid()
-    top_slots = _boson_top_indices(space)
 
     def c_mean(amp):
         if lam == 0.0:
@@ -521,7 +550,7 @@ def per_step_hybrid(model, s0, cfg):
     x, p = float(s0.x), float(s0.p)
     amps = np.empty((len(times), space.total_dim), dtype=complex)
     track = np.empty((len(times), 2))
-    amps[0], _ = _checked_state(amp, 0.0, cfg, top_slots)
+    amps[0] = _checked(amp[None], 0.0, space)[0][0]
     track[0] = (x, p)
     worst = 0.0
     for k in range(len(times) - 1):
@@ -531,7 +560,8 @@ def per_step_hybrid(model, s0, cfg):
         w, v = np.linalg.eigh(h0 + x * c)
         amp = v @ (np.exp(-1j * w * dt) * (v.conj().T @ amp))
         x, p = classical_half(x, p, c_mean(amp), 0.5 * dt)
-        amp, drift = _checked_state(amp, t1, cfg, top_slots)
+        amp, drift = _checked(amp[None], t1, space)
+        amp = amp[0]
         worst = max(worst, float(drift))
         amps[k + 1], track[k + 1] = amp, (x, p)
     return amps, track, worst
@@ -639,7 +669,7 @@ def test_driven_step_bound_beyond_the_cap_fails_only_its_run(monkeypatch):
     with pytest.raises(ToleranceError, match=text):
         evolve_driven(p, None, cfg)
     finals, errors, _ = _evolve_driven_batch(*p.free_and_coupling(), ground_state(p.space),
-                                             [1e4, 1.0], [1.0, 1.0], [5.0, 5.0], [10, 10], cfg)
+                                             [1e4, 1.0], [1.0, 1.0], [5.0, 5.0], [10, 10])
     assert re.match(text, str(errors[0])) and errors[1] is None
     assert np.all(np.isnan(finals[0]))
     alone = evolve_driven(replace(p, x0=1.0), None, cfg).final_state().amplitudes
@@ -655,7 +685,7 @@ def test_driven_step_bound_beyond_the_cap_fails_only_its_run(monkeypatch):
     monkeypatch.setattr(dynamics, "_drive_table",
                         lambda *args: builds.append(args[3]) or table(*args))
     finals, errors, _ = _evolve_driven_batch(h0, c, ground_state(p.space), [1e-3, 1.0],
-                                             [1.0, 1.0], [5000.0, 5.0], [2, 10], cfg)
+                                             [1.0, 1.0], [5000.0, 5.0], [2, 10])
     assert re.match(r"^drive step 1-norm bound 1\.251e\+03 exceeds 1e\+03 \(reduce dt\)$",
                     str(errors[0])) and errors[1] is None
     assert np.all(np.isnan(finals[0]))
@@ -1353,14 +1383,13 @@ def test_a_mixed_degree_batch_contracts_each_run_at_its_own_term_count(monkeypat
         return matmul(powers, tables, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counting_matmul)
-    cfg = EvolutionConfig(dt=t_end / n, t_max=t_end, method=Method.MIDPOINT)
     psi0 = ground_state(p.space)
     finals, errors, _ = _evolve_driven_batch(h0, c, psi0, x0s, [p.nu] * len(x0s),
-                                             [t_end] * len(x0s), [n] * len(x0s), cfg)
+                                             [t_end] * len(x0s), [n] * len(x0s))
     assert errors == [None] * len(x0s)
     assert sorted(calls) == sorted([(3, 5), (2, 7), (2, 9)] * -(-n // 8))
     for x0, final in zip(x0s, finals):
-        alone, _, _ = _evolve_driven_batch(h0, c, psi0, [x0], [p.nu], [t_end], [n], cfg)
+        alone, _, _ = _evolve_driven_batch(h0, c, psi0, [x0], [p.nu], [t_end], [n])
         assert alone[0].tobytes() == final.tobytes()
 
 
@@ -1385,14 +1414,13 @@ def test_a_batch_too_large_for_a_full_chunk_steps_one_block_at_a_time(monkeypatc
     chunks, table_step = [], dynamics._table_step
     monkeypatch.setattr(dynamics, "_table_step",
                         lambda groups, y: chunks.append(y.shape) or table_step(groups, y))
-    cfg = EvolutionConfig(dt=dt, t_max=dt * n.max(), method=Method.MIDPOINT)
     psi0 = p.default_initial_state()
-    finals, errors, _ = _evolve_driven_batch(h0, c, psi0, x0s, nus, dt * n, n, cfg)
+    finals, errors, _ = _evolve_driven_batch(h0, c, psi0, x0s, nus, dt * n, n)
     assert errors == [None] * runs
     assert chunks[0] == (8, runs) and all(k <= 8 for k, _ in chunks)
     for b in range(runs):
         alone, _, _ = _evolve_driven_batch(h0, c, psi0, x0s[b:b + 1], nus[b:b + 1],
-                                           dt * n[b:b + 1], n[b:b + 1], cfg)
+                                           dt * n[b:b + 1], n[b:b + 1])
         assert alone[0].tobytes() == finals[b].tobytes(), b
 
 
@@ -1407,12 +1435,11 @@ def test_the_driven_batch_holds_one_chunk_of_propagators_at_a_time():
     assert len(h0) == 8
     nus = np.concatenate([1.0 + np.linspace(-0.9, 0.9, 41), np.ones(34)])
     x0s = np.concatenate([np.ones(41), np.sqrt(np.geomspace(1.0, 16.0, 34))])
-    cfg = EvolutionConfig(dt=0.005, t_max=20.0, method=Method.MIDPOINT)
     psi0 = ground_state(p.space)
     tracemalloc.start()
     try:
         _, errors, _ = _evolve_driven_batch(h0, c, psi0, x0s, nus, [20.0] * 75,
-                                            [4000] * 75, cfg)
+                                            [4000] * 75)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1451,7 +1478,6 @@ def test_driven_batch_builds_one_table_per_distinct_step(monkeypatch):
     runs = [(0.9, 1.0, 6.0), (1.1, 1.0, 6.0), (0.9, 1.5, 6.0), (0.9, 50.0, 6.0),
             (0.9, 2000.0, 6.0), (0.9, 1.0, 5.0)]
     n = 600
-    cfg = EvolutionConfig(dt=0.01, t_max=6.0, method=Method.MIDPOINT)
     norm_c = np.abs(c).sum(axis=0).max()
     plans = [_taylor_plan(t / n * x0 * norm_c) for _, x0, t in runs]
     assert plans[2] == plans[0] and plans[3][0] > plans[0][0] and plans[4][1] > 1
@@ -1463,10 +1489,10 @@ def test_driven_batch_builds_one_table_per_distinct_step(monkeypatch):
                         lambda *args: builds.append(args[3:]) or table(*args))
     nus, x0s, t_ends = zip(*runs)
     finals, errors, _ = _evolve_driven_batch(h0, c, ground_state(p.space), x0s, nus, t_ends,
-                                             [n] * len(runs), cfg)
+                                             [n] * len(runs))
     assert errors == [None] * len(runs)
     assert sorted(builds) == sorted(set(steps))
     for (nu, x0, t), final in zip(runs, finals):
         alone, _, _ = _evolve_driven_batch(h0, c, ground_state(p.space), [x0], [nu], [t],
-                                           [n], cfg)
+                                           [n])
         assert alone[0].tobytes() == final.tobytes()

@@ -23,8 +23,6 @@ from quantex import (
     min_coherent_cutoff,
 )
 
-from quantex.dynamics import _boson_top_indices
-
 from kron_reference import (
     annihilation,
     creation,
@@ -406,7 +404,7 @@ def test_basis_layout_matches_the_kronecker_embedding():
             npt.assert_array_equal(StateVector(sp, a).marginal_populations(k), pops)
         for lv in range(dim):
             npt.assert_array_equal(traj.population_series(k, lv), ref[:, lv])
-    assert [(k, flat.tolist()) for k, flat in _boson_top_indices(sp)] == [
+    assert [(k, flat.tolist()) for k, flat in sp._top_slots] == [
         (k, np.flatnonzero(number(sp, k).diagonal().real == sp.dims[k] - 1).tolist())
         for k in (0, 2)]
 
