@@ -42,6 +42,8 @@ LEDGER_DRIFT_RTOL = 1e-8
 SIGNATURE_SLOPE_TOL = 0.01      # intensity check: |log-log slope - 1| at most this
 SIGNATURE_GAP_RTOL = 1e-6       # intensity check: relative spread of the transition gap
 CONDITION_FLOOR = 1e-12
+# the rows per block of the ledger's C psi and H psi products and of its CSV
+_LEDGER_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +106,9 @@ def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
     a bit-identical constant ``e_classical`` column.  Mean-field runs add
     the residual of d(e_classical)/dt against the back-reaction power
     ``-nu * coupling * p * <C>`` (central differences; NaN at endpoints).
-    Every column is one array expression over the trajectory's
-    ``(n_t, d)`` amplitudes.
+    Every column is an array expression over the trajectory's ``(n_t, d)``
+    amplitudes; the ``C psi`` and ``H psi`` products behind <C>, <H> and
+    <H^2> are formed ``_LEDGER_BLOCK`` rows at a time.
     """
     p = model.params
     if traj.space != p.space:
@@ -128,24 +131,32 @@ def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
     e_qf = probs @ detector_free
     # every (n_t, d) temporary is as large as the trajectory: keep few alive
     del probs
-    # C psi per row: the driven families multiply by the dense coupling they
-    # step with (hop sums would round differently); the quantized families
-    # apply their hops amp |dst><src| + h.c. and build no d x d array
-    if p.driven:
-        c_amps = amps @ p.free_and_coupling()[1].T
-    else:
-        c_amps = np.zeros_like(amps)
-        np.add.at(c_amps, (slice(None), dst), amp * amps[:, src])
-        np.add.at(c_amps, (slice(None), src), np.conj(amp) * amps[:, dst])
-    cexp = _expect_rows(amps, c_amps)       # <C> carries the coupling
+    # <C>, <H> and <H^2> from C psi and H(x) psi, formed in fixed row blocks,
+    # so that no temporary grows with the trajectory
+    coupling = p.free_and_coupling()[1].T if p.driven else None
+    free = field_free + detector_free
+    cexp, mean, second = (np.empty(len(amps)) for _ in range(3))
+    for a in range(0, len(amps), _LEDGER_BLOCK):
+        b = a + _LEDGER_BLOCK
+        rows = amps[a:b]
+        # C psi: the driven families multiply by the dense coupling they
+        # step with (hop sums would round differently); the quantized
+        # families apply their hops amp |dst><src| + h.c. and build no d x d array
+        if p.driven:
+            c_rows = rows @ coupling
+        else:
+            c_rows = np.zeros_like(rows)
+            np.add.at(c_rows, (slice(None), dst), amp * rows[:, src])
+            np.add.at(c_rows, (slice(None), src), np.conj(amp) * rows[:, dst])
+        cexp[a:b] = _expect_rows(rows, c_rows)      # <C> carries the coupling
+        # H(x) psi, built in place; the free part is diagonal
+        h_rows = rows * free
+        c_rows *= xs[a:b, None]
+        h_rows += c_rows
+        mean[a:b] = _expect_rows(rows, h_rows)
+        second[a:b] = _expect_rows(h_rows, h_rows)
     e_int = xs * cexp
     e_tot = e_cl + e_qf + e_int
-    # H(x) psi per row, built in place; the free part is diagonal
-    h_amps = amps * (field_free + detector_free)
-    c_amps *= xs[:, None]
-    h_amps += c_amps
-    mean = _expect_rows(amps, h_amps)
-    second = _expect_rows(h_amps, h_amps)
     std = np.sqrt(np.maximum(second - mean * mean, 0.0))
 
     if not p.driven:
@@ -633,7 +644,8 @@ def golden_rule_fit(scan: ScanResult) -> FitResult:
 
 def ledger_to_csv(ledger: EnergyLedger, path) -> None:
     """Write the ledger; columns: time,e_classical,e_quantum_free,
-    e_interaction,e_total,energy_std[,backreaction_residual]."""
+    e_interaction,e_total,energy_std[,backreaction_residual].  The columns
+    become Python floats ``_LEDGER_BLOCK`` rows at a time, not all at once."""
     cols = ["time", "e_classical", "e_quantum_free", "e_interaction",
             "e_total", "energy_std"]
     arrays = [ledger.times, ledger.e_classical, ledger.e_quantum_free,
@@ -643,8 +655,10 @@ def ledger_to_csv(ledger: EnergyLedger, path) -> None:
         arrays.append(ledger.backreaction_residual)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in zip(*(col.tolist() for col in arrays)):
-            fh.write(",".join(map(repr, row)) + "\n")
+        for a in range(0, len(ledger.times), _LEDGER_BLOCK):
+            block = (col[a:a + _LEDGER_BLOCK].tolist() for col in arrays)
+            for row in zip(*block):
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 def scan_to_csv(scan: ScanResult, path) -> None:

@@ -334,9 +334,7 @@ def validate_config(cfg: dict) -> Scenario:
             _check_steps(evolution.t_max, evolution.dt, ["evolution"])
         if kind == "audit":
             initial = _initial_state(cfg.get("initial_state"), model)
-            # the run's stored states, which numpy refuses at once past memory
-            where = ["evolution"]
-            np.empty((evolution.n_steps + 1, model.params.space.total_dim), dtype=complex)
+            _probe_states(evolution.n_steps + 1, model, ["evolution"])
         elif kind in ("scan", "signatures"):
             model.default_state         # cached: the run reuses it
             paths = ({cfg["scan"]["axis"]: ["scan"]} if kind == "scan"
@@ -347,10 +345,9 @@ def validate_config(cfg: dict) -> Scenario:
                 if name == "time":
                     _check_steps(axes[name].max(), evolution.dt, where)
                 if not model.params.driven:     # a quantized point holds all its samples
-                    h, where = ((axes[name].max(), where) if name == "time"
-                                else (evolution.t_max, ["evolution"]))
-                    np.empty((_steps(h, evolution.dt) + 1, model.params.space.total_dim),
-                             dtype=complex)
+                    h, at = ((axes[name].max(), where) if name == "time"
+                             else (evolution.t_max, ["evolution"]))
+                    _probe_states(_steps(h, evolution.dt) + 1, model, at)
             # a scan tags a point at nu <= 0; a config may not plan one
             if np.min(axes.get("detuning", np.inf)) + model.params.omega <= 0:
                 raise ConfigError("detuning scan would push the field frequency "
@@ -373,6 +370,16 @@ def validate_config(cfg: dict) -> Scenario:
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return Scenario(cfg["scenario"], kind, cfg, outputs, model, evolution, initial, axes)
+
+
+def _probe_states(rows: int, model: ModelSpec, where: list):
+    """Allocate the ``(rows, d)`` complex states a run will hold, which
+    numpy refuses at once past memory (MemoryError) or past its largest
+    array size (ValueError): a ConfigError naming the block at ``where``."""
+    try:
+        np.empty((rows, model.params.space.total_dim), dtype=complex)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"the block at {where} cannot be allocated: {exc}") from exc
 
 
 def _check_steps(t: float, dt: float, where: list):

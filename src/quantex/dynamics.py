@@ -16,10 +16,11 @@ Three propagators, each the one route of its model kind:
   from step to step, so each distinct (step length, amplitude) gets one
   table ``F_j`` with ``exp(-i dt (h0 + x0 y c)) = sum_j y^j F_j`` from one
   ``_taylor`` call on a block matrix; runs then step together in chunks
-  of a multiple of 8 steps, at most ``_DRIVE_CHUNK_BYTES`` (1 MiB) of
+  of a multiple of 8 steps, at most ``_DRIVE_CHUNK_BYTES`` (2 MiB) of
   propagators or one block of 8 steps per run, each chunk with one BLAS
   product of the steps' powers of y against the tables per term count of
-  the live runs, in fixed blocks of 8 steps, and one guard pass.  A scan
+  the live runs, in fixed blocks of 8 steps, and one guard pass; only a
+  chunk that some run leaves does that run's bookkeeping.  A scan
   scenario steps all the points of all its axes in one such batch;
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
@@ -35,8 +36,10 @@ a ``_guard`` call on a ``(steps, runs, d)`` stack of raw states holds
 their norm drift since t = 0 and their top Fock levels
 (``SpaceDescriptor._top_slots``) to ``EvolutionConfig``'s class bounds,
 names each tripped run's earliest trip and returns the norms by which
-a kernel normalises the states it keeps.  Each propagator hands its
-frozen amplitude array to its ``Trajectory`` uncopied.
+a kernel normalises the states it keeps.  Both are ``einsum``
+contractions of the stack's real view, one state at a time.  Each
+propagator hands its frozen amplitude array to its ``Trajectory``
+uncopied.
 
 The closed-form expressions at the bottom use a guarded ``sin(x)/x``
 branch below ``|detuning * t| < 1e-6`` where the removable singularity
@@ -206,16 +209,28 @@ def _guard(raw: np.ndarray, t, space: SpaceDescriptor, taken=True):
     steps it takes and ``{run: ToleranceError}`` for each run that trips,
     naming its earliest tripped step (by t, in any order; ties go to the
     first step).  A pass where nothing trips does no per-run work.
+
+    The squared norms and the top-level populations are ``einsum``
+    contractions of the stack's real view, the (re, im) pairs of each
+    state: no complex ``abs``, probability array or copy of the top slots.
+    Read as ``(..., *dims, 2)``, that view holds a factor's top level at one
+    index, and its population is the contraction of the axes left.  Each
+    sum runs over one state alone, so it does not depend on the stack.
     """
     norm_tol, top_tol = EvolutionConfig.norm_drift_tol, EvolutionConfig.top_level_tol
-    probs = np.abs(raw) ** 2
-    nrm_sq = probs.sum(axis=-1)
+    parts = np.asarray(raw, dtype=complex).view(float)
+    nrm_sq = np.einsum("...i,...i->...", parts, parts)
     nrm = np.sqrt(nrm_sq)
     drift = np.where(taken, np.abs(nrm - 1.0), 0.0)
-    pops = [probs[..., flat].sum(axis=-1) / nrm_sq for _, flat in space._top_slots]
     tripped = ~(drift <= norm_tol)
-    for pop in pops:
-        tripped |= pop > top_tol
+    dims = space.dims
+    grid = parts.reshape(*raw.shape[:-1], *dims, 2)
+    rest = "abcdefghijklmnopqrstuvwxyz"[:len(dims)]     # the other factors and (re, im)
+    pops = []
+    for i, _ in space._top_slots:
+        top = grid[(..., dims[i] - 1) + (slice(None),) * (len(dims) - i)]
+        pops.append(np.einsum(f"...{rest},...{rest}->...", top, top) / nrm_sq)
+        tripped |= pops[-1] > top_tol
     tripped &= taken
     trips = {}
     for r in np.flatnonzero(tripped.any(axis=0)).tolist():
@@ -482,7 +497,8 @@ def _table_step(groups: list, y: np.ndarray) -> np.ndarray:
     (``_step_groups``).
 
     Per group, the powers y^j ``(L_g, K, J + 1)`` are one product each,
-    top power first, and the sum ``u = sum_j y^j F_j`` is one BLAS
+    top power first, against the group's drive shapes, taken once from
+    the transposed y, and the sum ``u = sum_j y^j F_j`` is one BLAS
     product ``np.matmul`` over the group's own J + 1 terms, written
     straight into the group's columns of u.  The product takes the steps
     in blocks of ``_STEP_BLOCK``, ``(L_g, blocks, 8, J + 1) @ (L_g, 1,
@@ -501,12 +517,14 @@ def _table_step(groups: list, y: np.ndarray) -> np.ndarray:
     u = np.empty((padded, y.shape[1], dim, dim), dtype=complex)
     # u's real view as (blocks, 8, L, 2d^2): a group's out is its columns
     flat = u.view(float).reshape(-1, _STEP_BLOCK, y.shape[1], 2 * dim * dim)
+    shapes = y.T
     for columns, tables, substeps in groups:
         runs, terms = tables.shape[:2]
         powers = np.zeros((runs, padded, terms))
         powers[:, :steps, -1] = 1.0
+        y_g = shapes[columns]
         for j in range(terms - 2, -1, -1):
-            np.multiply(powers[:, :steps, j + 1], y[:, columns].T, out=powers[:, :steps, j])
+            np.multiply(powers[:, :steps, j + 1], y_g, out=powers[:, :steps, j])
         np.matmul(powers.reshape(runs, -1, _STEP_BLOCK, terms),
                   tables.reshape(runs, 1, terms, -1),
                   out=flat[:, :, columns].transpose(2, 0, 1, 3))
@@ -515,9 +533,12 @@ def _table_step(groups: list, y: np.ndarray) -> np.ndarray:
     return u[:steps]
 
 
-# the bytes of step propagators (runs x steps) that exist at once: 1024 at
-# d = 8, or one block of steps per run if the batch holds more runs
-_DRIVE_CHUNK_BYTES = 1 << 20
+# the bytes of step propagators (runs x steps) that exist at once: 2048 at
+# d = 8, or one block of steps per run if the batch holds more runs.  Each
+# chunk costs a fixed train of small array calls besides its products, which
+# longer chunks pay less often: on the driven signatures (75 runs at d = 8)
+# 2 MiB ran about 3 % faster than 1 MiB, and 4 MiB no faster than 2 MiB
+_DRIVE_CHUNK_BYTES = 2 << 20
 
 
 def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
@@ -538,7 +559,7 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     mean-field step, fails before its first step and builds no table.  The
     live runs, ordered by their tables' term and substep counts, step
     together in chunks of ``max(8, P // live // 8 * 8)`` steps, where P
-    propagators fill ``_DRIVE_CHUNK_BYTES`` (1024 at d = 8), so at most
+    propagators fill ``_DRIVE_CHUNK_BYTES`` (2048 at d = 8), so at most
     max(P, 8 live) propagators exist at once: each chunk's arrays are
     released before the next chunk builds.  Every chunk but the last
     holds a multiple of 8 steps, so each starts at a multiple of 8, as
@@ -552,7 +573,11 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
     takes the earliest trip among them.  ``psi0`` is judged by one more
     call before the first step.  Only the states that are stored or final
     are normalised.  A run leaves at the end of the chunk in which it
-    finishes or trips.
+    finishes or trips: only such a chunk picks out the runs that leave,
+    their final states and worst drifts, and compacts the live set, and
+    only a chunk that holds some run's last step sets that step's end to
+    t_end.  Any other chunk keeps the live runs' worst drifts in an array
+    aligned with them and ends with one copy of the last states.
 
     Returns the final amplitudes ``(B, d)`` (NaN rows for failed runs),
     the ToleranceError of each run (None where it passed) and the worst
@@ -602,12 +627,17 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
             if groups is None:
                 n, dt, nu, t_end = n_steps[live], dts[live], nus[live], t_ends[live]
                 groups = _step_groups(tables, terms, substeps, key[live])
+                # the live runs' worst drift so far, and the first step count
+                # at which one of them finishes
+                live_worst, first_end = worst[live], n.min()
             # step k of every live run as a (steps, 1) column against (runs,)
             k = lo + np.arange(min(max(_STEP_BLOCK, per_chunk // live.size
                                            // _STEP_BLOCK * _STEP_BLOCK),
                                        n.max() - lo))[:, None]
-            t0 = k * dt
-            t1 = np.where(k == n - 1, t_end, (k + 1) * dt)
+            hi = lo + len(k)
+            t0, t1 = k * dt, (k + 1) * dt
+            if hi >= first_end:
+                t1 = np.where(k == n - 1, t_end, t1)
             u = _table_step(groups, np.sin(nu * (0.5 * (t0 + t1))))
             # states as (runs, d, 1) columns: a step is one stacked matvec
             raw = np.empty((len(k), live.size, dim, 1), dtype=complex)
@@ -616,22 +646,26 @@ def _evolve_driven_batch(h0, c, psi0: StateVector, x0s, nus, t_ends, n_steps,
             del u
             raw = raw[..., 0]
             nrm, drift, trips = _guard(raw, t1, psi0.space, k < n)
-            worst[live] = np.maximum(worst[live], drift)
-            failed = np.zeros(live.size, dtype=bool)
-            for b, error in trips.items():
-                errors[live[b]], failed[b] = error, True
-            finished = n <= k[-1, 0] + 1
-            done = np.flatnonzero(~failed & finished)
-            last = n[done] - 1 - lo
-            final[live[done]] = raw[last, done] / nrm[last, done, None]
+            np.maximum(live_worst, drift, out=live_worst)
             if states is not None:
-                states[lo + 1:lo + 1 + len(k), live] = raw / nrm[..., None]
-            keep = ~(failed | finished)
-            if not keep.all():
+                states[lo + 1:hi + 1, live] = raw / nrm[..., None]
+            if trips or hi >= first_end:
+                # runs that trip or finish leave, with their final states
+                failed = np.zeros(live.size, dtype=bool)
+                for b, error in trips.items():
+                    errors[live[b]], failed[b] = error, True
+                finished = n <= hi
+                done = np.flatnonzero(~failed & finished)
+                last = n[done] - 1 - lo
+                final[live[done]] = raw[last, done] / nrm[last, done, None]
+                worst[live] = live_worst
+                keep = ~(failed | finished)
                 live, groups = live[keep], None
-            # a copy of the last states, so that the chunk's arrays are freed
-            amp = amp[keep]
-            lo += len(k)
+                amp = amp[keep]
+            else:
+                # a copy of the last states, so that the chunk's arrays are freed
+                amp = amp.copy()
+            lo = hi
             del raw, nrm
     return final, errors, worst
 
@@ -684,9 +718,9 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     raises), with no decomposition.  The run carries and stores the raw
     state; the force <c>, one product with the real form of c over the
     squared norm, feeds both half-flows.  One ``_guard`` call then judges
-    the stored rows, which are normalised by its norms: a run that trips
-    raises after its last step, or after an abort, whose earlier trips
-    win.  The tests hold the amplitudes and (x, p) to a per-step
+    the stored rows, which are normalised in place by its norms: a run
+    that trips raises after its last step, or after an abort, whose
+    earlier trips win.  The tests hold the amplitudes and (x, p) to a per-step
     eigendecomposition loop within 1e-12 absolute and the worst norm
     drift within 1e-14.
     """
@@ -743,9 +777,9 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     error = trips.get(0, stop)
     if error is not None:
         raise error
-    amps = raw / nrm
-    amps.setflags(write=False)
-    return Trajectory(space, times, amps, classical=track, max_norm_drift=float(worst[0]))
+    raw /= nrm      # normalised in place: no second trajectory-size array
+    raw.setflags(write=False)
+    return Trajectory(space, times, raw, classical=track, max_norm_drift=float(worst[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -804,7 +804,11 @@ def test_an_axis_too_long_to_allocate_exits_2_without_artifacts(tmp_path, capsys
     # 1e16 stored states of 8 amplitudes, 1.1 EiB, which numpy refuses at once
     ("jc_vacuum_exchange", ("evolution", "t_max"), 1e15,
      "the block at ['evolution'] cannot be allocated: "),
-], ids=["horizon", "readout", "cutoff", "stored_horizon"])
+    # 1e18 stored states, past numpy's largest array: a ValueError, not a
+    # MemoryError, which must name the block all the same
+    ("jc_vacuum_exchange", ("evolution", "t_max"), 1e17,
+     "the block at ['evolution'] cannot be allocated: array is too big"),
+], ids=["horizon", "readout", "cutoff", "stored_horizon", "stored_horizon_too_big"])
 def test_a_run_too_long_or_a_state_too_large_to_allocate_exits_2(tmp_path, capsys, scenario,
                                                                   keys, value, message):
     # a step count past np.intp's range, a default state of 10**15 levels
@@ -827,7 +831,9 @@ def test_a_run_too_long_or_a_state_too_large_to_allocate_exits_2(tmp_path, capsy
     (("evolution", "t_max"), 1e15, ["evolution"]),
     # 2.4e15 + 1 samples at the last readout time, 2e15 + 1 at the first
     (("scan",), {"axis": "time", "start": 1e15, "stop": 1.2e15, "points": 3}, ["scan"]),
-], ids=["horizon", "readout"])
+    # 6e15 + 1 samples, past numpy's largest array: a ValueError, not a MemoryError
+    (("scan",), {"axis": "time", "start": 1e15, "stop": 3e15, "points": 3}, ["scan"]),
+], ids=["horizon", "readout", "readout_too_big"])
 def test_a_quantized_scan_whose_samples_numpy_refuses_exits_2(tmp_path, capsys, keys, value,
                                                                where):
     # validate passed these, and the run crashed allocating a point's time

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -250,6 +251,48 @@ def test_guard_judges_each_run_on_the_steps_it_takes():
     assert str(trips[1]) == ("top Fock level of factor 0 holds population 2.000e-01 "
                              "> 1.0e-08 at t=1 (raise the cutoff)")
     assert str(trips[2]) == "norm drift 1.000e-01 exceeds 1.0e-09 at t=2 (reduce dt)"
+
+
+def test_guard_contractions_match_norms_and_slot_sums(monkeypatch):
+    # the guard's norms and top-level populations, contractions of the
+    # stack's real view, against np.linalg.norm and a sum of abs()**2 over
+    # each factor's top slots: the norms within 4 ulps, and each run trips
+    # on a top-level bound 4 ulps below its own population and on one
+    # 4 ulps above only where another factor holds more.  Two bosonic
+    # factors, the first not the last axis of the basis, around a qubit
+    space = SpaceDescriptor((Boson(3), TwoLevel(), Boson(4)))
+    rng = np.random.default_rng(5)
+    raw = (rng.standard_normal((5, 7, 24)) + 1j * rng.standard_normal((5, 7, 24))) / 5
+    ref_nrm = np.linalg.norm(raw, axis=-1)
+    ref_pops = np.stack([(np.abs(raw[..., flat]) ** 2).sum(axis=-1) for _, flat
+                         in space._top_slots], axis=-1) / ref_nrm[..., None] ** 2
+    ulps = 4 * np.finfo(float).eps
+    monkeypatch.setattr(EvolutionConfig, "norm_drift_tol", np.inf)
+    nrm, _, _ = _guard(raw, 1.0, space)
+    npt.assert_allclose(nrm, ref_nrm, rtol=ulps, atol=0)
+    for step, run, factor in itertools.product(range(5), range(7), range(2)):
+        one = raw[step:step + 1, run:run + 1]
+        pop = ref_pops[step, run]
+        for tol, trips in ((pop[factor] * (1 - ulps), True),
+                           (pop[factor] * (1 + ulps), bool(pop.max() > pop[factor]))):
+            monkeypatch.setattr(EvolutionConfig, "top_level_tol", tol)
+            assert (0 in _guard(one, 1.0, space)[2]) == trips, (step, run, factor)
+    # rows with a NaN or an infinite amplitude trip where they are taken,
+    # and neither trip nor count in the worst drift where they are not
+    monkeypatch.undo()
+    ok = np.zeros(24, dtype=complex)
+    ok[0] = 1.0
+    bad = [ok.copy() for _ in range(3)]
+    # slots off every top level, so that each population stays finite
+    bad[0][5], bad[1][1], bad[2][2] = np.nan, np.inf, complex(0.0, -np.inf)
+    stack = np.array([[ok, ok, ok], bad])
+    taken = np.array([[True] * 3, [True, False, True]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, worst, trips = _guard(stack, np.array([[1.0], [2.0]]), space, taken)
+    assert sorted(trips) == [0, 2] and worst[1] == 0.0
+    assert all(re.fullmatch(r"norm drift (nan|inf) exceeds 1\.0e-09 at t=2 \(reduce dt\)",
+                            str(error)) for error in trips.values())
 
 
 # -- driven evolution ---------------------------------------------------------
@@ -519,7 +562,9 @@ def test_driven_states_are_the_raw_product_normalised_once(monkeypatch, params):
     for j in range(n):
         raw.append(np.matmul(u[j], raw[-1]))
     raw = np.array(raw)[:, 0, :, 0]
-    nrm = np.sqrt((np.abs(raw) ** 2).sum(axis=-1))
+    # the guard's squared norm: the contraction of each row's (re, im) pairs
+    parts = raw.view(float)
+    nrm = np.sqrt(np.einsum("...i,...i->...", parts, parts))
     npt.assert_array_equal(traj.amplitudes, raw / nrm[:, None])
     assert traj.max_norm_drift == np.abs(nrm - 1.0).max()
 
@@ -1394,8 +1439,8 @@ def test_a_mixed_degree_batch_contracts_each_run_at_its_own_term_count(monkeypat
 
 
 def test_a_batch_too_large_for_a_full_chunk_steps_one_block_at_a_time(monkeypatch):
-    # 2056 qubit runs, more than the 16384 propagators of a chunk at d = 2
-    # hold 8 steps of: each chunk is one block of 8 steps per run, the
+    # 2056 qubit runs, more than the 16384 propagators of a 1 MiB chunk at
+    # d = 2 hold 8 steps of: each chunk is one block of 8 steps per run, the
     # chunk budget's floor, yet every run ends byte for byte as it ends
     # alone, where one chunk holds all its steps.  Tables of four
     # amplitudes, the largest with 2 substeps, whose kicks would put an
@@ -1404,6 +1449,7 @@ def test_a_batch_too_large_for_a_full_chunk_steps_one_block_at_a_time(monkeypatc
     p = _DRIVEN_PARAMS[0]
     h0, c = p.free_and_coupling()
     dt, runs = 0.5, 2056
+    monkeypatch.setattr(dynamics, "_DRIVE_CHUNK_BYTES", 1 << 20)
     assert dynamics._DRIVE_CHUNK_BYTES // (16 * 4) < 8 * runs
     x0s = np.resize([0.1, 1.0, 3.0, 40.0], runs)
     nus = np.linspace(0.5, 1.5, runs)
@@ -1422,6 +1468,45 @@ def test_a_batch_too_large_for_a_full_chunk_steps_one_block_at_a_time(monkeypatc
         alone, _, _ = _evolve_driven_batch(h0, c, psi0, x0s[b:b + 1], nus[b:b + 1],
                                            dt * n[b:b + 1], n[b:b + 1])
         assert alone[0].tobytes() == finals[b].tobytes(), b
+
+
+def test_runs_that_leave_a_batch_keep_the_bits_they_get_alone(monkeypatch):
+    # four oscillator runs in chunks of 16 steps (64 propagators over four
+    # runs): no run leaves the first chunk, the strongest drive trips its
+    # top level in the second while the rest go on, one run finishes
+    # mid-way through the third and one in the fourth, and the last goes
+    # on through a chunk where no run leaves.  Each run ends with the bits
+    # it gets alone, where its chunks hold 64 steps: the trip text, and for
+    # a run that passes its final state, its stored states and its worst
+    # drift.  The last run's 150 steps of t_end / 150 do not sum to t_end,
+    # yet its last step ends exactly at t_end
+    p = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.2, x0=1.0, detector_cutoff=5)
+    _chunk_of(monkeypatch, p, 64)
+    h0, c = p.free_and_coupling()
+    psi0 = ground_state(p.space)
+    x0s, nus = np.array([0.5, 2.0, 0.3, 0.2]), np.array([1.0, 1.0, 1.1, 0.5])
+    n, t_ends = np.array([40, 100, 61, 150]), np.array([2.0, 5.0, 3.05, 2.38])
+    shapes, table_step = [], dynamics._table_step
+    monkeypatch.setattr(dynamics, "_table_step",
+                        lambda groups, y: shapes.append(y.copy()) or table_step(groups, y))
+    states = np.empty((n.max() + 1, 4, 5), dtype=complex)
+    finals, errors, worst = _evolve_driven_batch(h0, c, psi0, x0s, nus, t_ends, n,
+                                                 states=states)
+    assert [y.shape for y in shapes] == [(16, 4), (16, 4), (16, 3), (32, 2), (64, 1), (6, 1)]
+    assert [error is None for error in errors] == [True, False, True, True]
+    assert str(errors[1]).endswith("at t=0.95 (raise the cutoff)")
+    for b in range(4):
+        alone, shapes[:] = np.empty((n[b] + 1, 1, 5), dtype=complex), []
+        final, error, drift = _evolve_driven_batch(h0, c, psi0, x0s[b:b + 1], nus[b:b + 1],
+                                                    t_ends[b:b + 1], n[b:b + 1], states=alone)
+        assert final.tobytes() == finals[b:b + 1].tobytes(), b
+        assert str(error[0]) == str(errors[b])
+        if errors[b] is None:
+            assert alone[:, 0].tobytes() == states[:n[b] + 1, b].tobytes(), b
+            assert drift[0] == worst[b]
+    dt = t_ends[3] / n[3]
+    last = np.sin(nus[3] * (0.5 * (149 * dt + t_ends[3])))
+    assert shapes[-1][-1, 0] == last != np.sin(nus[3] * (0.5 * (149 * dt + 150 * dt)))
 
 
 def test_the_driven_batch_holds_one_chunk_of_propagators_at_a_time():
