@@ -108,7 +108,9 @@ def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
     ``-nu * coupling * p * <C>`` (central differences; NaN at endpoints).
     Every column is an array expression over the trajectory's ``(n_t, d)``
     amplitudes; the ``C psi`` and ``H psi`` products behind <C>, <H> and
-    <H^2> are formed ``_LEDGER_BLOCK`` rows at a time.
+    <H^2> are formed ``_LEDGER_BLOCK`` rows at a time, scaled by a power
+    of two near 1 / |H|, so that ``energy_std`` stays finite at any finite
+    frequency and every column keeps the bits of the unscaled form.
     """
     p = model.params
     if traj.space != p.space:
@@ -135,6 +137,18 @@ def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
     # so that no temporary grows with the trajectory
     coupling = p.free_and_coupling()[1].T if p.driven else None
     free = field_free + detector_free
+    # C psi and H(x) psi are formed times 2^-k, 2^k about the largest |H|
+    # entry of the run, so that neither <H>^2 nor <H^2> overflows at large
+    # frequencies; a power of two scales exactly, so every column keeps its bits
+    c_norm = (np.abs(coupling).sum(axis=1).max(initial=0.0) if p.driven
+              else np.abs(amp).sum())
+    h_scale = math.ldexp(1.0, -math.frexp(np.abs(free).max(initial=0.0)
+                                          + max(xs.max(), -xs.min()) * c_norm)[1])
+    free = free * h_scale
+    if p.driven:
+        coupling = coupling * h_scale
+    else:
+        amp = amp * h_scale
     cexp, mean, second = (np.empty(len(amps)) for _ in range(3))
     for a in range(0, len(amps), _LEDGER_BLOCK):
         b = a + _LEDGER_BLOCK
@@ -155,9 +169,10 @@ def energy_ledger(traj: Trajectory, model: ModelSpec) -> EnergyLedger:
         h_rows += c_rows
         mean[a:b] = _expect_rows(rows, h_rows)
         second[a:b] = _expect_rows(h_rows, h_rows)
+    cexp /= h_scale
     e_int = xs * cexp
     e_tot = e_cl + e_qf + e_int
-    std = np.sqrt(np.maximum(second - mean * mean, 0.0))
+    std = np.sqrt(np.maximum(second - mean * mean, 0.0)) / h_scale
 
     if not p.driven:
         scale = max(abs(float(e_tot[0])), 1.0)

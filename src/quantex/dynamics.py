@@ -27,14 +27,16 @@ Three propagators, each the one route of its model kind:
   values, advanced by a Strang split (exact classical half-flows around a
   ``_taylor`` quantum step on the state's real view), second order overall.
 
-``_taylor`` is the one matrix exponential of both driven kernels: a Horner
-Taylor sum for ``exp(h g) v`` whose degree and substeps follow from a
-1-norm bound on h g, which ``_STEP_BOUND_MAX`` caps for every driven step.
+``_taylor`` is the one matrix exponential of both driven kernels: a
+power-form Taylor sum for ``exp(h g) v`` (the powers (h g)^j v, one BLAS
+product each into a caller-owned workspace, weighted by 1/j! in one more
+product, v added last) whose degree and substeps follow from a 1-norm
+bound on h g, which ``_STEP_BOUND_MAX`` caps for every driven step.
 
 The kernels only propagate raw states, and one guard judges them all:
 a ``_guard`` call on a ``(steps, runs, d)`` stack of raw states holds
-their norm drift since t = 0 and their top Fock levels
-(``SpaceDescriptor._top_slots``) to ``EvolutionConfig``'s class bounds,
+their norm drift since t = 0 and the top Fock level of each bosonic
+factor (``SpaceDescriptor._bosons``) to ``EvolutionConfig``'s class bounds,
 names each tripped run's earliest trip and returns the norms by which
 a kernel normalises the states it keeps.  Both are ``einsum``
 contractions of the stack's real view, one state at a time.  Each
@@ -227,7 +229,7 @@ def _guard(raw: np.ndarray, t, space: SpaceDescriptor, taken=True):
     grid = parts.reshape(*raw.shape[:-1], *dims, 2)
     rest = "abcdefghijklmnopqrstuvwxyz"[:len(dims)]     # the other factors and (re, im)
     pops = []
-    for i, _ in space._top_slots:
+    for i in space._bosons:
         top = grid[(..., dims[i] - 1) + (slice(None),) * (len(dims) - i)]
         pops.append(np.einsum(f"...{rest},...{rest}->...", top, top) / nrm_sq)
         tripped |= pops[-1] > top_tol
@@ -240,7 +242,7 @@ def _guard(raw: np.ndarray, t, space: SpaceDescriptor, taken=True):
             trips[r] = ToleranceError(f"norm drift {drift[i, r]:.3e} exceeds {norm_tol:.1e} "
                                       f"at t={at[i]:g} (reduce dt)")
             continue
-        idx, pop = next((idx, pop[i, r]) for (idx, _), pop in zip(space._top_slots, pops)
+        idx, pop = next((idx, pop[i, r]) for idx, pop in zip(space._bosons, pops)
                         if pop[i, r] > top_tol)
         trips[r] = ToleranceError(f"top Fock level of factor {idx} holds population "
                                   f"{pop:.3e} > {top_tol:.1e} at t={at[i]:g} (raise the cutoff)")
@@ -422,26 +424,45 @@ def _real_form(g: np.ndarray) -> np.ndarray:
     return np.kron(g.real, np.eye(2)) + np.kron(g.imag, [[0.0, -1.0], [1.0, 0.0]])
 
 
-def _taylor(g: np.ndarray, h: float, bound: float, v: np.ndarray) -> np.ndarray:
-    """exp(h g) v for one vector or a block of columns ``v``, where
-    ``bound`` bounds the 1-norm of h g: the one exponential of every
-    driven step.
+# 1/j! for j = 1, ..., 30: the weights of a Taylor sum's powers
+_INV_FACTORIAL = np.array([1.0 / math.factorial(j) for j in range(1, len(_TAYLOR_REACH) + 1)])
 
-    The bound picks the substeps and the degree (``_taylor_plan``): the
-    step is cut into s equal substeps, and each substep of length h / s is
-    a Taylor sum in Horner form, ``v + (h/s) g (v + (h/s) g / 2 (v + ...))``,
-    of degree m (at most 30), whose first omitted term is at most 2^-53.
+
+def _taylor_work(v: np.ndarray, degree: int):
+    """A ``_taylor`` workspace for vectors or column blocks shaped like v,
+    up to ``degree``: degree + 1 rows, the last the substeps' spare, as
+    one ``(degree + 1, v.size)`` array and as the list of its rows."""
+    block = np.empty((degree + 1, *v.shape), dtype=v.dtype)
+    return block.reshape(degree + 1, -1), list(block)
+
+
+def _taylor(a: np.ndarray, degree: int, substeps: int, v: np.ndarray, work,
+            out: np.ndarray) -> np.ndarray:
+    """exp(s a) v into ``out``, for one vector or a block of columns v: s =
+    ``substeps`` Taylor sums of degree ``degree`` in a = h g / s, the plan
+    (``_taylor_plan``) of a 1-norm bound on h g, so that each first omitted
+    term is at most 2^-53.  The one exponential of every driven step.
+
+    Each substep is a Taylor sum in power form: the powers P_j = a^j v,
+    j = 1, ..., m, each one product into a row of ``work``
+    (``_taylor_work``, allocated by the caller), then one product of the
+    powers against the weights 1/j!, and v added last.  The last substep
+    writes ``out`` and the others alternate with the spare row, so no
+    substep writes the vector it reads; ``out`` must not be v, and v is
+    left as it is.  Returns ``out``.
     """
-    degree, substeps = _taylor_plan(bound)
-    h = h / substeps
-    for _ in range(substeps):
-        w = v
-        for k in range(degree, 0, -1):
-            w = np.dot(g, w)
-            w *= h / k
-            w += v
-        v = w
-    return v
+    flat, rows = work
+    powers, weights = flat[:degree], _INV_FACTORIAL[:degree]
+    for left in range(substeps - 1, -1, -1):
+        target = rows[-1] if left % 2 else out
+        prev = v
+        for row in rows[:degree]:
+            a.dot(prev, row)
+            prev = row
+        weights.dot(powers, target.reshape(-1))
+        target += v
+        v = target
+    return out
 
 
 def _drive_table(h0, c, norms, dt: float, x0: float):
@@ -456,18 +477,22 @@ def _drive_table(h0, c, norms, dt: float, x0: float):
     polynomials in y truncated after the power J, so the blocks of the last
     block column of exp(h g) are F_J, ..., F_0 from top to bottom (Van Loan,
     IEEE Trans. Autom. Control 23, 395 (1978)); one ``_taylor`` call on that
-    column of the identity gives them all, with the bound
-    ``h (|h0|_1 + |x0| |c|_1)``, which bounds every step's too, as |y| <= 1.
+    column of the identity, on a workspace of its own, gives them all, with
+    the plan of the bound ``h (|h0|_1 + |x0| |c|_1)``, which bounds every
+    step's too, as |y| <= 1.
     """
     degree, substeps = _taylor_plan(dt * abs(x0) * norms[1])
     d, h = len(h0), dt / substeps
     n = (degree + 1) * d
-    g = np.zeros((n, n), dtype=complex)
+    m, s = _taylor_plan(h * (norms[0] + abs(x0) * norms[1]))
+    a = np.zeros((n, n), dtype=complex)
     for j in range(degree + 1):
-        g[j * d:(j + 1) * d, j * d:(j + 1) * d] = -1j * h0
+        a[j * d:(j + 1) * d, j * d:(j + 1) * d] = -1j * h0
         if j:
-            g[(j - 1) * d:j * d, j * d:(j + 1) * d] = (-1j * x0) * c
-    f = _taylor(g, h, h * (norms[0] + abs(x0) * norms[1]), np.eye(n, d, d - n, dtype=complex))
+            a[(j - 1) * d:j * d, j * d:(j + 1) * d] = (-1j * x0) * c
+    a *= h / s
+    v = np.eye(n, d, d - n, dtype=complex)
+    f = _taylor(a, m, s, v, _taylor_work(v, m), np.empty_like(v))
     return f.reshape(degree + 1, d, d)[::-1], substeps
 
 
@@ -708,21 +733,27 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     with C = sigma_x for the qubit and C = b + b^+ for the oscillator,
     and c = coupling C the coupling part of the Hamiltonian.  Each step
     of ``cfg.time_grid()`` is a classical half-flow, the quantum step
-    ``exp(-i (h0 + x c) dt)`` at the half-step x, and a classical
+    ``exp(-i (h0 + x c) h)`` at the half-step x, and a classical
     half-flow with the refreshed <c>.
 
     The state is held in its real view (``_real_form``), so the quantum
     step is ``_taylor`` on the state with g = x m1 + m0, the real forms of
     -i c and -i h0: a Taylor sum whose degree and substeps follow from the
-    1-norm bound ``dt (|h0|_1 + |x| |c|_1)`` (past ``_STEP_BOUND_MAX`` it
-    raises), with no decomposition.  The run carries and stores the raw
-    state; the force <c>, one product with the real form of c over the
-    squared norm, feeds both half-flows.  One ``_guard`` call then judges
-    the stored rows, which are normalised in place by its norms: a run
-    that trips raises after its last step, or after an abort, whose
-    earlier trips win.  The tests hold the amplitudes and (x, p) to a per-step
-    eigendecomposition loop within 1e-12 absolute and the worst norm
-    drift within 1e-14.
+    1-norm bound ``h (|h0|_1 + |x| |c|_1)`` (past ``_STEP_BOUND_MAX`` it
+    raises), with no decomposition.  Every step has the grid rule's own
+    length h = t_max / n (``_steps``), so the half-flows' rotation is
+    computed once.  Every buffer is allocated once per run: the step's
+    h g / s is one product of (x / s, 1 / s) with the stacked pair
+    (h m1, h m0), the Taylor powers go to one ``_taylor_work``, and each
+    step writes its row of the stored states.  The run carries and stores
+    the raw state; the force <c> over the squared norm, feeding both
+    half-flows, is two products: the stacked ``[c; I]`` (real forms) times
+    v gives (c v, v), and that pair times v gives (<v|c|v>, <v|v>).  One
+    ``_guard`` call then judges the stored rows, which are normalised in
+    place by its norms: a run that trips raises after its last step, or
+    after an abort, whose earlier trips win.  The tests hold the
+    amplitudes and (x, p) to a per-step eigendecomposition loop within
+    1e-12 absolute and the worst norm drift within 1e-14.
     """
     if not model.back_reaction:
         raise ValueError("evolve_hybrid needs a back-reaction (mean-field) model")
@@ -731,46 +762,58 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     if s0.psi.space != space:
         raise ValueError("initial quantum state space does not match the model")
     times = cfg.time_grid()
-    m0, m1 = _real_form(-1j * h0), _real_form(-1j * c)
+    h = cfg.t_max / cfg.n_steps
     norms = [np.abs(m).sum(axis=0).max(initial=0.0) for m in (h0, c)]
-    c_real = _real_form(c)
-
-    def classical_half(x, p, mean, ch, sh):
-        # exact rotation of the displaced harmonic flow over a half step,
-        # ch, sh = cos, sin of nu times its length
-        xc = -mean / nu
-        dx = x - xc
-        return xc + dx * ch + p * sh, p * ch - dx * sh
+    dim = 2 * space.total_dim
+    pair = (h * np.stack([_real_form(-1j * c), _real_form(-1j * h0)])).reshape(2, -1)
+    coef = np.ones(2)
+    g_flat = np.empty(dim * dim)
+    g = g_flat.reshape(dim, dim)
+    c_and_one = np.vstack([_real_form(c), np.eye(dim)])
+    cv = np.empty(2 * dim)
+    cv_pair, sums = cv.reshape(2, dim), np.empty(2)
 
     x, p = float(s0.x), float(s0.p)
     if not (math.isfinite(x) and math.isfinite(p)):
         raise ValueError("classical initial conditions must be finite")
+    # exact rotation of the displaced harmonic flow over a half step: the
+    # cos and sin of nu h / 2
+    ch, sh = math.cos(nu * (0.5 * h)), math.sin(nu * (0.5 * h))
 
     # raw rows of (re, im) pairs, read as complex by the guard pass
-    rows = np.empty((len(times), 2 * space.total_dim))
+    rows = np.empty((len(times), dim))
     v = rows[0] = s0.psi.amplitudes.view(float)
+    work = _taylor_work(v, len(_TAYLOR_REACH))
     track = [(x, p)]
     # <c> of the normalised state, from the raw one
-    mean = float(np.dot(v, np.dot(c_real, v)) / np.dot(v, v))
+    c_and_one.dot(v, cv)
+    cv_pair.dot(v, sums)
+    num, den = sums.tolist()
+    mean = num / den
     stop = None
-    grid = times.tolist()
-    for k in range(len(grid) - 1):
-        t1 = grid[k + 1]
-        dt = t1 - grid[k]
-        ch, sh = math.cos(nu * (0.5 * dt)), math.sin(nu * (0.5 * dt))
-        x, p = classical_half(x, p, mean, ch, sh)
-        bound = dt * (norms[0] + abs(x) * norms[1])
+    for k in range(1, len(times)):
+        xc = -mean / nu
+        dx = x - xc
+        x, p = xc + dx * ch + p * sh, p * ch - dx * sh
+        bound = h * (norms[0] + abs(x) * norms[1])
         if not bound <= _STEP_BOUND_MAX:
             stop = ToleranceError(f"quantum step 1-norm bound {bound:.3e} exceeds "
-                                  f"{_STEP_BOUND_MAX:.0e} at t={t1:g} (reduce dt)")
+                                  f"{_STEP_BOUND_MAX:.0e} at t={times[k]:g} (reduce dt)")
             break
-        v = _taylor(x * m1 + m0, dt, bound, v)
-        mean = float(np.dot(v, np.dot(c_real, v)) / np.dot(v, v))
-        x, p = classical_half(x, p, mean, ch, sh)
+        degree, substeps = _taylor_plan(bound)
+        coef[0], coef[1] = x / substeps, 1.0 / substeps
+        coef.dot(pair, g_flat)
+        v = _taylor(g, degree, substeps, v, work, rows[k])
+        c_and_one.dot(v, cv)
+        cv_pair.dot(v, sums)
+        num, den = sums.tolist()
+        mean = num / den
+        xc = -mean / nu
+        dx = x - xc
+        x, p = xc + dx * ch + p * sh, p * ch - dx * sh
         if not (math.isfinite(x) and math.isfinite(p)):
-            stop = ToleranceError(f"classical variables diverged at t={t1:g}")
+            stop = ToleranceError(f"classical variables diverged at t={times[k]:g}")
             break
-        rows[k + 1] = v
         track.append((x, p))
     raw = rows[:len(track)].view(complex)
     nrm, worst, trips = _guard(raw[:, None], times[:len(track), None], space)

@@ -9,8 +9,9 @@ Conventions:
     with ``sigma_z |e> = +|e>``;
   * hard truncation at the Fock cutoff: raising the top level ``|dim-1>``
     gives zero.  The commutator ``[a, a+] = 1`` therefore holds only below
-    the top level, and evolution code watches the top-level population
-    (``SpaceDescriptor._top_slots``) to keep the truncation error observable.
+    the top level, and evolution code watches the top-level population of
+    each bosonic factor (``SpaceDescriptor._bosons``) to keep the
+    truncation error observable.
 """
 
 from __future__ import annotations
@@ -90,12 +91,10 @@ class SpaceDescriptor:
         return table
 
     @cached_property
-    def _top_slots(self) -> tuple:
-        """(factor index, flat basis indices where that factor sits on its
-        top Fock level) for each bosonic factor: the populations that the
-        evolution guards watch (see the module docstring)."""
-        return tuple((i, np.flatnonzero(self.levels[i] == f.dim - 1))
-                     for i, f in enumerate(self.factors) if isinstance(f, Boson))
+    def _bosons(self) -> tuple[int, ...]:
+        """The indices of the bosonic factors, whose top-level populations
+        the evolution guards watch (see the module docstring)."""
+        return tuple(i for i, f in enumerate(self.factors) if isinstance(f, Boson))
 
     def factor(self, index: int) -> Factor:
         if not 0 <= index < len(self.factors):

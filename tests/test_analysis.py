@@ -129,6 +129,33 @@ def test_ledger_energy_std_scales_with_coupling():
     assert stds[1] / stds[0] == pytest.approx(2.0, rel=1e-2)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["jaynes_cummings", "oscillator_drive"])
+def test_ledger_scales_exactly_with_its_frequencies(family):
+    # on one trajectory, a model whose frequencies and couplings are all
+    # 2^900 times another's has every ledger column 2^900 times as large,
+    # bit for bit, with no overflow: <H>^2 and <H^2> would pass the float
+    # range, so the ledger forms H psi times a power of two near 1 / |H|
+    big = 2.0 ** 900
+    if family == "jaynes_cummings":
+        params = JaynesCummingsParams(nu=1.0, omega=1.1, g=0.05, field_cutoff=4)
+        scaled = replace(params, nu=big, omega=1.1 * big, g=0.05 * big)
+        traj = evolve_unitary(build_jc_hamiltonian(params), basis_state(params.space, [1, 0]),
+                              EvolutionConfig(dt=0.5, t_max=10.0))
+        model, big_model = (ModelSpec(ModelFamily.JAYNES_CUMMINGS, p) for p in (params, scaled))
+    else:
+        model = _osc_model(coupling=0.1)
+        p = model.params
+        big_model = replace(model, params=replace(p, omega=big, nu=big * p.nu,
+                                                  coupling=big * p.coupling))
+        traj = evolve_driven(p, None, EvolutionConfig(dt=0.01, t_max=5.0,
+                                                      method=Method.MIDPOINT))
+    led, big_led = energy_ledger(traj, model), energy_ledger(traj, big_model)
+    assert big_led.energy_std.max() > 1e268
+    for name in ("e_classical", "e_quantum_free", "e_interaction", "e_total", "energy_std"):
+        assert np.array_equal(getattr(big_led, name), big * getattr(led, name)), name
+
+
 def test_ledger_hybrid_residual_shrinks_at_second_order():
     model = _osc_model(coupling=0.1, detector_cutoff=16, back_reaction=True)
     s0 = HybridState(0.0, 1.0, ground_state(model.params.space))

@@ -889,13 +889,18 @@ def test_every_bundled_manifest_records_the_guard_tolerances(tmp_path):
             assert tolerances == {"norm_drift_tol": None, "top_level_tol": None}, name
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scenario, edit", [
     ("jc_vacuum_exchange", _set(("initial_state",), {"type": "fock", "levels": [0, 0]})),
-], ids=["ground_start"])
+    ("jc_vacuum_exchange", _set(("model", "params", "omega"), 1e300)),
+    ("jc_vacuum_exchange", _set(("model", "params", "nu"), 1e300)),
+], ids=["ground_start", "omega_1e300", "nu_1e300"])
 def test_an_audit_with_nothing_to_condition_on_exits_3_without_artifacts(tmp_path, capsys,
                                                                          scenario, edit):
     # the readout population of the detector's level 1 is below the floor the
-    # deficit conditions on: a tolerance abort with one line on stderr
+    # deficit conditions on: a tolerance abort with one line on stderr and,
+    # with every warning an error, no overflow in the ledger before it, even
+    # at frequencies whose squared energies pass the float range
     path = tmp_path / "cfg.json"
     path.write_text(edit(bundled_scenarios()[scenario]))
     assert main(["validate", str(path)]) == EXIT_OK

@@ -58,6 +58,7 @@ from quantex.dynamics import (
     _table_step,
     _taylor,
     _taylor_plan,
+    _taylor_work,
 )
 from quantex.hilbert import NORM_ATOL, Hamiltonian, StateVector
 
@@ -264,8 +265,9 @@ def test_guard_contractions_match_norms_and_slot_sums(monkeypatch):
     rng = np.random.default_rng(5)
     raw = (rng.standard_normal((5, 7, 24)) + 1j * rng.standard_normal((5, 7, 24))) / 5
     ref_nrm = np.linalg.norm(raw, axis=-1)
-    ref_pops = np.stack([(np.abs(raw[..., flat]) ** 2).sum(axis=-1) for _, flat
-                         in space._top_slots], axis=-1) / ref_nrm[..., None] ** 2
+    slots = [np.flatnonzero(space.levels[k] == space.dims[k] - 1) for k in (0, 2)]
+    ref_pops = np.stack([(np.abs(raw[..., flat]) ** 2).sum(axis=-1) for flat in slots],
+                        axis=-1) / ref_nrm[..., None] ** 2
     ulps = 4 * np.finfo(float).eps
     monkeypatch.setattr(EvolutionConfig, "norm_drift_tol", np.inf)
     nrm, _, _ = _guard(raw, 1.0, space)
@@ -1283,27 +1285,62 @@ def _midpoint_hamiltonian(draw):
     return h0, c, x, dt, psi / np.linalg.norm(psi)
 
 
+def _hybrid_taylor(h0, c, x, dt, v, out):
+    """One quantum step of ``evolve_hybrid``'s form on the real view v of a
+    state, into ``out``: the plan of dt (|h0|_1 + |x| |c|_1), h g / s as
+    the product of (x / s, 1 / s) with the stacked pair (dt m1, dt m0),
+    and ``_taylor`` on a workspace of the top degree."""
+    degree, substeps = _taylor_plan(dt * (_norm_1(h0) + abs(x) * _norm_1(c)))
+    pair = (dt * np.stack([_real_form(-1j * c), _real_form(-1j * h0)])).reshape(2, -1)
+    g = (np.array([x, 1.0]) / substeps).dot(pair).reshape(len(v), len(v))
+    return _taylor(g, degree, substeps, v, _taylor_work(v, len(_TAYLOR_REACH)), out)
+
+
+def _table_taylor(h0, c, x, dt, block):
+    """The same step in ``_drive_table``'s form, on a complex block of
+    columns: -i dt (h0 + x c) / s, on a workspace of the plan's degree."""
+    degree, substeps = _taylor_plan(dt * (_norm_1(h0) + abs(x) * _norm_1(c)))
+    a = (-1j * (h0 + x * c)) * (dt / substeps)
+    return _taylor(a, degree, substeps, block, _taylor_work(block, degree),
+                   np.empty_like(block))
+
+
+# the bundled oscillator audit's model, whose steps at dt 0.001 and |x| up
+# to 1.5 are one sum of degree 6
+_BUNDLED_OSCILLATOR = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1, x0=1.0,
+                                             detector_cutoff=16).free_and_coupling()
+
+
 @settings(max_examples=150, deadline=None)
 @given(_midpoint_hamiltonian())
 @example((np.zeros((3, 3)), np.zeros((3, 3)), 0.0, 0.1,
           np.array([1.0, 1j, 0.0]) / 2 ** 0.5))
 @example((np.diag([0.5, -0.5]), np.array([[0.0, 0.1], [0.1, 0.0]]), 1.0, 0.001,
           np.array([1.0 + 0j, 0.0])))                     # the bundled qubit step
+@example((*_BUNDLED_OSCILLATOR, -1.5, 0.001,              # the bundled oscillator step
+          np.eye(16, 1, -1)[:, 0] * 0.6 + np.eye(16, 1)[:, 0] * 0.8j))
 @example((np.diag([-40.0, 25.0]), np.array([[0.0, 3.0], [3.0, 0.0]]), -1.0, 1.0,
           np.array([0.6 + 0j, 0.8j])))                    # bound 43: 12 substeps
+@example((np.diag([-10.0, 4.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, 1.0,
+          np.array([0.8j, 0.6 + 0j])))                    # bound 11: 3 substeps
 def test_taylor_matches_expm(step):
-    # the hybrid's call, on the real view of one state, and the drive
-    # table's call, on a complex block of columns
+    # the hybrid's call, on the real view of one state read from one row
+    # and written to the next, as the run stores them, and the drive
+    # table's call, on a complex block of columns; neither writes its input
     h0, c, x, dt, psi = step
     norms = [_norm_1(m) for m in (h0, c)]
     bound = dt * (norms[0] + abs(x) * norms[1])
     h_dt = (h0 + x * c) * dt
-    out = _taylor(x * _real_form(-1j * c) + _real_form(-1j * h0), dt, bound,
-                  psi.view(float))
-    assert out.shape == (2 * len(psi),) and out.dtype == float
+    rows = np.full((3, 2 * len(psi)), np.nan)
+    rows[0] = psi.view(float)
+    out = _hybrid_taylor(h0, c, x, dt, rows[0], rows[1])
+    assert np.shares_memory(out, rows[1]) and out.shape == rows[1].shape
+    assert rows[0].tobytes() == psi.tobytes() and np.isnan(rows[2]).all()
     block = np.column_stack([psi, np.roll(psi, 1).conj()])
-    out_block = _taylor(-1j * (h0 + x * c), dt, bound, block)
+    before = block.copy()
+    out_block = _table_taylor(h0, c, x, dt, block)
     assert out_block.shape == block.shape and out_block.dtype == complex
+    assert block.tobytes() == before.tobytes()
     # up to _SMALL_BOUND one Taylor sum runs, and it must hold to a few ulps
     tol = 1e-15 if bound <= _SMALL_BOUND else 1e-13 * max(1.0, _norm_1(h_dt))
     u = expm(-1j * h_dt)
@@ -1541,12 +1578,17 @@ def test_drive_table_is_planned_from_its_own_amplitude(monkeypatch):
     calls = []
     taylor = dynamics._taylor
     monkeypatch.setattr(dynamics, "_taylor",
-                        lambda g, h, bound, v: calls.append((h, bound)) or taylor(g, h, bound, v))
+                        lambda a, *rest: calls.append((a, *rest[:2])) or taylor(a, *rest))
+    d = len(h0)
     for dt, x0 in ((0.01, 1.0), (0.5, -3.0), (0.5, 0.0), (1.0, 40.0)):
         _, substeps = _drive_table(h0, c, norms, dt, x0)
         assert substeps == _taylor_plan(dt * abs(x0) * norms[1])[1]
         h = dt / substeps
-        assert calls.pop() == (h, h * (norms[0] + abs(x0) * norms[1]))
+        a, degree, s = calls.pop()
+        assert (degree, s) == _taylor_plan(h * (norms[0] + abs(x0) * norms[1]))
+        # s substeps of a make h g: -i h h0 on the diagonal, -i h x0 c above
+        npt.assert_allclose(s * a[:d, :d], -1j * h * h0, rtol=1e-15, atol=0)
+        npt.assert_allclose(s * a[:d, d:2 * d], -1j * h * x0 * c, rtol=1e-15, atol=0)
     assert substeps > 1 and not calls
 
 
