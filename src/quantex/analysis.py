@@ -309,16 +309,24 @@ def _check_monotone(axis: np.ndarray) -> None:
 
 def _scan_axis(model: ModelSpec, axis_name: str, values) -> np.ndarray:
     """The values of an ``axis_name`` scan of ``model`` as floats, once
-    every whole-scan rule holds (ValueError otherwise): no mean-field
-    model, an intensity field for an intensity scan, finite detunings and
-    finite, positive intensities and readout times, and a strictly
-    monotone axis, as ``ScanResult`` demands.  ``scans`` checks each axis
-    it is given here, and ``cli.validate_config`` each axis of a config,
-    so both give one message; ``validate_config`` also refuses a detuning
-    axis that reaches nu <= 0, whose points a scan would tag one by one."""
+    every whole-scan rule holds (ValueError otherwise): an axis named
+    detuning, intensity or time, a 1-D axis of at least one point, no
+    mean-field model, an intensity field for an intensity scan, finite
+    detunings and finite, positive intensities and readout times, and a
+    strictly monotone axis, as ``ScanResult`` demands.  ``scans`` checks
+    each axis it is given here, and ``cli.validate_config`` each axis of a
+    config, so both give one message; ``validate_config`` also refuses a
+    detuning axis that reaches nu <= 0, whose points a scan would tag one
+    by one."""
+    if axis_name not in ("detuning", "intensity", "time"):
+        raise ValueError(f"unknown scan axis {axis_name!r}: expected detuning, "
+                         "intensity or time")
     if model.back_reaction:
         raise ValueError("scans drive the prescribed or quantized models only")
     values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or not values.size:
+        raise ValueError(f"{axis_name} scan needs a 1-D axis of at least one point, "
+                         f"got shape {values.shape}")
     if axis_name == "detuning":
         if not np.all(np.isfinite(values)):
             raise ValueError("detuning scan needs finite detunings")
@@ -333,111 +341,6 @@ def _scan_axis(model: ModelSpec, axis_name: str, values) -> np.ndarray:
     return values
 
 
-def _point(model: ModelSpec, axis_name: str, value: float, cfg: EvolutionConfig):
-    """The model and the horizon of the point ``value`` of an ``axis_name``
-    scan of ``model``: a detuning moves nu to omega + value and an
-    intensity sets the field (``ModelSpec.with_intensity``), both read out
-    at ``cfg.t_max``; a readout time runs ``model`` itself up to it."""
-    if axis_name == "detuning":
-        return model.with_nu(model.params.omega + value), cfg.t_max
-    if axis_name == "intensity":
-        return model.with_intensity(value), cfg.t_max
-    return model, float(value)
-
-
-def _run_points(model: ModelSpec, cfg: EvolutionConfig, axes: dict) -> dict:
-    """Evolve every point of the scans ``axes`` ({axis name: values}) of
-    ``model``, whose rules ``_scan_axis`` has checked, as one batch:
-    point ``value`` of an axis is the model and horizon of ``_point``, on
-    the grid of ``dynamics._steps`` at ``cfg.dt``, every point held to
-    ``EvolutionConfig``'s guard bounds.  Returns per axis, point by point,
-    the population of ``default_target(model)``, on the intensity axis the
-    transition gap (else NaN), and the error tag (NaN, NaN, tag on a
-    failed point).  A ValueError raised while a point is built (a nu <= 0,
-    a coherent tail past the cutoff) tags that point, and a guard trip
-    tags it with the error its serial run raises.
-
-    The points run as one batch of the kernel that also runs a single
-    point, so each gives the bits of its own serial run, ``evolve_unitary``
-    or ``evolve_driven`` of the point's model to its horizon.  Quantized
-    points form one ``dynamics._evolve_blocks`` batch of their own diagonals and
-    default states and the first point's hop list, which every point must
-    share (ValueError otherwise); a point's samples are freed once its
-    population and gap are read.  Prescribed-drive points differ only in
-    the drive and the horizon, and step together in
-    ``dynamics._evolve_driven_batch`` from ``model``'s h0, c and state.
-    The transition gap is the detector energy gained per absorbed
-    excitation between the first and the final state.
-    """
-    p, target = model.params, default_target(model)
-    if "intensity" in axes:
-        detector_free, levels = p.parts()[1], p.detector_levels()
-
-    def read(name, exc, first=None, final=None) -> tuple:
-        """The row of a point of axis ``name`` from its error or its first
-        and final amplitudes."""
-        if exc is not None:
-            return math.nan, math.nan, f"{type(exc).__name__}: {exc}"
-        prob = StateVector(p.space, final).population(*target)
-        if name != "intensity":
-            return prob, math.nan, None
-        de = _expect_diag(detector_free, final) - _expect_diag(detector_free, first)
-        dn = _expect_diag(levels, final) - _expect_diag(levels, first)
-        return prob, de / dn if dn != 0.0 else math.nan, None
-
-    results = {name: [None] * len(values) for name, values in axes.items()}
-    # the (axis, place) of each point that builds, and its model data and horizon
-    index, points, built = [], [], None
-    for name, values in axes.items():
-        for i, value in enumerate(values):
-            try:
-                point, horizon = _point(model, name, value, cfg)
-                if p.driven:
-                    data = (point.params.x0, point.params.nu)
-                elif point is built:
-                    # a time scan's points are all the model itself: built once
-                    data = points[-1][0]
-                else:
-                    field, detector, hops = point.params.parts()
-                    # built before the batch opens, so that its failure tags the point
-                    data = (field + detector, point.default_state, hops)
-                    built = point
-            except ValueError as exc:
-                results[name][i] = read(name, exc)
-                continue
-            index.append((name, i))
-            points.append((data, horizon))
-    if not index:
-        return results
-
-    data, t_ends = zip(*points)
-    if p.driven:
-        psi0 = default_initial_state(model)
-        x0s, nus = zip(*data)
-        finals, errors, _ = _dyn._evolve_driven_batch(
-            *p.free_and_coupling(), psi0, x0s, nus, t_ends,
-            [_dyn._steps(t, cfg.dt) for t in t_ends])
-        rows = (read(name, exc, psi0.amplitudes, final)
-                for (name, _), final, exc in zip(index, finals, errors))
-    else:
-        diagonals, psi0s, hop_lists = zip(*data)
-        distinct = {id(hops): hops for hops in hop_lists}.values()
-        if len({tuple(a.tobytes() for a in hops) for hops in distinct}) > 1:
-            raise ValueError("the points of a quantized scan must share one hop list")
-        blocks = _dyn._evolve_blocks(p.space, np.array(diagonals), hop_lists[0], psi0s,
-                                     [_dyn._grid(t, cfg.dt) for t in t_ends])
-        rows = (read(name, exc, *([] if amps is None else amps[[0, -1]]))
-                for (name, _), (amps, _, exc) in zip(index, blocks))
-    for (name, i), row in zip(index, rows):
-        results[name][i] = row
-    return results
-
-
-def _coupling_of(model: ModelSpec) -> float:
-    p = model.params
-    return float(getattr(p, "g", getattr(p, "coupling", 0.0)))
-
-
 def scans(model: ModelSpec, cfg: EvolutionConfig, axes: dict) -> dict:
     """The ``ScanResult`` of each scan of ``axes`` ({axis name: values}) of
     ``model``, in the order of ``axes``: per point, the population of the
@@ -450,28 +353,82 @@ def scans(model: ModelSpec, cfg: EvolutionConfig, axes: dict) -> dict:
       model, x0^2 for the driven ones), read out at ``cfg.t_max``, each
       quantized point from its own initial state.  The aux column
       ``transition_gap`` holds the detector energy gained per absorbed
-      excitation, the intensity-independent transition quantum;
+      excitation between the first and the final state, the
+      intensity-independent transition quantum;
     * ``time``, the readout time: each t is a run of its own from
       ``model``'s initial state to exactly t on the grid of
       ``dynamics._steps``, so log-spaced grids stay exact and the guards
       check every sample up to t; ``cfg.t_max`` plays no part.
 
     An axis that breaks a rule of ``_scan_axis`` raises ValueError before
-    any point runs.  Then the points of all the axes run as one batch
-    under ``cfg`` (``_run_points``) and are split into their axes; a point
-    that cannot be built (nu <= 0, a coherent tail past the cutoff) or
-    that trips a guard is tagged with its error and reported as NaN.
-    ``cli`` runs a scenario's scans here."""
+    any point runs.  A point that cannot be built (nu <= 0, a coherent
+    tail past the cutoff) is tagged with its ValueError and reported as
+    NaN.  The rest run as one batch of the kernel that runs a single
+    point, so each gives the bits of its serial run (``evolve_unitary`` or
+    ``evolve_driven`` of its model to its horizon at ``cfg.dt``), and a
+    guard trip tags it with the error that run raises: prescribed-drive
+    points in ``dynamics._evolve_driven_batch`` from ``model``'s h0, c
+    and state, quantized points in ``dynamics._evolve_blocks`` from their
+    own diagonals and default states and ``model``'s hops, which neither
+    ``with_nu`` nor ``with_intensity`` moves.  ``cli`` runs a scenario's
+    scans here."""
     axes = {name: _scan_axis(model, name, values) for name, values in axes.items()}
-    results = _run_points(model, cfg, axes)
-    fixed = {"omega": model.params.omega, "coupling": _coupling_of(model)}
+    p, target = model.params, default_target(model)
+    parts, levels = p.parts(), p.detector_levels()
+    _, detector_free, hops = parts
+    # (probability, gap, error tag) per point; a point that builds is read
+    # after the batch, from its (axis, place), model data and horizon
+    rows = {name: [None] * len(values) for name, values in axes.items()}
+    index, data, t_ends = [], [], []
+    for name, values in axes.items():
+        for i, value in enumerate(values):
+            try:
+                point = (model.with_nu(p.omega + value) if name == "detuning" else
+                         model.with_intensity(value) if name == "intensity" else model)
+                if p.driven:
+                    data.append((point.params.x0, point.params.nu))
+                else:
+                    # built before the batch opens, so that its failure tags the point
+                    field, detector, _ = parts if point is model else point.params.parts()
+                    data.append((field + detector, point.default_state))
+            except ValueError as exc:
+                rows[name][i] = (math.nan, math.nan, f"{type(exc).__name__}: {exc}")
+                continue
+            index.append((name, i))
+            t_ends.append(float(value) if name == "time" else cfg.t_max)
+
+    # each run's (error, first amplitudes, final amplitudes)
+    runs = ()
+    if index and p.driven:
+        psi0 = model.default_state
+        finals, errors, _ = _dyn._evolve_driven_batch(
+            *p.free_and_coupling(), psi0, *zip(*data), t_ends,
+            [_dyn._steps(t, cfg.dt) for t in t_ends])
+        runs = ((exc, psi0.amplitudes, final) for final, exc in zip(finals, errors))
+    elif index:
+        diagonals, psi0s = zip(*data)
+        blocks = _dyn._evolve_blocks(p.space, np.array(diagonals), hops, psi0s,
+                                     [_dyn._grid(t, cfg.dt) for t in t_ends])
+        runs = ((exc, *(amps[[0, -1]] if exc is None else (None, None)))
+                for amps, _, exc in blocks)
+    for (name, i), (exc, first, final) in zip(index, runs):
+        if exc is not None:
+            rows[name][i] = (math.nan, math.nan, f"{type(exc).__name__}: {exc}")
+            continue
+        gap = math.nan
+        if name == "intensity":
+            de = _expect_diag(detector_free, final) - _expect_diag(detector_free, first)
+            dn = _expect_diag(levels, final) - _expect_diag(levels, first)
+            gap = de / dn if dn != 0.0 else math.nan
+        rows[name][i] = (StateVector(p.space, final).population(*target), gap, None)
+
+    fixed = {"omega": p.omega, "coupling": float(p.coupling if p.driven else p.g)}
     out = {}
     for name, values in axes.items():
-        probs, gaps, errors = zip(*results[name])
+        probs, gaps, errors = zip(*rows[name])
         out[name] = ScanResult(
             name, values, np.array(probs), model.tag,
-            fixed=fixed if name == "time" else {"t_max": cfg.t_max, **fixed},
-            errors=errors,
+            fixed=fixed if name == "time" else {"t_max": cfg.t_max, **fixed}, errors=errors,
             aux={"transition_gap": np.array(gaps)} if name == "intensity" else {})
     return out
 

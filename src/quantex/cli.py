@@ -448,7 +448,8 @@ def _run_audit(scenario: Scenario) -> dict:
 
 def _run_scans(scenario: Scenario) -> dict:
     """A CSV per axis and the report, which only signatures runs name.
-    Every point of every axis runs in one batch (``analysis.scans``)."""
+    ``analysis.scans`` runs every point of every axis in one kernel call,
+    on axes that ``validate_config`` has held to ``_scan_axis``."""
     results = scans(scenario.model, scenario.evolution, scenario.axes)
     return {**{axis: functools.partial(scan_to_csv, scan) for axis, scan in results.items()},
             "json": _json(lambda: signature_report(*results.values()).to_dict())}

@@ -169,6 +169,59 @@ def test_ledger_hybrid_residual_shrinks_at_second_order():
     assert math.log2(r1 / r2) >= 1.9
 
 
+def _oscillator_mean_field(params, x, p, beta, times, force=1.0):
+    """The exact oscillator mean-field solution at ``times``: (x, p, beta)
+    from one real 4x4 linear system in (x, p, Re beta, Im beta),
+    dx/dt = nu p, dp/dt = -nu x - 2 coupling Re beta (times ``force``)
+    and dbeta/dt = -i omega beta - i coupling x, solved by ``np.linalg.eig``.
+    With a frozen x the detector's part is linear in b, so a coherent
+    detector state stays coherent and beta = <b> carries it."""
+    nu, omega, g = params.nu, params.omega, params.coupling
+    a = np.array([[0.0, nu, 0.0, 0.0],
+                  [-nu, 0.0, -2.0 * g * force, 0.0],
+                  [0.0, 0.0, 0.0, omega],
+                  [-g, 0.0, -omega, 0.0]])
+    w, v = np.linalg.eig(a)
+    coeffs = np.linalg.solve(v, [x, p, beta.real, beta.imag])
+    y = (np.exp(np.outer(times, w)) * coeffs) @ v.T
+    assert np.abs(y.imag).max() <= 1e-12
+    xs, ps, re, im = y.real.T
+    return xs, ps, re + 1j * im
+
+
+def _mean_field_columns(params, xs, ps, beta):
+    """The ledger columns of the coherent mean-field state (x, p, beta)."""
+    omega, g = params.omega, params.coupling
+    return {"e_classical": 0.5 * params.nu * (xs ** 2 + ps ** 2),
+            "e_quantum_free": omega * np.abs(beta) ** 2,
+            "e_interaction": 2.0 * g * xs * beta.real,
+            "energy_std": np.abs(omega * beta + g * xs)}
+
+
+def test_oscillator_mean_field_audit_matches_its_exact_solution():
+    # the bundled audit's ledger against the exact solution: every column
+    # within 2.5e-2 dt^2 at the bundled dt 0.001, a tenfold dt costs 100x
+    from quantex import cli
+    scenario = cli.validate_config(cli.load_config("oscillator_backreaction_audit"))
+    model, s0, cfg = scenario.model, scenario.initial, scenario.evolution
+    assert cfg.dt == 0.001
+    psi = s0.psi.amplitudes
+    beta0 = np.vdot(psi[:-1], np.sqrt(np.arange(1, len(psi))) * psi[1:])
+
+    def deviations(dt, force=1.0):
+        led = energy_ledger(evolve_hybrid(model, s0, replace(cfg, dt=dt)), model)
+        exact = _mean_field_columns(model.params, *_oscillator_mean_field(
+            model.params, s0.x, s0.p, beta0, led.times, force))
+        return {k: float(np.max(np.abs(getattr(led, k) - col))) for k, col in exact.items()}
+
+    fine, coarse = deviations(cfg.dt), deviations(10 * cfg.dt)
+    for column, dev in fine.items():
+        assert dev <= 2.5e-2 * cfg.dt ** 2, column
+        assert 99 <= coarse[column] / dev <= 101, column
+    # a force of the wrong sign is far outside the bound
+    assert max(deviations(cfg.dt, force=-1.0).values()) > 0.5
+
+
 def test_ledger_rejects_mismatched_spaces():
     model = _osc_model()
     other = _osc_model(detector_cutoff=12)
@@ -619,6 +672,15 @@ def _time_scan_cfgs(cfg, times):
     return [replace(cfg, dt=t / max(1, round(t / cfg.dt)), t_max=t) for t in times]
 
 
+def _same_bits(a, b):
+    """Two scans of one axis hold the same probabilities, aux columns and
+    error tags, bit for bit (NaN included)."""
+    assert a.probabilities.tobytes() == b.probabilities.tobytes()
+    assert a.aux.keys() == b.aux.keys()
+    assert all(a.aux[k].tobytes() == b.aux[k].tobytes() for k in a.aux)
+    assert a.errors == b.errors
+
+
 @pytest.mark.parametrize("model, cfg", [
     (_bs_model(), EvolutionConfig(dt=0.5, t_max=10.0)),
     (ModelSpec(ModelFamily.JAYNES_CUMMINGS,
@@ -629,7 +691,7 @@ def test_quantized_scan_points_equal_their_serial_runs(model, cfg):
     # one batch shares the layout and the stacked eigh, never the
     # arithmetic of one point, so each point gives its serial run's bits,
     # whether its axis runs alone or in one batch with the other axes
-    from quantex.analysis import _expect_diag, _run_points
+    from quantex.analysis import _expect_diag
     deltas = np.array([-0.5, -0.1, 0.0, 0.3, 0.5])
     times = cfg.t_max * np.array([0.001, 0.2, 0.57, 1.0])
     axes = {"detuning": (deltas, [model.with_nu(1.0 + d) for d in deltas],
@@ -639,29 +701,30 @@ def test_quantized_scan_points_equal_their_serial_runs(model, cfg):
         intensities = np.array([1.0, 2.0, 4.0])
         axes["intensity"] = (intensities, [model.with_intensity(i) for i in intensities],
                              [cfg] * 3)
-    together = _run_points(model, cfg, {name: axis for name, (axis, _, _) in axes.items()})
+    together = scans(model, cfg, {name: axis for name, (axis, _, _) in axes.items()})
     _, detector_free, _ = model.params.parts()
     levels = model.params.detector_levels()
     for name, (axis, points, cfgs) in axes.items():
         serial = [_serial_point(m, q) for m, q in zip(points, cfgs)]
-        assert _scan(name, model, cfg, axis).probabilities.tolist() == [p for _, p in serial]
-        alone = _run_points(model, cfg, {name: axis})[name]
-        assert repr(alone) == repr(together[name])
-        for (traj, prob), (p, gap, error) in zip(serial, alone):
-            assert error is None and p == prob
-            if name != "intensity":
-                assert math.isnan(gap)
-                continue
+        alone = _scan(name, model, cfg, axis)
+        _same_bits(alone, together[name])
+        assert alone.errors == (None,) * len(axis)
+        assert alone.probabilities.tolist() == [p for _, p in serial]
+        if name != "intensity":
+            assert alone.aux == {}
+            continue
+        gaps = []
+        for traj, _ in serial:
             first, final = traj.amplitudes[[0, -1]]
             de = _expect_diag(detector_free, final) - _expect_diag(detector_free, first)
             dn = _expect_diag(levels, final) - _expect_diag(levels, first)
-            assert gap == de / dn
+            gaps.append(de / dn)
+        assert alone.aux["transition_gap"].tolist() == gaps
 
 
 def test_quantized_batch_tags_each_point_like_its_serial_run():
     # a detector cut at 3 levels overflows near resonance and holds far
     # detuned; delta -1 puts nu at 0, which the params reject
-    from quantex.analysis import _run_points
     model = _bs_model(g=0.002, detector_cutoff=3)
     cfg = EvolutionConfig(dt=0.5, t_max=10.0)
     deltas = np.array([-1.0, -0.8, 0.0, 0.8])
@@ -676,11 +739,12 @@ def test_quantized_batch_tags_each_point_like_its_serial_run():
     assert serial[2][0].startswith("ToleranceError: top Fock level")
     scan = _scan("detuning", model, cfg, deltas)
     assert list(scan.errors) == [tag for tag, _ in serial]
-    assert np.isnan(scan.probabilities[[0, 2]]).all()
-    batch = _run_points(model, cfg, {"detuning": deltas})["detuning"]
-    for (tag, prob), (batch_prob, gap, batch_tag) in zip(serial, batch):
-        assert batch_tag == tag and math.isnan(gap)
+    assert np.isnan(scan.probabilities[[0, 2]]).all() and scan.aux == {}
+    for (_, prob), batch_prob in zip(serial, scan.probabilities.tolist()):
         assert (prob is None and math.isnan(batch_prob)) or prob == batch_prob
+    # in one batch with a time axis, the points keep their bits and tags
+    _same_bits(scans(model, cfg, {"time": np.array([0.5, 10.0]), "detuning": deltas})
+               ["detuning"], scan)
 
 
 def test_quantized_scans_decompose_once_per_block_size(monkeypatch):
@@ -719,12 +783,14 @@ def test_quantized_scans_read_the_hop_lists_once_per_point(monkeypatch):
     cfg = EvolutionConfig(dt=0.5, t_max=10.0)
     assert analysis.default_target(model) == (1, 1)
     assert not calls
+    # once for the scanned model, whose hops every point steps with, and
+    # once for each detuning point's own diagonal
     _scan("detuning", model, cfg, np.linspace(-0.5, 0.5, 5))
-    assert len(calls) == 5
-    # a time scan runs every readout time as a point of its own, each the
-    # model itself, whose hop lists it reads once
-    _scan("time", model, cfg, np.array([0.1, 1.0, 10.0]))
     assert len(calls) == 6
+    # a time scan runs every readout time as a point of its own, each the
+    # model itself, whose parts it reads once
+    _scan("time", model, cfg, np.array([0.1, 1.0, 10.0]))
+    assert len(calls) == 7
     assert not dense
 
 
@@ -969,23 +1035,43 @@ def test_a_scan_axis_that_is_not_strictly_monotone_raises_before_any_point_runs(
     assert calls == []
 
 
-def test_quantized_scan_points_must_share_one_hop_list(monkeypatch):
-    # hops that read nu give each detuning point a hop list of its own,
-    # which no single batch can hold
-    parts = BeamSplitterParams.parts
+@pytest.mark.parametrize("model", [
+    _bs_model(),
+    ModelSpec(ModelFamily.JAYNES_CUMMINGS,
+              JaynesCummingsParams(nu=1.0, omega=1.0, g=0.05, field_cutoff=6)),
+    _osc_model(),
+    _qubit_model(),
+], ids=["beam_splitter", "jaynes_cummings", "oscillator_drive", "qubit_drive"])
+def test_no_scan_axis_moves_a_familys_hops(model):
+    # a scan steps every point on the scanned model's hop list: with_nu and
+    # with_intensity must leave it bit for bit, over a spread of values
+    def hop_bits(m):
+        return [(a.dtype.str, a.shape, a.tobytes()) for a in m.params.parts()[2]]
 
-    def nu_dependent_parts(p):
-        field, detector, (src, dst, amp) = parts(p)
-        return field, detector, (src, dst, p.nu * amp)
+    hops = hop_bits(model)
+    points = [model.with_nu(nu) for nu in (0.3, 1.0, 1.7, 25.0)]
+    if model.params.intensity_field is not None:
+        points += [model.with_intensity(i) for i in (0.0, 0.25, 1.0, 4.0)]
+    for point in points:
+        assert hop_bits(point) == hops
 
-    monkeypatch.setattr(BeamSplitterParams, "parts", nu_dependent_parts)
-    model = _bs_model(detector_cutoff=4)
-    cfg = EvolutionConfig(dt=0.5, t_max=10.0)
-    with pytest.raises(ValueError, match="share one hop list"):
-        _scan("detuning", model, cfg, np.array([-0.1, 0.0, 0.1]))
-    # one point, or points that keep nu, share it
-    assert _scan("detuning", model, cfg, np.array([0.0])).errors == (None,)
-    assert _scan("time", model, cfg, np.array([1.0, 2.0])).errors == (None, None)
+
+@pytest.mark.parametrize("axes, match", [
+    ({"bogus": [1.0, 2.0]}, "'bogus'"),
+    ({"detuning": []}, "detuning scan needs a 1-D axis"),
+    ({"time": np.array([[1.0, 2.0], [3.0, 4.0]])}, "time scan needs a 1-D axis"),
+    ({"intensity": 1.0}, "intensity scan needs a 1-D axis"),
+], ids=["unknown_name", "empty", "two_dimensional", "scalar"])
+@pytest.mark.parametrize("model", [_bs_model(), _osc_model()], ids=["quantized", "driven"])
+def test_a_malformed_scan_axis_raises_naming_it(monkeypatch, model, axes, match):
+    # the schema fixes the names and sizes of a config's axes; a caller of
+    # scans gets a ValueError that names the axis before any point runs
+    calls = []
+    for name in ("_evolve_blocks", "_evolve_driven_batch"):
+        monkeypatch.setattr(dynamics, name, lambda *a, name=name, **kw: calls.append(name))
+    with pytest.raises(ValueError, match=match):
+        scans(model, EvolutionConfig(dt=0.5, t_max=10.0), axes)
+    assert calls == []
 
 
 # -- signature report ----------------------------------------------------------
