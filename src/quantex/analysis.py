@@ -614,10 +614,23 @@ def golden_rule_fit(scan: ScanResult) -> FitResult:
 # serialization
 
 
+def _column_reprs(col: np.ndarray) -> list[str]:
+    """The repr of every value of a column block.  A block whose bytes are
+    its first value's bytes repeated takes one repr for all its rows; bytes,
+    not ``==``, judge it, as 0.0 == -0.0 and NaN != NaN."""
+    first = col[:1]
+    if col.tobytes() == first.tobytes() * len(col):
+        return [repr(first.item())] * len(col)
+    return list(map(repr, col.tolist()))
+
+
 def ledger_to_csv(ledger: EnergyLedger, path) -> None:
     """Write the ledger; columns: time,e_classical,e_quantum_free,
-    e_interaction,e_total,energy_std[,backreaction_residual].  The columns
-    become Python floats ``_LEDGER_BLOCK`` rows at a time, not all at once."""
+    e_interaction,e_total,energy_std[,backreaction_residual].  The file is
+    written ``_LEDGER_BLOCK`` rows at a time: each column block becomes its
+    values' reprs at once (``_column_reprs``, one repr for a constant
+    block), the rows are joined from those strings and the block is one
+    write."""
     cols = ["time", "e_classical", "e_quantum_free", "e_interaction",
             "e_total", "energy_std"]
     arrays = [ledger.times, ledger.e_classical, ledger.e_quantum_free,
@@ -628,9 +641,8 @@ def ledger_to_csv(ledger: EnergyLedger, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(cols) + "\n")
         for a in range(0, len(ledger.times), _LEDGER_BLOCK):
-            block = (col[a:a + _LEDGER_BLOCK].tolist() for col in arrays)
-            for row in zip(*block):
-                fh.write(",".join(map(repr, row)) + "\n")
+            block = [_column_reprs(col[a:a + _LEDGER_BLOCK]) for col in arrays]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def scan_to_csv(scan: ScanResult, path) -> None:

@@ -29,9 +29,10 @@ Three propagators, each the one route of its model kind:
 
 ``_taylor`` is the one matrix exponential of both driven kernels: a
 power-form Taylor sum for ``exp(h g) v`` (the powers (h g)^j v, one BLAS
-product each into a caller-owned workspace, weighted by 1/j! in one more
-product, v added last) whose degree and substeps follow from a 1-norm
-bound on h g, which ``_STEP_BOUND_MAX`` caps for every driven step.
+product each into a caller-owned ``_TaylorWork``, which makes its views
+of each degree once, weighted by 1/j! in one more product, v added last)
+whose degree and substeps follow from a 1-norm bound on h g, which
+``_STEP_BOUND_MAX`` caps for every driven step.
 
 The kernels only propagate raw states, and one guard judges them all:
 a ``_guard`` call on a ``(steps, runs, d)`` stack of raw states holds
@@ -428,38 +429,51 @@ def _real_form(g: np.ndarray) -> np.ndarray:
 _INV_FACTORIAL = np.array([1.0 / math.factorial(j) for j in range(1, len(_TAYLOR_REACH) + 1)])
 
 
-def _taylor_work(v: np.ndarray, degree: int):
+class _TaylorWork(dict):
     """A ``_taylor`` workspace for vectors or column blocks shaped like v,
-    up to ``degree``: degree + 1 rows, the last the substeps' spare, as
-    one ``(degree + 1, v.size)`` array and as the list of its rows."""
-    block = np.empty((degree + 1, *v.shape), dtype=v.dtype)
-    return block.reshape(degree + 1, -1), list(block)
+    up to degree ``top``: top + 1 rows, the last (``spare``) the substeps'
+    spare, as one ``(top + 1, v.size)`` array and as the list of its rows.
+    Keyed by a degree m, it holds that degree's views, made on first use
+    and reused by every later call: the m power rows, as a list and as
+    one ``(m, v.size)`` array, and their weights ``_INV_FACTORIAL[:m]``."""
+
+    def __init__(self, v: np.ndarray, top: int):
+        super().__init__()
+        block = np.empty((top + 1, *v.shape), dtype=v.dtype)
+        self.flat, self.rows = block.reshape(top + 1, -1), list(block)
+        self.spare = self.rows[-1]
+
+    def __missing__(self, m: int):
+        views = self[m] = (self.rows[:m], self.flat[:m], _INV_FACTORIAL[:m])
+        return views
 
 
-def _taylor(a: np.ndarray, degree: int, substeps: int, v: np.ndarray, work,
-            out: np.ndarray) -> np.ndarray:
+def _taylor(a: np.ndarray, degree: int, substeps: int, v: np.ndarray,
+            work: _TaylorWork, out: np.ndarray) -> np.ndarray:
     """exp(s a) v into ``out``, for one vector or a block of columns v: s =
     ``substeps`` Taylor sums of degree ``degree`` in a = h g / s, the plan
     (``_taylor_plan``) of a 1-norm bound on h g, so that each first omitted
     term is at most 2^-53.  The one exponential of every driven step.
 
     Each substep is a Taylor sum in power form: the powers P_j = a^j v,
-    j = 1, ..., m, each one product into a row of ``work``
-    (``_taylor_work``, allocated by the caller), then one product of the
-    powers against the weights 1/j!, and v added last.  The last substep
+    j = 1, ..., m, each one product (``a.dot``, bound once per call) into
+    a row of ``work`` (a ``_TaylorWork`` the caller allocates and may reuse
+    across calls and degrees; its views of a degree are made once), then
+    one product of the powers against the weights 1/j! into the target
+    (a vector is its own flat view), and v added last.  The last substep
     writes ``out`` and the others alternate with the spare row, so no
     substep writes the vector it reads; ``out`` must not be v, and v is
     left as it is.  Returns ``out``.
     """
-    flat, rows = work
-    powers, weights = flat[:degree], _INV_FACTORIAL[:degree]
+    steps, powers, weights = work[degree]
+    spare, dot = work.spare, a.dot
     for left in range(substeps - 1, -1, -1):
-        target = rows[-1] if left % 2 else out
+        target = spare if left % 2 else out
         prev = v
-        for row in rows[:degree]:
-            a.dot(prev, row)
+        for row in steps:
+            dot(prev, row)
             prev = row
-        weights.dot(powers, target.reshape(-1))
+        weights.dot(powers, target if target.ndim == 1 else target.reshape(-1))
         target += v
         v = target
     return out
@@ -492,7 +506,7 @@ def _drive_table(h0, c, norms, dt: float, x0: float):
             a[(j - 1) * d:j * d, j * d:(j + 1) * d] = (-1j * x0) * c
     a *= h / s
     v = np.eye(n, d, d - n, dtype=complex)
-    f = _taylor(a, m, s, v, _taylor_work(v, m), np.empty_like(v))
+    f = _taylor(a, m, s, v, _TaylorWork(v, m), np.empty_like(v))
     return f.reshape(degree + 1, d, d)[::-1], substeps
 
 
@@ -744,8 +758,9 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     length h = t_max / n (``_steps``), so the half-flows' rotation is
     computed once.  Every buffer is allocated once per run: the step's
     h g / s is one product of (x / s, 1 / s) with the stacked pair
-    (h m1, h m0), the Taylor powers go to one ``_taylor_work``, and each
-    step writes its row of the stored states.  The run carries and stores
+    (h m1, h m0), the Taylor powers go to one ``_TaylorWork``, whose views
+    of each degree are made at that degree's first step, and each step
+    writes its row of the stored states.  The run carries and stores
     the raw state; the force <c> over the squared norm, feeding both
     half-flows, is two products: the stacked ``[c; I]`` (real forms) times
     v gives (c v, v), and that pair times v gives (<v|c|v>, <v|v>).  One
@@ -783,7 +798,7 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     # raw rows of (re, im) pairs, read as complex by the guard pass
     rows = np.empty((len(times), dim))
     v = rows[0] = s0.psi.amplitudes.view(float)
-    work = _taylor_work(v, len(_TAYLOR_REACH))
+    work = _TaylorWork(v, len(_TAYLOR_REACH))
     track = [(x, p)]
     # <c> of the normalised state, from the raw one
     c_and_one.dot(v, cv)

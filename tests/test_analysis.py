@@ -43,7 +43,7 @@ from quantex import (
     scans,
     signature_report,
 )
-from quantex import dynamics
+from quantex import analysis, dynamics
 from quantex.analysis import default_target
 from kron_reference import beam_splitter, jaynes_cummings
 from test_dynamics import _chunk_of, _dense_route, per_step_driven
@@ -1229,6 +1229,52 @@ def test_scan_csv_columns(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "intensity,probability,transition_gap,error"
     assert len(lines) == 3
+
+
+def _reference_ledger_csv(ledger) -> bytes:
+    """The ledger CSV written row by row: each row's Python values joined
+    by their reprs, the reference ``ledger_to_csv``'s bytes must equal."""
+    names = ["time", "e_classical", "e_quantum_free", "e_interaction", "e_total",
+             "energy_std"]
+    arrays = [ledger.times, ledger.e_classical, ledger.e_quantum_free,
+              ledger.e_interaction, ledger.e_total, ledger.energy_std]
+    if ledger.backreaction_residual is not None:
+        names.append("backreaction_residual")
+        arrays.append(ledger.backreaction_residual)
+    lines = [",".join(names)]
+    for row in zip(*(col.tolist() for col in arrays)):
+        lines.append(",".join(map(repr, row)))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_ledger_csv_across_blocks_matches_the_row_by_row_writer(tmp_path):
+    # three blocks, the last of 3 rows: a column constant across them, zeros
+    # of both signs (a block that starts at 0.0 and holds one -0.0, a block
+    # of -0.0 alone), an all-NaN block, infinities, float32 and int columns
+    block = analysis._LEDGER_BLOCK
+    n = 2 * block + 3
+    rng = np.random.default_rng(40)
+    zeros = np.zeros(n)
+    zeros[5] = -0.0
+    zeros[block:2 * block] = -0.0
+    zeros[-2] = -0.0
+    nans = rng.normal(size=n)
+    nans[block:2 * block] = np.nan
+    nans[-1] = -np.nan
+    infs = rng.normal(size=n)
+    infs[::3], infs[1::7] = np.inf, -np.inf
+    infs[2 * block:] = np.inf
+    singles = rng.normal(size=n).astype(np.float32)
+    singles[:block] = np.float32(0.1)
+    ints = np.arange(n) % 5
+    ints[block:2 * block] = 7
+    led = EnergyLedger(np.arange(n) * 0.001, np.full(n, 0.1 + 0.2), zeros, nans, infs,
+                       singles, backreaction_residual=ints)
+    path = tmp_path / "ledger.csv"
+    ledger_to_csv(led, path)
+    assert path.read_bytes() == _reference_ledger_csv(led)
+    ledger_to_csv(replace(led, backreaction_residual=None), path)
+    assert path.read_bytes() == _reference_ledger_csv(replace(led, backreaction_residual=None))
 
 
 # CSV round trips: every float written by repr parses back to the same bits

@@ -25,10 +25,11 @@ from quantex.cli import (
     main,
     validate_config,
 )
-from quantex.analysis import scans
+from quantex.analysis import ledger_to_csv, scans
 from quantex.dynamics import GOLDEN_RULE_MIN_RATIO, EvolutionConfig, HybridState, Method
 from quantex.errors import ConfigError
 from quantex.hilbert import basis_state, ground_state, min_coherent_cutoff
+from test_analysis import _reference_ledger_csv
 
 
 def test_version_prints_constants_hash(capsys):
@@ -188,6 +189,26 @@ def test_run_audit_scenario_with_overrides(tmp_path):
     assert len(rows) == 202  # header + 201 samples
     report = json.loads((out / "deficit_report.json").read_text())
     assert report["deficit"] == 1.0
+
+
+@pytest.mark.parametrize("scenario", ["energy_audit_semiclassical", "jc_vacuum_exchange",
+                                      "oscillator_backreaction_audit",
+                                      "qubit_backreaction_audit"])
+def test_each_bundled_ledger_csv_is_the_row_by_row_writers_bytes(tmp_path, monkeypatch, scenario):
+    # the prescribed drive's constant e_classical, the mean-field ledgers'
+    # NaN residual endpoints and the short Jaynes-Cummings ledger, each as
+    # the run writes it
+    ledgers = []
+
+    def keeping(ledger, path):
+        ledgers.append(ledger)
+        ledger_to_csv(ledger, path)
+
+    monkeypatch.setattr(cli, "ledger_to_csv", keeping)
+    assert main(["run", scenario, "--output-dir", str(tmp_path / "out")]) == EXIT_OK
+    [ledger] = ledgers
+    written = (tmp_path / "out" / "energy_ledger.csv").read_bytes()
+    assert written == _reference_ledger_csv(ledger)
 
 
 @pytest.mark.parametrize("scenario", ["jc_vacuum_exchange", "signatures_driven_oscillator"])

@@ -58,7 +58,7 @@ from quantex.dynamics import (
     _table_step,
     _taylor,
     _taylor_plan,
-    _taylor_work,
+    _TaylorWork,
 )
 from quantex.hilbert import NORM_ATOL, Hamiltonian, StateVector
 
@@ -1293,7 +1293,7 @@ def _hybrid_taylor(h0, c, x, dt, v, out):
     degree, substeps = _taylor_plan(dt * (_norm_1(h0) + abs(x) * _norm_1(c)))
     pair = (dt * np.stack([_real_form(-1j * c), _real_form(-1j * h0)])).reshape(2, -1)
     g = (np.array([x, 1.0]) / substeps).dot(pair).reshape(len(v), len(v))
-    return _taylor(g, degree, substeps, v, _taylor_work(v, len(_TAYLOR_REACH)), out)
+    return _taylor(g, degree, substeps, v, _TaylorWork(v, len(_TAYLOR_REACH)), out)
 
 
 def _table_taylor(h0, c, x, dt, block):
@@ -1301,8 +1301,34 @@ def _table_taylor(h0, c, x, dt, block):
     columns: -i dt (h0 + x c) / s, on a workspace of the plan's degree."""
     degree, substeps = _taylor_plan(dt * (_norm_1(h0) + abs(x) * _norm_1(c)))
     a = (-1j * (h0 + x * c)) * (dt / substeps)
-    return _taylor(a, degree, substeps, block, _taylor_work(block, degree),
+    return _taylor(a, degree, substeps, block, _TaylorWork(block, degree),
                    np.empty_like(block))
+
+
+@pytest.mark.parametrize("form", ["hybrid", "table"])
+def test_a_reused_taylor_workspace_gives_a_fresh_ones_bits(form):
+    # one workspace through degree 6, then 3, then 6 in 2 substeps: each
+    # call keeps the bits of the same call on a fresh workspace, the
+    # hybrid's of the top degree on real rows read and written in turn,
+    # the drive table's of the call's degree on a complex block of columns
+    rng = np.random.default_rng(40)
+    if form == "hybrid":
+        a = rng.normal(size=(8, 8)) * 0.05
+        rows = np.empty((4, 8))
+        rows[0] = rng.normal(size=8)
+        top = lambda degree: len(_TAYLOR_REACH)
+    else:
+        a = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))) * 0.05
+        rows = np.empty((4, 6, 2), dtype=complex)
+        rows[0] = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        top = lambda degree: degree
+    shared = _TaylorWork(rows[0], top(6))
+    for k, (degree, substeps) in enumerate([(6, 1), (3, 1), (6, 2)], start=1):
+        fresh = _TaylorWork(rows[k - 1], top(degree))
+        want = _taylor(a, degree, substeps, rows[k - 1], fresh, np.empty_like(rows[k]))
+        got = _taylor(a, degree, substeps, rows[k - 1], shared, rows[k])
+        assert np.shares_memory(got, rows[k]) and got.tobytes() == want.tobytes()
+    assert sorted(shared) == [3, 6]
 
 
 # the bundled oscillator audit's model, whose steps at dt 0.001 and |x| up
