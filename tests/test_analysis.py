@@ -1271,10 +1271,9 @@ def test_ledger_csv_across_blocks_matches_the_row_by_row_writer(tmp_path):
     led = EnergyLedger(np.arange(n) * 0.001, np.full(n, 0.1 + 0.2), zeros, nans, infs,
                        singles, backreaction_residual=ints)
     path = tmp_path / "ledger.csv"
-    ledger_to_csv(led, path)
-    assert path.read_bytes() == _reference_ledger_csv(led)
-    ledger_to_csv(replace(led, backreaction_residual=None), path)
-    assert path.read_bytes() == _reference_ledger_csv(replace(led, backreaction_residual=None))
+    for ledger in (led, replace(led, backreaction_residual=None)):
+        ledger_to_csv(ledger, path)
+        assert path.read_bytes() == _reference_ledger_csv(ledger)
 
 
 # CSV round trips: every float written by repr parses back to the same bits
