@@ -854,6 +854,11 @@ def _sinc(x: float) -> float:
     return math.sin(x) / x
 
 
+def _first_order(a: float, delta: float, t: float) -> float:
+    """(a t / 2)^2 sinc^2(delta t / 2): first order in the coupling a."""
+    return (a * t / 2.0) ** 2 * _sinc(0.5 * delta * t) ** 2
+
+
 def rabi_probability(g: float, delta: float, t: float) -> float:
     """Resonant-exchange transition probability
     g^2/(g^2+delta^2) * sin^2(sqrt(g^2+delta^2) t / 2), with the Rabi
@@ -877,7 +882,7 @@ def golden_rule_limit(g: float, delta: float, t: float) -> float:
         warnings.warn(
             f"golden-rule limit outside validity: |delta/g| = {abs(delta) / abs(g):.2f} "
             f"< {GOLDEN_RULE_MIN_RATIO:g}", RegimeWarning, stacklevel=2)
-    return (g * t / 2.0) ** 2 * _sinc(0.5 * delta * t) ** 2
+    return _first_order(g, delta, t)
 
 
 def perturbative_pe(coupling: float, omega: float, nu: float, t: float) -> float:
@@ -887,16 +892,13 @@ def perturbative_pe(coupling: float, omega: float, nu: float, t: float) -> float
     The drive amplitude is absorbed into ``coupling``; the raw value is
     returned unclamped and is only meaningful while it stays << 1.
     """
-    delta = omega - nu
-    return (coupling * t / 2.0) ** 2 * _sinc(0.5 * delta * t) ** 2
+    return _first_order(coupling, omega - nu, t)
 
 
 def semiclassical_pn1(p: DrivenOscillatorParams, t: float) -> float:
     """First Fock level population of the driven detector in the rotating
     wave approximation, coupling^2 x0^2 (t^2/4) sinc^2((nu - omega) t / 2)."""
-    delta = p.nu - p.omega
-    amp_sq = (p.coupling * p.x0 * t / 2.0) ** 2
-    return amp_sq * _sinc(0.5 * delta * t) ** 2
+    return _first_order(p.coupling * p.x0, p.nu - p.omega, t)
 
 
 def _window(k: float, t: float) -> complex:

@@ -95,9 +95,9 @@ class _Family:
     all written from the Fock labels of the basis.
     """
 
-    detector: ClassVar[int]                 # factor index of the detector
-    intensity_field: ClassVar[str | None]   # parameter whose square is the intensity
-    driven: ClassVar[bool]                  # coupling multiplied by a classical x(t)
+    detector: ClassVar[int]                         # factor index of the detector
+    intensity_field: ClassVar[str | None] = None    # parameter whose square is the intensity
+    driven: ClassVar[bool]                          # coupling multiplied by a classical x(t)
 
     def default_initial_state(self) -> StateVector:
         return ground_state(self.space)
@@ -121,11 +121,10 @@ class _Family:
 
 
 @dataclass(frozen=True)
-class QubitSemiClassicalParams(_Family):
-    """Classical drive mode coupled to a qubit (no back-reaction unless the
-    owning ModelSpec sets it)."""
+class _DrivenFamily(_Family):
+    """What the two classically driven families share: the detector is the one factor."""
 
-    omega: float        # qubit gap
+    omega: float        # detector gap (qubit) or mode frequency (oscillator)
     nu: float           # drive frequency
     coupling: float     # interaction strength per unit displacement
     x0: float           # drive amplitude
@@ -138,7 +137,34 @@ class QubitSemiClassicalParams(_Family):
         _require_positive(omega=self.omega, nu=self.nu)
         _require_nonnegative(coupling=self.coupling)
         _require_finite(x0=self.x0)
-        object.__setattr__(self, "space", SpaceDescriptor((TwoLevel(),)))
+        object.__setattr__(self, "space", SpaceDescriptor(self._factors()))
+
+
+@dataclass(frozen=True)
+class _QuantizedFamily(_Family):
+    """What the two quantized families share: a field mode, then the detector."""
+
+    nu: float           # field mode frequency
+    omega: float        # detector gap (qubit) or mode frequency (oscillator)
+    g: float            # vacuum or exchange coupling
+    field_cutoff: int
+
+    detector = 1
+    driven = False
+
+    def __post_init__(self):
+        _require_positive(nu=self.nu, omega=self.omega)
+        _require_nonnegative(g=self.g)
+        object.__setattr__(self, "space", SpaceDescriptor(self._factors()))
+
+
+@dataclass(frozen=True)
+class QubitSemiClassicalParams(_DrivenFamily):
+    """Classical drive mode coupled to a qubit (no back-reaction unless the
+    owning ModelSpec sets it)."""
+
+    def _factors(self):
+        return (TwoLevel(),)
 
     def parts(self):
         """No field part (the drive is classical), (omega/2) sigma_z and
@@ -149,23 +175,11 @@ class QubitSemiClassicalParams(_Family):
 
 
 @dataclass(frozen=True)
-class JaynesCummingsParams(_Family):
+class JaynesCummingsParams(_QuantizedFamily):
     """Quantized field mode exchanging single quanta with a qubit."""
 
-    nu: float           # field mode frequency
-    omega: float        # qubit gap
-    g: float            # vacuum coupling
-    field_cutoff: int
-
-    detector = 1
-    intensity_field = None
-    driven = False
-
-    def __post_init__(self):
-        _require_positive(nu=self.nu, omega=self.omega)
-        _require_nonnegative(g=self.g)
-        object.__setattr__(self, "space",
-                           SpaceDescriptor((Boson(self.field_cutoff), TwoLevel())))
+    def _factors(self):
+        return Boson(self.field_cutoff), TwoLevel()
 
     def parts(self):
         """nu a+a, (omega/2) sigma_z and g (a sigma+ + a+ sigma-).  ``a sigma+``
@@ -181,26 +195,20 @@ class JaynesCummingsParams(_Family):
 
 
 @dataclass(frozen=True)
-class BeamSplitterParams(_Family):
+class BeamSplitterParams(_QuantizedFamily):
     """Two bosonic modes under an excitation-conserving exchange coupling."""
 
-    nu: float           # field mode frequency
-    omega: float        # detector mode frequency
-    g: float            # exchange coupling
-    field_cutoff: int
     detector_cutoff: int
     alpha: complex              # initial field coherent amplitude
 
-    detector = 1
     intensity_field = "alpha"
-    driven = False
 
     def __post_init__(self):
-        _require_positive(nu=self.nu, omega=self.omega)
-        _require_nonnegative(g=self.g)
-        object.__setattr__(self, "space", SpaceDescriptor(
-            (Boson(self.field_cutoff), Boson(self.detector_cutoff))))
+        super().__post_init__()
         check_coherent_cutoff(self.alpha, self.field_cutoff)
+
+    def _factors(self):
+        return Boson(self.field_cutoff), Boson(self.detector_cutoff)
 
     def parts(self):
         """nu a+a, omega b+b and g (a b+ + b a+).  ``a b+`` takes
@@ -219,24 +227,13 @@ class BeamSplitterParams(_Family):
 
 
 @dataclass(frozen=True)
-class DrivenOscillatorParams(_Family):
+class DrivenOscillatorParams(_DrivenFamily):
     """Classical drive mode coupled to a quantized oscillator detector."""
 
-    omega: float        # detector mode frequency
-    nu: float           # drive frequency
-    coupling: float     # interaction strength per unit displacement
-    x0: float           # drive amplitude
     detector_cutoff: int = 16
 
-    detector = 0
-    intensity_field = "x0"
-    driven = True
-
-    def __post_init__(self):
-        _require_positive(omega=self.omega, nu=self.nu)
-        _require_nonnegative(coupling=self.coupling)
-        _require_finite(x0=self.x0)
-        object.__setattr__(self, "space", SpaceDescriptor((Boson(self.detector_cutoff),)))
+    def _factors(self):
+        return (Boson(self.detector_cutoff),)
 
     def parts(self):
         """No field part (the drive is classical), omega b+b and

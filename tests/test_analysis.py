@@ -543,7 +543,7 @@ def _qubit_model(**overrides):
 def _reference_run(model, cfg):
     """Final amplitudes and error tag of the per-step reference run."""
     try:
-        return per_step_driven(model.params, cfg)[0][-1], None
+        return per_step_driven(model.params, cfg)[-1], None
     except ToleranceError as exc:
         return None, exc
 
