@@ -25,14 +25,21 @@ Three propagators, each the one route of its model kind:
 * ``evolve_hybrid`` -- mean-field evolution where the classical pair
   ``(x, p)`` obeys Hamilton's equations sourced by quantum expectation
   values, advanced by a Strang split (exact classical half-flows around a
-  ``_taylor`` quantum step on the state's real view), second order overall.
+  quantum step at the half-step x), second order overall.  Only x
+  changes from step to step, so the run steps from a table ``G_j`` in
+  y = x / R with ``exp(-i (h / s) (h0 + R y c)) - I = sum_j y^j G_j``,
+  rebuilt only when |x| passes the reach R: a step is one product of the
+  powers of y against the table and s matrix-vector products.
 
-``_taylor`` is the one matrix exponential of both driven kernels: a
-power-form Taylor sum for ``exp(h g) v`` (the powers (h g)^j v, one BLAS
-product each into a caller-owned ``_TaylorWork``, which makes its views
-of each degree once, weighted by 1/j! in one more product, v added last)
-whose degree and substeps follow from a 1-norm bound on h g, which
-``_STEP_BOUND_MAX`` caps for every driven step.
+Both driven kernels build their tables the same way: one power-form
+Taylor sum (``_taylor_increment``: the powers a^j v, one BLAS product
+each, weighted by 1/j! in one more product) on the last block column of
+a block-bidiagonal ``_van_loan`` matrix, whose blocks come out as the
+table's terms.  A drive table is the sum with v added (``_taylor``), a
+mean-field table the sum alone, so that it never holds the identity's
+rounding.  The degree and substeps of a sum follow from a 1-norm bound
+(``_taylor_plan``), which ``_STEP_BOUND_MAX`` caps for every driven
+step.
 
 The kernels only propagate raw states, and one guard judges them all:
 a ``_guard`` call on a ``(steps, runs, d)`` stack of raw states holds
@@ -429,54 +436,56 @@ def _real_form(g: np.ndarray) -> np.ndarray:
 _INV_FACTORIAL = np.array([1.0 / math.factorial(j) for j in range(1, len(_TAYLOR_REACH) + 1)])
 
 
-class _TaylorWork(dict):
-    """A ``_taylor`` workspace for vectors or column blocks shaped like v,
-    up to degree ``top``: top + 1 rows, the last (``spare``) the substeps'
-    spare, as one ``(top + 1, v.size)`` array and as the list of its rows.
-    Keyed by a degree m, it holds that degree's views, made on first use
-    and reused by every later call: the m power rows, as a list and as
-    one ``(m, v.size)`` array, and their weights ``_INV_FACTORIAL[:m]``."""
+def _taylor_increment(a: np.ndarray, degree: int, v: np.ndarray) -> np.ndarray:
+    """sum_j a^j v / j! for j = 1, ..., m = ``degree``: a Taylor sum of
+    exp(a) v without its first term v, for one vector or a block of
+    columns v, so that the sum never holds the rounding of v's part.
 
-    def __init__(self, v: np.ndarray, top: int):
-        super().__init__()
-        block = np.empty((top + 1, *v.shape), dtype=v.dtype)
-        self.flat, self.rows = block.reshape(top + 1, -1), list(block)
-        self.spare = self.rows[-1]
-
-    def __missing__(self, m: int):
-        views = self[m] = (self.rows[:m], self.flat[:m], _INV_FACTORIAL[:m])
-        return views
-
-
-def _taylor(a: np.ndarray, degree: int, substeps: int, v: np.ndarray,
-            work: _TaylorWork, out: np.ndarray) -> np.ndarray:
-    """exp(s a) v into ``out``, for one vector or a block of columns v: s =
-    ``substeps`` Taylor sums of degree ``degree`` in a = h g / s, the plan
-    (``_taylor_plan``) of a 1-norm bound on h g, so that each first omitted
-    term is at most 2^-53.  The one exponential of every driven step.
-
-    Each substep is a Taylor sum in power form: the powers P_j = a^j v,
-    j = 1, ..., m, each one product (``a.dot``, bound once per call) into
-    a row of ``work`` (a ``_TaylorWork`` the caller allocates and may reuse
-    across calls and degrees; its views of a degree are made once), then
-    one product of the powers against the weights 1/j! into the target
-    (a vector is its own flat view), and v added last.  The last substep
-    writes ``out`` and the others alternate with the spare row, so no
-    substep writes the vector it reads; ``out`` must not be v, and v is
-    left as it is.  Returns ``out``.
+    Power form: the powers P_j = a^j v, each one product into a row of a
+    local ``(m, *v.shape)`` block, then one product of the powers against
+    the weights 1/j!.  v is left as it is.
     """
-    steps, powers, weights = work[degree]
-    spare, dot = work.spare, a.dot
-    for left in range(substeps - 1, -1, -1):
-        target = spare if left % 2 else out
-        prev = v
-        for row in steps:
-            dot(prev, row)
-            prev = row
-        weights.dot(powers, target if target.ndim == 1 else target.reshape(-1))
-        target += v
-        v = target
-    return out
+    powers = np.empty((degree, *v.shape), dtype=v.dtype)
+    prev = v
+    for row in powers:
+        a.dot(prev, row)
+        prev = row
+    return _INV_FACTORIAL[:degree].dot(powers.reshape(degree, -1)).reshape(v.shape)
+
+
+def _taylor(a: np.ndarray, degree: int, substeps: int, v: np.ndarray) -> np.ndarray:
+    """exp(s a) v, for one vector or a block of columns v: s = ``substeps``
+    Taylor sums of degree ``degree`` in a = h g / s, the plan
+    (``_taylor_plan``) of a 1-norm bound on h g, so that each first omitted
+    term is at most 2^-53.  Each substep adds v to its
+    ``_taylor_increment``.  v is left as it is.
+    """
+    for _ in range(substeps):
+        v = _taylor_increment(a, degree, v) + v
+    return v
+
+
+def _van_loan(h0, c, amp: float, degree: int, scale: float):
+    """The block-bidiagonal matrix a with J + 1 = ``degree + 1`` blocks of
+    ``(d, d)`` on a side, -i scale h0 on its diagonal blocks and -i scale
+    amp c just above them, and its start block v, the last block column
+    of the identity.
+
+    Such matrices multiply as polynomials in y truncated after the power
+    J, so for any polynomial p the blocks of p(a) v from top to bottom are
+    the coefficients of y^J, ..., y^0 in p(-i scale (h0 + amp y c)) (Van
+    Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  The column 1-norm
+    of a is at most scale (|h0|_1 + |amp| |c|_1).
+    """
+    d = len(h0)
+    n = (degree + 1) * d
+    a = np.zeros((n, n), dtype=complex)
+    for j in range(degree + 1):
+        a[j * d:(j + 1) * d, j * d:(j + 1) * d] = -1j * h0
+        if j:
+            a[(j - 1) * d:j * d, j * d:(j + 1) * d] = (-1j * amp) * c
+    a *= scale
+    return a, np.eye(n, d, d - n, dtype=complex)
 
 
 def _drive_table(h0, c, norms, dt: float, x0: float):
@@ -486,28 +495,42 @@ def _drive_table(h0, c, norms, dt: float, x0: float):
     shape y = sin(nu t) in [-1, 1], to a first omitted term of at most 2^-53.
 
     ``_taylor_plan`` of the drive bound ``dt |x0| |c|_1`` gives the degree J
-    and the substeps s.  Take g, the block-bidiagonal matrix with -i h0 on
-    its diagonal blocks and -i x0 c above them.  Such matrices multiply as
-    polynomials in y truncated after the power J, so the blocks of the last
-    block column of exp(h g) are F_J, ..., F_0 from top to bottom (Van Loan,
-    IEEE Trans. Autom. Control 23, 395 (1978)); one ``_taylor`` call on that
-    column of the identity, on a workspace of its own, gives them all, with
-    the plan of the bound ``h (|h0|_1 + |x0| |c|_1)``, which bounds every
-    step's too, as |y| <= 1.
+    and the substeps s.  The blocks of the last block column of exp(a),
+    for ``_van_loan``'s a of amplitude x0 and scale h, are F_J, ..., F_0;
+    one ``_taylor`` call on that column of the identity gives them all,
+    with the plan of the bound ``h (|h0|_1 + |x0| |c|_1)``, which bounds
+    every step's too, as |y| <= 1.
     """
     degree, substeps = _taylor_plan(dt * abs(x0) * norms[1])
-    d, h = len(h0), dt / substeps
-    n = (degree + 1) * d
+    h = dt / substeps
     m, s = _taylor_plan(h * (norms[0] + abs(x0) * norms[1]))
-    a = np.zeros((n, n), dtype=complex)
-    for j in range(degree + 1):
-        a[j * d:(j + 1) * d, j * d:(j + 1) * d] = -1j * h0
-        if j:
-            a[(j - 1) * d:j * d, j * d:(j + 1) * d] = (-1j * x0) * c
-    a *= h / s
-    v = np.eye(n, d, d - n, dtype=complex)
-    f = _taylor(a, m, s, v, _TaylorWork(v, m), np.empty_like(v))
-    return f.reshape(degree + 1, d, d)[::-1], substeps
+    a, v = _van_loan(h0, c, x0, degree, h / s)
+    f = _taylor(a, m, s, v)
+    return f.reshape(degree + 1, len(h0), len(h0))[::-1], substeps
+
+
+def _hybrid_table(h0, c, norms, h: float, reach: float):
+    """The step table of a mean-field quantum step of length h for every x
+    with |x| <= reach R: ``G (m + 1, d, d)`` and the substeps s, with
+    exp(-i (h / s) (h0 + R y c)) - I = sum_j y^j G_j for y = x / R.
+
+    (m, s) is the Taylor plan of the bound ``h (|h0|_1 + R |c|_1)``, which
+    bounds every such step's, and sum_j y^j G_j is exactly the degree-m
+    Taylor sum of the substep less its identity, expanded in powers of y:
+    the blocks of ``_taylor_increment`` of ``_van_loan``'s a (amplitude R,
+    scale h / s, J = m) on its start block, G_m at the top.  The table
+    never forms the identity, which a step adds as the state itself.
+    """
+    degree, substeps = _taylor_plan(h * (norms[0] + reach * norms[1]))
+    a, v = _van_loan(h0, c, reach, degree, h / substeps)
+    g = _taylor_increment(a, degree, v).reshape(degree + 1, len(h0), len(h0))
+    return np.ascontiguousarray(g[::-1]), substeps
+
+
+def _reach(r: float) -> float:
+    """The least power of two above r > 0 (1 for r = 0), at most 2^1023:
+    the reach of a mean-field step table."""
+    return math.ldexp(1.0, math.frexp(min(r, 2.0 ** 1022))[1])
 
 
 # the steps per row block of ``_table_step``'s products
@@ -750,20 +773,26 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     ``exp(-i (h0 + x c) h)`` at the half-step x, and a classical
     half-flow with the refreshed <c>.
 
-    The state is held in its real view (``_real_form``), so the quantum
-    step is ``_taylor`` on the state with g = x m1 + m0, the real forms of
-    -i c and -i h0: a Taylor sum whose degree and substeps follow from the
-    1-norm bound ``h (|h0|_1 + |x| |c|_1)`` (past ``_STEP_BOUND_MAX`` it
-    raises), with no decomposition.  Every step has the grid rule's own
-    length h = t_max / n (``_steps``), so the half-flows' rotation is
-    computed once.  Every buffer is allocated once per run: the step's
-    h g / s is one product of (x / s, 1 / s) with the stacked pair
-    (h m1, h m0), the Taylor powers go to one ``_TaylorWork``, whose views
-    of each degree are made at that degree's first step, and each step
-    writes its row of the stored states.  The run carries and stores
-    the raw state; the force <c> over the squared norm, feeding both
-    half-flows, is two products: the stacked ``[c; I]`` (real forms) times
-    v gives (c v, v), and that pair times v gives (<v|c|v>, <v|v>).  One
+    The quantum step comes from a step table in y = x / R
+    (``_hybrid_table``): G_0, ..., G_m with exp(-i (h / s) (h0 + R y c)) - I
+    = sum_j y^j G_j, where (m, s) is the Taylor plan of the table's bound
+    ``h (|h0|_1 + R |c|_1)``.  The reach R is a power of two: at the first
+    step the least above hypot(x0, p0) (2 for the bundled audits), and
+    when |x| passes it, the least at or above |x|, which builds a new
+    table.  R never shrinks, so a run builds few tables.  A step computes
+    D = sum_j y^j G_j, its powers of y against the table in one product,
+    and applies v <- v + D v s times, with no decomposition and no plan.
+    The table holds D, not I + D, whose fixed rounding every step would
+    repeat: the raw drift would grow about 300-fold over 10000 steps.
+    Each step's own 1-norm bound ``h (|h0|_1 + |x| |c|_1)`` is still held
+    to ``_STEP_BOUND_MAX`` (past it the run raises).  Every step has the
+    grid rule's own length h = t_max / n (``_steps``), so the half-flows'
+    rotation is computed once, and each step writes its row of the stored
+    states.  The run carries and stores the raw state, in rows of (re, im)
+    pairs read as complex by the step; the force <c> over the squared
+    norm, feeding both half-flows, is two products on a row's real view:
+    the stacked ``[c; I]`` (real forms, ``_real_form``) times v gives
+    (c v, v), and that pair times v gives (<v|c|v>, <v|v>).  One
     ``_guard`` call then judges the stored rows, which are normalised in
     place by its norms: a run that trips raises after its last step, or
     after an abort, whose earlier trips win.  The tests hold the
@@ -779,14 +808,13 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     times = cfg.time_grid()
     h = cfg.t_max / cfg.n_steps
     norms = [np.abs(m).sum(axis=0).max(initial=0.0) for m in (h0, c)]
-    dim = 2 * space.total_dim
-    pair = (h * np.stack([_real_form(-1j * c), _real_form(-1j * h0)])).reshape(2, -1)
-    coef = np.ones(2)
-    g_flat = np.empty(dim * dim)
-    g = g_flat.reshape(dim, dim)
-    c_and_one = np.vstack([_real_form(c), np.eye(dim)])
-    cv = np.empty(2 * dim)
-    cv_pair, sums = cv.reshape(2, dim), np.empty(2)
+    d = space.total_dim
+    c_and_one = np.vstack([_real_form(c), np.eye(2 * d)])
+    cv = np.empty(4 * d)
+    cv_pair, sums = cv.reshape(2, 2 * d), np.empty(2)
+    # the step's D, written through its real view, and D v
+    step = np.empty((d, d), dtype=complex)
+    step_flat, dv = step.view(float).reshape(-1), np.empty(d, dtype=complex)
 
     x, p = float(s0.x), float(s0.p)
     if not (math.isfinite(x) and math.isfinite(p)):
@@ -794,11 +822,14 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
     # exact rotation of the displaced harmonic flow over a half step: the
     # cos and sin of nu h / 2
     ch, sh = math.cos(nu * (0.5 * h)), math.sin(nu * (0.5 * h))
+    # no table yet: the first step builds one, of reach at least ``start``
+    start, reach = _reach(math.hypot(x, p)), -1.0
 
-    # raw rows of (re, im) pairs, read as complex by the guard pass
-    rows = np.empty((len(times), dim))
+    # raw rows of (re, im) pairs, and the same rows as complex states
+    rows = np.empty((len(times), 2 * d))
+    states = rows.view(complex)
     v = rows[0] = s0.psi.amplitudes.view(float)
-    work = _TaylorWork(v, len(_TAYLOR_REACH))
+    u = states[0]
     track = [(x, p)]
     # <c> of the normalised state, from the raw one
     c_and_one.dot(v, cv)
@@ -815,10 +846,19 @@ def evolve_hybrid(model: ModelSpec, s0: HybridState, cfg: EvolutionConfig) -> Tr
             stop = ToleranceError(f"quantum step 1-norm bound {bound:.3e} exceeds "
                                   f"{_STEP_BOUND_MAX:.0e} at t={times[k]:g} (reduce dt)")
             break
-        degree, substeps = _taylor_plan(bound)
-        coef[0], coef[1] = x / substeps, 1.0 / substeps
-        coef.dot(pair, g_flat)
-        v = _taylor(g, degree, substeps, v, work, rows[k])
+        if not abs(x) <= reach:
+            # the least power of two at or above |x|, and at the first step
+            # at least the start reach
+            reach = max(start, _reach(math.nextafter(abs(x), 0.0)))
+            table, substeps = _hybrid_table(h0, c, norms, h, reach)
+            terms = table.view(float).reshape(len(table), -1)
+            exponents = np.arange(len(table), dtype=float)
+        np.power(x / reach, exponents).dot(terms, step_flat)
+        for _ in range(substeps - 1):
+            u = u + step.dot(u)
+        step.dot(u, dv)
+        u = np.add(u, dv, out=states[k])
+        v = rows[k]
         c_and_one.dot(v, cv)
         cv_pair.dot(v, sums)
         num, den = sums.tolist()
@@ -855,8 +895,17 @@ def _sinc(x: float) -> float:
 
 
 def _first_order(a: float, delta: float, t: float) -> float:
-    """(a t / 2)^2 sinc^2(delta t / 2): first order in the coupling a."""
-    return (a * t / 2.0) ** 2 * _sinc(0.5 * delta * t) ** 2
+    """(a t / 2)^2 sinc^2(delta t / 2): first order in the coupling a.
+
+    Where (a t / 2)^2 alone passes the float range, the product of the
+    factors is squared instead, which is finite when the result is: far
+    detuned, sinc is small.
+    """
+    half, sinc = a * t / 2.0, _sinc(0.5 * delta * t)
+    try:
+        return half ** 2 * sinc ** 2
+    except OverflowError:
+        return (half * sinc) ** 2
 
 
 def rabi_probability(g: float, delta: float, t: float) -> float:

@@ -53,12 +53,12 @@ from quantex.dynamics import (
     _drive_table,
     _evolve_driven_batch,
     _guard,
+    _hybrid_table,
     _real_form,
     _step_groups,
     _table_step,
     _taylor,
     _taylor_plan,
-    _TaylorWork,
 )
 from quantex.hilbert import NORM_ATOL, Hamiltonian, StateVector
 
@@ -669,12 +669,78 @@ def test_coarse_hybrid_steps_match_per_step_route(family, dt):
 
 @pytest.mark.parametrize("family, degree", [("qubit", 4), ("oscillator", 6)])
 def test_taylor_plan_keeps_the_bundled_hybrid_step(family, degree):
-    # the bundled audits step at dt 0.001 with |x| up to about 1: one
-    # Taylor sum of the degree the step has always had there
-    model, _ = _hybrid(family, 0.1)
+    # the bundled audits start at (x, p) = (0, 1), so their step table has
+    # reach 2, and step at dt 0.001: the table's plan is one Taylor sum of
+    # the degree the step has always had there
+    model, s0 = _hybrid(family, 0.1)
+    assert dynamics._reach(math.hypot(s0.x, s0.p)) == 2.0
     norms = [np.abs(m).sum(axis=0).max() for m in model.params.free_and_coupling()]
-    for x in (0.0, 1.0, 1.5):
-        assert _taylor_plan(0.001 * (norms[0] + x * norms[1])) == (degree, 1)
+    assert _taylor_plan(0.001 * (norms[0] + 2.0 * norms[1])) == (degree, 1)
+
+
+def _count_tables(monkeypatch):
+    """The reaches of the step tables ``evolve_hybrid`` builds from here on."""
+    reaches = []
+    table = dynamics._hybrid_table
+    monkeypatch.setattr(dynamics, "_hybrid_table",
+                        lambda *args: reaches.append(args[4]) or table(*args))
+    return reaches
+
+
+@pytest.mark.parametrize("family, dt, substeps", [("qubit", 0.001, 1), ("qubit", 8.0, 2),
+                                                  ("oscillator", 0.001, 1),
+                                                  ("oscillator", 1.0, 5)])
+def test_hybrid_table_matches_expm_and_taylor(family, dt, substeps):
+    # I + sum_j y^j G_j, for y on a grid in [-1, 1] at the bundled reach 2,
+    # is the substep's exponential, and the Taylor sum of the same plan on
+    # the substep's own matrix: within 2e-16 at dt 0.001 and 1e-14 at the
+    # coarse steps, where the table holds sums of degree 26 to 29
+    model, _ = _hybrid(family, 0.1)
+    h0, c = model.params.free_and_coupling()
+    norms = [_norm_1(m) for m in (h0, c)]
+    degree, plan_substeps = _taylor_plan(dt * (norms[0] + 2.0 * norms[1]))
+    table, table_substeps = _hybrid_table(h0, c, norms, dt, 2.0)
+    assert table_substeps == plan_substeps == substeps
+    assert table.shape == (degree + 1, *h0.shape) and table.dtype == complex
+    tol = 2e-16 if dt < 0.01 else 1e-14
+    eye = np.eye(len(h0), dtype=complex)
+    for y in np.linspace(-1.0, 1.0, 17):
+        a = (-1j * (h0 + 2.0 * y * c)) * (dt / substeps)
+        step = eye + np.tensordot(y ** np.arange(degree + 1), table, axes=1)
+        npt.assert_allclose(step, expm(a), rtol=0, atol=tol, err_msg=f"y {y}")
+        npt.assert_allclose(step, _taylor(a, degree, 1, eye), rtol=0, atol=tol,
+                            err_msg=f"y {y}")
+
+
+@pytest.mark.parametrize("family", ["qubit", "oscillator"])
+def test_hybrid_drift_stays_at_rounding_over_10000_steps(family, monkeypatch):
+    # the bundled audits' run, from one table of reach 2: the raw state's
+    # norm drifts by 1.33e-15 (qubit) and 6.88e-15 (oscillator).  A table
+    # that stored I + D in place of D would round the identity once and
+    # reuse that rounding every step, to a drift of 4.2e-13
+    reaches = _count_tables(monkeypatch)
+    model, s0 = _hybrid(family, 0.1)
+    traj = evolve_hybrid(model, s0, EvolutionConfig(dt=0.001, t_max=10.0,
+                                                    method=Method.MIDPOINT))
+    assert len(traj.times) == 10001 and reaches == [2.0]
+    assert traj.max_norm_drift <= 5e-14
+
+
+def test_hybrid_run_past_its_first_reach_builds_new_tables(monkeypatch):
+    # x starts at 0.01 at rest, so the first table has reach 2^-6, and the
+    # force of a qubit in (|0> + |1>) / sqrt(2) pulls x out to about -1.06:
+    # each time |x| passes the reach, a table of twice the reach is built
+    reaches = _count_tables(monkeypatch)
+    p = QubitSemiClassicalParams(omega=1.0, nu=1.0, coupling=0.5, x0=1.0)
+    model = ModelSpec(ModelFamily.QUBIT_DRIVE, p, back_reaction=True)
+    s0 = HybridState(0.01, 0.0, StateVector(p.space, np.array([1.0, 1.0]) / math.sqrt(2)))
+    cfg = EvolutionConfig(dt=0.01, t_max=5.0, method=Method.MIDPOINT)
+    traj = evolve_hybrid(model, s0, cfg)
+    assert reaches == [2.0 ** k for k in range(-6, 2)]
+    assert 1.0 < np.abs(traj.classical[:, 0]).max() <= reaches[-1]
+    reaches.clear()
+    _assert_hybrid_matches_per_step(model, s0, cfg)
+    assert reaches == [2.0 ** k for k in range(-6, 2)]
 
 
 @pytest.mark.parametrize("bound", [0.0, 1e-9, 0.015, 0.1, 1.0, 3.7, 3.9, 15.6, 43.0, 1e3])
@@ -985,6 +1051,20 @@ def test_perturbative_pe_series_branch_continuity():
     assert near == pytest.approx(lam ** 2 * t ** 2 / 4, rel=1e-10)
 
 
+def test_first_order_forms_stay_finite_where_only_the_square_overflows():
+    # (g t / 2)^2 = 2.5e313 passes the float range, but far detuned the
+    # first-order form is (g / delta)^2 sin^2(delta t / 2), at most 1e-4
+    g, delta, t = 1e150, 1e152, 1e7
+    want = (g / delta) ** 2 * math.sin(0.5 * delta * t) ** 2
+    assert 0.0 < want <= 1e-4
+    p = DrivenOscillatorParams(omega=1.0, nu=1.0 + delta, coupling=g, x0=1.0)
+    for got in (golden_rule_limit(g, delta, t), perturbative_pe(g, delta, 0.0, t),
+                semiclassical_pn1(p, t)):
+        assert got == pytest.approx(want, rel=1e-13)
+    # the exact form is finite there too
+    assert 0.0 < rabi_probability(g, delta, t) <= 1e-4
+
+
 def test_pn1_resonant_limit_and_zeroes():
     p = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.001, x0=2.0,
                                detector_cutoff=8)
@@ -1292,50 +1372,13 @@ def _midpoint_hamiltonian(draw):
     return h0, c, x, dt, psi / np.linalg.norm(psi)
 
 
-def _hybrid_taylor(h0, c, x, dt, v, out):
-    """One quantum step of ``evolve_hybrid``'s form on the real view v of a
-    state, into ``out``: the plan of dt (|h0|_1 + |x| |c|_1), h g / s as
-    the product of (x / s, 1 / s) with the stacked pair (dt m1, dt m0),
-    and ``_taylor`` on a workspace of the top degree."""
-    degree, substeps = _taylor_plan(dt * (_norm_1(h0) + abs(x) * _norm_1(c)))
-    pair = (dt * np.stack([_real_form(-1j * c), _real_form(-1j * h0)])).reshape(2, -1)
-    g = (np.array([x, 1.0]) / substeps).dot(pair).reshape(len(v), len(v))
-    return _taylor(g, degree, substeps, v, _TaylorWork(v, len(_TAYLOR_REACH)), out)
-
-
-def _table_taylor(h0, c, x, dt, block):
-    """The same step in ``_drive_table``'s form, on a complex block of
-    columns: -i dt (h0 + x c) / s, on a workspace of the plan's degree."""
+def _taylor_step(h0, c, x, dt, v):
+    """exp(-i dt (h0 + x c)) v by ``_taylor`` on the plan of
+    dt (|h0|_1 + |x| |c|_1): on the real view v of a state, through the
+    real form of the exponent, or on a complex block of columns v."""
     degree, substeps = _taylor_plan(dt * (_norm_1(h0) + abs(x) * _norm_1(c)))
     a = (-1j * (h0 + x * c)) * (dt / substeps)
-    return _taylor(a, degree, substeps, block, _TaylorWork(block, degree),
-                   np.empty_like(block))
-
-
-@pytest.mark.parametrize("form", ["hybrid", "table"])
-def test_a_reused_taylor_workspace_gives_a_fresh_ones_bits(form):
-    # one workspace through degree 6, then 3, then 6 in 2 substeps: each
-    # call keeps the bits of the same call on a fresh workspace, the
-    # hybrid's of the top degree on real rows read and written in turn,
-    # the drive table's of the call's degree on a complex block of columns
-    rng = np.random.default_rng(40)
-    if form == "hybrid":
-        a = rng.normal(size=(8, 8)) * 0.05
-        rows = np.empty((4, 8))
-        rows[0] = rng.normal(size=8)
-        top = lambda degree: len(_TAYLOR_REACH)
-    else:
-        a = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))) * 0.05
-        rows = np.empty((4, 6, 2), dtype=complex)
-        rows[0] = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
-        top = lambda degree: degree
-    shared = _TaylorWork(rows[0], top(6))
-    for k, (degree, substeps) in enumerate([(6, 1), (3, 1), (6, 2)], start=1):
-        fresh = _TaylorWork(rows[k - 1], top(degree))
-        want = _taylor(a, degree, substeps, rows[k - 1], fresh, np.empty_like(rows[k]))
-        got = _taylor(a, degree, substeps, rows[k - 1], shared, rows[k])
-        assert np.shares_memory(got, rows[k]) and got.tobytes() == want.tobytes()
-    assert sorted(shared) == [3, 6]
+    return _taylor(_real_form(a) if v.dtype == float else a, degree, substeps, v)
 
 
 # the bundled oscillator audit's model, whose steps at dt 0.001 and |x| up
@@ -1357,21 +1400,19 @@ _BUNDLED_OSCILLATOR = DrivenOscillatorParams(omega=1.0, nu=1.0, coupling=0.1, x0
 @example((np.diag([-10.0, 4.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, 1.0,
           np.array([0.8j, 0.6 + 0j])))                    # bound 11: 3 substeps
 def test_taylor_matches_expm(step):
-    # the hybrid's call, on the real view of one state read from one row
-    # and written to the next, as the run stores them, and the drive
-    # table's call, on a complex block of columns; neither writes its input
+    # on the real view of one state, through the real form of the
+    # exponent, and on a complex block of columns; neither call writes
+    # its input
     h0, c, x, dt, psi = step
     norms = [_norm_1(m) for m in (h0, c)]
     bound = dt * (norms[0] + abs(x) * norms[1])
     h_dt = (h0 + x * c) * dt
-    rows = np.full((3, 2 * len(psi)), np.nan)
-    rows[0] = psi.view(float)
-    out = _hybrid_taylor(h0, c, x, dt, rows[0], rows[1])
-    assert np.shares_memory(out, rows[1]) and out.shape == rows[1].shape
-    assert rows[0].tobytes() == psi.tobytes() and np.isnan(rows[2]).all()
+    v = psi.view(float).copy()
+    out = _taylor_step(h0, c, x, dt, v)
+    assert out.shape == v.shape and v.tobytes() == psi.tobytes()
     block = np.column_stack([psi, np.roll(psi, 1).conj()])
     before = block.copy()
-    out_block = _table_taylor(h0, c, x, dt, block)
+    out_block = _taylor_step(h0, c, x, dt, block)
     assert out_block.shape == block.shape and out_block.dtype == complex
     assert block.tobytes() == before.tobytes()
     # up to _SMALL_BOUND one Taylor sum runs, and it must hold to a few ulps
