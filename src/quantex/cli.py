@@ -27,6 +27,11 @@ leaves no partial artifacts.
 ``validate_config`` builds one frozen ``Scenario``; each kind's runner
 (``scan`` and ``signatures`` share one) returns ``{output key: writer}``,
 and ``run_scenario`` names the writers from ``Scenario.outputs``.
+Before it builds any array whose size a config sets, ``validate_config``
+counts the config's amplitude-steps (a run of n steps of a d-amplitude
+state counts n d) and rejects a config over ``_WORK_BUDGET`` (2**28),
+naming the block that crossed it, so a config that validates runs to an
+end in bounded memory and time.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical-tolerance abort,
 64 unknown subcommand, 73 artifacts could not be written.  A stdout whose
@@ -71,7 +76,6 @@ from .dynamics import (
     EvolutionConfig,
     HybridState,
     Method,
-    _steps,
     evolve_driven,
     evolve_hybrid,
     evolve_unitary,
@@ -308,9 +312,14 @@ def _build_axis(block: dict, name: str) -> np.ndarray:
 
 def validate_config(cfg: dict) -> Scenario:
     """Schema plus physics-domain validation; runs nothing.  Every number
-    must be finite, every horizon and readout time a step count an array
-    can index, and an audit's stored states and the samples of a quantized
-    scan's longest point arrays numpy can allocate.
+    must be finite, and the config's work must stay within the budget
+    ``_WORK_BUDGET``, counted (``_spend``) before any array sized by the
+    config is built: a run of n steps of a state of d amplitudes (n + 1
+    samples at a quantized scan point) counts n d, summed over an audit or
+    every point of every scan axis, and a golden-rule or constants table
+    counts its points.  The block named on crossing it is the model's for
+    a state of more amplitudes than the budget, the evolution block's for
+    one run to ``t_max`` over it, else the axis's or the table's.
     The returned scenario, built once and frozen, holds all that its
     runner reads but a constants block's parameters: the output names, the
     model (with a scan's default state built and cached), the evolution
@@ -323,37 +332,38 @@ def validate_config(cfg: dict) -> Scenario:
 
     kind, outputs = cfg["kind"], _output_names(cfg)
     model = evolution = initial = None
-    axes, where = {}, ["model"]         # the block a MemoryError names
+    axes, spent = {}, 0.0
     try:
         if "model" in cfg:
             model = _build_model(cfg["model"])
+            d = _spend(model.params.space.total_dim, ["model"])
         if "evolution" in cfg:
             ev = dict(cfg["evolution"])
             ev["method"] = Method(ev["method"])
             evolution = EvolutionConfig(**ev)
-            _check_steps(evolution.t_max, evolution.dt, ["evolution"])
+            # a quantized scan point holds its n + 1 samples
+            samples = int(kind != "audit" and not model.params.driven)
+            run = _spend(d * _runs(evolution.t_max, evolution.dt, samples), ["evolution"])
         if kind == "audit":
             initial = _initial_state(cfg.get("initial_state"), model)
-            _probe_states(evolution.n_steps + 1, model, ["evolution"])
         elif kind in ("scan", "signatures"):
-            model.default_state         # cached: the run reuses it
             paths = ({cfg["scan"]["axis"]: ["scan"]} if kind == "scan"
                      else {axis: ["scans", axis] for axis in _SIGNATURE_AXES})
             for name, where in paths.items():
                 block = functools.reduce(operator.getitem, where, cfg)
+                # each point is a run of a step at least: held before the axis is built
+                _spend(block["points"] * d * (1 + samples), where, spent)
                 axes[name] = _scan_axis(model, name, _build_axis(block, name))
-                if name == "time":
-                    _check_steps(axes[name].max(), evolution.dt, where)
-                if not model.params.driven:     # a quantized point holds all its samples
-                    h, at = ((axes[name].max(), where) if name == "time"
-                             else (evolution.t_max, ["evolution"]))
-                    _probe_states(_steps(h, evolution.dt) + 1, model, at)
+                spent = _spend(d * _runs(axes[name], evolution.dt, samples) if name == "time"
+                               else len(axes[name]) * run, where, spent)
+            model.default_state         # cached: the run reuses it
             # a scan tags a point at nu <= 0; a config may not plan one
             if np.min(axes.get("detuning", np.inf)) + model.params.omega <= 0:
                 raise ConfigError("detuning scan would push the field frequency "
                                   "to zero or below")
         elif kind == "golden_rule":
-            block, where = cfg["golden_rule"], ["golden_rule"]
+            block = cfg["golden_rule"]
+            _spend(block["points"], ["golden_rule"])
             with np.errstate(over="ignore"):
                 axes["detuning"] = deltas = block["g"] * np.geomspace(
                     block["ratio_min"], block["ratio_max"], block["points"])
@@ -361,34 +371,37 @@ def validate_config(cfg: dict) -> Scenario:
                 raise ConfigError("golden_rule needs finite detunings g * ratio that "
                                   "rise strictly from ratio_min to ratio_max")
         elif kind == "constants":
-            g, where = cfg["gravito"], ["gravito"]
+            g = cfg["gravito"]
+            _spend(g["points"], ["gravito"])
             if g["points"] > 1 and g["nu_stop"] == g["nu_start"]:
                 raise ConfigError("constants grid needs distinct nu bounds")
             axes["nu"] = np.linspace(g["nu_start"], g["nu_stop"], g["points"])
-    except MemoryError as exc:
-        raise ConfigError(f"the block at {where} cannot be allocated: {exc}") from exc
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return Scenario(cfg["scenario"], kind, cfg, outputs, model, evolution, initial, axes)
 
 
-def _probe_states(rows: int, model: ModelSpec, where: list):
-    """Allocate the ``(rows, d)`` complex states a run will hold, which
-    numpy refuses at once past memory (MemoryError) or past its largest
-    array size (ValueError): a ConfigError naming the block at ``where``."""
-    try:
-        np.empty((rows, model.params.space.total_dim), dtype=complex)
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(f"the block at {where} cannot be allocated: {exc}") from exc
+# The most amplitude-steps one config may ask for (``validate_config``):
+# 100 times the largest bundled or benchmark config, 1694664 for
+# ``signatures_driven_oscillator``, and above an audit of 10**7 steps at d = 8.
+_WORK_BUDGET = 2 ** 28
 
 
-def _check_steps(t: float, dt: float, where: list):
-    """A ConfigError naming the block at ``where`` if a run up to time t
-    would take more steps of about dt (``_steps``) than an array can index."""
-    limit = np.iinfo(np.intp).max
-    if not (math.isfinite(t / dt) and _steps(t, dt) <= limit):
-        raise ConfigError(f"the block at {where} asks for {t / dt:.3g} steps of "
-                          f"about dt = {dt:g}, more than an array can index ({limit})")
+def _runs(horizons, dt: float, samples: int = 0) -> float:
+    """The steps (``dynamics._steps``) of a run to each of ``horizons`` at
+    about dt, plus ``samples`` per run, summed as a float, which a horizon
+    of 1e300 steps or more cannot overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.maximum(1.0, np.rint(np.divide(horizons, dt))) + samples))
+
+
+def _spend(work: float, where: list, spent: float = 0.0) -> float:
+    """``spent + work`` amplitude-steps, or a ConfigError naming the block
+    at ``where`` if they pass ``_WORK_BUDGET``."""
+    if not spent + work <= _WORK_BUDGET:
+        raise ConfigError(f"the block at {where} asks for {spent + work:.3g} "
+                          f"amplitude-steps, over the budget of {_WORK_BUDGET}")
+    return spent + work
 
 
 def _initial_state(block: dict | None, model: ModelSpec) -> StateVector | HybridState:

@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import dataclasses
 import functools
 import json
 import math
+import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -30,6 +33,7 @@ from quantex.dynamics import GOLDEN_RULE_MIN_RATIO, EvolutionConfig, HybridState
 from quantex.errors import ConfigError
 from quantex.hilbert import basis_state, ground_state, min_coherent_cutoff
 from test_analysis import _reference_ledger_csv
+from test_schema_check import _workload_configs
 
 
 def test_version_prints_constants_hash(capsys):
@@ -793,89 +797,202 @@ def test_a_method_the_family_does_not_evolve_by_exits_2_without_artifacts(
     assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("scenario, keys", [
-    ("beam_splitter_resonance", ("scan", "points")),
-    ("signatures_driven_oscillator", ("scans", "time", "points")),
-    ("rabi_golden_rule", ("golden_rule", "points")),
-    ("gravito_constants", ("gravito", "points")),
+_OVER_BUDGET = f"amplitude-steps, over the budget of {cli._WORK_BUDGET}\n"
+
+
+@pytest.mark.parametrize("scenario, keys, count", [
+    # held before the axis is built: 10**15 points of at least 2 samples of
+    # 192 amplitudes, of at least one step of 8 amplitudes, and 10**15 rows
+    ("beam_splitter_resonance", ("scan", "points"), "3.84e+17"),
+    ("signatures_driven_oscillator", ("scans", "time", "points"), "8e+15"),
+    ("rabi_golden_rule", ("golden_rule", "points"), "1e+15"),
+    ("gravito_constants", ("gravito", "points"), "1e+15"),
 ], ids=["scan", "signatures", "golden_rule", "constants"])
 def test_an_axis_too_long_to_allocate_exits_2_without_artifacts(tmp_path, capsys,
-                                                                scenario, keys):
-    # numpy refuses an array of 10**15 floats (7.11 PiB) at once, so the
-    # test allocates nothing; the message names the block of the axis
+                                                                scenario, keys, count):
+    # the work budget rejects an axis of 10**15 points before it is built,
+    # so the test allocates nothing; the message names the block of the axis
     path = tmp_path / "cfg.json"
     path.write_text(_set(keys, 10 ** 15)(bundled_scenarios()[scenario]))
     out = tmp_path / "out"
     for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"invalid configuration: the block at {list(keys[:-1])} "
-                              "cannot be allocated: ")
-        assert err.count("\n") == 1
+        assert err == (f"invalid configuration: the block at {list(keys[:-1])} "
+                       f"asks for {count} {_OVER_BUDGET}"), err
     assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("scenario, keys, value, message", [
     ("jc_vacuum_exchange", ("evolution", "t_max"), 1e300,
-     "the block at ['evolution'] asks for 1e+301 steps of about dt = 0.1, "),
+     "the block at ['evolution'] asks for 8e+301 "),
     ("signatures_driven_oscillator", ("scans", "time", "stop"), 1e300,
-     "the block at ['scans', 'time'] asks for 2e+302 steps of about dt = 0.005, "),
+     "the block at ['scans', 'time'] asks for 1.6e+303 "),
     ("signatures_beam_splitter", ("model", "params", "field_cutoff"), 10 ** 15,
-     "the block at ['model'] cannot be allocated: "),
-    # 1e16 stored states of 8 amplitudes, 1.1 EiB, which numpy refuses at once
+     "the block at ['model'] asks for 6e+15 "),
+    # 1e16 steps of 8 amplitudes
     ("jc_vacuum_exchange", ("evolution", "t_max"), 1e15,
-     "the block at ['evolution'] cannot be allocated: "),
-    # 1e18 stored states, past numpy's largest array: a ValueError, not a
-    # MemoryError, which must name the block all the same
+     "the block at ['evolution'] asks for 8e+16 "),
+    # 1e18 steps, past numpy's largest array of stored states
     ("jc_vacuum_exchange", ("evolution", "t_max"), 1e17,
-     "the block at ['evolution'] cannot be allocated: array is too big"),
-], ids=["horizon", "readout", "cutoff", "stored_horizon", "stored_horizon_too_big"])
+     "the block at ['evolution'] asks for 8e+18 "),
+    # 2e14 steps of a 2-level state per scan point
+    ("qubit_drive_threshold", ("evolution", "t_max"), 1e12,
+     "the block at ['evolution'] asks for 4e+14 "),
+    ("signatures_driven_oscillator", ("evolution", "t_max"), 1e12,
+     "the block at ['evolution'] asks for 1.6e+15 "),
+    # the detuning and intensity axes' 1.6e6, then 25 readouts up to 2e14 steps
+    ("signatures_driven_oscillator", ("scans", "time", "stop"), 1e12,
+     "the block at ['scans', 'time'] asks for 2.1e+15 "),
+], ids=["horizon", "readout", "cutoff", "stored_horizon", "stored_horizon_too_big",
+        "driven_horizon", "signatures_horizon", "signatures_readout"])
 def test_a_run_too_long_or_a_state_too_large_to_allocate_exits_2(tmp_path, capsys, scenario,
                                                                   keys, value, message):
-    # a step count past np.intp's range, a default state of 10**15 levels
-    # and an audit's stored states past memory passed validate and crashed
-    # the run; a scan's default state is built (and cached for the run)
-    # while the config is validated
+    # a step count past np.intp's range, a default state of 10**15 levels,
+    # an audit's stored states past memory and a scan of 2e14 steps per
+    # point passed validate and crashed the run or would never have ended;
+    # the work budget rejects each before any array of its size is built,
+    # and no case here steps
     path = tmp_path / "cfg.json"
     path.write_text(_set(keys, value)(bundled_scenarios()[scenario]))
     out = tmp_path / "out"
     for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"invalid configuration: {message}"), err
-        assert err.count("\n") == 1
+        assert err == f"invalid configuration: {message}{_OVER_BUDGET}", err
     assert list(tmp_path.iterdir()) == [path]
 
 
-@pytest.mark.parametrize("keys, value, where", [
+@pytest.mark.parametrize("keys, value, where, count", [
     # 2e15 + 1 samples of 192 amplitudes at every detuning point, 5.33 EiB
-    (("evolution", "t_max"), 1e15, ["evolution"]),
+    (("evolution", "t_max"), 1e15, ["evolution"], "3.84e+17"),
     # 2.4e15 + 1 samples at the last readout time, 2e15 + 1 at the first
-    (("scan",), {"axis": "time", "start": 1e15, "stop": 1.2e15, "points": 3}, ["scan"]),
-    # 6e15 + 1 samples, past numpy's largest array: a ValueError, not a MemoryError
-    (("scan",), {"axis": "time", "start": 1e15, "stop": 3e15, "points": 3}, ["scan"]),
+    (("scan",), {"axis": "time", "start": 1e15, "stop": 1.2e15, "points": 3}, ["scan"],
+     "1.27e+18"),
+    # 6e15 + 1 samples at the last, past numpy's largest array
+    (("scan",), {"axis": "time", "start": 1e15, "stop": 3e15, "points": 3}, ["scan"],
+     "2.3e+18"),
 ], ids=["horizon", "readout", "readout_too_big"])
 def test_a_quantized_scan_whose_samples_numpy_refuses_exits_2(tmp_path, capsys, keys, value,
-                                                               where):
+                                                               where, count):
     # validate passed these, and the run crashed allocating a point's time
-    # grid; numpy refuses every such array at once, so nothing is allocated
+    # grid; a quantized point's samples count in the work budget, which
+    # rejects each before any array of its size is built
     path = tmp_path / "cfg.json"
     path.write_text(_set(keys, value)(bundled_scenarios()["beam_splitter_resonance"]))
     out = tmp_path / "out"
     for args in (["validate", str(path)], ["run", str(path), "--output-dir", str(out)]):
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"invalid configuration: the block at {where} "
-                              "cannot be allocated: "), err
-        assert err.count("\n") == 1
+        assert err == (f"invalid configuration: the block at {where} asks for {count} "
+                       f"{_OVER_BUDGET}"), err
     assert list(tmp_path.iterdir()) == [path]
 
 
 def test_a_moderate_horizon_still_validates(tmp_path, capsys):
-    # a step budget is a separate rule: 10**7 steps of dt 0.1 index fine
+    # 10**7 steps of dt 0.1 at d = 8, 8.0e7 amplitude-steps, within the budget
     path = tmp_path / "cfg.json"
     path.write_text(_set(("evolution", "t_max"), 1e6)(bundled_scenarios()["jc_vacuum_exchange"]))
     assert main(["validate", str(path)]) == 0
+
+
+def _work(scenario) -> int:
+    """A validated scenario's amplitude-steps, counted from what it holds
+    with the kernels' own grid rule: a run of n steps of d amplitudes
+    counts n d (a quantized scan point n + 1 samples), a golden-rule or
+    constants table its points."""
+    if scenario.kind in ("golden_rule", "constants"):
+        return sum(map(len, scenario.axes.values()))
+    d, ev = scenario.model.params.space.total_dim, scenario.evolution
+    if scenario.kind == "audit":
+        return d * dynamics._steps(ev.t_max, ev.dt)
+    samples = 0 if scenario.model.params.driven else 1
+    return d * sum(dynamics._steps(t if name == "time" else ev.t_max, ev.dt) + samples
+                   for name, values in scenario.axes.items() for t in values)
+
+
+_BUNDLED_WORK = {
+    "beam_splitter_resonance": 245952, "energy_audit_semiclassical": 200000,
+    "gravito_constants": 11, "jc_vacuum_exchange": 2512,
+    "oscillator_backreaction_audit": 160000, "qubit_backreaction_audit": 20000,
+    "qubit_drive_threshold": 328000, "rabi_golden_rule": 25,
+    "signatures_beam_splitter": 414360, "signatures_driven_oscillator": 1694664}
+
+
+def test_every_bundled_and_benchmark_config_uses_at_most_a_hundredth_of_the_budget(
+        monkeypatch):
+    # the budget rejects nothing that quantex ships or benchmarks, with a
+    # factor 100 to spare, and validate counts exactly what _work counts:
+    # each config passes at a budget of its own count and fails one below
+    configs = {name: json.loads(text) for name, text in bundled_scenarios().items()}
+    assert {name: _work(validate_config(cfg)) for name, cfg in configs.items()} \
+        == _BUNDLED_WORK
+    configs |= {f"{cfg['scenario']}@{i}": cfg
+                for i, cfg in enumerate(_workload_configs(seeds=(0, 7)))}
+    for name, cfg in configs.items():
+        work = _work(validate_config(cfg))
+        assert work <= cli._WORK_BUDGET // 100, name
+        monkeypatch.setattr(cli, "_WORK_BUDGET", work)
+        validate_config(cfg)
+        monkeypatch.setattr(cli, "_WORK_BUDGET", work - 1)
+        with pytest.raises(ConfigError, match=r"^the block at \[.*\] asks for "):
+            validate_config(cfg)
+        monkeypatch.undo()
+
+
+def _number_mutants():
+    """(name, key path, value, config) of every bundled config with one of
+    its numbers set to 0, its negative, 1e3 times it, 1e12 or 1e300."""
+    def numbers(value, path=()):
+        items = (value.items() if isinstance(value, dict)
+                 else enumerate(value) if isinstance(value, list) else ())
+        for key, item in items:
+            if isinstance(item, (int, float)) and not isinstance(item, bool):
+                yield path + (key,), item
+            yield from numbers(item, path + (key,))
+
+    for name, text in bundled_scenarios().items():
+        for path, number in numbers(json.loads(text)):
+            for value in (0, -number, number * 1000, 1e12, 1e300):
+                cfg = json.loads(text)
+                functools.reduce(operator.getitem, path[:-1], cfg)[path[-1]] = value
+                yield name, path, value, cfg
+
+
+def test_every_number_mutant_of_a_bundled_config_exits_2_or_fits_the_budget():
+    # each validates to a scenario whose work _work counts within the
+    # budget, or is a ConfigError; validation builds nothing past it
+    rejected = 0
+    for name, path, value, cfg in _number_mutants():
+        try:
+            scenario = validate_config(cfg)
+        except ConfigError:
+            rejected += 1
+            continue
+        assert _work(scenario) <= cli._WORK_BUDGET, (name, path, value)
+    assert rejected > 100
+
+
+def test_number_mutants_within_a_small_budget_run_to_exit_0_or_3(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a seeded sample of the mutants that validate at 2**16 amplitude-steps,
+    # at most a few tens of ms of stepping each, runs to an end under the
+    # suite's -W error: validation passed them, so only the run's own
+    # verdicts remain
+    monkeypatch.setattr(cli, "_WORK_BUDGET", 2 ** 16)
+    runnable = []
+    for name, path, value, cfg in _number_mutants():
+        with contextlib.suppress(ConfigError):
+            validate_config(cfg)
+            runnable.append((name, path, value, cfg))
+    statuses = set()
+    for i, (name, path, value, cfg) in enumerate(random.Random(0).sample(runnable, 20)):
+        config = tmp_path / f"{i}.json"
+        config.write_text(json.dumps(cfg))
+        status = main(["run", str(config), "--output-dir", str(tmp_path / str(i))])
+        assert status in (EXIT_OK, EXIT_TOLERANCE), (name, path, value, capsys.readouterr())
+        statuses.add(status)
+    assert statuses == {EXIT_OK, EXIT_TOLERANCE}
 
 
 @pytest.mark.parametrize("scenario, keys, name", [

@@ -29,13 +29,14 @@ _FAILING = {"type", "required", "additionalProperties", "enum", "minimum",
             "exclusiveMinimum", "maximum", "pattern", "minProperties", "minItems"}
 
 
-def _workload_configs() -> list[dict]:
+def _workload_configs(seeds=(0,)) -> list[dict]:
+    """The benchmark's generated configs, every workload's for each seed."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [cfg for name in sorted(workloads.TEMPLATES)
-            for cfg in workloads.generate(name, 0)]
+    return [cfg for name in sorted(workloads.TEMPLATES) for seed in seeds
+            for cfg in workloads.generate(name, seed)]
 
 
 def _nodes(value, path=()):
